@@ -10,4 +10,5 @@ with explicit tolerances, driven reproducibly from the command line.
 
 __version__ = "0.1.0"
 
-from . import cli, diagnostics, gaussian, mcmc, model, quadrature  # noqa: F401,E402
+# cli is left out so that ``python -m gradlab.cli`` runs it fresh
+from . import diagnostics, gaussian, mcmc, model, quadrature  # noqa: F401,E402

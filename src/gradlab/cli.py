@@ -8,8 +8,9 @@ for byte.  Floats are serialized with 17 significant digits.
 
 Seed discipline: a single master ``seed`` is split into independent
 streams with counter-style spawn keys, (0, realization) for disorder
-fields and (1, chain) for Markov chains, so execution order and thread
-count never change results.
+fields and (1, chain) for Markov chains, so execution order never changes
+results.  ``threads`` is validated and echoed but, as every experiment
+runs in one thread, changes neither results nor speed.
 
 Exit codes: 0 success; 1 config error; 2 numerical failure (solver or
 quadrature non-convergence); 3 invariant-check failure (an identity above
@@ -20,7 +21,7 @@ Usage::
     gradlab CONFIG [--out DIR] [--threads N] [--seed S]
 
 with environment overrides GRADLAB_OUT, GRADLAB_THREADS, GRADLAB_SEED
-(flags win over the environment).
+(flags win over the environment), validated together with the file.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -177,9 +177,13 @@ _CASTERS: dict[str, Callable[[str], Any]] = {
 }
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
     """Parse and validate a flat key=value config; raise ConfigError on the
-    first problem, naming its line."""
+    first problem, naming its line.
+
+    ``overrides`` (typed values, as from command-line flags or the
+    environment) replace keys of the text before the one validation pass.
+    """
     values: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -200,6 +204,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {exc}", lineno) from exc
+    values.update(overrides or {})
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
     try:
@@ -220,6 +225,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("eta2 must be > 0")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if cfg.disorder not in ("gaussian", "rademacher", "uniform"):
         raise ConfigError(f"unknown disorder family {cfg.disorder!r}")
     cfg.make_kernel()
@@ -245,6 +252,9 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("decay experiment requires d=3")
         if not cfg.r_list:
             raise ConfigError("decay experiment requires r_list")
+        if any(r < 0 or r % 2 or r > cfg.L // 2 for r in cfg.r_list):
+            raise ConfigError("r_list entries must be even separations r with "
+                              f"0 <= r <= L//2 = {cfg.L // 2}")
     if exp == "gaussian-exact" and cfg.d != 2:
         raise ConfigError("gaussian-exact experiment requires d=2 "
                           "(per-side boundary averages)")
@@ -276,15 +286,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
-
-
-def _parallel_map(fn: Callable[[Any], Any], items: list[Any], threads: int) -> list[Any]:
-    """Apply fn preserving order; results are index-assembled so thread
-    scheduling cannot change the output."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 class RunResult(NamedTuple):
@@ -350,15 +351,13 @@ def _run_gaussian_exact(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], d
     A = gaussian.DirichletLaplacian(g, k)
     solver = cfg.solver()
 
-    def one(r: int) -> list[Any]:
+    rows = []
+    for r in range(cfg.n_realizations):
         eta = sample_disorder(cfg.disorder_spec(r), g)
         X = gaussian.mean_gradient(A, eta, solver)
         _, mx = diagnostics.divergence_residual(X, eta, g, k)
-        sides = [diagnostics.boundary_ergodic_average(X, g, k, s)
-                 for s in (1, 2, 3, 4)]
-        return [r, mx] + sides
-
-    rows = _parallel_map(one, list(range(cfg.n_realizations)), cfg.threads)
+        rows.append([r, mx] + [diagnostics.boundary_ergodic_average(X, g, k, s)
+                               for s in (1, 2, 3, 4)])
     path = out / "gaussian.csv"
     _write_csv(path, ["realization", "max_divergence_residual",
                       "side_1", "side_2", "side_3", "side_4"], rows)
@@ -528,6 +527,16 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
     return RunResult(code, files, manifest)
 
 
+def _env_int(name: str) -> int | None:
+    raw = os.environ.get(name)
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="gradlab",
@@ -539,22 +548,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     out = args.out or os.environ.get("GRADLAB_OUT") or "."
-    threads = args.threads if args.threads is not None else \
-        int(os.environ.get("GRADLAB_THREADS", "0")) or None
-    seed = args.seed if args.seed is not None else \
-        (int(os.environ["GRADLAB_SEED"]) if "GRADLAB_SEED" in os.environ else None)
-
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = parse_config(text)
-        if threads is not None:
-            cfg = replace(cfg, threads=threads)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
+        # GRADLAB_THREADS=0 means "not set"
+        threads = args.threads if args.threads is not None else \
+            _env_int("GRADLAB_THREADS") or None
+        seed = args.seed if args.seed is not None else _env_int("GRADLAB_SEED")
+        overrides = {key: v for key, v in (("threads", threads), ("seed", seed))
+                     if v is not None}
+        cfg = parse_config(text, overrides)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

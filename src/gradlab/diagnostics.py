@@ -14,6 +14,11 @@ with explicit uncertainties:
 
 Scans return plain (control, value, uncertainty) rows; ``fit`` provides the
 log-linear and power-law least squares used to summarize them.
+
+Edge sums read a ``VectorField`` by array shifts, in a fixed order: site
+fluxes add one kernel offset at a time, surface and side sums fold edge by
+edge in ``boundary_edges`` order.  The values match the per-edge loops of
+the definitions, which the tests keep as oracles, to the last bit.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from scipy.sparse.linalg import splu
 
 from . import gaussian
 from .model import (BoxGeometry, DisorderField, DisorderSpec, Edge, Kernel,
-                    Site, VectorField, add, boundary_edges, sample_disorder)
+                    Site, VectorField, neighbor_index, sample_disorder)
 
 
 @dataclass(frozen=True)
@@ -87,21 +92,42 @@ class DecayScan(NamedTuple):
 # divergence bookkeeping
 
 
+def _site_values(X: VectorField, g: BoxGeometry, k: Kernel) -> np.ndarray:
+    if X.geometry != g or X.kernel != k:
+        raise ValueError("the field belongs to another geometry or kernel")
+    return X.site_values()
+
+
+def _fold(terms: np.ndarray) -> float:
+    """Left-to-right sum from 0.0, edge by edge.  np.sum adds pairwise, in
+    another order, and would move the last digits of the CSV outputs."""
+    total = 0.0
+    for t in terms.tolist():
+        total += t
+    return total
+
+
+def _boundary_terms(X: VectorField, g: BoxGeometry,
+                    k: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """p(j - i) X_ij over the boundary edges in boundary_edges order, and
+    the kernel support row (the jump j - i) of each."""
+    sites, rows = np.nonzero(neighbor_index(g, k).T < 0)
+    weights = np.array([w for _, w in k.support()])
+    return weights[rows] * _site_values(X, g, k)[rows, sites], rows
+
+
 def divergence_residual(X: VectorField, eta: DisorderField, g: BoxGeometry,
                         k: Kernel) -> tuple[np.ndarray, float]:
     """Per-site residuals r_i = eta_i - sum_j p(j-i) X_ij and their max |.|.
 
-    X must carry every kernel edge with an interior endpoint; a missing
-    edge raises KeyError.
+    X must be a field of (g, k).  The flux adds one kernel offset at a
+    time, in support order, for all sites at once.
     """
-    residuals = np.zeros(g.n_sites)
-    support = k.support()
-    for idx, i in enumerate(g.sites()):
-        flux = 0.0
-        for v, w in support:
-            flux += w * X.get(i, add(i, v))
-        residuals[idx] = eta.values[idx] - flux
-    return residuals, float(np.max(np.abs(residuals))) if g.n_sites else 0.0
+    flux = np.zeros(g.n_sites)
+    for (_, w), values in zip(k.support(), _site_values(X, g, k)):
+        flux += w * values
+    residuals = eta.values - flux
+    return residuals, float(np.max(np.abs(residuals)))
 
 
 def integral_form_check(X: VectorField, eta: DisorderField, g: BoxGeometry,
@@ -112,9 +138,7 @@ def integral_form_check(X: VectorField, eta: DisorderField, g: BoxGeometry,
     two sums telescopes to the sum of the per-site divergence residuals.
     """
     volume = float(np.sum(eta.values))
-    surface = 0.0
-    for i, j, w in boundary_edges(g, k):
-        surface += w * X.get(i, j)
+    surface = _fold(_boundary_terms(X, g, k)[0])
     return IntegralFormCheck(volume, surface, volume - surface)
 
 
@@ -132,14 +156,12 @@ def boundary_ergodic_average(X: VectorField, g: BoxGeometry, k: Kernel,
         raise ValueError("side must be in {1, 2, 3, 4}")
     if g.L < 1:
         raise ValueError("L must be >= 1")
-    total = 0.0
-    for i, j, w in boundary_edges(g, k):
-        delta = tuple(b - a for a, b in zip(i, j))
-        axis = 0 if abs(delta[0]) >= abs(delta[1]) else 1
-        edge_side = (1 + axis) if delta[axis] > 0 else (3 + axis)
-        if edge_side == side:
-            total += w * X.get(i, j)
-    return total / g.L
+    sides = []
+    for v, _ in k.support():
+        axis = 0 if abs(v[0]) >= abs(v[1]) else 1
+        sides.append((1 + axis) if v[axis] > 0 else (3 + axis))
+    terms, rows = _boundary_terms(X, g, k)
+    return _fold(terms[np.array(sides)[rows] == side]) / g.L
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +308,19 @@ def second_moment_identity(g: BoxGeometry, k: Kernel,
     nothing).  Columns come from a direct sparse factorization; the tests
     pin individual entries against the iterative-solver covariance op.
     """
-    edges = boundary_edges(g, k)
+    sites, rows = np.nonzero(neighbor_index(g, k).T < 0)  # boundary_edges order
     lhs = eta2 * g.n_sites
-    sites = sorted({i for i, _, _ in edges})
-    site_row = {s: r for r, s in enumerate(sites)}
+    distinct, column = np.unique(sites, return_inverse=True)
 
     A = gaussian.DirichletLaplacian(g, k)
     lu = splu(gaussian.sparse_operator(A).tocsc())
-    rhs_cols = np.zeros((g.n_sites, len(sites)))
-    for s, r in site_row.items():
-        rhs_cols[g.index_of(s), r] = 1.0
+    rhs_cols = np.zeros((g.n_sites, len(distinct)))
+    rhs_cols[distinct, np.arange(len(distinct))] = 1.0
     cols = lu.solve(rhs_cols)  # n_sites x n_distinct
 
-    weights = np.array([w for _, _, w in edges])
-    rows = np.array([site_row[i] for i, _, _ in edges])
+    weights = np.array([w for _, w in k.support()])[rows]
     # response matrix of all boundary edges (exterior endpoint has G = 0)
-    resp = cols[:, rows]  # n_sites x n_edges
+    resp = cols[:, column]  # n_sites x n_edges
     gram = resp.T @ resp
     rhs = eta2 * float(weights @ gram @ weights)
     denom = max(abs(lhs), abs(rhs))

@@ -25,7 +25,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .model import (BoxGeometry, DisorderField, Edge, HeightField, Kernel,
-                    Site, VectorField, add, gradient_of, validate_kernel)
+                    Site, VectorField, gradient_of, neighbor_index,
+                    validate_kernel)
 
 
 class SolverError(RuntimeError):
@@ -95,32 +96,23 @@ class DirichletLaplacian:
 
 def dense_operator(A: DirichletLaplacian) -> np.ndarray:
     """Dense matrix of A, for direct-solver cross-checks on small boxes."""
-    g = A.geometry
-    mat = np.eye(g.n_sites)
-    for v, w in A.kernel.support():
-        for i_idx in range(g.n_sites):
-            j = add(g.site_of(i_idx), v)
-            if g.contains(j):
-                mat[i_idx, g.index_of(j)] -= w
-    return mat
+    return sparse_operator(A).toarray()
 
 
 def sparse_operator(A: DirichletLaplacian) -> csr_matrix:
-    """Sparse CSR form of A, for factorized multi-column solves."""
+    """Sparse CSR form of A, for factorized multi-column solves.
+
+    Assembled in COO order: the unit diagonal, then one block per kernel
+    offset with the sites whose neighbour lies inside the box.
+    """
     g = A.geometry
-    rows = [np.arange(g.n_sites)]
-    cols = [np.arange(g.n_sites)]
-    vals = [np.ones(g.n_sites)]
-    for v, w in A.kernel.support():
-        r, c = [], []
-        for i_idx in range(g.n_sites):
-            j = add(g.site_of(i_idx), v)
-            if g.contains(j):
-                r.append(i_idx)
-                c.append(g.index_of(j))
-        rows.append(np.array(r, dtype=int))
-        cols.append(np.array(c, dtype=int))
-        vals.append(np.full(len(r), -w))
+    sites = np.arange(g.n_sites)
+    rows, cols, vals = [sites], [sites], [np.ones(g.n_sites)]
+    for (_, w), nbr in zip(A.kernel.support(), neighbor_index(g, A.kernel)):
+        inside = nbr >= 0
+        rows.append(sites[inside])
+        cols.append(nbr[inside])
+        vals.append(np.full(len(cols[-1]), -w))
     return csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(g.n_sites, g.n_sites))
 
@@ -156,24 +148,6 @@ def green_column(A: DirichletLaplacian, y: Site,
     b = np.zeros(A.n)
     b[A.geometry.index_of(y)] = 1.0
     return solve_array(A, b, cfg)
-
-
-def _read_height(g: BoxGeometry, u: np.ndarray, site: Site) -> float:
-    return float(u[g.index_of(site)]) if g.contains(site) else 0.0
-
-
-def t_entry(A: DirichletLaplacian, edge: Edge, y: Site,
-            cfg: SolverConfig = DEFAULT_SOLVER) -> float:
-    """Response T_{ij,y} = G_iy - G_jy of the edge mean to a unit field at y.
-
-    Endpoints outside the box contribute G = 0.  Computed from the Green
-    column with a delta source at y.
-    """
-    i, j = edge
-    if i == j:
-        return 0.0
-    u = green_column(A, y, cfg)
-    return _read_height(A.geometry, u, i) - _read_height(A.geometry, u, j)
 
 
 def mean_gradient(A: DirichletLaplacian, eta: DisorderField,

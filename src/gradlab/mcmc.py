@@ -25,7 +25,7 @@ from scipy.integrate import quad
 
 from .model import (BoxGeometry, DisorderField, Edge, HeightField, Kernel,
                     Potential, Site, VectorField, add, canonical_edge,
-                    chain_stream)
+                    chain_stream, neighbor_index)
 from .quadrature import QuadratureError
 
 #: proposals beyond this height are rejected outright (and counted); the
@@ -94,17 +94,8 @@ def _site_table(g: BoxGeometry, k: Kernel) -> tuple[list[list[int]], list[float]
     Slot g.n_sites is the frozen boundary slot (height 0); every site's
     neighbor list has one entry per kernel offset, in kernel support order.
     """
-    support = k.support()
-    weights = [w for _, w in support]
-    out_slot = g.n_sites
-    table: list[list[int]] = []
-    for i in g.sites():
-        row = []
-        for v, _ in support:
-            j = add(i, v)
-            row.append(g.index_of(j) if g.contains(j) else out_slot)
-        table.append(row)
-    return table, weights
+    nbr = neighbor_index(g, k)
+    return np.where(nbr < 0, g.n_sites, nbr).T.tolist(), [w for _, w in k.support()]
 
 
 def _run_sweeps(ph: list[float], table: list[list[int]], weights: list[float],
@@ -225,12 +216,6 @@ class EdgeEstimates(Mapping[Edge, EdgeEstimate]):
         key, sign = canonical_edge(i, j)
         return self._column[key], sign
 
-    def as_vector_field(self, g: BoxGeometry) -> VectorField:
-        out = VectorField(g)
-        for edge, est in self._estimates.items():
-            out.set(edge[0], edge[1], est.mean)
-        return out
-
 
 def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
                            eta: DisorderField, edges: list[Edge],
@@ -266,13 +251,7 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
         done += todo
         chunk_index += 1
 
-    canon: list[Edge] = []
-    seen = set()
-    for i, j in edges:
-        key, _ = canonical_edge(i, j)
-        if key not in seen:
-            seen.add(key)
-            canon.append(key)
+    canon = list(dict.fromkeys(canonical_edge(i, j)[0] for i, j in edges))
     ei = np.array([g.index_of(i) if g.contains(i) else n for i, _ in canon])
     ej = np.array([g.index_of(j) if g.contains(j) else n for _, j in canon])
 
@@ -321,17 +300,23 @@ def divergence_check(est: EdgeEstimates, eta: DisorderField, g: BoxGeometry,
     batch-propagated: the weighted edge sum is re-formed per batch, so
     correlations between edges sharing the chain are handled exactly.
     """
-    n = g.n_sites
-    residuals = np.zeros(n)
-    batch_flux = np.zeros((est.batch_means.shape[0], n))
-    for idx, i in enumerate(g.sites()):
-        flux = 0.0
-        for v, w in k.support():
-            j = add(i, v)
-            col, sign = est.signed_column(i, j)
-            flux += w * sign * est.batch_means[:, col].mean()
-            batch_flux[:, idx] += w * sign * est.batch_means[:, col]
-        residuals[idx] = eta.values[idx] - flux
+    # an edge field of estimate column + 1 (0: no estimate); read from site
+    # i, its sign is the orientation of the stored edge relative to (i, i + v)
+    index = VectorField(g, k)
+    for c, (i, j) in enumerate(est.edge_list):
+        index.set(i, j, c + 1.0)
+    signed = index.site_values()
+    if not np.all(signed):
+        raise KeyError("the estimates miss a kernel edge of an interior site")
+    # per-column means summed exactly as batch_means[:, c].mean() does
+    means = np.ascontiguousarray(est.batch_means.T).mean(axis=1)
+    flux = np.zeros(g.n_sites)
+    batch_flux = np.zeros((est.batch_means.shape[0], g.n_sites))
+    for (_, w), row in zip(k.support(), signed):
+        cols = np.abs(row).astype(int) - 1
+        flux += w * np.sign(row) * means[cols]
+        batch_flux += w * np.sign(row) * est.batch_means[:, cols]
+    residuals = eta.values - flux
     stderrs = batch_flux.std(axis=0, ddof=1) / math.sqrt(batch_flux.shape[0])
     return residuals, stderrs
 

@@ -11,13 +11,18 @@ external field eta is
            - sum_{i in Lambda} eta_i phi_i
 
 for an even pair potential V that grows faster than linearly.
+
+Lattice arrays live on the shell-padded box, where a kernel offset is a
+shifted view: edge fields are one such array per positive offset, and
+``neighbor_index`` is the one stencil table behind the edge lists, the
+sparse operator and the sampler's neighbour table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -181,21 +186,8 @@ class BoxGeometry:
     def shape(self) -> tuple[int, ...]:
         return (self.side,) * self.d
 
-    @cached_property
-    def _strides(self) -> tuple[int, ...]:
-        s = []
-        acc = 1
-        for _ in range(self.d):
-            s.append(acc)
-            acc *= self.side
-        return tuple(reversed(s))
-
     def contains(self, site: Site) -> bool:
         return all(-self.L <= c <= self.L for c in site)
-
-    def in_shell(self, site: Site) -> bool:
-        m = self.L + self.shell_width
-        return not self.contains(site) and all(-m <= c <= m for c in site)
 
     def covers(self, kernel: Kernel) -> bool:
         """True if interior + shell covers every interior kernel neighborhood."""
@@ -204,32 +196,87 @@ class BoxGeometry:
     def index_of(self, site: Site) -> int:
         if not self.contains(site):
             raise KeyError(f"site {site} outside the interior box")
-        return sum((c + self.L) * s for c, s in zip(site, self._strides))
+        return int(np.ravel_multi_index(tuple(c + self.L for c in site), self.shape))
 
     def site_of(self, index: int) -> Site:
         if not 0 <= index < self.n_sites:
             raise IndexError(index)
-        coords = []
-        for s in self._strides:
-            coords.append(index // s - self.L)
-            index %= s
-        return tuple(coords)
+        return tuple(int(c) - self.L for c in np.unravel_index(index, self.shape))
 
     def sites(self) -> Iterator[Site]:
         """Interior sites in index order."""
         r = range(-self.L, self.L + 1)
         return itertools.product(*([r] * self.d))
 
-    def shell_sites(self) -> Iterator[Site]:
-        m = self.L + self.shell_width
-        r = range(-m, m + 1)
-        for site in itertools.product(*([r] * self.d)):
-            if not self.contains(site):
-                yield site
-
 
 def add(site: Site, v: Site) -> Site:
     return tuple(a + b for a, b in zip(site, v))
+
+
+# ---------------------------------------------------------------------------
+# padded-array stencil: arrays over the box plus its shell, in which a
+# kernel offset v is a shifted view
+
+
+def _padded_shape(g: BoxGeometry) -> tuple[int, ...]:
+    return (g.side + 2 * g.shell_width,) * g.d
+
+
+def _shifted(g: BoxGeometry, padded: np.ndarray, v: Site) -> np.ndarray:
+    """View of `padded` whose entry at interior site i is the cell of i + v."""
+    m = g.shell_width
+    return padded[tuple(slice(m + c, m + c + g.side) for c in v)]
+
+
+def _pad_heights(g: BoxGeometry, phi: HeightField) -> np.ndarray:
+    """Heights embedded in the shell-padded array, zero outside the box."""
+    full = np.zeros(_padded_shape(g))
+    _shifted(g, full, (0,) * g.d)[...] = phi.values.reshape(g.shape)
+    return full
+
+
+@lru_cache(maxsize=16)
+def neighbor_index(g: BoxGeometry, k: Kernel) -> np.ndarray:
+    """Index of the neighbour i + v of each interior site i, or -1 outside.
+
+    Rows follow ``k.support()``, columns the site index order.  Shifted
+    views of a padded grid of indices; cached, hence read-only.
+    """
+    if not g.covers(k):
+        raise ValueError("geometry shell does not cover the kernel range")
+    grid = np.full(_padded_shape(g), -1)
+    _shifted(g, grid, (0,) * g.d)[...] = np.arange(g.n_sites).reshape(g.shape)
+    out = np.stack([_shifted(g, grid, v).ravel() for v, _ in k.support()])
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=16)
+def boundary_edges(g: BoxGeometry, k: Kernel) -> tuple[tuple[Site, Site, float], ...]:
+    """Kernel edges with one endpoint inside and one outside the box.
+
+    Each edge appears once, oriented with the interior endpoint first, as
+    (i, j, p(j - i)), ordered by i and then by kernel support order.
+    Cached per (geometry, kernel), hence a tuple.
+    """
+    sites, support = list(g.sites()), k.support()
+    return tuple((sites[s], add(sites[s], support[r][0]), support[r][1])
+                 for s, r in zip(*np.nonzero(neighbor_index(g, k).T < 0)))
+
+
+@lru_cache(maxsize=16)
+def kernel_edges(g: BoxGeometry, k: Kernel) -> tuple[Edge, ...]:
+    """Every kernel edge touching the box, once each in canonical orientation.
+
+    Ordered by the endpoint an edge is reached from (its canonical first
+    endpoint, or the interior one when that lies outside), then by kernel
+    support order.  Cached per (geometry, kernel), hence a tuple.
+    """
+    sites, support = list(g.sites()), k.support()
+    positive = np.array([v > (0,) * g.d for v, _ in support])
+    take = (neighbor_index(g, k) < 0) | positive[:, None]
+    return tuple(canonical_edge(sites[s], add(sites[s], support[r][0]))[0]
+                 for s, r in zip(*np.nonzero(take.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +301,6 @@ class HeightField:
     @classmethod
     def zeros(cls, geometry: BoxGeometry) -> "HeightField":
         return cls(geometry, np.zeros(geometry.n_sites))
-
-    @classmethod
-    def from_mapping(cls, geometry: BoxGeometry, mapping: dict[Site, float]) -> "HeightField":
-        vals = np.zeros(geometry.n_sites)
-        for site, v in mapping.items():
-            vals[geometry.index_of(site)] = v
-        return cls(geometry, vals)
 
     def height_at(self, site: Site) -> float:
         """Height at any site; sites outside the box return the boundary value 0."""
@@ -348,43 +388,57 @@ def sample_disorder(spec: DisorderSpec, g: BoxGeometry) -> DisorderField:
 
 
 class VectorField:
-    """Antisymmetric edge values w(i, j) = -w(j, i) on kernel edges.
+    """Antisymmetric values w(i, j) = -w(j, i) on the kernel edges touching the box.
 
-    Values are stored once per edge under the canonical orientation
-    (lexicographically smaller endpoint first); accessors apply the sign.
+    ``data[q]`` spans the shell-padded box for the q-th lexicographically
+    positive offset v and holds the edge (i, i + v), its canonical
+    orientation, at cell i; edges start at 0.  get/set take either
+    orientation and raise KeyError for any other pair.
     """
 
-    __slots__ = ("geometry", "_values")
+    __slots__ = ("geometry", "kernel", "data", "_offsets")
 
-    def __init__(self, geometry: BoxGeometry):
+    def __init__(self, geometry: BoxGeometry, kernel: Kernel):
+        if not geometry.covers(kernel):
+            raise ValueError("geometry shell does not cover the kernel range")
         self.geometry = geometry
-        self._values: dict[Edge, float] = {}
+        self.kernel = kernel
+        positive = sorted({max(v, tuple(-c for c in v)) for v, _ in kernel.support()})
+        self._offsets = {v: q for q, v in enumerate(positive)}
+        self.data = np.zeros((len(positive),) + _padded_shape(geometry))
+
+    def _cell(self, i: Site, j: Site) -> tuple[tuple[int, ...], float]:
+        (a, b), sign = canonical_edge(i, j)
+        q = self._offsets.get(tuple(y - x for x, y in zip(a, b)))
+        if q is None or not (self.geometry.contains(a) or self.geometry.contains(b)):
+            raise KeyError((a, b))
+        m = self.geometry.L + self.geometry.shell_width
+        return (q,) + tuple(c + m for c in a), sign
 
     def set(self, i: Site, j: Site, value: float) -> None:
-        key, sign = canonical_edge(i, j)
-        self._values[key] = sign * value
+        cell, sign = self._cell(i, j)
+        self.data[cell] = sign * value
 
     def get(self, i: Site, j: Site) -> float:
-        key, sign = canonical_edge(i, j)
-        return sign * self._values[key]
+        cell, sign = self._cell(i, j)
+        return sign * float(self.data[cell])
 
-    def has_edge(self, i: Site, j: Site) -> bool:
-        key, _ = canonical_edge(i, j)
-        return key in self._values
+    def site_values(self) -> np.ndarray:
+        """w(i, i + v) for every kernel offset v (rows, in support order)
+        and interior site i (columns, in index order), read by shifts."""
+        g = self.geometry
+        zero = (0,) * g.d
+        rows = [_shifted(g, self.data[self._offsets[v]], zero) if v > zero
+                else -_shifted(g, self.data[self._offsets[tuple(-c for c in v)]], v)
+                for v, _ in self.kernel.support()]
+        return np.stack(rows).reshape(len(rows), g.n_sites)
 
     def edges(self) -> list[Edge]:
-        return list(self._values.keys())
+        return list(kernel_edges(self.geometry, self.kernel))
 
     def items(self) -> Iterator[tuple[Edge, float]]:
-        return iter(self._values.items())
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def copy(self) -> "VectorField":
-        out = VectorField(self.geometry)
-        out._values = dict(self._values)
-        return out
+        """(canonical edge, value) in kernel_edges order."""
+        return ((e, self.get(*e)) for e in kernel_edges(self.geometry, self.kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +499,12 @@ def gradient_of(g: BoxGeometry, k: Kernel, phi: HeightField) -> VectorField:
     Heights outside the box are the boundary value 0, so boundary-crossing
     edges carry the interior height itself (up to orientation).
     """
-    out = VectorField(g)
-    for i in g.sites():
-        hi = phi.height_at(i)
-        for v, _ in k.support():
-            j = add(i, v)
-            if g.contains(j) and j < i:
-                continue  # already stored from the other endpoint
-            out.set(i, j, hi - phi.height_at(j))
+    out = VectorField(g, k)
+    padded = _pad_heights(g, phi)
+    for v, q in out._offsets.items():
+        src = tuple(slice(max(0, -c), n - max(0, c)) for c, n in zip(v, padded.shape))
+        dst = tuple(slice(max(0, c), n - max(0, -c)) for c, n in zip(v, padded.shape))
+        out.data[q][src] = padded[src] - padded[dst]
     return out
 
 
@@ -461,70 +513,31 @@ def loop_residuals(g: BoxGeometry, w: VectorField) -> float:
 
     A vector field is a gradient field exactly when every such circulation
     vanishes.  Requires d >= 2 and w defined on the nearest-neighbor edges
-    of the interior.
+    of the interior (KeyError otherwise).
     """
     if g.d < 2:
         raise ValueError("no plaquettes in dimension < 2")
+    unit = [tuple(int(t == a) for t in range(g.d)) for a in range(g.d)]
+    arrays = [w.data[w._offsets[e]] for e in unit]
+    zero = (0,) * g.d
     worst = 0.0
-    for i in g.sites():
-        for a in range(g.d):
-            ea = tuple(1 if t == a else 0 for t in range(g.d))
-            ia = add(i, ea)
-            if not g.contains(ia):
-                continue
-            for b in range(a + 1, g.d):
-                eb = tuple(1 if t == b else 0 for t in range(g.d))
-                ib = add(i, eb)
-                iab = add(ia, eb)
-                if not (g.contains(ib) and g.contains(iab)):
-                    continue
-                circ = (w.get(i, ia) + w.get(ia, iab)
-                        + w.get(iab, ib) + w.get(ib, i))
-                worst = max(worst, abs(circ))
+    for a in range(g.d):
+        for b in range(a + 1, g.d):
+            def at(c: int, shift: Site) -> np.ndarray:
+                return _plaquette_view(g, arrays[c], shift, a, b)
+            circ = at(a, zero) + at(b, unit[a]) - at(a, unit[b]) - at(b, zero)
+            if circ.size:
+                worst = max(worst, float(np.max(np.abs(circ))))
     return worst
 
 
-def boundary_edges(g: BoxGeometry, k: Kernel) -> list[tuple[Site, Site, float]]:
-    """Kernel edges with one endpoint inside and one outside the box.
-
-    Each edge appears once, oriented with the interior endpoint first, as
-    (i, j, p(j - i)).
-    """
-    out = []
-    for i in g.sites():
-        for v, w in k.support():
-            j = add(i, v)
-            if not g.contains(j):
-                out.append((i, j, w))
-    return out
-
-
-def kernel_edges(g: BoxGeometry, k: Kernel) -> list[Edge]:
-    """Every kernel edge touching the box, once each in canonical orientation."""
-    out = []
-    for i in g.sites():
-        for v, _ in k.support():
-            j = add(i, v)
-            if g.contains(j) and j < i:
-                continue
-            key, _ = canonical_edge(i, j)
-            out.append(key)
-    return out
-
-
-def _pad_heights(g: BoxGeometry, phi: HeightField) -> np.ndarray:
-    """Heights embedded in the shell-padded array, zero outside the box."""
+def _plaquette_view(g: BoxGeometry, padded: np.ndarray, shift: Site,
+                    a: int, b: int) -> np.ndarray:
+    """`padded` at cell i + shift for every corner i of an interior unit
+    plaquette in the (a, b) plane (i + e_a, i + e_b also interior)."""
     m = g.shell_width
-    full = np.zeros((g.side + 2 * m,) * g.d)
-    core = tuple(slice(m, m + g.side) for _ in range(g.d))
-    full[core] = phi.values.reshape(g.shape)
-    return full
-
-
-def _shifted(g: BoxGeometry, padded: np.ndarray, v: Site) -> np.ndarray:
-    m = g.shell_width
-    sl = tuple(slice(m + c, m + c + g.side) for c in v)
-    return padded[sl]
+    return padded[tuple(slice(m + s, m + s + g.side - (ax in (a, b)))
+                        for ax, s in enumerate(shift))]
 
 
 def energy_terms(g: BoxGeometry, k: Kernel, vpot: Potential,

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gradlab
 from gradlab.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                          ConfigError, ExperimentConfig, main, parse_config, run)
 from gradlab.model import Potential
@@ -238,3 +243,55 @@ def test_experiment_config_defaults_are_valid():
     assert cfg.solver().rel_tolerance == 1e-10
     assert cfg.sampler().target_acceptance == 0.44
     assert cfg.quadrature_config().rel_tolerance == 1e-8
+
+
+# ---------------------------------------------------------------------------
+# entry-point validation: overrides pass through the same checks as the file
+
+
+def test_main_rejects_negative_threads_flag(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=gaussian-exact\nd=2\nL=2\n")
+    assert main([str(cfg_path), "--out", str(tmp_path), "--threads", "-4"]) == EXIT_CONFIG
+    assert "threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+def test_main_rejects_negative_seed(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=mcmc\nd=2\nL=1\nmeasure_sweeps=100\n")
+    assert main([str(cfg_path), "--out", str(tmp_path), "--seed", "-1"]) == EXIT_CONFIG
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["GRADLAB_THREADS", "GRADLAB_SEED"])
+def test_main_reports_non_integer_environment_override(name, tmp_path, capsys,
+                                                       monkeypatch):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=quadrature\nR_list=10\n")
+    monkeypatch.setenv(name, "abc")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("r_list", ["3", "2,4", "-2"])
+def test_main_rejects_decay_separations_the_scan_cannot_place(r_list, tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"experiment=decay\nd=3\nL=4\nr_list={r_list}\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "r_list entries must be even" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_runpy_warning(tmp_path):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=quadrature\nR_list=10\n")
+    src = Path(gradlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "gradlab.cli",
+         str(cfg_path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "quadrature.csv").exists()

@@ -28,7 +28,7 @@ def setup_gaussian(d, L, seed=0):
 
 def random_antisymmetric_field(g, k, seed):
     rng = np.random.default_rng(seed)
-    w = VectorField(g)
+    w = VectorField(g, k)
     for edge in kernel_edges(g, k):
         w.set(edge[0], edge[1], rng.normal())
     return w
@@ -48,7 +48,7 @@ def test_divergence_residual_of_exact_gaussian_field():
 def test_divergence_residual_zero_everything():
     g, k, A, _ = setup_gaussian(2, 1)
     eta = DisorderField(g, np.zeros(g.n_sites), DisorderSpec("gaussian", 1.0))
-    w = VectorField(g)
+    w = VectorField(g, k)
     for edge in kernel_edges(g, k):
         w.set(edge[0], edge[1], 0.0)
     res, mx = divergence_residual(w, eta, g, k)
@@ -106,7 +106,7 @@ def test_zero_disorder_arbitrary_field_bookkeeping():
 
 def test_boundary_average_zero_field():
     g, k, A, _ = setup_gaussian(2, 3)
-    w = VectorField(g)
+    w = VectorField(g, k)
     for edge in kernel_edges(g, k):
         w.set(edge[0], edge[1], 0.0)
     assert all(boundary_ergodic_average(w, g, k, s) == 0.0 for s in (1, 2, 3, 4))
@@ -135,7 +135,7 @@ def test_boundary_average_requires_d2():
     k = Kernel.nearest_neighbor(3)
     g = BoxGeometry.for_kernel(3, 1, k)
     with pytest.raises(ValueError):
-        boundary_ergodic_average(VectorField(g), g, k, 1)
+        boundary_ergodic_average(VectorField(g, k), g, k, 1)
 
 
 def test_disorder_mean_of_side_averages_is_small():

@@ -6,7 +6,7 @@ from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
                               covariance, dense_operator, green_column,
                               mean_gradient, solve_array, solve_green,
-                              sparse_operator, surface_identity_check, t_entry,
+                              sparse_operator, surface_identity_check,
                               variance)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, HeightField,
                            Kernel, boundary_edges, kernel_edges, loop_residuals)
@@ -24,6 +24,16 @@ def delta_field(g, site):
     vals = np.zeros(g.n_sites)
     vals[g.index_of(site)] = 1.0
     return HeightField(g, vals)
+
+
+def t_entry(A, edge, y, cfg=SolverConfig()):
+    """Response T_{ij,y} = G_iy - G_jy of the edge mean to a unit field at
+    y, read off the Green column with a delta source at y (G = 0 outside)."""
+    i, j = edge
+    if i == j:
+        return 0.0
+    u = HeightField(A.geometry, green_column(A, y, cfg))
+    return u.height_at(i) - u.height_at(j)
 
 
 # ---------------------------------------------------------------------------
