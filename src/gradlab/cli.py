@@ -12,6 +12,9 @@ fields and (1, chain) for Markov chains, so execution order never changes
 results.  ``threads`` is validated and echoed but, as every experiment
 runs in one thread, changes neither results nor speed.
 
+Runs that solve a linear system record the method, "dst" or "cg" (see
+``gaussian.solver_method``), as the manifest's ``solver`` key.
+
 Exit codes: 0 success; 1 config error; 2 numerical failure (solver or
 quadrature non-convergence); 3 invariant-check failure (an identity above
 its tolerance).
@@ -258,10 +261,16 @@ def _validate(cfg: ExperimentConfig) -> None:
     if exp == "gaussian-exact" and cfg.d != 2:
         raise ConfigError("gaussian-exact experiment requires d=2 "
                           "(per-side boundary averages)")
+    if exp == "gaussian-exact" and cfg.n_realizations < 1:
+        raise ConfigError("gaussian-exact experiment requires n_realizations >= 1")
     if exp == "clt" and cfg.n_realizations < 100:
         raise ConfigError("clt experiment requires n_realizations >= 100")
-    if exp == "mcmc":
-        cfg.sampler()
+    try:
+        cfg.solver()
+        if exp == "mcmc":
+            cfg.sampler()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +489,16 @@ def _task_seeds(cfg: ExperimentConfig) -> dict[str, Any]:
     }
 
 
+def _solved_kernel(cfg: ExperimentConfig) -> Kernel | None:
+    """Kernel of the operator the run solves with; None if it solves nothing."""
+    if cfg.experiment == "decay":
+        return Kernel.nearest_neighbor(3)  # decay_scan_d3 takes no kernel
+    if cfg.experiment in ("gaussian-exact", "identities", "scaling") or (
+            cfg.experiment == "mcmc" and cfg.potential.family == "quadratic"):
+        return cfg.make_kernel()
+    return None
+
+
 def _config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
     echo: dict[str, Any] = {}
     for f in fields(cfg):
@@ -519,6 +538,9 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
         "summaries": summary,
         "outputs": [f.name for f in files],
     }
+    kernel = _solved_kernel(cfg)
+    if kernel is not None:
+        manifest["solver"] = gaussian.solver_method(kernel)
     manifest_path = out / "run_manifest.json"
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

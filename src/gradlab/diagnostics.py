@@ -306,7 +306,7 @@ def second_moment_identity(g: BoxGeometry, k: Kernel,
     (a, b) of p_a p_b C(a, b), evaluated from one Green column per distinct
     boundary-adjacent interior site (the exterior endpoints contribute
     nothing).  Columns come from a direct sparse factorization; the tests
-    pin individual entries against the iterative-solver covariance op.
+    pin individual entries against the ``covariance`` op.
     """
     sites, rows = np.nonzero(neighbor_index(g, k).T < 0)  # boundary_edges order
     lhs = eta2 * g.n_sites

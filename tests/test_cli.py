@@ -122,12 +122,39 @@ def test_corrupted_field_hook_exits_invariant_failure(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    cfg = parse_config("experiment=identities\nd=2\nL=6\nmax_iterations=2\n")
+    # the iteration cap exists only on the conjugate-gradient (non-nn) path
+    cfg = parse_config("experiment=identities\nd=2\nL=6\nkernel=axis2\n"
+                       "max_iterations=2\n")
     result = run(cfg, tmp_path)
     assert result.exit_code == EXIT_NUMERICAL
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["status"] == "numerical-failure"
     assert "error" in manifest["summaries"]
+
+
+def test_unreachable_tolerance_on_the_dst_path_exits_numerical_failure(tmp_path,
+                                                                       capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=identities\nd=2\nL=6\nrel_tolerance=1e-20\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "status: numerical-failure" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["solver"] == "dst"
+    assert "residual" in manifest["summaries"]["error"]
+
+
+@pytest.mark.parametrize("text,method", [
+    pytest.param("experiment=identities\nd=2\nL=3\n", "dst", id="nn"),
+    pytest.param("experiment=identities\nd=2\nL=3\nkernel=axis2\n", "cg",
+                 id="axis2"),
+    pytest.param("experiment=decay\nd=3\nL=4\nr_list=2\n", "dst", id="decay"),
+    pytest.param("experiment=quadrature\nR_list=10\n", None, id="no-solve"),
+])
+def test_manifest_records_the_solver_method(text, method, tmp_path):
+    result = run(parse_config(text), tmp_path)
+    assert result.exit_code == EXIT_OK
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest.get("solver") == method
 
 
 def test_runs_are_byte_identical(tmp_path):
@@ -281,6 +308,26 @@ def test_main_rejects_decay_separations_the_scan_cannot_place(r_list, tmp_path, 
     cfg_path.write_text(f"experiment=decay\nd=3\nL=4\nr_list={r_list}\n")
     assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "r_list entries must be even" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("experiment=gaussian-exact\nd=2\nL=1\nn_realizations=0\n",
+                 "n_realizations >= 1", id="n_realizations"),
+    pytest.param("experiment=mcmc\nd=2\nL=1\nthin=0\n", "thin must be >= 1",
+                 id="thin"),
+    pytest.param("experiment=identities\nd=2\nL=1\nrel_tolerance=0\n",
+                 "rel_tolerance must be > 0", id="rel_tolerance"),
+    pytest.param("experiment=identities\nd=2\nL=1\nmax_iterations=0\n",
+                 "max_iterations must be >= 1", id="max_iterations"),
+])
+def test_main_reports_bad_solver_sampler_and_realization_keys(text, message,
+                                                              tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run_manifest.json").exists()
 
 
 def test_module_entry_point_runs_without_runpy_warning(tmp_path):

@@ -300,6 +300,18 @@ def test_d3_decay_scan_matches_spectral_oracle():
                                   rel=1e-7)
 
 
+def test_d3_decay_scan_matches_spectral_oracle_at_l64():
+    # larger-box evidence for criterion 08: at L = 64 (2.1 M sites) the
+    # exact solve still reproduces the closed-form covariances
+    scan = decay_scan_d3(64, [8, 12], 1.0)
+    for r, c, _ in scan.covariance.rows:
+        h = int(r) // 2
+        a = ((-h, 0, 0), (-h, 1, 0))
+        b = ((h, 0, 0), (h, 1, 0))
+        assert c == pytest.approx(spectral_edge_covariance(3, 64, a, b, 1.0),
+                                  rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # second-moment identity
 
@@ -321,7 +333,7 @@ def test_second_moment_small_boxes(d, L):
 
 
 def test_second_moment_rhs_entries_match_covariance_op():
-    # bridge the factorized multi-column path to the iterative covariance op
+    # bridge the factorized multi-column path to the covariance op
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry.for_kernel(2, 2, k)
     A = DirichletLaplacian(g, k)

@@ -4,10 +4,10 @@ import pytest
 from conftest import gaussian_eta
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
-                              covariance, dense_operator, green_column,
-                              mean_gradient, solve_array, solve_green,
-                              sparse_operator, surface_identity_check,
-                              variance)
+                              _cg_solve, covariance, dense_operator,
+                              green_column, mean_gradient, solve_array,
+                              solve_green, solver_method, sparse_operator,
+                              surface_identity_check, variance)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, HeightField,
                            Kernel, boundary_edges, kernel_edges, loop_residuals)
 
@@ -91,12 +91,44 @@ def test_green_column_matches_dense_inverse():
 
 
 def test_solver_error_reports_residual():
-    A, g, _ = make_operator(2, 8)
+    # the iteration cap exists only on the conjugate-gradient (non-nn) path
+    A, g, _ = make_operator(2, 8, Kernel.axis_kernel(2, 2))
     eta = gaussian_eta(g)
     with pytest.raises(SolverError) as err:
         solve_array(A, eta.values, SolverConfig(rel_tolerance=1e-10, max_iterations=2))
     assert err.value.achieved_residual > 0.0
     assert "residual" in str(err.value)
+
+
+def test_dst_solve_reports_an_unreachable_tolerance():
+    A, g, _ = make_operator(2, 8)
+    eta = gaussian_eta(g)
+    with pytest.raises(SolverError) as err:
+        solve_array(A, eta.values, SolverConfig(rel_tolerance=1e-20))
+    assert err.value.achieved_residual > 0.0
+    assert "residual" in str(err.value)
+
+
+def test_solver_method_follows_the_kernel():
+    for d in (1, 2, 3):
+        assert solver_method(Kernel.nearest_neighbor(d)) == "dst"
+        assert solver_method(Kernel.axis_kernel(d, 1)) == "dst"  # same weights
+        assert solver_method(Kernel.axis_kernel(d, 2)) == "cg"
+    lazy = Kernel.from_map(1, {(1,): 0.25, (-1,): 0.25, (0,): 0.5})
+    assert solver_method(lazy) == "cg"
+
+
+@pytest.mark.parametrize("d,L", [(1, 0), (1, 7), (2, 0), (2, 3), (2, 9),
+                                 (3, 0), (3, 2), (3, 5)])
+def test_dst_solve_matches_conjugate_gradients(d, L):
+    A, g, _ = make_operator(d, L)
+    # a positive source keeps every entry of u = G b away from zero
+    b = np.random.default_rng(10 * d + L).uniform(0.5, 1.5, size=g.n_sites)
+    u = solve_array(A, b, TIGHT)
+    reference, stopped = _cg_solve(A, b, TIGHT)
+    assert stopped is None
+    np.testing.assert_allclose(u, reference, rtol=1e-10)
+    assert np.linalg.norm(A.apply(u) - b) <= 1e-13 * np.linalg.norm(b)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,15 @@
 Each ``tests/data/golden/NAME.cfg`` was run once and its CSV saved as
 ``NAME.csv``; a change that moves any digit of any value fails here.  The
 boxes stay at or below about 300 sites, where the conjugate-gradient
-reductions are too small for a threaded BLAS to reorder.
+reductions and sine transforms are too small for a threaded BLAS to reorder.
+
+The nearest-neighbour files were re-recorded when those solves moved from
+conjugate gradients to the exact DST-I solve; ``golden/cg/`` keeps the
+conjugate-gradient recordings, which the new files must match to within the
+old solver tolerance.
 """
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -14,11 +20,19 @@ from gradlab.cli import EXIT_OK, parse_config, run
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CONFIGS = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
+CG_RECORDED = sorted(p.stem for p in (GOLDEN / "cg").glob("*.csv"))
+
+# Columns that measure how far a solve or an identity misses; the exact
+# solve leaves only rounding there.
+DEVIATIONS = {"gaussian-nn": {"max_divergence_residual"},
+              "identities-d2": {"value"}, "identities-d3": {"value"}}
 
 
 def test_golden_set_is_complete():
     assert CONFIGS == ["decay", "edges", "gaussian-axis2", "gaussian-nn",
                        "identities-d2", "identities-d2-axis2", "identities-d3"]
+    assert CG_RECORDED == ["decay", "edges", "gaussian-nn", "identities-d2",
+                           "identities-d3"]
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -28,3 +42,31 @@ def test_csv_matches_golden_bytes(name, tmp_path):
     assert result.exit_code == EXIT_OK
     (csv_path,) = [f for f in result.files if f.suffix == ".csv"]
     assert csv_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("name", CG_RECORDED)
+def test_dst_recording_matches_cg_recording(name):
+    new, old = _read(GOLDEN / f"{name}.csv"), _read(GOLDEN / "cg" / f"{name}.csv")
+    assert len(new) == len(old)
+    assert new[0].keys() == old[0].keys()
+    for row_new, row_old in zip(new, old):
+        for col, text in row_new.items():
+            if col in DEVIATIONS.get(name, ()):
+                assert abs(float(text)) <= 1e-12, (col, text)
+            elif _number(text) is None:
+                assert text == row_old[col]
+            else:
+                assert float(text) == pytest.approx(float(row_old[col]),
+                                                    rel=1e-8, abs=1e-9), col
