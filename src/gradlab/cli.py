@@ -253,6 +253,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     if exp == "decay":
         if cfg.d != 3:
             raise ConfigError("decay experiment requires d=3")
+        if cfg.kernel != "nn":
+            raise ConfigError("decay experiment requires kernel=nn")
         if not cfg.r_list:
             raise ConfigError("decay experiment requires r_list")
         if any(r < 0 or r % 2 or r > cfg.L // 2 for r in cfg.r_list):
@@ -492,7 +494,7 @@ def _task_seeds(cfg: ExperimentConfig) -> dict[str, Any]:
 def _solved_kernel(cfg: ExperimentConfig) -> Kernel | None:
     """Kernel of the operator the run solves with; None if it solves nothing."""
     if cfg.experiment == "decay":
-        return Kernel.nearest_neighbor(3)  # decay_scan_d3 takes no kernel
+        return Kernel.nearest_neighbor(3)  # the only kernel decay accepts
     if cfg.experiment in ("gaussian-exact", "identities", "scaling") or (
             cfg.experiment == "mcmc" and cfg.potential.family == "quadratic"):
         return cfg.make_kernel()

@@ -263,7 +263,8 @@ def decay_scan_d3(L: int, r_list: list[int], eta2: float,
     {4..12} gives exponent ~1.33 rather than 1), and the 1/r law emerges
     only as L grows at fixed r.
 
-    Green columns are shared across separations, two per distinct site.
+    Each response is the difference of two fresh Green columns; no column
+    recurs across separations, so none is kept (r = 0 reuses its one pair).
     """
     if max(r_list) > L // 2:
         raise ValueError("separations must satisfy r <= L/2")
@@ -274,14 +275,10 @@ def decay_scan_d3(L: int, r_list: list[int], eta2: float,
     k = Kernel.nearest_neighbor(3)
     g = BoxGeometry.for_kernel(3, L, k)
     A = gaussian.DirichletLaplacian(g, k)
-    columns: dict[Site, np.ndarray] = {}
 
     def response(base: Site) -> np.ndarray:
         tip = (base[0], base[1] + 1, base[2])
-        for s in (base, tip):
-            if s not in columns:
-                columns[s] = gaussian.green_column(A, s, cfg)
-        return columns[base] - columns[tip]
+        return gaussian.green_column(A, base, cfg) - gaussian.green_column(A, tip, cfg)
 
     rows = []
     comp = []

@@ -2,11 +2,15 @@
 
 The target density on interior heights (zero boundary condition, fixed
 disorder eta) is proportional to exp(-H) with H from :mod:`gradlab.model`.
-The sampler is random-scan single-site Metropolis with Gaussian proposals:
-one sweep proposes |Lambda| moves at uniformly random sites, so detailed
-balance holds for the exact target.  The proposal width can be autotuned
-toward a target acceptance rate during burn-in only; it is frozen during
-measurement.
+The sampler is systematic-scan single-site Metropolis with Gaussian
+proposals, one colour class at a time: the sites are split into classes of
+which no two are kernel neighbours (the two parity classes for ``nn``), so
+the single-site conditionals within a class do not depend on each other and
+the class's moves are one array operation.  Each class update is a product
+of single-site Metropolis kernels for the exact conditionals, hence leaves
+the target invariant; a sweep is their composition.  The proposal width can
+be autotuned toward a target acceptance rate during burn-in only; it is
+frozen during measurement.
 
 The main estimator is the time average of V'(phi_i - phi_j) on a set of
 edges, with batch-means error bars, which for the quadratic potential can
@@ -35,6 +39,10 @@ HEIGHT_CAP = 1e6
 #: number of batches for batch-means error bars
 N_BATCHES = 30
 
+#: most sweeps (burn-in) or retained samples (measurement) per block of
+#: random numbers; burn-in autotunes the proposal width once per block
+BLOCK = 25
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -58,24 +66,6 @@ class SamplerConfig:
             raise ValueError("burn_in_sweeps must be >= 0")
 
 
-@dataclass
-class ChainState:
-    """Mutable chain state: heights, generator, and bookkeeping counters."""
-
-    phi: np.ndarray
-    rng: np.random.Generator
-    sweeps: int = 0
-    cap_rejects: int = 0
-
-    @classmethod
-    def cold_start(cls, g: BoxGeometry, seed: int = 0, chain: int = 0) -> "ChainState":
-        """Fresh chain at phi = 0 with its own split random stream."""
-        return cls(phi=np.zeros(g.n_sites), rng=chain_stream(seed, chain))
-
-    def heights(self, g: BoxGeometry) -> HeightField:
-        return HeightField(g, self.phi.copy())
-
-
 @dataclass(frozen=True)
 class EdgeEstimate:
     mean: float
@@ -84,59 +74,94 @@ class EdgeEstimate:
 
 
 # ---------------------------------------------------------------------------
-# site tables and the sweep kernel
+# colour classes and the sweep
 
 
 @lru_cache(maxsize=16)
-def _site_table(g: BoxGeometry, k: Kernel) -> tuple[list[list[int]], list[float]]:
-    """Per-site neighbor slots and kernel weights for the sweep loop.
+def colour_classes(g: BoxGeometry, k: Kernel) -> tuple[np.ndarray, ...]:
+    """Site indices split into classes of which no two sites are kernel neighbours.
 
-    Slot g.n_sites is the frozen boundary slot (height 0); every site's
-    neighbor list has one entry per kernel offset, in kernel support order.
+    Greedy colouring of ``neighbor_index`` in site order: each site joins the
+    first class holding none of its earlier neighbours.  For ``nn`` these are
+    the two parity classes; ``axis2`` gets three in d = 1 and four in d >= 2.
+    Cached per (geometry, kernel).
     """
-    nbr = neighbor_index(g, k)
-    return np.where(nbr < 0, g.n_sites, nbr).T.tolist(), [w for _, w in k.support()]
+    colour: list[int] = []
+    for i, row in enumerate(neighbor_index(g, k).T.tolist()):
+        taken = {colour[j] for j in row if 0 <= j < i}
+        colour.append(min(set(range(len(taken) + 1)) - taken))
+    labels = np.array(colour)
+    return tuple(np.flatnonzero(labels == c) for c in range(max(colour) + 1))
 
 
-def _run_sweeps(ph: list[float], table: list[list[int]], weights: list[float],
-                eta_list: list[float], vpot: Potential, width: float,
-                rng: np.random.Generator, n_sweeps: int) -> tuple[int, int]:
-    """Random-scan Metropolis sweeps on the height list (in place).
+class Chain:
+    """One Metropolis chain on a box: heights, random stream, sweep tables.
 
-    Returns (accepted moves, cap rejections).  ph has length n+1 with the
-    boundary slot last; the inner loop is plain Python floats for speed.
+    ``ph`` holds the interior heights in site order followed by the frozen
+    boundary slot (height 0), which every neighbour outside the box reads.
     """
-    n = len(ph) - 1
-    a = vpot.a
-    b = vpot.b
-    pairs = list(zip(range(len(weights)), weights))
-    total = n * n_sweeps
-    sites = rng.integers(0, n, size=total).tolist()
-    steps = rng.normal(0.0, width, size=total).tolist()
-    thresholds = rng.exponential(size=total).tolist()
-    accepted = 0
-    capped = 0
-    for t in range(total):
-        i = sites[t]
-        old = ph[i]
-        new = old + steps[t]
-        if new > HEIGHT_CAP or new < -HEIGHT_CAP:
-            capped += 1
-            continue
-        de = 0.0
-        nbi = table[i]
-        for kk, w in pairs:
-            hj = ph[nbi[kk]]
-            t1 = new - hj
-            t2 = old - hj
-            q1 = t1 * t1
-            q2 = t2 * t2
-            de += w * (0.5 * a * (q1 - q2) + b * (q1 * q1 - q2 * q2))
-        de -= eta_list[i] * (new - old)
-        if de <= 0.0 or thresholds[t] > de:
-            ph[i] = new
-            accepted += 1
-    return accepted, capped
+
+    def __init__(self, g: BoxGeometry, k: Kernel, vpot: Potential,
+                 eta: DisorderField, seed: int = 0, chain: int = 0):
+        nbr = neighbor_index(g, k)
+        slots = np.where(nbr < 0, g.n_sites, nbr)
+        #: per colour class: its sites, their neighbour slots and fields, and
+        #: its span of columns in a row of random numbers (any fixed span
+        #: will do, as the numbers are i.i.d.)
+        self.classes = []
+        lo = 0
+        for sites in colour_classes(g, k):
+            self.classes.append((sites, slots[:, sites], eta.values[sites],
+                                 slice(lo, lo + len(sites))))
+            lo += len(sites)
+        self.weights = np.array([w for _, w in k.support()])
+        self.vpot = vpot
+        self.ph = np.zeros(g.n_sites + 1)
+        self.rng = chain_stream(seed, chain)
+        self.cap_rejects = 0
+
+    def energy_change(self, c: int, old: np.ndarray, new: np.ndarray) -> np.ndarray:
+        """H after minus H before moving each site of class c alone from old
+        (its current height) to new; the other sites keep their heights."""
+        _, slots, eta, _ = self.classes[c]
+        step = new - old
+        t2 = old - self.ph[slots]
+        t1 = t2 + step
+        q1 = t1 * t1
+        q2 = t2 * t2
+        # V(t1) - V(t2) = (q1 - q2) (a/2 + b (q1 + q2)) on each edge
+        pair = (q1 - q2) * (0.5 * self.vpot.a + self.vpot.b * (q1 + q2))
+        return np.dot(self.weights, pair) - eta * step
+
+    def run(self, width: float, n_sweeps: int, every: int = 0) -> tuple[int, np.ndarray]:
+        """Run n_sweeps sweeps with Gaussian proposals of the given width.
+
+        A sweep updates the colour classes in turn, each as one vectorised
+        Metropolis step.  The random numbers of all n_sweeps sweeps are drawn
+        at once, so callers keep n_sweeps small.  Returns the accepted moves
+        and a copy of ``ph`` after every `every`-th sweep (none for 0).
+        """
+        n = len(self.ph) - 1
+        steps = self.rng.normal(0.0, width, size=(n_sweeps, n))
+        thresholds = self.rng.exponential(size=(n_sweeps, n))
+        kept = np.empty((n_sweeps // every if every else 0, n + 1))
+        accepted = 0
+        for s in range(n_sweeps):
+            for c, (sites, _, _, span) in enumerate(self.classes):
+                old = self.ph[sites]
+                new = old + steps[s, span]
+                # Exp(1) >= dH with probability min(1, exp(-dH))
+                ok = thresholds[s, span] >= self.energy_change(c, old, new)
+                capped = np.abs(new) > HEIGHT_CAP
+                n_capped = int(np.count_nonzero(capped))
+                if n_capped:
+                    ok &= ~capped
+                    self.cap_rejects += n_capped
+                self.ph[sites] = np.where(ok, new, old)
+                accepted += int(np.count_nonzero(ok))
+            if every and (s + 1) % every == 0:
+                kept[s // every] = self.ph
+        return accepted, kept
 
 
 # ---------------------------------------------------------------------------
@@ -158,24 +183,6 @@ def conditional_logdensity(g: BoxGeometry, k: Kernel, vpot: Potential,
     for v, w in k.support():
         total -= w * float(vpot.value(t - phi.height_at(add(site, v))))
     return total + eta.height_at(site) * t
-
-
-def metropolis_sweep(state: ChainState, g: BoxGeometry, k: Kernel,
-                     vpot: Potential, eta: DisorderField,
-                     cfg: SamplerConfig) -> tuple[ChainState, float]:
-    """One random-scan sweep (|Lambda| proposals); returns the acceptance rate.
-
-    Deterministic given the state's generator; the state is advanced in
-    place and also returned.
-    """
-    table, weights = _site_table(g, k)
-    ph = state.phi.tolist() + [0.0]
-    accepted, capped = _run_sweeps(ph, table, weights, eta.values.tolist(),
-                                   vpot, cfg.proposal_width, state.rng, 1)
-    state.phi = np.asarray(ph[:-1])
-    state.sweeps += 1
-    state.cap_rejects += capped
-    return state, accepted / g.n_sites
 
 
 class EdgeEstimates(Mapping[Edge, EdgeEstimate]):
@@ -228,28 +235,18 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     errors are reported per canonical edge.  Poor mixing shows up as large
     stderr, never as an error.
     """
-    table, weights = _site_table(g, k)
-    eta_list = eta.values.tolist()
-    state = ChainState.cold_start(g, seed=seed, chain=chain)
-    ph = state.phi.tolist() + [0.0]
+    sampler = Chain(g, k, vpot, eta, seed=seed, chain=chain)
     width = cfg.proposal_width
     n = g.n_sites
 
-    # burn-in; stochastic-approximation autotuning in chunks, frozen afterward
-    chunk = 25
-    done = 0
-    chunk_index = 0
-    while done < cfg.burn_in_sweeps:
-        todo = min(chunk, cfg.burn_in_sweeps - done)
-        accepted, capped = _run_sweeps(ph, table, weights, eta_list, vpot,
-                                       width, state.rng, todo)
-        state.cap_rejects += capped
+    # burn-in; stochastic-approximation autotuning per block, frozen afterward
+    for index, done in enumerate(range(0, cfg.burn_in_sweeps, BLOCK)):
+        todo = min(BLOCK, cfg.burn_in_sweeps - done)
+        accepted, _ = sampler.run(width, todo)
         if cfg.autotune:
             rate = accepted / (todo * n)
-            gain = 1.0 / (1.0 + chunk_index) ** 0.6
+            gain = 1.0 / (1.0 + index) ** 0.6
             width *= math.exp(gain * (rate - cfg.target_acceptance))
-        done += todo
-        chunk_index += 1
 
     canon = list(dict.fromkeys(canonical_edge(i, j)[0] for i, j in edges))
     ei = np.array([g.index_of(i) if g.contains(i) else n for i, _ in canon])
@@ -263,18 +260,15 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     batch_sums = np.zeros((N_BATCHES, n_edges))
     total_sq = np.zeros(n_edges)
     accepted_meas = 0
-    for s in range(retained):
-        acc, capped = _run_sweeps(ph, table, weights, eta_list, vpot, width,
-                                  state.rng, cfg.thin)
-        accepted_meas += acc
-        state.cap_rejects += capped
-        arr = np.asarray(ph)
-        dv = np.asarray(vpot.derivative(arr[ei] - arr[ej]))
-        batch_sums[s // batch_size] += dv
-        total_sq += dv * dv
+    for batch in range(N_BATCHES):
+        for done in range(0, batch_size, BLOCK):
+            keep = min(BLOCK, batch_size - done)
+            accepted, kept = sampler.run(width, keep * cfg.thin, every=cfg.thin)
+            accepted_meas += accepted
+            dv = np.asarray(vpot.derivative(kept[:, ei] - kept[:, ej]))
+            batch_sums[batch] += dv.sum(axis=0)
+            total_sq += (dv * dv).sum(axis=0)
 
-    state.phi = np.asarray(ph[:-1])
-    state.sweeps += cfg.burn_in_sweeps + retained * cfg.thin
     batch_means = batch_sums / batch_size
     means = batch_means.mean(axis=0)
     bvar = batch_means.var(axis=0, ddof=1)
@@ -288,7 +282,7 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
                  for c, e in enumerate(canon)}
     return EdgeEstimates(canon, estimates, batch_means,
                          acceptance_rate=accepted_meas / (retained * cfg.thin * n),
-                         proposal_width=width, cap_rejects=state.cap_rejects,
+                         proposal_width=width, cap_rejects=sampler.cap_rejects,
                          retained=retained)
 
 

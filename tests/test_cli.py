@@ -310,6 +310,15 @@ def test_main_rejects_decay_separations_the_scan_cannot_place(r_list, tmp_path, 
     assert "r_list entries must be even" in capsys.readouterr().err
 
 
+def test_main_rejects_a_decay_kernel_other_than_nn(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=decay\nd=3\nL=4\nr_list=0,2\nkernel=axis2\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "kernel=nn" in err
+    assert not (tmp_path / "decay.csv").exists()
+
+
 @pytest.mark.parametrize("text,message", [
     pytest.param("experiment=gaussian-exact\nd=2\nL=1\nn_realizations=0\n",
                  "n_realizations >= 1", id="n_realizations"),

@@ -1,3 +1,4 @@
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_eta
+from gradlab import gaussian
 from gradlab.diagnostics import (FitResult, ScanResult,
                                  boundary_ergodic_average, central_edge,
                                  clt_population_value, clt_scan, decay_scan_d3,
@@ -241,6 +243,25 @@ def test_decay_scan_decreases_and_matches_covariance_op():
     assert vals[0] == pytest.approx(covariance(A, a, b, 1.0), abs=1e-8)
     comp = scan.compensated.values()
     assert comp[0] == pytest.approx(2 * vals[0])
+
+
+def test_decay_scan_solves_two_columns_per_response_and_keeps_none(monkeypatch):
+    solve = gaussian.green_column
+    returned = []
+    alive_at_call = []
+
+    def counting(A, site, cfg):
+        alive_at_call.append(sum(ref() is not None for ref in returned))
+        column = solve(A, site, cfg)
+        returned.append(weakref.ref(column))
+        return column
+
+    monkeypatch.setattr(gaussian, "green_column", counting)
+    decay_scan_d3(8, [0, 2, 4], 1.0)
+    # r = 0 is one response; every other separation is two
+    assert len(returned) == 2 + 4 + 4
+    # at most the first column of the response being formed is alive
+    assert max(alive_at_call) <= 1
 
 
 def test_decay_scan_validates_arguments():

@@ -147,14 +147,6 @@ def oracle_sparse_operator(A):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def oracle_site_table(g, k):
-    table = []
-    for i in g.sites():
-        table.append([g.index_of(add(i, v)) if g.contains(add(i, v)) else g.n_sites
-                      for v, _ in k.support()])
-    return table, [w for _, w in k.support()]
-
-
 # ---------------------------------------------------------------------------
 # cases
 
@@ -223,7 +215,15 @@ def test_operator_assembly_and_sampler_table_match_reference(case):
     ref = csr_matrix((vals, (rows, cols)), shape=(g.n_sites, g.n_sites))
     assert (gaussian.sparse_operator(A) != ref).nnz == 0
     assert np.array_equal(gaussian.dense_operator(A), ref.toarray())
-    assert mcmc._site_table(g, k) == oracle_site_table(g, k)
+    # the sampler's colour classes partition the sites into independent sets
+    classes = mcmc.colour_classes(g, k)
+    assert sorted(np.concatenate(classes).tolist()) == list(range(g.n_sites))
+    label = {s: c for c, sites in enumerate(classes) for s in sites.tolist()}
+    for i, j in kernel_edges(g, k):
+        if g.contains(i) and g.contains(j):
+            assert label[g.index_of(i)] != label[g.index_of(j)], (i, j)
+    if k == Kernel.nearest_neighbor(g.d):
+        assert len(classes) == 2
 
 
 @pytest.mark.parametrize("name", ["nn", "axis2"])

@@ -6,10 +6,9 @@ from scipy.integrate import quad
 
 from conftest import gaussian_eta
 from gradlab.gaussian import DirichletLaplacian, mean_gradient
-from gradlab.mcmc import (ChainState, SamplerConfig, _run_sweeps, _site_table,
+from gradlab.mcmc import (HEIGHT_CAP, Chain, SamplerConfig, colour_classes,
                           conditional_logdensity, divergence_check,
-                          estimate_gradient_mean, metropolis_sweep,
-                          single_site_quadrature_oracle)
+                          estimate_gradient_mean, single_site_quadrature_oracle)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, HeightField,
                            Kernel, Potential, energy, kernel_edges,
                            sample_disorder)
@@ -93,39 +92,63 @@ def test_tiny_proposals_are_all_accepted(quartic):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry.for_kernel(2, 2, k)
     eta = gaussian_eta(g, seed=3)
-    state = ChainState.cold_start(g, seed=1)
-    cfg = SamplerConfig(proposal_width=1e-12, autotune=False)
-    _, rate = metropolis_sweep(state, g, k, quartic, eta, cfg)
-    assert rate == 1.0
+    chain = Chain(g, k, quartic, eta, seed=1)
+    accepted, _ = chain.run(1e-12, 1)
+    assert accepted / g.n_sites == 1.0
 
 
 def test_sweeps_are_deterministic_given_seed(quartic):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry.for_kernel(2, 2, k)
     eta = gaussian_eta(g, seed=4)
-    cfg = SamplerConfig(proposal_width=1.5, autotune=False)
     runs = []
     for _ in range(2):
-        state = ChainState.cold_start(g, seed=42)
-        for _ in range(20):
-            metropolis_sweep(state, g, k, quartic, eta, cfg)
-        runs.append(state.phi.copy())
+        chain = Chain(g, k, quartic, eta, seed=42)
+        chain.run(1.5, 20)
+        runs.append(chain.ph.copy())
     assert np.array_equal(runs[0], runs[1])
     assert runs[0].any()
 
 
+def test_proposals_beyond_the_height_cap_are_rejected_and_counted(quadratic):
+    k = Kernel.nearest_neighbor(2)
+    g = BoxGeometry.for_kernel(2, 2, k)
+    chain = Chain(g, k, quadratic, gaussian_eta(g, seed=5), seed=5)
+    chain.ph[:-1] = HEIGHT_CAP
+    chain.run(1.0, 1)
+    assert chain.cap_rejects > 0
+    assert np.all(chain.ph <= HEIGHT_CAP)
+
+
+@pytest.mark.parametrize("name", ["nn", "axis2"])
+def test_sweep_energy_change_matches_energy_difference(name, quartic):
+    k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
+    g = BoxGeometry.for_kernel(2, 3, k)
+    eta = gaussian_eta(g, seed=9)
+    chain = Chain(g, k, quartic, eta)
+    rng = np.random.default_rng(10)
+    chain.ph[:-1] = rng.normal(0.0, 1.5, size=g.n_sites)
+    before = HeightField(g, chain.ph[:-1].copy())
+    e_before = energy(g, k, quartic, before, eta)
+    for c, sites in enumerate(colour_classes(g, k)):
+        old = chain.ph[sites]
+        new = old + rng.normal(0.0, 1.0, size=len(sites))
+        dh = chain.energy_change(c, old, new)
+        for site, t, got in zip(sites, new, dh):
+            vals = before.values.copy()
+            vals[site] = t
+            want = energy(g, k, quartic, HeightField(g, vals), eta) - e_before
+            assert got == pytest.approx(want, abs=1e-10)
+
+
 def test_single_site_chain_reproduces_gaussian_moments(quadratic):
     g, k, eta = single_site_setup(0.9)
-    table, weights = _site_table(g, k)
-    ph = [0.0, 0.0]
-    rng = np.random.default_rng(7)
+    chain = Chain(g, k, quadratic, eta, seed=7)
     n_sweeps = 100_000
     burn = 1000
-    _run_sweeps(ph, table, weights, [0.9], quadratic, 2.4, rng, burn)
-    samples = np.empty(n_sweeps)
-    for s in range(n_sweeps):
-        _run_sweeps(ph, table, weights, [0.9], quadratic, 2.4, rng, 1)
-        samples[s] = ph[0]
+    chain.run(2.4, burn)
+    _, kept = chain.run(2.4, n_sweeps, every=1)
+    samples = kept[:, 0]
     # conditional given zero neighbors is N(0.9, 1); stderr ~ sqrt(2 tau / n)
     stderr = math.sqrt(8.0 / n_sweeps)
     assert abs(samples.mean() - 0.9) <= 4.0 * stderr
@@ -134,17 +157,13 @@ def test_single_site_chain_reproduces_gaussian_moments(quadratic):
 
 def test_stationary_histogram_matches_oracle_density(quartic):
     g, k, eta = single_site_setup(0.8)
-    table, weights = _site_table(g, k)
     vpot = Potential.quartic(1.0, 0.5)
-    ph = [0.0, 0.0]
-    rng = np.random.default_rng(11)
+    chain = Chain(g, k, vpot, eta, seed=11)
     thin = 10
     n_keep = 100_000
-    _run_sweeps(ph, table, weights, [0.8], vpot, 2.0, rng, 2000)
-    samples = np.empty(n_keep)
-    for s in range(n_keep):
-        _run_sweeps(ph, table, weights, [0.8], vpot, 2.0, rng, thin)
-        samples[s] = ph[0]
+    chain.run(2.0, 2000)
+    _, kept = chain.run(2.0, n_keep * thin, every=thin)
+    samples = kept[:, 0]
 
     def density(t):
         return math.exp(-float(vpot.value(t)) + 0.8 * t)
