@@ -9,11 +9,11 @@ for byte.  Floats are serialized with 17 significant digits.
 Seed discipline: a single master ``seed`` is split into independent
 streams with counter-style spawn keys, (0, realization) for disorder
 fields and (1, chain) for Markov chains, so execution order never changes
-results.  ``threads`` is validated and echoed but, as every experiment
-runs in one thread, changes neither results nor speed.
+results.
 
-Runs that solve a linear system record the method, "dst" or "cg" (see
-``gaussian.solver_method``), as the manifest's ``solver`` key.
+The manifest's ``solver`` key records the method of the Gaussian numbers:
+"dst" or "cg" (``gaussian.solver_method``), or "spectral" for the ``nn``
+covariance scans (``scaling``, ``decay``), which solve nothing.
 
 Exit codes: 0 success; 1 config error; 2 numerical failure (solver or
 quadrature non-convergence); 3 invariant-check failure (an identity above
@@ -21,10 +21,11 @@ its tolerance).
 
 Usage::
 
-    gradlab CONFIG [--out DIR] [--threads N] [--seed S]
+    gradlab CONFIG [--out DIR] [--seed S]
 
-with environment overrides GRADLAB_OUT, GRADLAB_THREADS, GRADLAB_SEED
-(flags win over the environment), validated together with the file.
+with environment overrides GRADLAB_OUT, GRADLAB_SEED (flags win over the
+environment), validated together with the file.  A usage error, such as
+any other flag or GRADLAB_* variable, is a config error.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -93,7 +94,6 @@ class ExperimentConfig:
     divergence_tolerance: float = 1e-8
     surface_tolerance: float = 1e-8
     second_moment_tolerance: float = 1e-6
-    threads: int = 1
     corrupt_field: bool = False  # fault-injection hook for the exit-code tests
 
     def make_kernel(self) -> Kernel:
@@ -149,35 +149,12 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(p.strip()) for p in raw.split(",") if p.strip())
 
 
-_CASTERS: dict[str, Callable[[str], Any]] = {
-    "experiment": str,
-    "d": int,
-    "L": int,
-    "L_list": _int_list,
-    "r_list": _int_list,
-    "R_list": _float_list,
-    "kernel": str,
-    "potential": _parse_potential,
-    "disorder": str,
-    "eta2": float,
-    "seed": int,
-    "n_realizations": int,
-    "proposal_width": float,
-    "burn_in_sweeps": int,
-    "measure_sweeps": int,
-    "thin": int,
-    "target_acceptance": float,
-    "autotune": _parse_bool,
-    "rel_tolerance": float,
-    "max_iterations": int,
-    "quad_abs_tolerance": float,
-    "quad_rel_tolerance": float,
-    "divergence_tolerance": float,
-    "surface_tolerance": float,
-    "second_moment_tolerance": float,
-    "threads": int,
-    "corrupt_field": _parse_bool,
-}
+#: the parser of each field type of ExperimentConfig: the fields are the keys
+_PARSERS: dict[str, Callable[[str], Any]] = {
+    "str": str, "int": int, "int | None": int, "float": float,
+    "bool": _parse_bool, "Potential": _parse_potential,
+    "tuple[int, ...] | None": _int_list, "tuple[float, ...] | None": _float_list}
+_CASTERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
@@ -226,8 +203,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("d must be >= 1")
     if cfg.eta2 <= 0:
         raise ConfigError("eta2 must be > 0")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     if cfg.disorder not in ("gaussian", "rademacher", "uniform"):
@@ -491,13 +466,13 @@ def _task_seeds(cfg: ExperimentConfig) -> dict[str, Any]:
     }
 
 
-def _solved_kernel(cfg: ExperimentConfig) -> Kernel | None:
-    """Kernel of the operator the run solves with; None if it solves nothing."""
-    if cfg.experiment == "decay":
-        return Kernel.nearest_neighbor(3)  # the only kernel decay accepts
-    if cfg.experiment in ("gaussian-exact", "identities", "scaling") or (
+def _solver(cfg: ExperimentConfig) -> str | None:
+    """The manifest's ``solver``; None for a run with no Gaussian numbers."""
+    if cfg.experiment in ("gaussian-exact", "identities", "scaling", "decay") or (
             cfg.experiment == "mcmc" and cfg.potential.family == "quadratic"):
-        return cfg.make_kernel()
+        method = gaussian.solver_method(cfg.make_kernel())
+        scan = cfg.experiment in ("scaling", "decay")
+        return "spectral" if scan and method == "dst" else method
     return None
 
 
@@ -540,9 +515,9 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
         "summaries": summary,
         "outputs": [f.name for f in files],
     }
-    kernel = _solved_kernel(cfg)
-    if kernel is not None:
-        manifest["solver"] = gaussian.solver_method(kernel)
+    solver = _solver(cfg)
+    if solver is not None:
+        manifest["solver"] = solver
     manifest_path = out / "run_manifest.json"
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -561,34 +536,35 @@ def _env_int(name: str) -> int | None:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:  # exit 1 like any config error
+        raise ConfigError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gradlab",
         description="Run a gradient-interface experiment from a config file.")
     parser.add_argument("config", help="path to a key=value config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
-
-    out = args.out or os.environ.get("GRADLAB_OUT") or "."
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        # GRADLAB_THREADS=0 means "not set"
-        threads = args.threads if args.threads is not None else \
-            _env_int("GRADLAB_THREADS") or None
+        args = parser.parse_args(argv)
+        stray = sorted(name for name in os.environ if name.startswith("GRADLAB_")
+                       and name not in ("GRADLAB_OUT", "GRADLAB_SEED"))
+        if stray:
+            raise ConfigError(f"unrecognized environment variables: {' '.join(stray)}")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
         seed = args.seed if args.seed is not None else _env_int("GRADLAB_SEED")
-        overrides = {key: v for key, v in (("threads", threads), ("seed", seed))
-                     if v is not None}
-        cfg = parse_config(text, overrides)
+        cfg = parse_config(text, {"seed": seed} if seed is not None else None)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    out = args.out or os.environ.get("GRADLAB_OUT") or "."
     result = run(cfg, out)
     for f in result.files:
         print(f)

@@ -13,7 +13,9 @@ with explicit uncertainties:
 * the decay of the edge-mean covariance with separation in d=3.
 
 Scans return plain (control, value, uncertainty) rows; ``fit`` provides the
-log-linear and power-law least squares used to summarize them.
+log-linear and power-law least squares used to summarize them.  The
+Gaussian scans take values and uncertainties from ``gaussian.covariances``
+(the sine-mode sum and its rounding bound for the nearest-neighbour kernel).
 
 Edge sums read a ``VectorField`` by array shifts, in a fixed order: site
 fluxes add one kernel offset at a time, surface and side sums fold edge by
@@ -32,7 +34,7 @@ from scipy.sparse.linalg import splu
 
 from . import gaussian
 from .model import (BoxGeometry, DisorderField, DisorderSpec, Edge, Kernel,
-                    Site, VectorField, neighbor_index, sample_disorder)
+                    VectorField, neighbor_index, sample_disorder)
 
 
 @dataclass(frozen=True)
@@ -226,8 +228,10 @@ def variance_scaling_scan(d: int, L_list: list[int], eta2: float,
                           ) -> ScanResult:
     """Variance of the central-edge mean gradient versus box size.
 
-    The reported uncertainty is the solver tolerance times the value (the
-    quantity is deterministic given the box).
+    The reported uncertainty is the error bound of ``gaussian.covariances``
+    (the quantity is deterministic given the box): the rounding bound of
+    the mode sum for the nearest-neighbour kernel, the solver tolerance
+    times the value for any other.
     """
     k = kernel if kernel is not None else Kernel.nearest_neighbor(d)
     edge = central_edge(d)
@@ -235,10 +239,9 @@ def variance_scaling_scan(d: int, L_list: list[int], eta2: float,
     for L in sorted(L_list):
         if L < 1:
             raise ValueError("L must be >= 1 for the scaling scan")
-        g = BoxGeometry.for_kernel(d, L, k)
-        A = gaussian.DirichletLaplacian(g, k)
-        v = gaussian.variance(A, edge, eta2, cfg)
-        rows.append((float(L), v, cfg.rel_tolerance * abs(v)))
+        A = gaussian.DirichletLaplacian(BoxGeometry.for_kernel(d, L, k), k)
+        (v,), (err,) = gaussian.covariances(A, [(edge, edge)], eta2, cfg)
+        rows.append((float(L), float(v), float(err)))
     return ScanResult(tuple(rows), {
         "observable": "central edge variance", "d": d, "eta2": eta2,
         "kernel": "nearest-neighbor" if kernel is None else "custom",
@@ -263,8 +266,9 @@ def decay_scan_d3(L: int, r_list: list[int], eta2: float,
     {4..12} gives exponent ~1.33 rather than 1), and the 1/r law emerges
     only as L grows at fixed r.
 
-    Each response is the difference of two fresh Green columns; no column
-    recurs across separations, so none is kept (r = 0 reuses its one pair).
+    All separations are one closed-form mode sum (``gaussian.covariances``):
+    the pairs share their transverse factors, so the box enters once and
+    each separation costs O(L).  The uncertainty is its rounding bound.
     """
     if max(r_list) > L // 2:
         raise ValueError("separations must satisfy r <= L/2")
@@ -273,26 +277,16 @@ def decay_scan_d3(L: int, r_list: list[int], eta2: float,
     if any(r % 2 for r in r_list):
         raise ValueError("separations must be even (edges straddle the center)")
     k = Kernel.nearest_neighbor(3)
-    g = BoxGeometry.for_kernel(3, L, k)
-    A = gaussian.DirichletLaplacian(g, k)
-
-    def response(base: Site) -> np.ndarray:
-        tip = (base[0], base[1] + 1, base[2])
-        return gaussian.green_column(A, base, cfg) - gaussian.green_column(A, tip, cfg)
-
-    rows = []
-    comp = []
-    for r in sorted(r_list):
-        g0 = response((-(r // 2), 0, 0))
-        g1 = g0 if r == 0 else response((r // 2, 0, 0))
-        c = eta2 * float(np.dot(g0, g1))
-        err = cfg.rel_tolerance * abs(c)
-        rows.append((float(r), c, err))
-        comp.append((float(r), r * c, r * err))
+    A = gaussian.DirichletLaplacian(BoxGeometry.for_kernel(3, L, k), k)
+    rs = sorted(r_list)
+    pairs = [tuple(((x, 0, 0), (x, 1, 0)) for x in (-(r // 2), r // 2)) for r in rs]
+    values, errors = gaussian.covariances(A, pairs, eta2, cfg)
+    rows = tuple((float(r), float(c), float(e)) for r, c, e in zip(rs, values, errors))
     meta = {"observable": "edge-mean covariance", "L": L, "eta2": eta2,
             "orientation": "transverse", "rel_tolerance": cfg.rel_tolerance}
-    return DecayScan(ScanResult(tuple(rows), meta),
-                     ScanResult(tuple(comp), {**meta, "compensated": True}))
+    return DecayScan(ScanResult(rows, meta),
+                     ScanResult(tuple((r, r * c, r * e) for r, c, e in rows),
+                                {**meta, "compensated": True}))
 
 
 def second_moment_identity(g: BoxGeometry, k: Kernel,

@@ -6,15 +6,16 @@ mean gradient field is linear in the disorder:
     X_ij = (G eta)_i - (G eta)_j,   G = (I - P)^{-1}
 
 where P is the random-walk transition operator restricted to the box with
-zero (Dirichlet) exterior.  Green columns G delta_y give the response
-matrix T_{ij,y} = G_iy - G_jy, whose squares and overlaps yield the
-disorder covariance of X.
+zero (Dirichlet) exterior.  The response matrix T_{ij,y} = G_iy - G_jy
+gives the disorder covariance of X as eta2 T T^t.
 
-For the nearest-neighbour kernel ``solve_array`` is exact: I - P is
-diagonal in the type-I discrete sine basis, so a solve is one forward and
-one inverse DST-I.  Every other kernel (the range-2 ``axis2`` stencil is not
+For the nearest-neighbour kernel I - P is diagonal in the type-I discrete
+sine basis: ``solve_array`` is one forward and one inverse DST-I, and
+``covariances`` is a closed-form sum over the sine modes that solves
+nothing.  Every other kernel (the range-2 ``axis2`` stencil is not
 DST-diagonalisable) is solved by conjugate gradients on the matrix-free
-operator.  ``dense_operator``/``sparse_operator`` provide direct-solver
+operator, and its covariances are inner products of Green-column
+differences.  ``dense_operator``/``sparse_operator`` provide direct-solver
 oracles for small boxes.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import product
 
 import numpy as np
 from scipy.fft import dstn, idstn
@@ -216,32 +218,115 @@ def _edge_response(A: DirichletLaplacian, edge: Edge,
                    cfg: SolverConfig) -> np.ndarray:
     """The vector y -> T_{edge,y}, assembled from one Green column per
     interior endpoint (columns of G are symmetric in their arguments)."""
-    i, j = edge
-    g = A.geometry
     out = np.zeros(A.n)
-    if i == j:
-        return out
-    if g.contains(i):
-        out += green_column(A, i, cfg)
-    if g.contains(j):
-        out -= green_column(A, j, cfg)
+    for x, sign in zip(edge, (1.0, -1.0)):
+        if edge[0] != edge[1] and A.geometry.contains(x):
+            out += sign * green_column(A, x, cfg)
     return out
+
+
+def _sin_pi(n: np.ndarray, M: int) -> np.ndarray:
+    """sin(pi n / M) for integers n and even M, the angle reduced exactly to
+    [-pi/2, pi/2]: good to a few ulps of itself, and exactly 0 at pi j."""
+    t = (n + M // 2) % (2 * M) - M // 2
+    return np.sin(np.pi / M * np.where(t > M // 2, M - t, t))
+
+
+def _mode_terms(g: BoxGeometry, edge: Edge) -> list[np.ndarray]:
+    """dpsi_k(edge) as signed rank-1 terms, (d, side) arrays of per-axis
+    factors over k_a = 1..side (without the sqrt(2/m) norms).  Endpoints
+    outside the box drop out: the sine vanishes one layer out, not two.
+    Endpoints one axis apart give one term, whose factor on that axis is
+    the sine difference as a product, 2 cos(pi k (p+q)/2m) sin(pi k (p-q)/2m),
+    accurate where the two sines nearly cancel."""
+    m, k = g.side + 1, np.arange(1, g.side + 1)
+    ends = [(x, s) for x, s in zip(edge, (1.0, -1.0)) if g.contains(x)]
+    terms = [np.array([_sin_pi(2 * k * (c + g.L + 1), 2 * m) for c in x])
+             for x, _ in ends]
+    axes = np.flatnonzero(np.subtract(*edge))
+    if len(axes) == 1 and len(terms) == 2:
+        p, q = (x[axes[0]] + g.L + 1 for x in edge)
+        terms[0][axes[0]] = (2.0 * _sin_pi(k * (p + q) + m, 2 * m)
+                             * _sin_pi(k * (p - q), 2 * m))
+        return terms[:1]
+    for f, (_, s) in zip(terms, ends):
+        f[0] *= s
+    return terms if len(axes) else []
+
+
+def _mode_sum(g: BoxGeometry, F: np.ndarray) -> np.ndarray:
+    """sum_k prod_a F[t, a, k_a] / lambda_k^2 for each row t of F.
+
+    Axes 2..d contract first, one slab of k_1 at a time (memory
+    O(side^(d-1))), into weights W(k_1) shared by the rows with equal
+    factors there; each row then costs O(side).  Modes whose factor
+    vanishes in every row are skipped.  lambda_k = (2/d) sum_a
+    sin^2(pi k_a / 2m) is 1 - (1/d) sum_a cos(pi k_a / m) without the
+    cancellation."""
+    d, m = g.d, g.side + 1
+    lam = 2.0 / d * _sin_pi(np.arange(1, m), 2 * m) ** 2
+    keep = [np.flatnonzero(np.any(F[:, a] != 0.0, axis=0)) for a in range(d)]
+    U, which = np.unique(F[:, 1:], axis=0, return_inverse=True)
+    rest = reduce(np.add.outer, [lam[kp] for kp in keep[1:]], np.zeros(()))
+    step = max(1, min(len(keep[0]), (1 << 19) // rest.size))
+    slab = np.empty((step,) + rest.shape)  # reused: fresh pages cost 4x the arithmetic
+    W = np.zeros((len(U), g.side))
+    for start in range(0, len(keep[0]), step):
+        ks = keep[0][start:start + step]
+        x = slab[:len(ks)]
+        np.add(lam[ks].reshape((-1,) + (1,) * (d - 1)), rest, out=x)
+        np.reciprocal(x, out=x)
+        x = np.multiply(x, x, out=x)[..., None]
+        for a in range(d - 1, 0, -1):
+            x = np.einsum("...it,ti->...t", x, U[:, a - 1, keep[a]])
+        W[:, ks] = x.T
+    return np.einsum("tk,tk->t", F[:, 0], W[which.ravel()])
+
+
+def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
+                eta2: float, cfg: SolverConfig = DEFAULT_SOLVER
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Disorder covariances C(a, b) = eta2 sum_y T_{a,y} T_{b,y} of the mean
+    gradient, one per edge pair, and a bound on the error of each.
+
+    For the nearest-neighbour kernel (``solver_method`` "dst") I - P is
+    diagonal in the orthonormal sine modes psi_k(x) = prod_a sqrt(2/m)
+    sin(pi k_a (x_a + L + 1) / m), m = 2L + 2, and nothing is solved:
+    C(a, b) = eta2 sum_k dpsi_k(a) dpsi_k(b) / lambda_k^2, dpsi_k(a) being
+    the difference of psi_k across the edge.  The bound is c eps
+    sum_k |terms| with c = d (side + 22) + 26: sines and lambda carry no
+    cancellation, so a term is good to 21 (d + 1) eps and the scaling to
+    d + 2; d nested sums of side terms and a pair's at most four terms add
+    d (side - 1) + 3.  Any other kernel takes the inner product of two
+    Green-column differences, with the bound rel_tolerance |C|.
+    """
+    if eta2 <= 0.0:
+        raise ValueError("eta2 must be > 0")
+    g = A.geometry
+    if solver_method(A.kernel) != "dst":
+        response = {e: _edge_response(A, e, cfg) for pair in pairs for e in pair}
+        values = eta2 * np.array([response[a] @ response[b] for a, b in pairs])
+        return values, cfg.rel_tolerance * np.abs(values)
+    rows, terms = [], []
+    for n, (a, b) in enumerate(pairs):
+        for fa, fb in product(_mode_terms(g, a), _mode_terms(g, b)):
+            rows.append(n)
+            terms.append(fa * fb)
+    if not terms:
+        return np.zeros(len(pairs)), np.zeros(len(pairs))
+    F = np.array(terms)
+    value, total = _mode_sum(g, np.concatenate([F, np.abs(F)])).reshape(2, -1)
+    scale = eta2 * (2.0 / (g.side + 1)) ** g.d
+    bound = (g.d * (g.side + 22) + 26) * np.finfo(float).eps * scale
+    return (scale * np.bincount(rows, value, len(pairs)),
+            bound * np.bincount(rows, total, len(pairs)))
 
 
 def covariance(A: DirichletLaplacian, a: Edge, b: Edge, eta2: float,
                cfg: SolverConfig = DEFAULT_SOLVER) -> float:
-    """Disorder covariance of the mean gradient on edges a and b:
-
-        C(a, b) = eta2 * sum_y T_{a,y} T_{b,y}
-
-    computed as an inner product of the two edge-response vectors (two Green
-    solves per edge).
-    """
-    if eta2 <= 0.0:
-        raise ValueError("eta2 must be > 0")
-    ga = _edge_response(A, a, cfg)
-    gb = ga if b == a else _edge_response(A, b, cfg)
-    return eta2 * float(np.dot(ga, gb))
+    """Disorder covariance of the mean gradient on edges a and b (see
+    ``covariances``)."""
+    return float(covariances(A, [(a, b)], eta2, cfg)[0][0])
 
 
 def variance(A: DirichletLaplacian, a: Edge, eta2: float,
@@ -249,9 +334,7 @@ def variance(A: DirichletLaplacian, a: Edge, eta2: float,
     """Disorder variance of the mean gradient on edge a (covariance with itself)."""
     if eta2 < 0.0:
         raise ValueError("eta2 must be >= 0")
-    if eta2 == 0.0:
-        return 0.0
-    return covariance(A, a, a, eta2, cfg)
+    return covariance(A, a, a, eta2, cfg) if eta2 > 0.0 else 0.0
 
 
 def exterior_leak(A: DirichletLaplacian) -> np.ndarray:

@@ -147,7 +147,11 @@ def test_unreachable_tolerance_on_the_dst_path_exits_numerical_failure(tmp_path,
     pytest.param("experiment=identities\nd=2\nL=3\n", "dst", id="nn"),
     pytest.param("experiment=identities\nd=2\nL=3\nkernel=axis2\n", "cg",
                  id="axis2"),
-    pytest.param("experiment=decay\nd=3\nL=4\nr_list=2\n", "dst", id="decay"),
+    pytest.param("experiment=decay\nd=3\nL=4\nr_list=2\n", "spectral", id="decay"),
+    pytest.param("experiment=scaling\nd=2\nL_list=2,4\n", "spectral",
+                 id="scaling-nn"),
+    pytest.param("experiment=scaling\nd=2\nL_list=2,4\nkernel=axis2\n", "cg",
+                 id="scaling-axis2"),
     pytest.param("experiment=quadrature\nR_list=10\n", None, id="no-solve"),
 ])
 def test_manifest_records_the_solver_method(text, method, tmp_path):
@@ -165,14 +169,6 @@ def test_runs_are_byte_identical(tmp_path):
         run(cfg, tmp_path / sub)
         outs.append((tmp_path / sub / "gaussian.csv").read_bytes())
     assert outs[0] == outs[1]
-
-
-def test_threads_do_not_change_results(tmp_path):
-    base = "experiment=gaussian-exact\nd=2\nL=4\nn_realizations=4\nseed=5\n"
-    run(parse_config(base), tmp_path / "serial")
-    run(parse_config(base + "threads=4\n"), tmp_path / "parallel")
-    assert (tmp_path / "serial" / "gaussian.csv").read_bytes() == \
-        (tmp_path / "parallel" / "gaussian.csv").read_bytes()
 
 
 def test_floats_are_serialized_with_17_significant_digits(tmp_path):
@@ -276,11 +272,37 @@ def test_experiment_config_defaults_are_valid():
 # entry-point validation: overrides pass through the same checks as the file
 
 
-def test_main_rejects_negative_threads_flag(tmp_path, capsys):
+@pytest.mark.parametrize("key,flag,env", [
+    pytest.param("threads=2\n", [], None, id="key"),
+    pytest.param("", ["--threads", "2"], None, id="flag"),
+    pytest.param("", ["--threads=1"], None, id="flag-equals"),
+    pytest.param("", [], "2", id="environment"),
+])
+def test_main_rejects_the_removed_threads_option(key, flag, env, tmp_path, capsys,
+                                                 monkeypatch):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("experiment=gaussian-exact\nd=2\nL=2\n")
-    assert main([str(cfg_path), "--out", str(tmp_path), "--threads", "-4"]) == EXIT_CONFIG
-    assert "threads must be >= 1" in capsys.readouterr().err
+    cfg_path.write_text("experiment=gaussian-exact\nd=2\nL=2\n" + key)
+    if env is not None:
+        monkeypatch.setenv("GRADLAB_THREADS", env)
+    assert main([str(cfg_path), "--out", str(tmp_path)] + flag) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "threads" in err.lower()
+    assert "Traceback" not in err
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    pytest.param(["--seed", "abc"], "invalid int value", id="bad-seed"),
+    pytest.param(["--unknown"], "unrecognized arguments", id="unknown-flag"),
+    pytest.param(None, "arguments are required", id="no-config"),
+])
+def test_main_reports_usage_errors_as_config_errors(args, message, tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=quadrature\nR_list=10\n")
+    argv = [] if args is None else [str(cfg_path), "--out", str(tmp_path)] + args
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not (tmp_path / "run_manifest.json").exists()
 
 
@@ -291,7 +313,7 @@ def test_main_rejects_negative_seed(tmp_path, capsys):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["GRADLAB_THREADS", "GRADLAB_SEED"])
+@pytest.mark.parametrize("name", ["GRADLAB_SEED"])
 def test_main_reports_non_integer_environment_override(name, tmp_path, capsys,
                                                        monkeypatch):
     cfg_path = tmp_path / "exp.cfg"

@@ -4,7 +4,7 @@ import pytest
 from conftest import gaussian_eta
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
-                              _cg_solve, covariance, dense_operator,
+                              _cg_solve, covariance, covariances, dense_operator,
                               green_column, mean_gradient, solve_array,
                               solve_green, solver_method, sparse_operator,
                               surface_identity_check, variance)
@@ -242,6 +242,70 @@ def test_variance_grows_with_box_in_d2():
         A, _, _ = make_operator(2, L)
         vals.append(variance(A, ((0, 0), (1, 0)), 1.0))
     assert vals[0] < vals[1] < vals[2]
+
+
+def green_column_covariance(A, a, b, eta2, cfg=TIGHT):
+    """Oracle: C(a, b) = eta2 <T_a, T_b>, each edge response the difference
+    of the Green columns of its interior endpoints (two solves per edge)."""
+    def response(edge):
+        out = np.zeros(A.n)
+        if edge[0] != edge[1]:
+            for x, sign in zip(edge, (1.0, -1.0)):
+                if A.geometry.contains(x):
+                    out += sign * green_column(A, x, cfg)
+        return out
+
+    return eta2 * float(response(a) @ response(b))
+
+
+MODE_SUM_CASES = [
+    pytest.param(1, 5, ((0,), (1,)), ((2,), (3,)), id="d1"),
+    pytest.param(1, 5, ((5,), (6,)), ((-6,), (-5,)), id="d1-exterior-endpoints"),
+    pytest.param(2, 4, ((0, 0), (1, 0)), ((0, 0), (0, 1)), id="d2-crossed-axes"),
+    pytest.param(2, 4, ((0, 0), (1, 0)), ((0, 0), (1, 0)), id="d2-a-equals-b"),
+    pytest.param(2, 4, ((4, 2), (5, 2)), ((-1, 3), (-1, 4)), id="d2-exterior-endpoint"),
+    pytest.param(2, 4, ((6, 0), (6, 1)), ((4, 0), (5, 0)), id="d2-two-layers-out"),
+    pytest.param(2, 4, ((5, 1), (6, 1)), ((4, 1), (5, 1)), id="d2-one-and-two-out"),
+    pytest.param(2, 4, ((1, 1), (2, 2)), ((-3, 1), (2, -2)), id="d2-site-pairs"),
+    pytest.param(3, 3, ((0, 0, 0), (0, 1, 0)), ((2, 0, 0), (2, 1, 0)),
+                 id="d3-transverse"),
+    pytest.param(3, 3, ((0, 0, 0), (0, 0, 1)), ((1, -2, 0), (2, -2, 0)),
+                 id="d3-crossed-axes"),
+    pytest.param(3, 3, ((3, 0, 0), (4, 0, 0)), ((0, 0, -3), (0, 0, -4)),
+                 id="d3-exterior-endpoints"),
+    pytest.param(3, 3, ((-1, 2, 1), (-1, 2, 2)), ((-1, 2, 1), (-1, 2, 2)),
+                 id="d3-a-equals-b"),
+]
+
+
+@pytest.mark.parametrize("d,L,a,b", MODE_SUM_CASES)
+def test_mode_sum_matches_green_columns(d, L, a, b):
+    A, _, _ = make_operator(d, L)
+    (value,), (err,) = covariances(A, [(a, b)], 1.3)
+    oracle = green_column_covariance(A, a, b, 1.3)
+    assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert 0.0 <= err <= 1e-11 * abs(value)
+
+
+def test_mode_sum_of_several_pairs_matches_single_pairs():
+    A, g, k = make_operator(3, 3)
+    edges = kernel_edges(g, k)[::37]
+    pairs = [(a, b) for a in edges for b in edges[:4]]
+    values, errs = covariances(A, pairs, 1.0)
+    for (a, b), v, e in zip(pairs, values, errs):
+        (v1,), (e1,) = covariances(A, [(a, b)], 1.0)
+        assert v == pytest.approx(v1, rel=1e-14, abs=1e-16)
+        assert e == pytest.approx(e1, rel=1e-14)
+
+
+def test_other_kernels_take_green_columns_with_the_solver_bound():
+    A, g, k = make_operator(2, 3, Kernel.axis_kernel(2, 2))
+    edges = kernel_edges(g, k)
+    pairs = [(edges[0], edges[5]), (edges[9], edges[9])]
+    values, errs = covariances(A, pairs, 2.0, TIGHT)
+    for (a, b), v, e in zip(pairs, values, errs):
+        assert v == pytest.approx(green_column_covariance(A, a, b, 2.0), rel=1e-12)
+        assert e == pytest.approx(TIGHT.rel_tolerance * abs(v), rel=1e-15)
 
 
 def test_covariance_form_is_positive_semidefinite():

@@ -14,6 +14,10 @@ old solver tolerance.
 to colour-class sweeps, which draw other random numbers; ``golden/random-scan/``
 keeps the random-scan recording, whose exact column the new file repeats
 byte for byte.
+
+``decay.csv`` was re-recorded when the covariance scans moved from DST
+Green columns to the closed-form mode sum; ``golden/dst/`` keeps the DST
+recording, which the new file matches to rounding.
 """
 
 import csv
@@ -27,6 +31,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 CONFIGS = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
 CG_RECORDED = sorted(p.stem for p in (GOLDEN / "cg").glob("*.csv"))
 RANDOM_SCAN = GOLDEN / "random-scan"
+DST = GOLDEN / "dst"
 
 # Columns that measure how far a solve or an identity misses; the exact
 # solve leaves only rounding there.
@@ -40,6 +45,7 @@ def test_golden_set_is_complete():
     assert CG_RECORDED == ["decay", "edges", "gaussian-nn", "identities-d2",
                            "identities-d3"]
     assert sorted(p.name for p in RANDOM_SCAN.iterdir()) == ["edges.csv"]
+    assert sorted(p.name for p in DST.iterdir()) == ["decay.csv"]
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -65,10 +71,10 @@ def _number(text):
 
 @pytest.mark.parametrize("name", CG_RECORDED)
 def test_dst_recording_matches_cg_recording(name):
-    # the CG edges recording came from the random-scan sampler
-    dst = RANDOM_SCAN / f"{name}.csv"
-    if not dst.exists():
-        dst = GOLDEN / f"{name}.csv"
+    # the CG edges recording came from the random-scan sampler, and the DST
+    # decay recording was kept when the mode sum re-recorded it
+    dst = next(p for p in (RANDOM_SCAN / f"{name}.csv", DST / f"{name}.csv",
+                           GOLDEN / f"{name}.csv") if p.exists())
     new, old = _read(dst), _read(GOLDEN / "cg" / f"{name}.csv")
     assert len(new) == len(old)
     assert new[0].keys() == old[0].keys()
@@ -90,3 +96,12 @@ def test_colour_class_recording_matches_random_scan_recording():
     within = [abs(float(r["mean"]) - float(r["exact"])) <= 3.0 * float(r["stderr"])
               for r in new]
     assert sum(within) >= 0.95 * len(within)
+
+
+def test_mode_sum_recording_matches_dst_recording():
+    new, old = _read(GOLDEN / "decay.csv"), _read(DST / "decay.csv")
+    assert [r["r"] for r in new] == [r["r"] for r in old]
+    for row_new, row_old in zip(new, old):
+        for col in ("covariance", "r_times_covariance"):
+            assert float(row_new[col]) == pytest.approx(float(row_old[col]),
+                                                        rel=1e-12, abs=0.0), col
