@@ -132,12 +132,19 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _float(raw: str) -> float:
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return x
+
+
 def _parse_potential(raw: str) -> Potential:
     parts = raw.split(":")
     if parts[0] == "quadratic" and len(parts) == 2:
-        return Potential.quadratic(float(parts[1]))
+        return Potential.quadratic(_float(parts[1]))
     if parts[0] == "quartic" and len(parts) == 3:
-        return Potential.quartic(float(parts[1]), float(parts[2]))
+        return Potential.quartic(_float(parts[1]), _float(parts[2]))
     raise ValueError(f"potential must be quadratic:C or quartic:A:B, got {raw!r}")
 
 
@@ -146,12 +153,12 @@ def _int_list(raw: str) -> tuple[int, ...]:
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(p.strip()) for p in raw.split(",") if p.strip())
+    return tuple(_float(p) for p in raw.split(",") if p.strip())
 
 
 #: the parser of each field type of ExperimentConfig: the fields are the keys
 _PARSERS: dict[str, Callable[[str], Any]] = {
-    "str": str, "int": int, "int | None": int, "float": float,
+    "str": str, "int": int, "int | None": int, "float": _float,
     "bool": _parse_bool, "Potential": _parse_potential,
     "tuple[int, ...] | None": _int_list, "tuple[float, ...] | None": _float_list}
 _CASTERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
@@ -201,12 +208,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                           f"choose one of {', '.join(EXPERIMENTS)}")
     if cfg.d < 1:
         raise ConfigError("d must be >= 1")
-    if cfg.eta2 <= 0:
-        raise ConfigError("eta2 must be > 0")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
-    if cfg.disorder not in ("gaussian", "rademacher", "uniform"):
-        raise ConfigError(f"unknown disorder family {cfg.disorder!r}")
     cfg.make_kernel()
     exp = cfg.experiment
     if exp == "quadrature":
@@ -243,6 +246,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     if exp == "clt" and cfg.n_realizations < 100:
         raise ConfigError("clt experiment requires n_realizations >= 100")
     try:
+        cfg.disorder_spec()
         cfg.solver()
         if exp == "mcmc":
             cfg.sampler()
@@ -362,29 +366,22 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
     k = cfg.make_kernel()
     g = BoxGeometry.for_kernel(cfg.d, cfg.L, k)
     eta = sample_disorder(cfg.disorder_spec(0), g)
-    edges = kernel_edges(g, k)
     exact = None
     if cfg.potential.family == "quadratic":
         # X = E[V'(phi')] matches the unit-stiffness response for any c:
         # the measure's mean gradient scales by 1/c and V' by c.
         A = gaussian.DirichletLaplacian(g, k)
-        exact = gaussian.mean_gradient(A, eta, cfg.solver())
-    est = mcmc.estimate_gradient_mean(g, k, cfg.potential, eta, edges,
-                                      cfg.sampler(), seed=cfg.seed)
+        exact = gaussian.mean_gradient(A, eta, cfg.solver()).edge_values()
+    est = mcmc.estimate_gradient_mean(g, k, cfg.potential, eta, cfg.sampler(),
+                                      seed=cfg.seed)
     header = ["edge_i", "edge_j", "mean", "stderr", "n_eff"]
+    mean, stderr = est.mean.edge_values(), est.stderr.edge_values()
+    columns = [mean, stderr, est.n_eff.edge_values()]
     if exact is not None:
         header.append("exact")
-    rows = []
-    covered = 0
-    for e in est.edge_list:
-        row = [_site_str(e[0]), _site_str(e[1]), est[e].mean, est[e].stderr,
-               est[e].n_eff]
-        if exact is not None:
-            ex = exact.get(*e)
-            row.append(ex)
-            if abs(est[e].mean - ex) <= 3.0 * est[e].stderr:
-                covered += 1
-        rows.append(row)
+        columns.append(exact)
+    rows = [[_site_str(i), _site_str(j)] + values for (i, j), values
+            in zip(kernel_edges(g, k), np.stack(columns, axis=1).tolist())]
     path = out / "edges.csv"
     _write_csv(path, header, rows)
     resid, se = mcmc.divergence_check(est, eta, g, k)
@@ -396,7 +393,8 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
         "divergence_within_4se_fraction": float((ratio <= 4.0).mean()),
     }
     if exact is not None:
-        summary["fraction_within_3se_of_exact"] = covered / len(est.edge_list)
+        covered = np.abs(mean - exact) <= 3.0 * stderr
+        summary["fraction_within_3se_of_exact"] = np.count_nonzero(covered) / len(exact)
     return [path], summary, EXIT_OK
 
 
@@ -457,8 +455,8 @@ _RUNNERS = {
 
 
 def _task_seeds(cfg: ExperimentConfig) -> dict[str, Any]:
-    n = cfg.n_realizations if cfg.experiment in ("gaussian-exact", "identities") \
-        else (cfg.n_realizations if cfg.experiment == "clt" else 1)
+    n = cfg.n_realizations if cfg.experiment in ("gaussian-exact", "identities",
+                                                 "clt") else 1
     return {
         "master": cfg.seed,
         "disorder_spawn_keys": [[STREAM_DISORDER, r] for r in range(n)],

@@ -18,9 +18,10 @@ Gaussian scans take values and uncertainties from ``gaussian.covariances``
 (the sine-mode sum and its rounding bound for the nearest-neighbour kernel).
 
 Edge sums read a ``VectorField`` by array shifts, in a fixed order: site
-fluxes add one kernel offset at a time, surface and side sums fold edge by
-edge in ``boundary_edges`` order.  The values match the per-edge loops of
-the definitions, which the tests keep as oracles, to the last bit.
+fluxes (``model.site_flux``) add one kernel offset at a time, surface and
+side sums fold edge by edge over the boundary edges, ordered by interior
+site and then by kernel support order.  The values match the per-edge loops
+of the definitions, which the tests keep as oracles, to the last bit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from scipy.sparse.linalg import splu
 
 from . import gaussian
 from .model import (BoxGeometry, DisorderField, DisorderSpec, Edge, Kernel,
-                    VectorField, neighbor_index, sample_disorder)
+                    VectorField, neighbor_index, sample_disorder, site_flux,
+                    site_values)
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,9 @@ class DecayScan(NamedTuple):
 # divergence bookkeeping
 
 
-def _site_values(X: VectorField, g: BoxGeometry, k: Kernel) -> np.ndarray:
+def _check_field(X: VectorField, g: BoxGeometry, k: Kernel) -> None:
     if X.geometry != g or X.kernel != k:
         raise ValueError("the field belongs to another geometry or kernel")
-    return X.site_values()
 
 
 def _fold(terms: np.ndarray) -> float:
@@ -111,24 +112,23 @@ def _fold(terms: np.ndarray) -> float:
 
 def _boundary_terms(X: VectorField, g: BoxGeometry,
                     k: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """p(j - i) X_ij over the boundary edges in boundary_edges order, and
-    the kernel support row (the jump j - i) of each."""
+    """p(j - i) X_ij over the boundary edges (i inside, j outside), ordered
+    by i and then by kernel support order, and the support row (the jump
+    j - i) of each."""
+    _check_field(X, g, k)
     sites, rows = np.nonzero(neighbor_index(g, k).T < 0)
     weights = np.array([w for _, w in k.support()])
-    return weights[rows] * _site_values(X, g, k)[rows, sites], rows
+    return weights[rows] * site_values(g, k, X.data)[rows, sites], rows
 
 
 def divergence_residual(X: VectorField, eta: DisorderField, g: BoxGeometry,
                         k: Kernel) -> tuple[np.ndarray, float]:
     """Per-site residuals r_i = eta_i - sum_j p(j-i) X_ij and their max |.|.
 
-    X must be a field of (g, k).  The flux adds one kernel offset at a
-    time, in support order, for all sites at once.
+    X must be a field of (g, k); the flux is ``model.site_flux``.
     """
-    flux = np.zeros(g.n_sites)
-    for (_, w), values in zip(k.support(), _site_values(X, g, k)):
-        flux += w * values
-    residuals = eta.values - flux
+    _check_field(X, g, k)
+    residuals = eta.values - site_flux(g, k, X.data)
     return residuals, float(np.max(np.abs(residuals)))
 
 
@@ -299,7 +299,7 @@ def second_moment_identity(g: BoxGeometry, k: Kernel,
     nothing).  Columns come from a direct sparse factorization; the tests
     pin individual entries against the ``covariance`` op.
     """
-    sites, rows = np.nonzero(neighbor_index(g, k).T < 0)  # boundary_edges order
+    sites, rows = np.nonzero(neighbor_index(g, k).T < 0)  # as in _boundary_terms
     lhs = eta2 * g.n_sites
     distinct, column = np.unique(sites, return_inverse=True)
 

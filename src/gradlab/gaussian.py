@@ -31,8 +31,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .model import (BoxGeometry, DisorderField, Edge, HeightField, Kernel,
-                    Site, VectorField, gradient_of, neighbor_index,
-                    validate_kernel)
+                    Site, VectorField, _pad_heights, _shifted, gradient_of,
+                    neighbor_index, validate_kernel)
 
 
 class SolverError(RuntimeError):
@@ -93,14 +93,10 @@ class DirichletLaplacian:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         g = self.geometry
-        m = g.shell_width
-        full = np.zeros((g.side + 2 * m,) * g.d)
-        core = tuple(slice(m, m + g.side) for _ in range(g.d))
-        full[core] = np.asarray(x, dtype=float).reshape(g.shape)
-        out = full[core].copy()
+        full = _pad_heights(g, x)
+        out = _shifted(g, full, (0,) * g.d).copy()
         for v, w in self._support:
-            sl = tuple(slice(m + c, m + c + g.side) for c in v)
-            out -= w * full[sl]
+            out -= w * _shifted(g, full, v)
         return out.ravel()
 
     def as_linear_operator(self) -> LinearOperator:

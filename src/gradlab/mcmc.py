@@ -12,9 +12,11 @@ the target invariant; a sweep is their composition.  The proposal width can
 be autotuned toward a target acceptance rate during burn-in only; it is
 frozen during measurement.
 
-The main estimator is the time average of V'(phi_i - phi_j) on a set of
-edges, with batch-means error bars, which for the quadratic potential can
-be checked edge by edge against the exact Gaussian solver.
+The main estimator is the time average of V'(phi_i - phi_j) on every
+kernel edge, with batch-means error bars, as edge fields like the exact
+Gaussian mean gradient, against which it can be checked edge by edge for
+the quadratic potential.  ``divergence_check`` forms its site fluxes with
+the ``model.site_flux`` of the exact diagnostics.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
 
 import numpy as np
 from scipy.integrate import quad
 
-from .model import (BoxGeometry, DisorderField, Edge, HeightField, Kernel,
-                    Potential, Site, VectorField, add, canonical_edge,
-                    chain_stream, neighbor_index)
+from .diagnostics import divergence_residual
+from .model import (BoxGeometry, DisorderField, HeightField, Kernel, Potential,
+                    Site, VectorField, add, chain_stream, edge_table,
+                    neighbor_index, site_flux)
 from .quadrature import QuadratureError
 
 #: proposals beyond this height are rejected outright (and counted); the
@@ -67,10 +69,24 @@ class SamplerConfig:
 
 
 @dataclass(frozen=True)
-class EdgeEstimate:
-    mean: float
-    stderr: float
-    n_eff: float
+class GradientEstimate:
+    """Time averages of V'(phi_i - phi_j) on every kernel edge, as edge fields
+    of the sampled (geometry, kernel).
+
+    ``stderr`` (batch means) and ``n_eff`` change sign with the orientation
+    like any field.  ``batch_means`` holds the edge-field data of each
+    batch's mean, one row per batch, for quantities such as site fluxes
+    whose errors must carry the chain's correlations between edges.
+    """
+
+    mean: VectorField
+    stderr: VectorField
+    n_eff: VectorField
+    batch_means: np.ndarray
+    acceptance_rate: float
+    proposal_width: float
+    cap_rejects: int
+    retained: int
 
 
 # ---------------------------------------------------------------------------
@@ -185,55 +201,15 @@ def conditional_logdensity(g: BoxGeometry, k: Kernel, vpot: Potential,
     return total + eta.height_at(site) * t
 
 
-class EdgeEstimates(Mapping[Edge, EdgeEstimate]):
-    """Estimates of the mean of V'(phi_i - phi_j) per canonical edge.
-
-    Also carries the per-batch means (n_batches x n_edges) so that derived
-    quantities such as per-site divergence residuals can propagate the full
-    joint chain fluctuations instead of assuming independent edges.
-    """
-
-    def __init__(self, edges: list[Edge], estimates: dict[Edge, EdgeEstimate],
-                 batch_means: np.ndarray, acceptance_rate: float,
-                 proposal_width: float, cap_rejects: int, retained: int):
-        self.edge_list = edges
-        self._estimates = estimates
-        self.batch_means = batch_means
-        self.acceptance_rate = acceptance_rate
-        self.proposal_width = proposal_width
-        self.cap_rejects = cap_rejects
-        self.retained = retained
-        self._column = {e: c for c, e in enumerate(edges)}
-
-    def __getitem__(self, edge: Edge) -> EdgeEstimate:
-        return self._estimates[edge]
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edge_list)
-
-    def __len__(self) -> int:
-        return len(self.edge_list)
-
-    def signed_mean(self, i: Site, j: Site) -> float:
-        """Estimate for the oriented edge (i, j); exact antisymmetry by storage."""
-        key, sign = canonical_edge(i, j)
-        return sign * self._estimates[key].mean
-
-    def signed_column(self, i: Site, j: Site) -> tuple[int, float]:
-        key, sign = canonical_edge(i, j)
-        return self._column[key], sign
-
-
 def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
-                           eta: DisorderField, edges: list[Edge],
-                           cfg: SamplerConfig, seed: int = 0,
-                           chain: int = 0) -> EdgeEstimates:
-    """Run one chain and estimate the gradient mean on the requested edges.
+                           eta: DisorderField, cfg: SamplerConfig,
+                           seed: int = 0, chain: int = 0) -> GradientEstimate:
+    """Run one chain and estimate the gradient mean on every kernel edge.
 
     Burn-in (with optional proposal autotuning) is followed by measurement
-    of V'(phi_i - phi_j) every `thin` sweeps; means and batch-means standard
-    errors are reported per canonical edge.  Poor mixing shows up as large
-    stderr, never as an error.
+    of V'(phi_i - phi_j) every `thin` sweeps, accumulated per block as a
+    (retained samples, edges) array in ``kernel_edges`` order.  Poor mixing
+    shows up as large stderr, never as an error.
     """
     sampler = Chain(g, k, vpot, eta, seed=seed, chain=chain)
     width = cfg.proposal_width
@@ -248,17 +224,13 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
             gain = 1.0 / (1.0 + index) ** 0.6
             width *= math.exp(gain * (rate - cfg.target_acceptance))
 
-    canon = list(dict.fromkeys(canonical_edge(i, j)[0] for i, j in edges))
-    ei = np.array([g.index_of(i) if g.contains(i) else n for i, _ in canon])
-    ej = np.array([g.index_of(j) if g.contains(j) else n for _, j in canon])
-
+    ei, ej = edge_table(g, k)[0]
     retained = (cfg.measure_sweeps // cfg.thin // N_BATCHES) * N_BATCHES
     if retained < N_BATCHES:
         raise ValueError("not enough retained samples for batch means")
     batch_size = retained // N_BATCHES
-    n_edges = len(canon)
-    batch_sums = np.zeros((N_BATCHES, n_edges))
-    total_sq = np.zeros(n_edges)
+    batch_sums = np.zeros((N_BATCHES, len(ei)))
+    total_sq = np.zeros(len(ei))
     accepted_meas = 0
     for batch in range(N_BATCHES):
         for done in range(0, batch_size, BLOCK):
@@ -278,39 +250,26 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
         n_eff = np.where(stderr > 0.0, marginal_var / stderr ** 2, float(retained))
     n_eff = np.clip(np.nan_to_num(n_eff, nan=float(retained)), 1.0, float(retained))
 
-    estimates = {e: EdgeEstimate(float(means[c]), float(stderr[c]), float(n_eff[c]))
-                 for c, e in enumerate(canon)}
-    return EdgeEstimates(canon, estimates, batch_means,
-                         acceptance_rate=accepted_meas / (retained * cfg.thin * n),
-                         proposal_width=width, cap_rejects=sampler.cap_rejects,
-                         retained=retained)
+    def field(values: np.ndarray) -> VectorField:
+        return VectorField.from_edge_values(g, k, values)
+
+    return GradientEstimate(
+        field(means), field(stderr), field(n_eff),
+        np.stack([field(row).data for row in batch_means]),
+        acceptance_rate=accepted_meas / (retained * cfg.thin * n),
+        proposal_width=width, cap_rejects=sampler.cap_rejects, retained=retained)
 
 
-def divergence_check(est: EdgeEstimates, eta: DisorderField, g: BoxGeometry,
+def divergence_check(est: GradientEstimate, eta: DisorderField, g: BoxGeometry,
                      k: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Per-site divergence residuals of the estimated field, with stderrs.
 
     residual_i = eta_i - sum_j p(j-i) Xhat_{ij}.  The standard error is
-    batch-propagated: the weighted edge sum is re-formed per batch, so
-    correlations between edges sharing the chain are handled exactly.
+    batch-propagated: the site flux is re-formed per batch, so correlations
+    between edges sharing the chain are handled exactly.
     """
-    # an edge field of estimate column + 1 (0: no estimate); read from site
-    # i, its sign is the orientation of the stored edge relative to (i, i + v)
-    index = VectorField(g, k)
-    for c, (i, j) in enumerate(est.edge_list):
-        index.set(i, j, c + 1.0)
-    signed = index.site_values()
-    if not np.all(signed):
-        raise KeyError("the estimates miss a kernel edge of an interior site")
-    # per-column means summed exactly as batch_means[:, c].mean() does
-    means = np.ascontiguousarray(est.batch_means.T).mean(axis=1)
-    flux = np.zeros(g.n_sites)
-    batch_flux = np.zeros((est.batch_means.shape[0], g.n_sites))
-    for (_, w), row in zip(k.support(), signed):
-        cols = np.abs(row).astype(int) - 1
-        flux += w * np.sign(row) * means[cols]
-        batch_flux += w * np.sign(row) * est.batch_means[:, cols]
-    residuals = eta.values - flux
+    residuals, _ = divergence_residual(est.mean, eta, g, k)
+    batch_flux = site_flux(g, k, est.batch_means)
     stderrs = batch_flux.std(axis=0, ddof=1) / math.sqrt(batch_flux.shape[0])
     return residuals, stderrs
 

@@ -14,7 +14,7 @@ for an even pair potential V that grows faster than linearly.
 
 Lattice arrays live on the shell-padded box, where a kernel offset is a
 shifted view: edge fields are one such array per positive offset, and
-``neighbor_index`` is the one stencil table behind the edge lists, the
+``neighbor_index`` is the one stencil table behind the edge table, the
 sparse operator and the sampler's neighbour table.
 """
 
@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -223,16 +224,26 @@ def _padded_shape(g: BoxGeometry) -> tuple[int, ...]:
 
 
 def _shifted(g: BoxGeometry, padded: np.ndarray, v: Site) -> np.ndarray:
-    """View of `padded` whose entry at interior site i is the cell of i + v."""
+    """View of `padded` whose entry at interior site i is the cell of i + v
+    (over the last d axes; leading axes are kept)."""
     m = g.shell_width
-    return padded[tuple(slice(m + c, m + c + g.side) for c in v)]
+    return padded[(...,) + tuple(slice(m + c, m + c + g.side) for c in v)]
 
 
-def _pad_heights(g: BoxGeometry, phi: HeightField) -> np.ndarray:
-    """Heights embedded in the shell-padded array, zero outside the box."""
+def _pad_heights(g: BoxGeometry, values: np.ndarray) -> np.ndarray:
+    """Interior values (in site order) embedded in the shell-padded array,
+    zero outside the box."""
     full = np.zeros(_padded_shape(g))
-    _shifted(g, full, (0,) * g.d)[...] = phi.values.reshape(g.shape)
+    _shifted(g, full, (0,) * g.d)[...] = np.reshape(values, g.shape)
     return full
+
+
+@lru_cache(maxsize=16)
+def _planes(k: Kernel) -> Mapping[Site, int]:
+    """The plane of an edge field holding each lexicographically positive
+    kernel offset, in sorted order.  Cached, hence read-only."""
+    positive = sorted({max(v, tuple(-c for c in v)) for v, _ in k.support()})
+    return MappingProxyType({v: q for q, v in enumerate(positive)})
 
 
 @lru_cache(maxsize=16)
@@ -252,31 +263,43 @@ def neighbor_index(g: BoxGeometry, k: Kernel) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def boundary_edges(g: BoxGeometry, k: Kernel) -> tuple[tuple[Site, Site, float], ...]:
-    """Kernel edges with one endpoint inside and one outside the box.
+def edge_table(g: BoxGeometry, k: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Every kernel edge touching the box, once each, as arrays.
 
-    Each edge appears once, oriented with the interior endpoint first, as
-    (i, j, p(j - i)), ordered by i and then by kernel support order.
-    Cached per (geometry, kernel), hence a tuple.
+    Returns the site indices of each edge's canonical endpoints (2 x
+    n_edges; ``g.n_sites`` for an endpoint outside the box) and the flat
+    index of its cell in ``VectorField.data``.  Edges are ordered by the
+    interior site they are reached from (their canonical first endpoint, or
+    the interior one when that lies outside), then by kernel support order.
+    Cached, hence read-only.
     """
-    sites, support = list(g.sites()), k.support()
-    return tuple((sites[s], add(sites[s], support[r][0]), support[r][1])
-                 for s, r in zip(*np.nonzero(neighbor_index(g, k).T < 0)))
+    zero = (0,) * g.d
+    support = k.support()
+    nbr = neighbor_index(g, k)
+    forward = np.array([v > zero for v, _ in support])
+    sites, rows = np.nonzero(((nbr < 0) | forward[:, None]).T)
+    # an edge reached forward runs (site, neighbour) and has its cell at the
+    # site; one reached backward leaves the box, so it runs (outside, site)
+    # and has its cell at the outside endpoint
+    slot = np.where(nbr < 0, g.n_sites, nbr)[rows, sites]
+    ends = np.where(forward[rows], [sites, slot], [slot, sites])
+    grid = np.arange(np.prod(_padded_shape(g))).reshape(_padded_shape(g))
+    cells = np.stack([_planes(k)[max(v, tuple(-c for c in v))] * grid.size
+                      + _shifted(g, grid, min(v, zero)).ravel()
+                      for v, _ in support])[rows, sites]
+    ends.flags.writeable = cells.flags.writeable = False
+    return ends, cells
 
 
 @lru_cache(maxsize=16)
 def kernel_edges(g: BoxGeometry, k: Kernel) -> tuple[Edge, ...]:
-    """Every kernel edge touching the box, once each in canonical orientation.
-
-    Ordered by the endpoint an edge is reached from (its canonical first
-    endpoint, or the interior one when that lies outside), then by kernel
-    support order.  Cached per (geometry, kernel), hence a tuple.
-    """
-    sites, support = list(g.sites()), k.support()
-    positive = np.array([v > (0,) * g.d for v, _ in support])
-    take = (neighbor_index(g, k) < 0) | positive[:, None]
-    return tuple(canonical_edge(sites[s], add(sites[s], support[r][0]))[0]
-                 for s, r in zip(*np.nonzero(take.T)))
+    """The edges of ``edge_table`` as canonical site pairs, in its order.
+    Cached per (geometry, kernel), hence a tuple."""
+    planes = list(_planes(k))
+    q, *cell = np.unravel_index(edge_table(g, k)[1], (len(planes),) + _padded_shape(g))
+    first = np.stack(cell, axis=-1) - (g.L + g.shell_width)
+    second = first + np.array(planes)[q]
+    return tuple(zip(map(tuple, first.tolist()), map(tuple, second.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +426,16 @@ class VectorField:
             raise ValueError("geometry shell does not cover the kernel range")
         self.geometry = geometry
         self.kernel = kernel
-        positive = sorted({max(v, tuple(-c for c in v)) for v, _ in kernel.support()})
-        self._offsets = {v: q for q, v in enumerate(positive)}
-        self.data = np.zeros((len(positive),) + _padded_shape(geometry))
+        self._offsets = _planes(kernel)
+        self.data = np.zeros((len(self._offsets),) + _padded_shape(geometry))
+
+    @classmethod
+    def from_edge_values(cls, geometry: BoxGeometry, kernel: Kernel,
+                         values: np.ndarray) -> "VectorField":
+        """The field holding `values` on the ``kernel_edges``, in that order."""
+        out = cls(geometry, kernel)
+        np.put(out.data, edge_table(geometry, kernel)[1], values)
+        return out
 
     def _cell(self, i: Site, j: Site) -> tuple[tuple[int, ...], float]:
         (a, b), sign = canonical_edge(i, j)
@@ -423,22 +453,38 @@ class VectorField:
         cell, sign = self._cell(i, j)
         return sign * float(self.data[cell])
 
-    def site_values(self) -> np.ndarray:
-        """w(i, i + v) for every kernel offset v (rows, in support order)
-        and interior site i (columns, in index order), read by shifts."""
-        g = self.geometry
-        zero = (0,) * g.d
-        rows = [_shifted(g, self.data[self._offsets[v]], zero) if v > zero
-                else -_shifted(g, self.data[self._offsets[tuple(-c for c in v)]], v)
-                for v, _ in self.kernel.support()]
-        return np.stack(rows).reshape(len(rows), g.n_sites)
-
-    def edges(self) -> list[Edge]:
-        return list(kernel_edges(self.geometry, self.kernel))
+    def edge_values(self) -> np.ndarray:
+        """The values on the ``kernel_edges``, in that order: one gather."""
+        return self.data.take(edge_table(self.geometry, self.kernel)[1])
 
     def items(self) -> Iterator[tuple[Edge, float]]:
         """(canonical edge, value) in kernel_edges order."""
-        return ((e, self.get(*e)) for e in kernel_edges(self.geometry, self.kernel))
+        return zip(kernel_edges(self.geometry, self.kernel), self.edge_values().tolist())
+
+
+def site_values(g: BoxGeometry, k: Kernel, data: np.ndarray) -> np.ndarray:
+    """w(i, i + v) for every kernel offset v (first axis, in support order)
+    and interior site i (last axis, in index order), read by shifts from
+    edge-field data (``VectorField.data``) under any leading axes, which
+    stay between the two."""
+    planes = np.moveaxis(data, -1 - g.d, 0)
+    index = _planes(k)
+    zero = (0,) * g.d
+    rows = [_shifted(g, planes[index[v]], zero) if v > zero
+            else -_shifted(g, planes[index[tuple(-c for c in v)]], v)
+            for v, _ in k.support()]
+    return np.stack(rows).reshape((len(rows),) + data.shape[:-1 - g.d] + (g.n_sites,))
+
+
+def site_flux(g: BoxGeometry, k: Kernel, data: np.ndarray) -> np.ndarray:
+    """sum_v p(v) w(i, i + v) at every interior site i, from edge-field data
+    under any leading axes (kept), adding one kernel offset at a time, in
+    support order, for all sites at once."""
+    values = site_values(g, k, data)
+    flux = np.zeros(values.shape[1:])
+    for (_, w), row in zip(k.support(), values):
+        flux += w * row
+    return flux
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +546,7 @@ def gradient_of(g: BoxGeometry, k: Kernel, phi: HeightField) -> VectorField:
     edges carry the interior height itself (up to orientation).
     """
     out = VectorField(g, k)
-    padded = _pad_heights(g, phi)
+    padded = _pad_heights(g, phi.values)
     for v, q in out._offsets.items():
         src = tuple(slice(max(0, -c), n - max(0, c)) for c, n in zip(v, padded.shape))
         dst = tuple(slice(max(0, c), n - max(0, -c)) for c, n in zip(v, padded.shape))
@@ -548,17 +594,14 @@ def energy_terms(g: BoxGeometry, k: Kernel, vpot: Potential,
     boundary = sum_{i in Lambda, j outside} p(i-j) V(phi_i)
     field    = -sum_i eta_i phi_i
     """
-    if not g.covers(k):
-        raise ValueError("geometry shell does not cover the kernel range")
     core = phi.values.reshape(g.shape)
-    padded = _pad_heights(g, phi)
-    inside = _pad_heights(g, HeightField(g, np.ones(g.n_sites)))
+    padded = _pad_heights(g, phi.values)
     interior = 0.0
     boundary = 0.0
-    for v, w in k.support():
+    for (v, w), nbr in zip(k.support(), neighbor_index(g, k)):
         diff = core - _shifted(g, padded, v)
         vmat = np.asarray(vpot.value(diff))
-        mask = _shifted(g, inside, v)  # 1 where the neighbor is interior
+        mask = (nbr >= 0).reshape(g.shape)  # where the neighbor is interior
         interior += w * float(np.sum(0.5 * vmat * mask))
         boundary += w * float(np.sum(vmat * (1.0 - mask)))
     field = -float(np.dot(eta.values, phi.values))

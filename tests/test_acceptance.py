@@ -215,12 +215,13 @@ def test_criterion_09_mcmc_matches_exact_solver():
     X = gaussian.mean_gradient(A, eta)
     cfg = mcmc.SamplerConfig(burn_in_sweeps=2000, measure_sweeps=20000)
     est = mcmc.estimate_gradient_mean(g, k, Potential.quadratic(1.0), eta,
-                                      kernel_edges(g, k), cfg, seed=MASTER_SEED)
-    inside = sum(abs(est[e].mean - X.get(*e)) <= 3.0 * est[e].stderr
-                 for e in est.edge_list)
-    frac = inside / len(est.edge_list)
+                                      cfg, seed=MASTER_SEED)
+    edges = kernel_edges(g, k)
+    inside = sum(abs(est.mean.get(*e) - X.get(*e)) <= 3.0 * est.stderr.get(*e)
+                 for e in edges)
+    frac = inside / len(edges)
     ok = frac >= 0.95
-    report(9, ok, f"{inside}/{len(est.edge_list)} edges within 3 stderr "
+    report(9, ok, f"{inside}/{len(edges)} edges within 3 stderr "
                   f"({frac:.3f} >= 0.95), acceptance {est.acceptance_rate:.2f}, "
                   f"{watch.elapsed:.1f}s")
     assert frac >= 0.95
@@ -237,8 +238,7 @@ def test_criterion_10_anharmonic_divergence_residuals():
     vpot = Potential.quartic(1.0, 0.1)
     eta = sample_disorder(DisorderSpec("gaussian", 1.0, MASTER_SEED, 0), g)
     cfg = mcmc.SamplerConfig(burn_in_sweeps=2000, measure_sweeps=20000)
-    est = mcmc.estimate_gradient_mean(g, k, vpot, eta, kernel_edges(g, k),
-                                      cfg, seed=MASTER_SEED)
+    est = mcmc.estimate_gradient_mean(g, k, vpot, eta, cfg, seed=MASTER_SEED)
     resid, se = mcmc.divergence_check(est, eta, g, k)
     ratio = np.abs(resid) / se
     frac = float((ratio <= 4.0).mean())

@@ -361,6 +361,29 @@ def test_main_reports_bad_solver_sampler_and_realization_keys(text, message,
     assert not (tmp_path / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize("text,key", [
+    pytest.param("experiment=gaussian-exact\nd=2\nL=2\neta2=nan\n", "eta2",
+                 id="eta2-nan"),
+    pytest.param("experiment=scaling\nd=2\nL_list=2,4\neta2=inf\n", "eta2",
+                 id="eta2-inf"),
+    pytest.param("experiment=identities\nd=2\nL=2\nrel_tolerance=nan\n",
+                 "rel_tolerance", id="rel_tolerance-nan"),
+    pytest.param("experiment=mcmc\nd=2\nL=1\npotential=quartic:nan:1\n",
+                 "potential", id="potential-nan"),
+    pytest.param("experiment=mcmc\nd=2\nL=1\nproposal_width=nan\n",
+                 "proposal_width", id="proposal_width-nan"),
+])
+def test_main_rejects_non_finite_floats(text, key, tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"bad value for {key}" in err
+    assert "not a finite number" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
 def test_module_entry_point_runs_without_runpy_warning(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("experiment=quadrature\nR_list=10\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_eta
+from conftest import gaussian_eta, oracle_boundary_edges
 from gradlab import gaussian
 from gradlab.diagnostics import (FitResult, ScanResult,
                                  boundary_ergodic_average, central_edge,
@@ -16,8 +16,7 @@ from gradlab.diagnostics import (FitResult, ScanResult,
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, covariance,
                               mean_gradient, variance)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, Kernel,
-                           VectorField, boundary_edges, kernel_edges,
-                           sample_disorder)
+                           VectorField, kernel_edges, sample_disorder)
 
 
 def setup_gaussian(d, L, seed=0):
@@ -428,7 +427,7 @@ def test_second_moment_rhs_entries_match_covariance_op():
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry.for_kernel(2, 2, k)
     A = DirichletLaplacian(g, k)
-    edges = boundary_edges(g, k)
+    edges = oracle_boundary_edges(g, k)
     a = (edges[0][0], edges[0][1])
     b = (edges[7][0], edges[7][1])
     tight = SolverConfig(rel_tolerance=1e-12)

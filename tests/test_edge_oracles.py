@@ -4,7 +4,8 @@ Each oracle follows its definition literally, one site and one kernel
 offset at a time.  The array versions perform the same floating-point
 operations in the same order (per-site fluxes add one offset at a time in
 kernel support order; surface and per-side sums fold edge by edge in
-boundary_edges order), so every comparison here is exact equality.
+boundary-edge order: by interior site, then kernel support order), so
+every comparison here is exact equality.
 """
 
 import math
@@ -13,13 +14,13 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from conftest import random_heights
+from conftest import oracle_boundary_edges, random_heights
 from gradlab import gaussian, mcmc
 from gradlab.diagnostics import (boundary_ergodic_average, divergence_residual,
                                  integral_form_check)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec,
                            HeightField, Kernel, Potential, VectorField,
-                           boundary_edges, canonical_edge, gradient_of,
+                           canonical_edge, edge_table, gradient_of,
                            kernel_edges, loop_residuals, sample_disorder)
 
 
@@ -42,16 +43,6 @@ def oracle_gradient(g, k, phi):
                 continue
             key, sign = canonical_edge(i, j)
             out[key] = sign * (hi - phi.height_at(j))
-    return out
-
-
-def oracle_boundary_edges(g, k):
-    out = []
-    for i in g.sites():
-        for v, w in k.support():
-            j = add(i, v)
-            if not g.contains(j):
-                out.append((i, j, w))
     return out
 
 
@@ -117,13 +108,18 @@ def oracle_loop_residuals(g, get):
 def oracle_divergence_check(est, eta, g, k):
     n = g.n_sites
     residuals = np.zeros(n)
-    batch_flux = np.zeros((est.batch_means.shape[0], n))
+    batches = []
+    for row in est.batch_means:
+        field = VectorField(g, k)
+        field.data[...] = row
+        batches.append(field)
+    batch_flux = np.zeros((len(batches), n))
     for idx, i in enumerate(g.sites()):
         flux = 0.0
         for v, w in k.support():
-            col, sign = est.signed_column(i, add(i, v))
-            flux += w * sign * est.batch_means[:, col].mean()
-            batch_flux[:, idx] += w * sign * est.batch_means[:, col]
+            j = add(i, v)
+            flux += w * est.mean.get(i, j)
+            batch_flux[:, idx] += w * np.array([b.get(i, j) for b in batches])
         residuals[idx] = eta.values[idx] - flux
     stderrs = batch_flux.std(axis=0, ddof=1) / math.sqrt(batch_flux.shape[0])
     return residuals, stderrs
@@ -181,8 +177,20 @@ def random_field(g, k, seed):
 
 def test_edge_lists_match_reference(case):
     g, k, _ = case
-    assert list(boundary_edges(g, k)) == oracle_boundary_edges(g, k)
     assert list(kernel_edges(g, k)) == oracle_kernel_edges(g, k)
+
+
+def test_edge_table_matches_reference(case):
+    g, k, _ = case
+    edges = kernel_edges(g, k)
+    ends, cells = edge_table(g, k)
+    index = [[g.index_of(s) if g.contains(s) else g.n_sites for s in e] for e in edges]
+    assert ends.T.tolist() == index
+    values = np.arange(1.0, len(edges) + 1.0)
+    w = VectorField.from_edge_values(g, k, values)
+    assert [w.get(*e) for e in edges] == values.tolist()
+    assert np.count_nonzero(w.data) == len(edges) == len(set(cells.tolist()))
+    assert np.array_equal(w.edge_values(), values)
 
 
 def test_gradient_matches_reference(case):
@@ -233,7 +241,7 @@ def test_mcmc_divergence_check_matches_reference(name):
     eta = sample_disorder(DisorderSpec("gaussian", 1.0, 43, 0), g)
     cfg = mcmc.SamplerConfig(burn_in_sweeps=50, measure_sweeps=300)
     est = mcmc.estimate_gradient_mean(g, k, Potential.quartic(1.0, 0.1), eta,
-                                      kernel_edges(g, k), cfg, seed=4)
+                                      cfg, seed=4)
     res, se = mcmc.divergence_check(est, eta, g, k)
     ref_res, ref_se = oracle_divergence_check(est, eta, g, k)
     assert np.array_equal(res, ref_res) and np.array_equal(se, ref_se)

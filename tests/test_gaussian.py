@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_eta
+from conftest import gaussian_eta, oracle_boundary_edges
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
                               _cg_solve, covariance, covariances, dense_operator,
@@ -9,7 +9,7 @@ from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
                               solve_green, solver_method, sparse_operator,
                               surface_identity_check, variance)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, HeightField,
-                           Kernel, boundary_edges, kernel_edges, loop_residuals)
+                           Kernel, kernel_edges, loop_residuals)
 
 TIGHT = SolverConfig(rel_tolerance=1e-12)
 
@@ -171,7 +171,7 @@ def test_mean_gradient_single_site_unit_field():
     A, g, k = make_operator(2, 0)
     eta = DisorderField(g, np.ones(1), DisorderSpec("gaussian", 1.0))
     X = mean_gradient(A, eta, TIGHT)
-    bedges = boundary_edges(g, k)
+    bedges = oracle_boundary_edges(g, k)
     assert len(bedges) == 4
     for i, j, _ in bedges:
         assert X.get(i, j) == pytest.approx(1.0, abs=1e-12)
@@ -338,7 +338,7 @@ def test_surface_identity_adjoint_matches_per_column_reference(L):
     A, g, k = make_operator(2, L)
     deviation = surface_identity_check(A, TIGHT)
     # reference: one Green solve per source site y, summed over boundary edges
-    bedges = boundary_edges(g, k)
+    bedges = oracle_boundary_edges(g, k)
     worst = 0.0
     for y in g.sites():
         u = green_column(A, y, TIGHT)

@@ -5,12 +5,14 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import gaussian_eta
+from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import DirichletLaplacian, mean_gradient
-from gradlab.mcmc import (HEIGHT_CAP, Chain, SamplerConfig, colour_classes,
-                          conditional_logdensity, divergence_check,
-                          estimate_gradient_mean, single_site_quadrature_oracle)
+from gradlab.mcmc import (HEIGHT_CAP, N_BATCHES, Chain, GradientEstimate,
+                          SamplerConfig, colour_classes, conditional_logdensity,
+                          divergence_check, estimate_gradient_mean,
+                          single_site_quadrature_oracle)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, HeightField,
-                           Kernel, Potential, energy, kernel_edges,
+                           Kernel, Potential, VectorField, energy, kernel_edges,
                            sample_disorder)
 
 FAST = SamplerConfig(burn_in_sweeps=300, measure_sweeps=4000)
@@ -196,32 +198,31 @@ def test_zero_disorder_estimates_vanish(quartic):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry.for_kernel(2, 2, k)
     eta = DisorderField(g, np.zeros(g.n_sites), DisorderSpec("gaussian", 1.0))
-    est = estimate_gradient_mean(g, k, quartic, eta, kernel_edges(g, k), FAST, seed=5)
-    for e in est.edge_list:
-        assert abs(est[e].mean) <= 4.0 * est[e].stderr + 1e-12
-        assert est[e].n_eff <= est.retained
+    est = estimate_gradient_mean(g, k, quartic, eta, FAST, seed=5)
+    for e in kernel_edges(g, k):
+        assert abs(est.mean.get(*e)) <= 4.0 * est.stderr.get(*e) + 1e-12
+        assert est.n_eff.get(*e) <= est.retained
 
 
 def test_estimates_are_exactly_antisymmetric(quartic):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry.for_kernel(2, 1, k)
     eta = gaussian_eta(g, seed=6)
-    est = estimate_gradient_mean(g, k, quartic, eta, kernel_edges(g, k), FAST, seed=6)
-    for i, j in est.edge_list:
-        assert est.signed_mean(j, i) == -est.signed_mean(i, j)
+    est = estimate_gradient_mean(g, k, quartic, eta, FAST, seed=6)
+    for i, j in kernel_edges(g, k):
+        assert est.mean.get(j, i) == -est.mean.get(i, j)
 
 
 def test_single_site_estimate_matches_quadrature_oracle():
     g, k, eta = single_site_setup(1.0)
     vpot = Potential.quartic(1.0, 0.5)
     cfg = SamplerConfig(burn_in_sweeps=2000, measure_sweeps=60000)
-    est = estimate_gradient_mean(g, k, vpot, eta, kernel_edges(g, k), cfg, seed=8)
+    est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=8)
     oracle = single_site_quadrature_oracle(vpot, 1.0, [w for _, w in k.support()])
     for v, _ in k.support():
         j = (v[0], v[1])
-        got = est.signed_mean((0, 0), j)  # oriented from the interior site out
-        key, _ = est.signed_column((0, 0), j)
-        stderr = est[est.edge_list[key]].stderr
+        got = est.mean.get((0, 0), j)  # oriented from the interior site out
+        stderr = abs(est.stderr.get((0, 0), j))  # a magnitude, either orientation
         assert abs(got - oracle.mean_derivative) <= 3.0 * stderr
 
 
@@ -237,12 +238,12 @@ def test_gaussian_cross_validation_multiple_realizations(quadratic):
     for realization in range(5):
         eta = sample_disorder(DisorderSpec("gaussian", 1.0, 3, realization), g)
         X = mean_gradient(A, eta)
-        est = estimate_gradient_mean(g, k, quadratic, eta, edges, cfg,
+        est = estimate_gradient_mean(g, k, quadratic, eta, cfg,
                                      seed=3, chain=realization)
         assert est.cap_rejects == 0
         for e in edges:
             total += 1
-            if abs(est[e].mean - X.get(*e)) <= 3.0 * est[e].stderr:
+            if abs(est.mean.get(*e) - X.get(*e)) <= 3.0 * est.stderr.get(*e):
                 covered += 1
     assert covered / total >= 0.95
 
@@ -252,10 +253,27 @@ def test_divergence_check_within_propagated_errors(quartic):
     g = BoxGeometry.for_kernel(2, 3, k)
     eta = gaussian_eta(g, seed=12)
     cfg = SamplerConfig(burn_in_sweeps=1000, measure_sweeps=12000)
-    est = estimate_gradient_mean(g, k, quartic, eta, kernel_edges(g, k), cfg, seed=12)
+    est = estimate_gradient_mean(g, k, quartic, eta, cfg, seed=12)
     resid, se = divergence_check(est, eta, g, k)
     ratio = np.abs(resid) / se
     assert (ratio <= 4.0).mean() >= 0.95
+
+
+def test_divergence_check_of_exact_batches_is_the_exact_residual():
+    # every batch is the exact Gaussian field: the residuals are its own,
+    # and the batches carry no spread
+    k = Kernel.nearest_neighbor(2)
+    g = BoxGeometry.for_kernel(2, 3, k)
+    eta = gaussian_eta(g, seed=14)
+    X = mean_gradient(DirichletLaplacian(g, k), eta)
+    zero = VectorField(g, k)
+    est = GradientEstimate(X, zero, zero, np.stack([X.data] * N_BATCHES),
+                           acceptance_rate=1.0, proposal_width=1.0,
+                           cap_rejects=0, retained=N_BATCHES)
+    resid, se = divergence_check(est, eta, g, k)
+    exact, _ = divergence_residual(X, eta, g, k)
+    assert np.max(np.abs(resid - exact)) <= 1e-13
+    assert np.max(se) <= 1e-13
 
 
 def test_autotune_reaches_target_window():
@@ -270,7 +288,7 @@ def test_autotune_reaches_target_window():
         eta = sample_disorder(DisorderSpec("gaussian", 1.0, 13), g)
         cfg = SamplerConfig(proposal_width=8.0, burn_in_sweeps=1500,
                             measure_sweeps=3000)
-        est = estimate_gradient_mean(g, k, vpot, eta, kernel_edges(g, k), cfg)
+        est = estimate_gradient_mean(g, k, vpot, eta, cfg)
         assert 0.3 <= est.acceptance_rate <= 0.6, (d, L, vpot, est.acceptance_rate)
 
 
