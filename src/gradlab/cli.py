@@ -17,7 +17,12 @@ covariance scans (``scaling``, ``decay``), which solve nothing.
 
 Exit codes: 0 success; 1 config error; 2 numerical failure (solver or
 quadrature non-convergence); 3 invariant-check failure (an identity above
-its tolerance).
+its tolerance).  The ``identities`` gates are the constants
+``DIVERGENCE_TOLERANCE``, ``SURFACE_TOLERANCE`` and
+``SECOND_MOMENT_TOLERANCE``; the ``quadrature`` experiment runs at
+``quadrature.DEFAULT_QUADRATURE`` and the sampler's burn-in tunes its
+proposal width toward ``mcmc.TARGET_ACCEPTANCE``; none of them is a
+config key.
 
 Usage::
 
@@ -57,6 +62,11 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_INVARIANT = 3
 
+#: the ``identities`` experiment's gates, written to its ``tolerance`` column
+DIVERGENCE_TOLERANCE = 1e-8
+SURFACE_TOLERANCE = 1e-8
+SECOND_MOMENT_TOLERANCE = 1e-6
+
 
 class ConfigError(ValueError):
     """Invalid config text; carries the offending line number (1-based)."""
@@ -85,16 +95,7 @@ class ExperimentConfig:
     burn_in_sweeps: int = 2000
     measure_sweeps: int = 20000
     thin: int = 1
-    target_acceptance: float = 0.44
-    autotune: bool = True
     rel_tolerance: float = 1e-10
-    max_iterations: int | None = None
-    quad_abs_tolerance: float = 1e-10
-    quad_rel_tolerance: float = 1e-8
-    divergence_tolerance: float = 1e-8
-    surface_tolerance: float = 1e-8
-    second_moment_tolerance: float = 1e-6
-    corrupt_field: bool = False  # fault-injection hook for the exit-code tests
 
     def make_kernel(self) -> Kernel:
         if self.kernel == "nn":
@@ -104,32 +105,16 @@ class ExperimentConfig:
         raise ConfigError(f"unknown kernel {self.kernel!r}")
 
     def solver(self) -> gaussian.SolverConfig:
-        return gaussian.SolverConfig(rel_tolerance=self.rel_tolerance,
-                                     max_iterations=self.max_iterations)
+        return gaussian.SolverConfig(rel_tolerance=self.rel_tolerance)
 
     def sampler(self) -> mcmc.SamplerConfig:
         return mcmc.SamplerConfig(
             proposal_width=self.proposal_width,
             burn_in_sweeps=self.burn_in_sweeps,
-            measure_sweeps=self.measure_sweeps, thin=self.thin,
-            target_acceptance=self.target_acceptance, autotune=self.autotune)
-
-    def quadrature_config(self) -> quadrature.QuadratureConfig:
-        return quadrature.QuadratureConfig(
-            abs_tolerance=self.quad_abs_tolerance,
-            rel_tolerance=self.quad_rel_tolerance)
+            measure_sweeps=self.measure_sweeps, thin=self.thin)
 
     def disorder_spec(self, realization: int = 0) -> DisorderSpec:
         return DisorderSpec(self.disorder, self.eta2, self.seed, realization)
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _float(raw: str) -> float:
@@ -159,7 +144,7 @@ def _float_list(raw: str) -> tuple[float, ...]:
 #: the parser of each field type of ExperimentConfig: the fields are the keys
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "str": str, "int": int, "int | None": int, "float": _float,
-    "bool": _parse_bool, "Potential": _parse_potential,
+    "Potential": _parse_potential,
     "tuple[int, ...] | None": _int_list, "tuple[float, ...] | None": _float_list}
 _CASTERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
@@ -289,14 +274,13 @@ class RunResult(NamedTuple):
 
 
 def _run_quadrature(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
-    qcfg = cfg.quadrature_config()
     rows = []
     for R in cfg.R_list:
-        j = quadrature.j_of_r(R, qcfg)
+        j = quadrature.j_of_r(R)
         rows.append([R, j, abs(j - quadrature.PI2) / quadrature.PI2])
     path = out / "quadrature.csv"
     _write_csv(path, ["R", "J", "rel_dev_pi2"], rows)
-    summary = {"j_limit_reference": quadrature.j_limit_reference(qcfg),
+    summary = {"j_limit_reference": quadrature.j_limit_reference(),
                "pi_squared": quadrature.PI2}
     return [path], summary, EXIT_OK
 
@@ -310,24 +294,20 @@ def _run_identities(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict,
     surface_dev = gaussian.surface_identity_check(A, solver)
     second = diagnostics.second_moment_identity(g, k, cfg.eta2)
     rows = [
-        ["surface_identity_max_deviation", surface_dev, cfg.surface_tolerance,
-         surface_dev <= cfg.surface_tolerance],
+        ["surface_identity_max_deviation", surface_dev, SURFACE_TOLERANCE,
+         surface_dev <= SURFACE_TOLERANCE],
         ["second_moment_relative_difference", second.relative_difference,
-         cfg.second_moment_tolerance,
-         second.relative_difference <= cfg.second_moment_tolerance],
+         SECOND_MOMENT_TOLERANCE,
+         second.relative_difference <= SECOND_MOMENT_TOLERANCE],
     ]
     worst_resid = 0.0
     for r in range(cfg.n_realizations):
         eta = sample_disorder(cfg.disorder_spec(r), g)
         X = gaussian.mean_gradient(A, eta, solver)
-        if cfg.corrupt_field and r == 0:
-            edge = diagnostics.central_edge(cfg.d)
-            X.set(edge[0], edge[1], X.get(edge[0], edge[1]) + 1.0)
         _, mx = diagnostics.divergence_residual(X, eta, g, k)
         worst_resid = max(worst_resid, mx)
-    rows.append(["divergence_max_residual", worst_resid,
-                 cfg.divergence_tolerance,
-                 worst_resid <= cfg.divergence_tolerance])
+    rows.append(["divergence_max_residual", worst_resid, DIVERGENCE_TOLERANCE,
+                 worst_resid <= DIVERGENCE_TOLERANCE])
     path = out / "identities.csv"
     _write_csv(path, ["check", "value", "tolerance", "pass"], rows)
     ok = all(r[3] for r in rows)
@@ -415,8 +395,7 @@ def _run_scaling(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, in
 
 
 def _run_decay(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
-    scan = diagnostics.decay_scan_d3(cfg.L, list(cfg.r_list), cfg.eta2,
-                                     cfg.solver())
+    scan = diagnostics.decay_scan_d3(cfg.L, list(cfg.r_list), cfg.eta2)
     rows = [[r, c, rc] for (r, c, _), (_, rc, _)
             in zip(scan.covariance.rows, scan.compensated.rows)]
     path = out / "decay.csv"

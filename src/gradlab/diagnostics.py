@@ -249,9 +249,7 @@ def variance_scaling_scan(d: int, L_list: list[int], eta2: float,
     })
 
 
-def decay_scan_d3(L: int, r_list: list[int], eta2: float,
-                  cfg: gaussian.SolverConfig = gaussian.DEFAULT_SOLVER
-                  ) -> DecayScan:
+def decay_scan_d3(L: int, r_list: list[int], eta2: float) -> DecayScan:
     """Covariance of the edge mean between edges separated by r in d = 3.
 
     The pair sits symmetrically about the center: base sites at -(r/2) e1
@@ -280,10 +278,10 @@ def decay_scan_d3(L: int, r_list: list[int], eta2: float,
     A = gaussian.DirichletLaplacian(BoxGeometry.for_kernel(3, L, k), k)
     rs = sorted(r_list)
     pairs = [tuple(((x, 0, 0), (x, 1, 0)) for x in (-(r // 2), r // 2)) for r in rs]
-    values, errors = gaussian.covariances(A, pairs, eta2, cfg)
+    values, errors = gaussian.covariances(A, pairs, eta2)
     rows = tuple((float(r), float(c), float(e)) for r, c, e in zip(rs, values, errors))
     meta = {"observable": "edge-mean covariance", "L": L, "eta2": eta2,
-            "orientation": "transverse", "rel_tolerance": cfg.rel_tolerance}
+            "orientation": "transverse"}
     return DecayScan(ScanResult(rows, meta),
                      ScanResult(tuple((r, r * c, r * e) for r, c, e in rows),
                                 {**meta, "compensated": True}))

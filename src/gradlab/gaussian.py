@@ -21,6 +21,7 @@ oracles for small boxes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
@@ -46,18 +47,14 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     """Residual target ||Au - b|| <= rel_tolerance ||b||, checked after every
-    solve; ``max_iterations`` caps the conjugate-gradient path only (default
-    10 * n_sites, set at solve time), the sine-transform solve has no
-    iterations."""
+    solve (the conjugate-gradient path stops after 10 * n_sites iterations;
+    the sine-transform solve has none)."""
 
     rel_tolerance: float = 1e-10
-    max_iterations: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rel_tolerance <= 0.0:
-            raise ValueError("rel_tolerance must be > 0")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not 0.0 < self.rel_tolerance < math.inf:
+            raise ValueError("rel_tolerance must be > 0 and finite")
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -148,9 +145,9 @@ def _dst_solve(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
 def _cg_solve(A: DirichletLaplacian, b: np.ndarray,
               cfg: SolverConfig) -> tuple[np.ndarray, str | None]:
     """Conjugate gradients on the matrix-free operator, stopped at relative
-    residual cfg.rel_tolerance or after cfg.max_iterations steps (default
-    10 * n).  Returns the iterate and, if the cap stopped it, why."""
-    maxiter = cfg.max_iterations if cfg.max_iterations is not None else 10 * A.n
+    residual cfg.rel_tolerance or after 10 * n steps.  Returns the iterate
+    and, if the cap stopped it, why."""
+    maxiter = 10 * A.n
     x, info = cg(A.as_linear_operator(), b, rtol=cfg.rel_tolerance, atol=0.0,
                  maxiter=maxiter)
     if info != 0:
@@ -296,8 +293,8 @@ def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
     d (side - 1) + 3.  Any other kernel takes the inner product of two
     Green-column differences, with the bound rel_tolerance |C|.
     """
-    if eta2 <= 0.0:
-        raise ValueError("eta2 must be > 0")
+    if not 0.0 < eta2 < math.inf:
+        raise ValueError("eta2 must be > 0 and finite")
     g = A.geometry
     if solver_method(A.kernel) != "dst":
         response = {e: _edge_response(A, e, cfg) for pair in pairs for e in pair}

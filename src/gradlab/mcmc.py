@@ -8,9 +8,10 @@ which no two are kernel neighbours (the two parity classes for ``nn``), so
 the single-site conditionals within a class do not depend on each other and
 the class's moves are one array operation.  Each class update is a product
 of single-site Metropolis kernels for the exact conditionals, hence leaves
-the target invariant; a sweep is their composition.  The proposal width can
-be autotuned toward a target acceptance rate during burn-in only; it is
-frozen during measurement.
+the target invariant; a sweep is their composition.  Burn-in tunes the
+proposal width toward ``TARGET_ACCEPTANCE``, the optimum for
+one-dimensional random-walk Metropolis (Gelman, Roberts & Gilks 1996);
+measurement keeps it fixed.
 
 The main estimator is the time average of V'(phi_i - phi_j) on every
 kernel edge, with batch-means error bars, as edge fields like the exact
@@ -42,8 +43,11 @@ HEIGHT_CAP = 1e6
 N_BATCHES = 30
 
 #: most sweeps (burn-in) or retained samples (measurement) per block of
-#: random numbers; burn-in autotunes the proposal width once per block
+#: random numbers; burn-in tunes the proposal width once per block
 BLOCK = 25
+
+#: acceptance rate that burn-in steers the proposal width toward
+TARGET_ACCEPTANCE = 0.44
 
 
 @dataclass(frozen=True)
@@ -52,14 +56,10 @@ class SamplerConfig:
     burn_in_sweeps: int = 2000
     measure_sweeps: int = 20000
     thin: int = 1
-    target_acceptance: float = 0.44
-    autotune: bool = True
 
     def __post_init__(self) -> None:
-        if self.proposal_width <= 0.0:
-            raise ValueError("proposal_width must be > 0")
-        if not 0.0 < self.target_acceptance < 1.0:
-            raise ValueError("target_acceptance must be in (0, 1)")
+        if not 0.0 < self.proposal_width < math.inf:
+            raise ValueError("proposal_width must be > 0 and finite")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
         if self.measure_sweeps < 100 * self.thin:
@@ -206,7 +206,7 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
                            seed: int = 0, chain: int = 0) -> GradientEstimate:
     """Run one chain and estimate the gradient mean on every kernel edge.
 
-    Burn-in (with optional proposal autotuning) is followed by measurement
+    Burn-in (which tunes the proposal width) is followed by measurement
     of V'(phi_i - phi_j) every `thin` sweeps, accumulated per block as a
     (retained samples, edges) array in ``kernel_edges`` order.  Poor mixing
     shows up as large stderr, never as an error.
@@ -219,10 +219,9 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     for index, done in enumerate(range(0, cfg.burn_in_sweeps, BLOCK)):
         todo = min(BLOCK, cfg.burn_in_sweeps - done)
         accepted, _ = sampler.run(width, todo)
-        if cfg.autotune:
-            rate = accepted / (todo * n)
-            gain = 1.0 / (1.0 + index) ** 0.6
-            width *= math.exp(gain * (rate - cfg.target_acceptance))
+        rate = accepted / (todo * n)
+        gain = 1.0 / (1.0 + index) ** 0.6
+        width *= math.exp(gain * (rate - TARGET_ACCEPTANCE))
 
     ei, ej = edge_table(g, k)[0]
     retained = (cfg.measure_sweeps // cfg.thin // N_BATCHES) * N_BATCHES

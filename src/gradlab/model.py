@@ -21,6 +21,7 @@ sparse operator and the sampler's neighbour table.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -360,8 +361,8 @@ class DisorderSpec:
     realization: int = 0
 
     def __post_init__(self) -> None:
-        if self.eta2 <= 0.0:
-            raise ValueError("eta2 must be > 0")
+        if not 0.0 < self.eta2 < math.inf:
+            raise ValueError("eta2 must be > 0 and finite")
         if self.family not in ("gaussian", "rademacher", "uniform"):
             raise ValueError(f"unknown disorder family {self.family!r}")
 
@@ -504,6 +505,8 @@ class Potential:
     b: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError("potential coefficients must be finite")
         if self.family == "quadratic":
             if self.b != 0.0:
                 raise ValueError("quadratic potential has no quartic term")

@@ -41,8 +41,9 @@ class QuadratureConfig:
     cutoff: float | None = None  # overrides the derived upper limits
 
     def __post_init__(self) -> None:
-        if self.abs_tolerance <= 0.0 or self.rel_tolerance <= 0.0:
-            raise ValueError("tolerances must be > 0")
+        if not (0.0 < self.abs_tolerance < math.inf
+                and 0.0 < self.rel_tolerance < math.inf):
+            raise ValueError("tolerances must be > 0 and finite")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be >= 10")
 
@@ -114,8 +115,8 @@ def j_of_r(R: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
         raise ValueError("R must be > 0")
     tail_target = max(cfg.abs_tolerance, cfg.rel_tolerance) / 4.0
     U = cfg.cutoff if cfg.cutoff is not None else 1.0 + 4.0 / tail_target
-    if U <= 2.0:
-        raise ValueError("cutoff must exceed 2")
+    if not 2.0 < U < math.inf:
+        raise ValueError("cutoff must exceed 2 and be finite")
     f = lambda u: j_integrand(u, R)
     head, err_head = _quad(f, 0.0, 2.0, cfg, points=[1.0],
                            epsabs=cfg.abs_tolerance / 10.0)

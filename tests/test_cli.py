@@ -4,14 +4,22 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import gradlab
+from gradlab import diagnostics, gaussian
 from gradlab.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                          ConfigError, ExperimentConfig, main, parse_config, run)
 from gradlab.model import Potential
+
+#: config keys that became constants; each is now an unknown key
+REMOVED_KEYS = ("corrupt_field", "max_iterations", "autotune",
+                "target_acceptance", "quad_abs_tolerance", "quad_rel_tolerance",
+                "divergence_tolerance", "surface_tolerance",
+                "second_moment_tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +120,17 @@ def test_quadrature_run_reports_pi_squared_row(tmp_path):
     assert abs(j - math.pi ** 2) / math.pi ** 2 == pytest.approx(dev, rel=1e-12)
 
 
-def test_corrupted_field_hook_exits_invariant_failure(tmp_path):
-    cfg = parse_config("experiment=identities\nd=2\nL=3\ncorrupt_field=true\n")
+def test_corrupted_field_hook_exits_invariant_failure(tmp_path, monkeypatch):
+    exact = gaussian.mean_gradient
+
+    def corrupted(A, eta, cfg):
+        X = exact(A, eta, cfg)
+        i, j = diagnostics.central_edge(A.geometry.d)
+        X.set(i, j, X.get(i, j) + 1.0)
+        return X
+
+    monkeypatch.setattr(gaussian, "mean_gradient", corrupted)
+    cfg = parse_config("experiment=identities\nd=2\nL=3\n")
     result = run(cfg, tmp_path)
     assert result.exit_code == EXIT_INVARIANT
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
@@ -122,9 +139,9 @@ def test_corrupted_field_hook_exits_invariant_failure(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    # the iteration cap exists only on the conjugate-gradient (non-nn) path
+    # an unreachable residual target on the conjugate-gradient (non-nn) path
     cfg = parse_config("experiment=identities\nd=2\nL=6\nkernel=axis2\n"
-                       "max_iterations=2\n")
+                       "rel_tolerance=1e-20\n")
     result = run(cfg, tmp_path)
     assert result.exit_code == EXIT_NUMERICAL
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
@@ -264,8 +281,6 @@ def test_main_seed_flag_and_env_override(tmp_path, monkeypatch):
 def test_experiment_config_defaults_are_valid():
     cfg = ExperimentConfig(experiment="quadrature", R_list=(1.0,))
     assert cfg.solver().rel_tolerance == 1e-10
-    assert cfg.sampler().target_acceptance == 0.44
-    assert cfg.quadrature_config().rel_tolerance == 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +304,26 @@ def test_main_rejects_the_removed_threads_option(key, flag, env, tmp_path, capsy
     assert err.startswith("error: ") and "threads" in err.lower()
     assert "Traceback" not in err
     assert not (tmp_path / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_main_rejects_the_removed_constant_keys(key, tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"experiment=identities\nd=2\nL=2\n{key}=1\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"unknown key {key!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+def test_readme_documents_every_config_key_and_no_removed_one():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    for f in fields(ExperimentConfig):
+        assert f"`{f.name}`" in readme, f.name
+    for name in REMOVED_KEYS:
+        assert f"`{name}`" not in readme, name
 
 
 @pytest.mark.parametrize("args,message", [
@@ -348,8 +383,6 @@ def test_main_rejects_a_decay_kernel_other_than_nn(tmp_path, capsys):
                  id="thin"),
     pytest.param("experiment=identities\nd=2\nL=1\nrel_tolerance=0\n",
                  "rel_tolerance must be > 0", id="rel_tolerance"),
-    pytest.param("experiment=identities\nd=2\nL=1\nmax_iterations=0\n",
-                 "max_iterations must be >= 1", id="max_iterations"),
 ])
 def test_main_reports_bad_solver_sampler_and_realization_keys(text, message,
                                                               tmp_path, capsys):

@@ -402,6 +402,28 @@ def test_d3_transverse_covariance_approaches_the_continuum_amplitude():
     assert abs(deviation[-1]) <= 0.005
 
 
+def test_d3_central_edge_variance_limit_is_approached_like_one_over_l():
+    """The d=3 central-edge variance converges, to about 3.0327 eta2.
+
+    The Green gradient decays like |y|^-2, so the box misses a tail
+    sum_{|y|>L} |y|^-4 ~ 1/L and each doubling increment is about half the
+    one before: the ratios 0.5218, 0.5113, 0.5058 (to L = 64, 128, 256)
+    fall toward 1/2 with L (ratio - 1/2) = 1.39, 1.45, 1.47.  The halving
+    extrapolation V(L) + (V(L) - V(L/2)) removes the 1/L term: 3.03260 at
+    L = 128 and 3.03273 at 256, 1.3e-4 apart.  Criterion 07 checks only the
+    ratio window; this pins the rate's correction and the limit.
+    """
+    boxes = np.array([16, 32, 64, 128, 256])
+    v = variance_scaling_scan(3, list(boxes), 1.0).values()
+    inc = np.diff(v)
+    ratio = inc[1:] / inc[:-1]
+    assert np.all(np.diff(ratio) < 0.0) and np.all(ratio > 0.5)
+    correction = boxes[2:] * (ratio - 0.5)
+    assert np.all((1.3 <= correction) & (correction <= 1.6)), correction
+    extrapolated = v[1:] + inc
+    assert abs(extrapolated[-1] - extrapolated[-2]) <= 2e-4
+
+
 # ---------------------------------------------------------------------------
 # second-moment identity
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -91,11 +93,11 @@ def test_green_column_matches_dense_inverse():
 
 
 def test_solver_error_reports_residual():
-    # the iteration cap exists only on the conjugate-gradient (non-nn) path
-    A, g, _ = make_operator(2, 8, Kernel.axis_kernel(2, 2))
+    # an unreachable residual target on the conjugate-gradient (non-nn) path
+    A, g, _ = make_operator(2, 6, Kernel.axis_kernel(2, 2))
     eta = gaussian_eta(g)
     with pytest.raises(SolverError) as err:
-        solve_array(A, eta.values, SolverConfig(rel_tolerance=1e-10, max_iterations=2))
+        solve_array(A, eta.values, SolverConfig(rel_tolerance=1e-20))
     assert err.value.achieved_residual > 0.0
     assert "residual" in str(err.value)
 
@@ -107,6 +109,12 @@ def test_dst_solve_reports_an_unreachable_tolerance():
         solve_array(A, eta.values, SolverConfig(rel_tolerance=1e-20))
     assert err.value.achieved_residual > 0.0
     assert "residual" in str(err.value)
+
+
+@pytest.mark.parametrize("rel_tolerance", [0.0, -1e-10, math.nan, math.inf])
+def test_solver_config_rejects_non_positive_and_non_finite_tolerances(rel_tolerance):
+    with pytest.raises(ValueError):
+        SolverConfig(rel_tolerance=rel_tolerance)
 
 
 def test_solver_method_follows_the_kernel():
@@ -208,6 +216,14 @@ def test_mean_gradient_is_loop_free():
 def test_covariance_degenerate_edge_is_zero():
     A, _, _ = make_operator(2, 1)
     assert covariance(A, ((0, 0), (0, 0)), ((0, 0), (1, 0)), 1.0) == 0.0
+
+
+@pytest.mark.parametrize("eta2", [0.0, math.nan, math.inf])
+def test_covariances_reject_a_non_positive_or_non_finite_eta2(eta2):
+    A, _, _ = make_operator(2, 2)
+    edge = ((0, 0), (1, 0))
+    with pytest.raises(ValueError):
+        covariances(A, [(edge, edge)], eta2)
 
 
 def test_covariance_is_symmetric():

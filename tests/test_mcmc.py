@@ -295,10 +295,9 @@ def test_autotune_reaches_target_window():
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(measure_sweeps=500, thin=10)
-    with pytest.raises(ValueError):
-        SamplerConfig(proposal_width=0.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(target_acceptance=1.0)
+    for width in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SamplerConfig(proposal_width=width)
 
 
 # ---------------------------------------------------------------------------

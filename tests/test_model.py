@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -190,6 +191,9 @@ def test_disorder_moments(family):
 def test_unknown_disorder_family_rejected():
     with pytest.raises(ValueError):
         DisorderSpec("cauchy", 1.0)
+    for eta2 in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DisorderSpec("gaussian", eta2)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +207,13 @@ def test_potential_families_validate():
         Potential.quartic(1.0, -0.1)
     with pytest.raises(ValueError):
         Potential("quartic", a=-1.0, b=0.0)
+    for bad in (lambda: Potential.quartic(math.nan, 1.0),
+                lambda: Potential.quartic(1.0, math.inf),
+                lambda: Potential.quartic(-math.inf, 1.0),
+                lambda: Potential.quadratic(math.inf),
+                lambda: Potential.quadratic(math.nan)):
+        with pytest.raises(ValueError):
+            bad()
     Potential.quartic(-1.0, 0.5)  # double well is allowed
 
 

@@ -118,8 +118,14 @@ def test_surface_volume_exponent_comparison():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tolerance=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            QuadratureConfig(abs_tolerance=tol)
+        with pytest.raises(ValueError):
+            QuadratureConfig(rel_tolerance=tol)
+    for cutoff in (2.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            j_of_r(10.0, QuadratureConfig(cutoff=cutoff))
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=2)
 
