@@ -223,13 +223,23 @@ def _validate(cfg: ExperimentConfig) -> None:
         if any(r < 0 or r % 2 or r > cfg.L // 2 for r in cfg.r_list):
             raise ConfigError("r_list entries must be even separations r with "
                               f"0 <= r <= L//2 = {cfg.L // 2}")
-    if exp == "gaussian-exact" and cfg.d != 2:
-        raise ConfigError("gaussian-exact experiment requires d=2 "
-                          "(per-side boundary averages)")
-    if exp == "gaussian-exact" and cfg.n_realizations < 1:
-        raise ConfigError("gaussian-exact experiment requires n_realizations >= 1")
-    if exp == "clt" and cfg.n_realizations < 100:
-        raise ConfigError("clt experiment requires n_realizations >= 100")
+    if exp == "gaussian-exact":
+        if cfg.d != 2:
+            raise ConfigError("gaussian-exact experiment requires d=2 "
+                              "(per-side boundary averages)")
+        if cfg.L < 1:
+            raise ConfigError("gaussian-exact experiment requires L >= 1")
+    if exp in ("gaussian-exact", "identities") and cfg.n_realizations < 1:
+        raise ConfigError(f"{exp} experiment requires n_realizations >= 1")
+    if (exp in ("gaussian-exact", "identities", "scaling", "decay")
+            and cfg.potential.b != 0.0):
+        raise ConfigError(f"{exp} experiment requires a quadratic potential "
+                          "(no quartic term)")
+    if exp == "clt":
+        if cfg.d != 2:
+            raise ConfigError("clt experiment requires d=2")
+        if cfg.n_realizations < 100:
+            raise ConfigError("clt experiment requires n_realizations >= 100")
     try:
         cfg.disorder_spec()
         cfg.solver()
@@ -292,7 +302,7 @@ def _run_identities(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict,
     solver = cfg.solver()
 
     surface_dev = gaussian.surface_identity_check(A, solver)
-    second = diagnostics.second_moment_identity(g, k, cfg.eta2)
+    second = diagnostics.second_moment_identity(g, k, cfg.eta2, solver)
     rows = [
         ["surface_identity_max_deviation", surface_dev, SURFACE_TOLERANCE,
          surface_dev <= SURFACE_TOLERANCE],
@@ -403,8 +413,7 @@ def _run_decay(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]
     summary: dict[str, Any] = {}
     positive = [r for r in scan.covariance.rows if r[0] > 0]
     if len(positive) >= 3:
-        f = diagnostics.fit("power-law",
-                            diagnostics.ScanResult(tuple(positive), {}))
+        f = diagnostics.fit("power-law", diagnostics.ScanResult(tuple(positive)))
         summary["power_law_fit"] = {"amplitude": f.coefficients[0],
                                     "exponent": f.coefficients[1],
                                     "r_squared": f.r_squared}

@@ -16,6 +16,7 @@ Scans return plain (control, value, uncertainty) rows; ``fit`` provides the
 log-linear and power-law least squares used to summarize them.  The
 Gaussian scans take values and uncertainties from ``gaussian.covariances``
 (the sine-mode sum and its rounding bound for the nearest-neighbour kernel).
+The second-moment identity is one linear solve, the surface identity's.
 
 Edge sums read a ``VectorField`` by array shifts, in a fixed order: site
 fluxes (``model.site_flux``) add one kernel offset at a time, surface and
@@ -28,10 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from . import gaussian
 from .model import (BoxGeometry, DisorderField, DisorderSpec, Edge, Kernel,
@@ -44,7 +44,6 @@ class ScanResult:
     """Rows of (control parameter, observable, uncertainty), sorted by control."""
 
     rows: tuple[tuple[float, float, float], ...]
-    metadata: Mapping[str, Any]
 
     def __post_init__(self) -> None:
         controls = [r[0] for r in self.rows]
@@ -58,9 +57,6 @@ class ScanResult:
 
     def values(self) -> np.ndarray:
         return np.array([r[1] for r in self.rows])
-
-    def errors(self) -> np.ndarray:
-        return np.array([r[2] for r in self.rows])
 
 
 @dataclass(frozen=True)
@@ -201,11 +197,7 @@ def clt_scan(L_list: list[int], n_realizations: int,
             stats[r] = eta.values.sum() / L
         rows.append((float(L), float(stats.var(ddof=1)),
                      _jackknife_variance_err(stats)))
-    return ScanResult(tuple(rows), {
-        "observable": "variance of (1/L) sum eta",
-        "n_realizations": n_realizations,
-        "family": spec.family, "eta2": spec.eta2, "seed": spec.seed,
-    })
+    return ScanResult(tuple(rows))
 
 
 def clt_population_value(L: int, d: int, eta2: float) -> float:
@@ -242,11 +234,7 @@ def variance_scaling_scan(d: int, L_list: list[int], eta2: float,
         A = gaussian.DirichletLaplacian(BoxGeometry.for_kernel(d, L, k), k)
         (v,), (err,) = gaussian.covariances(A, [(edge, edge)], eta2, cfg)
         rows.append((float(L), float(v), float(err)))
-    return ScanResult(tuple(rows), {
-        "observable": "central edge variance", "d": d, "eta2": eta2,
-        "kernel": "nearest-neighbor" if kernel is None else "custom",
-        "rel_tolerance": cfg.rel_tolerance,
-    })
+    return ScanResult(tuple(rows))
 
 
 def decay_scan_d3(L: int, r_list: list[int], eta2: float) -> DecayScan:
@@ -280,38 +268,27 @@ def decay_scan_d3(L: int, r_list: list[int], eta2: float) -> DecayScan:
     pairs = [tuple(((x, 0, 0), (x, 1, 0)) for x in (-(r // 2), r // 2)) for r in rs]
     values, errors = gaussian.covariances(A, pairs, eta2)
     rows = tuple((float(r), float(c), float(e)) for r, c, e in zip(rs, values, errors))
-    meta = {"observable": "edge-mean covariance", "L": L, "eta2": eta2,
-            "orientation": "transverse"}
-    return DecayScan(ScanResult(rows, meta),
-                     ScanResult(tuple((r, r * c, r * e) for r, c, e in rows),
-                                {**meta, "compensated": True}))
+    return DecayScan(ScanResult(rows),
+                     ScanResult(tuple((r, r * c, r * e) for r, c, e in rows)))
 
 
-def second_moment_identity(g: BoxGeometry, k: Kernel,
-                           eta2: float) -> SecondMomentCheck:
+def second_moment_identity(g: BoxGeometry, k: Kernel, eta2: float,
+                           cfg: gaussian.SolverConfig = gaussian.DEFAULT_SOLVER
+                           ) -> SecondMomentCheck:
     """eta2 |Lambda| versus the double boundary sum of the edge covariance.
 
-    The right-hand side is the literal double sum over boundary-edge pairs
-    (a, b) of p_a p_b C(a, b), evaluated from one Green column per distinct
-    boundary-adjacent interior site (the exterior endpoints contribute
-    nothing).  Columns come from a direct sparse factorization; the tests
-    pin individual entries against the ``covariance`` op.
+    The right-hand side is the double sum over boundary-edge pairs (a, b) of
+    p_a p_b C(a, b) = eta2 sum_y (sum_a p_a T_{a,y}) (sum_b p_b T_{b,y}).  A
+    boundary edge a = (i, j) with i inside has T_{a,y} = G_iy (G vanishes
+    outside), so sum_a p_a T_{a,y} = (G s)_y with s = ``exterior_leak``, and
+    the sum is eta2 ||w||^2 for the single solve A w = s, the same solve as
+    the surface identity.  The tests keep the literal double sum as the
+    oracle.
     """
-    sites, rows = np.nonzero(neighbor_index(g, k).T < 0)  # as in _boundary_terms
-    lhs = eta2 * g.n_sites
-    distinct, column = np.unique(sites, return_inverse=True)
-
     A = gaussian.DirichletLaplacian(g, k)
-    lu = splu(gaussian.sparse_operator(A).tocsc())
-    rhs_cols = np.zeros((g.n_sites, len(distinct)))
-    rhs_cols[distinct, np.arange(len(distinct))] = 1.0
-    cols = lu.solve(rhs_cols)  # n_sites x n_distinct
-
-    weights = np.array([w for _, w in k.support()])[rows]
-    # response matrix of all boundary edges (exterior endpoint has G = 0)
-    resp = cols[:, column]  # n_sites x n_edges
-    gram = resp.T @ resp
-    rhs = eta2 * float(weights @ gram @ weights)
+    w = gaussian.solve_array(A, gaussian.exterior_leak(A), cfg)
+    lhs = eta2 * g.n_sites
+    rhs = eta2 * float(w @ w)
     denom = max(abs(lhs), abs(rhs))
     return SecondMomentCheck(lhs, rhs, abs(lhs - rhs) / denom if denom else 0.0)
 

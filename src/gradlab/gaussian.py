@@ -15,8 +15,7 @@ sine basis: ``solve_array`` is one forward and one inverse DST-I, and
 nothing.  Every other kernel (the range-2 ``axis2`` stencil is not
 DST-diagonalisable) is solved by conjugate gradients on the matrix-free
 operator, and its covariances are inner products of Green-column
-differences.  ``dense_operator``/``sparse_operator`` provide direct-solver
-oracles for small boxes.
+differences.  Nothing here assembles the operator as a matrix.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ from itertools import product
 
 import numpy as np
 from scipy.fft import dstn, idstn
-from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .model import (BoxGeometry, DisorderField, Edge, HeightField, Kernel,
                     Site, VectorField, _pad_heights, _shifted, gradient_of,
-                    neighbor_index, validate_kernel)
+                    validate_kernel)
 
 
 class SolverError(RuntimeError):
@@ -96,32 +94,6 @@ class DirichletLaplacian:
             out -= w * _shifted(g, full, v)
         return out.ravel()
 
-    def as_linear_operator(self) -> LinearOperator:
-        return LinearOperator((self.n, self.n), matvec=self.apply, dtype=float)
-
-
-def dense_operator(A: DirichletLaplacian) -> np.ndarray:
-    """Dense matrix of A, for direct-solver cross-checks on small boxes."""
-    return sparse_operator(A).toarray()
-
-
-def sparse_operator(A: DirichletLaplacian) -> csr_matrix:
-    """Sparse CSR form of A, for factorized multi-column solves.
-
-    Assembled in COO order: the unit diagonal, then one block per kernel
-    offset with the sites whose neighbour lies inside the box.
-    """
-    g = A.geometry
-    sites = np.arange(g.n_sites)
-    rows, cols, vals = [sites], [sites], [np.ones(g.n_sites)]
-    for (_, w), nbr in zip(A.kernel.support(), neighbor_index(g, A.kernel)):
-        inside = nbr >= 0
-        rows.append(sites[inside])
-        cols.append(nbr[inside])
-        vals.append(np.full(len(cols[-1]), -w))
-    return csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(g.n_sites, g.n_sites))
-
 
 def solver_method(kernel: Kernel) -> str:
     """How ``solve_array`` solves with this kernel: "dst" (exact sine
@@ -148,8 +120,8 @@ def _cg_solve(A: DirichletLaplacian, b: np.ndarray,
     residual cfg.rel_tolerance or after 10 * n steps.  Returns the iterate
     and, if the cap stopped it, why."""
     maxiter = 10 * A.n
-    x, info = cg(A.as_linear_operator(), b, rtol=cfg.rel_tolerance, atol=0.0,
-                 maxiter=maxiter)
+    op = LinearOperator((A.n, A.n), matvec=A.apply, dtype=float)
+    x, info = cg(op, b, rtol=cfg.rel_tolerance, atol=0.0, maxiter=maxiter)
     if info != 0:
         return x, f"conjugate gradients did not converge within {maxiter} iterations"
     return x, None

@@ -14,8 +14,8 @@ for an even pair potential V that grows faster than linearly.
 
 Lattice arrays live on the shell-padded box, where a kernel offset is a
 shifted view: edge fields are one such array per positive offset, and
-``neighbor_index`` is the one stencil table behind the edge table, the
-sparse operator and the sampler's neighbour table.
+``neighbor_index`` is the one stencil table behind the edge table and
+the sampler's neighbour table.
 """
 
 from __future__ import annotations

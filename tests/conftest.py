@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from gradlab.model import BoxGeometry, DisorderSpec, Kernel, Potential, sample_disorder
 
@@ -43,6 +44,22 @@ def oracle_boundary_edges(g, k):
             if not g.contains(j):
                 out.append((i, j, w))
     return out
+
+
+def oracle_sparse_operator(A):
+    """The Dirichlet operator I - P of A as a sparse matrix, assembled site by
+    site: the unit diagonal, then one entry -p(v) per kernel offset v whose
+    neighbour lies inside the box.  ``.toarray()`` gives the dense one."""
+    g = A.geometry
+    rows, cols, vals = list(range(g.n_sites)), list(range(g.n_sites)), [1.0] * g.n_sites
+    for v, w in A.kernel.support():
+        for i in range(g.n_sites):
+            j = tuple(a + b for a, b in zip(g.site_of(i), v))
+            if g.contains(j):
+                rows.append(i)
+                cols.append(g.index_of(j))
+                vals.append(-w)
+    return csr_matrix((vals, (rows, cols)), shape=(g.n_sites, g.n_sites))
 
 
 def random_heights(g, seed=0, scale=1.0):

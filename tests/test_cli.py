@@ -38,7 +38,7 @@ def test_parse_rejects_l_zero_for_scaling():
 
 
 def test_parse_potential_round_trip():
-    cfg = parse_config("experiment=identities\nL=2\npotential=quartic:1.0:0.1\n")
+    cfg = parse_config("experiment=mcmc\nL=2\npotential=quartic:1.0:0.1\n")
     assert cfg.potential == Potential.quartic(1.0, 0.1)
     cfg2 = parse_config("experiment=identities\nL=2\npotential=quadratic:2.5\n")
     assert cfg2.potential == Potential.quadratic(2.5)
@@ -379,6 +379,12 @@ def test_main_rejects_a_decay_kernel_other_than_nn(tmp_path, capsys):
 @pytest.mark.parametrize("text,message", [
     pytest.param("experiment=gaussian-exact\nd=2\nL=1\nn_realizations=0\n",
                  "n_realizations >= 1", id="n_realizations"),
+    pytest.param("experiment=identities\nd=2\nL=1\nn_realizations=0\n",
+                 "n_realizations >= 1", id="identities-n_realizations-zero"),
+    pytest.param("experiment=identities\nd=2\nL=1\nn_realizations=-1\n",
+                 "n_realizations >= 1", id="identities-n_realizations-negative"),
+    pytest.param("experiment=gaussian-exact\nd=2\nL=0\n",
+                 "requires L >= 1", id="gaussian-exact-L-zero"),
     pytest.param("experiment=mcmc\nd=2\nL=1\nthin=0\n", "thin must be >= 1",
                  id="thin"),
     pytest.param("experiment=identities\nd=2\nL=1\nrel_tolerance=0\n",
@@ -391,6 +397,36 @@ def test_main_reports_bad_solver_sampler_and_realization_keys(text, message,
     assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "experiment=gaussian-exact\nd=2\nL=2\n",
+    "experiment=identities\nd=2\nL=2\n",
+    "experiment=scaling\nd=2\nL_list=2,4\n",
+    "experiment=decay\nd=3\nL=4\nr_list=0,2\n",
+], ids=["gaussian-exact", "identities", "scaling", "decay"])
+def test_main_rejects_a_quartic_potential_in_the_quadratic_experiments(
+        text, tmp_path, capsys):
+    # X does not depend on the stiffness, so quadratic:C and quartic:A:0 stay valid
+    for potential in ("quadratic:2.5", "quartic:2.5:0"):
+        assert parse_config(text + f"potential={potential}\n").potential.a == 2.5
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text + "potential=quartic:1:0.1\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "requires a quadratic potential" in err
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_main_rejects_clt_outside_d2(d, tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"experiment=clt\nd={d}\nL_list=4\nn_realizations=100\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "clt experiment requires d=2" in err
     assert not (tmp_path / "run_manifest.json").exists()
 
 

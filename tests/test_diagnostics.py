@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_eta, oracle_boundary_edges
-from gradlab import gaussian
+from conftest import gaussian_eta, oracle_boundary_edges, oracle_sparse_operator
+from gradlab import diagnostics, gaussian
 from gradlab.diagnostics import (FitResult, ScanResult,
                                  boundary_ergodic_average, central_edge,
                                  clt_population_value, clt_scan, decay_scan_d3,
@@ -444,21 +444,45 @@ def test_second_moment_small_boxes(d, L):
     assert chk.relative_difference <= 1e-6
 
 
-def test_second_moment_rhs_entries_match_covariance_op():
-    # bridge the factorized multi-column path to the covariance op
-    k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 2, k)
-    A = DirichletLaplacian(g, k)
-    edges = oracle_boundary_edges(g, k)
-    a = (edges[0][0], edges[0][1])
-    b = (edges[7][0], edges[7][1])
-    tight = SolverConfig(rel_tolerance=1e-12)
-    cab = covariance(A, a, b, 1.0, tight)
-    # recompute the same entry the identity uses: response inner product
-    from gradlab.gaussian import green_column
-    ga = green_column(A, a[0], tight)
-    gb = green_column(A, b[0], tight)
-    assert cab == pytest.approx(float(ga @ gb), abs=1e-10)
+def oracle_second_moment_rhs(g, k, eta2):
+    """The literal double sum eta2 sum_a sum_b p_a p_b T_a . T_b over the
+    boundary edges a = (i, j), with T_a = G_i. - G_j. read off a dense
+    inverse of the oracle operator (G_j. = 0 for j outside the box)."""
+    G = np.linalg.inv(oracle_sparse_operator(DirichletLaplacian(g, k)).toarray())
+
+    def response(i, j):
+        return sum(sign * G[g.index_of(x)] for x, sign in ((i, 1.0), (j, -1.0))
+                   if g.contains(x))
+
+    edges = [(response(i, j), p) for i, j, p in oracle_boundary_edges(g, k)]
+    return eta2 * sum(pa * pb * float(ta @ tb) for ta, pa in edges for tb, pb in edges)
+
+
+@pytest.mark.parametrize("d,L,name", [(2, 2, "nn"), (3, 1, "nn"), (2, 2, "axis2")])
+def test_second_moment_rhs_matches_the_literal_double_sum(d, L, name):
+    k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
+    g = BoxGeometry.for_kernel(d, L, k)
+    chk = second_moment_identity(g, k, 1.7)
+    assert chk.rhs == pytest.approx(oracle_second_moment_rhs(g, k, 1.7),
+                                    rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["nn", "axis2"])
+def test_second_moment_identity_is_one_solve(name, monkeypatch):
+    k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
+    g = BoxGeometry.for_kernel(2, 3, k)
+    calls = []
+    solve = gaussian.solve_array
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(gaussian, "solve_array", counted)
+    second_moment_identity(g, k, 1.0)
+    assert len(calls) == 1
+    assert "splu" not in vars(diagnostics)
+    assert "splu" not in second_moment_identity.__code__.co_names
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +492,7 @@ def test_second_moment_rhs_entries_match_covariance_op():
 def test_fit_recovers_exact_log_linear_data():
     ls = [2.0, 4.0, 8.0, 16.0]
     rows = tuple((L, 2.0 + 3.0 * np.log2(L), 0.0) for L in ls)
-    f = fit("log-linear", ScanResult(rows, {}))
+    f = fit("log-linear", ScanResult(rows))
     assert f.coefficients == pytest.approx((2.0, 3.0), abs=1e-12)
     assert f.r_squared == pytest.approx(1.0)
 
@@ -476,7 +500,7 @@ def test_fit_recovers_exact_log_linear_data():
 def test_fit_recovers_exact_power_law():
     rs = [2.0, 4.0, 8.0, 16.0]
     rows = tuple((r, 5.0 / r, 0.0) for r in rs)
-    f = fit("power-law", ScanResult(rows, {}))
+    f = fit("power-law", ScanResult(rows))
     amplitude, exponent = f.coefficients
     assert amplitude == pytest.approx(5.0, rel=1e-12)
     assert exponent == pytest.approx(1.0, abs=1e-12)
@@ -486,18 +510,18 @@ def test_fit_recovers_exact_power_law():
 def test_fit_rejects_bad_input():
     with pytest.raises(ValueError):
         fit("power-law", ScanResult(((1.0, -1.0, 0.0), (2.0, 1.0, 0.0),
-                                     (3.0, 1.0, 0.0)), {}))
+                                     (3.0, 1.0, 0.0))))
     with pytest.raises(ValueError):
-        fit("log-linear", ScanResult(((1.0, 1.0, 0.0), (2.0, 2.0, 0.0)), {}))
+        fit("log-linear", ScanResult(((1.0, 1.0, 0.0), (2.0, 2.0, 0.0))))
     with pytest.raises(ValueError):
         fit("cubic", ScanResult(((1.0, 1.0, 0.0), (2.0, 2.0, 0.0),
-                                 (3.0, 3.0, 0.0)), {}))
+                                 (3.0, 3.0, 0.0))))
 
 
 def test_scan_result_validation():
     with pytest.raises(ValueError):
-        ScanResult(((2.0, 1.0, 0.0), (1.0, 1.0, 0.0)), {})  # unsorted
+        ScanResult(((2.0, 1.0, 0.0), (1.0, 1.0, 0.0)))  # unsorted
     with pytest.raises(ValueError):
-        ScanResult(((1.0, 1.0, -0.1),), {})  # negative uncertainty
+        ScanResult(((1.0, 1.0, -0.1),))  # negative uncertainty
     with pytest.raises(ValueError):
         FitResult("log-linear", (0.0, 1.0), 1.5, ())

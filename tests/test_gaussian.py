@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gaussian_eta, oracle_boundary_edges
+from conftest import gaussian_eta, oracle_boundary_edges, oracle_sparse_operator
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
-                              _cg_solve, covariance, covariances, dense_operator,
-                              green_column, mean_gradient, solve_array,
-                              solve_green, solver_method, sparse_operator,
-                              surface_identity_check, variance)
+                              _cg_solve, covariance, covariances, green_column,
+                              mean_gradient, solve_array, solve_green,
+                              solver_method, surface_identity_check, variance)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, HeightField,
                            Kernel, kernel_edges, loop_residuals)
 
@@ -59,16 +58,6 @@ def test_operator_is_symmetric(d, L):
         assert np.dot(u, A.apply(v)) == pytest.approx(np.dot(A.apply(u), v), abs=1e-12)
 
 
-def test_dense_and_sparse_operators_match_apply():
-    A, g, _ = make_operator(2, 2)
-    dense = dense_operator(A)
-    sparse = sparse_operator(A)
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=g.n_sites)
-    np.testing.assert_allclose(dense @ x, A.apply(x), atol=1e-14)
-    np.testing.assert_allclose(sparse @ x, A.apply(x), atol=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # solves
 
@@ -87,7 +76,7 @@ def test_single_site_green_is_identity():
 
 def test_green_column_matches_dense_inverse():
     A, g, _ = make_operator(2, 1)
-    inv = np.linalg.inv(dense_operator(A))
+    inv = np.linalg.inv(oracle_sparse_operator(A).toarray())
     u = green_column(A, (0, 0), TIGHT)
     np.testing.assert_allclose(u, inv[:, g.index_of((0, 0))], atol=1e-10)
 
@@ -157,7 +146,7 @@ def test_t_entry_antisymmetry():
 
 def test_t_entry_matches_dense_inverse():
     A, g, _ = make_operator(2, 1)
-    inv = np.linalg.inv(dense_operator(A))
+    inv = np.linalg.inv(oracle_sparse_operator(A).toarray())
     y = (0, 0)
     i, j = (0, 0), (1, 0)
     expected = inv[g.index_of(i), g.index_of(y)] - inv[g.index_of(j), g.index_of(y)]
@@ -238,7 +227,7 @@ def test_covariance_is_symmetric():
 
 def test_variance_matches_dense_sum_of_squares():
     A, g, _ = make_operator(2, 1)
-    inv = np.linalg.inv(dense_operator(A))
+    inv = np.linalg.inv(oracle_sparse_operator(A).toarray())
     i, j = (0, 0), (1, 0)
     t_col = inv[g.index_of(i), :] - inv[g.index_of(j), :]
     assert variance(A, (i, j), 1.0, TIGHT) == pytest.approx(

@@ -18,6 +18,12 @@ byte for byte.
 ``decay.csv`` was re-recorded when the covariance scans moved from DST
 Green columns to the closed-form mode sum; ``golden/dst/`` keeps the DST
 recording, which the new file matches to rounding.
+
+The three ``identities`` files were re-recorded when the second-moment
+identity moved from a sparse LU factorization to the single solve of the
+surface identity; ``golden/splu/`` keeps the factorized recordings, which
+the new files repeat byte for byte except for that identity's value, a
+rounding-level relative difference in both.
 """
 
 import csv
@@ -32,6 +38,7 @@ CONFIGS = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
 CG_RECORDED = sorted(p.stem for p in (GOLDEN / "cg").glob("*.csv"))
 RANDOM_SCAN = GOLDEN / "random-scan"
 DST = GOLDEN / "dst"
+SPLU = GOLDEN / "splu"
 
 # Columns that measure how far a solve or an identity misses; the exact
 # solve leaves only rounding there.
@@ -46,6 +53,8 @@ def test_golden_set_is_complete():
                            "identities-d3"]
     assert sorted(p.name for p in RANDOM_SCAN.iterdir()) == ["edges.csv"]
     assert sorted(p.name for p in DST.iterdir()) == ["decay.csv"]
+    assert sorted(p.name for p in SPLU.iterdir()) == [
+        "identities-d2-axis2.csv", "identities-d2.csv", "identities-d3.csv"]
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -105,3 +114,18 @@ def test_mode_sum_recording_matches_dst_recording():
         for col in ("covariance", "r_times_covariance"):
             assert float(row_new[col]) == pytest.approx(float(row_old[col]),
                                                         rel=1e-12, abs=0.0), col
+
+
+@pytest.mark.parametrize("name", ["identities-d2", "identities-d2-axis2",
+                                  "identities-d3"])
+def test_one_solve_recording_matches_splu_recording(name):
+    new, old = _read(GOLDEN / f"{name}.csv"), _read(SPLU / f"{name}.csv")
+    assert [r["check"] for r in new] == [r["check"] for r in old]
+    for row_new, row_old in zip(new, old):
+        if row_new["check"] == "second_moment_relative_difference":
+            assert {k: v for k, v in row_new.items() if k != "value"} == \
+                {k: v for k, v in row_old.items() if k != "value"}
+            assert float(row_new["value"]) <= 1e-12
+            assert float(row_old["value"]) <= 1e-12
+        else:
+            assert row_new == row_old
