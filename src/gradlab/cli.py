@@ -2,7 +2,7 @@
 
 Configs are flat UTF-8 ``key=value`` files ('#' starts a comment).  Every
 run writes one or more CSV result files plus ``run_manifest.json`` echoing
-the config, the package version, wall time and the derived per-task seeds;
+the config, the versions, the timings and the derived per-task seeds;
 re-running the same config with the same version reproduces the CSVs byte
 for byte.  Floats are serialized with 17 significant digits.
 
@@ -37,9 +37,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -66,6 +68,11 @@ EXIT_INVARIANT = 3
 DIVERGENCE_TOLERANCE = 1e-8
 SURFACE_TOLERANCE = 1e-8
 SECOND_MOMENT_TOLERANCE = 1e-6
+
+#: the scipy module a run calls, by ``_solver`` or else by experiment; ``run``
+#: imports it before its clock, and no other module imports scipy at load
+SCIPY_MODULES = {"dst": "scipy.fft", "cg": "scipy.sparse.linalg",
+                 "quadrature": "scipy.integrate"}
 
 
 class ConfigError(ValueError):
@@ -216,8 +223,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     if exp == "decay":
         if cfg.d != 3:
             raise ConfigError("decay experiment requires d=3")
-        if cfg.kernel != "nn":
-            raise ConfigError("decay experiment requires kernel=nn")
         if not cfg.r_list:
             raise ConfigError("decay experiment requires r_list")
         if any(r < 0 or r % 2 or r > cfg.L // 2 for r in cfg.r_list):
@@ -229,10 +234,12 @@ def _validate(cfg: ExperimentConfig) -> None:
                               "(per-side boundary averages)")
         if cfg.L < 1:
             raise ConfigError("gaussian-exact experiment requires L >= 1")
+    if exp in ("decay", "clt") and cfg.kernel != "nn":
+        raise ConfigError(f"{exp} experiment requires kernel=nn")
     if exp in ("gaussian-exact", "identities") and cfg.n_realizations < 1:
         raise ConfigError(f"{exp} experiment requires n_realizations >= 1")
-    if (exp in ("gaussian-exact", "identities", "scaling", "decay")
-            and cfg.potential.b != 0.0):
+    if (exp in ("gaussian-exact", "identities", "scaling", "decay", "clt",
+                "quadrature") and cfg.potential.b != 0.0):
         raise ConfigError(f"{exp} experiment requires a quadratic potential "
                           "(no quartic term)")
     if exp == "clt":
@@ -301,8 +308,9 @@ def _run_identities(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict,
     A = gaussian.DirichletLaplacian(g, k)
     solver = cfg.solver()
 
-    surface_dev = gaussian.surface_identity_check(A, solver)
-    second = diagnostics.second_moment_identity(g, k, cfg.eta2, solver)
+    w = gaussian.solve_array(A, gaussian.exterior_leak(A), solver)
+    surface_dev = gaussian.surface_identity_check(A, solver, w)
+    second = diagnostics.second_moment_identity(g, k, cfg.eta2, solver, w)
     rows = [
         ["surface_identity_max_deviation", surface_dev, SURFACE_TOLERANCE,
          surface_dev <= SURFACE_TOLERANCE],
@@ -474,10 +482,20 @@ def _config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
     return echo
 
 
+def _environment() -> dict[str, Any]:
+    scipy = sys.modules.get("scipy")  # present only if the run called scipy
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            **({"scipy": scipy.__version__} if scipy else {})}
+
+
 def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
     """Execute the experiment, writing CSVs and a JSON manifest into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
+    if module := SCIPY_MODULES.get(_solver(cfg) or cfg.experiment):
+        importlib.import_module(module)
     t0 = time.perf_counter()
     status = "ok"
     files: list[Path] = []
@@ -496,6 +514,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
         "status": status,
         "partial_outputs": status != "ok",
         "wall_time_s": time.perf_counter() - t0,
+        "timings": {"import_s": t0 - start},
+        "environment": _environment(),
         "seeds": _task_seeds(cfg),
         "config": _config_echo(cfg),
         "summaries": summary,

@@ -273,8 +273,8 @@ def decay_scan_d3(L: int, r_list: list[int], eta2: float) -> DecayScan:
 
 
 def second_moment_identity(g: BoxGeometry, k: Kernel, eta2: float,
-                           cfg: gaussian.SolverConfig = gaussian.DEFAULT_SOLVER
-                           ) -> SecondMomentCheck:
+                           cfg: gaussian.SolverConfig = gaussian.DEFAULT_SOLVER,
+                           w: np.ndarray | None = None) -> SecondMomentCheck:
     """eta2 |Lambda| versus the double boundary sum of the edge covariance.
 
     The right-hand side is the double sum over boundary-edge pairs (a, b) of
@@ -282,11 +282,12 @@ def second_moment_identity(g: BoxGeometry, k: Kernel, eta2: float,
     boundary edge a = (i, j) with i inside has T_{a,y} = G_iy (G vanishes
     outside), so sum_a p_a T_{a,y} = (G s)_y with s = ``exterior_leak``, and
     the sum is eta2 ||w||^2 for the single solve A w = s, the same solve as
-    the surface identity.  The tests keep the literal double sum as the
-    oracle.
+    the surface identity, which a caller holding it passes as ``w``.  The
+    tests keep the literal double sum as the oracle.
     """
-    A = gaussian.DirichletLaplacian(g, k)
-    w = gaussian.solve_array(A, gaussian.exterior_leak(A), cfg)
+    if w is None:
+        A = gaussian.DirichletLaplacian(g, k)
+        w = gaussian.solve_array(A, gaussian.exterior_leak(A), cfg)
     lhs = eta2 * g.n_sites
     rhs = eta2 * float(w @ w)
     denom = max(abs(lhs), abs(rhs))

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .diagnostics import divergence_residual
 from .model import (BoxGeometry, DisorderField, HeightField, Kernel, Potential,
@@ -236,7 +235,9 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
             keep = min(BLOCK, batch_size - done)
             accepted, kept = sampler.run(width, keep * cfg.thin, every=cfg.thin)
             accepted_meas += accepted
-            dv = np.asarray(vpot.derivative(kept[:, ei] - kept[:, ej]))
+            diff = kept[:, ei]  # a copy: subtracting in place saves a block-sized array
+            diff -= kept[:, ej]
+            dv = np.asarray(vpot.derivative(diff))
             batch_sums[batch] += dv.sum(axis=0)
             total_sq += (dv * dv).sum(axis=0)
 
@@ -325,6 +326,7 @@ def single_site_quadrature_oracle(vpot: Potential, eta_i: float,
         return math.exp(float(logw(t)) - lw0)
 
     def integrate(f) -> float:
+        from scipy.integrate import quad
         res = quad(f, -half, half, points=[t0, 0.0], limit=400,
                    epsabs=1e-13, epsrel=1e-11, full_output=1)
         if len(res) > 3:

@@ -28,6 +28,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy 2 loads it on first use, inside a run's clock
 
 Site = tuple[int, ...]
 Edge = tuple[Site, Site]

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 PI2 = math.pi ** 2
 
 
@@ -54,6 +52,7 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 def _quad(f, a: float, b: float, cfg: QuadratureConfig, *,
           points=None, epsabs=None, epsrel=None) -> tuple[float, float]:
     """Adaptive panel integral; returns (value, error estimate) or raises."""
+    from scipy.integrate import quad
     res = quad(f, a, b, points=points, limit=cfg.max_subdivisions,
                epsabs=cfg.abs_tolerance if epsabs is None else epsabs,
                epsrel=cfg.rel_tolerance if epsrel is None else epsrel,

@@ -8,11 +8,14 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradlab
 from gradlab import diagnostics, gaussian
-from gradlab.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
-                         ConfigError, ExperimentConfig, main, parse_config, run)
+from gradlab.cli import (_CASTERS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL,
+                         EXIT_OK, EXPERIMENTS, ConfigError, ExperimentConfig,
+                         main, parse_config, run)
 from gradlab.model import Potential
 
 #: config keys that became constants; each is now an unknown key
@@ -82,6 +85,45 @@ def test_parse_validates_experiment_requirements():
         parse_config("experiment=clt\nL_list=8\nn_realizations=10\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    pytest.param("experiment=clt\nL_list=8\nn_realizations=100\nkernel=axis2\n",
+                 "clt experiment requires kernel=nn", id="clt-axis2"),
+    pytest.param("experiment=clt\nL_list=8\nn_realizations=100\n"
+                 "potential=quartic:1:0.1\n",
+                 "clt experiment requires a quadratic potential", id="clt-quartic"),
+    pytest.param("experiment=quadrature\nR_list=10\npotential=quartic:1:0.1\n",
+                 "quadrature experiment requires a quadratic potential",
+                 id="quadrature-quartic"),
+])
+def test_main_rejects_keys_the_experiment_ignores(text, message, tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+config_values = st.one_of(
+    st.text(),
+    st.from_regex(r"-?[0-9]{1,3}(\.[0-9]*)?(e-?[0-9]{1,2})?", fullmatch=True),
+    st.sampled_from(EXPERIMENTS + ("nn", "axis2", "quartic:1:0.1", "quadratic:0",
+                                   "nan", "0,2", ",")))
+config_lines = st.one_of(
+    st.text(),
+    st.builds("{}={}".format, st.sampled_from(sorted(_CASTERS)), config_values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(config_lines).map("\n".join)))
+def test_parse_config_raises_only_config_errors(text):
+    """Arbitrary text, and lines of real keys with arbitrary values."""
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # running
 
@@ -106,6 +148,23 @@ def test_identities_run_writes_expected_rows(tmp_path):
     assert manifest["status"] == "ok"
     assert manifest["config"]["L"] == 6
     assert manifest["outputs"] == ["identities.csv"]
+
+
+@pytest.mark.parametrize("kernel", ["nn", "axis2"])
+def test_identities_solves_once_for_both_boundary_identities(kernel, tmp_path,
+                                                            monkeypatch):
+    calls = []
+    solve = gaussian.solve_array
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(gaussian, "solve_array", counted)
+    cfg = parse_config(f"experiment=identities\nd=2\nL=3\nkernel={kernel}\n"
+                       "n_realizations=2\n")
+    assert run(cfg, tmp_path).exit_code == EXIT_OK
+    assert len(calls) == 1 + 2  # the boundary identities, then one per realization
 
 
 def test_quadrature_run_reports_pi_squared_row(tmp_path):

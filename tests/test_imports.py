@@ -1,0 +1,128 @@
+"""What each experiment imports, and when.
+
+No module of the package imports scipy at module level; ``cli.run`` imports
+the one scipy module its run calls before it starts the clock of
+``wall_time_s``.  Each run here is a fresh interpreter, so ``sys.modules``
+shows what that experiment alone loaded.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gradlab
+
+PACKAGE = Path(gradlab.__file__).resolve().parent
+
+#: runs the CLI on argv[1] into argv[2] with the experiment's runner wrapped,
+#: and prints the modules the runner added and the scipy modules loaded
+PROBE = """\
+import json, sys
+from gradlab import cli
+config, out, experiment = sys.argv[1:]
+runner = cli._RUNNERS[experiment]
+added = []
+
+def watched(cfg, out_dir):
+    before = set(sys.modules)
+    result = runner(cfg, out_dir)
+    added.extend(sorted(set(sys.modules) - before))
+    return result
+
+cli._RUNNERS[experiment] = watched
+code = cli.main([config, "--out", out])
+print(json.dumps({"code": code, "added": added,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+SOLVER_MODULES = ("scipy.fft", "scipy.sparse.linalg", "scipy.integrate")
+NO_SCIPY = ()
+FFT = ("scipy.fft",)
+CG = ("scipy.sparse.linalg",)
+
+
+@pytest.mark.parametrize("text,loaded", [
+    pytest.param("experiment=decay\nd=3\nL=4\nr_list=2\n", NO_SCIPY, id="decay"),
+    pytest.param("experiment=clt\nL_list=2,3\nn_realizations=100\n", NO_SCIPY,
+                 id="clt"),
+    pytest.param("experiment=scaling\nd=2\nL_list=2,3\n", NO_SCIPY,
+                 id="scaling-nn"),
+    pytest.param("experiment=mcmc\nd=2\nL=1\npotential=quartic:1:0.1\n"
+                 "burn_in_sweeps=20\nmeasure_sweeps=200\n", NO_SCIPY,
+                 id="mcmc-quartic"),
+    pytest.param("experiment=gaussian-exact\nd=2\nL=2\n", FFT, id="gaussian-nn"),
+    pytest.param("experiment=identities\nd=2\nL=2\n", FFT, id="identities-nn"),
+    pytest.param("experiment=mcmc\nd=2\nL=1\nburn_in_sweeps=20\n"
+                 "measure_sweeps=200\n", FFT, id="mcmc-quadratic"),
+    pytest.param("experiment=gaussian-exact\nd=2\nL=2\nkernel=axis2\n", CG,
+                 id="gaussian-axis2"),
+    pytest.param("experiment=identities\nd=2\nL=2\nkernel=axis2\n", CG,
+                 id="identities-axis2"),
+    pytest.param("experiment=scaling\nd=2\nL_list=2\nkernel=axis2\n", CG,
+                 id="scaling-axis2"),
+    # scipy.integrate itself imports the other two
+    pytest.param("experiment=quadrature\nR_list=10\n", SOLVER_MODULES,
+                 id="quadrature"),
+])
+def test_each_run_loads_only_the_scipy_module_it_calls(text, loaded, tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text(text)
+    experiment = text.split("\n", 1)[0].partition("=")[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, str(config), str(tmp_path / "out"), experiment],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["code"] == 0
+    assert [m for m in SOLVER_MODULES if m in report["scipy"]] == list(loaded)
+    if not loaded:
+        assert report["scipy"] == []
+    # the pre-clock import left the runner, and so the clock, nothing to load
+    assert report["added"] == []
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["timings"]["import_s"] >= 0.0
+    env_block = manifest["environment"]
+    assert {"python", "numpy", "cpu_count"} <= set(env_block)
+    assert ("scipy" in env_block) == bool(loaded)
+
+
+def import_time_modules(tree: ast.Module) -> list[str]:
+    """Modules a file imports when it is imported: every import statement
+    outside a function body (class bodies and module-level branches run)."""
+    names, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_module_imports_scipy_at_import_time():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 7
+    offenders = {p.name: mods for p in sources
+                 if (mods := [m for m in import_time_modules(ast.parse(p.read_text()))
+                              if m.split(".")[0] == "scipy"])}
+    assert offenders == {}
+
+
+def test_the_import_guard_sees_nested_and_conditional_imports():
+    tree = ast.parse("import scipy.fft\n"
+                     "if True:\n    from scipy.integrate import quad\n"
+                     "class C:\n    import scipy.sparse\n"
+                     "def f():\n    import scipy.linalg\n")
+    assert sorted(import_time_modules(tree)) == ["scipy.fft", "scipy.integrate",
+                                                 "scipy.sparse"]
