@@ -69,10 +69,17 @@ DIVERGENCE_TOLERANCE = 1e-8
 SURFACE_TOLERANCE = 1e-8
 SECOND_MOMENT_TOLERANCE = 1e-6
 
-#: the scipy module a run calls, by ``_solver`` or else by experiment; ``run``
-#: imports it before its clock, and no other module imports scipy at load
-SCIPY_MODULES = {"dst": "scipy.fft", "cg": "scipy.sparse.linalg",
-                 "quadrature": "scipy.integrate"}
+#: the scipy module a run calls, by ``_solver`` or else by experiment; no
+#: other module imports scipy at load, and ``dst`` solves need none
+SCIPY_MODULES = {"cg": "scipy.sparse.linalg", "quadrature": "scipy.integrate"}
+#: what ``run`` imports before its clock: the scipy module, or for a ``dst``
+#: solve ``numpy.fft``, which numpy 2 loads on first use, inside the clock
+PRELOADS = {"dst": "numpy.fft", **SCIPY_MODULES}
+
+#: the largest lattice dimension: the padded one-site box alone has 3^d
+#: cells (5^d for ``axis2``), and the nearest-neighbour kernel 2d offsets of
+#: d entries, which ``_validate`` builds
+MAX_D = 8
 
 
 class ConfigError(ValueError):
@@ -198,8 +205,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; "
                           f"choose one of {', '.join(EXPERIMENTS)}")
-    if cfg.d < 1:
-        raise ConfigError("d must be >= 1")
+    if not 1 <= cfg.d <= MAX_D:
+        raise ConfigError(f"d must be between 1 and {MAX_D}")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     cfg.make_kernel()
@@ -494,7 +501,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    if module := SCIPY_MODULES.get(_solver(cfg) or cfg.experiment):
+    if module := PRELOADS.get(_solver(cfg) or cfg.experiment):
         importlib.import_module(module)
     t0 = time.perf_counter()
     status = "ok"

@@ -20,9 +20,10 @@ The second-moment identity is one linear solve, the surface identity's.
 
 Edge sums read a ``VectorField`` by array shifts, in a fixed order: site
 fluxes (``model.site_flux``) add one kernel offset at a time, surface and
-side sums fold edge by edge over the boundary edges, ordered by interior
-site and then by kernel support order.  The values match the per-edge loops
-of the definitions, which the tests keep as oracles, to the last bit.
+side sums fold edge by edge over the cached ``model.boundary_table``,
+ordered by interior site and then by kernel support order.  The values
+match the per-edge loops of the definitions, which the tests keep as
+oracles, to the last bit.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import numpy as np
 
 from . import gaussian
 from .model import (BoxGeometry, DisorderField, DisorderSpec, Edge, Kernel,
-                    VectorField, neighbor_index, sample_disorder, site_flux,
-                    site_values)
+                    VectorField, boundary_table, sample_disorder, site_flux)
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,14 @@ def _fold(terms: np.ndarray) -> float:
     return total
 
 
-def _boundary_terms(X: VectorField, g: BoxGeometry,
-                    k: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """p(j - i) X_ij over the boundary edges (i inside, j outside), ordered
-    by i and then by kernel support order, and the support row (the jump
-    j - i) of each."""
+def _boundary_sum(X: VectorField, g: BoxGeometry, k: Kernel,
+                  side: int | None = None) -> float:
+    """_fold of p(j - i) X_ij over the boundary edges (i inside, j outside),
+    or over those of one side, in ``boundary_table`` order."""
     _check_field(X, g, k)
-    sites, rows = np.nonzero(neighbor_index(g, k).T < 0)
-    weights = np.array([w for _, w in k.support()])
-    return weights[rows] * site_values(g, k, X.data)[rows, sites], rows
+    table = boundary_table(g, k)
+    on = slice(None) if side is None else table.sides == side
+    return _fold(table.weights[on] * X.data.ravel()[table.cells[on]])
 
 
 def divergence_residual(X: VectorField, eta: DisorderField, g: BoxGeometry,
@@ -136,7 +135,7 @@ def integral_form_check(X: VectorField, eta: DisorderField, g: BoxGeometry,
     two sums telescopes to the sum of the per-site divergence residuals.
     """
     volume = float(np.sum(eta.values))
-    surface = _fold(_boundary_terms(X, g, k)[0])
+    surface = _boundary_sum(X, g, k)
     return IntegralFormCheck(volume, surface, volume - surface)
 
 
@@ -154,12 +153,7 @@ def boundary_ergodic_average(X: VectorField, g: BoxGeometry, k: Kernel,
         raise ValueError("side must be in {1, 2, 3, 4}")
     if g.L < 1:
         raise ValueError("L must be >= 1")
-    sides = []
-    for v, _ in k.support():
-        axis = 0 if abs(v[0]) >= abs(v[1]) else 1
-        sides.append((1 + axis) if v[axis] > 0 else (3 + axis))
-    terms, rows = _boundary_terms(X, g, k)
-    return _fold(terms[np.array(sides)[rows] == side]) / g.L
+    return _boundary_sum(X, g, k, side) / g.L
 
 
 # ---------------------------------------------------------------------------

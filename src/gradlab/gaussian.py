@@ -10,12 +10,14 @@ zero (Dirichlet) exterior.  The response matrix T_{ij,y} = G_iy - G_jy
 gives the disorder covariance of X as eta2 T T^t.
 
 For the nearest-neighbour kernel I - P is diagonal in the type-I discrete
-sine basis: ``solve_array`` is one forward and one inverse DST-I, and
+sine basis: ``solve_array`` is one forward and one inverse DST-I, each a
+real FFT (``numpy.fft``) of the odd extension along every axis, and
 ``covariances`` is a closed-form sum over the sine modes that solves
-nothing.  Every other kernel (the range-2 ``axis2`` stencil is not
-DST-diagonalisable) is solved by conjugate gradients on the matrix-free
-operator, and its covariances are inner products of Green-column
-differences.  Nothing here assembles the operator as a matrix.
+nothing; neither needs scipy.  Every other kernel (the range-2 ``axis2``
+stencil is not DST-diagonalisable) is solved by conjugate gradients
+(``scipy.sparse.linalg``) on the matrix-free operator, and its covariances
+are inner products of Green-column differences.  Nothing here assembles the
+operator as a matrix.
 """
 
 from __future__ import annotations
@@ -99,18 +101,49 @@ def solver_method(kernel: Kernel) -> str:
     return "dst" if kernel == Kernel.nearest_neighbor(kernel.d) else "cg"
 
 
+def _sin_pi(n: np.ndarray, M: int) -> np.ndarray:
+    """sin(pi n / M) for integers n and even M, the angle reduced exactly to
+    [-pi/2, pi/2]: good to a few ulps of itself, and exactly 0 at pi j."""
+    t = (n + M // 2) % (2 * M) - M // 2
+    return np.sin(np.pi / M * np.where(t > M // 2, M - t, t))
+
+
+def _nn_symbol(g: BoxGeometry) -> np.ndarray:
+    """(2/d) sin^2(pi k / 2m) for k = 1..side, m = side + 1: the nearest-
+    neighbour eigenvalue lambda_k is the sum of these over the axes, which
+    is 1 - (1/d) sum_a cos(pi k_a / m) without its cancellation at low k."""
+    m = g.side + 1
+    return 2.0 / g.d * _sin_pi(np.arange(1, m), 2 * m) ** 2
+
+
 def _dst_solve(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
     """Exact solve for the nearest-neighbour kernel on {-L..L}^d.
 
     The modes prod_a sin(pi k_a (x_a + L + 1) / m), m = 2L + 2, k_a = 1..2L+1,
     vanish on the exterior layer and diagonalise I - P with eigenvalues
-    1 - (1/d) sum_a cos(pi k_a / m) (all > 0), so u = DST^-1(DST(b) / lambda).
+    lambda_k (``_nn_symbol``, all > 0), so u = (2m)^-d S (S b / lambda) for
+    the DST-I S_kn = 2 sin(pi k n / m) along every axis, S S = 2m.
+
+    One pass takes the real FFT of the odd extension [0, x, 0, -x reversed]
+    (length 2m) of every line along the last axis, whose bins 1..side are
+    -S x, and writes them back into the one padded buffer with that axis
+    moved to the front: d passes transform every axis and restore the axis
+    order, and the 2d signs cancel.
     """
-    from scipy.fft import dstn, idstn
     g = A.geometry
-    c = np.cos(np.pi * np.arange(1, g.side + 1) / (g.side + 1))
-    lam = 1.0 - reduce(np.add.outer, [c] * g.d) / g.d
-    return idstn(dstn(b.reshape(g.shape), type=1) / lam, type=1).ravel()
+    n, m = g.side, g.side + 1
+    buf = np.zeros(g.shape[:-1] + (2 * m,))
+    inner = buf[..., 1:m]
+    inner[...] = b.reshape(g.shape)
+    for p in range(2 * g.d):
+        np.negative(buf[..., n:0:-1], out=buf[..., m + 1:])
+        t = np.moveaxis(np.fft.rfft(buf, axis=-1).imag[..., 1:m], -1, 0)
+        if p == g.d - 1:
+            lam = reduce(np.add.outer, [_nn_symbol(g)] * g.d)
+            np.divide(t, lam * float(2 * m) ** g.d, out=inner)
+        elif p < 2 * g.d - 1:
+            inner[...] = t
+    return t.ravel()
 
 
 def _cg_solve(A: DirichletLaplacian, b: np.ndarray,
@@ -190,13 +223,6 @@ def _edge_response(A: DirichletLaplacian, edge: Edge,
     return out
 
 
-def _sin_pi(n: np.ndarray, M: int) -> np.ndarray:
-    """sin(pi n / M) for integers n and even M, the angle reduced exactly to
-    [-pi/2, pi/2]: good to a few ulps of itself, and exactly 0 at pi j."""
-    t = (n + M // 2) % (2 * M) - M // 2
-    return np.sin(np.pi / M * np.where(t > M // 2, M - t, t))
-
-
 def _mode_terms(g: BoxGeometry, edge: Edge) -> list[np.ndarray]:
     """dpsi_k(edge) as signed rank-1 terms, (d, side) arrays of per-axis
     factors over k_a = 1..side (without the sqrt(2/m) norms).  Endpoints
@@ -225,11 +251,9 @@ def _mode_sum(g: BoxGeometry, F: np.ndarray) -> np.ndarray:
     Axes 2..d contract first, one slab of k_1 at a time (memory
     O(side^(d-1))), into weights W(k_1) shared by the rows with equal
     factors there; each row then costs O(side).  Modes whose factor
-    vanishes in every row are skipped.  lambda_k = (2/d) sum_a
-    sin^2(pi k_a / 2m) is 1 - (1/d) sum_a cos(pi k_a / m) without the
-    cancellation."""
-    d, m = g.d, g.side + 1
-    lam = 2.0 / d * _sin_pi(np.arange(1, m), 2 * m) ** 2
+    vanishes in every row are skipped.  lambda_k sums ``_nn_symbol`` over
+    the axes."""
+    d, lam = g.d, _nn_symbol(g)
     keep = [np.flatnonzero(np.any(F[:, a] != 0.0, axis=0)) for a in range(d)]
     U, which = np.unique(F[:, 1:], axis=0, return_inverse=True)
     rest = reduce(np.add.outer, [lam[kp] for kp in keep[1:]], np.zeros(()))

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use, inside a run's clock
@@ -276,21 +276,60 @@ def edge_table(g: BoxGeometry, k: Kernel) -> tuple[np.ndarray, np.ndarray]:
     Cached, hence read-only.
     """
     zero = (0,) * g.d
-    support = k.support()
     nbr = neighbor_index(g, k)
-    forward = np.array([v > zero for v, _ in support])
+    forward = np.array([v > zero for v, _ in k.support()])
     sites, rows = np.nonzero(((nbr < 0) | forward[:, None]).T)
     # an edge reached forward runs (site, neighbour) and has its cell at the
     # site; one reached backward leaves the box, so it runs (outside, site)
     # and has its cell at the outside endpoint
     slot = np.where(nbr < 0, g.n_sites, nbr)[rows, sites]
     ends = np.where(forward[rows], [sites, slot], [slot, sites])
-    grid = np.arange(np.prod(_padded_shape(g))).reshape(_padded_shape(g))
-    cells = np.stack([_planes(k)[max(v, tuple(-c for c in v))] * grid.size
-                      + _shifted(g, grid, min(v, zero)).ravel()
-                      for v, _ in support])[rows, sites]
+    cells = _cells(g, k)[rows, sites]
     ends.flags.writeable = cells.flags.writeable = False
     return ends, cells
+
+
+def _cells(g: BoxGeometry, k: Kernel) -> np.ndarray:
+    """Flat index into ``VectorField.data`` of the cell holding the edge
+    (i, i + v), for each kernel offset v (rows, in support order) and
+    interior site i (columns, in index order)."""
+    zero = (0,) * g.d
+    grid = np.arange(np.prod(_padded_shape(g))).reshape(_padded_shape(g))
+    return np.stack([_planes(k)[max(v, tuple(-c for c in v))] * grid.size
+                     + _shifted(g, grid, min(v, zero)).ravel()
+                     for v, _ in k.support()])
+
+
+class BoundaryTable(NamedTuple):
+    """The boundary edges (i, i + v), i inside and i + v outside, ordered by
+    i and then by kernel support order (see ``boundary_table``)."""
+
+    sites: np.ndarray  #: interior endpoint i
+    rows: np.ndarray  #: support row of the jump v
+    cells: np.ndarray  #: flat index into ``VectorField.data``
+    weights: np.ndarray  #: p(v), negated where the cell holds the reverse edge
+    sides: np.ndarray  #: face crossed (see ``boundary_table``)
+
+
+@lru_cache(maxsize=16)
+def boundary_table(g: BoxGeometry, k: Kernel) -> BoundaryTable:
+    """The boundary edges as arrays: ``weights * data.ravel()[cells]`` is
+    p(v) w(i, i + v) on each.  The side of an edge is the face its jump
+    crosses, by the dominant component of v (ties to the lower axis): 1 + a
+    along +e_a, 1 + d + a along -e_a, which are sides 1..4 for d = 2.
+    Cached, hence read-only."""
+    zero = (0,) * g.d
+    sites, rows = np.nonzero(neighbor_index(g, k).T < 0)
+    weights, sides = [], []
+    for v, w in k.support():
+        a = int(np.argmax(np.abs(v)))
+        weights.append(w if v > zero else -w)
+        sides.append(1 + a if v[a] > 0 else 1 + g.d + a)
+    table = BoundaryTable(sites, rows, _cells(g, k)[rows, sites],
+                          np.array(weights)[rows], np.array(sides)[rows])
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=16)

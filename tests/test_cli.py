@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 import gradlab
 from gradlab import diagnostics, gaussian
 from gradlab.cli import (_CASTERS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL,
-                         EXIT_OK, EXPERIMENTS, ConfigError, ExperimentConfig,
-                         main, parse_config, run)
+                         EXIT_OK, EXPERIMENTS, MAX_D, ConfigError,
+                         ExperimentConfig, main, parse_config, run)
 from gradlab.model import Potential
 
 #: config keys that became constants; each is now an unknown key
@@ -101,6 +102,25 @@ def test_main_rejects_keys_the_experiment_ignores(text, message, tmp_path, capsy
     assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+def test_dimension_is_bounded():
+    assert parse_config(f"experiment=identities\nd={MAX_D}\nL=0\n").d == MAX_D
+    for d in (0, MAX_D + 1):
+        with pytest.raises(ConfigError, match=f"d must be between 1 and {MAX_D}"):
+            parse_config(f"experiment=identities\nd={d}\nL=0\n")
+
+
+def test_main_rejects_a_huge_dimension_before_building_its_kernel(tmp_path, capsys):
+    # the nearest-neighbour kernel of d=100000 would hold 2e10 offset entries
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=identities\nd=100000\nL=0\n")
+    start = time.perf_counter()
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "d must be between" in err
     assert not (tmp_path / "run_manifest.json").exists()
 
 

@@ -20,8 +20,9 @@ from gradlab.diagnostics import (boundary_ergodic_average, divergence_residual,
                                  integral_form_check)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec,
                            HeightField, Kernel, Potential, VectorField,
-                           canonical_edge, edge_table, gradient_of,
-                           kernel_edges, loop_residuals, sample_disorder)
+                           boundary_table, canonical_edge, edge_table,
+                           gradient_of, kernel_edges, loop_residuals,
+                           sample_disorder)
 
 
 def add(site, v):
@@ -173,6 +174,23 @@ def test_edge_table_matches_reference(case):
     assert [w.get(*e) for e in edges] == values.tolist()
     assert np.count_nonzero(w.data) == len(edges) == len(set(cells.tolist()))
     assert np.array_equal(w.edge_values(), values)
+
+
+def test_boundary_table_matches_reference(case):
+    g, k, _ = case
+    table = boundary_table(g, k)
+    support = list(k.support())
+    edges = [(g.site_of(i), add(g.site_of(i), support[r][0]), support[r][1])
+             for i, r in zip(table.sites.tolist(), table.rows.tolist())]
+    assert edges == oracle_boundary_edges(g, k)
+    X = random_field(g, k, 3)
+    terms = table.weights * X.data.ravel()[table.cells]
+    assert terms.tolist() == [w * X.get(i, j) for i, j, w in edges]
+    for (i, j, _), side in zip(edges, table.sides.tolist()):
+        jump = [b - a for a, b in zip(i, j)]
+        axis = max(range(g.d), key=lambda a: (abs(jump[a]), -a))
+        assert side == (1 + axis if jump[axis] > 0 else 1 + g.d + axis)
+    assert not any(array.flags.writeable for array in table)
 
 
 def test_gradient_matches_reference(case):

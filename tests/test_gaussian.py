@@ -6,7 +6,8 @@ import pytest
 from conftest import gaussian_eta, oracle_boundary_edges, oracle_sparse_operator
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
-                              _cg_solve, covariance, covariances, green_column,
+                              _cg_solve, _dst_solve, _nn_symbol, covariance,
+                              covariances, green_column,
                               mean_gradient, solve_array, solve_green,
                               solver_method, surface_identity_check, variance)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, HeightField,
@@ -126,6 +127,51 @@ def test_dst_solve_matches_conjugate_gradients(d, L):
     assert stopped is None
     np.testing.assert_allclose(u, reference, rtol=1e-10)
     assert np.linalg.norm(A.apply(u) - b) <= 1e-13 * np.linalg.norm(b)
+
+
+SMALL_BOXES = [(1, 0), (1, 1), (1, 10), (2, 0), (2, 1), (2, 5), (3, 0), (3, 1),
+               (3, 2)]
+
+
+def nn_eigenvalues(g):
+    """1 - (1/d) sum_a cos(pi k_a / m) as (2/d) sum_a sin^2(pi k_a / 2m)."""
+    m = g.side + 1
+    s = 2.0 / g.d * np.sin(np.pi * np.arange(1, m) / (2 * m)) ** 2
+    return sum(np.expand_dims(s, [b for b in range(g.d) if b != a])
+               for a in range(g.d))
+
+
+@pytest.mark.parametrize("d,L", SMALL_BOXES)
+def test_numpy_dst_solve_matches_scipy_dst(d, L):
+    # scipy is a test-only oracle here: the solve itself runs on numpy.fft
+    from scipy.fft import dst, idst
+    A, g, _ = make_operator(d, L)
+    b = np.random.default_rng(d * 100 + L).uniform(0.5, 1.5, size=g.n_sites)
+    x = b.reshape(g.shape)
+    for a in range(d):
+        x = dst(x, type=1, axis=a)
+    x = x / nn_eigenvalues(g)
+    for a in range(d):
+        x = idst(x, type=1, axis=a)
+    np.testing.assert_allclose(_dst_solve(A, b), x.ravel(), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("d,L", SMALL_BOXES)
+def test_numpy_dst_solve_matches_dense_inverse(d, L):
+    A, g, _ = make_operator(d, L)
+    b = np.random.default_rng(d * 100 + L + 1).uniform(0.5, 1.5, size=g.n_sites)
+    reference = np.linalg.solve(oracle_sparse_operator(A).toarray(), b)
+    np.testing.assert_allclose(_dst_solve(A, b), reference, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("d,L", [(1, 3), (2, 1024), (3, 16)])
+def test_nn_symbol_has_no_cancellation_at_low_modes(d, L):
+    # np.sin of a small angle keeps its relative precision, where
+    # 1 - cos(pi k / m) loses about log10(m^2) digits: 2e-11 at d=2, L=1024
+    g = BoxGeometry(d, L)
+    m = g.side + 1
+    want = 2.0 / d * np.sin(np.pi * np.arange(1, m) / (2 * m)) ** 2
+    np.testing.assert_allclose(_nn_symbol(g), want, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,14 @@ identity moved from a sparse LU factorization to the single solve of the
 surface identity; ``golden/splu/`` keeps the factorized recordings, which
 the new files repeat byte for byte except for that identity's value, a
 rounding-level relative difference in both.
+
+The files of the ``dst`` solves were re-recorded when the sine transform
+moved from ``scipy.fft`` to numpy's real FFT and its eigenvalues to the
+cancellation-free sine-squared form; ``golden/scipy-fft/`` keeps the
+``scipy.fft`` recordings.  The new files move only the solved columns, each
+cell within 1e-12 of its old value, and repeat every other cell byte for
+byte.  The comparisons with the older recordings above read the
+``scipy-fft`` files, the recordings they were written against.
 """
 
 import csv
@@ -39,6 +47,7 @@ CG_RECORDED = sorted(p.stem for p in (GOLDEN / "cg").glob("*.csv"))
 RANDOM_SCAN = GOLDEN / "random-scan"
 DST = GOLDEN / "dst"
 SPLU = GOLDEN / "splu"
+SCIPY_FFT = GOLDEN / "scipy-fft"
 
 # Columns that measure how far a solve or an identity misses; the exact
 # solve leaves only rounding there.
@@ -55,6 +64,8 @@ def test_golden_set_is_complete():
     assert sorted(p.name for p in DST.iterdir()) == ["decay.csv"]
     assert sorted(p.name for p in SPLU.iterdir()) == [
         "identities-d2-axis2.csv", "identities-d2.csv", "identities-d3.csv"]
+    assert sorted(p.name for p in SCIPY_FFT.iterdir()) == [
+        "edges.csv", "gaussian-nn.csv", "identities-d2.csv", "identities-d3.csv"]
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -99,7 +110,7 @@ def test_dst_recording_matches_cg_recording(name):
 
 
 def test_colour_class_recording_matches_random_scan_recording():
-    new, old = _read(GOLDEN / "edges.csv"), _read(RANDOM_SCAN / "edges.csv")
+    new, old = _read(SCIPY_FFT / "edges.csv"), _read(RANDOM_SCAN / "edges.csv")
     assert [(r["edge_i"], r["edge_j"], r["exact"]) for r in new] == \
         [(r["edge_i"], r["edge_j"], r["exact"]) for r in old]
     within = [abs(float(r["mean"]) - float(r["exact"])) <= 3.0 * float(r["stderr"])
@@ -119,7 +130,9 @@ def test_mode_sum_recording_matches_dst_recording():
 @pytest.mark.parametrize("name", ["identities-d2", "identities-d2-axis2",
                                   "identities-d3"])
 def test_one_solve_recording_matches_splu_recording(name):
-    new, old = _read(GOLDEN / f"{name}.csv"), _read(SPLU / f"{name}.csv")
+    new = _read(next(p for p in (SCIPY_FFT / f"{name}.csv", GOLDEN / f"{name}.csv")
+                     if p.exists()))
+    old = _read(SPLU / f"{name}.csv")
     assert [r["check"] for r in new] == [r["check"] for r in old]
     for row_new, row_old in zip(new, old):
         if row_new["check"] == "second_moment_relative_difference":
@@ -129,3 +142,26 @@ def test_one_solve_recording_matches_splu_recording(name):
             assert float(row_old["value"]) <= 1e-12
         else:
             assert row_new == row_old
+
+
+#: the columns the numpy-FFT solve moved, by file; all others kept their bytes
+FFT_MOVED = {"edges": {"exact"},
+             "gaussian-nn": {"max_divergence_residual", "side_1", "side_2",
+                             "side_3", "side_4"},
+             "identities-d2": {"value"}, "identities-d3": {"value"}}
+
+
+@pytest.mark.parametrize("name", sorted(FFT_MOVED))
+def test_numpy_fft_recording_matches_scipy_fft_recording(name):
+    new, old = _read(GOLDEN / f"{name}.csv"), _read(SCIPY_FFT / f"{name}.csv")
+    assert len(new) == len(old)
+    assert new[0].keys() == old[0].keys()
+    for row_new, row_old in zip(new, old):
+        for col, text in row_new.items():
+            if col not in FFT_MOVED[name]:
+                assert text == row_old[col], col
+            elif col in DEVIATIONS.get(name, ()):
+                assert abs(float(text)) <= 1e-12 and abs(float(row_old[col])) <= 1e-12
+            else:
+                assert float(text) == pytest.approx(float(row_old[col]),
+                                                    rel=1e-12, abs=0.0), col

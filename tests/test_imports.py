@@ -1,9 +1,9 @@
 """What each experiment imports, and when.
 
 No module of the package imports scipy at module level; ``cli.run`` imports
-the one scipy module its run calls before it starts the clock of
-``wall_time_s``.  Each run here is a fresh interpreter, so ``sys.modules``
-shows what that experiment alone loaded.
+the one scipy module its run calls, or ``numpy.fft`` for a ``dst`` solve,
+before it starts the clock of ``wall_time_s``.  Each run here is a fresh
+interpreter, so ``sys.modules`` shows what that experiment alone loaded.
 """
 
 import ast
@@ -16,11 +16,13 @@ from pathlib import Path
 import pytest
 
 import gradlab
+from gradlab import cli
 
 PACKAGE = Path(gradlab.__file__).resolve().parent
 
 #: runs the CLI on argv[1] into argv[2] with the experiment's runner wrapped,
-#: and prints the modules the runner added and the scipy modules loaded
+#: and prints the modules the runner added, the scipy modules loaded and
+#: whether numpy.fft was
 PROBE = """\
 import json, sys
 from gradlab import cli
@@ -38,12 +40,12 @@ cli._RUNNERS[experiment] = watched
 code = cli.main([config, "--out", out])
 print(json.dumps({"code": code, "added": added,
                   "scipy": sorted(m for m in sys.modules
-                                  if m.split(".")[0] == "scipy")}))
+                                  if m.split(".")[0] == "scipy"),
+                  "numpy_fft": "numpy.fft" in sys.modules}))
 """
 
 SOLVER_MODULES = ("scipy.fft", "scipy.sparse.linalg", "scipy.integrate")
 NO_SCIPY = ()
-FFT = ("scipy.fft",)
 CG = ("scipy.sparse.linalg",)
 
 
@@ -56,10 +58,12 @@ CG = ("scipy.sparse.linalg",)
     pytest.param("experiment=mcmc\nd=2\nL=1\npotential=quartic:1:0.1\n"
                  "burn_in_sweeps=20\nmeasure_sweeps=200\n", NO_SCIPY,
                  id="mcmc-quartic"),
-    pytest.param("experiment=gaussian-exact\nd=2\nL=2\n", FFT, id="gaussian-nn"),
-    pytest.param("experiment=identities\nd=2\nL=2\n", FFT, id="identities-nn"),
+    pytest.param("experiment=gaussian-exact\nd=2\nL=2\n", NO_SCIPY,
+                 id="gaussian-nn"),
+    pytest.param("experiment=identities\nd=2\nL=2\n", NO_SCIPY,
+                 id="identities-nn"),
     pytest.param("experiment=mcmc\nd=2\nL=1\nburn_in_sweeps=20\n"
-                 "measure_sweeps=200\n", FFT, id="mcmc-quadratic"),
+                 "measure_sweeps=200\n", NO_SCIPY, id="mcmc-quadratic"),
     pytest.param("experiment=gaussian-exact\nd=2\nL=2\nkernel=axis2\n", CG,
                  id="gaussian-axis2"),
     pytest.param("experiment=identities\nd=2\nL=2\nkernel=axis2\n", CG,
@@ -83,15 +87,22 @@ def test_each_run_loads_only_the_scipy_module_it_calls(text, loaded, tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["code"] == 0
     assert [m for m in SOLVER_MODULES if m in report["scipy"]] == list(loaded)
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     if not loaded:
         assert report["scipy"] == []
+        # only a sine-transform solve loads numpy.fft
+        assert report["numpy_fft"] == (manifest.get("solver") == "dst")
     # the pre-clock import left the runner, and so the clock, nothing to load
     assert report["added"] == []
-    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["timings"]["import_s"] >= 0.0
     env_block = manifest["environment"]
     assert {"python", "numpy", "cpu_count"} <= set(env_block)
     assert ("scipy" in env_block) == bool(loaded)
+
+
+def test_dst_solves_preload_numpy_fft_and_no_scipy():
+    assert "dst" not in cli.SCIPY_MODULES
+    assert cli.PRELOADS == {"dst": "numpy.fft", **cli.SCIPY_MODULES}
 
 
 def import_time_modules(tree: ast.Module) -> list[str]:
