@@ -76,6 +76,20 @@ SCIPY_MODULES = {"cg": "scipy.sparse.linalg", "quadrature": "scipy.integrate"}
 #: solve ``numpy.fft``, which numpy 2 loads on first use, inside the clock
 PRELOADS = {"dst": "numpy.fft", **SCIPY_MODULES}
 
+#: the keys each experiment reads besides ``experiment``; a run given any
+#: other key rejects it.  Beyond these, a run that solves (``_solver`` gives
+#: "dst" or "cg") reads ``rel_tolerance``, and ``L_list`` replaces ``L``.
+_MODEL = {"d", "L", "kernel", "potential", "disorder", "eta2", "seed"}
+KEYS = {
+    "identities": _MODEL | {"n_realizations"},
+    "gaussian-exact": _MODEL | {"n_realizations"},
+    "mcmc": _MODEL | {"proposal_width", "burn_in_sweeps", "measure_sweeps", "thin"},
+    "scaling": {"d", "L", "L_list", "kernel", "potential", "eta2"},
+    "decay": {"d", "L", "kernel", "potential", "eta2", "r_list"},
+    "clt": {"d", "L", "L_list", "kernel", "n_realizations", "disorder", "eta2", "seed"},
+    "quadrature": {"R_list"},
+}
+
 #: the largest lattice dimension: the padded one-site box alone has 3^d
 #: cells (5^d for ``axis2``), and the nearest-neighbour kernel 2d offsets of
 #: d entries, which ``_validate`` builds
@@ -171,6 +185,7 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> Experime
     environment) replace keys of the text before the one validation pass.
     """
     values: dict[str, Any] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -184,6 +199,7 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> Experime
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", lineno)
+        lines[key] = lineno
         try:
             values[key] = _CASTERS[key](val)
         except ConfigError:
@@ -197,11 +213,12 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> Experime
         config = ExperimentConfig(**values)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    _validate(config)
+    _validate(config, {key: lines.get(key) for key in values})
     return config
 
 
-def _validate(cfg: ExperimentConfig) -> None:
+def _validate(cfg: ExperimentConfig, given: dict[str, int | None]) -> None:
+    """Check cfg; `given` maps each key set to its line (None: an override)."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; "
                           f"choose one of {', '.join(EXPERIMENTS)}")
@@ -211,6 +228,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("seed must be >= 0")
     cfg.make_kernel()
     exp = cfg.experiment
+    reads = KEYS[exp] | {"experiment"} | (
+        {"rel_tolerance"} if _solver(cfg) in ("dst", "cg") else set())
+    if cfg.L_list and "L_list" in reads:
+        reads.discard("L")
+    for key, line in given.items():
+        if key not in reads:
+            raise ConfigError(f"{exp} experiment does not read {key!r}", line)
     if exp == "quadrature":
         if not cfg.R_list:
             raise ConfigError("quadrature experiment requires R_list")
@@ -245,8 +269,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{exp} experiment requires kernel=nn")
     if exp in ("gaussian-exact", "identities") and cfg.n_realizations < 1:
         raise ConfigError(f"{exp} experiment requires n_realizations >= 1")
-    if (exp in ("gaussian-exact", "identities", "scaling", "decay", "clt",
-                "quadrature") and cfg.potential.b != 0.0):
+    if exp in ("gaussian-exact", "identities", "scaling", "decay") and cfg.potential.b != 0.0:
         raise ConfigError(f"{exp} experiment requires a quadratic potential "
                           "(no quartic term)")
     if exp == "clt":
@@ -458,8 +481,7 @@ _RUNNERS = {
 
 
 def _task_seeds(cfg: ExperimentConfig) -> dict[str, Any]:
-    n = cfg.n_realizations if cfg.experiment in ("gaussian-exact", "identities",
-                                                 "clt") else 1
+    n = cfg.n_realizations if "n_realizations" in KEYS[cfg.experiment] else 1
     return {
         "master": cfg.seed,
         "disorder_spawn_keys": [[STREAM_DISORDER, r] for r in range(n)],

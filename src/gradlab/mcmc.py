@@ -13,6 +13,15 @@ proposal width toward ``TARGET_ACCEPTANCE``, the optimum for
 one-dimensional random-walk Metropolis (Gelman, Roberts & Gilks 1996);
 measurement keeps it fixed.
 
+Heights are stored in class order, so a class is a slice of them, lined up
+with its columns of random numbers, and a step updates it in place.  What
+depends on the draws alone is formed once per block of sweeps: the field's
+part -eta s of the energy change joins the Exp(1) thresholds, and with the
+midpoint u = t + s/2 of each edge difference t, V(t + s) - V(t) =
+s u (a + b s^2 + 4 b u^2), so a step makes one stencil dot.  Steps test the
+height cap only in a block whose bound, max |phi| plus the sum over its
+sweeps of max |s|, exceeds ``HEIGHT_CAP``.
+
 The main estimator is the time average of V'(phi_i - phi_j) on every
 kernel edge, with batch-means error bars, as edge fields like the exact
 Gaussian mean gradient, against which it can be checked edge by edge for
@@ -25,14 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .diagnostics import divergence_residual
-from .model import (BoxGeometry, DisorderField, HeightField, Kernel, Potential,
-                    Site, VectorField, add, chain_stream, edge_table,
-                    neighbor_index, site_flux)
-from .quadrature import QuadratureError
+from .model import (BoxGeometry, DisorderField, Kernel, Potential, VectorField,
+                    chain_stream, edge_table, neighbor_index, site_flux)
 
 #: proposals beyond this height are rejected outright (and counted); the
 #: superlinear growth of V makes genuine excursions this large impossible
@@ -109,95 +117,120 @@ def colour_classes(g: BoxGeometry, k: Kernel) -> tuple[np.ndarray, ...]:
     return tuple(np.flatnonzero(labels == c) for c in range(max(colour) + 1))
 
 
+class _ColourClass(NamedTuple):
+    """A chain's colour class: its span of ``ph`` and its per-step buffers."""
+
+    span: slice
+    heights: np.ndarray  # ph[span], a view
+    slots: np.ndarray    # positions in ph of its sites' neighbours, (K, m)
+    u: np.ndarray        # u = t + s/2 on each edge, (K, m)
+    cube: np.ndarray     # u^3, (K, m)
+    powers: np.ndarray   # u above u^3, (2K, m), the memory of both
+    sums: np.ndarray     # sum_j p_j u_j and 4 b sum_j p_j u_j^3, (2, m)
+
+
 class Chain:
     """One Metropolis chain on a box: heights, random stream, sweep tables.
 
-    ``ph`` holds the interior heights in site order followed by the frozen
-    boundary slot (height 0), which every neighbour outside the box reads.
+    ``ph`` holds the interior heights in colour-class order (class 0's sites,
+    then class 1's, ...) followed by the frozen boundary slot (height 0),
+    which every neighbour outside the box reads.  ``slot[i]`` is site i's
+    position in ``ph`` (``slot[n_sites]`` the boundary slot's), so
+    ``ph[slot]`` lists the heights in site order.
     """
 
     def __init__(self, g: BoxGeometry, k: Kernel, vpot: Potential,
                  eta: DisorderField, seed: int = 0, chain: int = 0):
-        nbr = neighbor_index(g, k)
-        slots = np.where(nbr < 0, g.n_sites, nbr)
-        #: per colour class: its sites, their neighbour slots and fields, and
-        #: its span of columns in a row of random numbers (any fixed span
-        #: will do, as the numbers are i.i.d.)
-        self.classes = []
-        lo = 0
-        for sites in colour_classes(g, k):
-            self.classes.append((sites, slots[:, sites], eta.values[sites],
-                                 slice(lo, lo + len(sites))))
-            lo += len(sites)
-        self.weights = np.array([w for _, w in k.support()])
-        self.vpot = vpot
+        classes = colour_classes(g, k)
+        order = np.concatenate(classes)
+        self.slot = np.argsort(np.append(order, g.n_sites))  # the inverse permutation
         self.ph = np.zeros(g.n_sites + 1)
+        # -1 (outside the box) reads slot[-1], the boundary slot
+        slots = self.slot[neighbor_index(g, k)][:, order]
+        bounds = np.cumsum([0] + [len(sites) for sites in classes]).tolist()
+        self.classes = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            span, powers = slice(lo, hi), np.empty((2 * len(slots), hi - lo))
+            self.classes.append(_ColourClass(span, self.ph[span], slots[:, span],
+                                             *np.split(powers, 2), powers,
+                                             np.empty((2, hi - lo))))
+        self.eta = eta.values[order]
+        #: rows of the one stencil dot: sum_j p_j u_j and 4 b sum_j p_j u_j^3
+        self.stencil = np.kron(np.diag([1.0, 4.0 * vpot.b]), [w for _, w in k.support()])
+        self.vpot = vpot
         self.rng = chain_stream(seed, chain)
         self.cap_rejects = 0
+        #: block buffers: steps, limits, s/2 and a + b s^2, and accept flags
+        self.work = np.empty((4, 0, g.n_sites))
+        self.ok = np.empty((0, g.n_sites), dtype=bool)
 
-    def energy_change(self, c: int, old: np.ndarray, new: np.ndarray) -> np.ndarray:
-        """H after minus H before moving each site of class c alone from old
-        (its current height) to new; the other sites keep their heights."""
-        _, slots, eta, _ = self.classes[c]
-        step = new - old
-        t2 = old - self.ph[slots]
-        t1 = t2 + step
-        q1 = t1 * t1
-        q2 = t2 * t2
-        # V(t1) - V(t2) = (q1 - q2) (a/2 + b (q1 + q2)) on each edge
-        pair = (q1 - q2) * (0.5 * self.vpot.a + self.vpot.b * (q1 + q2))
-        return np.dot(self.weights, pair) - eta * step
+    def site_heights(self) -> np.ndarray:
+        """A copy of ``ph`` in site order, the boundary slot last."""
+        return self.ph[self.slot]
+
+    def pair_change(self, c: int, step: np.ndarray, half: np.ndarray,
+                    coef: np.ndarray) -> np.ndarray:
+        """sum_j p(j - i) [V(t_j + s_i) - V(t_j)] with t_j = phi_i - phi_j,
+        for each site i of class c moved alone by s_i; the other sites keep
+        their heights.  ``half`` is s/2 and ``coef`` is a + b s^2: with the
+        midpoint u = t + s/2, V(t + s) - V(t) = s u (a + b s^2 + 4 b u^2).
+        Returns a buffer of the class, overwritten by the next call."""
+        _, heights, slots, u, cube, powers, sums = self.classes[c]
+        np.subtract(heights + half, self.ph[slots], out=u)
+        np.multiply(u, u, out=cube)
+        cube *= u
+        lin, cub = np.dot(self.stencil, powers, out=sums)
+        lin *= coef
+        lin += cub
+        lin *= step
+        return lin
 
     def run(self, width: float, n_sweeps: int, every: int = 0) -> tuple[int, np.ndarray]:
-        """Run n_sweeps sweeps with Gaussian proposals of the given width.
-
-        A sweep updates the colour classes in turn, each as one vectorised
-        Metropolis step.  The random numbers of all n_sweeps sweeps are drawn
-        at once, so callers keep n_sweeps small.  Returns the accepted moves
-        and a copy of ``ph`` after every `every`-th sweep (none for 0).
-        """
+        """Run n_sweeps sweeps, the colour classes in turn, with Gaussian
+        proposals of the given width, drawn at once (keep n_sweeps small).
+        Returns the accepted moves and a copy of ``ph`` (class order) after
+        every `every`-th sweep (none for 0)."""
         n = len(self.ph) - 1
-        steps = self.rng.normal(0.0, width, size=(n_sweeps, n))
-        thresholds = self.rng.exponential(size=(n_sweeps, n))
+        if len(self.ok) < n_sweeps:
+            self.work = np.empty((4, n_sweeps, n))
+            self.ok = np.empty((n_sweeps, n), dtype=bool)
+        (steps, limits, half, coef), ok = self.work[:, :n_sweeps], self.ok[:n_sweeps]
+        # the draws of rng.normal(0, width) and rng.exponential(), in place
+        self.rng.standard_normal(out=steps)
+        steps *= width
+        # Exp(1) >= dH with probability min(1, exp(-dH)); the field's part
+        # -eta s of dH moves to the left-hand side
+        self.rng.standard_exponential(out=limits)
+        np.multiply(self.eta, steps, out=half)
+        limits += half
+        # no height can pass the cap in this block unless this bound does
+        capped = (np.abs(self.ph).max() + np.abs(steps, out=half).max(axis=1).sum()
+                  > HEIGHT_CAP)
+        np.multiply(steps, 0.5, out=half)
+        np.multiply(steps, steps, out=coef)
+        coef *= self.vpot.b
+        coef += self.vpot.a
         kept = np.empty((n_sweeps // every if every else 0, n + 1))
-        accepted = 0
-        for s in range(n_sweeps):
-            for c, (sites, _, _, span) in enumerate(self.classes):
-                old = self.ph[sites]
-                new = old + steps[s, span]
-                # Exp(1) >= dH with probability min(1, exp(-dH))
-                ok = thresholds[s, span] >= self.energy_change(c, old, new)
-                capped = np.abs(new) > HEIGHT_CAP
-                n_capped = int(np.count_nonzero(capped))
-                if n_capped:
-                    ok &= ~capped
-                    self.cap_rejects += n_capped
-                self.ph[sites] = np.where(ok, new, old)
-                accepted += int(np.count_nonzero(ok))
+        # per class, the rows of its span of each block array
+        spans = [zip(*(block[:, c.span] for block in (steps, half, coef, limits, ok)))
+                 for c in self.classes]
+        for s, sweep in enumerate(zip(*spans)):
+            for c, (step, h, cf, limit, accept) in enumerate(sweep):
+                np.greater_equal(limit, self.pair_change(c, step, h, cf), out=accept)
+                heights = self.classes[c].heights
+                new = heights + step
+                if capped:
+                    beyond = np.abs(new) > HEIGHT_CAP
+                    accept &= ~beyond
+                    self.cap_rejects += int(np.count_nonzero(beyond))
+                np.copyto(heights, new, where=accept)
             if every and (s + 1) % every == 0:
                 kept[s // every] = self.ph
-        return accepted, kept
+        return int(np.count_nonzero(ok)), kept
 
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def conditional_logdensity(g: BoxGeometry, k: Kernel, vpot: Potential,
-                           phi: HeightField, eta: DisorderField,
-                           site: Site, t: float) -> float:
-    """Log density of the single-site conditional at `site`, up to a constant:
-
-        -sum_j p(j - i) V(t - phi_j) + eta_i t
-
-    with neighbor heights taken from phi (zero outside the box).
-    """
-    if not g.contains(site):
-        raise ValueError(f"site {site} is not interior")
-    total = 0.0
-    for v, w in k.support():
-        total -= w * float(vpot.value(t - phi.height_at(add(site, v))))
-    return total + eta.height_at(site) * t
 
 
 def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
@@ -222,24 +255,37 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
         gain = 1.0 / (1.0 + index) ** 0.6
         width *= math.exp(gain * (rate - TARGET_ACCEPTANCE))
 
-    ei, ej = edge_table(g, k)[0]
+    # edge endpoints as positions in the chain's class-ordered heights
+    ei, ej = sampler.slot[edge_table(g, k)[0]]
     retained = (cfg.measure_sweeps // cfg.thin // N_BATCHES) * N_BATCHES
     if retained < N_BATCHES:
         raise ValueError("not enough retained samples for batch means")
     batch_size = retained // N_BATCHES
     batch_sums = np.zeros((N_BATCHES, len(ei)))
     total_sq = np.zeros(len(ei))
+    # per-block differences and derivatives, allocated once; column-major, so
+    # that sum(axis=0) adds each edge's column in numpy's pairwise order
+    diff_buf = np.empty((BLOCK, len(ei)), order="F")
+    dv_buf = np.empty_like(diff_buf)
     accepted_meas = 0
     for batch in range(N_BATCHES):
         for done in range(0, batch_size, BLOCK):
             keep = min(BLOCK, batch_size - done)
             accepted, kept = sampler.run(width, keep * cfg.thin, every=cfg.thin)
             accepted_meas += accepted
-            diff = kept[:, ei]  # a copy: subtracting in place saves a block-sized array
-            diff -= kept[:, ej]
-            dv = np.asarray(vpot.derivative(diff))
+            diff, dv = diff_buf[:keep], dv_buf[:keep]
+            np.take(kept, ei, axis=1, out=diff)
+            np.take(kept, ej, axis=1, out=dv)
+            diff -= dv
+            # V'(t) = a t + 4 b t^3, in the operation order of Potential.derivative
+            np.multiply(diff, 4.0 * vpot.b, out=dv)
+            dv *= diff
+            dv *= diff
+            diff *= vpot.a
+            dv += diff
             batch_sums[batch] += dv.sum(axis=0)
-            total_sq += (dv * dv).sum(axis=0)
+            np.multiply(dv, dv, out=diff)
+            total_sq += diff.sum(axis=0)
 
     batch_means = batch_sums / batch_size
     means = batch_means.mean(axis=0)
@@ -272,71 +318,3 @@ def divergence_check(est: GradientEstimate, eta: DisorderField, g: BoxGeometry,
     batch_flux = site_flux(g, k, est.batch_means)
     stderrs = batch_flux.std(axis=0, ddof=1) / math.sqrt(batch_flux.shape[0])
     return residuals, stderrs
-
-
-# ---------------------------------------------------------------------------
-# single-site oracle
-
-
-@dataclass(frozen=True)
-class SingleSiteOracle:
-    """Quadrature values for one site coupled only to zero boundary heights."""
-
-    mean_height: float
-    mean_derivative: float  # <V'(phi)> , the same on every edge to the boundary
-    flux: float             # sum_j p_j <V'> over the boundary edges
-    field: float            # the external field eta_i the flux should match
-
-    @property
-    def residual(self) -> float:
-        return self.flux - self.field
-
-
-def single_site_quadrature_oracle(vpot: Potential, eta_i: float,
-                                  weights: list[float]) -> SingleSiteOracle:
-    """Exact (1-d adaptive quadrature) single-site means for zero neighbors.
-
-    The stationary density is w(t) = exp(-W V(t) + eta_i t) with W the total
-    kernel weight to the boundary; partial integration makes the weighted
-    mean derivative equal the field, which the returned flux exposes.
-    """
-    wsum = float(sum(weights))
-    if wsum <= 0.0:
-        raise ValueError("total boundary weight must be > 0")
-
-    def logw(t):
-        return -wsum * np.asarray(vpot.value(t)) + eta_i * np.asarray(t)
-
-    # bracket the support: expand until the log weight has fallen by 80
-    half = 2.0
-    while True:
-        grid = np.linspace(-half, half, 4097)
-        lw = logw(grid)
-        peak = int(np.argmax(lw))
-        if lw[0] < lw[peak] - 80.0 and lw[-1] < lw[peak] - 80.0:
-            break
-        half *= 2.0
-        if half > 1e9:
-            raise QuadratureError("single-site weight does not decay; "
-                                  "check the potential's growth")
-    t0 = float(grid[peak])
-    lw0 = float(lw[peak])
-
-    def density(t: float) -> float:
-        return math.exp(float(logw(t)) - lw0)
-
-    def integrate(f) -> float:
-        from scipy.integrate import quad
-        res = quad(f, -half, half, points=[t0, 0.0], limit=400,
-                   epsabs=1e-13, epsrel=1e-11, full_output=1)
-        if len(res) > 3:
-            raise QuadratureError(f"single-site quadrature failed: {res[3]}")
-        return float(res[0])
-
-    z = integrate(density)
-    if z <= 0.0:
-        raise QuadratureError("single-site normalization vanished")
-    mean_h = integrate(lambda t: t * density(t)) / z
-    mean_dv = integrate(lambda t: float(vpot.derivative(t)) * density(t)) / z
-    return SingleSiteOracle(mean_height=mean_h, mean_derivative=mean_dv,
-                            flux=wsum * mean_dv, field=eta_i)

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import single_site_quadrature_oracle
 from gradlab import diagnostics, gaussian, mcmc, quadrature
 from gradlab.model import (BoxGeometry, DisorderSpec, Kernel, Potential,
                            kernel_edges, sample_disorder)
@@ -242,7 +243,7 @@ def test_criterion_10_anharmonic_divergence_residuals():
     resid, se = mcmc.divergence_check(est, eta, g, k)
     ratio = np.abs(resid) / se
     frac = float((ratio <= 4.0).mean())
-    oracle = mcmc.single_site_quadrature_oracle(vpot, 0.6, [0.25] * 4)
+    oracle = single_site_quadrature_oracle(vpot, 0.6, [0.25] * 4)
     ok = frac >= 0.95 and abs(oracle.residual) <= 1e-8
     report(10, ok, f"{frac:.3f} of sites within 4 propagated stderr "
                    f"(>= 0.95), oracle flux residual = "

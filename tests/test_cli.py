@@ -91,10 +91,46 @@ def test_parse_validates_experiment_requirements():
                  "clt experiment requires kernel=nn", id="clt-axis2"),
     pytest.param("experiment=clt\nL_list=8\nn_realizations=100\n"
                  "potential=quartic:1:0.1\n",
-                 "clt experiment requires a quadratic potential", id="clt-quartic"),
+                 "line 4: clt experiment does not read 'potential'", id="clt-quartic"),
     pytest.param("experiment=quadrature\nR_list=10\npotential=quartic:1:0.1\n",
-                 "quadrature experiment requires a quadratic potential",
+                 "line 3: quadrature experiment does not read 'potential'",
                  id="quadrature-quartic"),
+    pytest.param("experiment=quadrature\nR_list=10\nd=3\n",
+                 "line 3: quadrature experiment does not read 'd'", id="quadrature-d"),
+    pytest.param("experiment=quadrature\nR_list=10\nL=5\n",
+                 "line 3: quadrature experiment does not read 'L'", id="quadrature-L"),
+    pytest.param("experiment=quadrature\nR_list=10\nkernel=axis2\n",
+                 "line 3: quadrature experiment does not read 'kernel'",
+                 id="quadrature-kernel"),
+    pytest.param("experiment=quadrature\nR_list=10\nn_realizations=7\n",
+                 "line 3: quadrature experiment does not read 'n_realizations'",
+                 id="quadrature-n_realizations"),
+    pytest.param("experiment=clt\nL_list=8\nn_realizations=100\n"
+                 "potential=quadratic:3\n",
+                 "line 4: clt experiment does not read 'potential'", id="clt-stiffness"),
+    pytest.param("experiment=scaling\nd=2\nL_list=2,4\nn_realizations=3\n",
+                 "line 4: scaling experiment does not read 'n_realizations'",
+                 id="scaling-n_realizations"),
+    pytest.param("experiment=scaling\nd=2\nL_list=2,4\nseed=3\n",
+                 "line 4: scaling experiment does not read 'seed'", id="scaling-seed"),
+    pytest.param("experiment=mcmc\nd=2\nL=1\nn_realizations=5\n",
+                 "line 4: mcmc experiment does not read 'n_realizations'",
+                 id="mcmc-n_realizations"),
+    pytest.param("experiment=mcmc\nd=2\nL=1\nL_list=1,2\n",
+                 "line 4: mcmc experiment does not read 'L_list'", id="mcmc-L_list"),
+    pytest.param("experiment=mcmc\nd=2\nL=1\nr_list=0\n",
+                 "line 4: mcmc experiment does not read 'r_list'", id="mcmc-r_list"),
+    pytest.param("experiment=mcmc\nd=2\nL=1\nR_list=10\n",
+                 "line 4: mcmc experiment does not read 'R_list'", id="mcmc-R_list"),
+    pytest.param("experiment=scaling\nd=2\nL=8\nL_list=2,4\n",
+                 "line 3: scaling experiment does not read 'L'", id="scaling-L-beside-L_list"),
+    pytest.param("experiment=decay\nd=3\nL=4\nr_list=0,2\nrel_tolerance=1e-9\n",
+                 "line 5: decay experiment does not read 'rel_tolerance'",
+                 id="decay-rel_tolerance"),
+    pytest.param("experiment=mcmc\nd=2\nL=1\npotential=quartic:1:0.1\n"
+                 "rel_tolerance=1e-9\n",
+                 "line 5: mcmc experiment does not read 'rel_tolerance'",
+                 id="quartic-mcmc-rel_tolerance"),
 ])
 def test_main_rejects_keys_the_experiment_ignores(text, message, tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
@@ -102,6 +138,29 @@ def test_main_rejects_keys_the_experiment_ignores(text, message, tmp_path, capsy
     assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+def test_every_golden_and_benchmark_config_parses():
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    golden = [p.read_text() for p in sorted((root / "tests/data/golden").glob("*.cfg"))]
+    benchmark = [w(toy).config(1000) for w in WORKLOADS.values() for toy in (False, True)]
+    assert golden and benchmark
+    for text in golden + benchmark:
+        parse_config(text)
+
+
+def test_overrides_of_a_key_the_run_ignores_are_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=quadrature\nR_list=10\n")
+    assert main([str(cfg_path), "--out", str(tmp_path), "--seed", "3"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: quadrature experiment does not read 'seed'\n"
     assert not (tmp_path / "run_manifest.json").exists()
 
 

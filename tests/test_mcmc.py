@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import gaussian_eta
+from conftest import (conditional_logdensity, gaussian_eta,
+                      single_site_quadrature_oracle)
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import DirichletLaplacian, mean_gradient
-from gradlab.mcmc import (HEIGHT_CAP, N_BATCHES, Chain, GradientEstimate,
-                          SamplerConfig, colour_classes, conditional_logdensity,
-                          divergence_check, estimate_gradient_mean,
-                          single_site_quadrature_oracle)
+from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, TARGET_ACCEPTANCE, Chain,
+                          GradientEstimate, SamplerConfig, colour_classes,
+                          divergence_check, estimate_gradient_mean)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, HeightField,
-                           Kernel, Potential, VectorField, energy, kernel_edges,
-                           sample_disorder)
+                           Kernel, Potential, VectorField, chain_stream, edge_table,
+                           energy, kernel_edges, neighbor_index, sample_disorder)
 
 FAST = SamplerConfig(burn_in_sweeps=300, measure_sweeps=4000)
 
@@ -107,7 +107,7 @@ def test_sweeps_are_deterministic_given_seed(quartic):
     for _ in range(2):
         chain = Chain(g, k, quartic, eta, seed=42)
         chain.run(1.5, 20)
-        runs.append(chain.ph.copy())
+        runs.append(chain.site_heights())
     assert np.array_equal(runs[0], runs[1])
     assert runs[0].any()
 
@@ -119,7 +119,7 @@ def test_proposals_beyond_the_height_cap_are_rejected_and_counted(quadratic):
     chain.ph[:-1] = HEIGHT_CAP
     chain.run(1.0, 1)
     assert chain.cap_rejects > 0
-    assert np.all(chain.ph <= HEIGHT_CAP)
+    assert np.all(chain.site_heights() <= HEIGHT_CAP)
 
 
 @pytest.mark.parametrize("name", ["nn", "axis2"])
@@ -129,18 +129,140 @@ def test_sweep_energy_change_matches_energy_difference(name, quartic):
     eta = gaussian_eta(g, seed=9)
     chain = Chain(g, k, quartic, eta)
     rng = np.random.default_rng(10)
-    chain.ph[:-1] = rng.normal(0.0, 1.5, size=g.n_sites)
-    before = HeightField(g, chain.ph[:-1].copy())
+    chain.ph[chain.slot[:-1]] = rng.normal(0.0, 1.5, size=g.n_sites)
+    before = HeightField(g, chain.site_heights()[:-1])
     e_before = energy(g, k, quartic, before, eta)
     for c, sites in enumerate(colour_classes(g, k)):
-        old = chain.ph[sites]
-        new = old + rng.normal(0.0, 1.0, size=len(sites))
-        dh = chain.energy_change(c, old, new)
-        for site, t, got in zip(sites, new, dh):
+        step = rng.normal(0.0, 1.0, size=len(sites))
+        # the per-block terms as the sweep forms them; the field's part
+        # -eta s, which the sweep folds into its thresholds, added back
+        coef = step * step * quartic.b + quartic.a
+        dh = chain.pair_change(c, step, 0.5 * step, coef) - eta.values[sites] * step
+        for site, s, got in zip(sites, step, dh):
             vals = before.values.copy()
-            vals[site] = t
+            vals[site] += s
             want = energy(g, k, quartic, HeightField(g, vals), eta) - e_before
             assert got == pytest.approx(want, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the site-order sweep, kept as the oracle of Chain.run
+
+
+class SiteOrderChain:
+    """The sweep as first written: heights in site order, each class read by
+    a fancy gather and written back with np.where, the energy change as
+    (q1 - q2)(a/2 + b (q1 + q2)) per edge, and the height cap tested at
+    every step.  Same stream, classes and spans of random numbers as
+    ``Chain``, so the two agree bit for bit."""
+
+    def __init__(self, g, k, vpot, eta, seed=0, chain=0):
+        nbr = neighbor_index(g, k)
+        slots = np.where(nbr < 0, g.n_sites, nbr)
+        self.classes = []
+        lo = 0
+        for sites in colour_classes(g, k):
+            self.classes.append((sites, slots[:, sites], eta.values[sites],
+                                 slice(lo, lo + len(sites))))
+            lo += len(sites)
+        self.weights = np.array([w for _, w in k.support()])
+        self.vpot = vpot
+        self.ph = np.zeros(g.n_sites + 1)
+        self.rng = chain_stream(seed, chain)
+        self.cap_rejects = 0
+
+    def energy_change(self, c, old, new):
+        _, slots, eta, _ = self.classes[c]
+        step = new - old
+        t2 = old - self.ph[slots]
+        t1 = t2 + step
+        q1 = t1 * t1
+        q2 = t2 * t2
+        pair = (q1 - q2) * (0.5 * self.vpot.a + self.vpot.b * (q1 + q2))
+        return np.dot(self.weights, pair) - eta * step
+
+    def run(self, width, n_sweeps, every=0):
+        n = len(self.ph) - 1
+        steps = self.rng.normal(0.0, width, size=(n_sweeps, n))
+        thresholds = self.rng.exponential(size=(n_sweeps, n))
+        kept = np.empty((n_sweeps // every if every else 0, n + 1))
+        accepted = 0
+        for s in range(n_sweeps):
+            for c, (sites, _, _, span) in enumerate(self.classes):
+                old = self.ph[sites]
+                new = old + steps[s, span]
+                ok = thresholds[s, span] >= self.energy_change(c, old, new)
+                capped = np.abs(new) > HEIGHT_CAP
+                n_capped = int(np.count_nonzero(capped))
+                if n_capped:
+                    ok &= ~capped
+                    self.cap_rejects += n_capped
+                self.ph[sites] = np.where(ok, new, old)
+                accepted += int(np.count_nonzero(ok))
+            if every and (s + 1) % every == 0:
+                kept[s // every] = self.ph
+        return accepted, kept
+
+
+def assert_chain_matches_oracle(g, k, vpot, blocks, start=0.0, seed=3):
+    """Run Chain and SiteOrderChain from the same heights through the same
+    (width, n_sweeps, every) blocks; compare every result exactly."""
+    eta = gaussian_eta(g, seed=seed)
+    chain = Chain(g, k, vpot, eta, seed=seed)
+    oracle = SiteOrderChain(g, k, vpot, eta, seed=seed)
+    chain.ph[:-1] = oracle.ph[:-1] = start
+    for width, n_sweeps, every in blocks:
+        accepted, kept = chain.run(width, n_sweeps, every)
+        want_accepted, want_kept = oracle.run(width, n_sweeps, every)
+        assert accepted == want_accepted
+        assert np.array_equal(kept[:, chain.slot], want_kept)
+        assert np.array_equal(chain.site_heights(), oracle.ph)
+        assert chain.cap_rejects == oracle.cap_rejects
+    return chain
+
+
+ORACLE_BOXES = [
+    pytest.param(1, 6, "nn", id="d1-nn"),
+    pytest.param(1, 5, "axis2", id="d1-axis2"),
+    pytest.param(2, 3, "nn", id="d2-nn"),
+    pytest.param(2, 3, "axis2", id="d2-axis2"),
+    pytest.param(3, 2, "nn", id="d3-nn"),
+    pytest.param(3, 2, "axis2", id="d3-axis2"),
+    pytest.param(2, 0, "nn", id="one-site"),
+]
+
+
+@pytest.mark.parametrize("vpot", [Potential.quadratic(1.0), Potential.quartic(1.0, 0.1),
+                                  Potential.quartic(-1.0, 0.5)],
+                         ids=["quadratic", "quartic", "double-well"])
+@pytest.mark.parametrize("d,L,name", ORACLE_BOXES)
+def test_chain_matches_site_order_oracle(d, L, name, vpot):
+    k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
+    g = BoxGeometry.for_kernel(d, L, k)
+    # burn-in-like blocks of changing width, then thinned measurement blocks
+    blocks = [(2.5, 25, 0), (1.2, 25, 0), (0.7, 7, 0), (1.0, 75, 3), (1.0, 24, 1)]
+    assert_chain_matches_oracle(g, k, vpot, blocks)
+
+
+@pytest.mark.parametrize("name", ["nn", "axis2"])
+def test_chain_matches_oracle_where_the_cap_bound_trips(name):
+    # heights 20 below the cap: over a block the bound max|phi| + sum of the
+    # sweeps' largest |s| passes the cap, so every step tests it, but the
+    # chain only falls, and no proposal goes past the cap
+    k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
+    g = BoxGeometry.for_kernel(2, 2, k)
+    steps = chain_stream(3, 0).normal(0.0, 1.0, size=(25, g.n_sites))
+    assert HEIGHT_CAP - 20.0 + np.abs(steps).max(axis=1).sum() > HEIGHT_CAP
+    chain = assert_chain_matches_oracle(g, k, Potential.quadratic(1.0),
+                                        [(1.0, 25, 5), (1.0, 25, 0)],
+                                        start=HEIGHT_CAP - 20.0)
+    assert chain.cap_rejects == 0
+    # heights at the cap: about half the proposals go past it
+    chain = assert_chain_matches_oracle(g, k, Potential.quartic(1.0, 0.1),
+                                        [(1.0, 25, 5), (1.0, 3, 1)],
+                                        start=HEIGHT_CAP)
+    assert chain.cap_rejects > 0
+    assert np.all(np.abs(chain.site_heights()) <= HEIGHT_CAP)
 
 
 def test_single_site_chain_reproduces_gaussian_moments(quadratic):
@@ -188,6 +310,58 @@ def test_stationary_histogram_matches_oracle_density(quartic):
             dof += 1
     assert dof >= 15  # bins with expected count >= 5
     assert chi2 / dof < 2.0
+
+
+def site_order_estimate(g, k, vpot, eta, cfg, seed):
+    """estimate_gradient_mean's batch means and n_eff on SiteOrderChain, with
+    fresh per-block arrays kept[:, ei] - kept[:, ej] and vpot.derivative."""
+    chain = SiteOrderChain(g, k, vpot, eta, seed=seed)
+    width = cfg.proposal_width
+    for index, done in enumerate(range(0, cfg.burn_in_sweeps, BLOCK)):
+        todo = min(BLOCK, cfg.burn_in_sweeps - done)
+        accepted, _ = chain.run(width, todo)
+        gain = 1.0 / (1.0 + index) ** 0.6
+        width *= math.exp(gain * (accepted / (todo * g.n_sites) - TARGET_ACCEPTANCE))
+    ei, ej = edge_table(g, k)[0]
+    retained = (cfg.measure_sweeps // cfg.thin // N_BATCHES) * N_BATCHES
+    batch_size = retained // N_BATCHES
+    sums = np.zeros((N_BATCHES, len(ei)))
+    total_sq = np.zeros(len(ei))
+    for batch in range(N_BATCHES):
+        for done in range(0, batch_size, BLOCK):
+            keep = min(BLOCK, batch_size - done)
+            _, kept = chain.run(width, keep * cfg.thin, every=cfg.thin)
+            dv = vpot.derivative(kept[:, ei] - kept[:, ej])
+            sums[batch] += dv.sum(axis=0)
+            total_sq += (dv * dv).sum(axis=0)
+    batch_means = sums / batch_size
+    means = batch_means.mean(axis=0)
+    stderr = np.sqrt(batch_means.var(axis=0, ddof=1) / N_BATCHES)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_eff = (total_sq / retained - means ** 2) / stderr ** 2
+    return batch_means, n_eff, width, chain.cap_rejects
+
+
+@pytest.mark.parametrize("d,L,name,vpot,thin", [
+    pytest.param(2, 3, "nn", Potential.quartic(1.0, 0.1), 3, id="d2-nn-quartic-thin3"),
+    pytest.param(2, 2, "axis2", Potential.quadratic(1.0), 1, id="d2-axis2-quadratic"),
+    pytest.param(1, 4, "axis2", Potential.quartic(-1.0, 0.5), 2, id="d1-axis2-double-well"),
+    pytest.param(2, 0, "nn", Potential.quartic(1.0, 0.5), 1, id="one-site"),
+])
+def test_estimates_match_site_order_oracle(d, L, name, vpot, thin):
+    k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
+    g = BoxGeometry.for_kernel(d, L, k)
+    eta = gaussian_eta(g, seed=17)
+    cfg = SamplerConfig(burn_in_sweeps=130, measure_sweeps=1800, thin=thin)
+    est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=8)
+    batch_means, n_eff, width, cap_rejects = site_order_estimate(g, k, vpot, eta, cfg, 8)
+    fields = [VectorField.from_edge_values(g, k, row).data for row in batch_means]
+    assert np.array_equal(est.batch_means, np.stack(fields))
+    # every n_eff inside its clip [1, retained] is the unclipped ratio
+    inside = (n_eff > 1.0) & (n_eff < est.retained)
+    assert inside.any()
+    assert np.array_equal(est.n_eff.edge_values()[inside], n_eff[inside])
+    assert est.proposal_width == width and est.cap_rejects == cap_rejects
 
 
 # ---------------------------------------------------------------------------
