@@ -6,9 +6,14 @@ even superlinear potentials are sampled by Metropolis Monte Carlo; the
 diagnostics layer turns the model's structural identities (divergence
 equation, surface sums, variance scaling, covariance decay) into checks
 with explicit tolerances, driven reproducibly from the command line.
+
+Importing the package loads none of its modules: each run of ``gradlab.cli``
+imports the ones it calls.
 """
 
 __version__ = "0.1.0"
 
-# cli is left out so that ``python -m gradlab.cli`` runs it fresh
-from . import diagnostics, gaussian, mcmc, model, quadrature  # noqa: F401,E402
+
+class NumericalError(RuntimeError):
+    """A computation could not reach its requested accuracy: a linear solve
+    (``gaussian.SolverError``) or a quadrature (``quadrature.QuadratureError``)."""

@@ -46,15 +46,17 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, NoReturn
 
 import numpy as np
 
-from . import __version__
-from . import diagnostics, gaussian, mcmc, quadrature
+from . import NumericalError, __version__, diagnostics, gaussian
 from .model import (BoxGeometry, DisorderSpec, Kernel, Potential,
                     STREAM_CHAIN, STREAM_DISORDER, kernel_edges,
                     sample_disorder)
+
+if TYPE_CHECKING:
+    from . import mcmc
 
 EXPERIMENTS = ("gaussian-exact", "mcmc", "scaling", "decay", "clt",
                "quadrature", "identities")
@@ -68,13 +70,6 @@ EXIT_INVARIANT = 3
 DIVERGENCE_TOLERANCE = 1e-8
 SURFACE_TOLERANCE = 1e-8
 SECOND_MOMENT_TOLERANCE = 1e-6
-
-#: the scipy module a run calls, by ``_solver`` or else by experiment; no
-#: other module imports scipy at load, and ``dst`` solves need none
-SCIPY_MODULES = {"cg": "scipy.sparse.linalg", "quadrature": "scipy.integrate"}
-#: what ``run`` imports before its clock: the scipy module, or for a ``dst``
-#: solve ``numpy.fft``, which numpy 2 loads on first use, inside the clock
-PRELOADS = {"dst": "numpy.fft", **SCIPY_MODULES}
 
 #: the keys each experiment reads besides ``experiment``; a run given any
 #: other key rejects it.  Beyond these, a run that solves (``_solver`` gives
@@ -136,6 +131,7 @@ class ExperimentConfig:
         return gaussian.SolverConfig(rel_tolerance=self.rel_tolerance)
 
     def sampler(self) -> mcmc.SamplerConfig:
+        from . import mcmc
         return mcmc.SamplerConfig(
             proposal_width=self.proposal_width,
             burn_in_sweeps=self.burn_in_sweeps,
@@ -161,12 +157,20 @@ def _parse_potential(raw: str) -> Potential:
     raise ValueError(f"potential must be quadratic:C or quartic:A:B, got {raw!r}")
 
 
+def _distinct(values: tuple) -> tuple:
+    """`values`, unless one repeats: a scan would write its row twice."""
+    for n, x in enumerate(values):
+        if x in values[:n]:
+            raise ValueError(f"duplicate entry {x!r}")
+    return values
+
+
 def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
+    return _distinct(tuple(int(p.strip()) for p in raw.split(",") if p.strip()))
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(_float(p) for p in raw.split(",") if p.strip())
+    return _distinct(tuple(_float(p) for p in raw.split(",") if p.strip()))
 
 
 #: the parser of each field type of ExperimentConfig: the fields are the keys
@@ -321,6 +325,7 @@ class RunResult(NamedTuple):
 
 
 def _run_quadrature(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
+    from . import quadrature
     rows = []
     for R in cfg.R_list:
         j = quadrature.j_of_r(R)
@@ -391,6 +396,7 @@ def _run_gaussian_exact(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], d
 
 
 def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
+    from . import mcmc
     k = cfg.make_kernel()
     g = BoxGeometry.for_kernel(cfg.d, cfg.L, k)
     eta = sample_disorder(cfg.disorder_spec(0), g)
@@ -480,11 +486,18 @@ _RUNNERS = {
 }
 
 
+def _draws(cfg: ExperimentConfig) -> bool:
+    """Whether the run draws random numbers: exactly the runs that read
+    ``seed``."""
+    return "seed" in KEYS[cfg.experiment]
+
+
 def _task_seeds(cfg: ExperimentConfig) -> dict[str, Any]:
     n = cfg.n_realizations if "n_realizations" in KEYS[cfg.experiment] else 1
     return {
         "master": cfg.seed,
-        "disorder_spawn_keys": [[STREAM_DISORDER, r] for r in range(n)],
+        "disorder_spawn_keys": [[STREAM_DISORDER, r] for r in range(n)]
+        if _draws(cfg) else [],
         "chain_spawn_keys": [[STREAM_CHAIN, 0]] if cfg.experiment == "mcmc" else [],
     }
 
@@ -497,6 +510,22 @@ def _solver(cfg: ExperimentConfig) -> str | None:
         scan = cfg.experiment in ("scaling", "decay")
         return "spectral" if scan and method == "dst" else method
     return None
+
+
+def _preloads(cfg: ExperimentConfig) -> list[str]:
+    """What ``run`` imports before its clock: the modules the run calls that
+    importing ``cli`` does not load.  numpy 2 loads ``numpy.fft`` and
+    ``numpy.random`` on first use, and no module imports scipy, ``mcmc`` or
+    ``quadrature`` at load, so each would otherwise load inside the clock."""
+    solver = _solver(cfg)
+    return [module for module, called in (
+        ("numpy.fft", solver == "dst"),
+        ("numpy.random", _draws(cfg)),
+        ("scipy.sparse.linalg", solver == "cg"),
+        ("scipy.integrate", cfg.experiment == "quadrature"),
+        ("gradlab.mcmc", cfg.experiment == "mcmc"),
+        ("gradlab.quadrature", cfg.experiment == "quadrature"),
+    ) if called]
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -523,7 +552,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    if module := PRELOADS.get(_solver(cfg) or cfg.experiment):
+    for module in _preloads(cfg):
         importlib.import_module(module)
     t0 = time.perf_counter()
     status = "ok"
@@ -533,7 +562,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
         files, summary, code = _RUNNERS[cfg.experiment](cfg, out)
         if code == EXIT_INVARIANT:
             status = "invariant-failure"
-    except (gaussian.SolverError, quadrature.QuadratureError) as exc:
+    except NumericalError as exc:
         status = "numerical-failure"
         summary = {"error": str(exc)}
         code = EXIT_NUMERICAL
@@ -595,11 +624,15 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"cannot read config: {exc}") from None
         seed = args.seed if args.seed is not None else _env_int("GRADLAB_SEED")
         cfg = parse_config(text, {"seed": seed} if seed is not None else None)
+        out = Path(args.out or os.environ.get("GRADLAB_OUT") or ".")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = args.out or os.environ.get("GRADLAB_OUT") or "."
     result = run(cfg, out)
     for f in result.files:
         print(f)

@@ -3,8 +3,7 @@
 Everything here reduces a structural identity or a scaling law to numbers
 with explicit uncertainties:
 
-* divergence residuals eta_i - sum_j p(j-i) X_ij and their volume/surface
-  (Stokes) bookkeeping;
+* divergence residuals eta_i - sum_j p(j-i) X_ij;
 * per-side boundary averages whose disorder mean vanishes;
 * the variance of the volume-averaged field across realizations (which
   does not concentrate);
@@ -71,12 +70,6 @@ class FitResult:
             raise ValueError("R^2 must lie in [0, 1]")
 
 
-class IntegralFormCheck(NamedTuple):
-    volume_sum: float
-    surface_sum: float
-    difference: float
-
-
 class SecondMomentCheck(NamedTuple):
     lhs: float
     rhs: float
@@ -125,18 +118,6 @@ def divergence_residual(X: VectorField, eta: DisorderField, g: BoxGeometry,
     _check_field(X, g, k)
     residuals = eta.values - site_flux(g, k, X.data)
     return residuals, float(np.max(np.abs(residuals)))
-
-
-def integral_form_check(X: VectorField, eta: DisorderField, g: BoxGeometry,
-                        k: Kernel) -> IntegralFormCheck:
-    """Volume sum of eta versus the weighted boundary-edge sum of X.
-
-    Interior edges cancel pairwise by antisymmetry, so the difference of the
-    two sums telescopes to the sum of the per-site divergence residuals.
-    """
-    volume = float(np.sum(eta.values))
-    surface = _boundary_sum(X, g, k)
-    return IntegralFormCheck(volume, surface, volume - surface)
 
 
 def boundary_ergodic_average(X: VectorField, g: BoxGeometry, k: Kernel,

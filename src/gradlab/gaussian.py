@@ -29,12 +29,13 @@ from itertools import product
 
 import numpy as np
 
+from . import NumericalError
 from .model import (BoxGeometry, DisorderField, Edge, HeightField, Kernel,
                     Site, VectorField, _pad_heights, _shifted, gradient_of,
                     validate_kernel)
 
 
-class SolverError(RuntimeError):
+class SolverError(NumericalError):
     """Linear solve failed to reach the requested residual."""
 
     def __init__(self, message: str, achieved_residual: float):
@@ -184,12 +185,6 @@ def solve_array(A: DirichletLaplacian, b: np.ndarray,
             f"residual {achieved:.3e} > {cfg.rel_tolerance:.1e} * ||b|| = "
             f"{cfg.rel_tolerance * norm_b:.3e}", achieved)
     return x
-
-
-def solve_green(A: DirichletLaplacian, source: HeightField,
-                cfg: SolverConfig = DEFAULT_SOLVER) -> HeightField:
-    """Solve (I - P) u = source on the box."""
-    return HeightField(A.geometry, solve_array(A, source.values, cfg))
 
 
 def green_column(A: DirichletLaplacian, y: Site,

@@ -28,7 +28,6 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy 2 loads it on first use, inside a run's clock
 
 Site = tuple[int, ...]
 Edge = tuple[Site, Site]
@@ -200,11 +199,6 @@ class BoxGeometry:
         if not self.contains(site):
             raise KeyError(f"site {site} outside the interior box")
         return int(np.ravel_multi_index(tuple(c + self.L for c in site), self.shape))
-
-    def site_of(self, index: int) -> Site:
-        if not 0 <= index < self.n_sites:
-            raise IndexError(index)
-        return tuple(int(c) - self.L for c in np.unravel_index(index, self.shape))
 
     def sites(self) -> Iterator[Site]:
         """Interior sites in index order."""
@@ -595,38 +589,6 @@ def gradient_of(g: BoxGeometry, k: Kernel, phi: HeightField) -> VectorField:
         dst = tuple(slice(max(0, c), n - max(0, -c)) for c, n in zip(v, padded.shape))
         out.data[q][src] = padded[src] - padded[dst]
     return out
-
-
-def loop_residuals(g: BoxGeometry, w: VectorField) -> float:
-    """Maximum absolute circulation of w around interior unit plaquettes.
-
-    A vector field is a gradient field exactly when every such circulation
-    vanishes.  Requires d >= 2 and w defined on the nearest-neighbor edges
-    of the interior (KeyError otherwise).
-    """
-    if g.d < 2:
-        raise ValueError("no plaquettes in dimension < 2")
-    unit = [tuple(int(t == a) for t in range(g.d)) for a in range(g.d)]
-    arrays = [w.data[w._offsets[e]] for e in unit]
-    zero = (0,) * g.d
-    worst = 0.0
-    for a in range(g.d):
-        for b in range(a + 1, g.d):
-            def at(c: int, shift: Site) -> np.ndarray:
-                return _plaquette_view(g, arrays[c], shift, a, b)
-            circ = at(a, zero) + at(b, unit[a]) - at(a, unit[b]) - at(b, zero)
-            if circ.size:
-                worst = max(worst, float(np.max(np.abs(circ))))
-    return worst
-
-
-def _plaquette_view(g: BoxGeometry, padded: np.ndarray, shift: Site,
-                    a: int, b: int) -> np.ndarray:
-    """`padded` at cell i + shift for every corner i of an interior unit
-    plaquette in the (a, b) plane (i + e_a, i + e_b also interior)."""
-    m = g.shell_width
-    return padded[tuple(slice(m + s, m + s + g.side - (ax in (a, b)))
-                        for ax, s in enumerate(shift))]
 
 
 def energy_terms(g: BoxGeometry, k: Kernel, vpot: Potential,

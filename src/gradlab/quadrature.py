@@ -24,10 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import NumericalError
+
 PI2 = math.pi ** 2
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalError):
     """Requested tolerance could not be certified."""
 
 
@@ -265,9 +267,3 @@ def sphere_integral(L: float, q: float,
             f"quadrature {check!r} at (L={L}, q={q})")
     return closed
 
-
-def sphere_integral_large_l_limit(q: float) -> float:
-    """Leading coefficient of sphere_integral: value * L^{2q} -> this as L grows."""
-    if q >= 1.0 or q <= 0.0:
-        raise ValueError("requires 0 < q < 1")
-    return math.pi * 2.0 ** (2.0 - 2.0 * q) / (1.0 - q)

@@ -1,13 +1,16 @@
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 
-from gradlab.model import (BoxGeometry, DisorderSpec, Kernel, Potential, add,
-                           sample_disorder)
+from gradlab.diagnostics import _boundary_sum
+from gradlab.gaussian import solve_array
+from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
+                           Potential, add, sample_disorder)
 from gradlab.quadrature import QuadratureError
 
 
@@ -52,6 +55,73 @@ def oracle_boundary_edges(g, k):
     return out
 
 
+def site_of(g, index):
+    """The interior site with dense index `index` (inverse of ``g.index_of``)."""
+    if not 0 <= index < g.n_sites:
+        raise IndexError(index)
+    return tuple(int(c) - g.L for c in np.unravel_index(index, g.shape))
+
+
+def solve_green(A, source):
+    """Solve (I - P) u = source on the box, as a HeightField."""
+    return HeightField(A.geometry, solve_array(A, source.values))
+
+
+def loop_residuals(g, w):
+    """Maximum absolute circulation of w around interior unit plaquettes.
+
+    A vector field is a gradient field exactly when every such circulation
+    vanishes.  Requires d >= 2 and w defined on the nearest-neighbor edges
+    of the interior (KeyError otherwise).
+    """
+    if g.d < 2:
+        raise ValueError("no plaquettes in dimension < 2")
+    unit = [tuple(int(t == a) for t in range(g.d)) for a in range(g.d)]
+    arrays = [w.data[w._offsets[e]] for e in unit]
+    zero = (0,) * g.d
+    worst = 0.0
+    for a in range(g.d):
+        for b in range(a + 1, g.d):
+            def at(c, shift):
+                return _plaquette_view(g, arrays[c], shift, a, b)
+            circ = at(a, zero) + at(b, unit[a]) - at(a, unit[b]) - at(b, zero)
+            if circ.size:
+                worst = max(worst, float(np.max(np.abs(circ))))
+    return worst
+
+
+def _plaquette_view(g, padded, shift, a, b):
+    """`padded` at cell i + shift for every corner i of an interior unit
+    plaquette in the (a, b) plane (i + e_a, i + e_b also interior)."""
+    m = g.shell_width
+    return padded[tuple(slice(m + s, m + s + g.side - (ax in (a, b)))
+                        for ax, s in enumerate(shift))]
+
+
+class IntegralFormCheck(NamedTuple):
+    volume_sum: float
+    surface_sum: float
+    difference: float
+
+
+def integral_form_check(X, eta, g, k):
+    """Volume sum of eta versus the weighted boundary-edge sum of X.
+
+    Interior edges cancel pairwise by antisymmetry, so the difference of the
+    two sums telescopes to the sum of the per-site divergence residuals.
+    """
+    volume = float(np.sum(eta.values))
+    surface = _boundary_sum(X, g, k)
+    return IntegralFormCheck(volume, surface, volume - surface)
+
+
+def sphere_integral_large_l_limit(q):
+    """Leading coefficient of sphere_integral: value * L^{2q} -> this as L grows."""
+    if q >= 1.0 or q <= 0.0:
+        raise ValueError("requires 0 < q < 1")
+    return math.pi * 2.0 ** (2.0 - 2.0 * q) / (1.0 - q)
+
+
 def oracle_sparse_operator(A):
     """The Dirichlet operator I - P of A as a sparse matrix, assembled site by
     site: the unit diagonal, then one entry -p(v) per kernel offset v whose
@@ -60,7 +130,7 @@ def oracle_sparse_operator(A):
     rows, cols, vals = list(range(g.n_sites)), list(range(g.n_sites)), [1.0] * g.n_sites
     for v, w in A.kernel.support():
         for i in range(g.n_sites):
-            j = tuple(a + b for a, b in zip(g.site_of(i), v))
+            j = tuple(a + b for a, b in zip(site_of(g, i), v))
             if g.contains(j):
                 rows.append(i)
                 cols.append(g.index_of(j))

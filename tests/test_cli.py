@@ -68,6 +68,21 @@ def test_parse_rejects_duplicates_missing_experiment_and_bad_lines():
         parse_config("experiment=quadrature\nR_list\n")
 
 
+@pytest.mark.parametrize("text,key,line", [
+    pytest.param("experiment=decay\nd=3\nL=4\nr_list=4,4,2\n", "r_list", 4,
+                 id="r_list"),
+    pytest.param("experiment=scaling\nd=2\nL_list=3,3,2\n", "L_list", 3,
+                 id="L_list"),
+    pytest.param("experiment=quadrature\nR_list=10,1,10.0\n", "R_list", 2,
+                 id="R_list"),
+])
+def test_parse_rejects_duplicate_list_entries(text, key, line):
+    with pytest.raises(ConfigError, match=f"line {line}: bad value for {key}: "
+                       "duplicate entry") as err:
+        parse_config(text)
+    assert err.value.line == line
+
+
 def test_parse_handles_comments_and_blanks():
     cfg = parse_config("# full line comment\n\nexperiment=clt  # trailing\n"
                        "L_list=8\nn_realizations=100\n")
@@ -414,6 +429,30 @@ def test_main_seed_flag_and_env_override(tmp_path, monkeypatch):
     m = json.loads((tmp_path / "env" / "run_manifest.json").read_text())
     assert m["seeds"]["master"] == 9
     assert m["seeds"]["disorder_spawn_keys"] == [[0, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("experiment=decay\nd=3\nL=4\nr_list=2\n", id="decay"),
+    pytest.param("experiment=scaling\nd=2\nL_list=2\n", id="scaling"),
+    pytest.param("experiment=quadrature\nR_list=10\n", id="quadrature"),
+])
+def test_manifest_lists_no_streams_for_a_run_that_draws_nothing(text, tmp_path):
+    manifest = run(parse_config(text), tmp_path).manifest
+    assert manifest["seeds"]["disorder_spawn_keys"] == []
+    assert manifest["seeds"]["chain_spawn_keys"] == []
+
+
+def test_main_rejects_an_output_path_that_is_a_file(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=quadrature\nR_list=10\n")
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main([str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory")
+    assert "Traceback" not in err
+    assert out.read_text() == ""
+    assert not (tmp_path / "run_manifest.json").exists()
 
 
 def test_experiment_config_defaults_are_valid():

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_eta, oracle_boundary_edges, oracle_sparse_operator
+from conftest import (gaussian_eta, integral_form_check, oracle_boundary_edges,
+                      oracle_sparse_operator)
 from gradlab import diagnostics, gaussian
 from gradlab.diagnostics import (FitResult, ScanResult,
                                  boundary_ergodic_average, central_edge,
                                  clt_population_value, clt_scan, decay_scan_d3,
-                                 divergence_residual, fit, integral_form_check,
+                                 divergence_residual, fit,
                                  second_moment_identity, variance_scaling_scan)
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, covariance,
                               mean_gradient, variance)

@@ -14,15 +14,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_boundary_edges, oracle_sparse_operator, random_heights
+from conftest import (integral_form_check, loop_residuals, oracle_boundary_edges,
+                      oracle_sparse_operator, random_heights, site_of)
 from gradlab import gaussian, mcmc
-from gradlab.diagnostics import (boundary_ergodic_average, divergence_residual,
-                                 integral_form_check)
+from gradlab.diagnostics import boundary_ergodic_average, divergence_residual
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec,
                            HeightField, Kernel, Potential, VectorField,
                            boundary_table, canonical_edge, edge_table,
-                           gradient_of, kernel_edges, loop_residuals,
-                           sample_disorder)
+                           gradient_of, kernel_edges, sample_disorder)
 
 
 def add(site, v):
@@ -180,7 +179,7 @@ def test_boundary_table_matches_reference(case):
     g, k, _ = case
     table = boundary_table(g, k)
     support = list(k.support())
-    edges = [(g.site_of(i), add(g.site_of(i), support[r][0]), support[r][1])
+    edges = [(site_of(g, i), add(site_of(g, i), support[r][0]), support[r][1])
              for i, r in zip(table.sites.tolist(), table.rows.tolist())]
     assert edges == oracle_boundary_edges(g, k)
     X = random_field(g, k, 3)

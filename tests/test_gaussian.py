@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gaussian_eta, oracle_boundary_edges, oracle_sparse_operator
+from conftest import (gaussian_eta, loop_residuals, oracle_boundary_edges,
+                      oracle_sparse_operator, solve_green)
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
                               _cg_solve, _dst_solve, _nn_symbol, covariance,
                               covariances, green_column,
-                              mean_gradient, solve_array, solve_green,
+                              mean_gradient, solve_array,
                               solver_method, surface_identity_check, variance)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, HeightField,
-                           Kernel, kernel_edges, loop_residuals)
+                           Kernel, kernel_edges)
 
 TIGHT = SolverConfig(rel_tolerance=1e-12)
 

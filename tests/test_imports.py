@@ -1,9 +1,11 @@
 """What each experiment imports, and when.
 
-No module of the package imports scipy at module level; ``cli.run`` imports
-the one scipy module its run calls, or ``numpy.fft`` for a ``dst`` solve,
-before it starts the clock of ``wall_time_s``.  Each run here is a fresh
-interpreter, so ``sys.modules`` shows what that experiment alone loaded.
+No module of the package imports scipy at module level, and the package
+imports none of its modules; ``cli.run`` imports the modules its run calls
+(``cli._preloads``: ``numpy.fft``, ``numpy.random``, a scipy module,
+``gradlab.mcmc`` or ``gradlab.quadrature``) before it starts the clock of
+``wall_time_s``.  Each run here is a fresh interpreter, so ``sys.modules``
+shows what that experiment alone loaded.
 """
 
 import ast
@@ -21,8 +23,8 @@ from gradlab import cli
 PACKAGE = Path(gradlab.__file__).resolve().parent
 
 #: runs the CLI on argv[1] into argv[2] with the experiment's runner wrapped,
-#: and prints the modules the runner added, the scipy modules loaded and
-#: whether numpy.fft was
+#: and prints the modules the runner added, the scipy and gradlab modules
+#: loaded and whether numpy.fft and numpy.random were
 PROBE = """\
 import json, sys
 from gradlab import cli
@@ -41,12 +43,24 @@ code = cli.main([config, "--out", out])
 print(json.dumps({"code": code, "added": added,
                   "scipy": sorted(m for m in sys.modules
                                   if m.split(".")[0] == "scipy"),
-                  "numpy_fft": "numpy.fft" in sys.modules}))
+                  "gradlab": sorted(m for m in sys.modules
+                                    if m.startswith("gradlab.")),
+                  "numpy_fft": "numpy.fft" in sys.modules,
+                  "numpy_random": "numpy.random" in sys.modules}))
 """
 
 SOLVER_MODULES = ("scipy.fft", "scipy.sparse.linalg", "scipy.integrate")
 NO_SCIPY = ()
 CG = ("scipy.sparse.linalg",)
+#: what every run loads: the CLI module and the modules it calls on every path
+CORE = ["gradlab.cli", "gradlab.diagnostics", "gradlab.gaussian", "gradlab.model"]
+#: the runs that draw random numbers, disorder or a chain
+DRAWS = {"gaussian-exact", "identities", "mcmc", "clt"}
+
+
+def fresh_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
 
 
 @pytest.mark.parametrize("text,loaded", [
@@ -78,11 +92,9 @@ def test_each_run_loads_only_the_scipy_module_it_calls(text, loaded, tmp_path):
     config = tmp_path / "exp.cfg"
     config.write_text(text)
     experiment = text.split("\n", 1)[0].partition("=")[2]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, str(config), str(tmp_path / "out"), experiment],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["code"] == 0
@@ -92,6 +104,12 @@ def test_each_run_loads_only_the_scipy_module_it_calls(text, loaded, tmp_path):
         assert report["scipy"] == []
         # only a sine-transform solve loads numpy.fft
         assert report["numpy_fft"] == (manifest.get("solver") == "dst")
+    # numpy.random in the runs that draw, or else only as scipy's own import
+    assert report["numpy_random"] == (experiment in DRAWS or bool(loaded))
+    assert ("numpy.random" in cli._preloads(cli.parse_config(text))) == \
+        (experiment in DRAWS)
+    own = {"mcmc": ["gradlab.mcmc"], "quadrature": ["gradlab.quadrature"]}
+    assert report["gradlab"] == sorted(CORE + own.get(experiment, []))
     # the pre-clock import left the runner, and so the clock, nothing to load
     assert report["added"] == []
     assert manifest["timings"]["import_s"] >= 0.0
@@ -101,8 +119,20 @@ def test_each_run_loads_only_the_scipy_module_it_calls(text, loaded, tmp_path):
 
 
 def test_dst_solves_preload_numpy_fft_and_no_scipy():
-    assert "dst" not in cli.SCIPY_MODULES
-    assert cli.PRELOADS == {"dst": "numpy.fft", **cli.SCIPY_MODULES}
+    for text in ("experiment=identities\nd=2\nL=2\n",
+                 "experiment=mcmc\nd=2\nL=1\n"):
+        preloads = cli._preloads(cli.parse_config(text))
+        assert "numpy.fft" in preloads
+        assert [m for m in preloads if m.split(".")[0] == "scipy"] == []
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, gradlab; print(json.dumps("
+         "sorted(m for m in sys.modules if m.startswith(('gradlab', 'numpy')))))"],
+        env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["gradlab"]
 
 
 def import_time_modules(tree: ast.Module) -> list[str]:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_eta, oracle_boundary_edges, random_heights
+from conftest import (gaussian_eta, loop_residuals, oracle_boundary_edges,
+                      random_heights, site_of)
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
                            Potential, VectorField, canonical_edge, energy,
                            energy_terms, gradient_of, kernel_edges,
-                           loop_residuals, sample_disorder, validate_kernel)
+                           sample_disorder, validate_kernel)
 
 
 def shell_sites(g):
@@ -64,7 +65,7 @@ def test_geometry_indexing_roundtrip(d, L):
     assert g.n_sites == (2 * L + 1) ** d
     for idx, site in enumerate(g.sites()):
         assert g.index_of(site) == idx
-        assert g.site_of(idx) == site
+        assert site_of(g, idx) == site
 
 
 def test_geometry_shell_covers_kernel(nn2):

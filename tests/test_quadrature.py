@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sphere_integral_large_l_limit
 from gradlab.quadrature import (PI2, QuadratureConfig, QuadratureError, i_of_r,
                                 j_integrand, j_limit_reference, j_of_r,
-                                sphere_integral, sphere_integral_large_l_limit)
+                                sphere_integral)
 
 
 def test_j_integrand_is_finite_at_the_origin():
