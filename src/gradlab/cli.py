@@ -12,8 +12,10 @@ fields and (1, chain) for Markov chains, so execution order never changes
 results.
 
 The manifest's ``solver`` key records the method of the Gaussian numbers:
-"dst" or "cg" (``gaussian.solver_method``), or "spectral" for the ``nn``
-covariance scans (``scaling``, ``decay``), which solve nothing.
+"pcg" for every run that solves (``gaussian.solve_array``: the sine solve,
+continued by preconditioned conjugate gradients where it alone misses the
+tolerance), or "spectral" for the ``nn`` covariance scans (``scaling``,
+``decay``), which solve nothing.
 
 Exit codes: 0 success; 1 config error; 2 numerical failure (solver or
 quadrature non-convergence); 3 invariant-check failure (an identity above
@@ -73,7 +75,7 @@ SECOND_MOMENT_TOLERANCE = 1e-6
 
 #: the keys each experiment reads besides ``experiment``; a run given any
 #: other key rejects it.  Beyond these, a run that solves (``_solver`` gives
-#: "dst" or "cg") reads ``rel_tolerance``, and ``L_list`` replaces ``L``.
+#: "pcg") reads ``rel_tolerance``, and ``L_list`` replaces ``L``.
 _MODEL = {"d", "L", "kernel", "potential", "disorder", "eta2", "seed"}
 KEYS = {
     "identities": _MODEL | {"n_realizations"},
@@ -233,7 +235,7 @@ def _validate(cfg: ExperimentConfig, given: dict[str, int | None]) -> None:
     cfg.make_kernel()
     exp = cfg.experiment
     reads = KEYS[exp] | {"experiment"} | (
-        {"rel_tolerance"} if _solver(cfg) in ("dst", "cg") else set())
+        {"rel_tolerance"} if _solver(cfg) == "pcg" else set())
     if cfg.L_list and "L_list" in reads:
         reads.discard("L")
     for key, line in given.items():
@@ -487,28 +489,26 @@ _RUNNERS = {
 
 
 def _draws(cfg: ExperimentConfig) -> bool:
-    """Whether the run draws random numbers: exactly the runs that read
-    ``seed``."""
+    """Whether the run draws random numbers: the runs that read ``seed``."""
     return "seed" in KEYS[cfg.experiment]
 
 
 def _task_seeds(cfg: ExperimentConfig) -> dict[str, Any]:
+    """The master seed and its streams; neither for a run that draws nothing."""
+    if not _draws(cfg):
+        return {"disorder_spawn_keys": [], "chain_spawn_keys": []}
     n = cfg.n_realizations if "n_realizations" in KEYS[cfg.experiment] else 1
-    return {
-        "master": cfg.seed,
-        "disorder_spawn_keys": [[STREAM_DISORDER, r] for r in range(n)]
-        if _draws(cfg) else [],
-        "chain_spawn_keys": [[STREAM_CHAIN, 0]] if cfg.experiment == "mcmc" else [],
-    }
+    return {"master": cfg.seed,
+            "disorder_spawn_keys": [[STREAM_DISORDER, r] for r in range(n)],
+            "chain_spawn_keys": [[STREAM_CHAIN, 0]] if cfg.experiment == "mcmc" else []}
 
 
 def _solver(cfg: ExperimentConfig) -> str | None:
     """The manifest's ``solver``; None for a run with no Gaussian numbers."""
     if cfg.experiment in ("gaussian-exact", "identities", "scaling", "decay") or (
             cfg.experiment == "mcmc" and cfg.potential.family == "quadratic"):
-        method = gaussian.solver_method(cfg.make_kernel())
         scan = cfg.experiment in ("scaling", "decay")
-        return "spectral" if scan and method == "dst" else method
+        return "spectral" if scan and gaussian.sine_diagonal(cfg.make_kernel()) else "pcg"
     return None
 
 
@@ -517,11 +517,9 @@ def _preloads(cfg: ExperimentConfig) -> list[str]:
     importing ``cli`` does not load.  numpy 2 loads ``numpy.fft`` and
     ``numpy.random`` on first use, and no module imports scipy, ``mcmc`` or
     ``quadrature`` at load, so each would otherwise load inside the clock."""
-    solver = _solver(cfg)
     return [module for module, called in (
-        ("numpy.fft", solver == "dst"),
+        ("numpy.fft", _solver(cfg) == "pcg"),
         ("numpy.random", _draws(cfg)),
-        ("scipy.sparse.linalg", solver == "cg"),
         ("scipy.integrate", cfg.experiment == "quadrature"),
         ("gradlab.mcmc", cfg.experiment == "mcmc"),
         ("gradlab.quadrature", cfg.experiment == "quadrature"),
@@ -548,24 +546,25 @@ def _environment() -> dict[str, Any]:
 
 
 def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
-    """Execute the experiment, writing CSVs and a JSON manifest into out_dir."""
+    """Execute the experiment, writing CSVs and a JSON manifest into out_dir
+    (ConfigError, before any work, if out_dir cannot be created)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
     start = time.perf_counter()
     for module in _preloads(cfg):
         importlib.import_module(module)
     t0 = time.perf_counter()
-    status = "ok"
     files: list[Path] = []
-    summary: dict[str, Any] = {}
     try:
         files, summary, code = _RUNNERS[cfg.experiment](cfg, out)
-        if code == EXIT_INVARIANT:
-            status = "invariant-failure"
     except NumericalError as exc:
-        status = "numerical-failure"
-        summary = {"error": str(exc)}
-        code = EXIT_NUMERICAL
+        summary, code = {"error": str(exc)}, EXIT_NUMERICAL
+    status = {EXIT_OK: "ok", EXIT_INVARIANT: "invariant-failure",
+              EXIT_NUMERICAL: "numerical-failure"}[code]
+    solver = _solver(cfg)
     manifest = {
         "experiment": cfg.experiment,
         "version": __version__,
@@ -578,10 +577,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
         "config": _config_echo(cfg),
         "summaries": summary,
         "outputs": [f.name for f in files],
+        **({"solver": solver} if solver else {}),
     }
-    solver = _solver(cfg)
-    if solver is not None:
-        manifest["solver"] = solver
     manifest_path = out / "run_manifest.json"
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -624,16 +621,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"cannot read config: {exc}") from None
         seed = args.seed if args.seed is not None else _env_int("GRADLAB_SEED")
         cfg = parse_config(text, {"seed": seed} if seed is not None else None)
-        out = Path(args.out or os.environ.get("GRADLAB_OUT") or ".")
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory: {exc}") from None
+        result = run(cfg, args.out or os.environ.get("GRADLAB_OUT") or ".")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    result = run(cfg, out)
     for f in result.files:
         print(f)
     if result.exit_code != EXIT_OK:

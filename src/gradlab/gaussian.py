@@ -9,15 +9,16 @@ where P is the random-walk transition operator restricted to the box with
 zero (Dirichlet) exterior.  The response matrix T_{ij,y} = G_iy - G_jy
 gives the disorder covariance of X as eta2 T T^t.
 
-For the nearest-neighbour kernel I - P is diagonal in the type-I discrete
-sine basis: ``solve_array`` is one forward and one inverse DST-I, each a
-real FFT (``numpy.fft``) of the odd extension along every axis, and
-``covariances`` is a closed-form sum over the sine modes that solves
-nothing; neither needs scipy.  Every other kernel (the range-2 ``axis2``
-stencil is not DST-diagonalisable) is solved by conjugate gradients
-(``scipy.sparse.linalg``) on the matrix-free operator, and its covariances
-are inner products of Green-column differences.  Nothing here assembles the
-operator as a matrix.
+``solve_array`` is one path for every kernel.  M, diagonal in the type-I
+discrete sine basis with the symbol of the kernel's offsets (``_symbol``),
+is I - P for the nearest-neighbour kernel and a spectrally equivalent
+preconditioner for any other (Concus & Golub, SIAM J. Numer. Anal. 10,
+1973).  A solve starts from M^-1 b (a DST-I pair, each real FFTs of the odd
+extension on ``numpy.fft``), where every nearest-neighbour solve ends, and
+otherwise continues by conjugate gradients preconditioned by M^-1.
+``covariances`` sums the sine modes in closed form for the nearest-neighbour
+kernel and takes Green-column differences for any other.  Nothing here
+assembles the operator as a matrix or needs scipy.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class SolverError(NumericalError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Residual target ||Au - b|| <= rel_tolerance ||b||, checked after every
-    solve (the conjugate-gradient path stops after 10 * n_sites iterations;
-    the sine-transform solve has none)."""
+    """Residual target ||Au - b|| <= rel_tolerance ||b||, checked once after
+    every solve (preconditioned conjugate gradients, when the sine solve
+    alone misses it, stop after 10 * n_sites steps)."""
 
     rel_tolerance: float = 1e-10
 
@@ -61,11 +62,8 @@ DEFAULT_SOLVER = SolverConfig()
 
 @dataclass(frozen=True)
 class DirichletLaplacian:
-    """The operator (I - P) on interior height vectors, zero outside the box.
-
-    Symmetric positive definite for any valid kernel; immutable and safe to
-    share across threads (each apply() owns its scratch array).
-    """
+    """The operator (I - P) on interior height vectors, zero outside the
+    box; symmetric positive definite for any valid kernel."""
 
     geometry: BoxGeometry
     kernel: Kernel
@@ -87,6 +85,13 @@ class DirichletLaplacian:
     def _support(self) -> tuple[tuple[Site, float], ...]:
         return tuple(self.kernel.support())
 
+    @cached_property
+    def _sine_divisor(self) -> np.ndarray:
+        """lambda_k (2m)^d, lambda_k the sum of ``_symbol`` over the axes."""
+        lam = reduce(np.add.outer, _symbol(self.geometry, self.kernel))
+        lam[lam == 0.0] = 1.0  # a mode only a kernel with no unit step misses
+        return lam * float(2 * self.geometry.side + 2) ** self.geometry.d
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         g = self.geometry
         full = _pad_heights(g, x)
@@ -96,10 +101,10 @@ class DirichletLaplacian:
         return out.ravel()
 
 
-def solver_method(kernel: Kernel) -> str:
-    """How ``solve_array`` solves with this kernel: "dst" (exact sine
-    transform) for the nearest-neighbour kernel, "cg" for any other."""
-    return "dst" if kernel == Kernel.nearest_neighbor(kernel.d) else "cg"
+def sine_diagonal(kernel: Kernel) -> bool:
+    """Whether the sine modes diagonalise I - P, so that ``covariances`` sums
+    them in closed form: the nearest-neighbour kernel."""
+    return kernel == Kernel.nearest_neighbor(kernel.d)
 
 
 def _sin_pi(n: np.ndarray, M: int) -> np.ndarray:
@@ -109,21 +114,26 @@ def _sin_pi(n: np.ndarray, M: int) -> np.ndarray:
     return np.sin(np.pi / M * np.where(t > M // 2, M - t, t))
 
 
-def _nn_symbol(g: BoxGeometry) -> np.ndarray:
-    """(2/d) sin^2(pi k / 2m) for k = 1..side, m = side + 1: the nearest-
-    neighbour eigenvalue lambda_k is the sum of these over the axes, which
-    is 1 - (1/d) sum_a cos(pi k_a / m) without its cancellation at low k."""
-    m = g.side + 1
-    return 2.0 / g.d * _sin_pi(np.arange(1, m), 2 * m) ** 2
+def _symbol(g: BoxGeometry, kernel: Kernel) -> list[np.ndarray]:
+    """The per-axis symbol of M over k = 1..side, m = side + 1: each offset v
+    adds 2 p(v) sin^2(pi k |v_a| / 2m) on every axis a it moves along.  For
+    nearest neighbours that is (2/d) sin^2(pi k / 2m) per axis, and M is
+    I - P, its eigenvalues 1 - (1/d) sum_a cos(pi k_a / m) free of their
+    cancellation at low k."""
+    k, sym = np.arange(1, g.side + 1), [np.zeros(g.side) for _ in range(g.d)]
+    for v, w in kernel.support():
+        for a in np.flatnonzero(v):
+            sym[a] += 2.0 * w * _sin_pi(abs(v[a]) * k, 2 * g.side + 2) ** 2
+    return sym
 
 
-def _dst_solve(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
-    """Exact solve for the nearest-neighbour kernel on {-L..L}^d.
+def _sine_solve(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
+    """M^-1 b on {-L..L}^d: the exact solve for the nearest-neighbour kernel.
 
     The modes prod_a sin(pi k_a (x_a + L + 1) / m), m = 2L + 2, k_a = 1..2L+1,
-    vanish on the exterior layer and diagonalise I - P with eigenvalues
-    lambda_k (``_nn_symbol``, all > 0), so u = (2m)^-d S (S b / lambda) for
-    the DST-I S_kn = 2 sin(pi k n / m) along every axis, S S = 2m.
+    vanish on the exterior layer and diagonalise M with eigenvalues lambda_k
+    (``_symbol``), so M^-1 b = (2m)^-d S (S b / lambda) for the DST-I
+    S_kn = 2 sin(pi k n / m) along every axis, S S = 2m.
 
     One pass takes the real FFT of the odd extension [0, x, 0, -x reversed]
     (length 2m) of every line along the last axis, whose bins 1..side are
@@ -140,50 +150,50 @@ def _dst_solve(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
         np.negative(buf[..., n:0:-1], out=buf[..., m + 1:])
         t = np.moveaxis(np.fft.rfft(buf, axis=-1).imag[..., 1:m], -1, 0)
         if p == g.d - 1:
-            lam = reduce(np.add.outer, [_nn_symbol(g)] * g.d)
-            np.divide(t, lam * float(2 * m) ** g.d, out=inner)
+            np.divide(t, A._sine_divisor, out=inner)
         elif p < 2 * g.d - 1:
             inner[...] = t
     return t.ravel()
-
-
-def _cg_solve(A: DirichletLaplacian, b: np.ndarray,
-              cfg: SolverConfig) -> tuple[np.ndarray, str | None]:
-    """Conjugate gradients on the matrix-free operator, stopped at relative
-    residual cfg.rel_tolerance or after 10 * n steps.  Returns the iterate
-    and, if the cap stopped it, why."""
-    from scipy.sparse.linalg import LinearOperator, cg
-    maxiter = 10 * A.n
-    op = LinearOperator((A.n, A.n), matvec=A.apply, dtype=float)
-    x, info = cg(op, b, rtol=cfg.rel_tolerance, atol=0.0, maxiter=maxiter)
-    if info != 0:
-        return x, f"conjugate gradients did not converge within {maxiter} iterations"
-    return x, None
 
 
 def solve_array(A: DirichletLaplacian, b: np.ndarray,
                 cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
     """Solve A u = b to ||Au - b|| <= rel_tolerance ||b||, else SolverError.
 
-    The method follows from the kernel (see ``solver_method``): the exact
-    DST-I solve for nearest neighbours, conjugate gradients otherwise.  One
-    residual evaluation checks either result.
+    The sine solve u = M^-1 b comes first: for nearest neighbours M is A,
+    and the residual evaluation that checks u ends the solve.  Otherwise
+    conjugate gradients preconditioned by M^-1 continue from u until the
+    updated residual meets the target, for at most 10 * n steps, and one
+    more residual evaluation checks their result.
     """
     b = np.asarray(b, dtype=float)
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return np.zeros_like(b)
-    method = solver_method(A.kernel)
-    if method == "dst":
-        x, stopped = _dst_solve(A, b), None
-    else:
-        x, stopped = _cg_solve(A, b, cfg)
-    achieved = float(np.linalg.norm(A.apply(x) - b))
-    if stopped is not None or achieved > cfg.rel_tolerance * norm_b * 1.001:
-        raise SolverError(
-            f"{stopped or f'{method} solve missed the tolerance'}: "
-            f"residual {achieved:.3e} > {cfg.rel_tolerance:.1e} * ||b|| = "
-            f"{cfg.rel_tolerance * norm_b:.3e}", achieved)
+    goal, stopped = cfg.rel_tolerance * norm_b, None
+    x = _sine_solve(A, b)
+    r = b - A.apply(x)
+    achieved = float(np.linalg.norm(r))
+    if achieved > goal * 1.001:
+        p, rho_old = np.zeros_like(r), 1.0
+        for _ in range(10 * A.n):
+            z = _sine_solve(A, r)
+            rho = float(r @ z)
+            p = z + (rho / rho_old) * p
+            q = A.apply(p)
+            alpha = rho / float(p @ q)
+            x += alpha * p
+            r -= alpha * q
+            if np.linalg.norm(r) <= goal:
+                break
+            rho_old = rho
+        else:
+            stopped = f"conjugate gradients did not converge within {10 * A.n} steps"
+        achieved = float(np.linalg.norm(b - A.apply(x)))
+    if stopped is not None or achieved > goal * 1.001:
+        raise SolverError(f"{stopped or 'solve missed the tolerance'}: residual "
+                          f"{achieved:.3e} > {cfg.rel_tolerance:.1e} * ||b|| = "
+                          f"{goal:.3e}", achieved)
     return x
 
 
@@ -197,11 +207,8 @@ def green_column(A: DirichletLaplacian, y: Site,
 
 def mean_gradient(A: DirichletLaplacian, eta: DisorderField,
                   cfg: SolverConfig = DEFAULT_SOLVER) -> VectorField:
-    """Mean gradient field X_ij = u_i - u_j with u = G eta (one solve).
-
-    Defined on every kernel edge touching the box; u is clamped to 0
-    outside, so this is simply the gradient field of the solved heights.
-    """
+    """Mean gradient field X_ij = u_i - u_j with u = G eta (one solve), on
+    every kernel edge touching the box: the gradient of u, 0 outside."""
     g = A.geometry
     u = HeightField(g, solve_array(A, eta.values, cfg))
     return gradient_of(g, A.kernel, u)
@@ -240,15 +247,15 @@ def _mode_terms(g: BoxGeometry, edge: Edge) -> list[np.ndarray]:
     return terms if len(axes) else []
 
 
-def _mode_sum(g: BoxGeometry, F: np.ndarray) -> np.ndarray:
+def _mode_sum(g: BoxGeometry, lam: np.ndarray, F: np.ndarray) -> np.ndarray:
     """sum_k prod_a F[t, a, k_a] / lambda_k^2 for each row t of F.
 
     Axes 2..d contract first, one slab of k_1 at a time (memory
     O(side^(d-1))), into weights W(k_1) shared by the rows with equal
     factors there; each row then costs O(side).  Modes whose factor
-    vanishes in every row are skipped.  lambda_k sums ``_nn_symbol`` over
-    the axes."""
-    d, lam = g.d, _nn_symbol(g)
+    vanishes in every row are skipped.  lambda_k sums lam, the per-axis
+    symbol, over the axes."""
+    d = g.d
     keep = [np.flatnonzero(np.any(F[:, a] != 0.0, axis=0)) for a in range(d)]
     U, which = np.unique(F[:, 1:], axis=0, return_inverse=True)
     rest = reduce(np.add.outer, [lam[kp] for kp in keep[1:]], np.zeros(()))
@@ -273,7 +280,7 @@ def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
     """Disorder covariances C(a, b) = eta2 sum_y T_{a,y} T_{b,y} of the mean
     gradient, one per edge pair, and a bound on the error of each.
 
-    For the nearest-neighbour kernel (``solver_method`` "dst") I - P is
+    For the nearest-neighbour kernel (``sine_diagonal``) I - P is
     diagonal in the orthonormal sine modes psi_k(x) = prod_a sqrt(2/m)
     sin(pi k_a (x_a + L + 1) / m), m = 2L + 2, and nothing is solved:
     C(a, b) = eta2 sum_k dpsi_k(a) dpsi_k(b) / lambda_k^2, dpsi_k(a) being
@@ -287,7 +294,7 @@ def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
     if not 0.0 < eta2 < math.inf:
         raise ValueError("eta2 must be > 0 and finite")
     g = A.geometry
-    if solver_method(A.kernel) != "dst":
+    if not sine_diagonal(A.kernel):
         response = {e: _edge_response(A, e, cfg) for pair in pairs for e in pair}
         values = eta2 * np.array([response[a] @ response[b] for a, b in pairs])
         return values, cfg.rel_tolerance * np.abs(values)
@@ -299,7 +306,8 @@ def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
     if not terms:
         return np.zeros(len(pairs)), np.zeros(len(pairs))
     F = np.array(terms)
-    value, total = _mode_sum(g, np.concatenate([F, np.abs(F)])).reshape(2, -1)
+    lam = _symbol(g, A.kernel)[0]  # the same on every axis
+    value, total = _mode_sum(g, lam, np.concatenate([F, np.abs(F)])).reshape(2, -1)
     scale = eta2 * (2.0 / (g.side + 1)) ** g.d
     bound = (g.d * (g.side + 22) + 26) * np.finfo(float).eps * scale
     return (scale * np.bincount(rows, value, len(pairs)),
@@ -322,10 +330,8 @@ def variance(A: DirichletLaplacian, a: Edge, eta2: float,
 
 
 def exterior_leak(A: DirichletLaplacian) -> np.ndarray:
-    """Per-site kernel weight escaping the box: s_i = sum_{j outside} p(j-i).
-
-    Equals A applied to the constant field 1, since the kernel sums to 1.
-    """
+    """Per-site kernel weight escaping the box, s_i = sum_{j outside} p(j-i):
+    A applied to the constant field 1, since the kernel sums to 1."""
     return A.apply(np.ones(A.n))
 
 

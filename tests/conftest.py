@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import LinearOperator, cg
 
 from gradlab.diagnostics import _boundary_sum
 from gradlab.gaussian import solve_array
@@ -136,6 +137,16 @@ def oracle_sparse_operator(A):
                 cols.append(g.index_of(j))
                 vals.append(-w)
     return csr_matrix((vals, (rows, cols)), shape=(g.n_sites, g.n_sites))
+
+
+def oracle_cg_solve(A, b, rel_tolerance):
+    """Unpreconditioned conjugate gradients (scipy) on the matrix-free
+    operator, stopped at relative residual rel_tolerance: a reference for
+    ``solve_array`` that shares none of its code but ``apply``."""
+    op = LinearOperator((A.n, A.n), matvec=A.apply, dtype=float)
+    x, info = cg(op, b, rtol=rel_tolerance, atol=0.0, maxiter=10 * A.n)
+    assert info == 0, f"oracle CG did not converge in {info} steps"
+    return x
 
 
 def random_heights(g, seed=0, scale=1.0):

@@ -292,7 +292,7 @@ def test_corrupted_field_hook_exits_invariant_failure(tmp_path, monkeypatch):
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    # an unreachable residual target on the conjugate-gradient (non-nn) path
+    # an unreachable residual target, where preconditioned CG must run (axis2)
     cfg = parse_config("experiment=identities\nd=2\nL=6\nkernel=axis2\n"
                        "rel_tolerance=1e-20\n")
     result = run(cfg, tmp_path)
@@ -309,18 +309,18 @@ def test_unreachable_tolerance_on_the_dst_path_exits_numerical_failure(tmp_path,
     assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
     assert "status: numerical-failure" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["solver"] == "dst"
+    assert manifest["solver"] == "pcg"
     assert "residual" in manifest["summaries"]["error"]
 
 
 @pytest.mark.parametrize("text,method", [
-    pytest.param("experiment=identities\nd=2\nL=3\n", "dst", id="nn"),
-    pytest.param("experiment=identities\nd=2\nL=3\nkernel=axis2\n", "cg",
+    pytest.param("experiment=identities\nd=2\nL=3\n", "pcg", id="nn"),
+    pytest.param("experiment=identities\nd=2\nL=3\nkernel=axis2\n", "pcg",
                  id="axis2"),
     pytest.param("experiment=decay\nd=3\nL=4\nr_list=2\n", "spectral", id="decay"),
     pytest.param("experiment=scaling\nd=2\nL_list=2,4\n", "spectral",
                  id="scaling-nn"),
-    pytest.param("experiment=scaling\nd=2\nL_list=2,4\nkernel=axis2\n", "cg",
+    pytest.param("experiment=scaling\nd=2\nL_list=2,4\nkernel=axis2\n", "pcg",
                  id="scaling-axis2"),
     pytest.param("experiment=quadrature\nR_list=10\n", None, id="no-solve"),
 ])
@@ -438,6 +438,7 @@ def test_main_seed_flag_and_env_override(tmp_path, monkeypatch):
 ])
 def test_manifest_lists_no_streams_for_a_run_that_draws_nothing(text, tmp_path):
     manifest = run(parse_config(text), tmp_path).manifest
+    assert "master" not in manifest["seeds"]
     assert manifest["seeds"]["disorder_spawn_keys"] == []
     assert manifest["seeds"]["chain_spawn_keys"] == []
 
@@ -453,6 +454,15 @@ def test_main_rejects_an_output_path_that_is_a_file(tmp_path, capsys):
     assert "Traceback" not in err
     assert out.read_text() == ""
     assert not (tmp_path / "run_manifest.json").exists()
+
+
+def test_run_rejects_an_output_path_that_is_a_file(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("")
+    with pytest.raises(ConfigError, match="cannot create output directory"):
+        run(parse_config("experiment=scaling\nd=2\nL_list=2\n"), out)
+    assert out.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_experiment_config_defaults_are_valid():

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from conftest import (gaussian_eta, loop_residuals, oracle_boundary_edges,
-                      oracle_sparse_operator, solve_green)
+                      oracle_cg_solve, oracle_sparse_operator, solve_green)
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
-                              _cg_solve, _dst_solve, _nn_symbol, covariance,
-                              covariances, green_column,
-                              mean_gradient, solve_array,
-                              solver_method, surface_identity_check, variance)
+                              _sin_pi, _sine_solve, _symbol, covariance,
+                              covariances, green_column, mean_gradient,
+                              sine_diagonal, solve_array,
+                              surface_identity_check, variance)
 from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, HeightField,
                            Kernel, kernel_edges)
 
 TIGHT = SolverConfig(rel_tolerance=1e-12)
+#: p = 1/8 on +-e1, +-e2, +-(1, 1), +-(1, -1): offsets the separable sine
+#: symbol splits over both axes
+DIAGONAL = Kernel.from_map(2, {v: 0.125 for v in [
+    (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]})
+#: jumps of +-3 only: at L = 2 the sine symbol vanishes on mode k = 4
+THREE_STEP = Kernel.from_map(1, {(3,): 0.5, (-3,): 0.5})
 
 
 def make_operator(d, L, kernel=None):
@@ -84,7 +90,7 @@ def test_green_column_matches_dense_inverse():
 
 
 def test_solver_error_reports_residual():
-    # an unreachable residual target on the conjugate-gradient (non-nn) path
+    # an unreachable residual target, where preconditioned CG must run (axis2)
     A, g, _ = make_operator(2, 6, Kernel.axis_kernel(2, 2))
     eta = gaussian_eta(g)
     with pytest.raises(SolverError) as err:
@@ -108,26 +114,69 @@ def test_solver_config_rejects_non_positive_and_non_finite_tolerances(rel_tolera
         SolverConfig(rel_tolerance=rel_tolerance)
 
 
-def test_solver_method_follows_the_kernel():
+def test_only_the_nearest_neighbour_kernel_is_sine_diagonal():
     for d in (1, 2, 3):
-        assert solver_method(Kernel.nearest_neighbor(d)) == "dst"
-        assert solver_method(Kernel.axis_kernel(d, 1)) == "dst"  # same weights
-        assert solver_method(Kernel.axis_kernel(d, 2)) == "cg"
-    lazy = Kernel.from_map(1, {(1,): 0.25, (-1,): 0.25, (0,): 0.5})
-    assert solver_method(lazy) == "cg"
+        assert sine_diagonal(Kernel.nearest_neighbor(d))
+        assert sine_diagonal(Kernel.axis_kernel(d, 1))  # same weights
+        assert not sine_diagonal(Kernel.axis_kernel(d, 2))
+    assert not sine_diagonal(DIAGONAL)
 
 
-@pytest.mark.parametrize("d,L", [(1, 0), (1, 7), (2, 0), (2, 3), (2, 9),
-                                 (3, 0), (3, 2), (3, 5)])
-def test_dst_solve_matches_conjugate_gradients(d, L):
-    A, g, _ = make_operator(d, L)
+@pytest.mark.parametrize("kernel,d,L", [
+    *(pytest.param(None, d, L, id=f"{d}-{L}")
+      for d, L in [(1, 0), (1, 7), (2, 0), (2, 3), (2, 9), (3, 0), (3, 2), (3, 5)]),
+    *(pytest.param(Kernel.axis_kernel(d, 2), d, L, id=f"axis2-{d}-{L}")
+      for d, L in [(1, 0), (1, 7), (1, 30), (2, 0), (2, 3), (2, 9), (3, 0),
+                   (3, 2), (3, 5)]),
+    pytest.param(DIAGONAL, 2, 3, id="diagonal-2-3"),
+    pytest.param(DIAGONAL, 2, 9, id="diagonal-2-9"),
+    pytest.param(THREE_STEP, 1, 2, id="three-step-1-2"),
+])
+def test_dst_solve_matches_conjugate_gradients(kernel, d, L):
+    A, g, k = make_operator(d, L, kernel)
     # a positive source keeps every entry of u = G b away from zero
     b = np.random.default_rng(10 * d + L).uniform(0.5, 1.5, size=g.n_sites)
     u = solve_array(A, b, TIGHT)
-    reference, stopped = _cg_solve(A, b, TIGHT)
-    assert stopped is None
+    reference = oracle_cg_solve(A, b, TIGHT.rel_tolerance)
     np.testing.assert_allclose(u, reference, rtol=1e-10)
-    assert np.linalg.norm(A.apply(u) - b) <= 1e-13 * np.linalg.norm(b)
+    bound = 1e-13 if sine_diagonal(k) else 1.001 * TIGHT.rel_tolerance
+    assert np.linalg.norm(A.apply(u) - b) <= bound * np.linalg.norm(b)
+
+
+def count_applies(monkeypatch):
+    """Patch DirichletLaplacian.apply to count its calls; returns the count."""
+    calls = [0]
+    apply = DirichletLaplacian.apply
+
+    def counted(self, x):
+        calls[0] += 1
+        return apply(self, x)
+
+    monkeypatch.setattr(DirichletLaplacian, "apply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d,L", [(1, 7), (2, 9), (3, 5)])
+def test_nn_solve_applies_the_operator_once(d, L, monkeypatch):
+    # the sine solve is exact, so its one residual check ends the solve
+    A, g, _ = make_operator(d, L)
+    b = np.random.default_rng(d).normal(size=g.n_sites)
+    calls = count_applies(monkeypatch)
+    u = solve_array(A, b, TIGHT)
+    assert calls == [1]
+    assert u.tobytes() == _sine_solve(A, b).tobytes()
+
+
+@pytest.mark.parametrize("d,Ls", [(2, (8, 16, 32, 64)), (3, (4, 8, 16))])
+def test_axis2_steps_do_not_grow_with_the_box(d, Ls, monkeypatch):
+    # unpreconditioned CG needs 25-154 steps at d=2 over these boxes
+    calls = count_applies(monkeypatch)
+    k = Kernel.axis_kernel(d, 2)
+    for L in Ls:
+        A = DirichletLaplacian(BoxGeometry.for_kernel(d, L, k), k)
+        calls[0] = 0
+        green_column(A, (0,) * d)
+        assert calls[0] - 2 <= 7, L  # a start and a final residual, then steps
 
 
 SMALL_BOXES = [(1, 0), (1, 1), (1, 10), (2, 0), (2, 1), (2, 5), (3, 0), (3, 1),
@@ -154,7 +203,7 @@ def test_numpy_dst_solve_matches_scipy_dst(d, L):
     x = x / nn_eigenvalues(g)
     for a in range(d):
         x = idst(x, type=1, axis=a)
-    np.testing.assert_allclose(_dst_solve(A, b), x.ravel(), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(_sine_solve(A, b), x.ravel(), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("d,L", SMALL_BOXES)
@@ -162,7 +211,7 @@ def test_numpy_dst_solve_matches_dense_inverse(d, L):
     A, g, _ = make_operator(d, L)
     b = np.random.default_rng(d * 100 + L + 1).uniform(0.5, 1.5, size=g.n_sites)
     reference = np.linalg.solve(oracle_sparse_operator(A).toarray(), b)
-    np.testing.assert_allclose(_dst_solve(A, b), reference, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(_sine_solve(A, b), reference, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("d,L", [(1, 3), (2, 1024), (3, 16)])
@@ -172,7 +221,24 @@ def test_nn_symbol_has_no_cancellation_at_low_modes(d, L):
     g = BoxGeometry(d, L)
     m = g.side + 1
     want = 2.0 / d * np.sin(np.pi * np.arange(1, m) / (2 * m)) ** 2
-    np.testing.assert_allclose(_nn_symbol(g), want, rtol=1e-14, atol=0.0)
+    for axis in _symbol(g, Kernel.nearest_neighbor(d)):
+        np.testing.assert_allclose(axis, want, rtol=1e-14, atol=0.0)
+
+
+def nn_axis_symbol(g):
+    """(2/d) sin^2(pi k / 2m) for k = 1..side, m = side + 1, as one product:
+    the form the nearest-neighbour golden files were recorded with."""
+    m = g.side + 1
+    return 2.0 / g.d * _sin_pi(np.arange(1, m), 2 * m) ** 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_nn_symbol_is_bitwise_the_closed_form(d):
+    for L in (0, 1, 6, 37, 500):
+        g = BoxGeometry(d, L)
+        want = nn_axis_symbol(g).tobytes()
+        axes = _symbol(g, Kernel.nearest_neighbor(d))
+        assert [a.tobytes() for a in axes] == [want] * d
 
 
 # ---------------------------------------------------------------------------

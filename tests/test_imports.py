@@ -2,7 +2,7 @@
 
 No module of the package imports scipy at module level, and the package
 imports none of its modules; ``cli.run`` imports the modules its run calls
-(``cli._preloads``: ``numpy.fft``, ``numpy.random``, a scipy module,
+(``cli._preloads``: ``numpy.fft``, ``numpy.random``, ``scipy.integrate``,
 ``gradlab.mcmc`` or ``gradlab.quadrature``) before it starts the clock of
 ``wall_time_s``.  Each run here is a fresh interpreter, so ``sys.modules``
 shows what that experiment alone loaded.
@@ -51,7 +51,6 @@ print(json.dumps({"code": code, "added": added,
 
 SOLVER_MODULES = ("scipy.fft", "scipy.sparse.linalg", "scipy.integrate")
 NO_SCIPY = ()
-CG = ("scipy.sparse.linalg",)
 #: what every run loads: the CLI module and the modules it calls on every path
 CORE = ["gradlab.cli", "gradlab.diagnostics", "gradlab.gaussian", "gradlab.model"]
 #: the runs that draw random numbers, disorder or a chain
@@ -78,11 +77,11 @@ def fresh_env():
                  id="identities-nn"),
     pytest.param("experiment=mcmc\nd=2\nL=1\nburn_in_sweeps=20\n"
                  "measure_sweeps=200\n", NO_SCIPY, id="mcmc-quadratic"),
-    pytest.param("experiment=gaussian-exact\nd=2\nL=2\nkernel=axis2\n", CG,
+    pytest.param("experiment=gaussian-exact\nd=2\nL=2\nkernel=axis2\n", NO_SCIPY,
                  id="gaussian-axis2"),
-    pytest.param("experiment=identities\nd=2\nL=2\nkernel=axis2\n", CG,
+    pytest.param("experiment=identities\nd=2\nL=2\nkernel=axis2\n", NO_SCIPY,
                  id="identities-axis2"),
-    pytest.param("experiment=scaling\nd=2\nL_list=2\nkernel=axis2\n", CG,
+    pytest.param("experiment=scaling\nd=2\nL_list=2\nkernel=axis2\n", NO_SCIPY,
                  id="scaling-axis2"),
     # scipy.integrate itself imports the other two
     pytest.param("experiment=quadrature\nR_list=10\n", SOLVER_MODULES,
@@ -102,8 +101,8 @@ def test_each_run_loads_only_the_scipy_module_it_calls(text, loaded, tmp_path):
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     if not loaded:
         assert report["scipy"] == []
-        # only a sine-transform solve loads numpy.fft
-        assert report["numpy_fft"] == (manifest.get("solver") == "dst")
+        # every solve, and only a solve, runs the sine transform on numpy.fft
+        assert report["numpy_fft"] == (manifest.get("solver") == "pcg")
     # numpy.random in the runs that draw, or else only as scipy's own import
     assert report["numpy_random"] == (experiment in DRAWS or bool(loaded))
     assert ("numpy.random" in cli._preloads(cli.parse_config(text))) == \
@@ -120,6 +119,7 @@ def test_each_run_loads_only_the_scipy_module_it_calls(text, loaded, tmp_path):
 
 def test_dst_solves_preload_numpy_fft_and_no_scipy():
     for text in ("experiment=identities\nd=2\nL=2\n",
+                 "experiment=identities\nd=2\nL=2\nkernel=axis2\n",
                  "experiment=mcmc\nd=2\nL=1\n"):
         preloads = cli._preloads(cli.parse_config(text))
         assert "numpy.fft" in preloads
@@ -158,6 +158,12 @@ def test_no_module_imports_scipy_at_import_time():
                  if (mods := [m for m in import_time_modules(ast.parse(p.read_text()))
                               if m.split(".")[0] == "scipy"])}
     assert offenders == {}
+
+
+def test_no_module_names_scipy_sparse():
+    # the linear solve is numpy alone; scipy's cg is a test oracle
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert [p.name for p in sources if "scipy.sparse" in p.read_text()] == []
 
 
 def test_the_import_guard_sees_nested_and_conditional_imports():
