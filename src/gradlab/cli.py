@@ -6,6 +6,11 @@ the config, the versions, the timings and the derived per-task seeds;
 re-running the same config with the same version reproduces the CSVs byte
 for byte.  Floats are serialized with 17 significant digits.
 
+Each experiment is one ``Experiment`` record in ``EXPERIMENTS``: its
+runner, its keys, the sizes, dimension and kernel it requires, the kind of
+its exact Gaussian numbers and its preloads.  ``_validate`` is one pass
+that checks a config against its record.
+
 Seed discipline: a single master ``seed`` is split into independent
 streams with counter-style spawn keys, (0, realization) for disorder
 fields and (1, chain) for Markov chains, so execution order never changes
@@ -60,9 +65,6 @@ from .model import (BoxGeometry, DisorderSpec, Kernel, Potential,
 if TYPE_CHECKING:
     from . import mcmc
 
-EXPERIMENTS = ("gaussian-exact", "mcmc", "scaling", "decay", "clt",
-               "quadrature", "identities")
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
@@ -73,19 +75,9 @@ DIVERGENCE_TOLERANCE = 1e-8
 SURFACE_TOLERANCE = 1e-8
 SECOND_MOMENT_TOLERANCE = 1e-6
 
-#: the keys each experiment reads besides ``experiment``; a run given any
-#: other key rejects it.  Beyond these, a run that solves (``_solver`` gives
-#: "pcg") reads ``rel_tolerance``, and ``L_list`` replaces ``L``.
-_MODEL = {"d", "L", "kernel", "potential", "disorder", "eta2", "seed"}
-KEYS = {
-    "identities": _MODEL | {"n_realizations"},
-    "gaussian-exact": _MODEL | {"n_realizations"},
-    "mcmc": _MODEL | {"proposal_width", "burn_in_sweeps", "measure_sweeps", "thin"},
-    "scaling": {"d", "L", "L_list", "kernel", "potential", "eta2"},
-    "decay": {"d", "L", "kernel", "potential", "eta2", "r_list"},
-    "clt": {"d", "L", "L_list", "kernel", "n_realizations", "disorder", "eta2", "seed"},
-    "quadrature": {"R_list"},
-}
+#: the keys of every run on a box, and of every run that samples disorder
+_BOX = frozenset({"d", "L", "kernel", "eta2"})
+_MODEL = _BOX | {"potential", "disorder", "seed"}
 
 #: the largest lattice dimension: the padded one-site box alone has 3^d
 #: cells (5^d for ``axis2``), and the nearest-neighbour kernel 2d offsets of
@@ -223,6 +215,11 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> Experime
     return config
 
 
+def _sizes(cfg: ExperimentConfig) -> tuple[int, ...]:
+    """The box sizes of the run: ``L_list`` when set, else ``L`` if set."""
+    return cfg.L_list or ((cfg.L,) if cfg.L is not None else ())
+
+
 def _validate(cfg: ExperimentConfig, given: dict[str, int | None]) -> None:
     """Check cfg; `given` maps each key set to its line (None: an override)."""
     if cfg.experiment not in EXPERIMENTS:
@@ -233,56 +230,38 @@ def _validate(cfg: ExperimentConfig, given: dict[str, int | None]) -> None:
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     cfg.make_kernel()
-    exp = cfg.experiment
-    reads = KEYS[exp] | {"experiment"} | (
+    exp, spec = cfg.experiment, EXPERIMENTS[cfg.experiment]
+    reads = spec.keys | {"experiment"} | (
         {"rel_tolerance"} if _solver(cfg) == "pcg" else set())
     if cfg.L_list and "L_list" in reads:
-        reads.discard("L")
+        reads -= {"L"}
     for key, line in given.items():
         if key not in reads:
             raise ConfigError(f"{exp} experiment does not read {key!r}", line)
-    if exp == "quadrature":
-        if not cfg.R_list:
-            raise ConfigError("quadrature experiment requires R_list")
-        if any(r <= 0 for r in cfg.R_list):
-            raise ConfigError("R_list entries must be > 0")
-    if exp in ("scaling", "clt"):
-        ls = cfg.L_list if cfg.L_list else ((cfg.L,) if cfg.L is not None else None)
-        if not ls:
-            raise ConfigError(f"{exp} experiment requires L or L_list")
-        if any(L < 1 for L in ls):
-            raise ConfigError(f"L must be >= 1 for {exp}")
-    if exp in ("gaussian-exact", "mcmc", "identities", "decay"):
-        if cfg.L is None:
-            raise ConfigError(f"{exp} experiment requires L")
-        if cfg.L < 0:
-            raise ConfigError("L must be >= 0")
-    if exp == "decay":
-        if cfg.d != 3:
-            raise ConfigError("decay experiment requires d=3")
-        if not cfg.r_list:
-            raise ConfigError("decay experiment requires r_list")
-        if any(r < 0 or r % 2 or r > cfg.L // 2 for r in cfg.r_list):
-            raise ConfigError("r_list entries must be even separations r with "
-                              f"0 <= r <= L//2 = {cfg.L // 2}")
-    if exp == "gaussian-exact":
-        if cfg.d != 2:
-            raise ConfigError("gaussian-exact experiment requires d=2 "
-                              "(per-side boundary averages)")
-        if cfg.L < 1:
-            raise ConfigError("gaussian-exact experiment requires L >= 1")
-    if exp in ("decay", "clt") and cfg.kernel != "nn":
+    if spec.min_L is not None:
+        if not _sizes(cfg):
+            raise ConfigError(f"{exp} experiment requires "
+                              + " or ".join(sorted(spec.keys & {"L", "L_list"})))
+        if min(_sizes(cfg)) < spec.min_L:
+            raise ConfigError(f"L must be >= {spec.min_L} for {exp}")
+    if spec.d is not None and cfg.d != spec.d:
+        raise ConfigError(f"{exp} experiment requires d={spec.d}")
+    for key in sorted(spec.keys & {"r_list", "R_list"}):
+        if not getattr(cfg, key):
+            raise ConfigError(f"{exp} experiment requires {key}")
+    if any(r <= 0 for r in cfg.R_list or ()):
+        raise ConfigError("R_list entries must be > 0")
+    if any(r < 0 or r % 2 or r > cfg.L // 2 for r in cfg.r_list or ()):
+        raise ConfigError("r_list entries must be even separations r with "
+                          f"0 <= r <= L//2 = {cfg.L // 2}")
+    if spec.nn_only and cfg.kernel != "nn":
         raise ConfigError(f"{exp} experiment requires kernel=nn")
-    if exp in ("gaussian-exact", "identities") and cfg.n_realizations < 1:
-        raise ConfigError(f"{exp} experiment requires n_realizations >= 1")
-    if exp in ("gaussian-exact", "identities", "scaling", "decay") and cfg.potential.b != 0.0:
+    if spec.min_realizations is not None and cfg.n_realizations < spec.min_realizations:
+        raise ConfigError(f"{exp} experiment requires n_realizations >= "
+                          f"{spec.min_realizations}")
+    if spec.gaussian is not None and cfg.potential.b != 0.0:
         raise ConfigError(f"{exp} experiment requires a quadratic potential "
                           "(no quartic term)")
-    if exp == "clt":
-        if cfg.d != 2:
-            raise ConfigError("clt experiment requires d=2")
-        if cfg.n_realizations < 100:
-            raise ConfigError("clt experiment requires n_realizations >= 100")
     try:
         cfg.disorder_spec()
         cfg.solver()
@@ -435,8 +414,7 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
 
 
 def _run_scaling(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
-    ls = list(cfg.L_list if cfg.L_list else (cfg.L,))
-    scan = diagnostics.variance_scaling_scan(cfg.d, ls, cfg.eta2,
+    scan = diagnostics.variance_scaling_scan(cfg.d, list(_sizes(cfg)), cfg.eta2,
                                              kernel=cfg.make_kernel(),
                                              cfg=cfg.solver())
     path = out / "scaling.csv"
@@ -467,8 +445,8 @@ def _run_decay(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]
 
 
 def _run_clt(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
-    ls = list(cfg.L_list if cfg.L_list else (cfg.L,))
-    scan = diagnostics.clt_scan(ls, cfg.n_realizations, cfg.disorder_spec(0))
+    scan = diagnostics.clt_scan(list(_sizes(cfg)), cfg.n_realizations,
+                                cfg.disorder_spec(0))
     rows = [[L, v, e, diagnostics.clt_population_value(int(L), 2, cfg.eta2)]
             for L, v, e in scan.rows]
     path = out / "clt.csv"
@@ -477,27 +455,52 @@ def _run_clt(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
     return [path], {"max_relative_deviation": worst}, EXIT_OK
 
 
-_RUNNERS = {
-    "quadrature": _run_quadrature,
-    "identities": _run_identities,
-    "gaussian-exact": _run_gaussian_exact,
-    "mcmc": _run_mcmc,
-    "scaling": _run_scaling,
-    "decay": _run_decay,
-    "clt": _run_clt,
+class Experiment(NamedTuple):
+    """What one experiment reads, requires and loads.  A run given a key
+    outside ``keys`` rejects it, except that a run that solves (``_solver``
+    gives "pcg") reads ``rel_tolerance``, and ``L_list`` replaces ``L``.
+    Exact Gaussian numbers (``gaussian`` not None) admit no quartic term."""
+
+    run: Callable[[ExperimentConfig, Path], tuple[list[Path], dict, int]]
+    keys: frozenset[str]                 # the keys read besides ``experiment``
+    d: int | None = None                 # the one dimension it runs in
+    min_L: int | None = None             # None: it runs on no box
+    min_realizations: int | None = None  # None: it reads no n_realizations
+    nn_only: bool = False                # it accepts only ``kernel=nn``
+    gaussian: str | None = None          # "solve", "scan" (covariances) or None
+    preloads: tuple[str, ...] = ()       # its own modules (see _preloads)
+
+
+#: the experiments, in the order the "choose one of" message lists them
+EXPERIMENTS = {
+    "gaussian-exact": Experiment(_run_gaussian_exact, _MODEL | {"n_realizations"},
+                                 d=2, min_L=1, min_realizations=1, gaussian="solve"),
+    "mcmc": Experiment(_run_mcmc, _MODEL | {"proposal_width", "burn_in_sweeps",
+                                            "measure_sweeps", "thin"},
+                       min_L=0, preloads=("gradlab.mcmc",)),
+    "scaling": Experiment(_run_scaling, _BOX | {"L_list", "potential"},
+                          min_L=1, gaussian="scan"),
+    "decay": Experiment(_run_decay, _BOX | {"potential", "r_list"},
+                        d=3, min_L=0, nn_only=True, gaussian="scan"),
+    "clt": Experiment(_run_clt, _BOX | {"L_list", "n_realizations", "disorder", "seed"},
+                      d=2, min_L=1, min_realizations=100, nn_only=True),
+    "quadrature": Experiment(_run_quadrature, frozenset({"R_list"}),
+                             preloads=("scipy.integrate", "gradlab.quadrature")),
+    "identities": Experiment(_run_identities, _MODEL | {"n_realizations"},
+                             min_L=0, min_realizations=1, gaussian="solve"),
 }
 
 
 def _draws(cfg: ExperimentConfig) -> bool:
     """Whether the run draws random numbers: the runs that read ``seed``."""
-    return "seed" in KEYS[cfg.experiment]
+    return "seed" in EXPERIMENTS[cfg.experiment].keys
 
 
 def _task_seeds(cfg: ExperimentConfig) -> dict[str, Any]:
     """The master seed and its streams; neither for a run that draws nothing."""
     if not _draws(cfg):
         return {"disorder_spawn_keys": [], "chain_spawn_keys": []}
-    n = cfg.n_realizations if "n_realizations" in KEYS[cfg.experiment] else 1
+    n = cfg.n_realizations if EXPERIMENTS[cfg.experiment].min_realizations else 1
     return {"master": cfg.seed,
             "disorder_spawn_keys": [[STREAM_DISORDER, r] for r in range(n)],
             "chain_spawn_keys": [[STREAM_CHAIN, 0]] if cfg.experiment == "mcmc" else []}
@@ -505,11 +508,11 @@ def _task_seeds(cfg: ExperimentConfig) -> dict[str, Any]:
 
 def _solver(cfg: ExperimentConfig) -> str | None:
     """The manifest's ``solver``; None for a run with no Gaussian numbers."""
-    if cfg.experiment in ("gaussian-exact", "identities", "scaling", "decay") or (
-            cfg.experiment == "mcmc" and cfg.potential.family == "quadratic"):
-        scan = cfg.experiment in ("scaling", "decay")
-        return "spectral" if scan and gaussian.sine_diagonal(cfg.make_kernel()) else "pcg"
-    return None
+    kind = EXPERIMENTS[cfg.experiment].gaussian
+    if kind == "scan" and gaussian.sine_diagonal(cfg.make_kernel()):
+        return "spectral"
+    exact_column = cfg.experiment == "mcmc" and cfg.potential.family == "quadratic"
+    return "pcg" if kind or exact_column else None
 
 
 def _preloads(cfg: ExperimentConfig) -> list[str]:
@@ -517,13 +520,9 @@ def _preloads(cfg: ExperimentConfig) -> list[str]:
     importing ``cli`` does not load.  numpy 2 loads ``numpy.fft`` and
     ``numpy.random`` on first use, and no module imports scipy, ``mcmc`` or
     ``quadrature`` at load, so each would otherwise load inside the clock."""
-    return [module for module, called in (
-        ("numpy.fft", _solver(cfg) == "pcg"),
-        ("numpy.random", _draws(cfg)),
-        ("scipy.integrate", cfg.experiment == "quadrature"),
-        ("gradlab.mcmc", cfg.experiment == "mcmc"),
-        ("gradlab.quadrature", cfg.experiment == "quadrature"),
-    ) if called]
+    return ([module for module, called in (("numpy.fft", _solver(cfg) == "pcg"),
+                                           ("numpy.random", _draws(cfg)))
+             if called] + list(EXPERIMENTS[cfg.experiment].preloads))
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -559,7 +558,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
     t0 = time.perf_counter()
     files: list[Path] = []
     try:
-        files, summary, code = _RUNNERS[cfg.experiment](cfg, out)
+        files, summary, code = EXPERIMENTS[cfg.experiment].run(cfg, out)
     except NumericalError as exc:
         summary, code = {"error": str(exc)}, EXIT_NUMERICAL
     status = {EXIT_OK: "ok", EXIT_INVARIANT: "invariant-failure",

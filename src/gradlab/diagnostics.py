@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gaussian
-from .model import (BoxGeometry, DisorderField, DisorderSpec, Edge, Kernel,
+from .model import (BoxGeometry, DisorderSpec, Edge, HeightField, Kernel,
                     VectorField, boundary_table, sample_disorder, site_flux)
 
 
@@ -109,7 +109,7 @@ def _boundary_sum(X: VectorField, g: BoxGeometry, k: Kernel,
     return _fold(table.weights[on] * X.data.ravel()[table.cells[on]])
 
 
-def divergence_residual(X: VectorField, eta: DisorderField, g: BoxGeometry,
+def divergence_residual(X: VectorField, eta: HeightField, g: BoxGeometry,
                         k: Kernel) -> tuple[np.ndarray, float]:
     """Per-site residuals r_i = eta_i - sum_j p(j-i) X_ij and their max |.|.
 

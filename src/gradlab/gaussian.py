@@ -31,9 +31,8 @@ from itertools import product
 import numpy as np
 
 from . import NumericalError
-from .model import (BoxGeometry, DisorderField, Edge, HeightField, Kernel,
-                    Site, VectorField, _pad_heights, _shifted, gradient_of,
-                    validate_kernel)
+from .model import (BoxGeometry, Edge, HeightField, Kernel, Site, VectorField,
+                    _pad_heights, _shifted, gradient_of, validate_kernel)
 
 
 class SolverError(NumericalError):
@@ -205,7 +204,7 @@ def green_column(A: DirichletLaplacian, y: Site,
     return solve_array(A, b, cfg)
 
 
-def mean_gradient(A: DirichletLaplacian, eta: DisorderField,
+def mean_gradient(A: DirichletLaplacian, eta: HeightField,
                   cfg: SolverConfig = DEFAULT_SOLVER) -> VectorField:
     """Mean gradient field X_ij = u_i - u_j with u = G eta (one solve), on
     every kernel edge touching the box: the gradient of u, 0 outside."""
@@ -216,13 +215,13 @@ def mean_gradient(A: DirichletLaplacian, eta: DisorderField,
 
 def _edge_response(A: DirichletLaplacian, edge: Edge,
                    cfg: SolverConfig) -> np.ndarray:
-    """The vector y -> T_{edge,y}, assembled from one Green column per
-    interior endpoint (columns of G are symmetric in their arguments)."""
-    out = np.zeros(A.n)
+    """The vector y -> T_{edge,y} = G(i, y) - G(j, y): one solve with the
+    dipole source e_i - e_j on the interior endpoints (G is symmetric)."""
+    b = np.zeros(A.n)
     for x, sign in zip(edge, (1.0, -1.0)):
         if edge[0] != edge[1] and A.geometry.contains(x):
-            out += sign * green_column(A, x, cfg)
-    return out
+            b[A.geometry.index_of(x)] = sign
+    return solve_array(A, b, cfg)
 
 
 def _mode_terms(g: BoxGeometry, edge: Edge) -> list[np.ndarray]:
@@ -289,13 +288,15 @@ def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
     cancellation, so a term is good to 21 (d + 1) eps and the scaling to
     d + 2; d nested sums of side terms and a pair's at most four terms add
     d (side - 1) + 3.  Any other kernel takes the inner product of two
-    Green-column differences, with the bound rel_tolerance |C|.
+    edge responses, one solve per distinct edge, with the bound
+    rel_tolerance |C|.
     """
     if not 0.0 < eta2 < math.inf:
         raise ValueError("eta2 must be > 0 and finite")
     g = A.geometry
     if not sine_diagonal(A.kernel):
-        response = {e: _edge_response(A, e, cfg) for pair in pairs for e in pair}
+        edges = dict.fromkeys(e for pair in pairs for e in pair)
+        response = {e: _edge_response(A, e, cfg) for e in edges}
         values = eta2 * np.array([response[a] @ response[b] for a, b in pairs])
         return values, cfg.rel_tolerance * np.abs(values)
     rows, terms = [], []

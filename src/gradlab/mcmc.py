@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import divergence_residual
-from .model import (BoxGeometry, DisorderField, Kernel, Potential, VectorField,
+from .model import (BoxGeometry, HeightField, Kernel, Potential, VectorField,
                     chain_stream, edge_table, neighbor_index, site_flux)
 
 #: proposals beyond this height are rejected outright (and counted); the
@@ -140,7 +140,7 @@ class Chain:
     """
 
     def __init__(self, g: BoxGeometry, k: Kernel, vpot: Potential,
-                 eta: DisorderField, seed: int = 0, chain: int = 0):
+                 eta: HeightField, seed: int = 0, chain: int = 0):
         classes = colour_classes(g, k)
         order = np.concatenate(classes)
         self.slot = np.argsort(np.append(order, g.n_sites))  # the inverse permutation
@@ -234,7 +234,7 @@ class Chain:
 
 
 def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
-                           eta: DisorderField, cfg: SamplerConfig,
+                           eta: HeightField, cfg: SamplerConfig,
                            seed: int = 0, chain: int = 0) -> GradientEstimate:
     """Run one chain and estimate the gradient mean on every kernel edge.
 
@@ -306,7 +306,7 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
         proposal_width=width, cap_rejects=sampler.cap_rejects, retained=retained)
 
 
-def divergence_check(est: GradientEstimate, eta: DisorderField, g: BoxGeometry,
+def divergence_check(est: GradientEstimate, eta: HeightField, g: BoxGeometry,
                      k: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Per-site divergence residuals of the estimated field, with stderrs.
 

@@ -370,16 +370,6 @@ class HeightField:
         return float(self.values[self.geometry.index_of(site)])
 
 
-class DisorderField(HeightField):
-    """A frozen realization of the i.i.d. external field."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, geometry: BoxGeometry, values: np.ndarray, spec: "DisorderSpec"):
-        super().__init__(geometry, values)
-        self.spec = spec
-
-
 @dataclass(frozen=True)
 class DisorderSpec:
     """Distribution family, second moment and stream identity of the disorder.
@@ -426,7 +416,7 @@ def chain_stream(seed: int, chain: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def sample_disorder(spec: DisorderSpec, g: BoxGeometry) -> DisorderField:
+def sample_disorder(spec: DisorderSpec, g: BoxGeometry) -> HeightField:
     """Draw the i.i.d. field on the interior of g.
 
     Deterministic given (seed, realization): values are filled in site index
@@ -442,7 +432,7 @@ def sample_disorder(spec: DisorderSpec, g: BoxGeometry) -> DisorderField:
     else:  # uniform, variance (2a)^2 / 12 = eta2
         a = np.sqrt(3.0 * spec.eta2)
         vals = rng.uniform(-a, a, size=n)
-    return DisorderField(g, vals, spec)
+    return HeightField(g, vals)
 
 
 class VectorField:

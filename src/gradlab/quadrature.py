@@ -55,10 +55,14 @@ def _quad(f, a: float, b: float, cfg: QuadratureConfig, *,
           points=None, epsabs=None, epsrel=None) -> tuple[float, float]:
     """Adaptive panel integral; returns (value, error estimate) or raises."""
     from scipy.integrate import quad
-    res = quad(f, a, b, points=points, limit=cfg.max_subdivisions,
-               epsabs=cfg.abs_tolerance if epsabs is None else epsabs,
-               epsrel=cfg.rel_tolerance if epsrel is None else epsrel,
-               full_output=1)
+    try:
+        res = quad(f, a, b, points=points, limit=cfg.max_subdivisions,
+                   epsabs=cfg.abs_tolerance if epsabs is None else epsabs,
+                   epsrel=cfg.rel_tolerance if epsrel is None else epsrel,
+                   full_output=1)
+    except OverflowError:
+        raise QuadratureError(f"quadrature on [{a:g}, {b:g}] failed: "
+                              "the integrand overflows") from None
     if len(res) > 3:
         raise QuadratureError(
             f"quadrature on [{a:g}, {b:g}] failed: {res[3]}")

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradlab
-from gradlab import diagnostics, gaussian
+from gradlab import cli, diagnostics, gaussian
 from gradlab.cli import (_CASTERS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL,
                          EXIT_OK, EXPERIMENTS, MAX_D, ConfigError,
                          ExperimentConfig, main, parse_config, run)
@@ -201,8 +203,8 @@ def test_main_rejects_a_huge_dimension_before_building_its_kernel(tmp_path, caps
 config_values = st.one_of(
     st.text(),
     st.from_regex(r"-?[0-9]{1,3}(\.[0-9]*)?(e-?[0-9]{1,2})?", fullmatch=True),
-    st.sampled_from(EXPERIMENTS + ("nn", "axis2", "quartic:1:0.1", "quadratic:0",
-                                   "nan", "0,2", ",")))
+    st.sampled_from(tuple(EXPERIMENTS) + ("nn", "axis2", "quartic:1:0.1",
+                                          "quadratic:0", "nan", "0,2", ",")))
 config_lines = st.one_of(
     st.text(),
     st.builds("{}={}".format, st.sampled_from(sorted(_CASTERS)), config_values))
@@ -311,6 +313,18 @@ def test_unreachable_tolerance_on_the_dst_path_exits_numerical_failure(tmp_path,
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["solver"] == "pcg"
     assert "residual" in manifest["summaries"]["error"]
+
+
+@pytest.mark.parametrize("R", ["1e-150", "1e-200"])
+def test_quadrature_at_a_tiny_radius_exits_numerical_failure(R, tmp_path, capsys):
+    # at R = 1e-200 the integrand's R^-2 overflows the float range
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"experiment=quadrature\nR_list={R}\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "status: numerical-failure" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["status"] == "numerical-failure"
+    assert manifest["summaries"]["error"] and manifest["outputs"] == []
 
 
 @pytest.mark.parametrize("text,method", [
@@ -513,6 +527,27 @@ def test_readme_documents_every_config_key_and_no_removed_one():
         assert f"`{name}`" not in readme, name
 
 
+def test_readme_reads_table_matches_each_experiments_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("| reads besides `experiment` |\n", 1)[1].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines()[1:]:
+        names, reads = (cell.strip() for cell in row.strip("|").split("|"))
+        for name in names.split(", "):
+            documented[name] = frozenset(reads.replace(" or ", ", ").split(", "))
+    assert documented == {name: spec.keys for name, spec in EXPERIMENTS.items()}
+
+
+def test_experiment_names_appear_in_cli_only_as_table_keys():
+    # besides its key, "mcmc" names the sampler, the chain stream and the
+    # quadratic exact column
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = Counter(node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in EXPERIMENTS)
+    assert names == {**dict.fromkeys(EXPERIMENTS, 1), "mcmc": 4}
+
+
 @pytest.mark.parametrize("args,message", [
     pytest.param(["--seed", "abc"], "invalid int value", id="bad-seed"),
     pytest.param(["--unknown"], "unrecognized arguments", id="unknown-flag"),
@@ -571,7 +606,7 @@ def test_main_rejects_a_decay_kernel_other_than_nn(tmp_path, capsys):
     pytest.param("experiment=identities\nd=2\nL=1\nn_realizations=-1\n",
                  "n_realizations >= 1", id="identities-n_realizations-negative"),
     pytest.param("experiment=gaussian-exact\nd=2\nL=0\n",
-                 "requires L >= 1", id="gaussian-exact-L-zero"),
+                 "L must be >= 1 for gaussian-exact", id="gaussian-exact-L-zero"),
     pytest.param("experiment=mcmc\nd=2\nL=1\nthin=0\n", "thin must be >= 1",
                  id="thin"),
     pytest.param("experiment=identities\nd=2\nL=1\nrel_tolerance=0\n",

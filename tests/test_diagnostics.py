@@ -16,7 +16,7 @@ from gradlab.diagnostics import (FitResult, ScanResult,
                                  second_moment_identity, variance_scaling_scan)
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, covariance,
                               mean_gradient, variance)
-from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, Kernel,
+from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
                            VectorField, kernel_edges, sample_disorder)
 
 
@@ -49,7 +49,7 @@ def test_divergence_residual_of_exact_gaussian_field():
 
 def test_divergence_residual_zero_everything():
     g, k, A, _ = setup_gaussian(2, 1)
-    eta = DisorderField(g, np.zeros(g.n_sites), DisorderSpec("gaussian", 1.0))
+    eta = HeightField(g, np.zeros(g.n_sites))
     w = VectorField(g, k)
     for edge in kernel_edges(g, k):
         w.set(edge[0], edge[1], 0.0)
@@ -94,7 +94,7 @@ def test_stokes_telescoping_for_arbitrary_antisymmetric_fields(seed):
 
 def test_zero_disorder_arbitrary_field_bookkeeping():
     g, k, A, _ = setup_gaussian(2, 2)
-    eta = DisorderField(g, np.zeros(g.n_sites), DisorderSpec("gaussian", 1.0))
+    eta = HeightField(g, np.zeros(g.n_sites))
     w = random_antisymmetric_field(g, k, 17)
     res, _ = divergence_residual(w, eta, g, k)
     chk = integral_form_check(w, eta, g, k)
@@ -278,6 +278,20 @@ def test_scaling_scan_keeps_the_solver_tolerance_for_other_kernels():
     cfg = SolverConfig(rel_tolerance=1e-9)
     for _, v, err in variance_scaling_scan(2, [2, 3], 1.0, kernel=k, cfg=cfg).rows:
         assert err == pytest.approx(1e-9 * v, rel=1e-15)
+
+
+def test_scaling_scan_solves_each_box_once_for_other_kernels(monkeypatch):
+    # one dipole-source solve per box for the central edge's variance
+    calls = []
+    solve = gaussian.solve_array
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(gaussian, "solve_array", counted)
+    variance_scaling_scan(2, [4, 8, 16, 32], 1.0, kernel=Kernel.axis_kernel(2, 2))
+    assert len(calls) == 4
 
 
 def test_decay_scan_validates_arguments():

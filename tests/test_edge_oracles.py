@@ -18,7 +18,7 @@ from conftest import (integral_form_check, loop_residuals, oracle_boundary_edges
                       oracle_sparse_operator, random_heights, site_of)
 from gradlab import gaussian, mcmc
 from gradlab.diagnostics import boundary_ergodic_average, divergence_residual
-from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec,
+from gradlab.model import (BoxGeometry, DisorderSpec,
                            HeightField, Kernel, Potential, VectorField,
                            boundary_table, canonical_edge, edge_table,
                            gradient_of, kernel_edges, sample_disorder)
@@ -265,6 +265,6 @@ def test_divergence_rejects_a_field_of_another_kernel():
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry.for_kernel(2, 2, Kernel.axis_kernel(2, 2))
     X = VectorField(g, Kernel.axis_kernel(2, 2))
-    eta = DisorderField(g, np.zeros(g.n_sites), DisorderSpec("gaussian", 1.0))
+    eta = HeightField(g, np.zeros(g.n_sites))
     with pytest.raises(ValueError):
         divergence_residual(X, eta, g, k)

@@ -5,14 +5,14 @@ import pytest
 
 from conftest import (gaussian_eta, loop_residuals, oracle_boundary_edges,
                       oracle_cg_solve, oracle_sparse_operator, solve_green)
+from gradlab import gaussian
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
                               _sin_pi, _sine_solve, _symbol, covariance,
                               covariances, green_column, mean_gradient,
                               sine_diagonal, solve_array,
                               surface_identity_check, variance)
-from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, HeightField,
-                           Kernel, kernel_edges)
+from gradlab.model import BoxGeometry, HeightField, Kernel, kernel_edges
 
 TIGHT = SolverConfig(rel_tolerance=1e-12)
 #: p = 1/8 on +-e1, +-e2, +-(1, 1), +-(1, -1): offsets the separable sine
@@ -272,14 +272,14 @@ def test_t_entry_matches_dense_inverse():
 
 def test_mean_gradient_of_zero_disorder_vanishes():
     A, g, k = make_operator(2, 1)
-    eta = DisorderField(g, np.zeros(g.n_sites), DisorderSpec("gaussian", 1.0))
+    eta = HeightField(g, np.zeros(g.n_sites))
     X = mean_gradient(A, eta)
     assert all(v == 0.0 for _, v in X.items())
 
 
 def test_mean_gradient_single_site_unit_field():
     A, g, k = make_operator(2, 0)
-    eta = DisorderField(g, np.ones(1), DisorderSpec("gaussian", 1.0))
+    eta = HeightField(g, np.ones(1))
     X = mean_gradient(A, eta, TIGHT)
     bedges = oracle_boundary_edges(g, k)
     assert len(bedges) == 4
@@ -424,6 +424,19 @@ def test_other_kernels_take_green_columns_with_the_solver_bound():
     for (a, b), v, e in zip(pairs, values, errs):
         assert v == pytest.approx(green_column_covariance(A, a, b, 2.0), rel=1e-12)
         assert e == pytest.approx(TIGHT.rel_tolerance * abs(v), rel=1e-15)
+
+
+def test_other_kernels_solve_once_per_distinct_edge(monkeypatch):
+    A, g, k = make_operator(2, 3, Kernel.axis_kernel(2, 2))
+    a, b = kernel_edges(g, k)[4], kernel_edges(g, k)[11]
+    solves = []
+    monkeypatch.setattr(gaussian, "solve_array",
+                        lambda *args: solves.append(args) or solve_array(*args))
+    values, _ = covariances(A, [(a, a), (a, b), (b, a), (b, b)], 1.0, TIGHT)
+    assert len(solves) == 2
+    assert values[1] == values[2]
+    for (x, y), v in zip([(a, a), (a, b)], values):
+        assert v == pytest.approx(green_column_covariance(A, x, y, 1.0), rel=1e-12)
 
 
 def test_covariance_form_is_positive_semidefinite():

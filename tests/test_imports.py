@@ -29,16 +29,16 @@ PROBE = """\
 import json, sys
 from gradlab import cli
 config, out, experiment = sys.argv[1:]
-runner = cli._RUNNERS[experiment]
+record = cli.EXPERIMENTS[experiment]
 added = []
 
 def watched(cfg, out_dir):
     before = set(sys.modules)
-    result = runner(cfg, out_dir)
+    result = record.run(cfg, out_dir)
     added.extend(sorted(set(sys.modules) - before))
     return result
 
-cli._RUNNERS[experiment] = watched
+cli.EXPERIMENTS[experiment] = record._replace(run=watched)
 code = cli.main([config, "--out", out])
 print(json.dumps({"code": code, "added": added,
                   "scipy": sorted(m for m in sys.modules

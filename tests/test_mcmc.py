@@ -11,7 +11,7 @@ from gradlab.gaussian import DirichletLaplacian, mean_gradient
 from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, TARGET_ACCEPTANCE, Chain,
                           GradientEstimate, SamplerConfig, colour_classes,
                           divergence_check, estimate_gradient_mean)
-from gradlab.model import (BoxGeometry, DisorderField, DisorderSpec, HeightField,
+from gradlab.model import (BoxGeometry, DisorderSpec, HeightField,
                            Kernel, Potential, VectorField, chain_stream, edge_table,
                            energy, kernel_edges, neighbor_index, sample_disorder)
 
@@ -21,7 +21,7 @@ FAST = SamplerConfig(burn_in_sweeps=300, measure_sweeps=4000)
 def single_site_setup(eta_value=0.0):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry.for_kernel(2, 0, k)
-    eta = DisorderField(g, np.array([eta_value]), DisorderSpec("gaussian", 1.0))
+    eta = HeightField(g, np.array([eta_value]))
     return g, k, eta
 
 
@@ -371,7 +371,7 @@ def test_estimates_match_site_order_oracle(d, L, name, vpot, thin):
 def test_zero_disorder_estimates_vanish(quartic):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry.for_kernel(2, 2, k)
-    eta = DisorderField(g, np.zeros(g.n_sites), DisorderSpec("gaussian", 1.0))
+    eta = HeightField(g, np.zeros(g.n_sites))
     est = estimate_gradient_mean(g, k, quartic, eta, FAST, seed=5)
     for e in kernel_edges(g, k):
         assert abs(est.mean.get(*e)) <= 4.0 * est.stderr.get(*e) + 1e-12

@@ -134,3 +134,8 @@ def test_config_validation():
 def test_unreachable_tolerance_raises():
     with pytest.raises(QuadratureError):
         j_of_r(10.0, QuadratureConfig(cutoff=10.0))  # tail bound too large
+
+
+def test_an_overflowing_integrand_raises_quadrature_error():
+    with pytest.raises(QuadratureError, match="overflows"):
+        j_of_r(1e-200)  # R^-2 is beyond the float range
