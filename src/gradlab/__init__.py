@@ -15,5 +15,5 @@ __version__ = "0.1.0"
 
 
 class NumericalError(RuntimeError):
-    """A computation could not reach its requested accuracy: a linear solve
-    (``gaussian.SolverError``) or a quadrature (``quadrature.QuadratureError``)."""
+    """A computation could not reach its requested accuracy, as a linear solve
+    that misses its residual target (``gaussian.SolverError``)."""

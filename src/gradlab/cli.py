@@ -22,14 +22,13 @@ continued by preconditioned conjugate gradients where it alone misses the
 tolerance), or "spectral" for the ``nn`` covariance scans (``scaling``,
 ``decay``), which solve nothing.
 
-Exit codes: 0 success; 1 config error; 2 numerical failure (solver or
-quadrature non-convergence); 3 invariant-check failure (an identity above
-its tolerance).  The ``identities`` gates are the constants
-``DIVERGENCE_TOLERANCE``, ``SURFACE_TOLERANCE`` and
-``SECOND_MOMENT_TOLERANCE``; the ``quadrature`` experiment runs at
-``quadrature.DEFAULT_QUADRATURE`` and the sampler's burn-in tunes its
-proposal width toward ``mcmc.TARGET_ACCEPTANCE``; none of them is a
-config key.
+Exit codes: 0 success; 1 config error; 2 numerical failure (solver
+non-convergence); 3 invariant-check failure (an identity above its
+tolerance); 4 any other error raised by the experiment (its type and message
+in the manifest's ``summaries.error``).  The ``identities`` gates are the
+constants ``DIVERGENCE_TOLERANCE``, ``SURFACE_TOLERANCE`` and
+``SECOND_MOMENT_TOLERANCE``, and the sampler's burn-in tunes its proposal
+width toward ``mcmc.TARGET_ACCEPTANCE``; none of them is a config key.
 
 Usage::
 
@@ -69,6 +68,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_INVARIANT = 3
+EXIT_ERROR = 4
 
 #: the ``identities`` experiment's gates, written to its ``tolerance`` column
 DIVERGENCE_TOLERANCE = 1e-8
@@ -313,9 +313,7 @@ def _run_quadrature(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict,
         rows.append([R, j, abs(j - quadrature.PI2) / quadrature.PI2])
     path = out / "quadrature.csv"
     _write_csv(path, ["R", "J", "rel_dev_pi2"], rows)
-    summary = {"j_limit_reference": quadrature.j_limit_reference(),
-               "pi_squared": quadrature.PI2}
-    return [path], summary, EXIT_OK
+    return [path], {"pi_squared": quadrature.PI2}, EXIT_OK
 
 
 def _run_identities(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
@@ -485,7 +483,7 @@ EXPERIMENTS = {
     "clt": Experiment(_run_clt, _BOX | {"L_list", "n_realizations", "disorder", "seed"},
                       d=2, min_L=1, min_realizations=100, nn_only=True),
     "quadrature": Experiment(_run_quadrature, frozenset({"R_list"}),
-                             preloads=("scipy.integrate", "gradlab.quadrature")),
+                             preloads=("gradlab.quadrature",)),
     "identities": Experiment(_run_identities, _MODEL | {"n_realizations"},
                              min_L=0, min_realizations=1, gaussian="solve"),
 }
@@ -518,7 +516,7 @@ def _solver(cfg: ExperimentConfig) -> str | None:
 def _preloads(cfg: ExperimentConfig) -> list[str]:
     """What ``run`` imports before its clock: the modules the run calls that
     importing ``cli`` does not load.  numpy 2 loads ``numpy.fft`` and
-    ``numpy.random`` on first use, and no module imports scipy, ``mcmc`` or
+    ``numpy.random`` on first use, and no module imports ``mcmc`` or
     ``quadrature`` at load, so each would otherwise load inside the clock."""
     return ([module for module, called in (("numpy.fft", _solver(cfg) == "pcg"),
                                            ("numpy.random", _draws(cfg)))
@@ -538,10 +536,8 @@ def _config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
 
 
 def _environment() -> dict[str, Any]:
-    scipy = sys.modules.get("scipy")  # present only if the run called scipy
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            **({"scipy": scipy.__version__} if scipy else {})}
+            "cpu_count": os.cpu_count()}
 
 
 def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
@@ -561,8 +557,10 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
         files, summary, code = EXPERIMENTS[cfg.experiment].run(cfg, out)
     except NumericalError as exc:
         summary, code = {"error": str(exc)}, EXIT_NUMERICAL
+    except Exception as exc:  # a fault of the run, say an unwritable CSV
+        summary, code = {"error": f"{type(exc).__name__}: {exc}"}, EXIT_ERROR
     status = {EXIT_OK: "ok", EXIT_INVARIANT: "invariant-failure",
-              EXIT_NUMERICAL: "numerical-failure"}[code]
+              EXIT_NUMERICAL: "numerical-failure", EXIT_ERROR: "error"}[code]
     solver = _solver(cfg)
     manifest = {
         "experiment": cfg.experiment,

@@ -18,7 +18,7 @@ extension on ``numpy.fft``), where every nearest-neighbour solve ends, and
 otherwise continues by conjugate gradients preconditioned by M^-1.
 ``covariances`` sums the sine modes in closed form for the nearest-neighbour
 kernel and takes Green-column differences for any other.  Nothing here
-assembles the operator as a matrix or needs scipy.
+assembles the operator as a matrix.
 """
 
 from __future__ import annotations
@@ -313,21 +313,6 @@ def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
     bound = (g.d * (g.side + 22) + 26) * np.finfo(float).eps * scale
     return (scale * np.bincount(rows, value, len(pairs)),
             bound * np.bincount(rows, total, len(pairs)))
-
-
-def covariance(A: DirichletLaplacian, a: Edge, b: Edge, eta2: float,
-               cfg: SolverConfig = DEFAULT_SOLVER) -> float:
-    """Disorder covariance of the mean gradient on edges a and b (see
-    ``covariances``)."""
-    return float(covariances(A, [(a, b)], eta2, cfg)[0][0])
-
-
-def variance(A: DirichletLaplacian, a: Edge, eta2: float,
-             cfg: SolverConfig = DEFAULT_SOLVER) -> float:
-    """Disorder variance of the mean gradient on edge a (covariance with itself)."""
-    if eta2 < 0.0:
-        raise ValueError("eta2 must be >= 0")
-    return covariance(A, a, a, eta2, cfg) if eta2 > 0.0 else 0.0
 
 
 def exterior_leak(A: DirichletLaplacian) -> np.ndarray:

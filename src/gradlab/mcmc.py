@@ -164,10 +164,6 @@ class Chain:
         self.work = np.empty((4, 0, g.n_sites))
         self.ok = np.empty((0, g.n_sites), dtype=bool)
 
-    def site_heights(self) -> np.ndarray:
-        """A copy of ``ph`` in site order, the boundary slot last."""
-        return self.ph[self.slot]
-
     def pair_change(self, c: int, step: np.ndarray, half: np.ndarray,
                     coef: np.ndarray) -> np.ndarray:
         """sum_j p(j - i) [V(t_j + s_i) - V(t_j)] with t_j = phi_i - phi_j,

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import single_site_quadrature_oracle
+from conftest import i_quadrature, j_limit_reference, single_site_quadrature_oracle
 from gradlab import diagnostics, gaussian, mcmc, quadrature
 from gradlab.model import (BoxGeometry, DisorderSpec, Kernel, Potential,
                            kernel_edges, sample_disorder)
@@ -43,10 +43,10 @@ class Stopwatch:
 
 
 def test_criterion_01_quadrature_limit():
-    """The closed-form reference integral hits pi^2 to 1e-6 and J(200) sits
-    within 2% of it."""
+    """The limit integral 8 int_0^1 log x / (x^2 - 1) dx, by quadrature, hits
+    pi^2 to 1e-6 and J(200) sits within 2% of it."""
     watch = Stopwatch(5.0)
-    ref = quadrature.j_limit_reference()
+    ref, _ = j_limit_reference()
     ref_err = abs(ref - quadrature.PI2)
     j200 = quadrature.j_of_r(200.0)
     rel = abs(j200 - quadrature.PI2) / quadrature.PI2
@@ -60,11 +60,12 @@ def test_criterion_01_quadrature_limit():
 
 
 def test_criterion_02_i_j_relation():
-    """The 2-d cylindrical integral reproduces 4R I(R)/pi = J(R) to 1%."""
+    """The 2-d cylindrical integral, by quadrature, reproduces
+    4R I(R)/pi = J(R) to 1%."""
     watch = Stopwatch(30.0)
     rels = {}
     for R in (2.0, 10.0):
-        lhs = 4.0 * R * quadrature.i_of_r(R) / math.pi
+        lhs = 4.0 * R * i_quadrature(R)[0] / math.pi
         rhs = quadrature.j_of_r(R)
         rels[R] = abs(lhs - rhs) / rhs
     ok = all(v <= 0.01 for v in rels.values())

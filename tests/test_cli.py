@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import gradlab
 from gradlab import cli, diagnostics, gaussian
-from gradlab.cli import (_CASTERS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL,
-                         EXIT_OK, EXPERIMENTS, MAX_D, ConfigError,
-                         ExperimentConfig, main, parse_config, run)
+from gradlab.cli import (_CASTERS, EXIT_CONFIG, EXIT_ERROR, EXIT_INVARIANT,
+                         EXIT_NUMERICAL, EXIT_OK, EXPERIMENTS, MAX_D,
+                         ConfigError, ExperimentConfig, main, parse_config, run)
 from gradlab.model import Potential
 
 #: config keys that became constants; each is now an unknown key
@@ -315,16 +315,53 @@ def test_unreachable_tolerance_on_the_dst_path_exits_numerical_failure(tmp_path,
     assert "residual" in manifest["summaries"]["error"]
 
 
-@pytest.mark.parametrize("R", ["1e-150", "1e-200"])
-def test_quadrature_at_a_tiny_radius_exits_numerical_failure(R, tmp_path, capsys):
-    # at R = 1e-200 the integrand's R^-2 overflows the float range
+@pytest.mark.parametrize("R_list", ["0.1,0.03,0.01", "1e-150", "1e-200"])
+def test_quadrature_at_small_radii_writes_the_closed_form(R_list, tmp_path):
+    # R^-2 of the integrand overflows at R = 1e-200; J = 2 pi arctan R does not
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(f"experiment=quadrature\nR_list={R}\n")
-    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
-    assert "status: numerical-failure" in capsys.readouterr().err
+    cfg_path.write_text(f"experiment=quadrature\nR_list={R_list}\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+    rows = read_csv(tmp_path / "quadrature.csv")[1:]
+    assert [float(r) for r, _, _ in rows] == [float(r) for r in R_list.split(",")]
+    for r, j, _ in rows:
+        R, J = float(r), float(j)
+        assert J == pytest.approx(2.0 * math.pi * math.atan(R), rel=1e-15)
+        if R < 1e-100:
+            assert J == pytest.approx(2.0 * math.pi * R, rel=1e-15)
+
+
+def raise_in_the_runner(exc):
+    def runner(cfg, out):
+        raise exc
+    return EXPERIMENTS["quadrature"]._replace(run=runner)
+
+
+def test_an_unexpected_error_exits_with_a_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(EXPERIMENTS, "quadrature",
+                        raise_in_the_runner(RuntimeError("boom")))
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=quadrature\nR_list=10\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_ERROR == 4
+    assert "status: error" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["status"] == "numerical-failure"
-    assert manifest["summaries"]["error"] and manifest["outputs"] == []
+    assert manifest["status"] == "error"
+    assert manifest["partial_outputs"] is True
+    assert manifest["summaries"] == {"error": "RuntimeError: boom"}
+
+
+def test_an_unwritable_csv_exits_with_a_manifest(tmp_path):
+    (tmp_path / "quadrature.csv").mkdir()
+    result = run(parse_config("experiment=quadrature\nR_list=10\n"), tmp_path)
+    assert result.exit_code == EXIT_ERROR
+    assert result.manifest["summaries"]["error"].startswith("IsADirectoryError: ")
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_an_interrupt_passes_through_the_run(exc, tmp_path, monkeypatch):
+    monkeypatch.setitem(EXPERIMENTS, "quadrature", raise_in_the_runner(exc()))
+    with pytest.raises(exc):
+        run(parse_config("experiment=quadrature\nR_list=10\n"), tmp_path)
+    assert not (tmp_path / "run_manifest.json").exists()
 
 
 @pytest.mark.parametrize("text,method", [

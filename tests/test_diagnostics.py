@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (gaussian_eta, integral_form_check, oracle_boundary_edges,
-                      oracle_sparse_operator)
+from conftest import (covariance, gaussian_eta, integral_form_check,
+                      oracle_boundary_edges, oracle_sparse_operator, variance)
 from gradlab import diagnostics, gaussian
 from gradlab.diagnostics import (FitResult, ScanResult,
                                  boundary_ergodic_average, central_edge,
                                  clt_population_value, clt_scan, decay_scan_d3,
                                  divergence_residual, fit,
                                  second_moment_identity, variance_scaling_scan)
-from gradlab.gaussian import (DirichletLaplacian, SolverConfig, covariance,
-                              mean_gradient, variance)
+from gradlab.gaussian import DirichletLaplacian, SolverConfig, mean_gradient
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
                            VectorField, kernel_edges, sample_disorder)
 
@@ -403,7 +402,8 @@ def test_d3_transverse_covariance_approaches_the_continuum_amplitude():
     (-0.08 % at r = 16 from L = 128/256 against 256/512).  The window at
     r = 16, +-0.5 %, is twice their sum.
 
-    The amplitude does not tie to ``quadrature``'s I(R) = (pi/4R) J(R):
+    The amplitude does not tie to the continuum I(R) = (pi/4R) J(R)
+    = pi^2 arctan(R) / (2R) of ``quadrature``:
     I(R) integrates the product of the two gradient magnitudes over a half
     space, ~ pi^3/(4R), while the covariance integrates their signed e2
     components, int d2(1/|y-a|) d2(1/|y-b|) dy = 2 pi / r.  The two share

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (gaussian_eta, loop_residuals, oracle_boundary_edges,
-                      oracle_cg_solve, oracle_sparse_operator, solve_green)
+from conftest import (covariance, gaussian_eta, loop_residuals,
+                      oracle_boundary_edges, oracle_cg_solve,
+                      oracle_sparse_operator, solve_green, variance)
 from gradlab import gaussian
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
-                              _sin_pi, _sine_solve, _symbol, covariance,
-                              covariances, green_column, mean_gradient,
-                              sine_diagonal, solve_array,
-                              surface_identity_check, variance)
+                              _sin_pi, _sine_solve, _symbol, covariances,
+                              green_column, mean_gradient, sine_diagonal,
+                              solve_array, surface_identity_check)
 from gradlab.model import BoxGeometry, HeightField, Kernel, kernel_edges
 
 TIGHT = SolverConfig(rel_tolerance=1e-12)

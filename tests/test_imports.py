@@ -1,11 +1,10 @@
 """What each experiment imports, and when.
 
-No module of the package imports scipy at module level, and the package
-imports none of its modules; ``cli.run`` imports the modules its run calls
-(``cli._preloads``: ``numpy.fft``, ``numpy.random``, ``scipy.integrate``,
-``gradlab.mcmc`` or ``gradlab.quadrature``) before it starts the clock of
-``wall_time_s``.  Each run here is a fresh interpreter, so ``sys.modules``
-shows what that experiment alone loaded.
+No module of the package names scipy, and the package imports none of its
+modules; ``cli.run`` imports the modules its run calls (``cli._preloads``:
+``numpy.fft``, ``numpy.random``, ``gradlab.mcmc`` or ``gradlab.quadrature``)
+before it starts the clock of ``wall_time_s``.  Each run here is a fresh
+interpreter, so ``sys.modules`` shows what that experiment alone loaded.
 """
 
 import ast
@@ -49,8 +48,6 @@ print(json.dumps({"code": code, "added": added,
                   "numpy_random": "numpy.random" in sys.modules}))
 """
 
-SOLVER_MODULES = ("scipy.fft", "scipy.sparse.linalg", "scipy.integrate")
-NO_SCIPY = ()
 #: what every run loads: the CLI module and the modules it calls on every path
 CORE = ["gradlab.cli", "gradlab.diagnostics", "gradlab.gaussian", "gradlab.model"]
 #: the runs that draw random numbers, disorder or a chain
@@ -62,32 +59,25 @@ def fresh_env():
         [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
 
 
-@pytest.mark.parametrize("text,loaded", [
-    pytest.param("experiment=decay\nd=3\nL=4\nr_list=2\n", NO_SCIPY, id="decay"),
-    pytest.param("experiment=clt\nL_list=2,3\nn_realizations=100\n", NO_SCIPY,
-                 id="clt"),
-    pytest.param("experiment=scaling\nd=2\nL_list=2,3\n", NO_SCIPY,
-                 id="scaling-nn"),
+@pytest.mark.parametrize("text", [
+    pytest.param("experiment=decay\nd=3\nL=4\nr_list=2\n", id="decay"),
+    pytest.param("experiment=clt\nL_list=2,3\nn_realizations=100\n", id="clt"),
+    pytest.param("experiment=scaling\nd=2\nL_list=2,3\n", id="scaling-nn"),
     pytest.param("experiment=mcmc\nd=2\nL=1\npotential=quartic:1:0.1\n"
-                 "burn_in_sweeps=20\nmeasure_sweeps=200\n", NO_SCIPY,
-                 id="mcmc-quartic"),
-    pytest.param("experiment=gaussian-exact\nd=2\nL=2\n", NO_SCIPY,
-                 id="gaussian-nn"),
-    pytest.param("experiment=identities\nd=2\nL=2\n", NO_SCIPY,
-                 id="identities-nn"),
+                 "burn_in_sweeps=20\nmeasure_sweeps=200\n", id="mcmc-quartic"),
+    pytest.param("experiment=gaussian-exact\nd=2\nL=2\n", id="gaussian-nn"),
+    pytest.param("experiment=identities\nd=2\nL=2\n", id="identities-nn"),
     pytest.param("experiment=mcmc\nd=2\nL=1\nburn_in_sweeps=20\n"
-                 "measure_sweeps=200\n", NO_SCIPY, id="mcmc-quadratic"),
-    pytest.param("experiment=gaussian-exact\nd=2\nL=2\nkernel=axis2\n", NO_SCIPY,
+                 "measure_sweeps=200\n", id="mcmc-quadratic"),
+    pytest.param("experiment=gaussian-exact\nd=2\nL=2\nkernel=axis2\n",
                  id="gaussian-axis2"),
-    pytest.param("experiment=identities\nd=2\nL=2\nkernel=axis2\n", NO_SCIPY,
+    pytest.param("experiment=identities\nd=2\nL=2\nkernel=axis2\n",
                  id="identities-axis2"),
-    pytest.param("experiment=scaling\nd=2\nL_list=2\nkernel=axis2\n", NO_SCIPY,
+    pytest.param("experiment=scaling\nd=2\nL_list=2\nkernel=axis2\n",
                  id="scaling-axis2"),
-    # scipy.integrate itself imports the other two
-    pytest.param("experiment=quadrature\nR_list=10\n", SOLVER_MODULES,
-                 id="quadrature"),
+    pytest.param("experiment=quadrature\nR_list=10\n", id="quadrature"),
 ])
-def test_each_run_loads_only_the_scipy_module_it_calls(text, loaded, tmp_path):
+def test_each_run_loads_only_the_scipy_module_it_calls(text, tmp_path):
     config = tmp_path / "exp.cfg"
     config.write_text(text)
     experiment = text.split("\n", 1)[0].partition("=")[2]
@@ -97,14 +87,12 @@ def test_each_run_loads_only_the_scipy_module_it_calls(text, loaded, tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["code"] == 0
-    assert [m for m in SOLVER_MODULES if m in report["scipy"]] == list(loaded)
+    # no run calls scipy
+    assert report["scipy"] == []
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
-    if not loaded:
-        assert report["scipy"] == []
-        # every solve, and only a solve, runs the sine transform on numpy.fft
-        assert report["numpy_fft"] == (manifest.get("solver") == "pcg")
-    # numpy.random in the runs that draw, or else only as scipy's own import
-    assert report["numpy_random"] == (experiment in DRAWS or bool(loaded))
+    # every solve, and only a solve, runs the sine transform on numpy.fft
+    assert report["numpy_fft"] == (manifest.get("solver") == "pcg")
+    assert report["numpy_random"] == (experiment in DRAWS)
     assert ("numpy.random" in cli._preloads(cli.parse_config(text))) == \
         (experiment in DRAWS)
     own = {"mcmc": ["gradlab.mcmc"], "quadrature": ["gradlab.quadrature"]}
@@ -112,9 +100,7 @@ def test_each_run_loads_only_the_scipy_module_it_calls(text, loaded, tmp_path):
     # the pre-clock import left the runner, and so the clock, nothing to load
     assert report["added"] == []
     assert manifest["timings"]["import_s"] >= 0.0
-    env_block = manifest["environment"]
-    assert {"python", "numpy", "cpu_count"} <= set(env_block)
-    assert ("scipy" in env_block) == bool(loaded)
+    assert set(manifest["environment"]) == {"python", "numpy", "cpu_count"}
 
 
 def test_dst_solves_preload_numpy_fft_and_no_scipy():
@@ -161,9 +147,10 @@ def test_no_module_imports_scipy_at_import_time():
 
 
 def test_no_module_names_scipy_sparse():
-    # the linear solve is numpy alone; scipy's cg is a test oracle
+    # nor scipy at all: the linear solve is numpy alone and J(R) a closed
+    # form; scipy's cg and quad are test oracles
     sources = sorted(PACKAGE.glob("*.py"))
-    assert [p.name for p in sources if "scipy.sparse" in p.read_text()] == []
+    assert [p.name for p in sources if "scipy" in p.read_text()] == []
 
 
 def test_the_import_guard_sees_nested_and_conditional_imports():

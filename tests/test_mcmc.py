@@ -107,7 +107,7 @@ def test_sweeps_are_deterministic_given_seed(quartic):
     for _ in range(2):
         chain = Chain(g, k, quartic, eta, seed=42)
         chain.run(1.5, 20)
-        runs.append(chain.site_heights())
+        runs.append(chain.ph[chain.slot])
     assert np.array_equal(runs[0], runs[1])
     assert runs[0].any()
 
@@ -119,7 +119,7 @@ def test_proposals_beyond_the_height_cap_are_rejected_and_counted(quadratic):
     chain.ph[:-1] = HEIGHT_CAP
     chain.run(1.0, 1)
     assert chain.cap_rejects > 0
-    assert np.all(chain.site_heights() <= HEIGHT_CAP)
+    assert np.all(chain.ph[chain.slot] <= HEIGHT_CAP)
 
 
 @pytest.mark.parametrize("name", ["nn", "axis2"])
@@ -130,7 +130,7 @@ def test_sweep_energy_change_matches_energy_difference(name, quartic):
     chain = Chain(g, k, quartic, eta)
     rng = np.random.default_rng(10)
     chain.ph[chain.slot[:-1]] = rng.normal(0.0, 1.5, size=g.n_sites)
-    before = HeightField(g, chain.site_heights()[:-1])
+    before = HeightField(g, chain.ph[chain.slot][:-1])
     e_before = energy(g, k, quartic, before, eta)
     for c, sites in enumerate(colour_classes(g, k)):
         step = rng.normal(0.0, 1.0, size=len(sites))
@@ -216,7 +216,7 @@ def assert_chain_matches_oracle(g, k, vpot, blocks, start=0.0, seed=3):
         want_accepted, want_kept = oracle.run(width, n_sweeps, every)
         assert accepted == want_accepted
         assert np.array_equal(kept[:, chain.slot], want_kept)
-        assert np.array_equal(chain.site_heights(), oracle.ph)
+        assert np.array_equal(chain.ph[chain.slot], oracle.ph)
         assert chain.cap_rejects == oracle.cap_rejects
     return chain
 
@@ -262,7 +262,7 @@ def test_chain_matches_oracle_where_the_cap_bound_trips(name):
                                         [(1.0, 25, 5), (1.0, 3, 1)],
                                         start=HEIGHT_CAP)
     assert chain.cap_rejects > 0
-    assert np.all(np.abs(chain.site_heights()) <= HEIGHT_CAP)
+    assert np.all(np.abs(chain.ph[chain.slot]) <= HEIGHT_CAP)
 
 
 def test_single_site_chain_reproduces_gaussian_moments(quadratic):

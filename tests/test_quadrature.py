@@ -1,12 +1,15 @@
+"""The closed form J(R) = 2 pi arctan R, and I(R) = (pi/4R) J(R) with it,
+held to the quadrature oracles of ``conftest`` at each oracle's own error."""
+
 import math
 
 import numpy as np
 import pytest
 
-from conftest import sphere_integral_large_l_limit
-from gradlab.quadrature import (PI2, QuadratureConfig, QuadratureError, i_of_r,
-                                j_integrand, j_limit_reference, j_of_r,
-                                sphere_integral)
+from conftest import (i_quadrature, j_integrand, j_limit_integrand,
+                      j_limit_reference, j_quadrature, sphere_integral,
+                      sphere_integral_large_l_limit)
+from gradlab.quadrature import PI2, j_of_r
 
 
 def test_j_integrand_is_finite_at_the_origin():
@@ -14,6 +17,21 @@ def test_j_integrand_is_finite_at_the_origin():
         v = j_integrand(1e-8, R)
         assert np.isfinite(v)
         assert v == pytest.approx(4.0 / (R ** -2 + 1.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("R", [0.01, 0.03, 0.1, 0.5, 1.0, 2.0, 10.0, 200.0, 1e4])
+def test_j_closed_form_matches_quadrature(R):
+    # the quadrature drops a positive tail, so it sits below J(R) by at
+    # most its error bound
+    value, err = j_quadrature(R)
+    assert err <= 1e-7
+    assert 0.0 <= j_of_r(R) - value <= err
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
+def test_j_rejects_a_non_positive_radius(R):
+    with pytest.raises(ValueError):
+        j_of_r(R)
 
 
 def test_j_is_increasing_in_r():
@@ -34,38 +52,45 @@ def test_j_monotone_and_converging_on_geometric_grid():
 
 
 def test_j_limit_reference_hits_pi_squared():
-    assert abs(j_limit_reference() - PI2) <= 1e-6
+    value, err = j_limit_reference()
+    assert err <= 1e-6
+    assert abs(value - PI2) <= err
 
 
 def test_j_limit_integrand_continuity_at_one():
-    from gradlab.quadrature import _j_limit_integrand
-    assert _j_limit_integrand(1.0) == pytest.approx(0.5)
-    assert _j_limit_integrand(1.0 - 1e-7) == pytest.approx(0.5, rel=1e-5)
+    assert j_limit_integrand(1.0) == pytest.approx(0.5)
+    assert j_limit_integrand(1.0 - 1e-7) == pytest.approx(0.5, rel=1e-5)
 
 
 def test_j_limit_stable_under_tighter_tolerances():
-    loose = j_limit_reference(QuadratureConfig())
-    tight = j_limit_reference(QuadratureConfig(abs_tolerance=5e-11,
-                                               rel_tolerance=5e-9))
+    loose, _ = j_limit_reference()
+    tight, _ = j_limit_reference(epsabs=5e-12, epsrel=5e-10)
     assert abs(loose - tight) < 1e-8
 
 
 def test_i_symmetric_in_sign_of_r():
-    assert i_of_r(-3.0) == pytest.approx(i_of_r(3.0), rel=1e-9)
+    assert i_quadrature(-3.0)[0] == pytest.approx(i_quadrature(3.0)[0], rel=1e-9)
     with pytest.raises(ValueError):
-        i_of_r(0.0)
+        i_quadrature(0.0)
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0, 3.0, 10.0])
+def test_i_closed_form_matches_quadrature(R):
+    value, err = i_quadrature(R)
+    assert err <= 1e-8 * value
+    assert abs(PI2 * math.atan(R) / (2.0 * R) - value) <= err
 
 
 @pytest.mark.parametrize("R", [2.0, 10.0, 50.0])
 def test_i_j_relation(R):
-    lhs = 4.0 * R * i_of_r(R) / math.pi
+    lhs = 4.0 * R * i_quadrature(R)[0] / math.pi
     rhs = j_of_r(R)
     assert abs(lhs - rhs) / rhs <= 0.01
 
 
 def test_r_times_i_approaches_its_limit():
     target = math.pi ** 3 / 4.0
-    assert abs(50.0 * i_of_r(50.0) - target) / target <= 0.03
+    assert abs(50.0 * i_quadrature(50.0)[0] - target) / target <= 0.03
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +103,7 @@ def test_sphere_integral_at_l_zero_is_total_measure():
 
 
 def test_sphere_integral_closed_form_matches_quadrature_grid():
-    # the op itself cross-checks; this pins the closed form numerically too
+    # the oracle itself cross-checks; this pins the closed form numerically too
     from scipy.integrate import quad
     for q in (0.3, 0.5, 0.75):
         for L in (1.0, 5.0, 10.0, 100.0):
@@ -116,26 +141,3 @@ def test_surface_volume_exponent_comparison():
         ratios_three_quarters.append(L ** 4 * sphere_integral(L, 0.75) / L ** 3)
     assert max(ratios_half) <= 2.0 * min(ratios_half)
     assert ratios_three_quarters[0] > 4.0 * ratios_three_quarters[2]
-
-
-def test_config_validation():
-    for tol in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tolerance=tol)
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tolerance=tol)
-    for cutoff in (2.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            j_of_r(10.0, QuadratureConfig(cutoff=cutoff))
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=2)
-
-
-def test_unreachable_tolerance_raises():
-    with pytest.raises(QuadratureError):
-        j_of_r(10.0, QuadratureConfig(cutoff=10.0))  # tail bound too large
-
-
-def test_an_overflowing_integrand_raises_quadrature_error():
-    with pytest.raises(QuadratureError, match="overflows"):
-        j_of_r(1e-200)  # R^-2 is beyond the float range
