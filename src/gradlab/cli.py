@@ -27,8 +27,9 @@ non-convergence); 3 invariant-check failure (an identity above its
 tolerance); 4 any other error raised by the experiment (its type and message
 in the manifest's ``summaries.error``).  The ``identities`` gates are the
 constants ``DIVERGENCE_TOLERANCE``, ``SURFACE_TOLERANCE`` and
-``SECOND_MOMENT_TOLERANCE``, and the sampler's burn-in tunes its proposal
-width toward ``mcmc.TARGET_ACCEPTANCE``; none of them is a config key.
+``SECOND_MOMENT_TOLERANCE``, and the sampler's Bactrian proposals have the
+shape ``mcmc.SPIKE`` and a width that burn-in tunes toward the acceptance
+``mcmc.TARGET_ACCEPTANCE``; none of them is a config key.
 
 Usage::
 
@@ -388,8 +389,8 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
     est = mcmc.estimate_gradient_mean(g, k, cfg.potential, eta, cfg.sampler(),
                                       seed=cfg.seed)
     header = ["edge_i", "edge_j", "mean", "stderr", "n_eff"]
-    mean, stderr = est.mean.edge_values(), est.stderr.edge_values()
-    columns = [mean, stderr, est.n_eff.edge_values()]
+    mean, stderr, n_eff = (f.edge_values() for f in (est.mean, est.stderr, est.n_eff))
+    columns = [mean, stderr, n_eff]
     if exact is not None:
         header.append("exact")
         columns.append(exact)
@@ -399,10 +400,16 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
     _write_csv(path, header, rows)
     resid, se = mcmc.divergence_check(est, eta, g, k)
     ratio = np.abs(resid) / np.where(se > 0, se, np.inf)
+    # np.median would load numpy.ma inside the clock
+    ordered = np.sort(n_eff)
     summary = {
+        "proposal": f"bactrian:{mcmc.SPIKE}",
+        "target_acceptance": mcmc.TARGET_ACCEPTANCE,
         "acceptance_rate": est.acceptance_rate,
         "proposal_width": est.proposal_width,
         "cap_rejects": est.cap_rejects,
+        "n_eff_median": float(ordered[(len(ordered) - 1) // 2] + ordered[len(ordered) // 2]) / 2,
+        "n_eff_min": float(ordered[0]),
         "divergence_within_4se_fraction": float((ratio <= 4.0).mean()),
     }
     if exact is not None:

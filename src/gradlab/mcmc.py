@@ -2,16 +2,18 @@
 
 The target density on interior heights (zero boundary condition, fixed
 disorder eta) is proportional to exp(-H) with H from :mod:`gradlab.model`.
-The sampler is systematic-scan single-site Metropolis with Gaussian
+The sampler is systematic-scan single-site Metropolis with Bactrian
 proposals, one colour class at a time: the sites are split into classes of
 which no two are kernel neighbours (the two parity classes for ``nn``), so
 the single-site conditionals within a class do not depend on each other and
 the class's moves are one array operation.  Each class update is a product
 of single-site Metropolis kernels for the exact conditionals, hence leaves
-the target invariant; a sweep is their composition.  Burn-in tunes the
-proposal width toward ``TARGET_ACCEPTANCE``, the optimum for
-one-dimensional random-walk Metropolis (Gelman, Roberts & Gilks 1996);
-measurement keeps it fixed.
+the target invariant; a sweep is their composition.  A Bactrian proposal
+(Yang & Rodriguez, PNAS 110, 2013) is symmetric and bimodal: a step of
++-``SPIKE`` plus Gaussian noise, scaled to unit variance and then by the
+proposal width, so it rarely wastes a move on a tiny step.  Burn-in tunes
+the width, the proposal's standard deviation, toward
+``TARGET_ACCEPTANCE``; measurement keeps it fixed.
 
 Heights are stored in class order, so a class is a slice of them, lined up
 with its columns of random numbers, and a step updates it in place.  What
@@ -53,8 +55,15 @@ N_BATCHES = 30
 #: random numbers; burn-in tunes the proposal width once per block
 BLOCK = 25
 
-#: acceptance rate that burn-in steers the proposal width toward
-TARGET_ACCEPTANCE = 0.44
+#: the Bactrian proposal's spike, +-SPIKE, in units of its standard deviation;
+#: Gaussian noise of variance 1 - SPIKE^2 makes up the rest.  0.95 mixes
+#: faster but leaves too few small steps at a fixed, untuned width
+SPIKE = 0.9
+
+#: acceptance rate that burn-in steers the proposal width toward, the best
+#: of 0.30, 0.35 and 0.40 for Bactrian proposals; a Gaussian random walk
+#: does best at 0.44 (Gelman, Roberts & Gilks 1996)
+TARGET_ACCEPTANCE = 0.35
 
 
 @dataclass(frozen=True)
@@ -182,17 +191,31 @@ class Chain:
         return lin
 
     def run(self, width: float, n_sweeps: int, every: int = 0) -> tuple[int, np.ndarray]:
-        """Run n_sweeps sweeps, the colour classes in turn, with Gaussian
-        proposals of the given width, drawn at once (keep n_sweeps small).
-        Returns the accepted moves and a copy of ``ph`` (class order) after
-        every `every`-th sweep (none for 0)."""
+        """Run n_sweeps sweeps, the colour classes in turn, with Bactrian
+        proposals of standard deviation `width`, drawn at once (keep n_sweeps
+        small).  Returns the accepted moves and the heights ``ph`` (class
+        order) after every `every`-th sweep (none for 0), one row per kept
+        sweep: the transpose of a site-major block.
+
+        A block draws, from the chain's stream and in this order, an
+        (n_sweeps, n_sites) array z of standard normals, one sign bit per
+        entry (``rng.bytes`` unpacked most significant bit first, 1 for +),
+        and the Exp(1) thresholds; the steps are
+        s = width * (+-SPIKE + sqrt(1 - SPIKE^2) * z).
+        """
         n = len(self.ph) - 1
         if len(self.ok) < n_sweeps:
             self.work = np.empty((4, n_sweeps, n))
             self.ok = np.empty((n_sweeps, n), dtype=bool)
         (steps, limits, half, coef), ok = self.work[:, :n_sweeps], self.ok[:n_sweeps]
-        # the draws of rng.normal(0, width) and rng.exponential(), in place
         self.rng.standard_normal(out=steps)
+        signs = np.unpackbits(np.frombuffer(self.rng.bytes(-(-steps.size // 8)), np.uint8),
+                              count=steps.size).reshape(steps.shape)
+        steps *= math.sqrt(1.0 - SPIKE * SPIKE)
+        # +-SPIKE, exactly, in the buffer that later holds s/2
+        np.multiply(signs, 2.0 * SPIKE, out=half)
+        half -= SPIKE
+        steps += half
         steps *= width
         # Exp(1) >= dH with probability min(1, exp(-dH)); the field's part
         # -eta s of dH moves to the left-hand side
@@ -206,7 +229,7 @@ class Chain:
         np.multiply(steps, steps, out=coef)
         coef *= self.vpot.b
         coef += self.vpot.a
-        kept = np.empty((n_sweeps // every if every else 0, n + 1))
+        kept = np.empty((n + 1, n_sweeps // every if every else 0)).T
         # per class, the rows of its span of each block array
         spans = [zip(*(block[:, c.span] for block in (steps, half, coef, limits, ok)))
                  for c in self.classes]
@@ -260,7 +283,8 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     batch_sums = np.zeros((N_BATCHES, len(ei)))
     total_sq = np.zeros(len(ei))
     # per-block differences and derivatives, allocated once; column-major, so
-    # that sum(axis=0) adds each edge's column in numpy's pairwise order
+    # that sum(axis=0) adds each edge's column in numpy's pairwise order, and
+    # the gathers copy rows of the site-major block into rows of their transpose
     diff_buf = np.empty((BLOCK, len(ei)), order="F")
     dv_buf = np.empty_like(diff_buf)
     accepted_meas = 0
@@ -270,8 +294,9 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
             accepted, kept = sampler.run(width, keep * cfg.thin, every=cfg.thin)
             accepted_meas += accepted
             diff, dv = diff_buf[:keep], dv_buf[:keep]
-            np.take(kept, ei, axis=1, out=diff)
-            np.take(kept, ej, axis=1, out=dv)
+            # the indices are slots, all in range: "clip" gathers unbuffered
+            np.take(kept.T, ei, axis=0, out=diff.T, mode="clip")
+            np.take(kept.T, ej, axis=0, out=dv.T, mode="clip")
             diff -= dv
             # V'(t) = a t + 4 b t^3, in the operation order of Potential.derivative
             np.multiply(diff, 4.0 * vpot.b, out=dv)

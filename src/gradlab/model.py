@@ -360,15 +360,6 @@ class HeightField:
     def zeros(cls, geometry: BoxGeometry) -> "HeightField":
         return cls(geometry, np.zeros(geometry.n_sites))
 
-    def height_at(self, site: Site) -> float:
-        """Height at any site; sites outside the box return the boundary value 0."""
-        if self.geometry.contains(site):
-            return float(self.values[self.geometry.index_of(site)])
-        return 0.0
-
-    def __getitem__(self, site: Site) -> float:
-        return float(self.values[self.geometry.index_of(site)])
-
 
 @dataclass(frozen=True)
 class DisorderSpec:

@@ -336,6 +336,13 @@ def random_heights(g, seed=0, scale=1.0):
     return rng.normal(0.0, scale, size=g.n_sites)
 
 
+def height_at(field, site):
+    """Height of a HeightField at any site; sites outside the box read the
+    boundary value 0."""
+    g = field.geometry
+    return float(field.values[g.index_of(site)]) if g.contains(site) else 0.0
+
+
 def conditional_logdensity(g, k, vpot, phi, eta, site, t):
     """Log density of the single-site conditional at `site`, up to a constant:
 
@@ -347,8 +354,8 @@ def conditional_logdensity(g, k, vpot, phi, eta, site, t):
         raise ValueError(f"site {site} is not interior")
     total = 0.0
     for v, w in k.support():
-        total -= w * float(vpot.value(t - phi.height_at(add(site, v))))
-    return total + eta.height_at(site) * t
+        total -= w * float(vpot.value(t - height_at(phi, add(site, v))))
+    return total + height_at(eta, site) * t
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradlab
-from gradlab import cli, diagnostics, gaussian
+from gradlab import cli, diagnostics, gaussian, mcmc
 from gradlab.cli import (_CASTERS, EXIT_CONFIG, EXIT_ERROR, EXIT_INVARIANT,
                          EXIT_NUMERICAL, EXIT_OK, EXPERIMENTS, MAX_D,
                          ConfigError, ExperimentConfig, main, parse_config, run)
@@ -443,6 +444,20 @@ def test_mcmc_run_reports_exact_column_and_coverage(tmp_path):
     assert manifest["summaries"]["fraction_within_3se_of_exact"] >= 0.9
     assert manifest["summaries"]["divergence_within_4se_fraction"] >= 0.9
     assert 0.2 <= manifest["summaries"]["acceptance_rate"] <= 0.7
+
+
+def test_mcmc_manifest_reports_sampler_telemetry(tmp_path):
+    cfg = parse_config("experiment=mcmc\nd=2\nL=2\npotential=quartic:1:0.1\nseed=3\n"
+                       "burn_in_sweeps=300\nmeasure_sweeps=3000\n")
+    assert run(cfg, tmp_path).exit_code == EXIT_OK
+    summary = json.loads((tmp_path / "run_manifest.json").read_text())["summaries"]
+    assert summary["proposal"] == f"bactrian:{mcmc.SPIKE}" == "bactrian:0.9"
+    assert summary["target_acceptance"] == mcmc.TARGET_ACCEPTANCE
+    n_eff = [float(row[4]) for row in read_csv(tmp_path / "edges.csv")[1:]]
+    assert summary["n_eff_median"] == statistics.median(n_eff)
+    assert summary["n_eff_min"] == min(n_eff)
+    assert {"acceptance_rate", "proposal_width", "cap_rejects",
+            "divergence_within_4se_fraction"} <= summary.keys()
 
 
 # ---------------------------------------------------------------------------

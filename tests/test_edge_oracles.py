@@ -14,8 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (integral_form_check, loop_residuals, oracle_boundary_edges,
-                      oracle_sparse_operator, random_heights, site_of)
+from conftest import (height_at, integral_form_check, loop_residuals,
+                      oracle_boundary_edges, oracle_sparse_operator, random_heights,
+                      site_of)
 from gradlab import gaussian, mcmc
 from gradlab.diagnostics import boundary_ergodic_average, divergence_residual
 from gradlab.model import (BoxGeometry, DisorderSpec,
@@ -36,13 +37,13 @@ def oracle_gradient(g, k, phi):
     """Canonical edge -> phi_i - phi_j, in insertion order."""
     out = {}
     for i in g.sites():
-        hi = phi.height_at(i)
+        hi = height_at(phi, i)
         for v, _ in k.support():
             j = add(i, v)
             if g.contains(j) and j < i:
                 continue
             key, sign = canonical_edge(i, j)
-            out[key] = sign * (hi - phi.height_at(j))
+            out[key] = sign * (hi - height_at(phi, j))
     return out
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import (conditional_logdensity, gaussian_eta,
+from conftest import (conditional_logdensity, gaussian_eta, height_at,
                       single_site_quadrature_oracle)
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import DirichletLaplacian, mean_gradient
-from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, TARGET_ACCEPTANCE, Chain,
-                          GradientEstimate, SamplerConfig, colour_classes,
+from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, SPIKE, TARGET_ACCEPTANCE,
+                          Chain, GradientEstimate, SamplerConfig, colour_classes,
                           divergence_check, estimate_gradient_mean)
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField,
                            Kernel, Potential, VectorField, chain_stream, edge_table,
@@ -53,7 +53,7 @@ def test_conditional_logdensity_matches_energy_difference(quartic):
         phi_new = HeightField(g, new_vals)
         dlog = (conditional_logdensity(g, k, quartic, phi_old, eta, site, t_new)
                 - conditional_logdensity(g, k, quartic, phi_old, eta, site,
-                                         phi_old[site]))
+                                         height_at(phi_old, site)))
         dh = energy(g, k, quartic, phi_new, eta) - energy(g, k, quartic, phi_old, eta)
         assert dlog == pytest.approx(-dh, abs=1e-10)
 
@@ -67,7 +67,7 @@ def test_conditional_logdensity_derivative_matches_energy_fd(quartic):
     phi = HeightField(g, vals)
     site = (0,)
     h = 1e-5
-    t0 = phi[site]
+    t0 = height_at(phi, site)
     dlog = (conditional_logdensity(g, k, quartic, phi, eta, site, t0 + h)
             - conditional_logdensity(g, k, quartic, phi, eta, site, t0 - h)) / (2 * h)
 
@@ -149,6 +149,15 @@ def test_sweep_energy_change_matches_energy_difference(name, quartic):
 # the site-order sweep, kept as the oracle of Chain.run
 
 
+def bactrian_steps(rng, width, shape):
+    """A block's proposals as ``Chain.run`` documents them: normals, then one
+    sign bit per entry from ``rng.bytes``, most significant bit first."""
+    z = rng.normal(0.0, 1.0, size=shape)
+    bits = np.unpackbits(np.frombuffer(rng.bytes((z.size + 7) // 8), dtype=np.uint8))
+    sign = np.where(bits[:z.size].reshape(shape) == 1, SPIKE, -SPIKE)
+    return width * (sign + math.sqrt(1.0 - SPIKE ** 2) * z)
+
+
 class SiteOrderChain:
     """The sweep as first written: heights in site order, each class read by
     a fancy gather and written back with np.where, the energy change as
@@ -183,7 +192,7 @@ class SiteOrderChain:
 
     def run(self, width, n_sweeps, every=0):
         n = len(self.ph) - 1
-        steps = self.rng.normal(0.0, width, size=(n_sweeps, n))
+        steps = bactrian_steps(self.rng, width, (n_sweeps, n))
         thresholds = self.rng.exponential(size=(n_sweeps, n))
         kept = np.empty((n_sweeps // every if every else 0, n + 1))
         accepted = 0
@@ -251,7 +260,7 @@ def test_chain_matches_oracle_where_the_cap_bound_trips(name):
     # chain only falls, and no proposal goes past the cap
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
     g = BoxGeometry.for_kernel(2, 2, k)
-    steps = chain_stream(3, 0).normal(0.0, 1.0, size=(25, g.n_sites))
+    steps = bactrian_steps(chain_stream(3, 0), 1.0, (25, g.n_sites))
     assert HEIGHT_CAP - 20.0 + np.abs(steps).max(axis=1).sum() > HEIGHT_CAP
     chain = assert_chain_matches_oracle(g, k, Potential.quadratic(1.0),
                                         [(1.0, 25, 5), (1.0, 25, 0)],
@@ -263,6 +272,39 @@ def test_chain_matches_oracle_where_the_cap_bound_trips(name):
                                         start=HEIGHT_CAP)
     assert chain.cap_rejects > 0
     assert np.all(np.abs(chain.ph[chain.slot]) <= HEIGHT_CAP)
+
+
+def test_block_draw_is_bactrian(quadratic):
+    # the steps a block proposes, which Chain.run leaves in Chain.work[0]
+    k = Kernel.nearest_neighbor(2)
+    g = BoxGeometry.for_kernel(2, 8, k)
+    chain = Chain(g, k, quadratic, gaussian_eta(g, seed=20), seed=20)
+    width, n_sweeps = 1.7, 700
+    chain.run(width, n_sweeps)
+    steps = chain.work[0, :n_sweeps].ravel() / width
+    n = steps.size
+    assert abs(steps.mean()) <= 4.0 / math.sqrt(n)
+    assert abs(steps.var() - 1.0) <= 0.02
+    assert abs(np.count_nonzero(steps > 0) / n - 0.5) <= 2.0 / math.sqrt(n)
+    # E|s| of the mixture of N(+-SPIKE, 1 - SPIKE^2), larger than a Gaussian's
+    sd = math.sqrt(1.0 - SPIKE ** 2)
+    mean_abs = (sd * math.sqrt(2.0 / math.pi) * math.exp(-SPIKE ** 2 / (2.0 * sd * sd))
+                + SPIKE * math.erf(SPIKE / (sd * math.sqrt(2.0))))
+    assert abs(np.abs(steps).mean() - mean_abs) <= 4.0 * math.sqrt((1.0 - mean_abs ** 2) / n)
+
+
+@pytest.mark.parametrize("width", [0.5, 3.0])
+def test_untuned_single_site_chain_matches_quadrature_oracle(width):
+    # no burn-in, so the width stays as given, far from the tuned one
+    g, k, eta = single_site_setup(1.0)
+    vpot = Potential.quartic(1.0, 0.5)
+    cfg = SamplerConfig(proposal_width=width, burn_in_sweeps=0, measure_sweeps=30000)
+    est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=9)
+    assert est.proposal_width == width
+    oracle = single_site_quadrature_oracle(vpot, 1.0, [w for _, w in k.support()])
+    for v, _ in k.support():
+        got = est.mean.get((0, 0), v)
+        assert abs(got - oracle.mean_derivative) <= 4.0 * abs(est.stderr.get((0, 0), v))
 
 
 def test_single_site_chain_reproduces_gaussian_moments(quadratic):

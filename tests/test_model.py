@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (gaussian_eta, loop_residuals, oracle_boundary_edges,
-                      random_heights, site_of)
+from conftest import (gaussian_eta, height_at, loop_residuals,
+                      oracle_boundary_edges, random_heights, site_of)
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
                            Potential, VectorField, canonical_edge, energy,
                            energy_terms, gradient_of, kernel_edges,
@@ -265,12 +265,12 @@ def _energy_reference(g, k, vpot, phi, eta):
             v = tuple(b - a for a, b in zip(i, j))
             w = k.weight(v)
             if w:
-                total += 0.5 * w * float(vpot.value(phi[i] - phi[j]))
+                total += 0.5 * w * float(vpot.value(height_at(phi, i) - height_at(phi, j)))
         for v, w in k.support():
             j = tuple(a + b for a, b in zip(i, v))
             if not g.contains(j):
-                total += w * float(vpot.value(phi[i]))
-        total -= eta[i] * phi[i]
+                total += w * float(vpot.value(height_at(phi, i)))
+        total -= height_at(eta, i) * height_at(phi, i)
     return total
 
 
