@@ -337,7 +337,7 @@ def _run_identities(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict,
     for r in range(cfg.n_realizations):
         eta = sample_disorder(cfg.disorder_spec(r), g)
         X = gaussian.mean_gradient(A, eta, solver)
-        _, mx = diagnostics.divergence_residual(X, eta, g, k)
+        _, mx = diagnostics.divergence_residual(X, eta)
         worst_resid = max(worst_resid, mx)
     rows.append(["divergence_max_residual", worst_resid, DIVERGENCE_TOLERANCE,
                  worst_resid <= DIVERGENCE_TOLERANCE])
@@ -358,8 +358,8 @@ def _run_gaussian_exact(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], d
     for r in range(cfg.n_realizations):
         eta = sample_disorder(cfg.disorder_spec(r), g)
         X = gaussian.mean_gradient(A, eta, solver)
-        _, mx = diagnostics.divergence_residual(X, eta, g, k)
-        rows.append([r, mx] + [diagnostics.boundary_ergodic_average(X, g, k, s)
+        _, mx = diagnostics.divergence_residual(X, eta)
+        rows.append([r, mx] + [diagnostics.boundary_ergodic_average(X, s)
                                for s in (1, 2, 3, 4)])
     path = out / "gaussian.csv"
     _write_csv(path, ["realization", "max_divergence_residual",
@@ -385,11 +385,11 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
         # X = E[V'(phi')] matches the unit-stiffness response for any c:
         # the measure's mean gradient scales by 1/c and V' by c.
         A = gaussian.DirichletLaplacian(g, k)
-        exact = gaussian.mean_gradient(A, eta, cfg.solver()).edge_values()
+        exact = gaussian.mean_gradient(A, eta, cfg.solver()).values
     est = mcmc.estimate_gradient_mean(g, k, cfg.potential, eta, cfg.sampler(),
                                       seed=cfg.seed)
     header = ["edge_i", "edge_j", "mean", "stderr", "n_eff"]
-    mean, stderr, n_eff = (f.edge_values() for f in (est.mean, est.stderr, est.n_eff))
+    mean, stderr, n_eff = (f.values for f in (est.mean, est.stderr, est.n_eff))
     columns = [mean, stderr, n_eff]
     if exact is not None:
         header.append("exact")
@@ -398,7 +398,7 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
             in zip(kernel_edges(g, k), np.stack(columns, axis=1).tolist())]
     path = out / "edges.csv"
     _write_csv(path, header, rows)
-    resid, se = mcmc.divergence_check(est, eta, g, k)
+    resid, se = mcmc.divergence_check(est, eta)
     ratio = np.abs(resid) / np.where(se > 0, se, np.inf)
     # np.median would load numpy.ma inside the clock
     ordered = np.sort(n_eff)

@@ -17,12 +17,12 @@ Gaussian scans take values and uncertainties from ``gaussian.covariances``
 (the sine-mode sum and its rounding bound for the nearest-neighbour kernel).
 The second-moment identity is one linear solve, the surface identity's.
 
-Edge sums read a ``VectorField`` by array shifts, in a fixed order: site
-fluxes (``model.site_flux``) add one kernel offset at a time, surface and
-side sums fold edge by edge over the cached ``model.boundary_table``,
-ordered by interior site and then by kernel support order.  The values
-match the per-edge loops of the definitions, which the tests keep as
-oracles, to the last bit.
+Edge sums read a ``VectorField``, values in ``edge_table`` order, through
+the cached tables of ``model``, in a fixed order: site fluxes
+(``model.site_flux``) add one kernel offset at a time, surface and side
+sums fold edge by edge over ``model.boundary_table``, ordered by interior
+site and then by kernel support order.  The values match the per-edge
+loops of the definitions, which the tests keep as oracles, to the last bit.
 """
 
 from __future__ import annotations
@@ -85,11 +85,6 @@ class DecayScan(NamedTuple):
 # divergence bookkeeping
 
 
-def _check_field(X: VectorField, g: BoxGeometry, k: Kernel) -> None:
-    if X.geometry != g or X.kernel != k:
-        raise ValueError("the field belongs to another geometry or kernel")
-
-
 def _fold(terms: np.ndarray) -> float:
     """Left-to-right sum from 0.0, edge by edge.  np.sum adds pairwise, in
     another order, and would move the last digits of the CSV outputs."""
@@ -99,42 +94,36 @@ def _fold(terms: np.ndarray) -> float:
     return total
 
 
-def _boundary_sum(X: VectorField, g: BoxGeometry, k: Kernel,
-                  side: int | None = None) -> float:
+def _boundary_sum(X: VectorField, side: int | None = None) -> float:
     """_fold of p(j - i) X_ij over the boundary edges (i inside, j outside),
     or over those of one side, in ``boundary_table`` order."""
-    _check_field(X, g, k)
-    table = boundary_table(g, k)
+    table = boundary_table(X.geometry, X.kernel)
     on = slice(None) if side is None else table.sides == side
-    return _fold(table.weights[on] * X.data.ravel()[table.cells[on]])
+    return _fold(table.weights[on] * X.values[table.edges[on]])
 
 
-def divergence_residual(X: VectorField, eta: HeightField, g: BoxGeometry,
-                        k: Kernel) -> tuple[np.ndarray, float]:
-    """Per-site residuals r_i = eta_i - sum_j p(j-i) X_ij and their max |.|.
-
-    X must be a field of (g, k); the flux is ``model.site_flux``.
-    """
-    _check_field(X, g, k)
-    residuals = eta.values - site_flux(g, k, X.data)
+def divergence_residual(X: VectorField, eta: HeightField) -> tuple[np.ndarray, float]:
+    """Per-site residuals r_i = eta_i - sum_j p(j-i) X_ij and their max |.|,
+    the flux being ``model.site_flux``."""
+    residuals = eta.values - site_flux(X)
     return residuals, float(np.max(np.abs(residuals)))
 
 
-def boundary_ergodic_average(X: VectorField, g: BoxGeometry, k: Kernel,
-                             side: int) -> float:
+def boundary_ergodic_average(X: VectorField, side: int) -> float:
     """Normalized boundary sum (1/L) sum p(i-j) X_ij over one side of the square.
 
     Sides 1..4 are the faces crossed in the +e1, +e2, -e1, -e2 directions;
     edges are assigned to the dominant component of their jump (ties to the
     lower axis), which partitions the boundary edges exactly.  d = 2 only.
     """
+    g = X.geometry
     if g.d != 2:
         raise ValueError("boundary sides are defined for d = 2 only")
     if side not in (1, 2, 3, 4):
         raise ValueError("side must be in {1, 2, 3, 4}")
     if g.L < 1:
         raise ValueError("L must be >= 1")
-    return _boundary_sum(X, g, k, side) / g.L
+    return _boundary_sum(X, side) / g.L
 
 
 # ---------------------------------------------------------------------------

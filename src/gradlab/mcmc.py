@@ -90,15 +90,15 @@ class GradientEstimate:
     of the sampled (geometry, kernel).
 
     ``stderr`` (batch means) and ``n_eff`` change sign with the orientation
-    like any field.  ``batch_means`` holds the edge-field data of each
-    batch's mean, one row per batch, for quantities such as site fluxes
-    whose errors must carry the chain's correlations between edges.
+    like any field.  ``batch_means`` holds each batch's mean, one field per
+    row of a leading batch axis, for quantities such as site fluxes whose
+    errors must carry the chain's correlations between edges.
     """
 
     mean: VectorField
     stderr: VectorField
     n_eff: VectorField
-    batch_means: np.ndarray
+    batch_means: VectorField
     acceptance_rate: float
     proposal_width: float
     cap_rejects: int
@@ -317,25 +317,21 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
         n_eff = np.where(stderr > 0.0, marginal_var / stderr ** 2, float(retained))
     n_eff = np.clip(np.nan_to_num(n_eff, nan=float(retained)), 1.0, float(retained))
 
-    def field(values: np.ndarray) -> VectorField:
-        return VectorField.from_edge_values(g, k, values)
-
     return GradientEstimate(
-        field(means), field(stderr), field(n_eff),
-        np.stack([field(row).data for row in batch_means]),
+        *(VectorField(g, k, values) for values in (means, stderr, n_eff, batch_means)),
         acceptance_rate=accepted_meas / (retained * cfg.thin * n),
         proposal_width=width, cap_rejects=sampler.cap_rejects, retained=retained)
 
 
-def divergence_check(est: GradientEstimate, eta: HeightField, g: BoxGeometry,
-                     k: Kernel) -> tuple[np.ndarray, np.ndarray]:
+def divergence_check(est: GradientEstimate,
+                     eta: HeightField) -> tuple[np.ndarray, np.ndarray]:
     """Per-site divergence residuals of the estimated field, with stderrs.
 
     residual_i = eta_i - sum_j p(j-i) Xhat_{ij}.  The standard error is
     batch-propagated: the site flux is re-formed per batch, so correlations
     between edges sharing the chain are handled exactly.
     """
-    residuals, _ = divergence_residual(est.mean, eta, g, k)
-    batch_flux = site_flux(g, k, est.batch_means)
+    residuals, _ = divergence_residual(est.mean, eta)
+    batch_flux = site_flux(est.batch_means)
     stderrs = batch_flux.std(axis=0, ddof=1) / math.sqrt(batch_flux.shape[0])
     return residuals, stderrs

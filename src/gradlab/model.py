@@ -12,20 +12,18 @@ external field eta is
 
 for an even pair potential V that grows faster than linearly.
 
-Lattice arrays live on the shell-padded box, where a kernel offset is a
-shifted view: edge fields are one such array per positive offset, and
-``neighbor_index`` is the one stencil table behind the edge table and
-the sampler's neighbour table.
+Heights live on the shell-padded box, where a kernel offset is a shifted
+view, and ``neighbor_index`` is the one stencil table behind the edge
+table and the sampler's neighbour table.  Edge fields are flat arrays of
+values in ``edge_table`` order, the order of ``kernel_edges``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,20 +32,6 @@ Edge = tuple[Site, Site]
 
 #: tolerance for the kernel normalization sum
 KERNEL_NORM_TOL = 1e-12
-
-
-def canonical_edge(i: Site, j: Site) -> tuple[Edge, float]:
-    """Return the canonical storage key for the unordered edge {i, j}.
-
-    Edge values are antisymmetric, stored once with the lexicographically
-    smaller endpoint first.  The returned sign is +1 if (i, j) already is
-    the canonical orientation and -1 if it is the reverse.
-    """
-    if i == j:
-        raise ValueError(f"degenerate edge at site {i}")
-    if i < j:
-        return (i, j), 1.0
-    return (j, i), -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +88,6 @@ class Kernel:
         """Maximum sup-norm of a supported offset."""
         return max((max(abs(c) for c in v) for v, w in zip(self.offsets, self.weights)
                     if w != 0.0), default=0)
-
-    def weight(self, v: Site) -> float:
-        try:
-            k = self.offsets.index(v)
-        except ValueError:
-            return 0.0
-        return self.weights[k]
 
     def support(self) -> list[tuple[Site, float]]:
         """Offsets with nonzero weight, in sorted order."""
@@ -200,19 +177,10 @@ class BoxGeometry:
             raise KeyError(f"site {site} outside the interior box")
         return int(np.ravel_multi_index(tuple(c + self.L for c in site), self.shape))
 
-    def sites(self) -> Iterator[Site]:
-        """Interior sites in index order."""
-        r = range(-self.L, self.L + 1)
-        return itertools.product(*([r] * self.d))
-
-
-def add(site: Site, v: Site) -> Site:
-    return tuple(a + b for a, b in zip(site, v))
-
 
 # ---------------------------------------------------------------------------
-# padded-array stencil: arrays over the box plus its shell, in which a
-# kernel offset v is a shifted view
+# the stencil: padded arrays over the box plus its shell, in which a kernel
+# offset v is a shifted view, and the edge tables built on it
 
 
 def _padded_shape(g: BoxGeometry) -> tuple[int, ...]:
@@ -235,14 +203,6 @@ def _pad_heights(g: BoxGeometry, values: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _planes(k: Kernel) -> Mapping[Site, int]:
-    """The plane of an edge field holding each lexicographically positive
-    kernel offset, in sorted order.  Cached, hence read-only."""
-    positive = sorted({max(v, tuple(-c for c in v)) for v, _ in k.support()})
-    return MappingProxyType({v: q for q, v in enumerate(positive)})
-
-
-@lru_cache(maxsize=16)
 def neighbor_index(g: BoxGeometry, k: Kernel) -> np.ndarray:
     """Index of the neighbour i + v of each interior site i, or -1 outside.
 
@@ -258,40 +218,50 @@ def neighbor_index(g: BoxGeometry, k: Kernel) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def edge_table(g: BoxGeometry, k: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Every kernel edge touching the box, once each, as arrays.
+class EdgeTable(NamedTuple):
+    """Every kernel edge touching the box, once each (see ``edge_table``)."""
 
-    Returns the site indices of each edge's canonical endpoints (2 x
-    n_edges; ``g.n_sites`` for an endpoint outside the box) and the flat
-    index of its cell in ``VectorField.data``.  Edges are ordered by the
-    interior site they are reached from (their canonical first endpoint, or
-    the interior one when that lies outside), then by kernel support order.
+    ends: np.ndarray  #: canonical endpoints, 2 x n_edges (``g.n_sites`` outside)
+    ids: np.ndarray  #: edge of (i, i + v), per support row v and interior site i
+    signs: np.ndarray  #: per support row, -1 where ids hold the reverse edge
+    sites: np.ndarray  #: the interior site each edge is reached from
+    rows: np.ndarray  #: the support row of the jump it is reached by
+
+
+@lru_cache(maxsize=16)
+def edge_table(g: BoxGeometry, k: Kernel) -> EdgeTable:
+    """The edges of a symmetric kernel touching the box, as arrays.
+
+    Edges are ordered by the interior site they are reached from (their
+    canonical, lexicographically smaller, first endpoint, or the interior
+    one when that lies outside), then by kernel support order; an edge
+    field holds its values in this order.  ``ids[r, i]`` is the edge
+    (i, i + v_r), held as (i, i + v_r) when v_r is lexicographically
+    positive (``signs[r]`` = +1) and as its reverse otherwise (-1).
     Cached, hence read-only.
     """
-    zero = (0,) * g.d
     nbr = neighbor_index(g, k)
-    forward = np.array([v > zero for v, _ in k.support()])
-    sites, rows = np.nonzero(((nbr < 0) | forward[:, None]).T)
-    # an edge reached forward runs (site, neighbour) and has its cell at the
-    # site; one reached backward leaves the box, so it runs (outside, site)
-    # and has its cell at the outside endpoint
-    slot = np.where(nbr < 0, g.n_sites, nbr)[rows, sites]
-    ends = np.where(forward[rows], [sites, slot], [slot, sites])
-    cells = _cells(g, k)[rows, sites]
-    ends.flags.writeable = cells.flags.writeable = False
-    return ends, cells
-
-
-def _cells(g: BoxGeometry, k: Kernel) -> np.ndarray:
-    """Flat index into ``VectorField.data`` of the cell holding the edge
-    (i, i + v), for each kernel offset v (rows, in support order) and
-    interior site i (columns, in index order)."""
-    zero = (0,) * g.d
-    grid = np.arange(np.prod(_padded_shape(g))).reshape(_padded_shape(g))
-    return np.stack([_planes(k)[max(v, tuple(-c for c in v))] * grid.size
-                     + _shifted(g, grid, min(v, zero)).ravel()
-                     for v, _ in k.support()])
+    support = [v for v, _ in k.support()]
+    forward = np.array([v > (0,) * g.d for v in support])
+    # the (site, row) pairs that reach an edge, site-major: every forward
+    # jump, and every backward one that leaves the box
+    reached = ((nbr < 0) | forward[:, None]).T.ravel()
+    ids = (np.cumsum(reached) - 1).reshape(g.n_sites, len(support)).T.copy()
+    for r, v in enumerate(support):
+        if not forward[r]:  # inside the box, the forward jump -v from i + v
+            back = ids[support.index(tuple(-c for c in v))][nbr[r]]
+            np.copyto(ids[r], back, where=nbr[r] >= 0)
+    sites, rows = np.divmod(np.flatnonzero(reached), len(support))
+    # an edge reached forward runs (site, neighbour); one reached backward
+    # leaves the box, so it runs (outside, site)
+    slot = nbr.T.ravel()[reached]
+    slot[slot < 0] = g.n_sites
+    first = np.where(forward[rows], sites, slot)
+    ends = np.stack([first, sites + slot - first])
+    table = EdgeTable(ends, ids, np.where(forward, 1.0, -1.0), sites, rows)
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 class BoundaryTable(NamedTuple):
@@ -300,27 +270,27 @@ class BoundaryTable(NamedTuple):
 
     sites: np.ndarray  #: interior endpoint i
     rows: np.ndarray  #: support row of the jump v
-    cells: np.ndarray  #: flat index into ``VectorField.data``
-    weights: np.ndarray  #: p(v), negated where the cell holds the reverse edge
+    edges: np.ndarray  #: the edge's index in ``edge_table`` order
+    weights: np.ndarray  #: p(v), negated where the edge is held reversed
     sides: np.ndarray  #: face crossed (see ``boundary_table``)
 
 
 @lru_cache(maxsize=16)
 def boundary_table(g: BoxGeometry, k: Kernel) -> BoundaryTable:
-    """The boundary edges as arrays: ``weights * data.ravel()[cells]`` is
+    """The boundary edges as arrays: ``weights * values[edges]`` is
     p(v) w(i, i + v) on each.  The side of an edge is the face its jump
     crosses, by the dominant component of v (ties to the lower axis): 1 + a
     along +e_a, 1 + d + a along -e_a, which are sides 1..4 for d = 2.
     Cached, hence read-only."""
-    zero = (0,) * g.d
+    t = edge_table(g, k)
     sites, rows = np.nonzero(neighbor_index(g, k).T < 0)
-    weights, sides = [], []
-    for v, w in k.support():
+    sides = []
+    for v, _ in k.support():
         a = int(np.argmax(np.abs(v)))
-        weights.append(w if v > zero else -w)
         sides.append(1 + a if v[a] > 0 else 1 + g.d + a)
-    table = BoundaryTable(sites, rows, _cells(g, k)[rows, sites],
-                          np.array(weights)[rows], np.array(sides)[rows])
+    weights = t.signs * [w for _, w in k.support()]
+    table = BoundaryTable(sites, rows, t.ids[rows, sites], weights[rows],
+                          np.array(sides)[rows])
     for array in table:
         array.flags.writeable = False
     return table
@@ -330,10 +300,11 @@ def boundary_table(g: BoxGeometry, k: Kernel) -> BoundaryTable:
 def kernel_edges(g: BoxGeometry, k: Kernel) -> tuple[Edge, ...]:
     """The edges of ``edge_table`` as canonical site pairs, in its order.
     Cached per (geometry, kernel), hence a tuple."""
-    planes = list(_planes(k))
-    q, *cell = np.unravel_index(edge_table(g, k)[1], (len(planes),) + _padded_shape(g))
-    first = np.stack(cell, axis=-1) - (g.L + g.shell_width)
-    second = first + np.array(planes)[q]
+    t = edge_table(g, k)
+    site = np.stack(np.unravel_index(t.sites, g.shape), axis=-1) - g.L
+    other = site + np.array([v for v, _ in k.support()])[t.rows]
+    ahead = (t.signs[t.rows] > 0)[:, None]
+    first, second = np.where(ahead, site, other), np.where(ahead, other, site)
     return tuple(zip(map(tuple, first.tolist()), map(tuple, second.tolist())))
 
 
@@ -355,10 +326,6 @@ class HeightField:
             raise ValueError("heights must be finite")
         self.geometry = geometry
         self.values = values
-
-    @classmethod
-    def zeros(cls, geometry: BoxGeometry) -> "HeightField":
-        return cls(geometry, np.zeros(geometry.n_sites))
 
 
 @dataclass(frozen=True)
@@ -426,80 +393,36 @@ def sample_disorder(spec: DisorderSpec, g: BoxGeometry) -> HeightField:
     return HeightField(g, vals)
 
 
+@dataclass(frozen=True, eq=False)
 class VectorField:
-    """Antisymmetric values w(i, j) = -w(j, i) on the kernel edges touching the box.
+    """Antisymmetric values w(i, j) = -w(j, i) on the kernel edges touching
+    the box: ``values[..., e]`` is w on the e-th edge of ``kernel_edges``
+    (``edge_table`` order), in its canonical orientation.  Leading axes
+    hold several fields of the box at once (a batch axis, say)."""
 
-    ``data[q]`` spans the shell-padded box for the q-th lexicographically
-    positive offset v and holds the edge (i, i + v), its canonical
-    orientation, at cell i; edges start at 0.  get/set take either
-    orientation and raise KeyError for any other pair.
-    """
+    geometry: BoxGeometry
+    kernel: Kernel
+    values: np.ndarray
 
-    __slots__ = ("geometry", "kernel", "data", "_offsets")
-
-    def __init__(self, geometry: BoxGeometry, kernel: Kernel):
-        if not geometry.covers(kernel):
-            raise ValueError("geometry shell does not cover the kernel range")
-        self.geometry = geometry
-        self.kernel = kernel
-        self._offsets = _planes(kernel)
-        self.data = np.zeros((len(self._offsets),) + _padded_shape(geometry))
-
-    @classmethod
-    def from_edge_values(cls, geometry: BoxGeometry, kernel: Kernel,
-                         values: np.ndarray) -> "VectorField":
-        """The field holding `values` on the ``kernel_edges``, in that order."""
-        out = cls(geometry, kernel)
-        np.put(out.data, edge_table(geometry, kernel)[1], values)
-        return out
-
-    def _cell(self, i: Site, j: Site) -> tuple[tuple[int, ...], float]:
-        (a, b), sign = canonical_edge(i, j)
-        q = self._offsets.get(tuple(y - x for x, y in zip(a, b)))
-        if q is None or not (self.geometry.contains(a) or self.geometry.contains(b)):
-            raise KeyError((a, b))
-        m = self.geometry.L + self.geometry.shell_width
-        return (q,) + tuple(c + m for c in a), sign
-
-    def set(self, i: Site, j: Site, value: float) -> None:
-        cell, sign = self._cell(i, j)
-        self.data[cell] = sign * value
-
-    def get(self, i: Site, j: Site) -> float:
-        cell, sign = self._cell(i, j)
-        return sign * float(self.data[cell])
-
-    def edge_values(self) -> np.ndarray:
-        """The values on the ``kernel_edges``, in that order: one gather."""
-        return self.data.take(edge_table(self.geometry, self.kernel)[1])
-
-    def items(self) -> Iterator[tuple[Edge, float]]:
-        """(canonical edge, value) in kernel_edges order."""
-        return zip(kernel_edges(self.geometry, self.kernel), self.edge_values().tolist())
+    def __post_init__(self) -> None:
+        n = edge_table(self.geometry, self.kernel).ends.shape[1]
+        if np.shape(self.values)[-1:] != (n,):
+            raise ValueError(f"expected values on {n} edges, got shape "
+                             f"{np.shape(self.values)}")
 
 
-def site_values(g: BoxGeometry, k: Kernel, data: np.ndarray) -> np.ndarray:
-    """w(i, i + v) for every kernel offset v (first axis, in support order)
-    and interior site i (last axis, in index order), read by shifts from
-    edge-field data (``VectorField.data``) under any leading axes, which
-    stay between the two."""
-    planes = np.moveaxis(data, -1 - g.d, 0)
-    index = _planes(k)
-    zero = (0,) * g.d
-    rows = [_shifted(g, planes[index[v]], zero) if v > zero
-            else -_shifted(g, planes[index[tuple(-c for c in v)]], v)
-            for v, _ in k.support()]
-    return np.stack(rows).reshape((len(rows),) + data.shape[:-1 - g.d] + (g.n_sites,))
-
-
-def site_flux(g: BoxGeometry, k: Kernel, data: np.ndarray) -> np.ndarray:
-    """sum_v p(v) w(i, i + v) at every interior site i, from edge-field data
-    under any leading axes (kept), adding one kernel offset at a time, in
+def site_flux(X: VectorField) -> np.ndarray:
+    """sum_v p(v) w(i, i + v) at every interior site i, under any leading
+    axes of the field (kept), adding one kernel offset at a time, in
     support order, for all sites at once."""
-    values = site_values(g, k, data)
-    flux = np.zeros(values.shape[1:])
-    for (_, w), row in zip(k.support(), values):
-        flux += w * row
+    t = edge_table(X.geometry, X.kernel)
+    flux = np.zeros(X.values.shape[:-1] + (X.geometry.n_sites,))
+    row = np.empty_like(flux)
+    for (_, w), sign, ids in zip(X.kernel.support(), t.signs, t.ids):
+        # the ids are all in range: "clip" gathers unbuffered
+        np.take(X.values, ids, axis=-1, out=row, mode="clip")
+        row *= sign * w
+        flux += row
     return flux
 
 
@@ -558,18 +481,15 @@ class Potential:
 
 
 def gradient_of(g: BoxGeometry, k: Kernel, phi: HeightField) -> VectorField:
-    """Edge differences phi_i - phi_j on every kernel edge touching the box.
+    """Edge differences phi_i - phi_j on every kernel edge touching the box,
+    one gather of the heights at each end.
 
     Heights outside the box are the boundary value 0, so boundary-crossing
     edges carry the interior height itself (up to orientation).
     """
-    out = VectorField(g, k)
-    padded = _pad_heights(g, phi.values)
-    for v, q in out._offsets.items():
-        src = tuple(slice(max(0, -c), n - max(0, c)) for c, n in zip(v, padded.shape))
-        dst = tuple(slice(max(0, c), n - max(0, -c)) for c, n in zip(v, padded.shape))
-        out.data[q][src] = padded[src] - padded[dst]
-    return out
+    ends = edge_table(g, k).ends
+    heights = np.append(phi.values, 0.0)
+    return VectorField(g, k, heights[ends[0]] - heights[ends[1]])
 
 
 def energy_terms(g: BoxGeometry, k: Kernel, vpot: Potential,

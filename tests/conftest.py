@@ -1,5 +1,7 @@
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -11,7 +13,8 @@ from scipy.sparse.linalg import LinearOperator, cg
 from gradlab.diagnostics import _boundary_sum
 from gradlab.gaussian import DEFAULT_SOLVER, covariances, solve_array
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
-                           Potential, add, sample_disorder)
+                           Potential, VectorField, edge_table, kernel_edges,
+                           neighbor_index, sample_disorder)
 
 
 @pytest.fixture
@@ -43,11 +46,72 @@ def gaussian_eta(g, seed=0, realization=0, eta2=1.0):
     return sample_disorder(DisorderSpec("gaussian", eta2, seed, realization), g)
 
 
+# ---------------------------------------------------------------------------
+# sites, kernels and edge fields, one tuple at a time
+
+
+def sites(g):
+    """Interior sites in index order."""
+    r = range(-g.L, g.L + 1)
+    return itertools.product(*([r] * g.d))
+
+
+def add(site, v):
+    return tuple(a + b for a, b in zip(site, v))
+
+
+def weight(k, v):
+    """p(v), 0 for an offset outside the kernel's list."""
+    return dict(zip(k.offsets, k.weights)).get(v, 0.0)
+
+
+def zero_heights(g):
+    return HeightField(g, np.zeros(g.n_sites))
+
+
+def zero_field(g, k):
+    return VectorField(g, k, np.zeros(len(kernel_edges(g, k))))
+
+
+def canonical_edge(i, j):
+    """The canonical key of the unordered edge {i, j}, the lexicographically
+    smaller endpoint first, and the sign of (i, j) relative to it: +1 if
+    (i, j) is canonical, -1 if it is the reverse."""
+    if i == j:
+        raise ValueError(f"degenerate edge at site {i}")
+    return ((i, j), 1.0) if i < j else ((j, i), -1.0)
+
+
+@lru_cache(maxsize=16)
+def _edge_numbers(g, k):
+    return {edge: n for n, edge in enumerate(kernel_edges(g, k))}
+
+
+def edge_slot(w, i, j):
+    """The index in ``w.values`` of the edge {i, j} and the sign of (i, j)
+    relative to its canonical orientation; KeyError for a pair that is not
+    a kernel edge touching the box."""
+    key, sign = canonical_edge(i, j)
+    return _edge_numbers(w.geometry, w.kernel)[key], sign
+
+
+def edge_value(w, i, j):
+    """w(i, j), from either orientation."""
+    n, sign = edge_slot(w, i, j)
+    return sign * float(w.values[n])
+
+
+def set_edge(w, i, j, value):
+    """Make w(i, j) = value (and w(j, i) = -value)."""
+    n, sign = edge_slot(w, i, j)
+    w.values[n] = sign * value
+
+
 def oracle_boundary_edges(g, k):
     """(i, j, p(j - i)) for each kernel edge from an interior site i to an
     exterior site j, ordered by i and then by kernel support order."""
     out = []
-    for i in g.sites():
+    for i in sites(g):
         for v, w in k.support():
             j = tuple(a + b for a, b in zip(i, v))
             if not g.contains(j):
@@ -85,31 +149,24 @@ def loop_residuals(g, w):
     """Maximum absolute circulation of w around interior unit plaquettes.
 
     A vector field is a gradient field exactly when every such circulation
-    vanishes.  Requires d >= 2 and w defined on the nearest-neighbor edges
-    of the interior (KeyError otherwise).
+    vanishes.  Requires d >= 2 and a kernel with the unit steps (ValueError
+    otherwise).  Read through the edge table: the edge (i, i + e_a) is
+    ``ids[a, i]``, held in that orientation.
     """
     if g.d < 2:
         raise ValueError("no plaquettes in dimension < 2")
-    unit = [tuple(int(t == a) for t in range(g.d)) for a in range(g.d)]
-    arrays = [w.data[w._offsets[e]] for e in unit]
-    zero = (0,) * g.d
+    support = [v for v, _ in w.kernel.support()]
+    unit = [support.index(tuple(int(t == a) for t in range(g.d))) for a in range(g.d)]
+    ids, nbr = edge_table(g, w.kernel).ids, neighbor_index(g, w.kernel)
     worst = 0.0
-    for a in range(g.d):
-        for b in range(a + 1, g.d):
-            def at(c, shift):
-                return _plaquette_view(g, arrays[c], shift, a, b)
-            circ = at(a, zero) + at(b, unit[a]) - at(a, unit[b]) - at(b, zero)
-            if circ.size:
-                worst = max(worst, float(np.max(np.abs(circ))))
+    for a, b in itertools.combinations(unit, 2):
+        # corners i with i + e_a, i + e_b and i + e_a + e_b inside
+        i = np.flatnonzero((nbr[a] >= 0) & (nbr[b] >= 0) & (nbr[b][nbr[a]] >= 0))
+        circ = (w.values[ids[a, i]] + w.values[ids[b, nbr[a, i]]]
+                - w.values[ids[a, nbr[b, i]]] - w.values[ids[b, i]])
+        if circ.size:
+            worst = max(worst, float(np.max(np.abs(circ))))
     return worst
-
-
-def _plaquette_view(g, padded, shift, a, b):
-    """`padded` at cell i + shift for every corner i of an interior unit
-    plaquette in the (a, b) plane (i + e_a, i + e_b also interior)."""
-    m = g.shell_width
-    return padded[tuple(slice(m + s, m + s + g.side - (ax in (a, b)))
-                        for ax, s in enumerate(shift))]
 
 
 class IntegralFormCheck(NamedTuple):
@@ -118,14 +175,14 @@ class IntegralFormCheck(NamedTuple):
     difference: float
 
 
-def integral_form_check(X, eta, g, k):
+def integral_form_check(X, eta):
     """Volume sum of eta versus the weighted boundary-edge sum of X.
 
     Interior edges cancel pairwise by antisymmetry, so the difference of the
     two sums telescopes to the sum of the per-site divergence residuals.
     """
     volume = float(np.sum(eta.values))
-    surface = _boundary_sum(X, g, k)
+    surface = _boundary_sum(X)
     return IntegralFormCheck(volume, surface, volume - surface)
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradlab
+from conftest import edge_value, set_edge
 from gradlab import cli, diagnostics, gaussian, mcmc
 from gradlab.cli import (_CASTERS, EXIT_CONFIG, EXIT_ERROR, EXIT_INVARIANT,
                          EXIT_NUMERICAL, EXIT_OK, EXPERIMENTS, MAX_D,
@@ -282,7 +283,7 @@ def test_corrupted_field_hook_exits_invariant_failure(tmp_path, monkeypatch):
     def corrupted(A, eta, cfg):
         X = exact(A, eta, cfg)
         i, j = diagnostics.central_edge(A.geometry.d)
-        X.set(i, j, X.get(i, j) + 1.0)
+        set_edge(X, i, j, edge_value(X, i, j) + 1.0)
         return X
 
     monkeypatch.setattr(gaussian, "mean_gradient", corrupted)
@@ -589,6 +590,16 @@ def test_readme_reads_table_matches_each_experiments_keys():
         for name in names.split(", "):
             documented[name] = frozenset(reads.replace(" or ", ", ").split(", "))
     assert documented == {name: spec.keys for name, spec in EXPERIMENTS.items()}
+
+
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    tour = readme.split("## Library quick tour\n", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["worst"] <= 1e-12
 
 
 def test_experiment_names_appear_in_cli_only_as_table_keys():

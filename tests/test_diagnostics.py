@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (covariance, gaussian_eta, integral_form_check,
-                      oracle_boundary_edges, oracle_sparse_operator, variance)
+from conftest import (covariance, edge_value, gaussian_eta, integral_form_check,
+                      oracle_boundary_edges, oracle_sparse_operator, set_edge,
+                      variance, weight, zero_field)
 from gradlab import diagnostics, gaussian
 from gradlab.diagnostics import (FitResult, ScanResult,
                                  boundary_ergodic_average, central_edge,
@@ -29,10 +30,7 @@ def setup_gaussian(d, L, seed=0):
 
 def random_antisymmetric_field(g, k, seed):
     rng = np.random.default_rng(seed)
-    w = VectorField(g, k)
-    for edge in kernel_edges(g, k):
-        w.set(edge[0], edge[1], rng.normal())
-    return w
+    return VectorField(g, k, np.array([rng.normal() for _ in kernel_edges(g, k)]))
 
 
 # ---------------------------------------------------------------------------
@@ -42,30 +40,28 @@ def random_antisymmetric_field(g, k, seed):
 def test_divergence_residual_of_exact_gaussian_field():
     g, k, A, eta = setup_gaussian(2, 4)
     X = mean_gradient(A, eta)
-    _, mx = divergence_residual(X, eta, g, k)
+    _, mx = divergence_residual(X, eta)
     assert mx <= 1e-8
 
 
 def test_divergence_residual_zero_everything():
     g, k, A, _ = setup_gaussian(2, 1)
     eta = HeightField(g, np.zeros(g.n_sites))
-    w = VectorField(g, k)
-    for edge in kernel_edges(g, k):
-        w.set(edge[0], edge[1], 0.0)
-    res, mx = divergence_residual(w, eta, g, k)
+    w = zero_field(g, k)
+    res, mx = divergence_residual(w, eta)
     assert mx == 0.0 and np.all(res == 0.0)
 
 
 def test_edge_perturbation_moves_exactly_two_residuals():
     g, k, A, eta = setup_gaussian(2, 2, seed=5)
     X = mean_gradient(A, eta)
-    base, _ = divergence_residual(X, eta, g, k)
+    base, _ = divergence_residual(X, eta)
     eps = 0.37
     i, j = (0, 0), (0, 1)  # interior edge
-    X.set(i, j, X.get(i, j) + eps)
-    moved, _ = divergence_residual(X, eta, g, k)
+    set_edge(X, i, j, edge_value(X, i, j) + eps)
+    moved, _ = divergence_residual(X, eta)
     delta = moved - base
-    p = k.weight((0, 1))
+    p = weight(k, (0, 1))
     assert delta[g.index_of(i)] == pytest.approx(-p * eps, abs=1e-14)
     assert delta[g.index_of(j)] == pytest.approx(p * eps, abs=1e-14)
     others = np.delete(delta, [g.index_of(i), g.index_of(j)])
@@ -75,7 +71,7 @@ def test_edge_perturbation_moves_exactly_two_residuals():
 def test_integral_form_check_gaussian():
     g, k, A, eta = setup_gaussian(2, 4, seed=2)
     X = mean_gradient(A, eta)
-    chk = integral_form_check(X, eta, g, k)
+    chk = integral_form_check(X, eta)
     assert abs(chk.difference) <= g.n_sites * 1e-8
     assert chk.volume_sum == pytest.approx(float(np.sum(eta.values)))
 
@@ -86,8 +82,8 @@ def test_stokes_telescoping_for_arbitrary_antisymmetric_fields(seed):
     # difference of volume and surface sums == sum of residuals, model-free
     g, k, A, eta = setup_gaussian(2, 2, seed=3)
     w = random_antisymmetric_field(g, k, seed)
-    res, _ = divergence_residual(w, eta, g, k)
-    chk = integral_form_check(w, eta, g, k)
+    res, _ = divergence_residual(w, eta)
+    chk = integral_form_check(w, eta)
     assert chk.difference == pytest.approx(float(res.sum()), abs=1e-10)
 
 
@@ -95,8 +91,8 @@ def test_zero_disorder_arbitrary_field_bookkeeping():
     g, k, A, _ = setup_gaussian(2, 2)
     eta = HeightField(g, np.zeros(g.n_sites))
     w = random_antisymmetric_field(g, k, 17)
-    res, _ = divergence_residual(w, eta, g, k)
-    chk = integral_form_check(w, eta, g, k)
+    res, _ = divergence_residual(w, eta)
+    chk = integral_form_check(w, eta)
     assert chk.volume_sum == 0.0
     assert chk.surface_sum == pytest.approx(-float(res.sum()), abs=1e-10)
 
@@ -107,17 +103,15 @@ def test_zero_disorder_arbitrary_field_bookkeeping():
 
 def test_boundary_average_zero_field():
     g, k, A, _ = setup_gaussian(2, 3)
-    w = VectorField(g, k)
-    for edge in kernel_edges(g, k):
-        w.set(edge[0], edge[1], 0.0)
-    assert all(boundary_ergodic_average(w, g, k, s) == 0.0 for s in (1, 2, 3, 4))
+    w = zero_field(g, k)
+    assert all(boundary_ergodic_average(w, s) == 0.0 for s in (1, 2, 3, 4))
 
 
 def test_boundary_sides_partition_the_surface_sum():
     g, k, A, eta = setup_gaussian(2, 3, seed=7)
     X = mean_gradient(A, eta)
-    sides = sum(boundary_ergodic_average(X, g, k, s) for s in (1, 2, 3, 4))
-    chk = integral_form_check(X, eta, g, k)
+    sides = sum(boundary_ergodic_average(X, s) for s in (1, 2, 3, 4))
+    chk = integral_form_check(X, eta)
     assert sides * g.L == pytest.approx(chk.surface_sum, rel=1e-12)
 
 
@@ -127,8 +121,8 @@ def test_boundary_sides_partition_with_range_two_kernel():
     A = DirichletLaplacian(g, k)
     eta = gaussian_eta(g, seed=8)
     X = mean_gradient(A, eta)
-    sides = sum(boundary_ergodic_average(X, g, k, s) for s in (1, 2, 3, 4))
-    assert sides * g.L == pytest.approx(integral_form_check(X, eta, g, k).surface_sum,
+    sides = sum(boundary_ergodic_average(X, s) for s in (1, 2, 3, 4))
+    assert sides * g.L == pytest.approx(integral_form_check(X, eta).surface_sum,
                                         rel=1e-12)
 
 
@@ -136,7 +130,7 @@ def test_boundary_average_requires_d2():
     k = Kernel.nearest_neighbor(3)
     g = BoxGeometry.for_kernel(3, 1, k)
     with pytest.raises(ValueError):
-        boundary_ergodic_average(VectorField(g, k), g, k, 1)
+        boundary_ergodic_average(zero_field(g, k), 1)
 
 
 def test_disorder_mean_of_side_averages_is_small():
@@ -146,7 +140,7 @@ def test_disorder_mean_of_side_averages_is_small():
     for r in range(n):
         eta = sample_disorder(DisorderSpec("gaussian", 1.0, 21, r), g)
         X = mean_gradient(A, eta)
-        sides[r] = [boundary_ergodic_average(X, g, k, s) for s in (1, 2, 3, 4)]
+        sides[r] = [boundary_ergodic_average(X, s) for s in (1, 2, 3, 4)]
     means = sides.mean(axis=0)
     stderrs = sides.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(means) <= 4.0 * stderrs)

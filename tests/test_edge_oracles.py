@@ -7,26 +7,23 @@ kernel support order; surface and per-side sums fold edge by edge in
 boundary-edge order: by interior site, then kernel support order), so
 every comparison here is exact equality, except the operator's: its
 oracle is a sparse matrix, whose product adds each row in its own order.
+The oracles read edge fields through ``conftest.edge_value``.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import (height_at, integral_form_check, loop_residuals,
-                      oracle_boundary_edges, oracle_sparse_operator, random_heights,
-                      site_of)
+from conftest import (add, canonical_edge, edge_value, height_at,
+                      integral_form_check, loop_residuals, oracle_boundary_edges,
+                      oracle_sparse_operator, random_heights, site_of, sites)
 from gradlab import gaussian, mcmc
 from gradlab.diagnostics import boundary_ergodic_average, divergence_residual
-from gradlab.model import (BoxGeometry, DisorderSpec,
-                           HeightField, Kernel, Potential, VectorField,
-                           boundary_table, canonical_edge, edge_table,
+from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
+                           Potential, VectorField, boundary_table, edge_table,
                            gradient_of, kernel_edges, sample_disorder)
-
-
-def add(site, v):
-    return tuple(a + b for a, b in zip(site, v))
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +33,7 @@ def add(site, v):
 def oracle_gradient(g, k, phi):
     """Canonical edge -> phi_i - phi_j, in insertion order."""
     out = {}
-    for i in g.sites():
+    for i in sites(g):
         hi = height_at(phi, i)
         for v, _ in k.support():
             j = add(i, v)
@@ -49,7 +46,7 @@ def oracle_gradient(g, k, phi):
 
 def oracle_kernel_edges(g, k):
     out = []
-    for i in g.sites():
+    for i in sites(g):
         for v, _ in k.support():
             j = add(i, v)
             if g.contains(j) and j < i:
@@ -61,7 +58,7 @@ def oracle_kernel_edges(g, k):
 
 def oracle_divergence_residual(get, eta, g, k):
     residuals = np.zeros(g.n_sites)
-    for idx, i in enumerate(g.sites()):
+    for idx, i in enumerate(sites(g)):
         flux = 0.0
         for v, w in k.support():
             flux += w * get(i, add(i, v))
@@ -89,7 +86,7 @@ def oracle_boundary_ergodic_average(get, g, k, side):
 
 def oracle_loop_residuals(g, get):
     worst = 0.0
-    for i in g.sites():
+    for i in sites(g):
         for a in range(g.d):
             ea = tuple(1 if t == a else 0 for t in range(g.d))
             ia = add(i, ea)
@@ -109,18 +106,14 @@ def oracle_loop_residuals(g, get):
 def oracle_divergence_check(est, eta, g, k):
     n = g.n_sites
     residuals = np.zeros(n)
-    batches = []
-    for row in est.batch_means:
-        field = VectorField(g, k)
-        field.data[...] = row
-        batches.append(field)
+    batches = [VectorField(g, k, row) for row in est.batch_means.values]
     batch_flux = np.zeros((len(batches), n))
-    for idx, i in enumerate(g.sites()):
+    for idx, i in enumerate(sites(g)):
         flux = 0.0
         for v, w in k.support():
             j = add(i, v)
-            flux += w * est.mean.get(i, j)
-            batch_flux[:, idx] += w * np.array([b.get(i, j) for b in batches])
+            flux += w * edge_value(est.mean, i, j)
+            batch_flux[:, idx] += w * np.array([edge_value(b, i, j) for b in batches])
         residuals[idx] = eta.values[idx] - flux
     stderrs = batch_flux.std(axis=0, ddof=1) / math.sqrt(batch_flux.shape[0])
     return residuals, stderrs
@@ -152,10 +145,7 @@ def solved_field(g, k, eta):
 def random_field(g, k, seed):
     """An antisymmetric field with no gradient structure (nonzero loops)."""
     rng = np.random.default_rng(seed)
-    w = VectorField(g, k)
-    for i, j in kernel_edges(g, k):
-        w.set(i, j, rng.normal())
-    return w
+    return VectorField(g, k, rng.normal(size=len(kernel_edges(g, k))))
 
 
 def test_edge_lists_match_reference(case):
@@ -166,14 +156,25 @@ def test_edge_lists_match_reference(case):
 def test_edge_table_matches_reference(case):
     g, k, _ = case
     edges = kernel_edges(g, k)
-    ends, cells = edge_table(g, k)
+    table = edge_table(g, k)
     index = [[g.index_of(s) if g.contains(s) else g.n_sites for s in e] for e in edges]
-    assert ends.T.tolist() == index
+    assert table.ends.T.tolist() == index
+    assert not any(array.flags.writeable for array in table)
     values = np.arange(1.0, len(edges) + 1.0)
-    w = VectorField.from_edge_values(g, k, values)
-    assert [w.get(*e) for e in edges] == values.tolist()
-    assert np.count_nonzero(w.data) == len(edges) == len(set(cells.tolist()))
-    assert np.array_equal(w.edge_values(), values)
+    w = VectorField(g, k, values)
+    assert [edge_value(w, *e) for e in edges] == values.tolist()
+
+
+def test_edge_ids_match_reference(case):
+    """ids[r, i] is the index of (i, i + v_r) in the oracle's edge list, held
+    in the canonical orientation, which signs[r] gives relative to it."""
+    g, k, _ = case
+    number = {e: n for n, e in enumerate(oracle_kernel_edges(g, k))}
+    table = edge_table(g, k)
+    for r, (v, _) in enumerate(k.support()):
+        for n, i in enumerate(sites(g)):
+            key, sign = canonical_edge(i, add(i, v))
+            assert (table.ids[r, n], table.signs[r]) == (number[key], sign)
 
 
 def test_boundary_table_matches_reference(case):
@@ -184,8 +185,8 @@ def test_boundary_table_matches_reference(case):
              for i, r in zip(table.sites.tolist(), table.rows.tolist())]
     assert edges == oracle_boundary_edges(g, k)
     X = random_field(g, k, 3)
-    terms = table.weights * X.data.ravel()[table.cells]
-    assert terms.tolist() == [w * X.get(i, j) for i, j, w in edges]
+    terms = table.weights * X.values[table.edges]
+    assert terms.tolist() == [w * edge_value(X, i, j) for i, j, w in edges]
     for (i, j, _), side in zip(edges, table.sides.tolist()):
         jump = [b - a for a, b in zip(i, j)]
         axis = max(range(g.d), key=lambda a: (abs(jump[a]), -a))
@@ -196,24 +197,27 @@ def test_boundary_table_matches_reference(case):
 def test_gradient_matches_reference(case):
     g, k, _ = case
     phi = HeightField(g, random_heights(g, seed=g.L, scale=2.0))
-    assert list(gradient_of(g, k, phi).items()) == list(oracle_gradient(g, k, phi).items())
+    field = gradient_of(g, k, phi)
+    assert list(zip(kernel_edges(g, k), field.values.tolist())) == \
+        list(oracle_gradient(g, k, phi).items())
 
 
 def test_divergence_and_surface_sums_match_reference(case):
     g, k, eta = case
     for X in (solved_field(g, k, eta), random_field(g, k, 7)):
-        res, mx = divergence_residual(X, eta, g, k)
-        ref, ref_mx = oracle_divergence_residual(X.get, eta, g, k)
+        get = partial(edge_value, X)
+        res, mx = divergence_residual(X, eta)
+        ref, ref_mx = oracle_divergence_residual(get, eta, g, k)
         assert np.array_equal(res, ref) and mx == ref_mx
-        chk = integral_form_check(X, eta, g, k)
-        assert chk.surface_sum == oracle_surface_sum(X.get, g, k)
+        chk = integral_form_check(X, eta)
+        assert chk.surface_sum == oracle_surface_sum(get, g, k)
         assert chk.volume_sum == float(np.sum(eta.values))
         if g.d == 2:
             for side in (1, 2, 3, 4):
-                assert boundary_ergodic_average(X, g, k, side) == \
-                    oracle_boundary_ergodic_average(X.get, g, k, side)
+                assert boundary_ergodic_average(X, side) == \
+                    oracle_boundary_ergodic_average(get, g, k, side)
         if g.d >= 2:
-            assert loop_residuals(g, X) == oracle_loop_residuals(g, X.get)
+            assert loop_residuals(g, X) == oracle_loop_residuals(g, get)
 
 
 def test_operator_assembly_and_sampler_table_match_reference(case):
@@ -242,30 +246,6 @@ def test_mcmc_divergence_check_matches_reference(name):
     cfg = mcmc.SamplerConfig(burn_in_sweeps=50, measure_sweeps=300)
     est = mcmc.estimate_gradient_mean(g, k, Potential.quartic(1.0, 0.1), eta,
                                       cfg, seed=4)
-    res, se = mcmc.divergence_check(est, eta, g, k)
+    res, se = mcmc.divergence_check(est, eta)
     ref_res, ref_se = oracle_divergence_check(est, eta, g, k)
     assert np.array_equal(res, ref_res) and np.array_equal(se, ref_se)
-
-
-def test_vector_field_rejects_edges_it_does_not_hold():
-    k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 2, k)
-    w = VectorField(g, k)
-    for i, j in [((0, 0), (1, 1)),      # not a kernel offset
-                 ((3, 0), (4, 0)),      # both endpoints outside the box
-                 ((9, 9), (9, 10))]:    # beyond the padded array
-        with pytest.raises(KeyError):
-            w.get(i, j)
-        with pytest.raises(KeyError):
-            w.set(i, j, 1.0)
-    w.set((3, 0), (2, 0), 0.5)  # boundary edge, stored from the outside end
-    assert w.get((2, 0), (3, 0)) == -0.5
-
-
-def test_divergence_rejects_a_field_of_another_kernel():
-    k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 2, Kernel.axis_kernel(2, 2))
-    X = VectorField(g, Kernel.axis_kernel(2, 2))
-    eta = HeightField(g, np.zeros(g.n_sites))
-    with pytest.raises(ValueError):
-        divergence_residual(X, eta, g, k)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import (conditional_logdensity, gaussian_eta, height_at,
-                      single_site_quadrature_oracle)
+from conftest import (conditional_logdensity, edge_value, gaussian_eta,
+                      height_at, single_site_quadrature_oracle, zero_field,
+                      zero_heights)
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import DirichletLaplacian, mean_gradient
 from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, SPIKE, TARGET_ACCEPTANCE,
@@ -31,7 +32,7 @@ def single_site_setup(eta_value=0.0):
 
 def test_conditional_logdensity_single_site_is_gaussian(quadratic):
     g, k, eta = single_site_setup(0.7)
-    phi = HeightField.zeros(g)
+    phi = zero_heights(g)
     ref = lambda t: -t * t / 2 + 0.7 * t
     for t in (-2.0, 0.0, 0.5, 3.0):
         got = conditional_logdensity(g, k, quadratic, phi, eta, (0, 0), t)
@@ -83,7 +84,7 @@ def test_conditional_logdensity_derivative_matches_energy_fd(quartic):
 def test_conditional_logdensity_rejects_exterior_site(quadratic):
     g, k, eta = single_site_setup()
     with pytest.raises(ValueError):
-        conditional_logdensity(g, k, quadratic, HeightField.zeros(g), eta, (5, 5), 0.0)
+        conditional_logdensity(g, k, quadratic, zero_heights(g), eta, (5, 5), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +304,9 @@ def test_untuned_single_site_chain_matches_quadrature_oracle(width):
     assert est.proposal_width == width
     oracle = single_site_quadrature_oracle(vpot, 1.0, [w for _, w in k.support()])
     for v, _ in k.support():
-        got = est.mean.get((0, 0), v)
-        assert abs(got - oracle.mean_derivative) <= 4.0 * abs(est.stderr.get((0, 0), v))
+        got = edge_value(est.mean, (0, 0), v)
+        stderr = abs(edge_value(est.stderr, (0, 0), v))
+        assert abs(got - oracle.mean_derivative) <= 4.0 * stderr
 
 
 def test_single_site_chain_reproduces_gaussian_moments(quadratic):
@@ -397,12 +399,11 @@ def test_estimates_match_site_order_oracle(d, L, name, vpot, thin):
     cfg = SamplerConfig(burn_in_sweeps=130, measure_sweeps=1800, thin=thin)
     est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=8)
     batch_means, n_eff, width, cap_rejects = site_order_estimate(g, k, vpot, eta, cfg, 8)
-    fields = [VectorField.from_edge_values(g, k, row).data for row in batch_means]
-    assert np.array_equal(est.batch_means, np.stack(fields))
+    assert np.array_equal(est.batch_means.values, batch_means)
     # every n_eff inside its clip [1, retained] is the unclipped ratio
     inside = (n_eff > 1.0) & (n_eff < est.retained)
     assert inside.any()
-    assert np.array_equal(est.n_eff.edge_values()[inside], n_eff[inside])
+    assert np.array_equal(est.n_eff.values[inside], n_eff[inside])
     assert est.proposal_width == width and est.cap_rejects == cap_rejects
 
 
@@ -416,8 +417,8 @@ def test_zero_disorder_estimates_vanish(quartic):
     eta = HeightField(g, np.zeros(g.n_sites))
     est = estimate_gradient_mean(g, k, quartic, eta, FAST, seed=5)
     for e in kernel_edges(g, k):
-        assert abs(est.mean.get(*e)) <= 4.0 * est.stderr.get(*e) + 1e-12
-        assert est.n_eff.get(*e) <= est.retained
+        assert abs(edge_value(est.mean, *e)) <= 4.0 * edge_value(est.stderr, *e) + 1e-12
+        assert edge_value(est.n_eff, *e) <= est.retained
 
 
 def test_estimates_are_exactly_antisymmetric(quartic):
@@ -426,7 +427,7 @@ def test_estimates_are_exactly_antisymmetric(quartic):
     eta = gaussian_eta(g, seed=6)
     est = estimate_gradient_mean(g, k, quartic, eta, FAST, seed=6)
     for i, j in kernel_edges(g, k):
-        assert est.mean.get(j, i) == -est.mean.get(i, j)
+        assert edge_value(est.mean, j, i) == -edge_value(est.mean, i, j)
 
 
 def test_single_site_estimate_matches_quadrature_oracle():
@@ -437,8 +438,8 @@ def test_single_site_estimate_matches_quadrature_oracle():
     oracle = single_site_quadrature_oracle(vpot, 1.0, [w for _, w in k.support()])
     for v, _ in k.support():
         j = (v[0], v[1])
-        got = est.mean.get((0, 0), j)  # oriented from the interior site out
-        stderr = abs(est.stderr.get((0, 0), j))  # a magnitude, either orientation
+        got = edge_value(est.mean, (0, 0), j)  # oriented from the interior site out
+        stderr = abs(edge_value(est.stderr, (0, 0), j))  # a magnitude, either orientation
         assert abs(got - oracle.mean_derivative) <= 3.0 * stderr
 
 
@@ -459,7 +460,8 @@ def test_gaussian_cross_validation_multiple_realizations(quadratic):
         assert est.cap_rejects == 0
         for e in edges:
             total += 1
-            if abs(est.mean.get(*e) - X.get(*e)) <= 3.0 * est.stderr.get(*e):
+            error = edge_value(est.mean, *e) - edge_value(X, *e)
+            if abs(error) <= 3.0 * edge_value(est.stderr, *e):
                 covered += 1
     assert covered / total >= 0.95
 
@@ -470,7 +472,7 @@ def test_divergence_check_within_propagated_errors(quartic):
     eta = gaussian_eta(g, seed=12)
     cfg = SamplerConfig(burn_in_sweeps=1000, measure_sweeps=12000)
     est = estimate_gradient_mean(g, k, quartic, eta, cfg, seed=12)
-    resid, se = divergence_check(est, eta, g, k)
+    resid, se = divergence_check(est, eta)
     ratio = np.abs(resid) / se
     assert (ratio <= 4.0).mean() >= 0.95
 
@@ -482,12 +484,13 @@ def test_divergence_check_of_exact_batches_is_the_exact_residual():
     g = BoxGeometry.for_kernel(2, 3, k)
     eta = gaussian_eta(g, seed=14)
     X = mean_gradient(DirichletLaplacian(g, k), eta)
-    zero = VectorField(g, k)
-    est = GradientEstimate(X, zero, zero, np.stack([X.data] * N_BATCHES),
+    zero = zero_field(g, k)
+    batches = VectorField(g, k, np.stack([X.values] * N_BATCHES))
+    est = GradientEstimate(X, zero, zero, batches,
                            acceptance_rate=1.0, proposal_width=1.0,
                            cap_rejects=0, retained=N_BATCHES)
-    resid, se = divergence_check(est, eta, g, k)
-    exact, _ = divergence_residual(X, eta, g, k)
+    resid, se = divergence_check(est, eta)
+    exact, _ = divergence_residual(X, eta)
     assert np.max(np.abs(resid - exact)) <= 1e-13
     assert np.max(se) <= 1e-13
 
