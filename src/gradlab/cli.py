@@ -27,9 +27,9 @@ non-convergence); 3 invariant-check failure (an identity above its
 tolerance); 4 any other error raised by the experiment (its type and message
 in the manifest's ``summaries.error``).  The ``identities`` gates are the
 constants ``DIVERGENCE_TOLERANCE``, ``SURFACE_TOLERANCE`` and
-``SECOND_MOMENT_TOLERANCE``, and the sampler's Bactrian proposals have the
-shape ``mcmc.SPIKE`` and a width that burn-in tunes toward the acceptance
-``mcmc.TARGET_ACCEPTANCE``; none of them is a config key.
+``SECOND_MOMENT_TOLERANCE``, and the sampler proposes from each site's
+harmonic conditional with a width that burn-in sets by linear response;
+neither is a config key.
 
 Usage::
 
@@ -403,10 +403,10 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
     # np.median would load numpy.ma inside the clock
     ordered = np.sort(n_eff)
     summary = {
-        "proposal": f"bactrian:{mcmc.SPIKE}",
-        "target_acceptance": mcmc.TARGET_ACCEPTANCE,
+        "proposal": "harmonic-conditional",
         "acceptance_rate": est.acceptance_rate,
         "proposal_width": est.proposal_width,
+        "width_change_last_block": est.width_change,
         "cap_rejects": est.cap_rejects,
         "n_eff_median": float(ordered[(len(ordered) - 1) // 2] + ordered[len(ordered) // 2]) / 2,
         "n_eff_min": float(ordered[0]),

@@ -2,27 +2,29 @@
 
 The target density on interior heights (zero boundary condition, fixed
 disorder eta) is proportional to exp(-H) with H from :mod:`gradlab.model`.
-The sampler is systematic-scan single-site Metropolis with Bactrian
-proposals, one colour class at a time: the sites are split into classes of
-which no two are kernel neighbours (the two parity classes for ``nn``), so
-the single-site conditionals within a class do not depend on each other and
-the class's moves are one array operation.  Each class update is a product
-of single-site Metropolis kernels for the exact conditionals, hence leaves
-the target invariant; a sweep is their composition.  A Bactrian proposal
-(Yang & Rodriguez, PNAS 110, 2013) is symmetric and bimodal: a step of
-+-``SPIKE`` plus Gaussian noise, scaled to unit variance and then by the
-proposal width, so it rarely wastes a move on a tiny step.  Burn-in tunes
-the width, the proposal's standard deviation, toward
-``TARGET_ACCEPTANCE``; measurement keeps it fixed.
+The sampler is systematic-scan single-site Metropolis-within-Gibbs, one
+colour class at a time: the sites are split into classes of which no two
+are kernel neighbours (the two parity classes for ``nn``), so the
+single-site conditionals within a class do not depend on each other and the
+class's moves are one array operation.  Each class update is a product of
+single-site Metropolis kernels for the exact conditionals, hence leaves the
+target invariant; a sweep is their composition.  A site proposes, whatever
+its height (Tierney, Ann. Statist. 22, 1994), from its conditional under a
+harmonic stand-in of stiffness 1/w^2, w the proposal width: h' ~ N(m + eta
+w^2, w^2), m = sum_j p(j - i) phi_j its neighbours' mean.  It moves iff an
+Exp(1) threshold is >= E(h') - E(h), E(x) = sum_j p(j - i) [(a - 1/w^2)/2
+(x - phi_j)^2 + b (x - phi_j)^4]; for quadratic V, w = 1/sqrt(a) is heat
+bath.  Burn-in sets w^2 = mean(r^2) / (1 + mean(r eta)), r = h - m, over
+the later half of its blocks (exact for a harmonic conditional; 1/a at once
+for b = 0); measurement keeps it fixed.
 
 Heights are stored in class order, so a class is a slice of them, lined up
-with its columns of random numbers, and a step updates it in place.  What
-depends on the draws alone is formed once per block of sweeps: the field's
-part -eta s of the energy change joins the Exp(1) thresholds, and with the
-midpoint u = t + s/2 of each edge difference t, V(t + s) - V(t) =
-s u (a + b s^2 + 4 b u^2), so a step makes one stencil dot.  Steps test the
-height cap only in a block whose bound, max |phi| plus the sum over its
-sweeps of max |s|, exceeds ``HEIGHT_CAP``.
+with its columns of random numbers, and a step updates it in place.  The
+offsets h' - m are formed once per block of sweeps; a step evaluates E at
+both heights in one stacked array and one stencil dot.  m is a convex
+combination of heights, so steps test the height cap only in a block whose
+bound, max |phi| plus the sum over its class steps of max |offset|, exceeds
+``HEIGHT_CAP``.
 
 The main estimator is the time average of V'(phi_i - phi_j) on every
 kernel edge, with batch-means error bars, as edge fields like the exact
@@ -52,18 +54,8 @@ HEIGHT_CAP = 1e6
 N_BATCHES = 30
 
 #: most sweeps (burn-in) or retained samples (measurement) per block of
-#: random numbers; burn-in tunes the proposal width once per block
+#: random numbers; burn-in sets the proposal width once per block
 BLOCK = 25
-
-#: the Bactrian proposal's spike, +-SPIKE, in units of its standard deviation;
-#: Gaussian noise of variance 1 - SPIKE^2 makes up the rest.  0.95 mixes
-#: faster but leaves too few small steps at a fixed, untuned width
-SPIKE = 0.9
-
-#: acceptance rate that burn-in steers the proposal width toward, the best
-#: of 0.30, 0.35 and 0.40 for Bactrian proposals; a Gaussian random walk
-#: does best at 0.44 (Gelman, Roberts & Gilks 1996)
-TARGET_ACCEPTANCE = 0.35
 
 
 @dataclass(frozen=True)
@@ -101,6 +93,7 @@ class GradientEstimate:
     batch_means: VectorField
     acceptance_rate: float
     proposal_width: float
+    width_change: float
     cap_rejects: int
     retained: int
 
@@ -127,15 +120,16 @@ def colour_classes(g: BoxGeometry, k: Kernel) -> tuple[np.ndarray, ...]:
 
 
 class _ColourClass(NamedTuple):
-    """A chain's colour class: its span of ``ph`` and its per-step buffers."""
+    """A chain's colour class: its spans of the heights and its per-step buffers."""
 
     span: slice
     heights: np.ndarray  # ph[span], a view
+    new: np.ndarray      # the proposed heights, a view of the row above ph
+    pair: np.ndarray     # new above heights, (2, 1, m), a view
     slots: np.ndarray    # positions in ph of its sites' neighbours, (K, m)
-    u: np.ndarray        # u = t + s/2 on each edge, (K, m)
-    cube: np.ndarray     # u^3, (K, m)
-    powers: np.ndarray   # u above u^3, (2K, m), the memory of both
-    sums: np.ndarray     # sum_j p_j u_j and 4 b sum_j p_j u_j^3, (2, m)
+    powers: np.ndarray   # (x - phi_j)^2 above (x - phi_j)^4, x each of pair, (2, 2, K, m)
+    flat: np.ndarray     # powers as (4K, m), a view
+    change: np.ndarray   # E(h') - E(h), (m,)
 
 
 class Chain:
@@ -145,7 +139,8 @@ class Chain:
     then class 1's, ...) followed by the frozen boundary slot (height 0),
     which every neighbour outside the box reads.  ``slot[i]`` is site i's
     position in ``ph`` (``slot[n_sites]`` the boundary slot's), so
-    ``ph[slot]`` lists the heights in site order.
+    ``ph[slot]`` lists the heights in site order.  It is the second row of
+    a pair whose first row holds each class step's proposed heights.
     """
 
     def __init__(self, g: BoxGeometry, k: Kernel, vpot: Potential,
@@ -153,96 +148,90 @@ class Chain:
         classes = colour_classes(g, k)
         order = np.concatenate(classes)
         self.slot = np.argsort(np.append(order, g.n_sites))  # the inverse permutation
-        self.ph = np.zeros(g.n_sites + 1)
+        rows = np.zeros((2, g.n_sites + 1))
+        self.ph = rows[1]
         # -1 (outside the box) reads slot[-1], the boundary slot
-        slots = self.slot[neighbor_index(g, k)][:, order]
+        self.slots = self.slot[neighbor_index(g, k)][:, order]
         bounds = np.cumsum([0] + [len(sites) for sites in classes]).tolist()
         self.classes = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            span, powers = slice(lo, hi), np.empty((2 * len(slots), hi - lo))
-            self.classes.append(_ColourClass(span, self.ph[span], slots[:, span],
-                                             *np.split(powers, 2), powers,
-                                             np.empty((2, hi - lo))))
+            # C order: the stencil dot's summation order follows the memory layout
+            span, slots = slice(lo, hi), np.ascontiguousarray(self.slots[:, lo:hi])
+            powers = np.empty((2, 2) + slots.shape)
+            self.classes.append(_ColourClass(
+                span, self.ph[span], rows[0, span], rows[:, None, span], slots,
+                powers, powers.reshape(4 * len(slots), -1), np.empty(hi - lo)))
         self.eta = eta.values[order]
-        #: rows of the one stencil dot: sum_j p_j u_j and 4 b sum_j p_j u_j^3
-        self.stencil = np.kron(np.diag([1.0, 4.0 * vpot.b]), [w for _, w in k.support()])
+        self.weights = np.array([w for _, w in k.support()])
         self.vpot = vpot
         self.rng = chain_stream(seed, chain)
         self.cap_rejects = 0
-        #: block buffers: steps, limits, s/2 and a + b s^2, and accept flags
-        self.work = np.empty((4, 0, g.n_sites))
+        #: block buffers: offsets and Exp(1) thresholds, and accept flags
+        self.work = np.empty((2, 0, g.n_sites))
         self.ok = np.empty((0, g.n_sites), dtype=bool)
 
-    def pair_change(self, c: int, step: np.ndarray, half: np.ndarray,
-                    coef: np.ndarray) -> np.ndarray:
-        """sum_j p(j - i) [V(t_j + s_i) - V(t_j)] with t_j = phi_i - phi_j,
-        for each site i of class c moved alone by s_i; the other sites keep
-        their heights.  ``half`` is s/2 and ``coef`` is a + b s^2: with the
-        midpoint u = t + s/2, V(t + s) - V(t) = s u (a + b s^2 + 4 b u^2).
-        Returns a buffer of the class, overwritten by the next call."""
-        _, heights, slots, u, cube, powers, sums = self.classes[c]
-        np.subtract(heights + half, self.ph[slots], out=u)
-        np.multiply(u, u, out=cube)
-        cube *= u
-        lin, cub = np.dot(self.stencil, powers, out=sums)
-        lin *= coef
-        lin += cub
-        lin *= step
-        return lin
+    def energy_weights(self, width: float) -> np.ndarray:
+        """The row of the stencil dot that forms E(h') - E(h): +-(a - 1/width^2)/2 p_j
+        on the squares (x - phi_j)^2, +-b p_j on the fourth powers."""
+        stiffness = 0.5 * (self.vpot.a - 1.0 / (width * width))
+        return np.kron([stiffness, self.vpot.b], np.kron([1.0, -1.0], self.weights))
+
+    def propose(self, c: int, offset: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Propose h' = m + offset at each site of class c, m = sum_j p_j phi_j
+        its neighbours' mean, into the class's ``new``, and return E(h') - E(h)
+        (``weights`` from ``energy_weights``) in a buffer that the next call
+        overwrites; the other sites keep their heights."""
+        _, _, new, pair, slots, (squares, fourths), flat, change = self.classes[c]
+        nbrs = self.ph[slots]
+        np.dot(self.weights, nbrs, out=new)
+        new += offset
+        np.subtract(pair, nbrs, out=squares)
+        squares *= squares
+        np.multiply(squares, squares, out=fourths)
+        return np.dot(weights, flat, out=change)
 
     def run(self, width: float, n_sweeps: int, every: int = 0) -> tuple[int, np.ndarray]:
-        """Run n_sweeps sweeps, the colour classes in turn, with Bactrian
-        proposals of standard deviation `width`, drawn at once (keep n_sweeps
-        small).  Returns the accepted moves and the heights ``ph`` (class
-        order) after every `every`-th sweep (none for 0), one row per kept
-        sweep: the transpose of a site-major block.
+        """Run n_sweeps sweeps, the colour classes in turn, with proposals
+        from each site's conditional under the harmonic stand-in of stiffness
+        1/width^2, drawn at once (keep n_sweeps small).  Returns the accepted
+        moves and the heights ``ph`` (class order) after every `every`-th
+        sweep (none for 0), one row per kept sweep: the transpose of a
+        site-major block.
 
         A block draws, from the chain's stream and in this order, an
-        (n_sweeps, n_sites) array z of standard normals, one sign bit per
-        entry (``rng.bytes`` unpacked most significant bit first, 1 for +),
-        and the Exp(1) thresholds; the steps are
-        s = width * (+-SPIKE + sqrt(1 - SPIKE^2) * z).
+        (n_sweeps, n_sites) array z of standard normals and the Exp(1)
+        thresholds; the offsets are width * z + eta * (width * width), so
+        h' ~ N(m + eta width^2, width^2), and a move is accepted iff its
+        threshold is >= E(h') - E(h).
         """
         n = len(self.ph) - 1
         if len(self.ok) < n_sweeps:
-            self.work = np.empty((4, n_sweeps, n))
+            self.work = np.empty((2, n_sweeps, n))
             self.ok = np.empty((n_sweeps, n), dtype=bool)
-        (steps, limits, half, coef), ok = self.work[:, :n_sweeps], self.ok[:n_sweeps]
-        self.rng.standard_normal(out=steps)
-        signs = np.unpackbits(np.frombuffer(self.rng.bytes(-(-steps.size // 8)), np.uint8),
-                              count=steps.size).reshape(steps.shape)
-        steps *= math.sqrt(1.0 - SPIKE * SPIKE)
-        # +-SPIKE, exactly, in the buffer that later holds s/2
-        np.multiply(signs, 2.0 * SPIKE, out=half)
-        half -= SPIKE
-        steps += half
-        steps *= width
-        # Exp(1) >= dH with probability min(1, exp(-dH)); the field's part
-        # -eta s of dH moves to the left-hand side
+        (offsets, limits), ok = self.work[:, :n_sweeps], self.ok[:n_sweeps]
+        self.rng.standard_normal(out=offsets)
         self.rng.standard_exponential(out=limits)
-        np.multiply(self.eta, steps, out=half)
-        limits += half
-        # no height can pass the cap in this block unless this bound does
-        capped = (np.abs(self.ph).max() + np.abs(steps, out=half).max(axis=1).sum()
-                  > HEIGHT_CAP)
-        np.multiply(steps, 0.5, out=half)
-        np.multiply(steps, steps, out=coef)
-        coef *= self.vpot.b
-        coef += self.vpot.a
+        offsets *= width
+        offsets += self.eta * (width * width)
+        # m is a convex combination of heights, so no height can pass the cap
+        # in this block unless max |phi| plus each class step's max |offset| does
+        starts = [c.span.start for c in self.classes]
+        capped = (np.abs(self.ph).max()
+                  + np.maximum.reduceat(np.abs(offsets), starts, axis=1).sum() > HEIGHT_CAP)
+        weights = self.energy_weights(width)
         kept = np.empty((n + 1, n_sweeps // every if every else 0)).T
         # per class, the rows of its span of each block array
-        spans = [zip(*(block[:, c.span] for block in (steps, half, coef, limits, ok)))
+        spans = [zip(*(block[:, c.span] for block in (offsets, limits, ok)))
                  for c in self.classes]
         for s, sweep in enumerate(zip(*spans)):
-            for c, (step, h, cf, limit, accept) in enumerate(sweep):
-                np.greater_equal(limit, self.pair_change(c, step, h, cf), out=accept)
-                heights = self.classes[c].heights
-                new = heights + step
+            for c, (offset, limit, accept) in enumerate(sweep):
+                np.greater_equal(limit, self.propose(c, offset, weights), out=accept)
+                cls = self.classes[c]
                 if capped:
-                    beyond = np.abs(new) > HEIGHT_CAP
+                    beyond = np.abs(cls.new) > HEIGHT_CAP
                     accept &= ~beyond
                     self.cap_rejects += int(np.count_nonzero(beyond))
-                np.copyto(heights, new, where=accept)
+                np.copyto(cls.heights, cls.new, where=accept)
             if every and (s + 1) % every == 0:
                 kept[s // every] = self.ph
         return int(np.count_nonzero(ok)), kept
@@ -257,22 +246,31 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
                            seed: int = 0, chain: int = 0) -> GradientEstimate:
     """Run one chain and estimate the gradient mean on every kernel edge.
 
-    Burn-in (which tunes the proposal width) is followed by measurement
+    Burn-in (which sets the proposal width) is followed by measurement
     of V'(phi_i - phi_j) every `thin` sweeps, accumulated per block as a
     (retained samples, edges) array in ``kernel_edges`` order.  Poor mixing
     shows up as large stderr, never as an error.
     """
     sampler = Chain(g, k, vpot, eta, seed=seed, chain=chain)
-    width = cfg.proposal_width
+    width, change = cfg.proposal_width, 0.0
     n = g.n_sites
 
-    # burn-in; stochastic-approximation autotuning per block, frozen afterward
-    for index, done in enumerate(range(0, cfg.burn_in_sweeps, BLOCK)):
+    # burn-in sets the width by linear response: under a harmonic conditional
+    # of stiffness 1/w^2, E[r^2] = w^2 (1 + E[r eta]); for b = 0 it is a
+    if vpot.b == 0.0 and cfg.burn_in_sweeps:
+        width = 1.0 / math.sqrt(vpot.a)
+    moments = []
+    for done in range(0, cfg.burn_in_sweeps, BLOCK):
         todo = min(BLOCK, cfg.burn_in_sweeps - done)
-        accepted, _ = sampler.run(width, todo)
-        rate = accepted / (todo * n)
-        gain = 1.0 / (1.0 + index) ** 0.6
-        width *= math.exp(gain * (rate - TARGET_ACCEPTANCE))
+        _, kept = sampler.run(width, todo, every=1 if vpot.b else 0)
+        if vpot.b:
+            r = kept[:, :-1] - np.dot(sampler.weights, kept[:, sampler.slots])
+            moments.append((np.vdot(r, r), np.dot(r, sampler.eta).sum(), r.size))
+            # the later half of the blocks run, the earlier ones a transient
+            sq, cross, count = np.sum(moments[len(moments) // 2:], axis=0)
+            square = sq / (count + cross) if count + cross > 0.0 else math.nan
+            tuned = math.sqrt(square) if 0.0 < square < math.inf else width
+            change, width = abs(tuned / width - 1.0), tuned
 
     # edge endpoints as positions in the chain's class-ordered heights
     ei, ej = sampler.slot[edge_table(g, k)[0]]
@@ -320,7 +318,8 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     return GradientEstimate(
         *(VectorField(g, k, values) for values in (means, stderr, n_eff, batch_means)),
         acceptance_rate=accepted_meas / (retained * cfg.thin * n),
-        proposal_width=width, cap_rejects=sampler.cap_rejects, retained=retained)
+        proposal_width=width, width_change=change, cap_rejects=sampler.cap_rejects,
+        retained=retained)
 
 
 def divergence_check(est: GradientEstimate,

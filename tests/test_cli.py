@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import gradlab
 from conftest import edge_value, set_edge
-from gradlab import cli, diagnostics, gaussian, mcmc
+from gradlab import cli, diagnostics, gaussian
 from gradlab.cli import (_CASTERS, EXIT_CONFIG, EXIT_ERROR, EXIT_INVARIANT,
                          EXIT_NUMERICAL, EXIT_OK, EXPERIMENTS, MAX_D,
                          ConfigError, ExperimentConfig, main, parse_config, run)
@@ -444,7 +444,9 @@ def test_mcmc_run_reports_exact_column_and_coverage(tmp_path):
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["summaries"]["fraction_within_3se_of_exact"] >= 0.9
     assert manifest["summaries"]["divergence_within_4se_fraction"] >= 0.9
-    assert 0.2 <= manifest["summaries"]["acceptance_rate"] <= 0.7
+    # quadratic V: the proposals are the exact conditionals
+    assert manifest["summaries"]["acceptance_rate"] == 1.0
+    assert manifest["summaries"]["width_change_last_block"] == 0.0
 
 
 def test_mcmc_manifest_reports_sampler_telemetry(tmp_path):
@@ -452,8 +454,10 @@ def test_mcmc_manifest_reports_sampler_telemetry(tmp_path):
                        "burn_in_sweeps=300\nmeasure_sweeps=3000\n")
     assert run(cfg, tmp_path).exit_code == EXIT_OK
     summary = json.loads((tmp_path / "run_manifest.json").read_text())["summaries"]
-    assert summary["proposal"] == f"bactrian:{mcmc.SPIKE}" == "bactrian:0.9"
-    assert summary["target_acceptance"] == mcmc.TARGET_ACCEPTANCE
+    assert summary["proposal"] == "harmonic-conditional"
+    assert "target_acceptance" not in summary
+    # burn-in ran 12 blocks: the width has all but stopped moving
+    assert 0.0 < summary["width_change_last_block"] <= 0.05
     n_eff = [float(row[4]) for row in read_csv(tmp_path / "edges.csv")[1:]]
     assert summary["n_eff_median"] == statistics.median(n_eff)
     assert summary["n_eff_min"] == min(n_eff)

@@ -9,9 +9,9 @@ from conftest import (conditional_logdensity, edge_value, gaussian_eta,
                       zero_heights)
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import DirichletLaplacian, mean_gradient
-from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, SPIKE, TARGET_ACCEPTANCE,
-                          Chain, GradientEstimate, SamplerConfig, colour_classes,
-                          divergence_check, estimate_gradient_mean)
+from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, Chain, GradientEstimate,
+                          SamplerConfig, colour_classes, divergence_check,
+                          estimate_gradient_mean)
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField,
                            Kernel, Potential, VectorField, chain_stream, edge_table,
                            energy, kernel_edges, neighbor_index, sample_disorder)
@@ -91,13 +91,15 @@ def test_conditional_logdensity_rejects_exterior_site(quadratic):
 # sweeps
 
 
-def test_tiny_proposals_are_all_accepted(quartic):
-    k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 2, k)
-    eta = gaussian_eta(g, seed=3)
-    chain = Chain(g, k, quartic, eta, seed=1)
-    accepted, _ = chain.run(1e-12, 1)
-    assert accepted / g.n_sites == 1.0
+@pytest.mark.parametrize("name", ["nn", "axis2"])
+@pytest.mark.parametrize("a", [1.0, 4.0])
+def test_quadratic_proposals_are_all_accepted(name, a):
+    # width 1/sqrt(a) makes the harmonic stand-in exact: heat bath
+    k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
+    g = BoxGeometry.for_kernel(2, 3, k)
+    chain = Chain(g, k, Potential.quadratic(a), gaussian_eta(g, seed=3), seed=1)
+    accepted, _ = chain.run(1.0 / math.sqrt(a), 60)
+    assert accepted == 60 * g.n_sites
 
 
 def test_sweeps_are_deterministic_given_seed(quartic):
@@ -123,8 +125,17 @@ def test_proposals_beyond_the_height_cap_are_rejected_and_counted(quadratic):
     assert np.all(chain.ph[chain.slot] <= HEIGHT_CAP)
 
 
+def neighbour_mean(g, k, values):
+    """sum_j p(j - i) phi_j at every site i, zero outside the box, for the
+    heights in site order along the last axis of `values`."""
+    padded = np.concatenate([values, np.zeros(values.shape[:-1] + (1,))], axis=-1)
+    return sum(w * padded[..., row] for (_, w), row in zip(k.support(), neighbor_index(g, k)))
+
+
 @pytest.mark.parametrize("name", ["nn", "axis2"])
 def test_sweep_energy_change_matches_energy_difference(name, quartic):
+    # E(h') - E(h) is the energy change plus the proposal's log-ratio
+    # log q(h') - log q(h), q the density of N(m + eta w^2, w^2)
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
     g = BoxGeometry.for_kernel(2, 3, k)
     eta = gaussian_eta(g, seed=9)
@@ -133,38 +144,42 @@ def test_sweep_energy_change_matches_energy_difference(name, quartic):
     chain.ph[chain.slot[:-1]] = rng.normal(0.0, 1.5, size=g.n_sites)
     before = HeightField(g, chain.ph[chain.slot][:-1])
     e_before = energy(g, k, quartic, before, eta)
-    for c, sites in enumerate(colour_classes(g, k)):
-        step = rng.normal(0.0, 1.0, size=len(sites))
-        # the per-block terms as the sweep forms them; the field's part
-        # -eta s, which the sweep folds into its thresholds, added back
-        coef = step * step * quartic.b + quartic.a
-        dh = chain.pair_change(c, step, 0.5 * step, coef) - eta.values[sites] * step
-        for site, s, got in zip(sites, step, dh):
-            vals = before.values.copy()
-            vals[site] += s
-            want = energy(g, k, quartic, HeightField(g, vals), eta) - e_before
-            assert got == pytest.approx(want, abs=1e-10)
+    mean = neighbour_mean(g, k, before.values)
+    for width in (0.6, 1.7):
+        for c, sites in enumerate(colour_classes(g, k)):
+            offset = rng.normal(0.0, 1.0, size=len(sites))
+            got = chain.propose(c, offset, chain.energy_weights(width))
+            new = chain.classes[c].new
+            assert new == pytest.approx(mean[sites] + offset, abs=1e-12)
+            centre = mean[sites] + eta.values[sites] * width ** 2
+            log_q = lambda x: -(x - centre) ** 2 / (2.0 * width ** 2)
+            log_ratio = log_q(new) - log_q(before.values[sites])
+            for site, h, change, want_q in zip(sites, new, got, log_ratio):
+                vals = before.values.copy()
+                vals[site] = h
+                dh = energy(g, k, quartic, HeightField(g, vals), eta) - e_before
+                assert change == pytest.approx(dh + want_q, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # the site-order sweep, kept as the oracle of Chain.run
 
 
-def bactrian_steps(rng, width, shape):
-    """A block's proposals as ``Chain.run`` documents them: normals, then one
-    sign bit per entry from ``rng.bytes``, most significant bit first."""
+def block_draws(rng, width, eta, shape):
+    """A block's draws as ``Chain.run`` documents them: normals, then the
+    Exp(1) thresholds; the offsets are width z + eta width^2, eta in the
+    columns' (class) order."""
     z = rng.normal(0.0, 1.0, size=shape)
-    bits = np.unpackbits(np.frombuffer(rng.bytes((z.size + 7) // 8), dtype=np.uint8))
-    sign = np.where(bits[:z.size].reshape(shape) == 1, SPIKE, -SPIKE)
-    return width * (sign + math.sqrt(1.0 - SPIKE ** 2) * z)
+    thresholds = rng.exponential(size=shape)
+    return z * width + eta * (width * width), thresholds
 
 
 class SiteOrderChain:
     """The sweep as first written: heights in site order, each class read by
-    a fancy gather and written back with np.where, the energy change as
-    (q1 - q2)(a/2 + b (q1 + q2)) per edge, and the height cap tested at
-    every step.  Same stream, classes and spans of random numbers as
-    ``Chain``, so the two agree bit for bit."""
+    a fancy gather and written back with np.where, E(h') and E(h) evaluated
+    one after the other, and the height cap tested at every step.  Same
+    stream, classes and spans of random numbers as ``Chain``, so the two
+    agree bit for bit."""
 
     def __init__(self, g, k, vpot, eta, seed=0, chain=0):
         nbr = neighbor_index(g, k)
@@ -172,36 +187,37 @@ class SiteOrderChain:
         self.classes = []
         lo = 0
         for sites in colour_classes(g, k):
-            self.classes.append((sites, slots[:, sites], eta.values[sites],
+            # C order, so that the stencil dot adds each site's column in
+            # the order of the chain's gathered buffer
+            self.classes.append((sites, np.ascontiguousarray(slots[:, sites]),
                                  slice(lo, lo + len(sites))))
             lo += len(sites)
+        self.eta = np.concatenate([eta.values[sites] for sites, _, _ in self.classes])
         self.weights = np.array([w for _, w in k.support()])
         self.vpot = vpot
         self.ph = np.zeros(g.n_sites + 1)
         self.rng = chain_stream(seed, chain)
         self.cap_rejects = 0
 
-    def energy_change(self, c, old, new):
-        _, slots, eta, _ = self.classes[c]
-        step = new - old
-        t2 = old - self.ph[slots]
-        t1 = t2 + step
-        q1 = t1 * t1
-        q2 = t2 * t2
-        pair = (q1 - q2) * (0.5 * self.vpot.a + self.vpot.b * (q1 + q2))
-        return np.dot(self.weights, pair) - eta * step
+    def conditional_energy(self, nbrs, x, width):
+        """sum_j p_j [(a - 1/width^2)/2 (x - phi_j)^2 + b (x - phi_j)^4]."""
+        t2 = (x - nbrs) ** 2
+        stiffness = self.vpot.a - 1.0 / (width * width)
+        return np.dot(self.weights, 0.5 * stiffness * t2 + self.vpot.b * t2 * t2)
 
     def run(self, width, n_sweeps, every=0):
         n = len(self.ph) - 1
-        steps = bactrian_steps(self.rng, width, (n_sweeps, n))
-        thresholds = self.rng.exponential(size=(n_sweeps, n))
+        offsets, thresholds = block_draws(self.rng, width, self.eta, (n_sweeps, n))
         kept = np.empty((n_sweeps // every if every else 0, n + 1))
         accepted = 0
         for s in range(n_sweeps):
-            for c, (sites, _, _, span) in enumerate(self.classes):
+            for sites, slots, span in self.classes:
+                nbrs = self.ph[slots]
                 old = self.ph[sites]
-                new = old + steps[s, span]
-                ok = thresholds[s, span] >= self.energy_change(c, old, new)
+                new = np.dot(self.weights, nbrs) + offsets[s, span]
+                change = (self.conditional_energy(nbrs, new, width)
+                          - self.conditional_energy(nbrs, old, width))
+                ok = thresholds[s, span] >= change
                 capped = np.abs(new) > HEIGHT_CAP
                 n_capped = int(np.count_nonzero(capped))
                 if n_capped:
@@ -256,18 +272,23 @@ def test_chain_matches_site_order_oracle(d, L, name, vpot):
 
 @pytest.mark.parametrize("name", ["nn", "axis2"])
 def test_chain_matches_oracle_where_the_cap_bound_trips(name):
-    # heights 20 below the cap: over a block the bound max|phi| + sum of the
-    # sweeps' largest |s| passes the cap, so every step tests it, but the
-    # chain only falls, and no proposal goes past the cap
+    # heights 20 below the cap: over a block the bound max|phi| + the sum of
+    # each class step's largest |offset| passes the cap, so every step tests
+    # it, but the chain only falls, and no proposal goes past the cap
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
     g = BoxGeometry.for_kernel(2, 2, k)
-    steps = bactrian_steps(chain_stream(3, 0), 1.0, (25, g.n_sites))
-    assert HEIGHT_CAP - 20.0 + np.abs(steps).max(axis=1).sum() > HEIGHT_CAP
+    eta = np.concatenate([gaussian_eta(g, seed=3).values[sites]
+                          for sites in colour_classes(g, k)])
+    offsets, _ = block_draws(chain_stream(3, 0), 1.0, eta, (25, g.n_sites))
+    # each sweep's largest |offset| is at most the sum of its classes'
+    assert HEIGHT_CAP - 20.0 + np.abs(offsets).max(axis=1).sum() > HEIGHT_CAP
     chain = assert_chain_matches_oracle(g, k, Potential.quadratic(1.0),
                                         [(1.0, 25, 5), (1.0, 25, 0)],
                                         start=HEIGHT_CAP - 20.0)
     assert chain.cap_rejects == 0
-    # heights at the cap: about half the proposals go past it
+    # heights at the cap: in the first class step, about half the proposals
+    # of the sites with no neighbour outside the box go past it
+    g = BoxGeometry.for_kernel(2, 4, k)
     chain = assert_chain_matches_oracle(g, k, Potential.quartic(1.0, 0.1),
                                         [(1.0, 25, 5), (1.0, 3, 1)],
                                         start=HEIGHT_CAP)
@@ -275,23 +296,29 @@ def test_chain_matches_oracle_where_the_cap_bound_trips(name):
     assert np.all(np.abs(chain.ph[chain.slot]) <= HEIGHT_CAP)
 
 
-def test_block_draw_is_bactrian(quadratic):
-    # the steps a block proposes, which Chain.run leaves in Chain.work[0]
+def test_block_draw_is_the_harmonic_conditional(quartic):
+    # the offsets a block draws, which Chain.run leaves in Chain.work[0]:
+    # h' = m + offset ~ N(m + eta w^2, w^2)
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry.for_kernel(2, 8, k)
-    chain = Chain(g, k, quadratic, gaussian_eta(g, seed=20), seed=20)
+    eta = gaussian_eta(g, seed=20)
+    chain = Chain(g, k, quartic, eta, seed=20)
     width, n_sweeps = 1.7, 700
     chain.run(width, n_sweeps)
-    steps = chain.work[0, :n_sweeps].ravel() / width
-    n = steps.size
-    assert abs(steps.mean()) <= 4.0 / math.sqrt(n)
-    assert abs(steps.var() - 1.0) <= 0.02
-    assert abs(np.count_nonzero(steps > 0) / n - 0.5) <= 2.0 / math.sqrt(n)
-    # E|s| of the mixture of N(+-SPIKE, 1 - SPIKE^2), larger than a Gaussian's
-    sd = math.sqrt(1.0 - SPIKE ** 2)
-    mean_abs = (sd * math.sqrt(2.0 / math.pi) * math.exp(-SPIKE ** 2 / (2.0 * sd * sd))
-                + SPIKE * math.erf(SPIKE / (sd * math.sqrt(2.0))))
-    assert abs(np.abs(steps).mean() - mean_abs) <= 4.0 * math.sqrt((1.0 - mean_abs ** 2) / n)
+    offsets = chain.work[0, :n_sweeps]
+    z = (offsets - chain.eta * width ** 2).ravel() / width
+    assert abs(z.mean()) <= 4.0 / math.sqrt(z.size)
+    assert abs(z.var() - 1.0) <= 0.02
+    # the mean offset of each site against its eta has slope w^2
+    site_means = offsets.mean(axis=0)
+    slope = np.dot(site_means, chain.eta) / np.dot(chain.eta, chain.eta)
+    slope_se = width / math.sqrt(n_sweeps * np.dot(chain.eta, chain.eta))
+    assert abs(slope - width ** 2) <= 4.0 * slope_se
+    # and the centre is the neighbours' mean m
+    mean = neighbour_mean(g, k, chain.ph[chain.slot][:-1])
+    zero = np.zeros(len(colour_classes(g, k)[0]))
+    chain.propose(0, zero, chain.energy_weights(width))
+    assert chain.classes[0].new == pytest.approx(mean[colour_classes(g, k)[0]], abs=1e-12)
 
 
 @pytest.mark.parametrize("width", [0.5, 3.0])
@@ -361,11 +388,21 @@ def site_order_estimate(g, k, vpot, eta, cfg, seed):
     fresh per-block arrays kept[:, ei] - kept[:, ej] and vpot.derivative."""
     chain = SiteOrderChain(g, k, vpot, eta, seed=seed)
     width = cfg.proposal_width
-    for index, done in enumerate(range(0, cfg.burn_in_sweeps, BLOCK)):
-        todo = min(BLOCK, cfg.burn_in_sweeps - done)
-        accepted, _ = chain.run(width, todo)
-        gain = 1.0 / (1.0 + index) ** 0.6
-        width *= math.exp(gain * (accepted / (todo * g.n_sites) - TARGET_ACCEPTANCE))
+    if vpot.b == 0.0 and cfg.burn_in_sweeps:
+        width = 1.0 / math.sqrt(vpot.a)
+    # the linear-response width over the later half of the blocks run, its
+    # sums formed in class order as the chain forms them
+    order = np.concatenate([sites for sites, _, _ in chain.classes])
+    moments = []
+    for done in range(0, cfg.burn_in_sweeps, BLOCK):
+        _, kept = chain.run(width, min(BLOCK, cfg.burn_in_sweeps - done), every=1)
+        if vpot.b:
+            r = kept[:, :-1] - np.dot(chain.weights, kept[:, neighbor_index(g, k)])
+            r = r[:, order]
+            moments.append((np.vdot(r, r), np.dot(r, chain.eta).sum(), r.size))
+            sq, cross, count = np.sum(moments[len(moments) // 2:], axis=0)
+            if count + cross > 0.0 and 0.0 < sq / (count + cross) < math.inf:
+                width = math.sqrt(sq / (count + cross))
     ei, ej = edge_table(g, k)[0]
     retained = (cfg.measure_sweeps // cfg.thin // N_BATCHES) * N_BATCHES
     batch_size = retained // N_BATCHES
@@ -400,10 +437,8 @@ def test_estimates_match_site_order_oracle(d, L, name, vpot, thin):
     est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=8)
     batch_means, n_eff, width, cap_rejects = site_order_estimate(g, k, vpot, eta, cfg, 8)
     assert np.array_equal(est.batch_means.values, batch_means)
-    # every n_eff inside its clip [1, retained] is the unclipped ratio
-    inside = (n_eff > 1.0) & (n_eff < est.retained)
-    assert inside.any()
-    assert np.array_equal(est.n_eff.values[inside], n_eff[inside])
+    # every n_eff is the ratio clipped to [1, retained]
+    assert np.array_equal(est.n_eff.values, np.clip(n_eff, 1.0, est.retained))
     assert est.proposal_width == width and est.cap_rejects == cap_rejects
 
 
@@ -487,7 +522,7 @@ def test_divergence_check_of_exact_batches_is_the_exact_residual():
     zero = zero_field(g, k)
     batches = VectorField(g, k, np.stack([X.values] * N_BATCHES))
     est = GradientEstimate(X, zero, zero, batches,
-                           acceptance_rate=1.0, proposal_width=1.0,
+                           acceptance_rate=1.0, proposal_width=1.0, width_change=0.0,
                            cap_rejects=0, retained=N_BATCHES)
     resid, se = divergence_check(est, eta)
     exact, _ = divergence_residual(X, eta)
@@ -495,11 +530,50 @@ def test_divergence_check_of_exact_batches_is_the_exact_residual():
     assert np.max(se) <= 1e-13
 
 
-def test_autotune_reaches_target_window():
+def width_rule_fixed_point(g, k, vpot, eta, width):
+    """The fixed point w of the burn-in rule w^2 = E[r^2] / (1 + E[r eta]),
+    r = h - m, and the standard error of the rule over 750 sweeps, the later
+    half of a 1500-sweep burn-in.
+
+    On the one-site box m = 0, and both come by quadrature: the delta method
+    gives the variance of one sweep's term of the rule, and the snapshots'
+    integrated autocorrelation time is taken as at most 1 (Sokal's
+    convention, 1/2 for independent draws; about 0.65 measured at acceptance
+    0.92), so 750 sweeps count as at least 375 independent ones.  Elsewhere
+    both come from a chain of 12,000 sweeps: the rule over all of it, and the
+    spread of its 16 windows of 750 sweeps, widened by the reference's own
+    error."""
+    if g.n_sites == 1:
+        eta_i = float(eta.values[0])
+        density = lambda t: math.exp(-float(vpot.value(t)) + eta_i * t)
+        z = quad(density, -10.0, 10.0, limit=200)[0]
+        moment = lambda f: quad(lambda t: f(t) * density(t), -10.0, 10.0, limit=200)[0] / z
+        sq, cross = moment(lambda t: t * t), eta_i * moment(lambda t: t)
+        fixed = sq / (1.0 + cross)
+        term_var = moment(lambda t: (t * t - fixed * (1.0 + eta_i * t)) ** 2) / (1.0 + cross) ** 2
+        return math.sqrt(fixed), math.sqrt(term_var / 375.0) / (2.0 * math.sqrt(fixed))
+    chain = Chain(g, k, vpot, eta, seed=99)
+    chain.run(width, 1000)
+    sums = []
+    for _ in range(12000 // BLOCK):
+        _, kept = chain.run(width, BLOCK, every=1)
+        heights = kept[:, chain.slot[:-1]]
+        r = heights - neighbour_mean(g, k, heights)
+        sums.append(np.stack([(r * r).sum(axis=1), r @ eta.values]))
+    sq, cross = np.concatenate(sums, axis=1)
+    rule = lambda a, b: math.sqrt(a.sum() / (a.size * g.n_sites + b.sum()))
+    windows = [rule(a, b) for a, b in zip(sq.reshape(16, -1), cross.reshape(16, -1))]
+    return rule(sq, cross), float(np.std(windows, ddof=1)) * math.sqrt(1.0 + 1.0 / 16)
+
+
+def test_burn_in_reaches_the_width_rule_fixed_point():
+    # from a width far too wide, burn-in must end within 4 standard errors of
+    # its rule's fixed point, and the tuned proposals accept >= 75 %
     cases = [
         (1, 6, Potential.quadratic(1.0)),
         (2, 3, Potential.quartic(1.0, 0.1)),
         (2, 2, Potential.quartic(-1.0, 0.5)),
+        (2, 0, Potential.quartic(1.0, 0.5)),
     ]
     for d, L, vpot in cases:
         k = Kernel.nearest_neighbor(d)
@@ -508,7 +582,15 @@ def test_autotune_reaches_target_window():
         cfg = SamplerConfig(proposal_width=8.0, burn_in_sweeps=1500,
                             measure_sweeps=3000)
         est = estimate_gradient_mean(g, k, vpot, eta, cfg)
-        assert 0.3 <= est.acceptance_rate <= 0.6, (d, L, vpot, est.acceptance_rate)
+        assert est.acceptance_rate >= 0.75, (d, L, vpot, est.acceptance_rate)
+        if vpot.b == 0.0:
+            # the harmonic stand-in is exact: heat bath
+            assert est.proposal_width == 1.0 / math.sqrt(vpot.a)
+            assert est.acceptance_rate == 1.0 and est.width_change == 0.0
+            continue
+        fixed, stderr = width_rule_fixed_point(g, k, vpot, eta, est.proposal_width)
+        assert abs(est.proposal_width - fixed) <= 4.0 * stderr, \
+            (d, L, vpot, est.proposal_width, fixed, stderr)
 
 
 def test_sampler_config_validation():
