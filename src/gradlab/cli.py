@@ -28,8 +28,9 @@ tolerance); 4 any other error raised by the experiment (its type and message
 in the manifest's ``summaries.error``).  The ``identities`` gates are the
 constants ``DIVERGENCE_TOLERANCE``, ``SURFACE_TOLERANCE`` and
 ``SECOND_MOMENT_TOLERANCE``, and the sampler proposes from each site's
-harmonic conditional with a width that burn-in sets by linear response;
-neither is a config key.
+harmonic conditional with a width that burn-in sets by linear response,
+over-relaxed in measurement by ``mcmc.OVERRELAX``; neither is a config
+key.
 
 Usage::
 
@@ -403,7 +404,8 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
     # np.median would load numpy.ma inside the clock
     ordered = np.sort(n_eff)
     summary = {
-        "proposal": "harmonic-conditional",
+        "proposal": "overrelaxed-harmonic-conditional",
+        "overrelaxation": est.overrelaxation,
         "acceptance_rate": est.acceptance_rate,
         "proposal_width": est.proposal_width,
         "width_change_last_block": est.width_change,

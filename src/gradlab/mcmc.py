@@ -8,23 +8,28 @@ are kernel neighbours (the two parity classes for ``nn``), so the
 single-site conditionals within a class do not depend on each other and the
 class's moves are one array operation.  Each class update is a product of
 single-site Metropolis kernels for the exact conditionals, hence leaves the
-target invariant; a sweep is their composition.  A site proposes, whatever
-its height (Tierney, Ann. Statist. 22, 1994), from its conditional under a
-harmonic stand-in of stiffness 1/w^2, w the proposal width: h' ~ N(m + eta
-w^2, w^2), m = sum_j p(j - i) phi_j its neighbours' mean.  It moves iff an
-Exp(1) threshold is >= E(h') - E(h), E(x) = sum_j p(j - i) [(a - 1/w^2)/2
-(x - phi_j)^2 + b (x - phi_j)^4]; for quadratic V, w = 1/sqrt(a) is heat
-bath.  Burn-in sets w^2 = mean(r^2) / (1 + mean(r eta)), r = h - m, over
-the later half of its blocks (exact for a harmonic conditional; 1/a at once
-for b = 0); measurement keeps it fixed.
+target invariant; a sweep is their composition.  A site proposes h' = mu +
+alpha (h - mu) + sqrt(1 - alpha^2) w z, z ~ N(0, 1), an AR(1) kernel
+reversible for its conditional under a harmonic stand-in of stiffness
+1/w^2, N(mu, w^2), mu = m + eta w^2, m = sum_j p(j - i) phi_j its
+neighbours' mean, w the proposal width: an independence proposal for alpha
+= 0 (Tierney, Ann. Statist. 22, 1994), over-relaxation for alpha < 0
+(Adler, Phys. Rev. D 23, 1981; Neal 1998).  It moves iff an Exp(1)
+threshold is >= E(h') - E(h), E(x) = sum_j p(j - i) [(a - 1/w^2)/2 (x -
+phi_j)^2 + b (x - phi_j)^4], so quadratic V at w = 1/sqrt(a) moves always.
+Burn-in runs at alpha = 0 and sets w^2 = mean(r^2) / (1 + mean(r eta)), r =
+h - m, over the later half of its blocks (exact for a harmonic conditional;
+1/a at once for b = 0); measurement keeps w and reflects with alpha =
+``OVERRELAX``, only after a burn-in: about an untuned centre it can stick.
 
 Heights are stored in class order, so a class is a slice of them, lined up
 with its columns of random numbers, and a step updates it in place.  The
-offsets h' - m are formed once per block of sweeps; a step evaluates E at
-both heights in one stacked array and one stencil dot.  m is a convex
-combination of heights, so steps test the height cap only in a block whose
-bound, max |phi| plus the sum over its class steps of max |offset|, exceeds
-``HEIGHT_CAP``.
+offsets h' - (1 - alpha) m - alpha h are formed once per block of sweeps; a
+step forms (1 - alpha) m + alpha h in one stencil dot over the neighbours
+and the site, and E at both heights in one stacked array and one more dot.
+A reflection is no convex combination of heights, so the height cap is
+tested on each block's proposals after it; if one passed ``HEIGHT_CAP``,
+the block runs again from its start, on the same draws, testing every step.
 
 The main estimator is the time average of V'(phi_i - phi_j) on every
 kernel edge, with batch-means error bars, as edge fields like the exact
@@ -56,6 +61,9 @@ N_BATCHES = 30
 #: most sweeps (burn-in) or retained samples (measurement) per block of
 #: random numbers; burn-in sets the proposal width once per block
 BLOCK = 25
+
+#: the over-relaxation alpha of the measurement sweeps that follow a burn-in
+OVERRELAX = -0.8
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,7 @@ class GradientEstimate:
     width_change: float
     cap_rejects: int
     retained: int
+    overrelaxation: float
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +135,7 @@ class _ColourClass(NamedTuple):
     heights: np.ndarray  # ph[span], a view
     new: np.ndarray      # the proposed heights, a view of the row above ph
     pair: np.ndarray     # new above heights, (2, 1, m), a view
-    slots: np.ndarray    # positions in ph of its sites' neighbours, (K, m)
+    slots: np.ndarray    # positions in ph of its sites' neighbours, then theirs, (K + 1, m)
     powers: np.ndarray   # (x - phi_j)^2 above (x - phi_j)^4, x each of pair, (2, 2, K, m)
     flat: np.ndarray     # powers as (4K, m), a view
     change: np.ndarray   # E(h') - E(h), (m,)
@@ -140,7 +149,8 @@ class Chain:
     which every neighbour outside the box reads.  ``slot[i]`` is site i's
     position in ``ph`` (``slot[n_sites]`` the boundary slot's), so
     ``ph[slot]`` lists the heights in site order.  It is the second row of
-    a pair whose first row holds each class step's proposed heights.
+    a pair whose first row, ``new``, holds each class step's proposed
+    heights, so after a sweep it holds every class's.
     """
 
     def __init__(self, g: BoxGeometry, k: Kernel, vpot: Potential,
@@ -149,91 +159,111 @@ class Chain:
         order = np.concatenate(classes)
         self.slot = np.argsort(np.append(order, g.n_sites))  # the inverse permutation
         rows = np.zeros((2, g.n_sites + 1))
-        self.ph = rows[1]
+        self.new, self.ph = rows
         # -1 (outside the box) reads slot[-1], the boundary slot
         self.slots = self.slot[neighbor_index(g, k)][:, order]
+        stencil_slots = np.vstack([self.slots, np.arange(g.n_sites)])  # then each site's own
         bounds = np.cumsum([0] + [len(sites) for sites in classes]).tolist()
         self.classes = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             # C order: the stencil dot's summation order follows the memory layout
-            span, slots = slice(lo, hi), np.ascontiguousarray(self.slots[:, lo:hi])
-            powers = np.empty((2, 2) + slots.shape)
+            span, slots = slice(lo, hi), np.ascontiguousarray(stencil_slots[:, lo:hi])
+            powers = np.empty((2, 2, len(self.slots), hi - lo))
             self.classes.append(_ColourClass(
-                span, self.ph[span], rows[0, span], rows[:, None, span], slots,
-                powers, powers.reshape(4 * len(slots), -1), np.empty(hi - lo)))
+                span, self.ph[span], self.new[span], rows[:, None, span], slots,
+                powers, powers.reshape(4 * len(self.slots), -1), np.empty(hi - lo)))
         self.eta = eta.values[order]
         self.weights = np.array([w for _, w in k.support()])
         self.vpot = vpot
         self.rng = chain_stream(seed, chain)
         self.cap_rejects = 0
-        #: block buffers: offsets and Exp(1) thresholds, and accept flags
+        #: block buffers: offsets and Exp(1) thresholds, accept flags, ``new`` per sweep
         self.work = np.empty((2, 0, g.n_sites))
         self.ok = np.empty((0, g.n_sites), dtype=bool)
+        self.proposals = np.empty((0, g.n_sites + 1))
 
     def energy_weights(self, width: float) -> np.ndarray:
         """The row of the stencil dot that forms E(h') - E(h): +-(a - 1/width^2)/2 p_j
         on the squares (x - phi_j)^2, +-b p_j on the fourth powers."""
         stiffness = 0.5 * (self.vpot.a - 1.0 / (width * width))
-        return np.kron([stiffness, self.vpot.b], np.kron([1.0, -1.0], self.weights))
+        return np.outer([stiffness, -stiffness, self.vpot.b, -self.vpot.b],
+                        self.weights).ravel()
 
-    def propose(self, c: int, offset: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Propose h' = m + offset at each site of class c, m = sum_j p_j phi_j
-        its neighbours' mean, into the class's ``new``, and return E(h') - E(h)
+    def stencil(self, alpha: float) -> np.ndarray:
+        """The row of the stencil dot that forms (1 - alpha) m + alpha h over
+        a class's ``slots``: (1 - alpha) p_j, then alpha."""
+        return np.append((1.0 - alpha) * self.weights, alpha)
+
+    def propose(self, c: int, offset: np.ndarray, stencil: np.ndarray,
+                weights: np.ndarray) -> np.ndarray:
+        """Propose h' = (1 - alpha) m + alpha h + offset at each site of class
+        c, m = sum_j p_j phi_j its neighbours' mean (``stencil`` from
+        ``stencil(alpha)``), into the class's ``new``, and return E(h') - E(h)
         (``weights`` from ``energy_weights``) in a buffer that the next call
         overwrites; the other sites keep their heights."""
         _, _, new, pair, slots, (squares, fourths), flat, change = self.classes[c]
         nbrs = self.ph[slots]
-        np.dot(self.weights, nbrs, out=new)
+        np.dot(stencil, nbrs, out=new)
         new += offset
-        np.subtract(pair, nbrs, out=squares)
+        np.subtract(pair, nbrs[:-1], out=squares)
         squares *= squares
         np.multiply(squares, squares, out=fourths)
         return np.dot(weights, flat, out=change)
 
-    def run(self, width: float, n_sweeps: int, every: int = 0) -> tuple[int, np.ndarray]:
-        """Run n_sweeps sweeps, the colour classes in turn, with proposals
-        from each site's conditional under the harmonic stand-in of stiffness
-        1/width^2, drawn at once (keep n_sweeps small).  Returns the accepted
-        moves and the heights ``ph`` (class order) after every `every`-th
-        sweep (none for 0), one row per kept sweep: the transpose of a
-        site-major block.
+    def run(self, width: float, n_sweeps: int, every: int = 0,
+            alpha: float = 0.0) -> tuple[int, np.ndarray]:
+        """Run n_sweeps sweeps, the colour classes in turn, with AR(1)
+        proposals of over-relaxation alpha about each site's conditional
+        under the harmonic stand-in of stiffness 1/width^2, drawn at once
+        (keep n_sweeps small).  Returns the accepted moves and the heights
+        ``ph`` (class order) after every `every`-th sweep (none for 0), one
+        row per kept sweep: the transpose of a site-major block.
 
         A block draws, from the chain's stream and in this order, an
         (n_sweeps, n_sites) array z of standard normals and the Exp(1)
-        thresholds; the offsets are width * z + eta * (width * width), so
-        h' ~ N(m + eta width^2, width^2), and a move is accepted iff its
-        threshold is >= E(h') - E(h).
+        thresholds; the offsets are sqrt(1 - alpha^2) width z + (1 - alpha)
+        eta width^2, and a move is accepted iff its threshold is >= E(h') -
+        E(h) and |h'| <= ``HEIGHT_CAP``.
         """
         n = len(self.ph) - 1
         if len(self.ok) < n_sweeps:
             self.work = np.empty((2, n_sweeps, n))
             self.ok = np.empty((n_sweeps, n), dtype=bool)
+            self.proposals = np.empty((n_sweeps, n + 1))
         (offsets, limits), ok = self.work[:, :n_sweeps], self.ok[:n_sweeps]
+        proposals = self.proposals[:n_sweeps]
         self.rng.standard_normal(out=offsets)
         self.rng.standard_exponential(out=limits)
-        offsets *= width
-        offsets += self.eta * (width * width)
-        # m is a convex combination of heights, so no height can pass the cap
-        # in this block unless max |phi| plus each class step's max |offset| does
-        starts = [c.span.start for c in self.classes]
-        capped = (np.abs(self.ph).max()
-                  + np.maximum.reduceat(np.abs(offsets), starts, axis=1).sum() > HEIGHT_CAP)
-        weights = self.energy_weights(width)
+        offsets *= math.sqrt(1.0 - alpha * alpha) * width
+        offsets += self.eta * ((1.0 - alpha) * width * width)
+        stencil, weights = self.stencil(alpha), self.energy_weights(width)
         kept = np.empty((n + 1, n_sweeps // every if every else 0)).T
-        # per class, the rows of its span of each block array
-        spans = [zip(*(block[:, c.span] for block in (offsets, limits, ok)))
-                 for c in self.classes]
-        for s, sweep in enumerate(zip(*spans)):
-            for c, (offset, limit, accept) in enumerate(sweep):
-                np.greater_equal(limit, self.propose(c, offset, weights), out=accept)
-                cls = self.classes[c]
-                if capped:
-                    beyond = np.abs(cls.new) > HEIGHT_CAP
-                    accept &= ~beyond
-                    self.cap_rejects += int(np.count_nonzero(beyond))
-                np.copyto(cls.heights, cls.new, where=accept)
-            if every and (s + 1) % every == 0:
-                kept[s // every] = self.ph
+
+        def sweeps(capped: bool) -> None:
+            # per class, the rows of its span of each block array
+            spans = [zip(*(block[:, c.span] for block in (offsets, limits, ok)))
+                     for c in self.classes]
+            for s, sweep in enumerate(zip(*spans)):
+                for c, (offset, limit, accept) in enumerate(sweep):
+                    change = self.propose(c, offset, stencil, weights)
+                    np.greater_equal(limit, change, out=accept)
+                    cls = self.classes[c]
+                    if capped:
+                        beyond = np.abs(cls.new) > HEIGHT_CAP
+                        accept &= ~beyond
+                        self.cap_rejects += int(np.count_nonzero(beyond))
+                    np.copyto(cls.heights, cls.new, where=accept)
+                proposals[s] = self.new
+                if every and (s + 1) % every == 0:
+                    kept[s // every] = self.ph
+
+        start = self.ph.copy()
+        sweeps(capped=False)
+        # a step can multiply max |phi| by 1 + 2 |alpha|: a proposal past the cap
+        # (or NaN) runs the block again from its start, testing every step
+        if not np.abs(proposals).max() <= HEIGHT_CAP:
+            self.ph[:] = start
+            sweeps(capped=True)
         return int(np.count_nonzero(ok)), kept
 
 
@@ -248,8 +278,9 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
 
     Burn-in (which sets the proposal width) is followed by measurement
     of V'(phi_i - phi_j) every `thin` sweeps, accumulated per block as a
-    (retained samples, edges) array in ``kernel_edges`` order.  Poor mixing
-    shows up as large stderr, never as an error.
+    (retained samples, edges) array in ``kernel_edges`` order; measurement
+    over-relaxes with ``OVERRELAX`` after a burn-in, and not without one.
+    Poor mixing shows up as large stderr, never as an error.
     """
     sampler = Chain(g, k, vpot, eta, seed=seed, chain=chain)
     width, change = cfg.proposal_width, 0.0
@@ -272,6 +303,8 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
             tuned = math.sqrt(square) if 0.0 < square < math.inf else width
             change, width = abs(tuned / width - 1.0), tuned
 
+    # reflect only about a tuned width's centre: at an untuned one it can stick
+    alpha = OVERRELAX if cfg.burn_in_sweeps else 0.0
     # edge endpoints as positions in the chain's class-ordered heights
     ei, ej = sampler.slot[edge_table(g, k)[0]]
     retained = (cfg.measure_sweeps // cfg.thin // N_BATCHES) * N_BATCHES
@@ -289,7 +322,7 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     for batch in range(N_BATCHES):
         for done in range(0, batch_size, BLOCK):
             keep = min(BLOCK, batch_size - done)
-            accepted, kept = sampler.run(width, keep * cfg.thin, every=cfg.thin)
+            accepted, kept = sampler.run(width, keep * cfg.thin, cfg.thin, alpha)
             accepted_meas += accepted
             diff, dv = diff_buf[:keep], dv_buf[:keep]
             # the indices are slots, all in range: "clip" gathers unbuffered
@@ -319,7 +352,7 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
         *(VectorField(g, k, values) for values in (means, stderr, n_eff, batch_means)),
         acceptance_rate=accepted_meas / (retained * cfg.thin * n),
         proposal_width=width, width_change=change, cap_rejects=sampler.cap_rejects,
-        retained=retained)
+        retained=retained, overrelaxation=alpha)
 
 
 def divergence_check(est: GradientEstimate,

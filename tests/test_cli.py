@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import gradlab
 from conftest import edge_value, set_edge
-from gradlab import cli, diagnostics, gaussian
+from gradlab import cli, diagnostics, gaussian, mcmc
 from gradlab.cli import (_CASTERS, EXIT_CONFIG, EXIT_ERROR, EXIT_INVARIANT,
                          EXIT_NUMERICAL, EXIT_OK, EXPERIMENTS, MAX_D,
                          ConfigError, ExperimentConfig, main, parse_config, run)
@@ -454,7 +454,9 @@ def test_mcmc_manifest_reports_sampler_telemetry(tmp_path):
                        "burn_in_sweeps=300\nmeasure_sweeps=3000\n")
     assert run(cfg, tmp_path).exit_code == EXIT_OK
     summary = json.loads((tmp_path / "run_manifest.json").read_text())["summaries"]
-    assert summary["proposal"] == "harmonic-conditional"
+    assert summary["proposal"] == "overrelaxed-harmonic-conditional"
+    # measurement after a burn-in reflects with the module's alpha
+    assert summary["overrelaxation"] == mcmc.OVERRELAX
     assert "target_acceptance" not in summary
     # burn-in ran 12 blocks: the width has all but stopped moving
     assert 0.0 < summary["width_change_last_block"] <= 0.05

@@ -9,14 +9,24 @@ from conftest import (conditional_logdensity, edge_value, gaussian_eta,
                       zero_heights)
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import DirichletLaplacian, mean_gradient
-from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, Chain, GradientEstimate,
-                          SamplerConfig, colour_classes, divergence_check,
-                          estimate_gradient_mean)
+from gradlab import mcmc
+from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, OVERRELAX, Chain,
+                          GradientEstimate, SamplerConfig, colour_classes,
+                          divergence_check, estimate_gradient_mean)
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField,
                            Kernel, Potential, VectorField, chain_stream, edge_table,
                            energy, kernel_edges, neighbor_index, sample_disorder)
 
 FAST = SamplerConfig(burn_in_sweeps=300, measure_sweeps=4000)
+
+
+def with_overrelaxation(names, cases):
+    """Each case as given at alpha = 0, then again at OVERRELAX, its id
+    suffixed "-overrelaxed"; `cases` maps ids to argument tuples."""
+    return pytest.mark.parametrize(names + ",alpha", [
+        pytest.param(*args, alpha, id=case + suffix)
+        for alpha, suffix in ((0.0, ""), (OVERRELAX, "-overrelaxed"))
+        for case, args in cases.items()])
 
 
 def single_site_setup(eta_value=0.0):
@@ -92,13 +102,14 @@ def test_conditional_logdensity_rejects_exterior_site(quadratic):
 
 
 @pytest.mark.parametrize("name", ["nn", "axis2"])
-@pytest.mark.parametrize("a", [1.0, 4.0])
-def test_quadratic_proposals_are_all_accepted(name, a):
-    # width 1/sqrt(a) makes the harmonic stand-in exact: heat bath
+@with_overrelaxation("a", {"1.0": (1.0,), "4.0": (4.0,)})
+def test_quadratic_proposals_are_all_accepted(name, a, alpha):
+    # width 1/sqrt(a) makes the harmonic stand-in exact: heat bath, or its
+    # over-relaxed reflection
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
     g = BoxGeometry.for_kernel(2, 3, k)
     chain = Chain(g, k, Potential.quadratic(a), gaussian_eta(g, seed=3), seed=1)
-    accepted, _ = chain.run(1.0 / math.sqrt(a), 60)
+    accepted, _ = chain.run(1.0 / math.sqrt(a), 60, alpha=alpha)
     assert accepted == 60 * g.n_sites
 
 
@@ -132,10 +143,10 @@ def neighbour_mean(g, k, values):
     return sum(w * padded[..., row] for (_, w), row in zip(k.support(), neighbor_index(g, k)))
 
 
-@pytest.mark.parametrize("name", ["nn", "axis2"])
-def test_sweep_energy_change_matches_energy_difference(name, quartic):
+@with_overrelaxation("name", {"nn": ("nn",), "axis2": ("axis2",)})
+def test_sweep_energy_change_matches_energy_difference(name, alpha, quartic):
     # E(h') - E(h) is the energy change plus the proposal's log-ratio
-    # log q(h') - log q(h), q the density of N(m + eta w^2, w^2)
+    # log q(h') - log q(h), q the density of N(m + eta w^2, w^2), whatever alpha
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
     g = BoxGeometry.for_kernel(2, 3, k)
     eta = gaussian_eta(g, seed=9)
@@ -148,9 +159,10 @@ def test_sweep_energy_change_matches_energy_difference(name, quartic):
     for width in (0.6, 1.7):
         for c, sites in enumerate(colour_classes(g, k)):
             offset = rng.normal(0.0, 1.0, size=len(sites))
-            got = chain.propose(c, offset, chain.energy_weights(width))
+            got = chain.propose(c, offset, chain.stencil(alpha), chain.energy_weights(width))
             new = chain.classes[c].new
-            assert new == pytest.approx(mean[sites] + offset, abs=1e-12)
+            centre = (1.0 - alpha) * mean[sites] + alpha * before.values[sites]
+            assert new == pytest.approx(centre + offset, abs=1e-12)
             centre = mean[sites] + eta.values[sites] * width ** 2
             log_q = lambda x: -(x - centre) ** 2 / (2.0 * width ** 2)
             log_ratio = log_q(new) - log_q(before.values[sites])
@@ -165,31 +177,34 @@ def test_sweep_energy_change_matches_energy_difference(name, quartic):
 # the site-order sweep, kept as the oracle of Chain.run
 
 
-def block_draws(rng, width, eta, shape):
+def block_draws(rng, width, eta, shape, alpha=0.0):
     """A block's draws as ``Chain.run`` documents them: normals, then the
-    Exp(1) thresholds; the offsets are width z + eta width^2, eta in the
-    columns' (class) order."""
+    Exp(1) thresholds; the offsets are sqrt(1 - alpha^2) width z + (1 -
+    alpha) eta width^2, eta in the columns' (class) order."""
     z = rng.normal(0.0, 1.0, size=shape)
     thresholds = rng.exponential(size=shape)
-    return z * width + eta * (width * width), thresholds
+    return (z * (math.sqrt(1.0 - alpha * alpha) * width)
+            + eta * ((1.0 - alpha) * width * width)), thresholds
 
 
 class SiteOrderChain:
     """The sweep as first written: heights in site order, each class read by
     a fancy gather and written back with np.where, E(h') and E(h) evaluated
     one after the other, and the height cap tested at every step.  Same
-    stream, classes and spans of random numbers as ``Chain``, so the two
-    agree bit for bit."""
+    stream, classes and spans of random numbers and the same stencil dot
+    for (1 - alpha) m + alpha h as ``Chain``, so the two agree bit for bit."""
 
     def __init__(self, g, k, vpot, eta, seed=0, chain=0):
         nbr = neighbor_index(g, k)
         slots = np.where(nbr < 0, g.n_sites, nbr)
+        stencil_slots = np.vstack([slots, np.arange(g.n_sites)])
         self.classes = []
         lo = 0
         for sites in colour_classes(g, k):
-            # C order, so that the stencil dot adds each site's column in
-            # the order of the chain's gathered buffer
-            self.classes.append((sites, np.ascontiguousarray(slots[:, sites]),
+            # the neighbours, then the site itself; C order, so that the
+            # stencil dot adds each site's column in the order of the chain's
+            # gathered buffer
+            self.classes.append((sites, np.ascontiguousarray(stencil_slots[:, sites]),
                                  slice(lo, lo + len(sites))))
             lo += len(sites)
         self.eta = np.concatenate([eta.values[sites] for sites, _, _ in self.classes])
@@ -205,16 +220,18 @@ class SiteOrderChain:
         stiffness = self.vpot.a - 1.0 / (width * width)
         return np.dot(self.weights, 0.5 * stiffness * t2 + self.vpot.b * t2 * t2)
 
-    def run(self, width, n_sweeps, every=0):
+    def run(self, width, n_sweeps, every=0, alpha=0.0):
         n = len(self.ph) - 1
-        offsets, thresholds = block_draws(self.rng, width, self.eta, (n_sweeps, n))
+        offsets, thresholds = block_draws(self.rng, width, self.eta, (n_sweeps, n), alpha)
+        stencil = np.append((1.0 - alpha) * self.weights, alpha)
         kept = np.empty((n_sweeps // every if every else 0, n + 1))
         accepted = 0
         for s in range(n_sweeps):
             for sites, slots, span in self.classes:
                 nbrs = self.ph[slots]
                 old = self.ph[sites]
-                new = np.dot(self.weights, nbrs) + offsets[s, span]
+                new = np.dot(stencil, nbrs) + offsets[s, span]
+                nbrs = nbrs[:-1]
                 change = (self.conditional_energy(nbrs, new, width)
                           - self.conditional_energy(nbrs, old, width))
                 ok = thresholds[s, span] >= change
@@ -232,14 +249,14 @@ class SiteOrderChain:
 
 def assert_chain_matches_oracle(g, k, vpot, blocks, start=0.0, seed=3):
     """Run Chain and SiteOrderChain from the same heights through the same
-    (width, n_sweeps, every) blocks; compare every result exactly."""
+    (width, n_sweeps, every, alpha) blocks; compare every result exactly."""
     eta = gaussian_eta(g, seed=seed)
     chain = Chain(g, k, vpot, eta, seed=seed)
     oracle = SiteOrderChain(g, k, vpot, eta, seed=seed)
     chain.ph[:-1] = oracle.ph[:-1] = start
-    for width, n_sweeps, every in blocks:
-        accepted, kept = chain.run(width, n_sweeps, every)
-        want_accepted, want_kept = oracle.run(width, n_sweeps, every)
+    for block in blocks:
+        accepted, kept = chain.run(*block)
+        want_accepted, want_kept = oracle.run(*block)
         assert accepted == want_accepted
         assert np.array_equal(kept[:, chain.slot], want_kept)
         assert np.array_equal(chain.ph[chain.slot], oracle.ph)
@@ -258,23 +275,25 @@ ORACLE_BOXES = [
 ]
 
 
-@pytest.mark.parametrize("vpot", [Potential.quadratic(1.0), Potential.quartic(1.0, 0.1),
-                                  Potential.quartic(-1.0, 0.5)],
-                         ids=["quadratic", "quartic", "double-well"])
+@with_overrelaxation("vpot", {"quadratic": (Potential.quadratic(1.0),),
+                              "quartic": (Potential.quartic(1.0, 0.1),),
+                              "double-well": (Potential.quartic(-1.0, 0.5),)})
 @pytest.mark.parametrize("d,L,name", ORACLE_BOXES)
-def test_chain_matches_site_order_oracle(d, L, name, vpot):
+def test_chain_matches_site_order_oracle(d, L, name, vpot, alpha):
     k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
     g = BoxGeometry.for_kernel(d, L, k)
     # burn-in-like blocks of changing width, then thinned measurement blocks
-    blocks = [(2.5, 25, 0), (1.2, 25, 0), (0.7, 7, 0), (1.0, 75, 3), (1.0, 24, 1)]
+    blocks = [(2.5, 25, 0, 0.0), (1.2, 25, 0, 0.0), (0.7, 7, 0, 0.0),
+              (1.0, 75, 3, alpha), (1.0, 24, 1, alpha)]
     assert_chain_matches_oracle(g, k, vpot, blocks)
 
 
-@pytest.mark.parametrize("name", ["nn", "axis2"])
-def test_chain_matches_oracle_where_the_cap_bound_trips(name):
-    # heights 20 below the cap: over a block the bound max|phi| + the sum of
-    # each class step's largest |offset| passes the cap, so every step tests
-    # it, but the chain only falls, and no proposal goes past the cap
+@with_overrelaxation("name", {"nn": ("nn",), "axis2": ("axis2",)})
+def test_chain_matches_oracle_where_the_cap_bound_trips(name, alpha):
+    # heights 20 below the cap: over a block max|phi| + the sum of each class
+    # step's largest |offset| passes the cap, the bound of a convex
+    # combination; without reflection the chain only falls, and no proposal
+    # goes past the cap
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
     g = BoxGeometry.for_kernel(2, 2, k)
     eta = np.concatenate([gaussian_eta(g, seed=3).values[sites]
@@ -283,42 +302,55 @@ def test_chain_matches_oracle_where_the_cap_bound_trips(name):
     # each sweep's largest |offset| is at most the sum of its classes'
     assert HEIGHT_CAP - 20.0 + np.abs(offsets).max(axis=1).sum() > HEIGHT_CAP
     chain = assert_chain_matches_oracle(g, k, Potential.quadratic(1.0),
-                                        [(1.0, 25, 5), (1.0, 25, 0)],
+                                        [(1.0, 25, 5, alpha), (1.0, 25, 0, alpha)],
                                         start=HEIGHT_CAP - 20.0)
-    assert chain.cap_rejects == 0
+    # a reflection about the mean of fallen neighbours' heights overshoots
+    # past the cap, and its block runs again testing every step
+    assert (chain.cap_rejects > 0) == (alpha != 0.0)
     # heights at the cap: in the first class step, about half the proposals
     # of the sites with no neighbour outside the box go past it
     g = BoxGeometry.for_kernel(2, 4, k)
     chain = assert_chain_matches_oracle(g, k, Potential.quartic(1.0, 0.1),
-                                        [(1.0, 25, 5), (1.0, 3, 1)],
+                                        [(1.0, 25, 5, alpha), (1.0, 3, 1, alpha)],
                                         start=HEIGHT_CAP)
     assert chain.cap_rejects > 0
     assert np.all(np.abs(chain.ph[chain.slot]) <= HEIGHT_CAP)
 
 
-def test_block_draw_is_the_harmonic_conditional(quartic):
-    # the offsets a block draws, which Chain.run leaves in Chain.work[0]:
-    # h' = m + offset ~ N(m + eta w^2, w^2)
+def assert_block_draw(quartic, alpha):
+    """The offsets a block draws, which Chain.run leaves in Chain.work[0]:
+    h' = (1 - alpha) m + alpha h + offset = mu + alpha (h - mu) + N(0, (1 -
+    alpha^2) w^2), mu = m + eta w^2."""
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry.for_kernel(2, 8, k)
     eta = gaussian_eta(g, seed=20)
     chain = Chain(g, k, quartic, eta, seed=20)
     width, n_sweeps = 1.7, 700
-    chain.run(width, n_sweeps)
+    chain.run(width, n_sweeps, alpha=alpha)
     offsets = chain.work[0, :n_sweeps]
-    z = (offsets - chain.eta * width ** 2).ravel() / width
+    scale = math.sqrt(1.0 - alpha ** 2) * width
+    z = (offsets - (1.0 - alpha) * chain.eta * width ** 2).ravel() / scale
     assert abs(z.mean()) <= 4.0 / math.sqrt(z.size)
     assert abs(z.var() - 1.0) <= 0.02
-    # the mean offset of each site against its eta has slope w^2
+    # the mean offset of each site against its eta has slope (1 - alpha) w^2
     site_means = offsets.mean(axis=0)
     slope = np.dot(site_means, chain.eta) / np.dot(chain.eta, chain.eta)
-    slope_se = width / math.sqrt(n_sweeps * np.dot(chain.eta, chain.eta))
-    assert abs(slope - width ** 2) <= 4.0 * slope_se
-    # and the centre is the neighbours' mean m
-    mean = neighbour_mean(g, k, chain.ph[chain.slot][:-1])
-    zero = np.zeros(len(colour_classes(g, k)[0]))
-    chain.propose(0, zero, chain.energy_weights(width))
-    assert chain.classes[0].new == pytest.approx(mean[colour_classes(g, k)[0]], abs=1e-12)
+    slope_se = scale / math.sqrt(n_sweeps * np.dot(chain.eta, chain.eta))
+    assert abs(slope - (1.0 - alpha) * width ** 2) <= 4.0 * slope_se
+    # and the centre is (1 - alpha) m + alpha h, m the neighbours' mean
+    heights = chain.ph[chain.slot][:-1]
+    sites = colour_classes(g, k)[0]
+    centre = (1.0 - alpha) * neighbour_mean(g, k, heights)[sites] + alpha * heights[sites]
+    chain.propose(0, np.zeros(len(sites)), chain.stencil(alpha), chain.energy_weights(width))
+    assert chain.classes[0].new == pytest.approx(centre, abs=1e-12)
+
+
+def test_block_draw_is_the_harmonic_conditional(quartic):
+    assert_block_draw(quartic, 0.0)
+
+
+def test_overrelaxed_block_draw_reflects_about_the_harmonic_conditional(quartic):
+    assert_block_draw(quartic, OVERRELAX)
 
 
 @pytest.mark.parametrize("width", [0.5, 3.0])
@@ -328,7 +360,8 @@ def test_untuned_single_site_chain_matches_quadrature_oracle(width):
     vpot = Potential.quartic(1.0, 0.5)
     cfg = SamplerConfig(proposal_width=width, burn_in_sweeps=0, measure_sweeps=30000)
     est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=9)
-    assert est.proposal_width == width
+    # without burn-in neither the width is tuned nor the proposals reflected
+    assert est.proposal_width == width and est.overrelaxation == 0.0
     oracle = single_site_quadrature_oracle(vpot, 1.0, [w for _, w in k.support()])
     for v, _ in k.support():
         got = edge_value(est.mean, (0, 0), v)
@@ -348,6 +381,23 @@ def test_single_site_chain_reproduces_gaussian_moments(quadratic):
     stderr = math.sqrt(8.0 / n_sweeps)
     assert abs(samples.mean() - 0.9) <= 4.0 * stderr
     assert abs(samples.var() - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("a", [1.0, 4.0])
+def test_overrelaxed_single_site_heights_are_ar1_with_coefficient_alpha(a):
+    # quadratic V at w = 1/sqrt(a): every move is accepted, so the heights are
+    # the AR(1) process h' = mu + alpha (h - mu) + sqrt(1 - alpha^2) w z, whose
+    # lag-1 autocorrelation is alpha exactly (0 for heat bath); its estimate
+    # over n samples has stderr about sqrt((1 - alpha^2) / n)
+    g, k, eta = single_site_setup(0.9)
+    chain = Chain(g, k, Potential.quadratic(a), eta, seed=21)
+    width, n_sweeps = 1.0 / math.sqrt(a), 20_000
+    chain.run(width, 200, alpha=OVERRELAX)
+    accepted, kept = chain.run(width, n_sweeps, every=1, alpha=OVERRELAX)
+    assert accepted == n_sweeps
+    h = kept[:, 0] - kept[:, 0].mean()
+    lag1 = np.dot(h[:-1], h[1:]) / np.dot(h, h)
+    assert abs(lag1 - OVERRELAX) <= 4.0 * math.sqrt((1.0 - OVERRELAX ** 2) / n_sweeps)
 
 
 def test_stationary_histogram_matches_oracle_density(quartic):
@@ -383,9 +433,10 @@ def test_stationary_histogram_matches_oracle_density(quartic):
     assert chi2 / dof < 2.0
 
 
-def site_order_estimate(g, k, vpot, eta, cfg, seed):
+def site_order_estimate(g, k, vpot, eta, cfg, seed, alpha):
     """estimate_gradient_mean's batch means and n_eff on SiteOrderChain, with
-    fresh per-block arrays kept[:, ei] - kept[:, ej] and vpot.derivative."""
+    fresh per-block arrays kept[:, ei] - kept[:, ej] and vpot.derivative;
+    measurement over-relaxes with alpha after a burn-in."""
     chain = SiteOrderChain(g, k, vpot, eta, seed=seed)
     width = cfg.proposal_width
     if vpot.b == 0.0 and cfg.burn_in_sweeps:
@@ -403,6 +454,7 @@ def site_order_estimate(g, k, vpot, eta, cfg, seed):
             sq, cross, count = np.sum(moments[len(moments) // 2:], axis=0)
             if count + cross > 0.0 and 0.0 < sq / (count + cross) < math.inf:
                 width = math.sqrt(sq / (count + cross))
+    alpha = alpha if cfg.burn_in_sweeps else 0.0
     ei, ej = edge_table(g, k)[0]
     retained = (cfg.measure_sweeps // cfg.thin // N_BATCHES) * N_BATCHES
     batch_size = retained // N_BATCHES
@@ -411,7 +463,7 @@ def site_order_estimate(g, k, vpot, eta, cfg, seed):
     for batch in range(N_BATCHES):
         for done in range(0, batch_size, BLOCK):
             keep = min(BLOCK, batch_size - done)
-            _, kept = chain.run(width, keep * cfg.thin, every=cfg.thin)
+            _, kept = chain.run(width, keep * cfg.thin, cfg.thin, alpha)
             dv = vpot.derivative(kept[:, ei] - kept[:, ej])
             sums[batch] += dv.sum(axis=0)
             total_sq += (dv * dv).sum(axis=0)
@@ -420,26 +472,32 @@ def site_order_estimate(g, k, vpot, eta, cfg, seed):
     stderr = np.sqrt(batch_means.var(axis=0, ddof=1) / N_BATCHES)
     with np.errstate(divide="ignore", invalid="ignore"):
         n_eff = (total_sq / retained - means ** 2) / stderr ** 2
-    return batch_means, n_eff, width, chain.cap_rejects
+    return batch_means, n_eff, width, chain.cap_rejects, alpha
 
 
-@pytest.mark.parametrize("d,L,name,vpot,thin", [
-    pytest.param(2, 3, "nn", Potential.quartic(1.0, 0.1), 3, id="d2-nn-quartic-thin3"),
-    pytest.param(2, 2, "axis2", Potential.quadratic(1.0), 1, id="d2-axis2-quadratic"),
-    pytest.param(1, 4, "axis2", Potential.quartic(-1.0, 0.5), 2, id="d1-axis2-double-well"),
-    pytest.param(2, 0, "nn", Potential.quartic(1.0, 0.5), 1, id="one-site"),
-])
-def test_estimates_match_site_order_oracle(d, L, name, vpot, thin):
+@with_overrelaxation("d,L,name,vpot,thin,burn_in", {
+    "d2-nn-quartic-thin3": (2, 3, "nn", Potential.quartic(1.0, 0.1), 3, 130),
+    "d2-axis2-quadratic": (2, 2, "axis2", Potential.quadratic(1.0), 1, 130),
+    "d1-axis2-double-well": (1, 4, "axis2", Potential.quartic(-1.0, 0.5), 2, 130),
+    "one-site": (2, 0, "nn", Potential.quartic(1.0, 0.5), 1, 130),
+    "d2-nn-no-burn-in": (2, 2, "nn", Potential.quartic(1.0, 0.1), 1, 0),
+})
+def test_estimates_match_site_order_oracle(d, L, name, vpot, thin, burn_in, alpha,
+                                           monkeypatch):
+    # the estimator reads OVERRELAX when it runs: alpha = 0 is the old sampler
+    monkeypatch.setattr(mcmc, "OVERRELAX", alpha)
     k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
     g = BoxGeometry.for_kernel(d, L, k)
     eta = gaussian_eta(g, seed=17)
-    cfg = SamplerConfig(burn_in_sweeps=130, measure_sweeps=1800, thin=thin)
+    cfg = SamplerConfig(burn_in_sweeps=burn_in, measure_sweeps=1800, thin=thin)
     est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=8)
-    batch_means, n_eff, width, cap_rejects = site_order_estimate(g, k, vpot, eta, cfg, 8)
+    batch_means, n_eff, width, cap_rejects, used = site_order_estimate(
+        g, k, vpot, eta, cfg, 8, alpha)
     assert np.array_equal(est.batch_means.values, batch_means)
     # every n_eff is the ratio clipped to [1, retained]
     assert np.array_equal(est.n_eff.values, np.clip(n_eff, 1.0, est.retained))
     assert est.proposal_width == width and est.cap_rejects == cap_rejects
+    assert est.overrelaxation == used
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +534,26 @@ def test_single_site_estimate_matches_quadrature_oracle():
         got = edge_value(est.mean, (0, 0), j)  # oriented from the interior site out
         stderr = abs(edge_value(est.stderr, (0, 0), j))  # a magnitude, either orientation
         assert abs(got - oracle.mean_derivative) <= 3.0 * stderr
+
+
+def test_overrelaxed_estimates_after_a_noisy_width_match_quadrature_oracle():
+    # 200 burn-in sweeps on the one-site box average 100 snapshots in the
+    # width rule, which leaves the width 0.45-0.68 around a fixed point near
+    # 0.6 (acceptance 0.55-0.94); the reflected proposals stay exact
+    k = Kernel.nearest_neighbor(2)
+    g = BoxGeometry.for_kernel(2, 0, k)
+    vpot = Potential.quartic(1.0, 0.5)
+    cfg = SamplerConfig(burn_in_sweeps=200, measure_sweeps=6000)
+    for seed in range(12):
+        eta = sample_disorder(DisorderSpec("gaussian", 1.0, seed), g)
+        est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=seed)
+        assert est.overrelaxation == OVERRELAX
+        oracle = single_site_quadrature_oracle(vpot, float(eta.values[0]),
+                                               [w for _, w in k.support()])
+        for v, _ in k.support():
+            got = edge_value(est.mean, (0, 0), v)
+            stderr = abs(edge_value(est.stderr, (0, 0), v))
+            assert abs(got - oracle.mean_derivative) <= 4.0 * stderr, (seed, v)
 
 
 def test_gaussian_cross_validation_multiple_realizations(quadratic):
@@ -523,7 +601,7 @@ def test_divergence_check_of_exact_batches_is_the_exact_residual():
     batches = VectorField(g, k, np.stack([X.values] * N_BATCHES))
     est = GradientEstimate(X, zero, zero, batches,
                            acceptance_rate=1.0, proposal_width=1.0, width_change=0.0,
-                           cap_rejects=0, retained=N_BATCHES)
+                           cap_rejects=0, retained=N_BATCHES, overrelaxation=0.0)
     resid, se = divergence_check(est, eta)
     exact, _ = divergence_residual(X, eta)
     assert np.max(np.abs(resid - exact)) <= 1e-13
