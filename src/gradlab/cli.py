@@ -320,7 +320,7 @@ def _run_quadrature(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict,
 
 def _run_identities(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
     k = cfg.make_kernel()
-    g = BoxGeometry.for_kernel(cfg.d, cfg.L, k)
+    g = BoxGeometry(cfg.d, cfg.L)
     A = gaussian.DirichletLaplacian(g, k)
     solver = cfg.solver()
 
@@ -351,7 +351,7 @@ def _run_identities(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict,
 
 def _run_gaussian_exact(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
     k = cfg.make_kernel()
-    g = BoxGeometry.for_kernel(cfg.d, cfg.L, k)
+    g = BoxGeometry(cfg.d, cfg.L)
     A = gaussian.DirichletLaplacian(g, k)
     solver = cfg.solver()
 
@@ -379,7 +379,7 @@ def _run_gaussian_exact(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], d
 def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
     from . import mcmc
     k = cfg.make_kernel()
-    g = BoxGeometry.for_kernel(cfg.d, cfg.L, k)
+    g = BoxGeometry(cfg.d, cfg.L)
     eta = sample_disorder(cfg.disorder_spec(0), g)
     exact = None
     if cfg.potential.family == "quadratic":
@@ -623,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"unrecognized environment variables: {' '.join(stray)}")
         try:
             text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         seed = args.seed if args.seed is not None else _env_int("GRADLAB_SEED")
         cfg = parse_config(text, {"seed": seed} if seed is not None else None)

@@ -195,7 +195,7 @@ def variance_scaling_scan(d: int, L_list: list[int], eta2: float,
     for L in sorted(L_list):
         if L < 1:
             raise ValueError("L must be >= 1 for the scaling scan")
-        A = gaussian.DirichletLaplacian(BoxGeometry.for_kernel(d, L, k), k)
+        A = gaussian.DirichletLaplacian(BoxGeometry(d, L), k)
         (v,), (err,) = gaussian.covariances(A, [(edge, edge)], eta2, cfg)
         rows.append((float(L), float(v), float(err)))
     return ScanResult(tuple(rows))
@@ -227,7 +227,7 @@ def decay_scan_d3(L: int, r_list: list[int], eta2: float) -> DecayScan:
     if any(r % 2 for r in r_list):
         raise ValueError("separations must be even (edges straddle the center)")
     k = Kernel.nearest_neighbor(3)
-    A = gaussian.DirichletLaplacian(BoxGeometry.for_kernel(3, L, k), k)
+    A = gaussian.DirichletLaplacian(BoxGeometry(3, L), k)
     rs = sorted(r_list)
     pairs = [tuple(((x, 0, 0), (x, 1, 0)) for x in (-(r // 2), r // 2)) for r in rs]
     values, errors = gaussian.covariances(A, pairs, eta2)

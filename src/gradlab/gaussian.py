@@ -73,8 +73,6 @@ class DirichletLaplacian:
             raise ValueError(f"invalid kernel: {report}")
         if self.kernel.d != self.geometry.d:
             raise ValueError("kernel and geometry dimensions differ")
-        if not self.geometry.covers(self.kernel):
-            raise ValueError("geometry shell does not cover the kernel range")
 
     @property
     def n(self) -> int:
@@ -93,7 +91,7 @@ class DirichletLaplacian:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         g = self.geometry
-        full = _pad_heights(g, x)
+        full = _pad_heights(g, self.kernel, x)
         out = _shifted(g, full, (0,) * g.d).copy()
         for v, w in self._support:
             out -= w * _shifted(g, full, v)
@@ -208,9 +206,8 @@ def mean_gradient(A: DirichletLaplacian, eta: HeightField,
                   cfg: SolverConfig = DEFAULT_SOLVER) -> VectorField:
     """Mean gradient field X_ij = u_i - u_j with u = G eta (one solve), on
     every kernel edge touching the box: the gradient of u, 0 outside."""
-    g = A.geometry
-    u = HeightField(g, solve_array(A, eta.values, cfg))
-    return gradient_of(g, A.kernel, u)
+    u = HeightField(A.geometry, solve_array(A, eta.values, cfg))
+    return gradient_of(A.kernel, u)
 
 
 def _edge_response(A: DirichletLaplacian, edge: Edge,

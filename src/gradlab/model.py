@@ -12,10 +12,11 @@ external field eta is
 
 for an even pair potential V that grows faster than linearly.
 
-Heights live on the shell-padded box, where a kernel offset is a shifted
-view, and ``neighbor_index`` is the one stencil table behind the edge
-table and the sampler's neighbour table.  Edge fields are flat arrays of
-values in ``edge_table`` order, the order of ``kernel_edges``.
+A box is its dimension and size.  Arrays over it padded by the kernel
+range turn a kernel offset into a shifted view, and ``neighbor_index`` is
+the one stencil table behind the edge table and the sampler's neighbour
+table.  Edge fields are flat arrays of values in ``edge_table`` order,
+the order of ``kernel_edges``.
 """
 
 from __future__ import annotations
@@ -129,29 +130,19 @@ def validate_kernel(k: Kernel) -> str | None:
 
 @dataclass(frozen=True)
 class BoxGeometry:
-    """The box Lambda = {-L..L}^d plus a boundary shell of width `shell_width`.
+    """The box Lambda = {-L..L}^d.
 
-    Interior sites carry a dense index in lexicographic (row-major) order;
-    the shell holds every site within sup-distance `shell_width` of the box,
-    which covers the kernel neighborhood of each interior site whenever
-    shell_width >= kernel.range.
+    Interior sites carry a dense index in lexicographic (row-major) order.
     """
 
     d: int
     L: int
-    shell_width: int = 1
 
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
         if self.L < 0:
             raise ValueError("L must be >= 0")
-        if self.shell_width < 1:
-            raise ValueError("shell_width must be >= 1")
-
-    @classmethod
-    def for_kernel(cls, d: int, L: int, kernel: Kernel) -> "BoxGeometry":
-        return cls(d=d, L=L, shell_width=max(1, kernel.range))
 
     @property
     def side(self) -> int:
@@ -168,10 +159,6 @@ class BoxGeometry:
     def contains(self, site: Site) -> bool:
         return all(-self.L <= c <= self.L for c in site)
 
-    def covers(self, kernel: Kernel) -> bool:
-        """True if interior + shell covers every interior kernel neighborhood."""
-        return kernel.range <= self.shell_width
-
     def index_of(self, site: Site) -> int:
         if not self.contains(site):
             raise KeyError(f"site {site} outside the interior box")
@@ -179,25 +166,26 @@ class BoxGeometry:
 
 
 # ---------------------------------------------------------------------------
-# the stencil: padded arrays over the box plus its shell, in which a kernel
-# offset v is a shifted view, and the edge tables built on it
+# the stencil: arrays over the box padded by the kernel range on every side,
+# in which a kernel offset v is a shifted view, and the edge tables built on it
 
 
-def _padded_shape(g: BoxGeometry) -> tuple[int, ...]:
-    return (g.side + 2 * g.shell_width,) * g.d
+def _padded_shape(g: BoxGeometry, k: Kernel) -> tuple[int, ...]:
+    return (g.side + 2 * k.range,) * g.d
 
 
 def _shifted(g: BoxGeometry, padded: np.ndarray, v: Site) -> np.ndarray:
     """View of `padded` whose entry at interior site i is the cell of i + v
-    (over the last d axes; leading axes are kept)."""
-    m = g.shell_width
+    (over the last d axes; leading axes are kept), for any padding width
+    of at least the sup-norm of v."""
+    m = (padded.shape[-1] - g.side) // 2
     return padded[(...,) + tuple(slice(m + c, m + c + g.side) for c in v)]
 
 
-def _pad_heights(g: BoxGeometry, values: np.ndarray) -> np.ndarray:
-    """Interior values (in site order) embedded in the shell-padded array,
-    zero outside the box."""
-    full = np.zeros(_padded_shape(g))
+def _pad_heights(g: BoxGeometry, k: Kernel, values: np.ndarray) -> np.ndarray:
+    """Interior values (in site order) embedded in the array padded by the
+    kernel range, zero outside the box."""
+    full = np.zeros(_padded_shape(g, k))
     _shifted(g, full, (0,) * g.d)[...] = np.reshape(values, g.shape)
     return full
 
@@ -209,9 +197,7 @@ def neighbor_index(g: BoxGeometry, k: Kernel) -> np.ndarray:
     Rows follow ``k.support()``, columns the site index order.  Shifted
     views of a padded grid of indices; cached, hence read-only.
     """
-    if not g.covers(k):
-        raise ValueError("geometry shell does not cover the kernel range")
-    grid = np.full(_padded_shape(g), -1)
+    grid = np.full(_padded_shape(g, k), -1)
     _shifted(g, grid, (0,) * g.d)[...] = np.arange(g.n_sites).reshape(g.shape)
     out = np.stack([_shifted(g, grid, v).ravel() for v, _ in k.support()])
     out.flags.writeable = False
@@ -480,42 +466,13 @@ class Potential:
 # operations
 
 
-def gradient_of(g: BoxGeometry, k: Kernel, phi: HeightField) -> VectorField:
-    """Edge differences phi_i - phi_j on every kernel edge touching the box,
-    one gather of the heights at each end.
+def gradient_of(k: Kernel, phi: HeightField) -> VectorField:
+    """Edge differences phi_i - phi_j on every kernel edge touching the box
+    of the heights, one gather of the heights at each end.
 
     Heights outside the box are the boundary value 0, so boundary-crossing
     edges carry the interior height itself (up to orientation).
     """
-    ends = edge_table(g, k).ends
+    ends = edge_table(phi.geometry, k).ends
     heights = np.append(phi.values, 0.0)
-    return VectorField(g, k, heights[ends[0]] - heights[ends[1]])
-
-
-def energy_terms(g: BoxGeometry, k: Kernel, vpot: Potential,
-                 phi: HeightField, eta: HeightField) -> tuple[float, float, float]:
-    """The three energy contributions (interior pair, boundary pair, field).
-
-    interior = 1/2 sum_{i,j in Lambda} p(i-j) V(phi_i - phi_j)
-    boundary = sum_{i in Lambda, j outside} p(i-j) V(phi_i)
-    field    = -sum_i eta_i phi_i
-    """
-    core = phi.values.reshape(g.shape)
-    padded = _pad_heights(g, phi.values)
-    interior = 0.0
-    boundary = 0.0
-    for (v, w), nbr in zip(k.support(), neighbor_index(g, k)):
-        diff = core - _shifted(g, padded, v)
-        vmat = np.asarray(vpot.value(diff))
-        mask = (nbr >= 0).reshape(g.shape)  # where the neighbor is interior
-        interior += w * float(np.sum(0.5 * vmat * mask))
-        boundary += w * float(np.sum(vmat * (1.0 - mask)))
-    field = -float(np.dot(eta.values, phi.values))
-    return interior, boundary, field
-
-
-def energy(g: BoxGeometry, k: Kernel, vpot: Potential,
-           phi: HeightField, eta: HeightField) -> float:
-    """Finite-volume energy with the zero boundary condition."""
-    interior, bnd, field = energy_terms(g, k, vpot, phi, eta)
-    return interior + bnd + field
+    return VectorField(phi.geometry, k, heights[ends[0]] - heights[ends[1]])

@@ -23,13 +23,13 @@ def nn2():
 
 
 @pytest.fixture
-def box33(nn2):
-    return BoxGeometry.for_kernel(2, 1, nn2)
+def box33():
+    return BoxGeometry(2, 1)
 
 
 @pytest.fixture
-def box55(nn2):
-    return BoxGeometry.for_kernel(2, 2, nn2)
+def box55():
+    return BoxGeometry(2, 2)
 
 
 @pytest.fixture
@@ -413,6 +413,24 @@ def conditional_logdensity(g, k, vpot, phi, eta, site, t):
     for v, w in k.support():
         total -= w * float(vpot.value(t - height_at(phi, add(site, v))))
     return total + height_at(eta, site) * t
+
+
+def oracle_energy(g, k, vpot, phi, eta):
+    """The energy H(phi) of the ``gradlab.model`` docstring, by the literal
+    double loop over site pairs, then the boundary pairs and the field."""
+    total = 0.0
+    for i in sites(g):
+        for j in sites(g):
+            v = tuple(b - a for a, b in zip(i, j))
+            w = weight(k, v)
+            if w:
+                total += 0.5 * w * float(vpot.value(height_at(phi, i) - height_at(phi, j)))
+        for v, w in k.support():
+            j = add(i, v)
+            if not g.contains(j):
+                total += w * float(vpot.value(height_at(phi, i)))
+        total -= height_at(eta, i) * height_at(phi, i)
+    return total
 
 
 @dataclass(frozen=True)

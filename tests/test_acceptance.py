@@ -81,7 +81,7 @@ def test_criterion_03_divergence_equation():
     interior site, for several disorder realizations."""
     watch = Stopwatch(10.0)
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 16, k)
+    g = BoxGeometry(2, 16)
     A = gaussian.DirichletLaplacian(g, k)
     worst = 0.0
     for realization in range(5):
@@ -103,7 +103,7 @@ def test_criterion_04_surface_identity():
     devs = {}
     for d, L in ((2, 8), (3, 4)):
         k = Kernel.nearest_neighbor(d)
-        A = gaussian.DirichletLaplacian(BoxGeometry.for_kernel(d, L, k), k)
+        A = gaussian.DirichletLaplacian(BoxGeometry(d, L), k)
         devs[(d, L)] = gaussian.surface_identity_check(A, TIGHT)
     ok = all(v <= 1e-8 for v in devs.values())
     report(4, ok, ", ".join(f"(d={d}, L={L}): max dev = {v:.2e} (<= 1e-8)"
@@ -120,7 +120,7 @@ def test_criterion_05_second_moment_identity():
     rels = {}
     for d, L in ((2, 6), (3, 4)):
         k = Kernel.nearest_neighbor(d)
-        g = BoxGeometry.for_kernel(d, L, k)
+        g = BoxGeometry(d, L)
         rels[(d, L)] = diagnostics.second_moment_identity(g, k, 1.0)
     ok = all(c.relative_difference <= 1e-6 for c in rels.values())
     report(5, ok, ", ".join(
@@ -211,7 +211,7 @@ def test_criterion_09_mcmc_matches_exact_solver():
     edge, within batch-means errors, on one quenched realization."""
     watch = Stopwatch(180.0)
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 8, k)
+    g = BoxGeometry(2, 8)
     eta = sample_disorder(DisorderSpec("gaussian", 1.0, MASTER_SEED, 0), g)
     A = gaussian.DirichletLaplacian(g, k)
     X = gaussian.mean_gradient(A, eta)
@@ -235,7 +235,7 @@ def test_criterion_10_anharmonic_divergence_residuals():
     reproduces the defining flux identity."""
     watch = Stopwatch(300.0)
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 8, k)
+    g = BoxGeometry(2, 8)
     vpot = Potential.quartic(1.0, 0.1)
     eta = sample_disorder(DisorderSpec("gaussian", 1.0, MASTER_SEED, 0), g)
     cfg = mcmc.SamplerConfig(burn_in_sweeps=2000, measure_sweeps=20000)
@@ -281,7 +281,7 @@ def test_criterion_12_boundary_ergodic_averages():
     disorder, within four standard errors."""
     watch = Stopwatch(120.0)
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 32, k)
+    g = BoxGeometry(2, 32)
     A = gaussian.DirichletLaplacian(g, k)
     n = 200
     sides = np.zeros((n, 4))

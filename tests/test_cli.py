@@ -489,6 +489,16 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert main([str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
 
 
+def test_main_reports_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes(b"# caf\xff\nexperiment=quadrature\nR_list=10\n")
+    assert main([str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_seed_flag_and_env_override(tmp_path, monkeypatch):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("experiment=gaussian-exact\nd=2\nL=2\nn_realizations=2\n")

@@ -22,7 +22,7 @@ from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
 
 def setup_gaussian(d, L, seed=0):
     k = Kernel.nearest_neighbor(d)
-    g = BoxGeometry.for_kernel(d, L, k)
+    g = BoxGeometry(d, L)
     A = DirichletLaplacian(g, k)
     eta = gaussian_eta(g, seed=seed)
     return g, k, A, eta
@@ -117,7 +117,7 @@ def test_boundary_sides_partition_the_surface_sum():
 
 def test_boundary_sides_partition_with_range_two_kernel():
     k = Kernel.axis_kernel(2, 2)
-    g = BoxGeometry.for_kernel(2, 3, k)
+    g = BoxGeometry(2, 3)
     A = DirichletLaplacian(g, k)
     eta = gaussian_eta(g, seed=8)
     X = mean_gradient(A, eta)
@@ -128,7 +128,7 @@ def test_boundary_sides_partition_with_range_two_kernel():
 
 def test_boundary_average_requires_d2():
     k = Kernel.nearest_neighbor(3)
-    g = BoxGeometry.for_kernel(3, 1, k)
+    g = BoxGeometry(3, 1)
     with pytest.raises(ValueError):
         boundary_ergodic_average(zero_field(g, k), 1)
 
@@ -203,7 +203,7 @@ def test_variance_scan_rejects_bad_l():
 def test_variance_scan_matches_variance_op():
     scan = variance_scaling_scan(2, [4], 2.0)
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 4, k)
+    g = BoxGeometry(2, 4)
     A = DirichletLaplacian(g, k)
     assert scan.rows[0][1] == pytest.approx(variance(A, central_edge(2), 2.0),
                                             rel=1e-9)
@@ -216,7 +216,7 @@ def test_variance_scan_matches_variance_op():
 def test_decay_scan_same_edge_is_variance():
     scan = decay_scan_d3(6, [0, 2], 1.0)
     k = Kernel.nearest_neighbor(3)
-    g = BoxGeometry.for_kernel(3, 6, k)
+    g = BoxGeometry(3, 6)
     A = DirichletLaplacian(g, k)
     edge = ((0, 0, 0), (0, 1, 0))
     v = variance(A, edge, 1.0)
@@ -229,7 +229,7 @@ def test_decay_scan_decreases_and_matches_covariance_op():
     vals = scan.covariance.values()
     assert vals[0] > vals[1] > 0.0
     k = Kernel.nearest_neighbor(3)
-    g = BoxGeometry.for_kernel(3, 8, k)
+    g = BoxGeometry(3, 8)
     A = DirichletLaplacian(g, k)
     a = ((-1, 0, 0), (-1, 1, 0))
     b = ((1, 0, 0), (1, 1, 0))
@@ -439,7 +439,7 @@ def test_d3_central_edge_variance_limit_is_approached_like_one_over_l():
 
 def test_second_moment_single_site():
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 0, k)
+    g = BoxGeometry(2, 0)
     chk = second_moment_identity(g, k, 2.5)
     assert chk.lhs == pytest.approx(2.5)
     assert chk.relative_difference <= 1e-12
@@ -448,7 +448,7 @@ def test_second_moment_single_site():
 @pytest.mark.parametrize("d,L", [(2, 4), (3, 2)])
 def test_second_moment_small_boxes(d, L):
     k = Kernel.nearest_neighbor(d)
-    g = BoxGeometry.for_kernel(d, L, k)
+    g = BoxGeometry(d, L)
     chk = second_moment_identity(g, k, 1.0)
     assert chk.relative_difference <= 1e-6
 
@@ -470,7 +470,7 @@ def oracle_second_moment_rhs(g, k, eta2):
 @pytest.mark.parametrize("d,L,name", [(2, 2, "nn"), (3, 1, "nn"), (2, 2, "axis2")])
 def test_second_moment_rhs_matches_the_literal_double_sum(d, L, name):
     k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
-    g = BoxGeometry.for_kernel(d, L, k)
+    g = BoxGeometry(d, L)
     chk = second_moment_identity(g, k, 1.7)
     assert chk.rhs == pytest.approx(oracle_second_moment_rhs(g, k, 1.7),
                                     rel=1e-12, abs=0.0)
@@ -479,7 +479,7 @@ def test_second_moment_rhs_matches_the_literal_double_sum(d, L, name):
 @pytest.mark.parametrize("name", ["nn", "axis2"])
 def test_second_moment_identity_is_one_solve(name, monkeypatch):
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
-    g = BoxGeometry.for_kernel(2, 3, k)
+    g = BoxGeometry(2, 3)
     calls = []
     solve = gaussian.solve_array
 

@@ -133,7 +133,7 @@ CASE_IDS = [f"d{d}-{name}-L{L}" for d, name, L in CASES]
 def case(request):
     d, name, L = request.param
     k = KERNELS[name](d)
-    g = BoxGeometry.for_kernel(d, L, k)
+    g = BoxGeometry(d, L)
     eta = sample_disorder(DisorderSpec("gaussian", 1.0, 41, L), g)
     return g, k, eta
 
@@ -197,7 +197,7 @@ def test_boundary_table_matches_reference(case):
 def test_gradient_matches_reference(case):
     g, k, _ = case
     phi = HeightField(g, random_heights(g, seed=g.L, scale=2.0))
-    field = gradient_of(g, k, phi)
+    field = gradient_of(k, phi)
     assert list(zip(kernel_edges(g, k), field.values.tolist())) == \
         list(oracle_gradient(g, k, phi).items())
 
@@ -241,7 +241,7 @@ def test_operator_assembly_and_sampler_table_match_reference(case):
 @pytest.mark.parametrize("name", ["nn", "axis2"])
 def test_mcmc_divergence_check_matches_reference(name):
     k = KERNELS[name](2)
-    g = BoxGeometry.for_kernel(2, 2, k)
+    g = BoxGeometry(2, 2)
     eta = sample_disorder(DisorderSpec("gaussian", 1.0, 43, 0), g)
     cfg = mcmc.SamplerConfig(burn_in_sweeps=50, measure_sweeps=300)
     est = mcmc.estimate_gradient_mean(g, k, Potential.quartic(1.0, 0.1), eta,

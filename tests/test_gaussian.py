@@ -26,7 +26,7 @@ THREE_STEP = Kernel.from_map(1, {(3,): 0.5, (-3,): 0.5})
 
 def make_operator(d, L, kernel=None):
     k = kernel if kernel is not None else Kernel.nearest_neighbor(d)
-    g = BoxGeometry.for_kernel(d, L, k)
+    g = BoxGeometry(d, L)
     return DirichletLaplacian(g, k), g, k
 
 
@@ -174,7 +174,7 @@ def test_axis2_steps_do_not_grow_with_the_box(d, Ls, monkeypatch):
     calls = count_applies(monkeypatch)
     k = Kernel.axis_kernel(d, 2)
     for L in Ls:
-        A = DirichletLaplacian(BoxGeometry.for_kernel(d, L, k), k)
+        A = DirichletLaplacian(BoxGeometry(d, L), k)
         calls[0] = 0
         green_column(A, (0,) * d)
         assert calls[0] - 2 <= 7, L  # a start and a final residual, then steps

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import (conditional_logdensity, edge_value, gaussian_eta,
-                      height_at, single_site_quadrature_oracle, zero_field,
-                      zero_heights)
+                      height_at, oracle_energy, single_site_quadrature_oracle,
+                      site_of, zero_field, zero_heights)
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import DirichletLaplacian, mean_gradient
 from gradlab import mcmc
@@ -15,7 +15,7 @@ from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, OVERRELAX, Chain,
                           divergence_check, estimate_gradient_mean)
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField,
                            Kernel, Potential, VectorField, chain_stream, edge_table,
-                           energy, kernel_edges, neighbor_index, sample_disorder)
+                           kernel_edges, neighbor_index, sample_disorder)
 
 FAST = SamplerConfig(burn_in_sweeps=300, measure_sweeps=4000)
 
@@ -31,7 +31,7 @@ def with_overrelaxation(names, cases):
 
 def single_site_setup(eta_value=0.0):
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 0, k)
+    g = BoxGeometry(2, 0)
     eta = HeightField(g, np.array([eta_value]))
     return g, k, eta
 
@@ -50,9 +50,10 @@ def test_conditional_logdensity_single_site_is_gaussian(quadratic):
         assert got - base == pytest.approx(ref(t) - ref(0.0), abs=1e-12)
 
 
-def test_conditional_logdensity_matches_energy_difference(quartic):
-    k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 1, k)
+@pytest.mark.parametrize("name", ["nn", "axis2"])
+def test_conditional_logdensity_matches_energy_difference(name, quartic):
+    k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
+    g = BoxGeometry(2, 1)
     rng = np.random.default_rng(0)
     eta = gaussian_eta(g, seed=1)
     phi_vals = rng.normal(size=g.n_sites)
@@ -65,14 +66,15 @@ def test_conditional_logdensity_matches_energy_difference(quartic):
         dlog = (conditional_logdensity(g, k, quartic, phi_old, eta, site, t_new)
                 - conditional_logdensity(g, k, quartic, phi_old, eta, site,
                                          height_at(phi_old, site)))
-        dh = energy(g, k, quartic, phi_new, eta) - energy(g, k, quartic, phi_old, eta)
+        dh = (oracle_energy(g, k, quartic, phi_new, eta)
+              - oracle_energy(g, k, quartic, phi_old, eta))
         assert dlog == pytest.approx(-dh, abs=1e-10)
 
 
 def test_conditional_logdensity_derivative_matches_energy_fd(quartic):
     # two-site chain in d=1
     k = Kernel.nearest_neighbor(1)
-    g = BoxGeometry.for_kernel(1, 1, k)
+    g = BoxGeometry(1, 1)
     eta = gaussian_eta(g, seed=2)
     vals = np.array([0.4, -0.2, 1.1])
     phi = HeightField(g, vals)
@@ -85,7 +87,7 @@ def test_conditional_logdensity_derivative_matches_energy_fd(quartic):
     def h_at(t):
         v = vals.copy()
         v[g.index_of(site)] = t
-        return energy(g, k, quartic, HeightField(g, v), eta)
+        return oracle_energy(g, k, quartic, HeightField(g, v), eta)
 
     dh = (h_at(t0 + h) - h_at(t0 - h)) / (2 * h)
     assert dlog == pytest.approx(-dh, rel=1e-6)
@@ -107,7 +109,7 @@ def test_quadratic_proposals_are_all_accepted(name, a, alpha):
     # width 1/sqrt(a) makes the harmonic stand-in exact: heat bath, or its
     # over-relaxed reflection
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
-    g = BoxGeometry.for_kernel(2, 3, k)
+    g = BoxGeometry(2, 3)
     chain = Chain(g, k, Potential.quadratic(a), gaussian_eta(g, seed=3), seed=1)
     accepted, _ = chain.run(1.0 / math.sqrt(a), 60, alpha=alpha)
     assert accepted == 60 * g.n_sites
@@ -115,7 +117,7 @@ def test_quadratic_proposals_are_all_accepted(name, a, alpha):
 
 def test_sweeps_are_deterministic_given_seed(quartic):
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 2, k)
+    g = BoxGeometry(2, 2)
     eta = gaussian_eta(g, seed=4)
     runs = []
     for _ in range(2):
@@ -128,7 +130,7 @@ def test_sweeps_are_deterministic_given_seed(quartic):
 
 def test_proposals_beyond_the_height_cap_are_rejected_and_counted(quadratic):
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 2, k)
+    g = BoxGeometry(2, 2)
     chain = Chain(g, k, quadratic, gaussian_eta(g, seed=5), seed=5)
     chain.ph[:-1] = HEIGHT_CAP
     chain.run(1.0, 1)
@@ -146,15 +148,16 @@ def neighbour_mean(g, k, values):
 @with_overrelaxation("name", {"nn": ("nn",), "axis2": ("axis2",)})
 def test_sweep_energy_change_matches_energy_difference(name, alpha, quartic):
     # E(h') - E(h) is the energy change plus the proposal's log-ratio
-    # log q(h') - log q(h), q the density of N(m + eta w^2, w^2), whatever alpha
+    # log q(h') - log q(h), q the density of N(m + eta w^2, w^2), whatever
+    # alpha; a one-site energy change is minus that of the site's
+    # conditional log density
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
-    g = BoxGeometry.for_kernel(2, 3, k)
+    g = BoxGeometry(2, 3)
     eta = gaussian_eta(g, seed=9)
     chain = Chain(g, k, quartic, eta)
     rng = np.random.default_rng(10)
     chain.ph[chain.slot[:-1]] = rng.normal(0.0, 1.5, size=g.n_sites)
     before = HeightField(g, chain.ph[chain.slot][:-1])
-    e_before = energy(g, k, quartic, before, eta)
     mean = neighbour_mean(g, k, before.values)
     for width in (0.6, 1.7):
         for c, sites in enumerate(colour_classes(g, k)):
@@ -167,9 +170,9 @@ def test_sweep_energy_change_matches_energy_difference(name, alpha, quartic):
             log_q = lambda x: -(x - centre) ** 2 / (2.0 * width ** 2)
             log_ratio = log_q(new) - log_q(before.values[sites])
             for site, h, change, want_q in zip(sites, new, got, log_ratio):
-                vals = before.values.copy()
-                vals[site] = h
-                dh = energy(g, k, quartic, HeightField(g, vals), eta) - e_before
+                i = site_of(g, site)
+                dh = (conditional_logdensity(g, k, quartic, before, eta, i, before.values[site])
+                      - conditional_logdensity(g, k, quartic, before, eta, i, h))
                 assert change == pytest.approx(dh + want_q, abs=1e-10)
 
 
@@ -281,7 +284,7 @@ ORACLE_BOXES = [
 @pytest.mark.parametrize("d,L,name", ORACLE_BOXES)
 def test_chain_matches_site_order_oracle(d, L, name, vpot, alpha):
     k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
-    g = BoxGeometry.for_kernel(d, L, k)
+    g = BoxGeometry(d, L)
     # burn-in-like blocks of changing width, then thinned measurement blocks
     blocks = [(2.5, 25, 0, 0.0), (1.2, 25, 0, 0.0), (0.7, 7, 0, 0.0),
               (1.0, 75, 3, alpha), (1.0, 24, 1, alpha)]
@@ -295,7 +298,7 @@ def test_chain_matches_oracle_where_the_cap_bound_trips(name, alpha):
     # combination; without reflection the chain only falls, and no proposal
     # goes past the cap
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
-    g = BoxGeometry.for_kernel(2, 2, k)
+    g = BoxGeometry(2, 2)
     eta = np.concatenate([gaussian_eta(g, seed=3).values[sites]
                           for sites in colour_classes(g, k)])
     offsets, _ = block_draws(chain_stream(3, 0), 1.0, eta, (25, g.n_sites))
@@ -309,7 +312,7 @@ def test_chain_matches_oracle_where_the_cap_bound_trips(name, alpha):
     assert (chain.cap_rejects > 0) == (alpha != 0.0)
     # heights at the cap: in the first class step, about half the proposals
     # of the sites with no neighbour outside the box go past it
-    g = BoxGeometry.for_kernel(2, 4, k)
+    g = BoxGeometry(2, 4)
     chain = assert_chain_matches_oracle(g, k, Potential.quartic(1.0, 0.1),
                                         [(1.0, 25, 5, alpha), (1.0, 3, 1, alpha)],
                                         start=HEIGHT_CAP)
@@ -322,7 +325,7 @@ def assert_block_draw(quartic, alpha):
     h' = (1 - alpha) m + alpha h + offset = mu + alpha (h - mu) + N(0, (1 -
     alpha^2) w^2), mu = m + eta w^2."""
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 8, k)
+    g = BoxGeometry(2, 8)
     eta = gaussian_eta(g, seed=20)
     chain = Chain(g, k, quartic, eta, seed=20)
     width, n_sweeps = 1.7, 700
@@ -487,7 +490,7 @@ def test_estimates_match_site_order_oracle(d, L, name, vpot, thin, burn_in, alph
     # the estimator reads OVERRELAX when it runs: alpha = 0 is the old sampler
     monkeypatch.setattr(mcmc, "OVERRELAX", alpha)
     k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
-    g = BoxGeometry.for_kernel(d, L, k)
+    g = BoxGeometry(d, L)
     eta = gaussian_eta(g, seed=17)
     cfg = SamplerConfig(burn_in_sweeps=burn_in, measure_sweeps=1800, thin=thin)
     est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=8)
@@ -506,7 +509,7 @@ def test_estimates_match_site_order_oracle(d, L, name, vpot, thin, burn_in, alph
 
 def test_zero_disorder_estimates_vanish(quartic):
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 2, k)
+    g = BoxGeometry(2, 2)
     eta = HeightField(g, np.zeros(g.n_sites))
     est = estimate_gradient_mean(g, k, quartic, eta, FAST, seed=5)
     for e in kernel_edges(g, k):
@@ -516,7 +519,7 @@ def test_zero_disorder_estimates_vanish(quartic):
 
 def test_estimates_are_exactly_antisymmetric(quartic):
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 1, k)
+    g = BoxGeometry(2, 1)
     eta = gaussian_eta(g, seed=6)
     est = estimate_gradient_mean(g, k, quartic, eta, FAST, seed=6)
     for i, j in kernel_edges(g, k):
@@ -541,7 +544,7 @@ def test_overrelaxed_estimates_after_a_noisy_width_match_quadrature_oracle():
     # width rule, which leaves the width 0.45-0.68 around a fixed point near
     # 0.6 (acceptance 0.55-0.94); the reflected proposals stay exact
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 0, k)
+    g = BoxGeometry(2, 0)
     vpot = Potential.quartic(1.0, 0.5)
     cfg = SamplerConfig(burn_in_sweeps=200, measure_sweeps=6000)
     for seed in range(12):
@@ -559,7 +562,7 @@ def test_overrelaxed_estimates_after_a_noisy_width_match_quadrature_oracle():
 def test_gaussian_cross_validation_multiple_realizations(quadratic):
     # quadratic model: every edge estimate should sit near the exact solver
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 8, k)
+    g = BoxGeometry(2, 8)
     A = DirichletLaplacian(g, k)
     edges = kernel_edges(g, k)
     cfg = SamplerConfig(burn_in_sweeps=2000, measure_sweeps=20000)
@@ -581,7 +584,7 @@ def test_gaussian_cross_validation_multiple_realizations(quadratic):
 
 def test_divergence_check_within_propagated_errors(quartic):
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 3, k)
+    g = BoxGeometry(2, 3)
     eta = gaussian_eta(g, seed=12)
     cfg = SamplerConfig(burn_in_sweeps=1000, measure_sweeps=12000)
     est = estimate_gradient_mean(g, k, quartic, eta, cfg, seed=12)
@@ -594,7 +597,7 @@ def test_divergence_check_of_exact_batches_is_the_exact_residual():
     # every batch is the exact Gaussian field: the residuals are its own,
     # and the batches carry no spread
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 3, k)
+    g = BoxGeometry(2, 3)
     eta = gaussian_eta(g, seed=14)
     X = mean_gradient(DirichletLaplacian(g, k), eta)
     zero = zero_field(g, k)
@@ -655,7 +658,7 @@ def test_burn_in_reaches_the_width_rule_fixed_point():
     ]
     for d, L, vpot in cases:
         k = Kernel.nearest_neighbor(d)
-        g = BoxGeometry.for_kernel(d, L, k)
+        g = BoxGeometry(d, L)
         eta = sample_disorder(DisorderSpec("gaussian", 1.0, 13), g)
         cfg = SamplerConfig(proposal_width=8.0, burn_in_sweeps=1500,
                             measure_sweeps=3000)

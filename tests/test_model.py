@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (canonical_edge, edge_value, gaussian_eta, height_at,
-                      loop_residuals, oracle_boundary_edges, random_heights,
-                      set_edge, site_of, sites, weight, zero_field, zero_heights)
+                      loop_residuals, oracle_boundary_edges, oracle_energy,
+                      random_heights, set_edge, site_of, sites, weight,
+                      zero_field, zero_heights)
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
-                           Potential, energy, energy_terms, gradient_of,
-                           kernel_edges, sample_disorder, validate_kernel)
+                           Potential, gradient_of, kernel_edges,
+                           sample_disorder, validate_kernel)
 
 
-def shell_sites(g):
-    """Sites outside the box within sup-distance shell_width of it."""
-    r = range(-g.L - g.shell_width, g.L + g.shell_width + 1)
+def shell_sites(g, width):
+    """Sites outside the box within sup-distance `width` of it."""
+    r = range(-g.L - width, g.L + width + 1)
     return [s for s in itertools.product(*([r] * g.d)) if not g.contains(s)]
 
 
@@ -68,38 +69,34 @@ def test_geometry_indexing_roundtrip(d, L):
         assert site_of(g, idx) == site
 
 
-def test_geometry_shell_covers_kernel(nn2):
-    g = BoxGeometry.for_kernel(2, 2, nn2)
-    assert g.covers(nn2)
-    assert not BoxGeometry(2, 2, shell_width=1).covers(Kernel.axis_kernel(2, 2))
-
-
-def test_shell_contains_every_kernel_neighbor(box55, nn2):
-    shell = set(shell_sites(box55))
-    for i in sites(box55):
-        for v, _ in nn2.support():
-            j = tuple(a + b for a, b in zip(i, v))
-            assert box55.contains(j) or j in shell
-
-
 # ---------------------------------------------------------------------------
 # gradients and loops
 
 
 def test_gradient_of_zero_field_vanishes(box33, nn2):
-    w = gradient_of(box33, nn2, zero_heights(box33))
+    w = gradient_of(nn2, zero_heights(box33))
     assert np.all(w.values == 0.0)
 
 
 def test_gradient_of_constant_field(box33, nn2):
     c = 1.75
     phi = HeightField(box33, np.full(box33.n_sites, c))
-    w = gradient_of(box33, nn2, phi)
+    w = gradient_of(nn2, phi)
     for i, j, _ in oracle_boundary_edges(box33, nn2):
         assert edge_value(w, i, j) == pytest.approx(c)  # interior minus the 0 outside
     interior = [(e, v) for e, v in zip(kernel_edges(box33, nn2), w.values.tolist())
                 if box33.contains(e[0]) and box33.contains(e[1])]
     assert interior and all(v == 0.0 for _, v in interior)
+
+
+def test_gradient_of_lives_on_the_box_of_its_heights(nn2):
+    g = BoxGeometry(2, 2)
+    phi = HeightField(g, np.arange(1.0, g.n_sites + 1.0))
+    w = gradient_of(nn2, phi)
+    assert w.geometry == g
+    assert w.values.shape == (len(kernel_edges(g, nn2)),)
+    for i, j, _ in oracle_boundary_edges(g, nn2):
+        assert edge_value(w, i, j) == height_at(phi, i)  # the 0 outside
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -108,11 +105,11 @@ def test_gradients_satisfy_loop_condition(seed):
     g = BoxGeometry(2, 1)
     k = Kernel.nearest_neighbor(2)
     phi = HeightField(g, random_heights(g, seed=seed, scale=3.0))
-    assert loop_residuals(g, gradient_of(g, k, phi)) <= 1e-14
+    assert loop_residuals(g, gradient_of(k, phi)) <= 1e-14
 
 
 def test_loop_residual_of_single_edge(box33, nn2):
-    w = gradient_of(box33, nn2, zero_heights(box33))
+    w = gradient_of(nn2, zero_heights(box33))
     set_edge(w, (0, 0), (0, 1), 1.0)
     assert loop_residuals(box33, w) == pytest.approx(1.0)
 
@@ -133,18 +130,18 @@ def test_boundary_edge_count_3x3(box33, nn2):
 
 def test_boundary_edge_count_d1():
     k = Kernel.nearest_neighbor(1)
-    g = BoxGeometry.for_kernel(1, 2, k)
+    g = BoxGeometry(1, 2)
     assert len(oracle_boundary_edges(g, k)) == 2
 
 
 def test_boundary_edges_match_pair_enumeration_for_range_two_kernel():
     k = Kernel.axis_kernel(2, 2)
-    g = BoxGeometry.for_kernel(2, 1, k)
+    g = BoxGeometry(2, 1)
     got = {(i, j) for i, j, _ in oracle_boundary_edges(g, k)}
     # independent route: scan all (interior, shell) pairs for kernel support
     expected = set()
     for i in sites(g):
-        for j in shell_sites(g):
+        for j in shell_sites(g, k.range):
             v = tuple(b - a for a, b in zip(i, j))
             if weight(k, v) > 0.0:
                 expected.add((i, j))
@@ -155,7 +152,7 @@ def test_boundary_edges_match_pair_enumeration_for_range_two_kernel():
 def test_kernel_edges_cover_gradient_support(box33, nn2):
     edges = kernel_edges(box33, nn2)
     assert len(edges) == len(set(edges)) == 24  # 12 interior + 12 boundary
-    w = gradient_of(box33, nn2, zero_heights(box33))
+    w = gradient_of(nn2, zero_heights(box33))
     assert w.values.shape == (len(edges),)
 
 
@@ -237,71 +234,39 @@ def test_derivative_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# energy
+# the energy oracle
 
 
 def test_energy_of_zero_field_is_zero(box33, nn2, quadratic, quartic):
     phi = zero_heights(box33)
     eta = gaussian_eta(box33)
-    assert energy(box33, nn2, quadratic, phi, eta) == 0.0
-    assert energy(box33, nn2, quartic, phi, eta) == 0.0
+    assert oracle_energy(box33, nn2, quadratic, phi, eta) == 0.0
+    assert oracle_energy(box33, nn2, quartic, phi, eta) == 0.0
 
 
 def test_energy_single_site(quadratic):
     k = Kernel.nearest_neighbor(2)
-    g = BoxGeometry.for_kernel(2, 0, k)
+    g = BoxGeometry(2, 0)
     h = 0.8
     eta = HeightField(g, np.array([h]))
     for t in (-1.3, 0.0, 0.4, 2.0):
         phi = HeightField(g, np.array([t]))
-        assert energy(g, k, quadratic, phi, eta) == pytest.approx(t * t / 2 - h * t)
-
-
-def _energy_reference(g, k, vpot, phi, eta):
-    """Literal double loop over site pairs (independent of the array path)."""
-    total = 0.0
-    for i in sites(g):
-        for j in sites(g):
-            v = tuple(b - a for a, b in zip(i, j))
-            w = weight(k, v)
-            if w:
-                total += 0.5 * w * float(vpot.value(height_at(phi, i) - height_at(phi, j)))
-        for v, w in k.support():
-            j = tuple(a + b for a, b in zip(i, v))
-            if not g.contains(j):
-                total += w * float(vpot.value(height_at(phi, i)))
-        total -= height_at(eta, i) * height_at(phi, i)
-    return total
-
-
-def test_energy_matches_double_loop_reference(box33, nn2, quartic):
-    phi = HeightField(box33, random_heights(box33, seed=3, scale=2.0))
-    eta = gaussian_eta(box33, seed=4)
-    got = energy(box33, nn2, quartic, phi, eta)
-    ref = _energy_reference(box33, nn2, quartic, phi, eta)
-    assert got == pytest.approx(ref, rel=1e-12)
-
-
-def test_energy_reference_on_range_two_kernel():
-    k = Kernel.axis_kernel(2, 2)
-    g = BoxGeometry.for_kernel(2, 1, k)
-    vpot = Potential.quadratic(1.0)
-    phi = HeightField(g, random_heights(g, seed=9))
-    eta = gaussian_eta(g, seed=10)
-    assert energy(g, k, vpot, phi, eta) == pytest.approx(
-        _energy_reference(g, k, vpot, phi, eta), rel=1e-12)
+        assert oracle_energy(g, k, quadratic, phi, eta) == pytest.approx(t * t / 2 - h * t)
 
 
 def test_interior_pair_term_is_shift_invariant(box55, nn2, quartic):
+    # phi -> phi + c changes the energy only through the boundary pairs and
+    # the field, counted here edge by edge
     phi = HeightField(box55, random_heights(box55, seed=6))
     eta = gaussian_eta(box55, seed=7)
-    shifted = HeightField(box55, phi.values + 4.25)
-    before = energy_terms(box55, nn2, quartic, phi, eta)
-    after = energy_terms(box55, nn2, quartic, shifted, eta)
-    assert after[0] == pytest.approx(before[0], rel=1e-12)
-    # while the full energy with fixed boundary is not shift invariant
-    assert abs(energy(box55, nn2, quartic, shifted, eta)
-               - energy(box55, nn2, quartic, phi, eta)) > 1.0
+    c = 4.25
+    shifted = HeightField(box55, phi.values + c)
+    boundary = sum(w * (quartic.value(height_at(phi, i) + c) - quartic.value(height_at(phi, i)))
+                   for i, _, w in oracle_boundary_edges(box55, nn2))
+    change = (oracle_energy(box55, nn2, quartic, shifted, eta)
+              - oracle_energy(box55, nn2, quartic, phi, eta))
+    assert change == pytest.approx(boundary - c * float(np.sum(eta.values)), rel=1e-10)
+    assert abs(change) > 1.0
 
 
 def test_canonical_edge_signs():
