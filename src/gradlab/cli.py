@@ -441,7 +441,8 @@ def _run_decay(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]
             in zip(scan.covariance.rows, scan.compensated.rows)]
     path = out / "decay.csv"
     _write_csv(path, ["r", "covariance", "r_times_covariance"], rows)
-    summary: dict[str, Any] = {}
+    summary: dict[str, Any] = {"max_relative_err": max(
+        e / abs(c) for _, c, e in scan.covariance.rows)}
     positive = [r for r in scan.covariance.rows if r[0] > 0]
     if len(positive) >= 3:
         f = diagnostics.fit("power-law", diagnostics.ScanResult(tuple(positive)))

@@ -216,9 +216,9 @@ def decay_scan_d3(L: int, r_list: list[int], eta2: float) -> DecayScan:
     {4..12} gives exponent ~1.33 rather than 1), and the 1/r law emerges
     only as L grows at fixed r.
 
-    All separations are one closed-form mode sum (``gaussian.covariances``):
-    the pairs share their transverse factors, so the box enters once and
-    each separation costs O(L).  The uncertainty is its rounding bound.
+    All separations are one closed-form mode sum (``gaussian.covariances``),
+    an exponential sum whose terms factor over the axes, so each separation
+    costs O(L) per quadrature node.  The uncertainty is its rounding bound.
     """
     if max(r_list) > L // 2:
         raise ValueError("separations must satisfy r <= L/2")

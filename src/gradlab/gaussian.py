@@ -16,9 +16,9 @@ preconditioner for any other (Concus & Golub, SIAM J. Numer. Anal. 10,
 1973).  A solve starts from M^-1 b (a DST-I pair, each real FFTs of the odd
 extension on ``numpy.fft``), where every nearest-neighbour solve ends, and
 otherwise continues by conjugate gradients preconditioned by M^-1.
-``covariances`` sums the sine modes in closed form for the nearest-neighbour
-kernel and takes Green-column differences for any other.  Nothing here
-assembles the operator as a matrix.
+``covariances`` sums the sine modes of the nearest-neighbour kernel as an
+exponential sum, O(d L) per node, and edge responses of any other kernel.
+Nothing here assembles the operator as a matrix.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ class SolverConfig:
 
 
 DEFAULT_SOLVER = SolverConfig()
+
+#: nodes of the exponential sum taken at once, memory side x NODE_CHUNK
+NODE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -194,14 +197,6 @@ def solve_array(A: DirichletLaplacian, b: np.ndarray,
     return x
 
 
-def green_column(A: DirichletLaplacian, y: Site,
-                 cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
-    """Green column G(., y), i.e. the solve with a unit source at interior y."""
-    b = np.zeros(A.n)
-    b[A.geometry.index_of(y)] = 1.0
-    return solve_array(A, b, cfg)
-
-
 def mean_gradient(A: DirichletLaplacian, eta: HeightField,
                   cfg: SolverConfig = DEFAULT_SOLVER) -> VectorField:
     """Mean gradient field X_ij = u_i - u_j with u = G eta (one solve), on
@@ -243,31 +238,32 @@ def _mode_terms(g: BoxGeometry, edge: Edge) -> list[np.ndarray]:
     return terms if len(axes) else []
 
 
-def _mode_sum(g: BoxGeometry, lam: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """sum_k prod_a F[t, a, k_a] / lambda_k^2 for each row t of F.
+def _exp_nodes(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t_j, weights w_j with sum_j w_j e^(-t_j lambda) = 1/lambda^2 on
+    [lo, hi]: the trapezoidal rule, step h = 0.2 in s = ln t, for
+    int t e^(-lambda t) dt, whose strip |Im s| < pi/2 bounds the step's error
+    by about 1e-18 (Trefethen & Weideman, SIAM Rev. 56, 2014); the ends cut
+    the tails, (lambda t)^2 / 2 and (1 + lambda t) e^(-lambda t), below 1e-17."""
+    h = 0.2
+    s = h * np.arange(math.floor(0.5 * math.log(2e-17 / hi ** 2) / h),
+                      math.ceil(math.log(43.0 / lo) / h) + 1)
+    t = np.exp(s)
+    return t, h * t * t
 
-    Axes 2..d contract first, one slab of k_1 at a time (memory
-    O(side^(d-1))), into weights W(k_1) shared by the rows with equal
-    factors there; each row then costs O(side).  Modes whose factor
-    vanishes in every row are skipped.  lambda_k sums lam, the per-axis
-    symbol, over the axes."""
-    d = g.d
-    keep = [np.flatnonzero(np.any(F[:, a] != 0.0, axis=0)) for a in range(d)]
-    U, which = np.unique(F[:, 1:], axis=0, return_inverse=True)
-    rest = reduce(np.add.outer, [lam[kp] for kp in keep[1:]], np.zeros(()))
-    step = max(1, min(len(keep[0]), (1 << 19) // rest.size))
-    slab = np.empty((step,) + rest.shape)  # reused: fresh pages cost 4x the arithmetic
-    W = np.zeros((len(U), g.side))
-    for start in range(0, len(keep[0]), step):
-        ks = keep[0][start:start + step]
-        x = slab[:len(ks)]
-        np.add(lam[ks].reshape((-1,) + (1,) * (d - 1)), rest, out=x)
-        np.reciprocal(x, out=x)
-        x = np.multiply(x, x, out=x)[..., None]
-        for a in range(d - 1, 0, -1):
-            x = np.einsum("...it,ti->...t", x, U[:, a - 1, keep[a]])
-        W[:, ks] = x.T
-    return np.einsum("tk,tk->t", F[:, 0], W[which.ravel()])
+
+def _mode_sum(t: np.ndarray, w: np.ndarray, lam: np.ndarray,
+              F: np.ndarray) -> np.ndarray:
+    """sum_k prod_a F[r, a, k_a] / lambda_k^2 per row r, lambda_k summing
+    lam over the axes, as sum_j w_j prod_a sum_k F[r, a, k] e^(-t_j lam[k])
+    (``_exp_nodes``; Beylkin & Monzon, Appl. Comput. Harmon. Anal. 28,
+    2010): O(d side) per row and node, NODE_CHUNK nodes at a time."""
+    out = np.zeros(len(F))
+    for j in range(0, len(t), NODE_CHUNK):
+        E = np.multiply.outer(lam, -t[j:j + NODE_CHUNK])
+        np.exp(E, out=E)
+        P = np.prod([F[:, a] @ E for a in range(F.shape[1])], axis=0)
+        out += P @ w[j:j + NODE_CHUNK]
+    return out
 
 
 def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
@@ -280,12 +276,14 @@ def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
     diagonal in the orthonormal sine modes psi_k(x) = prod_a sqrt(2/m)
     sin(pi k_a (x_a + L + 1) / m), m = 2L + 2, and nothing is solved:
     C(a, b) = eta2 sum_k dpsi_k(a) dpsi_k(b) / lambda_k^2, dpsi_k(a) being
-    the difference of psi_k across the edge.  The bound is c eps
-    sum_k |terms| with c = d (side + 22) + 26: sines and lambda carry no
-    cancellation, so a term is good to 21 (d + 1) eps and the scaling to
-    d + 2; d nested sums of side terms and a pair's at most four terms add
-    d (side - 1) + 3.  Any other kernel takes the inner product of two
-    edge responses, one solve per distinct edge, with the bound
+    the difference of psi_k across the edge, summed over J nodes
+    (``_mode_sum``).  The bound is c eps sum_k |terms| with
+    c = d (side + 23) + J + 44: sines and lambda carry no cancellation, so
+    a term's factors are good to 21 (d + 1) eps and the scaling to d + 2;
+    the nodes give 1/lambda^2 to 18 eps (measured: 4); per-axis sums of
+    side terms, their product and the node sum add d side + d + J, and a
+    pair's at most four terms 3.  Any other kernel takes the inner product
+    of two edge responses, one solve per distinct edge, with the bound
     rel_tolerance |C|.
     """
     if not 0.0 < eta2 < math.inf:
@@ -305,9 +303,10 @@ def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
         return np.zeros(len(pairs)), np.zeros(len(pairs))
     F = np.array(terms)
     lam = _symbol(g, A.kernel)[0]  # the same on every axis
-    value, total = _mode_sum(g, lam, np.concatenate([F, np.abs(F)])).reshape(2, -1)
+    t, w = _exp_nodes(g.d * lam.min(), g.d * lam.max())
+    value, total = _mode_sum(t, w, lam, np.concatenate([F, np.abs(F)])).reshape(2, -1)
     scale = eta2 * (2.0 / (g.side + 1)) ** g.d
-    bound = (g.d * (g.side + 22) + 26) * np.finfo(float).eps * scale
+    bound = (g.d * (g.side + 23) + len(t) + 44) * np.finfo(float).eps * scale
     return (scale * np.bincount(rows, value, len(pairs)),
             bound * np.bincount(rows, total, len(pairs)))
 

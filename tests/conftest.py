@@ -1,7 +1,7 @@
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -11,7 +11,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg
 
 from gradlab.diagnostics import _boundary_sum
-from gradlab.gaussian import DEFAULT_SOLVER, covariances, solve_array
+from gradlab.gaussian import (DEFAULT_SOLVER, _mode_terms, _symbol, covariances,
+                              solve_array)
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
                            Potential, VectorField, edge_table, kernel_edges,
                            neighbor_index, sample_disorder)
@@ -129,6 +130,51 @@ def site_of(g, index):
 def solve_green(A, source):
     """Solve (I - P) u = source on the box, as a HeightField."""
     return HeightField(A.geometry, solve_array(A, source.values))
+
+
+def green_column(A, y, cfg=DEFAULT_SOLVER):
+    """Green column G(., y), i.e. the solve with a unit source at interior y."""
+    b = np.zeros(A.n)
+    b[A.geometry.index_of(y)] = 1.0
+    return solve_array(A, b, cfg)
+
+
+def oracle_slab_mode_sum(g, lam, F):
+    """sum_k prod_a F[t, a, k_a] / lambda_k^2 for each row t of F, summed
+    over the modes themselves: the oracle of the exponential sum of
+    ``gaussian._mode_sum``.
+
+    Axes 2..d contract first, one slab of k_1 at a time (memory
+    O(side^(d-1))), into weights W(k_1) shared by the rows with equal
+    factors there; each row then costs O(side).  Modes whose factor
+    vanishes in every row are skipped.  lambda_k sums lam, the per-axis
+    symbol, over the axes."""
+    d = g.d
+    keep = [np.flatnonzero(np.any(F[:, a] != 0.0, axis=0)) for a in range(d)]
+    U, which = np.unique(F[:, 1:], axis=0, return_inverse=True)
+    rest = reduce(np.add.outer, [lam[kp] for kp in keep[1:]], np.zeros(()))
+    step = max(1, min(len(keep[0]), (1 << 19) // rest.size))
+    W = np.zeros((len(U), g.side))
+    for start in range(0, len(keep[0]), step):
+        ks = keep[0][start:start + step]
+        x = 1.0 / (lam[ks].reshape((-1,) + (1,) * (d - 1)) + rest)
+        x = (x * x)[..., None]
+        for a in range(d - 1, 0, -1):
+            x = np.einsum("...it,ti->...t", x, U[:, a - 1, keep[a]])
+        W[:, ks] = x.T
+    return np.einsum("tk,tk->t", F[:, 0], W[which.ravel()])
+
+
+def slab_covariance(A, a, b, eta2):
+    """Oracle: the nearest-neighbour C(a, b) as ``gaussian.covariances``
+    forms it, from the same mode terms, but summed by
+    ``oracle_slab_mode_sum``."""
+    g = A.geometry
+    F = np.array([fa * fb for fa in _mode_terms(g, a) for fb in _mode_terms(g, b)])
+    if not len(F):
+        return 0.0
+    total = np.sum(oracle_slab_mode_sum(g, _symbol(g, A.kernel)[0], F))
+    return eta2 * (2.0 / (g.side + 1)) ** g.d * float(total)
 
 
 def covariance(A, a, b, eta2, cfg=DEFAULT_SOLVER):

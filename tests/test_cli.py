@@ -425,6 +425,13 @@ def test_decay_run_emits_compensated_column(tmp_path):
     assert r2[2] == pytest.approx(r2[0] * r2[1])
 
 
+def test_decay_manifest_reports_the_largest_relative_error_bound(tmp_path):
+    run(parse_config("experiment=decay\nd=3\nL=6\nr_list=0,2\n"), tmp_path)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    rows = diagnostics.decay_scan_d3(6, [0, 2], 1.0).covariance.rows
+    assert manifest["summaries"]["max_relative_err"] == max(e / abs(c) for _, c, e in rows)
+
+
 def test_clt_run_includes_analytic_column(tmp_path):
     cfg = parse_config("experiment=clt\nL_list=8\nn_realizations=200\nseed=3\n")
     result = run(cfg, tmp_path)

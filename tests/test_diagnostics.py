@@ -246,7 +246,6 @@ def test_nearest_neighbour_scans_solve_nothing(scan, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the nn covariance scans take the mode sum")
 
-    monkeypatch.setattr(gaussian, "green_column", forbidden)
     monkeypatch.setattr(gaussian, "solve_array", forbidden)
     scan()
 
@@ -298,7 +297,7 @@ def test_decay_scan_validates_arguments():
 
 # ---------------------------------------------------------------------------
 # spectral oracle for the scans: the full mode tensor, summed at once, as an
-# independent check of the slab contraction in gaussian.covariances
+# independent check of the exponential sum in gaussian.covariances
 
 
 def spectral_edge_covariance(d, L, a, b, eta2):
@@ -347,7 +346,7 @@ def test_d3_decay_scan_matches_spectral_oracle():
 
 def test_d3_decay_scan_matches_spectral_oracle_at_l64():
     # larger-box evidence for criterion 08: at L = 64 (2.1 M sites) the
-    # slab contraction still reproduces the full-tensor eigen-sum
+    # exponential sum still reproduces the full-tensor eigen-sum
     scan = decay_scan_d3(64, [8, 12], 1.0)
     for r, c, _ in scan.covariance.rows:
         h = int(r) // 2

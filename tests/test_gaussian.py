@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (covariance, edge_value, gaussian_eta, height_at,
-                      loop_residuals, oracle_boundary_edges, oracle_cg_solve,
-                      oracle_sparse_operator, sites, solve_green, variance,
-                      zero_heights)
+from conftest import (covariance, edge_value, gaussian_eta, green_column,
+                      height_at, loop_residuals, oracle_boundary_edges,
+                      oracle_cg_solve, oracle_sparse_operator, sites,
+                      slab_covariance, solve_green, variance, zero_heights)
 from gradlab import gaussian
-from gradlab.diagnostics import divergence_residual
+from gradlab.diagnostics import decay_scan_d3, divergence_residual
 from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
-                              _sin_pi, _sine_solve, _symbol, covariances,
-                              green_column, mean_gradient, sine_diagonal,
+                              _exp_nodes, _sin_pi, _sine_solve, _symbol,
+                              covariances, mean_gradient, sine_diagonal,
                               solve_array, surface_identity_check)
 from gradlab.model import BoxGeometry, HeightField, Kernel, kernel_edges
 
@@ -404,6 +404,35 @@ def test_mode_sum_matches_green_columns(d, L, a, b):
     oracle = green_column_covariance(A, a, b, 1.3)
     assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
     assert 0.0 <= err <= 1e-11 * abs(value)
+
+
+@pytest.mark.parametrize("d,L,a,b", MODE_SUM_CASES)
+def test_exponential_sum_matches_slab_contraction(d, L, a, b):
+    A, _, _ = make_operator(d, L)
+    (value,), (err,) = covariances(A, [(a, b)], 1.3)
+    assert abs(value - slab_covariance(A, a, b, 1.3)) <= err
+
+
+@pytest.mark.parametrize("L", [16, 32, 64])
+def test_decay_scan_matches_slab_contraction(L):
+    scan = decay_scan_d3(L, [r for r in (4, 6, 8, 12) if r <= L // 2], 1.0)
+    A, _, _ = make_operator(3, L)
+    for r, c, err in scan.covariance.rows:
+        h = int(r) // 2
+        a, b = (((x, 0, 0), (x, 1, 0)) for x in (-h, h))
+        assert abs(c - slab_covariance(A, a, b, 1.0)) <= err
+
+
+@pytest.mark.parametrize("L", [0, 1, 32, 4096])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_exp_nodes_give_inverse_square_over_the_box_range(d, L):
+    # 18 eps per mode is what the bound of covariances allows the nodes
+    lam = _symbol(BoxGeometry(d, L), Kernel.nearest_neighbor(d))[0]
+    lo, hi = d * lam.min(), d * lam.max()
+    t, w = _exp_nodes(lo, hi)
+    x = np.geomspace(lo, hi, 5001)
+    approx = x ** 2 * (np.exp(-np.multiply.outer(x, t)) @ w)
+    assert np.max(np.abs(approx - 1.0)) <= 18 * np.finfo(float).eps
 
 
 def test_mode_sum_of_several_pairs_matches_single_pairs():
