@@ -85,23 +85,6 @@ class DecayScan(NamedTuple):
 # divergence bookkeeping
 
 
-def _fold(terms: np.ndarray) -> float:
-    """Left-to-right sum from 0.0, edge by edge.  np.sum adds pairwise, in
-    another order, and would move the last digits of the CSV outputs."""
-    total = 0.0
-    for t in terms.tolist():
-        total += t
-    return total
-
-
-def _boundary_sum(X: VectorField, side: int | None = None) -> float:
-    """_fold of p(j - i) X_ij over the boundary edges (i inside, j outside),
-    or over those of one side, in ``boundary_table`` order."""
-    table = boundary_table(X.geometry, X.kernel)
-    on = slice(None) if side is None else table.sides == side
-    return _fold(table.weights[on] * X.values[table.edges[on]])
-
-
 def divergence_residual(X: VectorField, eta: HeightField) -> tuple[np.ndarray, float]:
     """Per-site residuals r_i = eta_i - sum_j p(j-i) X_ij and their max |.|,
     the flux being ``model.site_flux``."""
@@ -123,7 +106,14 @@ def boundary_ergodic_average(X: VectorField, side: int) -> float:
         raise ValueError("side must be in {1, 2, 3, 4}")
     if g.L < 1:
         raise ValueError("L must be >= 1")
-    return _boundary_sum(X, side) / g.L
+    table = boundary_table(g, X.kernel)
+    on = table.sides == side
+    # left to right from 0.0, in ``boundary_table`` order: np.sum adds
+    # pairwise, in another order, and would move the last digits of the CSVs
+    total = 0.0
+    for t in (table.weights[on] * X.values[table.edges[on]]).tolist():
+        total += t
+    return total / g.L
 
 
 # ---------------------------------------------------------------------------

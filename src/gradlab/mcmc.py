@@ -17,10 +17,11 @@ neighbours' mean, w the proposal width: an independence proposal for alpha
 (Adler, Phys. Rev. D 23, 1981; Neal 1998).  It moves iff an Exp(1)
 threshold is >= E(h') - E(h), E(x) = sum_j p(j - i) [(a - 1/w^2)/2 (x -
 phi_j)^2 + b (x - phi_j)^4], so quadratic V at w = 1/sqrt(a) moves always.
-Burn-in runs at alpha = 0 and sets w^2 = mean(r^2) / (1 + mean(r eta)), r =
-h - m, over the later half of its blocks (exact for a harmonic conditional;
-1/a at once for b = 0); measurement keeps w and reflects with alpha =
-``OVERRELAX``, only after a burn-in: about an untuned centre it can stick.
+Burn-in starts from w = ``START_WIDTH``, runs at alpha = 0 and sets w^2 =
+mean(r^2) / (1 + mean(r eta)), r = h - m, over the later half of its blocks
+(exact for a harmonic conditional; 1/a at once for b = 0); measurement
+keeps w and every sweep, and reflects with alpha = ``OVERRELAX``, only
+after a burn-in: about an untuned centre it can stick.
 
 Heights are stored in class order, so a class is a slice of them, lined up
 with its columns of random numbers, and a step updates it in place.  The
@@ -58,9 +59,12 @@ HEIGHT_CAP = 1e6
 #: number of batches for batch-means error bars
 N_BATCHES = 30
 
-#: most sweeps (burn-in) or retained samples (measurement) per block of
-#: random numbers; burn-in sets the proposal width once per block
+#: most sweeps per block of random numbers; burn-in sets the proposal
+#: width once per block
 BLOCK = 25
+
+#: the proposal width burn-in starts from, and a run without burn-in keeps
+START_WIDTH = 1.0
 
 #: the over-relaxation alpha of the measurement sweeps that follow a burn-in
 OVERRELAX = -0.8
@@ -68,18 +72,12 @@ OVERRELAX = -0.8
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    proposal_width: float = 1.0
     burn_in_sweeps: int = 2000
     measure_sweeps: int = 20000
-    thin: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.proposal_width < math.inf:
-            raise ValueError("proposal_width must be > 0 and finite")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
-        if self.measure_sweeps < 100 * self.thin:
-            raise ValueError("measure_sweeps must be >= 100 * thin")
+        if self.measure_sweeps < 100:
+            raise ValueError("measure_sweeps must be >= 100")
         if self.burn_in_sweeps < 0:
             raise ValueError("burn_in_sweeps must be >= 0")
 
@@ -210,14 +208,14 @@ class Chain:
         np.multiply(squares, squares, out=fourths)
         return np.dot(weights, flat, out=change)
 
-    def run(self, width: float, n_sweeps: int, every: int = 0,
+    def run(self, width: float, n_sweeps: int,
             alpha: float = 0.0) -> tuple[int, np.ndarray]:
         """Run n_sweeps sweeps, the colour classes in turn, with AR(1)
         proposals of over-relaxation alpha about each site's conditional
         under the harmonic stand-in of stiffness 1/width^2, drawn at once
         (keep n_sweeps small).  Returns the accepted moves and the heights
-        ``ph`` (class order) after every `every`-th sweep (none for 0), one
-        row per kept sweep: the transpose of a site-major block.
+        ``ph`` (class order) after each sweep, one row per sweep: the
+        transpose of a site-major block.
 
         A block draws, from the chain's stream and in this order, an
         (n_sweeps, n_sites) array z of standard normals and the Exp(1)
@@ -237,7 +235,7 @@ class Chain:
         offsets *= math.sqrt(1.0 - alpha * alpha) * width
         offsets += self.eta * ((1.0 - alpha) * width * width)
         stencil, weights = self.stencil(alpha), self.energy_weights(width)
-        kept = np.empty((n + 1, n_sweeps // every if every else 0)).T
+        kept = np.empty((n + 1, n_sweeps)).T
 
         def sweeps(capped: bool) -> None:
             # per class, the rows of its span of each block array
@@ -254,8 +252,7 @@ class Chain:
                         self.cap_rejects += int(np.count_nonzero(beyond))
                     np.copyto(cls.heights, cls.new, where=accept)
                 proposals[s] = self.new
-                if every and (s + 1) % every == 0:
-                    kept[s // every] = self.ph
+                kept[s] = self.ph
 
         start = self.ph.copy()
         sweeps(capped=False)
@@ -276,15 +273,15 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
                            seed: int = 0, chain: int = 0) -> GradientEstimate:
     """Run one chain and estimate the gradient mean on every kernel edge.
 
-    Burn-in (which sets the proposal width) is followed by measurement
-    of V'(phi_i - phi_j) every `thin` sweeps, accumulated per block as a
-    (retained samples, edges) array in ``kernel_edges`` order; measurement
-    over-relaxes with ``OVERRELAX`` after a burn-in, and not without one.
-    Poor mixing shows up as large stderr, never as an error.
+    Burn-in (which sets the proposal width, from ``START_WIDTH``) is
+    followed by measurement of V'(phi_i - phi_j) after every sweep,
+    accumulated per block as a (sweeps, edges) array in ``kernel_edges``
+    order; measurement over-relaxes with ``OVERRELAX`` after a burn-in, and
+    not without one.  Poor mixing shows up as large stderr, never as an
+    error; proposals past ``HEIGHT_CAP`` are counted in ``cap_rejects``.
     """
     sampler = Chain(g, k, vpot, eta, seed=seed, chain=chain)
-    width, change = cfg.proposal_width, 0.0
-    n = g.n_sites
+    width, change = START_WIDTH, 0.0
 
     # burn-in sets the width by linear response: under a harmonic conditional
     # of stiffness 1/w^2, E[r^2] = w^2 (1 + E[r eta]); for b = 0 it is a
@@ -293,7 +290,7 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     moments = []
     for done in range(0, cfg.burn_in_sweeps, BLOCK):
         todo = min(BLOCK, cfg.burn_in_sweeps - done)
-        _, kept = sampler.run(width, todo, every=1 if vpot.b else 0)
+        _, kept = sampler.run(width, todo)
         if vpot.b:
             r = kept[:, :-1] - np.dot(sampler.weights, kept[:, sampler.slots])
             moments.append((np.vdot(r, r), np.dot(r, sampler.eta).sum(), r.size))
@@ -307,37 +304,20 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     alpha = OVERRELAX if cfg.burn_in_sweeps else 0.0
     # edge endpoints as positions in the chain's class-ordered heights
     ei, ej = sampler.slot[edge_table(g, k)[0]]
-    retained = (cfg.measure_sweeps // cfg.thin // N_BATCHES) * N_BATCHES
-    if retained < N_BATCHES:
-        raise ValueError("not enough retained samples for batch means")
+    retained = cfg.measure_sweeps // N_BATCHES * N_BATCHES
     batch_size = retained // N_BATCHES
     batch_sums = np.zeros((N_BATCHES, len(ei)))
     total_sq = np.zeros(len(ei))
-    # per-block differences and derivatives, allocated once; column-major, so
-    # that sum(axis=0) adds each edge's column in numpy's pairwise order, and
-    # the gathers copy rows of the site-major block into rows of their transpose
-    diff_buf = np.empty((BLOCK, len(ei)), order="F")
-    dv_buf = np.empty_like(diff_buf)
     accepted_meas = 0
     for batch in range(N_BATCHES):
         for done in range(0, batch_size, BLOCK):
-            keep = min(BLOCK, batch_size - done)
-            accepted, kept = sampler.run(width, keep * cfg.thin, cfg.thin, alpha)
+            accepted, kept = sampler.run(width, min(BLOCK, batch_size - done), alpha)
             accepted_meas += accepted
-            diff, dv = diff_buf[:keep], dv_buf[:keep]
-            # the indices are slots, all in range: "clip" gathers unbuffered
-            np.take(kept.T, ei, axis=0, out=diff.T, mode="clip")
-            np.take(kept.T, ej, axis=0, out=dv.T, mode="clip")
-            diff -= dv
-            # V'(t) = a t + 4 b t^3, in the operation order of Potential.derivative
-            np.multiply(diff, 4.0 * vpot.b, out=dv)
-            dv *= diff
-            dv *= diff
-            diff *= vpot.a
-            dv += diff
+            # the gathers come out column-major: sum(axis=0) adds each edge's
+            # column in numpy's pairwise order
+            dv = vpot.derivative(kept[:, ei] - kept[:, ej])
             batch_sums[batch] += dv.sum(axis=0)
-            np.multiply(dv, dv, out=diff)
-            total_sq += diff.sum(axis=0)
+            total_sq += (dv * dv).sum(axis=0)
 
     batch_means = batch_sums / batch_size
     means = batch_means.mean(axis=0)
@@ -350,7 +330,7 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
 
     return GradientEstimate(
         *(VectorField(g, k, values) for values in (means, stderr, n_eff, batch_means)),
-        acceptance_rate=accepted_meas / (retained * cfg.thin * n),
+        acceptance_rate=accepted_meas / (retained * g.n_sites),
         proposal_width=width, width_change=change, cap_rejects=sampler.cap_rejects,
         retained=retained, overrelaxation=alpha)
 

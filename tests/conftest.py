@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -10,12 +11,11 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg
 
-from gradlab.diagnostics import _boundary_sum
 from gradlab.gaussian import (DEFAULT_SOLVER, _mode_terms, _symbol, covariances,
                               solve_array)
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
-                           Potential, VectorField, edge_table, kernel_edges,
-                           neighbor_index, sample_disorder)
+                           Potential, VectorField, boundary_table, edge_table,
+                           kernel_edges, neighbor_index, sample_disorder)
 
 
 @pytest.fixture
@@ -225,10 +225,13 @@ def integral_form_check(X, eta):
     """Volume sum of eta versus the weighted boundary-edge sum of X.
 
     Interior edges cancel pairwise by antisymmetry, so the difference of the
-    two sums telescopes to the sum of the per-site divergence residuals.
+    two sums telescopes to the sum of the per-site divergence residuals.  The
+    surface sum adds p(j - i) X_ij left to right from 0.0, in
+    ``boundary_table`` order, as ``boundary_ergodic_average`` adds a side's.
     """
     volume = float(np.sum(eta.values))
-    surface = _boundary_sum(X)
+    table = boundary_table(X.geometry, X.kernel)
+    surface = reduce(operator.add, (table.weights * X.values[table.edges]).tolist(), 0.0)
     return IntegralFormCheck(volume, surface, volume - surface)
 
 

@@ -27,7 +27,7 @@ from gradlab.model import Potential
 REMOVED_KEYS = ("corrupt_field", "max_iterations", "autotune",
                 "target_acceptance", "quad_abs_tolerance", "quad_rel_tolerance",
                 "divergence_tolerance", "surface_tolerance",
-                "second_moment_tolerance")
+                "second_moment_tolerance", "thin")
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +474,22 @@ def test_mcmc_manifest_reports_sampler_telemetry(tmp_path):
             "divergence_within_4se_fraction"} <= summary.keys()
 
 
+def test_mcmc_run_past_the_height_cap_exits_numerical_failure(tmp_path, capsys):
+    # disorder of variance 1e13 drives heights past HEIGHT_CAP: proposals are
+    # rejected there, the chain samples no measure, and the run says so
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=mcmc\nd=2\nL=2\neta2=1e13\n"
+                        "burn_in_sweeps=100\nmeasure_sweeps=300\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "status: numerical-failure" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["status"] == "numerical-failure" and manifest["partial_outputs"]
+    assert manifest["outputs"] == ["edges.csv"]
+    summary = manifest["summaries"]
+    assert summary["cap_rejects"] > 0
+    assert summary["divergence_within_4se_fraction"] < 1.0
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -594,6 +610,24 @@ def test_main_rejects_the_removed_constant_keys(key, tmp_path, capsys):
     assert not (tmp_path / "run_manifest.json").exists()
 
 
+def test_main_rejects_proposal_width_as_a_config_key(tmp_path, capsys):
+    # burn-in starts from mcmc.START_WIDTH; proposal_width stays a manifest
+    # summary, the tuned width, so the README still names it
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=mcmc\nd=2\nL=1\nproposal_width=1\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown key 'proposal_width'" in err
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+def test_every_config_key_is_read_by_some_experiment():
+    # a key no run reads is dead; rel_tolerance is read by every run that solves
+    read = frozenset().union(*(spec.keys for spec in EXPERIMENTS.values()))
+    unread = {f.name for f in fields(ExperimentConfig)} - read
+    assert unread == {"experiment", "rel_tolerance"}
+
+
 def test_readme_documents_every_config_key_and_no_removed_one():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
@@ -693,8 +727,8 @@ def test_main_rejects_a_decay_kernel_other_than_nn(tmp_path, capsys):
                  "n_realizations >= 1", id="identities-n_realizations-negative"),
     pytest.param("experiment=gaussian-exact\nd=2\nL=0\n",
                  "L must be >= 1 for gaussian-exact", id="gaussian-exact-L-zero"),
-    pytest.param("experiment=mcmc\nd=2\nL=1\nthin=0\n", "thin must be >= 1",
-                 id="thin"),
+    pytest.param("experiment=mcmc\nd=2\nL=1\nmeasure_sweeps=99\n",
+                 "measure_sweeps must be >= 100", id="measure_sweeps"),
     pytest.param("experiment=identities\nd=2\nL=1\nrel_tolerance=0\n",
                  "rel_tolerance must be > 0", id="rel_tolerance"),
 ])
@@ -747,8 +781,6 @@ def test_main_rejects_clt_outside_d2(d, tmp_path, capsys):
                  "rel_tolerance", id="rel_tolerance-nan"),
     pytest.param("experiment=mcmc\nd=2\nL=1\npotential=quartic:nan:1\n",
                  "potential", id="potential-nan"),
-    pytest.param("experiment=mcmc\nd=2\nL=1\nproposal_width=nan\n",
-                 "proposal_width", id="proposal_width-nan"),
 ])
 def test_main_rejects_non_finite_floats(text, key, tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"

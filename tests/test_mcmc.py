@@ -223,11 +223,11 @@ class SiteOrderChain:
         stiffness = self.vpot.a - 1.0 / (width * width)
         return np.dot(self.weights, 0.5 * stiffness * t2 + self.vpot.b * t2 * t2)
 
-    def run(self, width, n_sweeps, every=0, alpha=0.0):
+    def run(self, width, n_sweeps, alpha=0.0):
         n = len(self.ph) - 1
         offsets, thresholds = block_draws(self.rng, width, self.eta, (n_sweeps, n), alpha)
         stencil = np.append((1.0 - alpha) * self.weights, alpha)
-        kept = np.empty((n_sweeps // every if every else 0, n + 1))
+        kept = np.empty((n_sweeps, n + 1))
         accepted = 0
         for s in range(n_sweeps):
             for sites, slots, span in self.classes:
@@ -245,14 +245,13 @@ class SiteOrderChain:
                     self.cap_rejects += n_capped
                 self.ph[sites] = np.where(ok, new, old)
                 accepted += int(np.count_nonzero(ok))
-            if every and (s + 1) % every == 0:
-                kept[s // every] = self.ph
+            kept[s] = self.ph
         return accepted, kept
 
 
 def assert_chain_matches_oracle(g, k, vpot, blocks, start=0.0, seed=3):
     """Run Chain and SiteOrderChain from the same heights through the same
-    (width, n_sweeps, every, alpha) blocks; compare every result exactly."""
+    (width, n_sweeps, alpha) blocks; compare every result exactly."""
     eta = gaussian_eta(g, seed=seed)
     chain = Chain(g, k, vpot, eta, seed=seed)
     oracle = SiteOrderChain(g, k, vpot, eta, seed=seed)
@@ -285,9 +284,9 @@ ORACLE_BOXES = [
 def test_chain_matches_site_order_oracle(d, L, name, vpot, alpha):
     k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
     g = BoxGeometry(d, L)
-    # burn-in-like blocks of changing width, then thinned measurement blocks
-    blocks = [(2.5, 25, 0, 0.0), (1.2, 25, 0, 0.0), (0.7, 7, 0, 0.0),
-              (1.0, 75, 3, alpha), (1.0, 24, 1, alpha)]
+    # burn-in-like blocks of changing width, then measurement blocks
+    blocks = [(2.5, 25, 0.0), (1.2, 25, 0.0), (0.7, 7, 0.0),
+              (1.0, 75, alpha), (1.0, 24, alpha)]
     assert_chain_matches_oracle(g, k, vpot, blocks)
 
 
@@ -305,7 +304,7 @@ def test_chain_matches_oracle_where_the_cap_bound_trips(name, alpha):
     # each sweep's largest |offset| is at most the sum of its classes'
     assert HEIGHT_CAP - 20.0 + np.abs(offsets).max(axis=1).sum() > HEIGHT_CAP
     chain = assert_chain_matches_oracle(g, k, Potential.quadratic(1.0),
-                                        [(1.0, 25, 5, alpha), (1.0, 25, 0, alpha)],
+                                        [(1.0, 25, alpha), (1.0, 25, alpha)],
                                         start=HEIGHT_CAP - 20.0)
     # a reflection about the mean of fallen neighbours' heights overshoots
     # past the cap, and its block runs again testing every step
@@ -314,7 +313,7 @@ def test_chain_matches_oracle_where_the_cap_bound_trips(name, alpha):
     # of the sites with no neighbour outside the box go past it
     g = BoxGeometry(2, 4)
     chain = assert_chain_matches_oracle(g, k, Potential.quartic(1.0, 0.1),
-                                        [(1.0, 25, 5, alpha), (1.0, 3, 1, alpha)],
+                                        [(1.0, 25, alpha), (1.0, 3, alpha)],
                                         start=HEIGHT_CAP)
     assert chain.cap_rejects > 0
     assert np.all(np.abs(chain.ph[chain.slot]) <= HEIGHT_CAP)
@@ -357,11 +356,12 @@ def test_overrelaxed_block_draw_reflects_about_the_harmonic_conditional(quartic)
 
 
 @pytest.mark.parametrize("width", [0.5, 3.0])
-def test_untuned_single_site_chain_matches_quadrature_oracle(width):
-    # no burn-in, so the width stays as given, far from the tuned one
+def test_untuned_single_site_chain_matches_quadrature_oracle(width, monkeypatch):
+    # no burn-in, so the width stays the starting one, far from the tuned one
+    monkeypatch.setattr(mcmc, "START_WIDTH", width)
     g, k, eta = single_site_setup(1.0)
     vpot = Potential.quartic(1.0, 0.5)
-    cfg = SamplerConfig(proposal_width=width, burn_in_sweeps=0, measure_sweeps=30000)
+    cfg = SamplerConfig(burn_in_sweeps=0, measure_sweeps=30000)
     est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=9)
     # without burn-in neither the width is tuned nor the proposals reflected
     assert est.proposal_width == width and est.overrelaxation == 0.0
@@ -378,7 +378,7 @@ def test_single_site_chain_reproduces_gaussian_moments(quadratic):
     n_sweeps = 100_000
     burn = 1000
     chain.run(2.4, burn)
-    _, kept = chain.run(2.4, n_sweeps, every=1)
+    _, kept = chain.run(2.4, n_sweeps)
     samples = kept[:, 0]
     # conditional given zero neighbors is N(0.9, 1); stderr ~ sqrt(2 tau / n)
     stderr = math.sqrt(8.0 / n_sweeps)
@@ -396,7 +396,7 @@ def test_overrelaxed_single_site_heights_are_ar1_with_coefficient_alpha(a):
     chain = Chain(g, k, Potential.quadratic(a), eta, seed=21)
     width, n_sweeps = 1.0 / math.sqrt(a), 20_000
     chain.run(width, 200, alpha=OVERRELAX)
-    accepted, kept = chain.run(width, n_sweeps, every=1, alpha=OVERRELAX)
+    accepted, kept = chain.run(width, n_sweeps, alpha=OVERRELAX)
     assert accepted == n_sweeps
     h = kept[:, 0] - kept[:, 0].mean()
     lag1 = np.dot(h[:-1], h[1:]) / np.dot(h, h)
@@ -410,8 +410,8 @@ def test_stationary_histogram_matches_oracle_density(quartic):
     thin = 10
     n_keep = 100_000
     chain.run(2.0, 2000)
-    _, kept = chain.run(2.0, n_keep * thin, every=thin)
-    samples = kept[:, 0]
+    _, kept = chain.run(2.0, n_keep * thin)
+    samples = kept[thin - 1::thin, 0]
 
     def density(t):
         return math.exp(-float(vpot.value(t)) + 0.8 * t)
@@ -437,11 +437,11 @@ def test_stationary_histogram_matches_oracle_density(quartic):
 
 
 def site_order_estimate(g, k, vpot, eta, cfg, seed, alpha):
-    """estimate_gradient_mean's batch means and n_eff on SiteOrderChain, with
-    fresh per-block arrays kept[:, ei] - kept[:, ej] and vpot.derivative;
+    """estimate_gradient_mean's batch means and n_eff on SiteOrderChain,
+    from the per-block arrays vpot.derivative(kept[:, ei] - kept[:, ej]);
     measurement over-relaxes with alpha after a burn-in."""
     chain = SiteOrderChain(g, k, vpot, eta, seed=seed)
-    width = cfg.proposal_width
+    width = mcmc.START_WIDTH
     if vpot.b == 0.0 and cfg.burn_in_sweeps:
         width = 1.0 / math.sqrt(vpot.a)
     # the linear-response width over the later half of the blocks run, its
@@ -449,7 +449,7 @@ def site_order_estimate(g, k, vpot, eta, cfg, seed, alpha):
     order = np.concatenate([sites for sites, _, _ in chain.classes])
     moments = []
     for done in range(0, cfg.burn_in_sweeps, BLOCK):
-        _, kept = chain.run(width, min(BLOCK, cfg.burn_in_sweeps - done), every=1)
+        _, kept = chain.run(width, min(BLOCK, cfg.burn_in_sweeps - done))
         if vpot.b:
             r = kept[:, :-1] - np.dot(chain.weights, kept[:, neighbor_index(g, k)])
             r = r[:, order]
@@ -459,14 +459,14 @@ def site_order_estimate(g, k, vpot, eta, cfg, seed, alpha):
                 width = math.sqrt(sq / (count + cross))
     alpha = alpha if cfg.burn_in_sweeps else 0.0
     ei, ej = edge_table(g, k)[0]
-    retained = (cfg.measure_sweeps // cfg.thin // N_BATCHES) * N_BATCHES
+    retained = cfg.measure_sweeps // N_BATCHES * N_BATCHES
     batch_size = retained // N_BATCHES
     sums = np.zeros((N_BATCHES, len(ei)))
     total_sq = np.zeros(len(ei))
     for batch in range(N_BATCHES):
         for done in range(0, batch_size, BLOCK):
             keep = min(BLOCK, batch_size - done)
-            _, kept = chain.run(width, keep * cfg.thin, cfg.thin, alpha)
+            _, kept = chain.run(width, keep, alpha)
             dv = vpot.derivative(kept[:, ei] - kept[:, ej])
             sums[batch] += dv.sum(axis=0)
             total_sq += (dv * dv).sum(axis=0)
@@ -478,21 +478,21 @@ def site_order_estimate(g, k, vpot, eta, cfg, seed, alpha):
     return batch_means, n_eff, width, chain.cap_rejects, alpha
 
 
-@with_overrelaxation("d,L,name,vpot,thin,burn_in", {
-    "d2-nn-quartic-thin3": (2, 3, "nn", Potential.quartic(1.0, 0.1), 3, 130),
-    "d2-axis2-quadratic": (2, 2, "axis2", Potential.quadratic(1.0), 1, 130),
-    "d1-axis2-double-well": (1, 4, "axis2", Potential.quartic(-1.0, 0.5), 2, 130),
-    "one-site": (2, 0, "nn", Potential.quartic(1.0, 0.5), 1, 130),
-    "d2-nn-no-burn-in": (2, 2, "nn", Potential.quartic(1.0, 0.1), 1, 0),
+@with_overrelaxation("d,L,name,vpot,burn_in", {
+    "d2-nn-quartic": (2, 3, "nn", Potential.quartic(1.0, 0.1), 130),
+    "d2-axis2-quadratic": (2, 2, "axis2", Potential.quadratic(1.0), 130),
+    "d1-axis2-double-well": (1, 4, "axis2", Potential.quartic(-1.0, 0.5), 130),
+    "one-site": (2, 0, "nn", Potential.quartic(1.0, 0.5), 130),
+    "d2-nn-no-burn-in": (2, 2, "nn", Potential.quartic(1.0, 0.1), 0),
 })
-def test_estimates_match_site_order_oracle(d, L, name, vpot, thin, burn_in, alpha,
+def test_estimates_match_site_order_oracle(d, L, name, vpot, burn_in, alpha,
                                            monkeypatch):
     # the estimator reads OVERRELAX when it runs: alpha = 0 is the old sampler
     monkeypatch.setattr(mcmc, "OVERRELAX", alpha)
     k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
     g = BoxGeometry(d, L)
     eta = gaussian_eta(g, seed=17)
-    cfg = SamplerConfig(burn_in_sweeps=burn_in, measure_sweeps=1800, thin=thin)
+    cfg = SamplerConfig(burn_in_sweeps=burn_in, measure_sweeps=1800)
     est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=8)
     batch_means, n_eff, width, cap_rejects, used = site_order_estimate(
         g, k, vpot, eta, cfg, 8, alpha)
@@ -637,7 +637,7 @@ def width_rule_fixed_point(g, k, vpot, eta, width):
     chain.run(width, 1000)
     sums = []
     for _ in range(12000 // BLOCK):
-        _, kept = chain.run(width, BLOCK, every=1)
+        _, kept = chain.run(width, BLOCK)
         heights = kept[:, chain.slot[:-1]]
         r = heights - neighbour_mean(g, k, heights)
         sums.append(np.stack([(r * r).sum(axis=1), r @ eta.values]))
@@ -647,9 +647,10 @@ def width_rule_fixed_point(g, k, vpot, eta, width):
     return rule(sq, cross), float(np.std(windows, ddof=1)) * math.sqrt(1.0 + 1.0 / 16)
 
 
-def test_burn_in_reaches_the_width_rule_fixed_point():
+def test_burn_in_reaches_the_width_rule_fixed_point(monkeypatch):
     # from a width far too wide, burn-in must end within 4 standard errors of
     # its rule's fixed point, and the tuned proposals accept >= 75 %
+    monkeypatch.setattr(mcmc, "START_WIDTH", 8.0)
     cases = [
         (1, 6, Potential.quadratic(1.0)),
         (2, 3, Potential.quartic(1.0, 0.1)),
@@ -660,8 +661,7 @@ def test_burn_in_reaches_the_width_rule_fixed_point():
         k = Kernel.nearest_neighbor(d)
         g = BoxGeometry(d, L)
         eta = sample_disorder(DisorderSpec("gaussian", 1.0, 13), g)
-        cfg = SamplerConfig(proposal_width=8.0, burn_in_sweeps=1500,
-                            measure_sweeps=3000)
+        cfg = SamplerConfig(burn_in_sweeps=1500, measure_sweeps=3000)
         est = estimate_gradient_mean(g, k, vpot, eta, cfg)
         assert est.acceptance_rate >= 0.75, (d, L, vpot, est.acceptance_rate)
         if vpot.b == 0.0:
@@ -676,10 +676,7 @@ def test_burn_in_reaches_the_width_rule_fixed_point():
 
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
-        SamplerConfig(measure_sweeps=500, thin=10)
-    for width in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            SamplerConfig(proposal_width=width)
+        SamplerConfig(measure_sweeps=99)
 
 
 # ---------------------------------------------------------------------------
