@@ -27,7 +27,9 @@ non-convergence, or an ``mcmc`` chain with a proposal past
 ``mcmc.HEIGHT_CAP``, whose ``edges.csv`` is still written); 3
 invariant-check failure (an identity above its tolerance); 4 any other error
 raised by the experiment (its type and message in the manifest's
-``summaries.error``).  The ``identities`` gates are the constants
+``summaries.error``), or a ``run_manifest.json`` that cannot be written
+(``error: cannot write run_manifest.json: ...`` on stderr, after the outputs
+already written).  The ``identities`` gates are the constants
 ``DIVERGENCE_TOLERANCE``, ``SURFACE_TOLERANCE`` and
 ``SECOND_MOMENT_TOLERANCE``, and the sampler proposes from each site's
 harmonic conditional with a width that burn-in sets by linear response from
@@ -299,6 +301,8 @@ class RunResult(NamedTuple):
     exit_code: int
     files: list[Path]
     manifest: dict[str, Any]
+    #: why ``run_manifest.json`` could not be written, if it could not
+    unwritten: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +588,12 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
         **({"solver": solver} if solver else {}),
     }
     manifest_path = out / "run_manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        return RunResult(EXIT_ERROR, files, manifest, f"{type(exc).__name__}: {exc}")
     files.append(manifest_path)
     return RunResult(code, files, manifest)
 
@@ -632,8 +639,10 @@ def main(argv: list[str] | None = None) -> int:
 
     for f in result.files:
         print(f)
-    if result.exit_code != EXIT_OK:
+    if result.manifest["status"] != "ok":
         print(f"status: {result.manifest['status']}", file=sys.stderr)
+    if result.unwritten:
+        print(f"error: cannot write run_manifest.json: {result.unwritten}", file=sys.stderr)
     return result.exit_code
 
 

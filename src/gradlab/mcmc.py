@@ -25,9 +25,18 @@ after a burn-in: about an untuned centre it can stick.
 
 Heights are stored in class order, so a class is a slice of them, lined up
 with its columns of random numbers, and a step updates it in place.  The
-offsets h' - (1 - alpha) m - alpha h are formed once per block of sweeps; a
-step forms (1 - alpha) m + alpha h in one stencil dot over the neighbours
-and the site, and E at both heights in one stacked array and one more dot.
+offsets h' - (1 - alpha) m - alpha h are formed once per block of sweeps.  A
+step gathers the neighbours' heights and the site's own into a buffer of its
+class's, forms (1 - alpha) m + alpha h in one stencil dot over them into the
+buffer's spare last row and adds the offset there, then forms every h' -
+phi_j and h - phi_j in one product with a constant matrix of 0 and +-1: two
+nonzero terms per entry, so each is rounded once, as a subtraction is,
+whatever order BLAS sums in (a zero may differ in sign, which squaring
+drops; only a proposal past the cap, whose block runs again, can bring in a
+height that is not finite).  E at both heights is one more dot
+over their squares and fourth powers.  The step loop runs over buffers built
+once per chain and calls ``ndarray.dot``, not ``np.dot``, which skips a
+Python-level dispatch.
 A reflection is no convex combination of heights, so the height cap is
 tested on each block's proposals after it; if one passed ``HEIGHT_CAP``,
 the block runs again from its start, on the same draws, testing every step.
@@ -44,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -127,16 +137,27 @@ def colour_classes(g: BoxGeometry, k: Kernel) -> tuple[np.ndarray, ...]:
 
 
 class _ColourClass(NamedTuple):
-    """A chain's colour class: its spans of the heights and its per-step buffers."""
+    """A chain's colour class: its span of the heights and its per-step buffers."""
 
     span: slice
-    heights: np.ndarray  # ph[span], a view
-    new: np.ndarray      # the proposed heights, a view of the row above ph
-    pair: np.ndarray     # new above heights, (2, 1, m), a view
-    slots: np.ndarray    # positions in ph of its sites' neighbours, then theirs, (K + 1, m)
-    powers: np.ndarray   # (x - phi_j)^2 above (x - phi_j)^4, x each of pair, (2, 2, K, m)
-    flat: np.ndarray     # powers as (4K, m), a view
-    change: np.ndarray   # E(h') - E(h), (m,)
+    slots: np.ndarray     # positions in ph of its sites' neighbours, then theirs, (K + 1, m)
+    gathered: np.ndarray  # ph[slots] above the proposed heights, (K + 2, m)
+    nbrs: np.ndarray      # ph[slots], a view
+    new: np.ndarray       # the proposed heights, a view
+    heights: np.ndarray   # ph[span], a view
+    squares: np.ndarray   # (x - phi_j)^2, x = h' then h, (2K, m), a view of powers
+    fourths: np.ndarray   # their squares, a view of powers
+    powers: np.ndarray    # squares above fourths, (4K, m)
+    change: np.ndarray    # E(h') - E(h), (m,)
+
+
+def _difference_rows(n_nbrs: int) -> np.ndarray:
+    """The (2K, K + 2) matrix of 0 and +-1 that takes a class's ``gathered``
+    to h' - phi_j, then h - phi_j: one -1 and one +1 in each row, so each
+    entry is one difference, rounded once in any order of summation."""
+    eye = np.eye(n_nbrs)
+    own = np.repeat([[0.0, 1.0], [1.0, 0.0]], n_nbrs, axis=0)
+    return np.hstack([-np.vstack([eye, eye]), own])
 
 
 class Chain:
@@ -146,9 +167,9 @@ class Chain:
     then class 1's, ...) followed by the frozen boundary slot (height 0),
     which every neighbour outside the box reads.  ``slot[i]`` is site i's
     position in ``ph`` (``slot[n_sites]`` the boundary slot's), so
-    ``ph[slot]`` lists the heights in site order.  It is the second row of
-    a pair whose first row, ``new``, holds each class step's proposed
-    heights, so after a sweep it holds every class's.
+    ``ph[slot]`` lists the heights in site order.  Each class keeps its
+    buffers in ``classes``; after a sweep, a class's ``new`` and ``change``
+    hold its last step's proposals and energy changes.
     """
 
     def __init__(self, g: BoxGeometry, k: Kernel, vpot: Potential,
@@ -156,29 +177,30 @@ class Chain:
         classes = colour_classes(g, k)
         order = np.concatenate(classes)
         self.slot = np.argsort(np.append(order, g.n_sites))  # the inverse permutation
-        rows = np.zeros((2, g.n_sites + 1))
-        self.new, self.ph = rows
+        self.ph = np.zeros(g.n_sites + 1)
         # -1 (outside the box) reads slot[-1], the boundary slot
         self.slots = self.slot[neighbor_index(g, k)][:, order]
         stencil_slots = np.vstack([self.slots, np.arange(g.n_sites)])  # then each site's own
+        n_nbrs = len(self.slots)
+        self.differences = _difference_rows(n_nbrs)
         bounds = np.cumsum([0] + [len(sites) for sites in classes]).tolist()
         self.classes = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             # C order: the stencil dot's summation order follows the memory layout
-            span, slots = slice(lo, hi), np.ascontiguousarray(stencil_slots[:, lo:hi])
-            powers = np.empty((2, 2, len(self.slots), hi - lo))
+            gathered = np.empty((n_nbrs + 2, hi - lo))
+            powers = np.empty((2, 2 * n_nbrs, hi - lo))
             self.classes.append(_ColourClass(
-                span, self.ph[span], self.new[span], rows[:, None, span], slots,
-                powers, powers.reshape(4 * len(self.slots), -1), np.empty(hi - lo)))
+                slice(lo, hi), np.ascontiguousarray(stencil_slots[:, lo:hi]), gathered,
+                gathered[:-1], gathered[-1], self.ph[lo:hi], *powers,
+                powers.reshape(4 * n_nbrs, -1), np.empty(hi - lo)))
         self.eta = eta.values[order]
         self.weights = np.array([w for _, w in k.support()])
         self.vpot = vpot
         self.rng = chain_stream(seed, chain)
         self.cap_rejects = 0
-        #: block buffers: offsets and Exp(1) thresholds, accept flags, ``new`` per sweep
-        self.work = np.empty((2, 0, g.n_sites))
+        #: block buffers: offsets, Exp(1) thresholds and proposals; accept flags
+        self.work = np.empty((3, 0, g.n_sites))
         self.ok = np.empty((0, g.n_sites), dtype=bool)
-        self.proposals = np.empty((0, g.n_sites + 1))
 
     def energy_weights(self, width: float) -> np.ndarray:
         """The row of the stencil dot that forms E(h') - E(h): +-(a - 1/width^2)/2 p_j
@@ -186,27 +208,6 @@ class Chain:
         stiffness = 0.5 * (self.vpot.a - 1.0 / (width * width))
         return np.outer([stiffness, -stiffness, self.vpot.b, -self.vpot.b],
                         self.weights).ravel()
-
-    def stencil(self, alpha: float) -> np.ndarray:
-        """The row of the stencil dot that forms (1 - alpha) m + alpha h over
-        a class's ``slots``: (1 - alpha) p_j, then alpha."""
-        return np.append((1.0 - alpha) * self.weights, alpha)
-
-    def propose(self, c: int, offset: np.ndarray, stencil: np.ndarray,
-                weights: np.ndarray) -> np.ndarray:
-        """Propose h' = (1 - alpha) m + alpha h + offset at each site of class
-        c, m = sum_j p_j phi_j its neighbours' mean (``stencil`` from
-        ``stencil(alpha)``), into the class's ``new``, and return E(h') - E(h)
-        (``weights`` from ``energy_weights``) in a buffer that the next call
-        overwrites; the other sites keep their heights."""
-        _, _, new, pair, slots, (squares, fourths), flat, change = self.classes[c]
-        nbrs = self.ph[slots]
-        np.dot(stencil, nbrs, out=new)
-        new += offset
-        np.subtract(pair, nbrs[:-1], out=squares)
-        squares *= squares
-        np.multiply(squares, squares, out=fourths)
-        return np.dot(weights, flat, out=change)
 
     def run(self, width: float, n_sweeps: int,
             alpha: float = 0.0) -> tuple[int, np.ndarray]:
@@ -225,41 +226,50 @@ class Chain:
         """
         n = len(self.ph) - 1
         if len(self.ok) < n_sweeps:
-            self.work = np.empty((2, n_sweeps, n))
+            self.work = np.empty((3, n_sweeps, n))
             self.ok = np.empty((n_sweeps, n), dtype=bool)
-            self.proposals = np.empty((n_sweeps, n + 1))
-        (offsets, limits), ok = self.work[:, :n_sweeps], self.ok[:n_sweeps]
-        proposals = self.proposals[:n_sweeps]
+        (offsets, limits, proposals), ok = self.work[:, :n_sweeps], self.ok[:n_sweeps]
         self.rng.standard_normal(out=offsets)
         self.rng.standard_exponential(out=limits)
         offsets *= math.sqrt(1.0 - alpha * alpha) * width
         offsets += self.eta * ((1.0 - alpha) * width * width)
-        stencil, weights = self.stencil(alpha), self.energy_weights(width)
+        # the stencil dot forms (1 - alpha) m + alpha h over a class's slots
+        stencil = np.append((1.0 - alpha) * self.weights, alpha)
+        weights, differences, ph = self.energy_weights(width), self.differences, self.ph
         kept = np.empty((n + 1, n_sweeps)).T
 
         def sweeps(capped: bool) -> None:
-            # per class, the rows of its span of each block array
-            spans = [zip(*(block[:, c.span] for block in (offsets, limits, ok)))
+            # per class, its buffers (a plain tuple unpacks faster than the
+            # NamedTuple) beside the rows of its span of each block array
+            blocks = (offsets, limits, ok, proposals)
+            spans = [zip(repeat(tuple(c)), *(block[:, c.span] for block in blocks))
                      for c in self.classes]
             for s, sweep in enumerate(zip(*spans)):
-                for c, (offset, limit, accept) in enumerate(sweep):
-                    change = self.propose(c, offset, stencil, weights)
+                for ((_, slots, gathered, nbrs, new, heights, squares, fourths, powers,
+                      change), offset, limit, accept, proposal) in sweep:
+                    # into nbrs: any mode but "raise" writes out unbuffered
+                    ph.take(slots, None, nbrs, "wrap")
+                    stencil.dot(nbrs, new)
+                    new += offset
+                    differences.dot(gathered, squares)
+                    squares *= squares
+                    np.multiply(squares, squares, out=fourths)
+                    weights.dot(powers, change)
                     np.greater_equal(limit, change, out=accept)
-                    cls = self.classes[c]
                     if capped:
-                        beyond = np.abs(cls.new) > HEIGHT_CAP
+                        beyond = np.abs(new) > HEIGHT_CAP
                         accept &= ~beyond
                         self.cap_rejects += int(np.count_nonzero(beyond))
-                    np.copyto(cls.heights, cls.new, where=accept)
-                proposals[s] = self.new
-                kept[s] = self.ph
+                    np.copyto(heights, new, where=accept)
+                    proposal[...] = new
+                kept[s] = ph
 
-        start = self.ph.copy()
+        start = ph.copy()
         sweeps(capped=False)
         # a step can multiply max |phi| by 1 + 2 |alpha|: a proposal past the cap
         # (or NaN) runs the block again from its start, testing every step
         if not np.abs(proposals).max() <= HEIGHT_CAP:
-            self.ph[:] = start
+            ph[:] = start
             sweeps(capped=True)
         return int(np.count_nonzero(ok)), kept
 

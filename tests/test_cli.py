@@ -358,6 +358,20 @@ def test_an_unwritable_csv_exits_with_a_manifest(tmp_path):
     assert result.manifest["summaries"]["error"].startswith("IsADirectoryError: ")
 
 
+def test_an_unwritable_manifest_exits_4_without_a_traceback(tmp_path, capsys):
+    # a directory where the manifest goes: the CSV is written, the manifest
+    # is not, and the run says so on one line
+    (tmp_path / "run_manifest.json").mkdir()
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("experiment=quadrature\nR_list=10\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [str(tmp_path / "quadrature.csv")]
+    assert err.startswith("error: cannot write run_manifest.json: IsADirectoryError: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert (tmp_path / "quadrature.csv").is_file()
+
+
 @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
 def test_an_interrupt_passes_through_the_run(exc, tmp_path, monkeypatch):
     monkeypatch.setitem(EXPERIMENTS, "quadrature", raise_in_the_runner(exc()))

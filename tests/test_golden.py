@@ -64,6 +64,13 @@ ones did, with about a third of their stderr.  The comparison with the
 Bactrian recording reads the harmonic-conditional copy, the recording it
 was written against.
 
+``edges-quartic.csv`` is a quartic ``mcmc`` run, whose sampler accepts
+about nine moves in ten: unlike ``edges.cfg``, whose quadratic potential at
+its tuned width makes every energy change 0, it exercises the arithmetic of
+the energy changes.  It was recorded before the class step formed its
+differences as one product with a matrix of 0 and +-1 in place of a
+broadcast subtraction, and the product reproduces it byte for byte.
+
 ``decay.csv`` was re-recorded when the covariance mode sum moved from the
 slab contraction over every sine mode to the exponential sum over
 quadrature nodes, which rounds differently; ``golden/mode-sum/`` keeps the
@@ -98,8 +105,9 @@ DEVIATIONS = {"gaussian-nn": {"max_divergence_residual"},
 
 
 def test_golden_set_is_complete():
-    assert CONFIGS == ["decay", "edges", "gaussian-axis2", "gaussian-nn",
-                       "identities-d2", "identities-d2-axis2", "identities-d3"]
+    assert CONFIGS == ["decay", "edges", "edges-quartic", "gaussian-axis2",
+                       "gaussian-nn", "identities-d2", "identities-d2-axis2",
+                       "identities-d3"]
     assert CG_RECORDED == ["decay", "edges", "gaussian-axis2", "gaussian-nn",
                            "identities-d2", "identities-d2-axis2", "identities-d3"]
     assert sorted(p.name for p in RANDOM_SCAN.iterdir()) == ["edges.csv"]

@@ -150,22 +150,24 @@ def test_sweep_energy_change_matches_energy_difference(name, alpha, quartic):
     # E(h') - E(h) is the energy change plus the proposal's log-ratio
     # log q(h') - log q(h), q the density of N(m + eta w^2, w^2), whatever
     # alpha; a one-site energy change is minus that of the site's
-    # conditional log density
+    # conditional log density.  One sweep leaves each class's last step in
+    # its buffers; a class step sees the earlier classes' new heights.
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
     g = BoxGeometry(2, 3)
     eta = gaussian_eta(g, seed=9)
     chain = Chain(g, k, quartic, eta)
-    rng = np.random.default_rng(10)
-    chain.ph[chain.slot[:-1]] = rng.normal(0.0, 1.5, size=g.n_sites)
-    before = HeightField(g, chain.ph[chain.slot][:-1])
-    mean = neighbour_mean(g, k, before.values)
+    start = np.random.default_rng(10).normal(0.0, 1.5, size=g.n_sites)
     for width in (0.6, 1.7):
-        for c, sites in enumerate(colour_classes(g, k)):
-            offset = rng.normal(0.0, 1.0, size=len(sites))
-            got = chain.propose(c, offset, chain.stencil(alpha), chain.energy_weights(width))
-            new = chain.classes[c].new
+        chain.ph[chain.slot[:-1]] = start
+        chain.run(width, 1, alpha=alpha)
+        after, offsets = chain.ph[chain.slot][:-1], chain.work[0, 0]
+        seen = start.copy()
+        for cls, sites in zip(chain.classes, colour_classes(g, k)):
+            before = HeightField(g, seen.copy())
+            mean = neighbour_mean(g, k, before.values)
+            new, got = cls.new, cls.change
             centre = (1.0 - alpha) * mean[sites] + alpha * before.values[sites]
-            assert new == pytest.approx(centre + offset, abs=1e-12)
+            assert new == pytest.approx(centre + offsets[cls.span], abs=1e-12)
             centre = mean[sites] + eta.values[sites] * width ** 2
             log_q = lambda x: -(x - centre) ** 2 / (2.0 * width ** 2)
             log_ratio = log_q(new) - log_q(before.values[sites])
@@ -174,6 +176,36 @@ def test_sweep_energy_change_matches_energy_difference(name, alpha, quartic):
                 dh = (conditional_logdensity(g, k, quartic, before, eta, i, before.values[site])
                       - conditional_logdensity(g, k, quartic, before, eta, i, h))
                 assert change == pytest.approx(dh + want_q, abs=1e-10)
+            seen[sites] = after[sites]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", ["nn", "axis2"])
+def test_difference_product_is_exact_subtraction(d, name):
+    # a class step forms h' - phi_j and h - phi_j as one product with a
+    # matrix of 0 and +-1: two nonzero terms per entry, so it is rounded
+    # once whatever order BLAS sums in.  Only the sign of a zero can differ
+    # (-0 - +0 is -0, the product's extra 0 * phi terms give +0), and the
+    # step only squares it
+    k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
+    g = BoxGeometry(d, 1)
+    chain = Chain(g, k, Potential.quartic(1.0, 0.1), zero_heights(g))
+    n_nbrs = len(chain.slots)
+    values = np.array([0.0, -0.0, HEIGHT_CAP, -HEIGHT_CAP, np.nextafter(HEIGHT_CAP, 0.0),
+                       5e-324, -5e-324, 1e-310, -3e-309, 2.2250738585072014e-308,
+                       1e-300, 1.0, -1.0, 0.1, -0.3, math.pi, -math.e * 1e5])
+    # every ordered triple (h', h, phi_0), the other neighbours drawn from values
+    triples = np.array(np.meshgrid(values, values, values, indexing="ij")).reshape(3, -1)
+    rng = np.random.default_rng(1)
+    gathered = rng.choice(values, size=(n_nbrs + 2, triples.shape[1]))
+    gathered[-1], gathered[-2], gathered[0] = triples
+    got = np.empty((2 * n_nbrs, triples.shape[1]))
+    chain.differences.dot(gathered, got)
+    want = np.vstack([gathered[-1] - gathered[:-2], gathered[-2] - gathered[:-2]])
+    assert np.array_equal(got, want)
+    nonzero = want != 0.0
+    assert np.array_equal(got[nonzero].view(np.int64), want[nonzero].view(np.int64))
+    assert np.array_equal((got * got).view(np.int64), (want * want).view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +306,7 @@ ORACLE_BOXES = [
     pytest.param(3, 2, "nn", id="d3-nn"),
     pytest.param(3, 2, "axis2", id="d3-axis2"),
     pytest.param(2, 0, "nn", id="one-site"),
+    pytest.param(2, 8, "nn", id="d2-nn-L8"),
 ]
 
 
@@ -343,8 +376,9 @@ def assert_block_draw(quartic, alpha):
     heights = chain.ph[chain.slot][:-1]
     sites = colour_classes(g, k)[0]
     centre = (1.0 - alpha) * neighbour_mean(g, k, heights)[sites] + alpha * heights[sites]
-    chain.propose(0, np.zeros(len(sites)), chain.stencil(alpha), chain.energy_weights(width))
-    assert chain.classes[0].new == pytest.approx(centre, abs=1e-12)
+    chain.run(width, 1, alpha=alpha)
+    first = chain.classes[0]
+    assert first.new - chain.work[0, 0, first.span] == pytest.approx(centre, abs=1e-12)
 
 
 def test_block_draw_is_the_harmonic_conditional(quartic):
