@@ -411,6 +411,7 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
         "proposal_width": est.proposal_width,
         "width_change_last_block": est.width_change,
         "cap_rejects": est.cap_rejects,
+        "retained_sweeps": est.retained,
         "n_eff_median": float(ordered[(len(ordered) - 1) // 2] + ordered[len(ordered) // 2]) / 2,
         "n_eff_min": float(ordered[0]),
         "divergence_within_4se_fraction": float((np.abs(resid) <= 4.0 * se).mean()),

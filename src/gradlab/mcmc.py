@@ -35,16 +35,24 @@ whatever order BLAS sums in (a zero may differ in sign, which squaring
 drops; only a proposal past the cap, whose block runs again, can bring in a
 height that is not finite).  E at both heights is one more dot
 over their squares and fourth powers.  The step loop runs over buffers built
-once per chain and calls ``ndarray.dot``, not ``np.dot``, which skips a
-Python-level dispatch.
+once per chain; the stencil and energy rows are formed again only when the
+width or alpha changes, and every call of a step is bound once per block
+and given its output positionally (``ndarray.dot`` in place of ``np.dot``,
+``np.putmask`` in place of ``np.copyto(..., where=)``), which skips
+Python-level dispatch and keyword parsing.
 A reflection is no convex combination of heights, so the height cap is
-tested on each block's proposals after it; if one passed ``HEIGHT_CAP``,
-the block runs again from its start, on the same draws, testing every step.
+tested on each block's proposals after it, by their maximum and minimum; if
+one passed ``HEIGHT_CAP`` or is NaN, the block runs again from its start, on
+the same draws, testing every step.
 
 The main estimator is the time average of V'(phi_i - phi_j) on every
 kernel edge, with batch-means error bars, as edge fields like the exact
 Gaussian mean gradient, against which it can be checked edge by edge for
-the quadratic potential.  ``divergence_check`` forms its site fluxes with
+the quadratic potential.  Each block's edge values are gathered, one row of
+sweeps per edge, into two buffers allocated once per estimate, and V' and
+its square are formed there in place.  Burn-in's width rule gathers each
+sweep's neighbour heights one row per site and takes one product with the
+kernel weights.  ``divergence_check`` forms its site fluxes with
 the ``model.site_flux`` of the exact diagnostics.
 """
 
@@ -201,6 +209,8 @@ class Chain:
         #: block buffers: offsets, Exp(1) thresholds and proposals; accept flags
         self.work = np.empty((3, 0, g.n_sites))
         self.ok = np.empty((0, g.n_sites), dtype=bool)
+        #: the (width, alpha) that the stencil and energy rows were formed for
+        self.formed_for = None
 
     def energy_weights(self, width: float) -> np.ndarray:
         """The row of the stencil dot that forms E(h') - E(h): +-(a - 1/width^2)/2 p_j
@@ -222,7 +232,10 @@ class Chain:
         (n_sweeps, n_sites) array z of standard normals and the Exp(1)
         thresholds; the offsets are sqrt(1 - alpha^2) width z + (1 - alpha)
         eta width^2, and a move is accepted iff its threshold is >= E(h') -
-        E(h) and |h'| <= ``HEIGHT_CAP``.
+        E(h) and |h'| <= ``HEIGHT_CAP``.  A block whose proposals pass the
+        cap, or are NaN, runs again from its start on the same draws.  The
+        stencil and energy rows are formed again only when (width, alpha)
+        differs from the last block's.
         """
         n = len(self.ph) - 1
         if len(self.ok) < n_sweeps:
@@ -233,9 +246,17 @@ class Chain:
         self.rng.standard_exponential(out=limits)
         offsets *= math.sqrt(1.0 - alpha * alpha) * width
         offsets += self.eta * ((1.0 - alpha) * width * width)
-        # the stencil dot forms (1 - alpha) m + alpha h over a class's slots
-        stencil = np.append((1.0 - alpha) * self.weights, alpha)
-        weights, differences, ph = self.energy_weights(width), self.differences, self.ph
+        if self.formed_for != (width, alpha):
+            self.formed_for = (width, alpha)
+            # the stencil dot forms (1 - alpha) m + alpha h over a class's slots
+            self.stencil = np.append((1.0 - alpha) * self.weights, alpha)
+            self.energy = self.energy_weights(width)
+        ph = self.ph
+        # bound once per block and called with positional outputs: on a small
+        # class a keyword out= or np.copyto's where= costs more than the work
+        take, stencil_dot, differences_dot, energy_dot = (
+            ph.take, self.stencil.dot, self.differences.dot, self.energy.dot)
+        multiply, greater_equal, putmask = np.multiply, np.greater_equal, np.putmask
         kept = np.empty((n + 1, n_sweeps)).T
 
         def sweeps(capped: bool) -> None:
@@ -248,19 +269,19 @@ class Chain:
                 for ((_, slots, gathered, nbrs, new, heights, squares, fourths, powers,
                       change), offset, limit, accept, proposal) in sweep:
                     # into nbrs: any mode but "raise" writes out unbuffered
-                    ph.take(slots, None, nbrs, "wrap")
-                    stencil.dot(nbrs, new)
+                    take(slots, None, nbrs, "wrap")
+                    stencil_dot(nbrs, new)
                     new += offset
-                    differences.dot(gathered, squares)
+                    differences_dot(gathered, squares)
                     squares *= squares
-                    np.multiply(squares, squares, out=fourths)
-                    weights.dot(powers, change)
-                    np.greater_equal(limit, change, out=accept)
+                    multiply(squares, squares, fourths)
+                    energy_dot(powers, change)
+                    greater_equal(limit, change, accept)
                     if capped:
                         beyond = np.abs(new) > HEIGHT_CAP
                         accept &= ~beyond
                         self.cap_rejects += int(np.count_nonzero(beyond))
-                    np.copyto(heights, new, where=accept)
+                    putmask(heights, accept, new)
                     proposal[...] = new
                 kept[s] = ph
 
@@ -268,7 +289,7 @@ class Chain:
         sweeps(capped=False)
         # a step can multiply max |phi| by 1 + 2 |alpha|: a proposal past the cap
         # (or NaN) runs the block again from its start, testing every step
-        if not np.abs(proposals).max() <= HEIGHT_CAP:
+        if not (proposals.max() <= HEIGHT_CAP and proposals.min() >= -HEIGHT_CAP):
             ph[:] = start
             sweeps(capped=True)
         return int(np.count_nonzero(ok)), kept
@@ -284,10 +305,12 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     """Run one chain and estimate the gradient mean on every kernel edge.
 
     Burn-in (which sets the proposal width, from ``START_WIDTH``) is
-    followed by measurement of V'(phi_i - phi_j) after every sweep,
-    accumulated per block as a (sweeps, edges) array in ``kernel_edges``
-    order; measurement over-relaxes with ``OVERRELAX`` after a burn-in, and
-    not without one.  Poor mixing shows up as large stderr, never as an
+    followed by measurement of V'(phi_i - phi_j) after every sweep, formed
+    per block in an (edges, sweeps) buffer, edges in ``kernel_edges``
+    order, and summed along each edge's row.  Measurement runs the largest
+    multiple of ``N_BATCHES`` sweeps that ``cfg.measure_sweeps`` holds (the
+    estimate's ``retained``), over-relaxed with ``OVERRELAX`` after a
+    burn-in and not without one.  Poor mixing shows up as large stderr, never as an
     error; proposals past ``HEIGHT_CAP`` are counted in ``cap_rejects``.
     """
     sampler = Chain(g, k, vpot, eta, seed=seed, chain=chain)
@@ -297,12 +320,22 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     # of stiffness 1/w^2, E[r^2] = w^2 (1 + E[r eta]); for b = 0 it is a
     if vpot.b == 0.0 and cfg.burn_in_sweeps:
         width = 1.0 / math.sqrt(vpot.a)
+    n_nbrs, n = sampler.slots.shape
+    # edge endpoints as positions in the chain's class-ordered heights
+    ei, ej = sampler.slot[edge_table(g, k)[0]]
+    # scratch for a block's arrays, each a contiguous prefix of it: burn-in's
+    # neighbour heights, one row of K per sweep and site, then measurement's
+    # two (edges, sweeps) arrays
+    scratch = np.empty(BLOCK * max(n * n_nbrs, 2 * len(ei)))
     moments = []
     for done in range(0, cfg.burn_in_sweeps, BLOCK):
         todo = min(BLOCK, cfg.burn_in_sweeps - done)
         _, kept = sampler.run(width, todo)
         if vpot.b:
-            r = kept[:, :-1] - np.dot(sampler.weights, kept[:, sampler.slots])
+            gathered = scratch[:todo * n * n_nbrs].reshape(todo, n, n_nbrs)
+            np.take(kept, sampler.slots.T, 1, gathered, "wrap")
+            m = gathered.reshape(-1, n_nbrs).dot(sampler.weights)
+            r = kept[:, :-1] - m.reshape(todo, n)
             moments.append((np.vdot(r, r), np.dot(r, sampler.eta).sum(), r.size))
             # the later half of the blocks run, the earlier ones a transient
             sq, cross, count = np.sum(moments[len(moments) // 2:], axis=0)
@@ -312,8 +345,6 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
 
     # reflect only about a tuned width's centre: at an untuned one it can stick
     alpha = OVERRELAX if cfg.burn_in_sweeps else 0.0
-    # edge endpoints as positions in the chain's class-ordered heights
-    ei, ej = sampler.slot[edge_table(g, k)[0]]
     retained = cfg.measure_sweeps // N_BATCHES * N_BATCHES
     batch_size = retained // N_BATCHES
     batch_sums = np.zeros((N_BATCHES, len(ei)))
@@ -321,13 +352,19 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     accepted_meas = 0
     for batch in range(N_BATCHES):
         for done in range(0, batch_size, BLOCK):
-            accepted, kept = sampler.run(width, min(BLOCK, batch_size - done), alpha)
+            todo = min(BLOCK, batch_size - done)
+            accepted, kept = sampler.run(width, todo, alpha)
             accepted_meas += accepted
-            # the gathers come out column-major: sum(axis=0) adds each edge's
-            # column in numpy's pairwise order
-            dv = vpot.derivative(kept[:, ei] - kept[:, ej])
-            batch_sums[batch] += dv.sum(axis=0)
-            total_sq += (dv * dv).sum(axis=0)
+            t, dv = scratch[:2 * len(ei) * todo].reshape(2, len(ei), todo)
+            # kept.T is C order, so each edge's row of sweeps is contiguous and
+            # sum(axis=1) adds it in numpy's pairwise order
+            np.take(kept.T, ei, 0, t, "wrap")
+            np.take(kept.T, ej, 0, dv, "wrap")
+            t -= dv
+            vpot.derivative(t, dv)
+            batch_sums[batch] += dv.sum(axis=1)
+            np.multiply(dv, dv, t)
+            total_sq += t.sum(axis=1)
 
     batch_means = batch_sums / batch_size
     means = batch_means.mean(axis=0)

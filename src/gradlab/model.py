@@ -456,9 +456,18 @@ class Potential:
         out = 0.5 * self.a * t2 + self.b * t2 * t2
         return out if out.ndim else float(out)
 
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.a * t + 4.0 * self.b * t * t * t
+    def derivative(self, t, out=None):
+        """V'(t) = a t + ((4 b t) t) t, as a new array (a float for a scalar
+        t), or written into ``out``, a float array shaped like t; then t must
+        be a float array too, and is left holding a t."""
+        if out is None:
+            t = np.array(t, dtype=float)
+            out = np.empty_like(t)
+        np.multiply(t, 4.0 * self.b, out)
+        out *= t
+        out *= t
+        t *= self.a
+        out += t
         return out if out.ndim else float(out)
 
 

@@ -488,6 +488,16 @@ def test_mcmc_manifest_reports_sampler_telemetry(tmp_path):
             "divergence_within_4se_fraction"} <= summary.keys()
 
 
+def test_mcmc_manifest_reports_the_retained_sweeps(tmp_path):
+    # measurement keeps the largest multiple of N_BATCHES sweeps: of 119, 90
+    cfg = parse_config("experiment=mcmc\nd=2\nL=1\npotential=quartic:1:0.1\nseed=3\n"
+                       "burn_in_sweeps=25\nmeasure_sweeps=119\n")
+    assert run(cfg, tmp_path).exit_code == EXIT_OK
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["config"]["measure_sweeps"] == 119
+    assert manifest["summaries"]["retained_sweeps"] == 90
+
+
 def test_mcmc_run_past_the_height_cap_exits_numerical_failure(tmp_path, capsys):
     # disorder of variance 1e13 drives heights past HEIGHT_CAP: proposals are
     # rejected there, the chain samples no measure, and the run says so

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -208,6 +209,37 @@ def test_difference_product_is_exact_subtraction(d, name):
     assert np.array_equal((got * got).view(np.int64), (want * want).view(np.int64))
 
 
+#: SHA-256 of every class step's E(h') - E(h) over 40 one-sweep runs of
+#: test_every_step_energy_change_is_unchanged, recorded before the step loop's
+#: calls were rebound; keyed by (kernel, alpha)
+CHANGE_DIGESTS = {
+    ("nn", 0.0):
+        "cc326f33791da99dd53e0c335e1c61afa901fa86294c0e994b0950047f642826",
+    ("axis2", 0.0):
+        "06af01551255b72373a4a7c86162bea692b544598e73e45c8cc32ecebc0b91c4",
+    ("nn", OVERRELAX):
+        "34e5d7bb3cdf026a4ae0d2ed55c5436fbbba9697ac7ec932a957be2970adea16",
+    ("axis2", OVERRELAX):
+        "42675f081c6ab196b92f5fd205ee6521170a5de246ae90725530bc7e37cb8dbe",
+}
+
+
+@with_overrelaxation("name,L", {"d2-nn": ("nn", 3), "d2-axis2": ("axis2", 2)})
+def test_every_step_energy_change_is_unchanged(name, L, alpha, quartic):
+    # the oracle comparisons see the energy arithmetic only through accept
+    # decisions, which an error of an ulp in E(h) rarely flips; one sweep per
+    # run leaves every class step's energy changes in its change buffer
+    k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
+    g = BoxGeometry(2, L)
+    chain = Chain(g, k, quartic, gaussian_eta(g, seed=22), seed=22)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        chain.run(1.3, 1, alpha=alpha)
+        for cls in chain.classes:
+            digest.update(cls.change.tobytes())
+    assert digest.hexdigest() == CHANGE_DIGESTS[name, alpha]
+
+
 # ---------------------------------------------------------------------------
 # the site-order sweep, kept as the oracle of Chain.run
 
@@ -352,6 +384,21 @@ def test_chain_matches_oracle_where_the_cap_bound_trips(name, alpha):
     assert np.all(np.abs(chain.ph[chain.slot]) <= HEIGHT_CAP)
 
 
+@pytest.mark.parametrize("start", [1e300, math.inf], ids=["overflow", "infinite"])
+def test_chain_matches_oracle_where_proposals_are_not_finite(start):
+    # from 1e300 the reflected proposals pass the cap and their squares
+    # overflow, so E(h') - E(h) is NaN; from inf they are NaN themselves:
+    # either runs the block again, and no height moves
+    k = Kernel.nearest_neighbor(2)
+    g = BoxGeometry(2, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = assert_chain_matches_oracle(g, k, Potential.quartic(1.0, 0.1),
+                                            [(1.0, 25, OVERRELAX), (1.0, 3, OVERRELAX)],
+                                            start=start)
+    assert (chain.cap_rejects > 0) == (start < math.inf)
+    assert np.all(chain.ph[:-1] == start)
+
+
 def assert_block_draw(quartic, alpha):
     """The offsets a block draws, which Chain.run leaves in Chain.work[0]:
     h' = (1 - alpha) m + alpha h + offset = mu + alpha (h - mu) + N(0, (1 -
@@ -479,14 +526,17 @@ def site_order_estimate(g, k, vpot, eta, cfg, seed, alpha):
     if vpot.b == 0.0 and cfg.burn_in_sweeps:
         width = 1.0 / math.sqrt(vpot.a)
     # the linear-response width over the later half of the blocks run, its
-    # sums formed in class order as the chain forms them
+    # sums formed in class order as the chain forms them: each sweep's
+    # neighbour heights one row per site, and one product with the weights
     order = np.concatenate([sites for sites, _, _ in chain.classes])
+    nbrs = neighbor_index(g, k)[:, order].T
     moments = []
     for done in range(0, cfg.burn_in_sweeps, BLOCK):
         _, kept = chain.run(width, min(BLOCK, cfg.burn_in_sweeps - done))
         if vpot.b:
-            r = kept[:, :-1] - np.dot(chain.weights, kept[:, neighbor_index(g, k)])
-            r = r[:, order]
+            heights = kept[:, order]
+            gathered = np.ascontiguousarray(kept[:, nbrs]).reshape(-1, len(chain.weights))
+            r = heights - gathered.dot(chain.weights).reshape(heights.shape)
             moments.append((np.vdot(r, r), np.dot(r, chain.eta).sum(), r.size))
             sq, cross, count = np.sum(moments[len(moments) // 2:], axis=0)
             if count + cross > 0.0 and 0.0 < sq / (count + cross) < math.inf:
@@ -514,6 +564,8 @@ def site_order_estimate(g, k, vpot, eta, cfg, seed, alpha):
 
 @with_overrelaxation("d,L,name,vpot,burn_in", {
     "d2-nn-quartic": (2, 3, "nn", Potential.quartic(1.0, 0.1), 130),
+    "d2-axis2-quartic": (2, 3, "axis2", Potential.quartic(1.0, 0.1), 130),
+    "d3-nn-quartic": (3, 2, "nn", Potential.quartic(1.0, 0.1), 130),
     "d2-axis2-quadratic": (2, 2, "axis2", Potential.quadratic(1.0), 130),
     "d1-axis2-double-well": (1, 4, "axis2", Potential.quartic(-1.0, 0.5), 130),
     "one-site": (2, 0, "nn", Potential.quartic(1.0, 0.5), 130),
