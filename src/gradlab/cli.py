@@ -23,18 +23,21 @@ tolerance), or "spectral" for the ``nn`` covariance scans (``scaling``,
 ``decay``), which solve nothing.
 
 Exit codes: 0 success; 1 config error; 2 numerical failure (solver
-non-convergence, or an ``mcmc`` chain with a proposal past
-``mcmc.HEIGHT_CAP``, whose ``edges.csv`` is still written); 3
-invariant-check failure (an identity above its tolerance); 4 any other error
-raised by the experiment (its type and message in the manifest's
-``summaries.error``), or a ``run_manifest.json`` that cannot be written
-(``error: cannot write run_manifest.json: ...`` on stderr, after the outputs
-already written).  The ``identities`` gates are the constants
-``DIVERGENCE_TOLERANCE``, ``SURFACE_TOLERANCE`` and
-``SECOND_MOMENT_TOLERANCE``, and the sampler proposes from each site's
-harmonic conditional with a width that burn-in sets by linear response from
-``mcmc.START_WIDTH``, over-relaxed in measurement by ``mcmc.OVERRELAX``,
-and keeps every sweep; none of these is a config key.
+non-convergence, a CSV holding a non-finite number, or an ``mcmc`` chain
+with a proposal past ``mcmc.HEIGHT_CAP``; the CSV is still written), which
+takes precedence over 3 invariant-check failure (an identity above its
+tolerance); 4 any other error raised by the experiment (its type and message
+in the manifest's ``summaries.error``), or a ``run_manifest.json`` that
+cannot be written (``error: cannot write run_manifest.json: ...`` on stderr,
+after the outputs already written).  The manifest is strict JSON: a
+non-finite summary is written as ``null``.
+
+The solver's residual target is ``gaussian.REL_TOLERANCE`` and the
+``identities`` gates are ``DIVERGENCE_TOLERANCE``, ``SURFACE_TOLERANCE`` and
+``SECOND_MOMENT_TOLERANCE``; the sampler proposes from each site's harmonic
+conditional with a width that burn-in sets by linear response from
+``mcmc.START_WIDTH``, over-relaxed in measurement by ``mcmc.OVERRELAX``, and
+keeps every sweep.  None of these is a config key.
 
 Usage::
 
@@ -116,7 +119,6 @@ class ExperimentConfig:
     n_realizations: int = 1
     burn_in_sweeps: int = 2000
     measure_sweeps: int = 20000
-    rel_tolerance: float = 1e-10
 
     def make_kernel(self) -> Kernel:
         if self.kernel == "nn":
@@ -124,9 +126,6 @@ class ExperimentConfig:
         if self.kernel == "axis2":
             return Kernel.axis_kernel(self.d, 2)
         raise ConfigError(f"unknown kernel {self.kernel!r}")
-
-    def solver(self) -> gaussian.SolverConfig:
-        return gaussian.SolverConfig(rel_tolerance=self.rel_tolerance)
 
     def sampler(self) -> mcmc.SamplerConfig:
         from . import mcmc
@@ -233,8 +232,7 @@ def _validate(cfg: ExperimentConfig, given: dict[str, int | None]) -> None:
         raise ConfigError("seed must be >= 0")
     cfg.make_kernel()
     exp, spec = cfg.experiment, EXPERIMENTS[cfg.experiment]
-    reads = spec.keys | {"experiment"} | (
-        {"rel_tolerance"} if _solver(cfg) == "pcg" else set())
+    reads = spec.keys | {"experiment"}
     if cfg.L_list and "L_list" in reads:
         reads -= {"L"}
     for key, line in given.items():
@@ -266,7 +264,6 @@ def _validate(cfg: ExperimentConfig, given: dict[str, int | None]) -> None:
                           "(no quartic term)")
     try:
         cfg.disorder_spec()
-        cfg.solver()
         if exp == "mcmc":
             cfg.sampler()
     except ValueError as exc:
@@ -297,6 +294,20 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
+def _finite(rows: Any) -> bool:
+    """Whether every float in the rows is finite."""
+    return all(math.isfinite(x) for row in rows for x in row if isinstance(x, float))
+
+
+def _strict(x: Any) -> Any:
+    """x with every non-finite float replaced by None, for strict JSON."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 class RunResult(NamedTuple):
     exit_code: int
     files: list[Path]
@@ -305,30 +316,32 @@ class RunResult(NamedTuple):
     unwritten: str | None = None
 
 
+#: what a runner returns: the CSV's header and rows, the manifest's
+#: summaries and the exit code
+Outcome = tuple[list[str], list[list[Any]], dict[str, Any], int]
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
 
-def _run_quadrature(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
+def _run_quadrature(cfg: ExperimentConfig) -> Outcome:
     from . import quadrature
     rows = []
     for R in cfg.R_list:
         j = quadrature.j_of_r(R)
         rows.append([R, j, abs(j - quadrature.PI2) / quadrature.PI2])
-    path = out / "quadrature.csv"
-    _write_csv(path, ["R", "J", "rel_dev_pi2"], rows)
-    return [path], {"pi_squared": quadrature.PI2}, EXIT_OK
+    return ["R", "J", "rel_dev_pi2"], rows, {"pi_squared": quadrature.PI2}, EXIT_OK
 
 
-def _run_identities(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
+def _run_identities(cfg: ExperimentConfig) -> Outcome:
     k = cfg.make_kernel()
     g = BoxGeometry(cfg.d, cfg.L)
     A = gaussian.DirichletLaplacian(g, k)
-    solver = cfg.solver()
 
-    w = gaussian.solve_array(A, gaussian.exterior_leak(A), solver)
-    surface_dev = gaussian.surface_identity_check(A, solver, w)
-    second = diagnostics.second_moment_identity(g, k, cfg.eta2, solver, w)
+    w = gaussian.solve_array(A, gaussian.exterior_leak(A))
+    surface_dev = gaussian.surface_identity_check(A, w)
+    second = diagnostics.second_moment_identity(g, k, cfg.eta2, w)
     rows = [
         ["surface_identity_max_deviation", surface_dev, SURFACE_TOLERANCE,
          surface_dev <= SURFACE_TOLERANCE],
@@ -339,34 +352,29 @@ def _run_identities(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict,
     worst_resid = 0.0
     for r in range(cfg.n_realizations):
         eta = sample_disorder(cfg.disorder_spec(r), g)
-        X = gaussian.mean_gradient(A, eta, solver)
+        X = gaussian.mean_gradient(A, eta)
         _, mx = diagnostics.divergence_residual(X, eta)
         worst_resid = max(worst_resid, mx)
     rows.append(["divergence_max_residual", worst_resid, DIVERGENCE_TOLERANCE,
                  worst_resid <= DIVERGENCE_TOLERANCE])
-    path = out / "identities.csv"
-    _write_csv(path, ["check", "value", "tolerance", "pass"], rows)
     ok = all(r[3] for r in rows)
     summary = {"checks": {r[0]: r[1] for r in rows}, "all_pass": ok}
-    return [path], summary, EXIT_OK if ok else EXIT_INVARIANT
+    return (["check", "value", "tolerance", "pass"], rows, summary,
+            EXIT_OK if ok else EXIT_INVARIANT)
 
 
-def _run_gaussian_exact(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
+def _run_gaussian_exact(cfg: ExperimentConfig) -> Outcome:
     k = cfg.make_kernel()
     g = BoxGeometry(cfg.d, cfg.L)
     A = gaussian.DirichletLaplacian(g, k)
-    solver = cfg.solver()
 
     rows = []
     for r in range(cfg.n_realizations):
         eta = sample_disorder(cfg.disorder_spec(r), g)
-        X = gaussian.mean_gradient(A, eta, solver)
+        X = gaussian.mean_gradient(A, eta)
         _, mx = diagnostics.divergence_residual(X, eta)
         rows.append([r, mx] + [diagnostics.boundary_ergodic_average(X, s)
                                for s in (1, 2, 3, 4)])
-    path = out / "gaussian.csv"
-    _write_csv(path, ["realization", "max_divergence_residual",
-                      "side_1", "side_2", "side_3", "side_4"], rows)
     sides = np.array([r[2:] for r in rows], dtype=float)
     n = len(rows)
     summary = {
@@ -375,10 +383,11 @@ def _run_gaussian_exact(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], d
         if n > 1 else [0.0] * 4,
         "max_divergence_residual": max(r[1] for r in rows),
     }
-    return [path], summary, EXIT_OK
+    return (["realization", "max_divergence_residual",
+             "side_1", "side_2", "side_3", "side_4"], rows, summary, EXIT_OK)
 
 
-def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
+def _run_mcmc(cfg: ExperimentConfig) -> Outcome:
     from . import mcmc
     k = cfg.make_kernel()
     g = BoxGeometry(cfg.d, cfg.L)
@@ -388,7 +397,7 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
         # X = E[V'(phi')] matches the unit-stiffness response for any c:
         # the measure's mean gradient scales by 1/c and V' by c.
         A = gaussian.DirichletLaplacian(g, k)
-        exact = gaussian.mean_gradient(A, eta, cfg.solver()).values
+        exact = gaussian.mean_gradient(A, eta).values
     est = mcmc.estimate_gradient_mean(g, k, cfg.potential, eta, cfg.sampler(),
                                       seed=cfg.seed)
     header = ["edge_i", "edge_j", "mean", "stderr", "n_eff"]
@@ -399,8 +408,6 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
         columns.append(exact)
     rows = [[_site_str(i), _site_str(j)] + values for (i, j), values
             in zip(kernel_edges(g, k), np.stack(columns, axis=1).tolist())]
-    path = out / "edges.csv"
-    _write_csv(path, header, rows)
     resid, se = mcmc.divergence_check(est, eta)
     # np.median would load numpy.ma inside the clock
     ordered = np.sort(n_eff)
@@ -420,59 +427,54 @@ def _run_mcmc(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
         covered = np.abs(mean - exact) <= 3.0 * stderr
         summary["fraction_within_3se_of_exact"] = np.count_nonzero(covered) / len(exact)
     # a proposal past the cap is no sample of the measure: the means are off
-    return [path], summary, EXIT_NUMERICAL if est.cap_rejects else EXIT_OK
+    return header, rows, summary, EXIT_NUMERICAL if est.cap_rejects else EXIT_OK
 
 
-def _run_scaling(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
+def _run_scaling(cfg: ExperimentConfig) -> Outcome:
     scan = diagnostics.variance_scaling_scan(cfg.d, list(_sizes(cfg)), cfg.eta2,
-                                             kernel=cfg.make_kernel(),
-                                             cfg=cfg.solver())
-    path = out / "scaling.csv"
-    _write_csv(path, ["L", "variance", "err"], [list(r) for r in scan.rows])
+                                             kernel=cfg.make_kernel())
     summary: dict[str, Any] = {}
-    if len(scan.rows) >= 3:
+    if len(scan.rows) >= 3 and _finite(scan.rows):
         f = diagnostics.fit("log-linear", scan)
         summary["log_linear_fit"] = {"intercept": f.coefficients[0],
                                      "slope_per_log2": f.coefficients[1],
                                      "r_squared": f.r_squared}
-    return [path], summary, EXIT_OK
+    return ["L", "variance", "err"], [list(r) for r in scan.rows], summary, EXIT_OK
 
 
-def _run_decay(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
+def _run_decay(cfg: ExperimentConfig) -> Outcome:
     scan = diagnostics.decay_scan_d3(cfg.L, list(cfg.r_list), cfg.eta2)
     rows = [[r, c, rc] for (r, c, _), (_, rc, _)
             in zip(scan.covariance.rows, scan.compensated.rows)]
-    path = out / "decay.csv"
-    _write_csv(path, ["r", "covariance", "r_times_covariance"], rows)
     summary: dict[str, Any] = {"max_relative_err": max(
         e / abs(c) for _, c, e in scan.covariance.rows)}
     positive = [r for r in scan.covariance.rows if r[0] > 0]
-    if len(positive) >= 3:
+    if len(positive) >= 3 and _finite(positive):
         f = diagnostics.fit("power-law", diagnostics.ScanResult(tuple(positive)))
         summary["power_law_fit"] = {"amplitude": f.coefficients[0],
                                     "exponent": f.coefficients[1],
                                     "r_squared": f.r_squared}
-    return [path], summary, EXIT_OK
+    return ["r", "covariance", "r_times_covariance"], rows, summary, EXIT_OK
 
 
-def _run_clt(cfg: ExperimentConfig, out: Path) -> tuple[list[Path], dict, int]:
+def _run_clt(cfg: ExperimentConfig) -> Outcome:
     scan = diagnostics.clt_scan(list(_sizes(cfg)), cfg.n_realizations,
                                 cfg.disorder_spec(0))
     rows = [[L, v, e, diagnostics.clt_population_value(int(L), 2, cfg.eta2)]
             for L, v, e in scan.rows]
-    path = out / "clt.csv"
-    _write_csv(path, ["L", "variance", "jackknife_err", "analytic"], rows)
     worst = max(abs(v - a) / a for _, v, _, a in rows)
-    return [path], {"max_relative_deviation": worst}, EXIT_OK
+    return (["L", "variance", "jackknife_err", "analytic"], rows,
+            {"max_relative_deviation": worst}, EXIT_OK)
 
 
 class Experiment(NamedTuple):
-    """What one experiment reads, requires and loads.  A run given a key
-    outside ``keys`` rejects it, except that a run that solves (``_solver``
-    gives "pcg") reads ``rel_tolerance``, and ``L_list`` replaces ``L``.
-    Exact Gaussian numbers (``gaussian`` not None) admit no quartic term."""
+    """What one experiment reads, requires, loads and writes.  A run given a
+    key outside ``keys`` rejects it, except that ``L_list`` replaces ``L``.
+    Exact Gaussian numbers (``gaussian`` not None) admit no quartic term.
+    ``cli.run`` writes the rows ``run`` returns to the file named ``csv``."""
 
-    run: Callable[[ExperimentConfig, Path], tuple[list[Path], dict, int]]
+    run: Callable[[ExperimentConfig], Outcome]
+    csv: str                             # the file name of its CSV
     keys: frozenset[str]                 # the keys read besides ``experiment``
     d: int | None = None                 # the one dimension it runs in
     min_L: int | None = None             # None: it runs on no box
@@ -484,20 +486,24 @@ class Experiment(NamedTuple):
 
 #: the experiments, in the order the "choose one of" message lists them
 EXPERIMENTS = {
-    "gaussian-exact": Experiment(_run_gaussian_exact, _MODEL | {"n_realizations"},
-                                 d=2, min_L=1, min_realizations=1, gaussian="solve"),
-    "mcmc": Experiment(_run_mcmc, _MODEL | {"burn_in_sweeps", "measure_sweeps"},
+    "gaussian-exact": Experiment(_run_gaussian_exact, "gaussian.csv",
+                                 _MODEL | {"n_realizations"}, d=2, min_L=1,
+                                 min_realizations=1, gaussian="solve"),
+    "mcmc": Experiment(_run_mcmc, "edges.csv",
+                       _MODEL | {"burn_in_sweeps", "measure_sweeps"},
                        min_L=0, preloads=("gradlab.mcmc",)),
-    "scaling": Experiment(_run_scaling, _BOX | {"L_list", "potential"},
+    "scaling": Experiment(_run_scaling, "scaling.csv", _BOX | {"L_list", "potential"},
                           min_L=1, gaussian="scan"),
-    "decay": Experiment(_run_decay, _BOX | {"potential", "r_list"},
+    "decay": Experiment(_run_decay, "decay.csv", _BOX | {"potential", "r_list"},
                         d=3, min_L=0, nn_only=True, gaussian="scan"),
-    "clt": Experiment(_run_clt, _BOX | {"L_list", "n_realizations", "disorder", "seed"},
+    "clt": Experiment(_run_clt, "clt.csv",
+                      _BOX | {"L_list", "n_realizations", "disorder", "seed"},
                       d=2, min_L=1, min_realizations=100, nn_only=True),
-    "quadrature": Experiment(_run_quadrature, frozenset({"R_list"}),
+    "quadrature": Experiment(_run_quadrature, "quadrature.csv", frozenset({"R_list"}),
                              preloads=("gradlab.quadrature",)),
-    "identities": Experiment(_run_identities, _MODEL | {"n_realizations"},
-                             min_L=0, min_realizations=1, gaussian="solve"),
+    "identities": Experiment(_run_identities, "identities.csv",
+                             _MODEL | {"n_realizations"}, min_L=0,
+                             min_realizations=1, gaussian="solve"),
 }
 
 
@@ -553,8 +559,9 @@ def _environment() -> dict[str, Any]:
 
 
 def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
-    """Execute the experiment, writing CSVs and a JSON manifest into out_dir
-    (ConfigError, before any work, if out_dir cannot be created)."""
+    """Execute the experiment, writing its CSV and a JSON manifest into
+    out_dir (ConfigError, before any work, if out_dir cannot be created).
+    A CSV holding a non-finite number is a numerical failure."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -564,9 +571,15 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
     for module in _preloads(cfg):
         importlib.import_module(module)
     t0 = time.perf_counter()
+    spec = EXPERIMENTS[cfg.experiment]
     files: list[Path] = []
     try:
-        files, summary, code = EXPERIMENTS[cfg.experiment].run(cfg, out)
+        header, rows, summary, code = spec.run(cfg)
+        _write_csv(out / spec.csv, header, rows)
+        files.append(out / spec.csv)
+        if not _finite(rows):
+            summary["error"] = f"{spec.csv} holds a non-finite number"
+            code = EXIT_NUMERICAL
     except NumericalError as exc:
         summary, code = {"error": str(exc)}, EXIT_NUMERICAL
     except Exception as exc:  # a fault of the run, say an unwritable CSV
@@ -574,7 +587,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
     status = {EXIT_OK: "ok", EXIT_INVARIANT: "invariant-failure",
               EXIT_NUMERICAL: "numerical-failure", EXIT_ERROR: "error"}[code]
     solver = _solver(cfg)
-    manifest = {
+    manifest = _strict({
         "experiment": cfg.experiment,
         "version": __version__,
         "status": status,
@@ -587,11 +600,11 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
         "summaries": summary,
         "outputs": [f.name for f in files],
         **({"solver": solver} if solver else {}),
-    }
+    })
     manifest_path = out / "run_manifest.json"
     try:
         with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         return RunResult(EXIT_ERROR, files, manifest, f"{type(exc).__name__}: {exc}")

@@ -169,14 +169,12 @@ def central_edge(d: int) -> Edge:
 
 
 def variance_scaling_scan(d: int, L_list: list[int], eta2: float,
-                          kernel: Kernel | None = None,
-                          cfg: gaussian.SolverConfig = gaussian.DEFAULT_SOLVER
-                          ) -> ScanResult:
+                          kernel: Kernel | None = None) -> ScanResult:
     """Variance of the central-edge mean gradient versus box size.
 
     The reported uncertainty is the error bound of ``gaussian.covariances``
     (the quantity is deterministic given the box): the rounding bound of
-    the mode sum for the nearest-neighbour kernel, the solver tolerance
+    the mode sum for the nearest-neighbour kernel, ``gaussian.REL_TOLERANCE``
     times the value for any other.
     """
     k = kernel if kernel is not None else Kernel.nearest_neighbor(d)
@@ -186,7 +184,7 @@ def variance_scaling_scan(d: int, L_list: list[int], eta2: float,
         if L < 1:
             raise ValueError("L must be >= 1 for the scaling scan")
         A = gaussian.DirichletLaplacian(BoxGeometry(d, L), k)
-        (v,), (err,) = gaussian.covariances(A, [(edge, edge)], eta2, cfg)
+        (v,), (err,) = gaussian.covariances(A, [(edge, edge)], eta2)
         rows.append((float(L), float(v), float(err)))
     return ScanResult(tuple(rows))
 
@@ -227,7 +225,6 @@ def decay_scan_d3(L: int, r_list: list[int], eta2: float) -> DecayScan:
 
 
 def second_moment_identity(g: BoxGeometry, k: Kernel, eta2: float,
-                           cfg: gaussian.SolverConfig = gaussian.DEFAULT_SOLVER,
                            w: np.ndarray | None = None) -> SecondMomentCheck:
     """eta2 |Lambda| versus the double boundary sum of the edge covariance.
 
@@ -241,7 +238,7 @@ def second_moment_identity(g: BoxGeometry, k: Kernel, eta2: float,
     """
     if w is None:
         A = gaussian.DirichletLaplacian(g, k)
-        w = gaussian.solve_array(A, gaussian.exterior_leak(A), cfg)
+        w = gaussian.solve_array(A, gaussian.exterior_leak(A))
     lhs = eta2 * g.n_sites
     rhs = eta2 * float(w @ w)
     denom = max(abs(lhs), abs(rhs))

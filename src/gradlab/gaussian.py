@@ -15,7 +15,8 @@ is I - P for the nearest-neighbour kernel and a spectrally equivalent
 preconditioner for any other (Concus & Golub, SIAM J. Numer. Anal. 10,
 1973).  A solve starts from M^-1 b (a DST-I pair, each real FFTs of the odd
 extension on ``numpy.fft``), where every nearest-neighbour solve ends, and
-otherwise continues by conjugate gradients preconditioned by M^-1.
+otherwise continues by conjugate gradients preconditioned by M^-1.  Every
+solve meets the one residual target ``REL_TOLERANCE``.
 ``covariances`` sums the sine modes of the nearest-neighbour kernel as an
 exponential sum, O(d L) per node, and edge responses of any other kernel.
 Nothing here assembles the operator as a matrix.
@@ -43,20 +44,8 @@ class SolverError(NumericalError):
         self.achieved_residual = achieved_residual
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Residual target ||Au - b|| <= rel_tolerance ||b||, checked once after
-    every solve (preconditioned conjugate gradients, when the sine solve
-    alone misses it, stop after 10 * n_sites steps)."""
-
-    rel_tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tolerance < math.inf:
-            raise ValueError("rel_tolerance must be > 0 and finite")
-
-
-DEFAULT_SOLVER = SolverConfig()
+#: the residual target of every solve, ||Au - b|| <= REL_TOLERANCE ||b||
+REL_TOLERANCE = 1e-10
 
 #: nodes of the exponential sum taken at once, memory side x NODE_CHUNK
 NODE_CHUNK = 16
@@ -156,9 +145,8 @@ def _sine_solve(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
     return t.ravel()
 
 
-def solve_array(A: DirichletLaplacian, b: np.ndarray,
-                cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
-    """Solve A u = b to ||Au - b|| <= rel_tolerance ||b||, else SolverError.
+def solve_array(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
+    """Solve A u = b to ||Au - b|| <= REL_TOLERANCE ||b||, else SolverError.
 
     The sine solve u = M^-1 b comes first: for nearest neighbours M is A,
     and the residual evaluation that checks u ends the solve.  Otherwise
@@ -170,7 +158,7 @@ def solve_array(A: DirichletLaplacian, b: np.ndarray,
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return np.zeros_like(b)
-    goal, stopped = cfg.rel_tolerance * norm_b, None
+    goal, stopped = REL_TOLERANCE * norm_b, None
     x = _sine_solve(A, b)
     r = b - A.apply(x)
     achieved = float(np.linalg.norm(r))
@@ -192,28 +180,26 @@ def solve_array(A: DirichletLaplacian, b: np.ndarray,
         achieved = float(np.linalg.norm(b - A.apply(x)))
     if stopped is not None or achieved > goal * 1.001:
         raise SolverError(f"{stopped or 'solve missed the tolerance'}: residual "
-                          f"{achieved:.3e} > {cfg.rel_tolerance:.1e} * ||b|| = "
+                          f"{achieved:.3e} > {REL_TOLERANCE:.1e} * ||b|| = "
                           f"{goal:.3e}", achieved)
     return x
 
 
-def mean_gradient(A: DirichletLaplacian, eta: HeightField,
-                  cfg: SolverConfig = DEFAULT_SOLVER) -> VectorField:
+def mean_gradient(A: DirichletLaplacian, eta: HeightField) -> VectorField:
     """Mean gradient field X_ij = u_i - u_j with u = G eta (one solve), on
     every kernel edge touching the box: the gradient of u, 0 outside."""
-    u = HeightField(A.geometry, solve_array(A, eta.values, cfg))
+    u = HeightField(A.geometry, solve_array(A, eta.values))
     return gradient_of(A.kernel, u)
 
 
-def _edge_response(A: DirichletLaplacian, edge: Edge,
-                   cfg: SolverConfig) -> np.ndarray:
+def _edge_response(A: DirichletLaplacian, edge: Edge) -> np.ndarray:
     """The vector y -> T_{edge,y} = G(i, y) - G(j, y): one solve with the
     dipole source e_i - e_j on the interior endpoints (G is symmetric)."""
     b = np.zeros(A.n)
     for x, sign in zip(edge, (1.0, -1.0)):
         if edge[0] != edge[1] and A.geometry.contains(x):
             b[A.geometry.index_of(x)] = sign
-    return solve_array(A, b, cfg)
+    return solve_array(A, b)
 
 
 def _mode_terms(g: BoxGeometry, edge: Edge) -> list[np.ndarray]:
@@ -267,8 +253,7 @@ def _mode_sum(t: np.ndarray, w: np.ndarray, lam: np.ndarray,
 
 
 def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
-                eta2: float, cfg: SolverConfig = DEFAULT_SOLVER
-                ) -> tuple[np.ndarray, np.ndarray]:
+                eta2: float) -> tuple[np.ndarray, np.ndarray]:
     """Disorder covariances C(a, b) = eta2 sum_y T_{a,y} T_{b,y} of the mean
     gradient, one per edge pair, and a bound on the error of each.
 
@@ -284,16 +269,16 @@ def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
     side terms, their product and the node sum add d side + d + J, and a
     pair's at most four terms 3.  Any other kernel takes the inner product
     of two edge responses, one solve per distinct edge, with the bound
-    rel_tolerance |C|.
+    REL_TOLERANCE |C|.
     """
     if not 0.0 < eta2 < math.inf:
         raise ValueError("eta2 must be > 0 and finite")
     g = A.geometry
     if not sine_diagonal(A.kernel):
         edges = dict.fromkeys(e for pair in pairs for e in pair)
-        response = {e: _edge_response(A, e, cfg) for e in edges}
+        response = {e: _edge_response(A, e) for e in edges}
         values = eta2 * np.array([response[a] @ response[b] for a, b in pairs])
-        return values, cfg.rel_tolerance * np.abs(values)
+        return values, REL_TOLERANCE * np.abs(values)
     rows, terms = [], []
     for n, (a, b) in enumerate(pairs):
         for fa, fb in product(_mode_terms(g, a), _mode_terms(g, b)):
@@ -318,7 +303,6 @@ def exterior_leak(A: DirichletLaplacian) -> np.ndarray:
 
 
 def surface_identity_check(A: DirichletLaplacian,
-                           cfg: SolverConfig = DEFAULT_SOLVER,
                            w: np.ndarray | None = None) -> float:
     """Max over interior y of |sum over boundary edges of p * T_{.,y} - 1|.
 
@@ -329,5 +313,5 @@ def surface_identity_check(A: DirichletLaplacian,
     max |w - 1|), which the tests check against the per-column reference.
     """
     if w is None:
-        w = solve_array(A, exterior_leak(A), cfg)
+        w = solve_array(A, exterior_leak(A))
     return float(np.max(np.abs(w - 1.0)))

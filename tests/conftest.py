@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -11,11 +12,19 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg
 
-from gradlab.gaussian import (DEFAULT_SOLVER, _mode_terms, _symbol, covariances,
-                              solve_array)
+from gradlab import gaussian
+from gradlab.gaussian import _mode_terms, _symbol, covariances, solve_array
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
                            Potential, VectorField, boundary_table, edge_table,
                            kernel_edges, neighbor_index, sample_disorder)
+
+
+@pytest.fixture
+def rel_tolerance(monkeypatch):
+    """Set ``gaussian.REL_TOLERANCE`` for one test: ``rel_tolerance(1e-12)``."""
+    def set_tolerance(value):
+        monkeypatch.setattr(gaussian, "REL_TOLERANCE", value)
+    return set_tolerance
 
 
 @pytest.fixture
@@ -127,16 +136,23 @@ def site_of(g, index):
     return tuple(int(c) - g.L for c in np.unravel_index(index, g.shape))
 
 
+def strict_json(text):
+    """json.loads, rejecting the NaN and Infinity tokens strict parsers reject."""
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def solve_green(A, source):
     """Solve (I - P) u = source on the box, as a HeightField."""
     return HeightField(A.geometry, solve_array(A, source.values))
 
 
-def green_column(A, y, cfg=DEFAULT_SOLVER):
+def green_column(A, y):
     """Green column G(., y), i.e. the solve with a unit source at interior y."""
     b = np.zeros(A.n)
     b[A.geometry.index_of(y)] = 1.0
-    return solve_array(A, b, cfg)
+    return solve_array(A, b)
 
 
 def oracle_slab_mode_sum(g, lam, F):
@@ -177,18 +193,18 @@ def slab_covariance(A, a, b, eta2):
     return eta2 * (2.0 / (g.side + 1)) ** g.d * float(total)
 
 
-def covariance(A, a, b, eta2, cfg=DEFAULT_SOLVER):
+def covariance(A, a, b, eta2):
     """Disorder covariance of the mean gradient on edges a and b: the one
     pair of ``gaussian.covariances``."""
-    return float(covariances(A, [(a, b)], eta2, cfg)[0][0])
+    return float(covariances(A, [(a, b)], eta2)[0][0])
 
 
-def variance(A, a, eta2, cfg=DEFAULT_SOLVER):
+def variance(A, a, eta2):
     """Disorder variance of the mean gradient on edge a (covariance with
     itself); 0 at eta2 = 0, which ``covariances`` rejects."""
     if eta2 < 0.0:
         raise ValueError("eta2 must be >= 0")
-    return covariance(A, a, a, eta2, cfg) if eta2 > 0.0 else 0.0
+    return covariance(A, a, a, eta2) if eta2 > 0.0 else 0.0
 
 
 def loop_residuals(g, w):

@@ -21,7 +21,6 @@ from gradlab.model import (BoxGeometry, DisorderSpec, Kernel, Potential,
                            kernel_edges, sample_disorder)
 
 MASTER_SEED = 3
-TIGHT = gaussian.SolverConfig(rel_tolerance=1e-12)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -97,14 +96,15 @@ def test_criterion_03_divergence_equation():
     watch.check()
 
 
-def test_criterion_04_surface_identity():
+def test_criterion_04_surface_identity(rel_tolerance):
     """The weighted boundary response sums to 1 for every source site."""
+    rel_tolerance(1e-12)
     watch = Stopwatch(30.0)
     devs = {}
     for d, L in ((2, 8), (3, 4)):
         k = Kernel.nearest_neighbor(d)
         A = gaussian.DirichletLaplacian(BoxGeometry(d, L), k)
-        devs[(d, L)] = gaussian.surface_identity_check(A, TIGHT)
+        devs[(d, L)] = gaussian.surface_identity_check(A)
     ok = all(v <= 1e-8 for v in devs.values())
     report(4, ok, ", ".join(f"(d={d}, L={L}): max dev = {v:.2e} (<= 1e-8)"
                             for (d, L), v in devs.items())

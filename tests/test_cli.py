@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradlab
-from conftest import edge_value, set_edge
+from conftest import edge_value, set_edge, strict_json
 from gradlab import cli, diagnostics, gaussian, mcmc
 from gradlab.cli import (_CASTERS, EXIT_CONFIG, EXIT_ERROR, EXIT_INVARIANT,
                          EXIT_NUMERICAL, EXIT_OK, EXPERIMENTS, MAX_D,
@@ -27,7 +27,7 @@ from gradlab.model import Potential
 REMOVED_KEYS = ("corrupt_field", "max_iterations", "autotune",
                 "target_acceptance", "quad_abs_tolerance", "quad_rel_tolerance",
                 "divergence_tolerance", "surface_tolerance",
-                "second_moment_tolerance", "thin")
+                "second_moment_tolerance", "thin", "rel_tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +143,6 @@ def test_parse_validates_experiment_requirements():
                  "line 4: mcmc experiment does not read 'R_list'", id="mcmc-R_list"),
     pytest.param("experiment=scaling\nd=2\nL=8\nL_list=2,4\n",
                  "line 3: scaling experiment does not read 'L'", id="scaling-L-beside-L_list"),
-    pytest.param("experiment=decay\nd=3\nL=4\nr_list=0,2\nrel_tolerance=1e-9\n",
-                 "line 5: decay experiment does not read 'rel_tolerance'",
-                 id="decay-rel_tolerance"),
-    pytest.param("experiment=mcmc\nd=2\nL=1\npotential=quartic:1:0.1\n"
-                 "rel_tolerance=1e-9\n",
-                 "line 5: mcmc experiment does not read 'rel_tolerance'",
-                 id="quartic-mcmc-rel_tolerance"),
 ])
 def test_main_rejects_keys_the_experiment_ignores(text, message, tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
@@ -280,8 +273,8 @@ def test_quadrature_run_reports_pi_squared_row(tmp_path):
 def test_corrupted_field_hook_exits_invariant_failure(tmp_path, monkeypatch):
     exact = gaussian.mean_gradient
 
-    def corrupted(A, eta, cfg):
-        X = exact(A, eta, cfg)
+    def corrupted(A, eta):
+        X = exact(A, eta)
         i, j = diagnostics.central_edge(A.geometry.d)
         set_edge(X, i, j, edge_value(X, i, j) + 1.0)
         return X
@@ -295,10 +288,10 @@ def test_corrupted_field_hook_exits_invariant_failure(tmp_path, monkeypatch):
     assert manifest["partial_outputs"] is True
 
 
-def test_numerical_failure_exit_code(tmp_path):
+def test_numerical_failure_exit_code(tmp_path, rel_tolerance):
     # an unreachable residual target, where preconditioned CG must run (axis2)
-    cfg = parse_config("experiment=identities\nd=2\nL=6\nkernel=axis2\n"
-                       "rel_tolerance=1e-20\n")
+    rel_tolerance(1e-20)
+    cfg = parse_config("experiment=identities\nd=2\nL=6\nkernel=axis2\n")
     result = run(cfg, tmp_path)
     assert result.exit_code == EXIT_NUMERICAL
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
@@ -306,10 +299,11 @@ def test_numerical_failure_exit_code(tmp_path):
     assert "error" in manifest["summaries"]
 
 
-def test_unreachable_tolerance_on_the_dst_path_exits_numerical_failure(tmp_path,
-                                                                       capsys):
+def test_unreachable_tolerance_on_the_dst_path_exits_numerical_failure(
+        tmp_path, capsys, rel_tolerance):
+    rel_tolerance(1e-20)
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("experiment=identities\nd=2\nL=6\nrel_tolerance=1e-20\n")
+    cfg_path.write_text("experiment=identities\nd=2\nL=6\n")
     assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
     assert "status: numerical-failure" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
@@ -333,7 +327,7 @@ def test_quadrature_at_small_radii_writes_the_closed_form(R_list, tmp_path):
 
 
 def raise_in_the_runner(exc):
-    def runner(cfg, out):
+    def runner(cfg):
         raise exc
     return EXPERIMENTS["quadrature"]._replace(run=runner)
 
@@ -498,6 +492,33 @@ def test_mcmc_manifest_reports_the_retained_sweeps(tmp_path):
     assert manifest["summaries"]["retained_sweeps"] == 90
 
 
+@pytest.mark.parametrize("text,name", [
+    pytest.param("experiment=scaling\nd=2\nL_list=1,2\n", "scaling.csv", id="scaling"),
+    pytest.param("experiment=decay\nd=3\nL=2\nr_list=0\n", "decay.csv", id="decay"),
+    pytest.param("experiment=clt\nL_list=1,2\nn_realizations=100\n", "clt.csv",
+                 id="clt"),
+    pytest.param("experiment=scaling\nd=2\nL_list=1,2,3\n", "scaling.csv",
+                 id="scaling-fit"),
+    pytest.param("experiment=identities\nd=2\nL=1\n", "identities.csv",
+                 id="identities"),
+])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_a_non_finite_result_exits_numerical_failure(text, name, tmp_path, capsys):
+    # eta2 is finite, but the numbers it scales overflow: the CSV is still
+    # written and listed, the run says why, and the manifest stays strict JSON
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text + "eta2=1e308\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "status: numerical-failure" in capsys.readouterr().err
+    assert any(x in ("inf", "-inf", "nan")
+               for row in read_csv(tmp_path / name) for x in row)
+    manifest = strict_json((tmp_path / "run_manifest.json").read_text())
+    assert manifest["status"] == "numerical-failure"
+    assert manifest["outputs"] == [name]
+    assert manifest["summaries"]["error"] == f"{name} holds a non-finite number"
+
+
 def test_mcmc_run_past_the_height_cap_exits_numerical_failure(tmp_path, capsys):
     # disorder of variance 1e13 drives heights past HEIGHT_CAP: proposals are
     # rejected there, the chain samples no measure, and the run says so
@@ -597,7 +618,8 @@ def test_run_rejects_an_output_path_that_is_a_file(tmp_path):
 
 def test_experiment_config_defaults_are_valid():
     cfg = ExperimentConfig(experiment="quadrature", R_list=(1.0,))
-    assert cfg.solver().rel_tolerance == 1e-10
+    cli._validate(cfg, {"experiment": 1, "R_list": 2})
+    assert gaussian.REL_TOLERANCE == 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +668,10 @@ def test_main_rejects_proposal_width_as_a_config_key(tmp_path, capsys):
 
 
 def test_every_config_key_is_read_by_some_experiment():
-    # a key no run reads is dead; rel_tolerance is read by every run that solves
+    # a key no run reads is dead
     read = frozenset().union(*(spec.keys for spec in EXPERIMENTS.values()))
     unread = {f.name for f in fields(ExperimentConfig)} - read
-    assert unread == {"experiment", "rel_tolerance"}
+    assert unread == {"experiment"}
 
 
 def test_readme_documents_every_config_key_and_no_removed_one():
@@ -753,8 +775,6 @@ def test_main_rejects_a_decay_kernel_other_than_nn(tmp_path, capsys):
                  "L must be >= 1 for gaussian-exact", id="gaussian-exact-L-zero"),
     pytest.param("experiment=mcmc\nd=2\nL=1\nmeasure_sweeps=99\n",
                  "measure_sweeps must be >= 100", id="measure_sweeps"),
-    pytest.param("experiment=identities\nd=2\nL=1\nrel_tolerance=0\n",
-                 "rel_tolerance must be > 0", id="rel_tolerance"),
 ])
 def test_main_reports_bad_solver_sampler_and_realization_keys(text, message,
                                                               tmp_path, capsys):
@@ -801,8 +821,6 @@ def test_main_rejects_clt_outside_d2(d, tmp_path, capsys):
                  id="eta2-nan"),
     pytest.param("experiment=scaling\nd=2\nL_list=2,4\neta2=inf\n", "eta2",
                  id="eta2-inf"),
-    pytest.param("experiment=identities\nd=2\nL=2\nrel_tolerance=nan\n",
-                 "rel_tolerance", id="rel_tolerance-nan"),
     pytest.param("experiment=mcmc\nd=2\nL=1\npotential=quartic:nan:1\n",
                  "potential", id="potential-nan"),
 ])

@@ -15,7 +15,7 @@ from gradlab.diagnostics import (FitResult, ScanResult,
                                  clt_population_value, clt_scan, decay_scan_d3,
                                  divergence_residual, fit,
                                  second_moment_identity, variance_scaling_scan)
-from gradlab.gaussian import DirichletLaplacian, SolverConfig, mean_gradient
+from gradlab.gaussian import DirichletLaplacian, mean_gradient
 from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
                            VectorField, kernel_edges, sample_disorder)
 
@@ -265,10 +265,10 @@ def test_scan_errors_are_the_mode_sum_rounding_bound():
     assert all(0.0 < err <= 1e-12 * v for _, v, err in variance_rows)
 
 
-def test_scaling_scan_keeps_the_solver_tolerance_for_other_kernels():
+def test_scaling_scan_keeps_the_solver_tolerance_for_other_kernels(rel_tolerance):
     k = Kernel.axis_kernel(2, 2)
-    cfg = SolverConfig(rel_tolerance=1e-9)
-    for _, v, err in variance_scaling_scan(2, [2, 3], 1.0, kernel=k, cfg=cfg).rows:
+    rel_tolerance(1e-9)
+    for _, v, err in variance_scaling_scan(2, [2, 3], 1.0, kernel=k).rows:
         assert err == pytest.approx(1e-9 * v, rel=1e-15)
 
 

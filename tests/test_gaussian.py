@@ -9,13 +9,14 @@ from conftest import (covariance, edge_value, gaussian_eta, green_column,
                       slab_covariance, solve_green, variance, zero_heights)
 from gradlab import gaussian
 from gradlab.diagnostics import decay_scan_d3, divergence_residual
-from gradlab.gaussian import (DirichletLaplacian, SolverConfig, SolverError,
+from gradlab.gaussian import (DirichletLaplacian, SolverError,
                               _exp_nodes, _sin_pi, _sine_solve, _symbol,
                               covariances, mean_gradient, sine_diagonal,
                               solve_array, surface_identity_check)
 from gradlab.model import BoxGeometry, HeightField, Kernel, kernel_edges
 
-TIGHT = SolverConfig(rel_tolerance=1e-12)
+#: the residual target of the tests that compare solves with oracles
+TIGHT = 1e-12
 #: p = 1/8 on +-e1, +-e2, +-(1, 1), +-(1, -1): offsets the separable sine
 #: symbol splits over both axes
 DIAGONAL = Kernel.from_map(2, {v: 0.125 for v in [
@@ -36,13 +37,13 @@ def delta_field(g, site):
     return HeightField(g, vals)
 
 
-def t_entry(A, edge, y, cfg=SolverConfig()):
+def t_entry(A, edge, y):
     """Response T_{ij,y} = G_iy - G_jy of the edge mean to a unit field at
     y, read off the Green column with a delta source at y (G = 0 outside)."""
     i, j = edge
     if i == j:
         return 0.0
-    u = HeightField(A.geometry, green_column(A, y, cfg))
+    u = HeightField(A.geometry, green_column(A, y))
     return height_at(u, i) - height_at(u, j)
 
 
@@ -83,36 +84,33 @@ def test_single_site_green_is_identity():
     assert height_at(u, (0, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_green_column_matches_dense_inverse():
+def test_green_column_matches_dense_inverse(rel_tolerance):
+    rel_tolerance(TIGHT)
     A, g, _ = make_operator(2, 1)
     inv = np.linalg.inv(oracle_sparse_operator(A).toarray())
-    u = green_column(A, (0, 0), TIGHT)
+    u = green_column(A, (0, 0))
     np.testing.assert_allclose(u, inv[:, g.index_of((0, 0))], atol=1e-10)
 
 
-def test_solver_error_reports_residual():
+def test_solver_error_reports_residual(rel_tolerance):
+    rel_tolerance(1e-20)
     # an unreachable residual target, where preconditioned CG must run (axis2)
     A, g, _ = make_operator(2, 6, Kernel.axis_kernel(2, 2))
     eta = gaussian_eta(g)
     with pytest.raises(SolverError) as err:
-        solve_array(A, eta.values, SolverConfig(rel_tolerance=1e-20))
+        solve_array(A, eta.values)
     assert err.value.achieved_residual > 0.0
     assert "residual" in str(err.value)
 
 
-def test_dst_solve_reports_an_unreachable_tolerance():
+def test_dst_solve_reports_an_unreachable_tolerance(rel_tolerance):
+    rel_tolerance(1e-20)
     A, g, _ = make_operator(2, 8)
     eta = gaussian_eta(g)
     with pytest.raises(SolverError) as err:
-        solve_array(A, eta.values, SolverConfig(rel_tolerance=1e-20))
+        solve_array(A, eta.values)
     assert err.value.achieved_residual > 0.0
     assert "residual" in str(err.value)
-
-
-@pytest.mark.parametrize("rel_tolerance", [0.0, -1e-10, math.nan, math.inf])
-def test_solver_config_rejects_non_positive_and_non_finite_tolerances(rel_tolerance):
-    with pytest.raises(ValueError):
-        SolverConfig(rel_tolerance=rel_tolerance)
 
 
 def test_only_the_nearest_neighbour_kernel_is_sine_diagonal():
@@ -133,14 +131,15 @@ def test_only_the_nearest_neighbour_kernel_is_sine_diagonal():
     pytest.param(DIAGONAL, 2, 9, id="diagonal-2-9"),
     pytest.param(THREE_STEP, 1, 2, id="three-step-1-2"),
 ])
-def test_dst_solve_matches_conjugate_gradients(kernel, d, L):
+def test_dst_solve_matches_conjugate_gradients(kernel, d, L, rel_tolerance):
+    rel_tolerance(TIGHT)
     A, g, k = make_operator(d, L, kernel)
     # a positive source keeps every entry of u = G b away from zero
     b = np.random.default_rng(10 * d + L).uniform(0.5, 1.5, size=g.n_sites)
-    u = solve_array(A, b, TIGHT)
-    reference = oracle_cg_solve(A, b, TIGHT.rel_tolerance)
+    u = solve_array(A, b)
+    reference = oracle_cg_solve(A, b, TIGHT)
     np.testing.assert_allclose(u, reference, rtol=1e-10)
-    bound = 1e-13 if sine_diagonal(k) else 1.001 * TIGHT.rel_tolerance
+    bound = 1e-13 if sine_diagonal(k) else 1.001 * TIGHT
     assert np.linalg.norm(A.apply(u) - b) <= bound * np.linalg.norm(b)
 
 
@@ -158,12 +157,13 @@ def count_applies(monkeypatch):
 
 
 @pytest.mark.parametrize("d,L", [(1, 7), (2, 9), (3, 5)])
-def test_nn_solve_applies_the_operator_once(d, L, monkeypatch):
+def test_nn_solve_applies_the_operator_once(d, L, monkeypatch, rel_tolerance):
+    rel_tolerance(TIGHT)
     # the sine solve is exact, so its one residual check ends the solve
     A, g, _ = make_operator(d, L)
     b = np.random.default_rng(d).normal(size=g.n_sites)
     calls = count_applies(monkeypatch)
-    u = solve_array(A, b, TIGHT)
+    u = solve_array(A, b)
     assert calls == [1]
     assert u.tobytes() == _sine_solve(A, b).tobytes()
 
@@ -251,20 +251,22 @@ def test_t_entry_degenerate_edge_is_zero():
     assert t_entry(A, ((0, 0), (0, 0)), (0, 0)) == 0.0
 
 
-def test_t_entry_antisymmetry():
+def test_t_entry_antisymmetry(rel_tolerance):
+    rel_tolerance(TIGHT)
     A, _, _ = make_operator(2, 1)
-    a = t_entry(A, ((0, 0), (0, 1)), (1, 1), TIGHT)
-    b = t_entry(A, ((0, 1), (0, 0)), (1, 1), TIGHT)
+    a = t_entry(A, ((0, 0), (0, 1)), (1, 1))
+    b = t_entry(A, ((0, 1), (0, 0)), (1, 1))
     assert a == pytest.approx(-b, abs=1e-13)
 
 
-def test_t_entry_matches_dense_inverse():
+def test_t_entry_matches_dense_inverse(rel_tolerance):
+    rel_tolerance(TIGHT)
     A, g, _ = make_operator(2, 1)
     inv = np.linalg.inv(oracle_sparse_operator(A).toarray())
     y = (0, 0)
     i, j = (0, 0), (1, 0)
     expected = inv[g.index_of(i), g.index_of(y)] - inv[g.index_of(j), g.index_of(y)]
-    assert t_entry(A, (i, j), y, TIGHT) == pytest.approx(expected, abs=1e-10)
+    assert t_entry(A, (i, j), y) == pytest.approx(expected, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +280,24 @@ def test_mean_gradient_of_zero_disorder_vanishes():
     assert np.all(X.values == 0.0)
 
 
-def test_mean_gradient_single_site_unit_field():
+def test_mean_gradient_single_site_unit_field(rel_tolerance):
+    rel_tolerance(TIGHT)
     A, g, k = make_operator(2, 0)
     eta = HeightField(g, np.ones(1))
-    X = mean_gradient(A, eta, TIGHT)
+    X = mean_gradient(A, eta)
     bedges = oracle_boundary_edges(g, k)
     assert len(bedges) == 4
     for i, j, _ in bedges:
         assert edge_value(X, i, j) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mean_gradient_matches_entrywise_assembly():
+def test_mean_gradient_matches_entrywise_assembly(rel_tolerance):
+    rel_tolerance(TIGHT)
     A, g, k = make_operator(2, 1)
     eta = gaussian_eta(g, seed=2)
-    X = mean_gradient(A, eta, TIGHT)
+    X = mean_gradient(A, eta)
     for edge in kernel_edges(g, k):
-        assembled = sum(t_entry(A, edge, y, TIGHT) * height_at(eta, y) for y in sites(g))
+        assembled = sum(t_entry(A, edge, y) * height_at(eta, y) for y in sites(g))
         assert edge_value(X, *edge) == pytest.approx(assembled, abs=1e-9)
 
 
@@ -305,10 +309,11 @@ def test_mean_gradient_satisfies_divergence_identity():
     assert mx <= 1e-8
 
 
-def test_mean_gradient_is_loop_free():
+def test_mean_gradient_is_loop_free(rel_tolerance):
+    rel_tolerance(TIGHT)
     A, g, k = make_operator(2, 2)
     eta = gaussian_eta(g, seed=9)
-    X = mean_gradient(A, eta, TIGHT)
+    X = mean_gradient(A, eta)
     assert loop_residuals(g, X) <= 1e-9
 
 
@@ -339,20 +344,22 @@ def test_covariance_is_symmetric():
             covariance(A, b, a, 1.3), abs=1e-14)
 
 
-def test_variance_matches_dense_sum_of_squares():
+def test_variance_matches_dense_sum_of_squares(rel_tolerance):
+    rel_tolerance(TIGHT)
     A, g, _ = make_operator(2, 1)
     inv = np.linalg.inv(oracle_sparse_operator(A).toarray())
     i, j = (0, 0), (1, 0)
     t_col = inv[g.index_of(i), :] - inv[g.index_of(j), :]
-    assert variance(A, (i, j), 1.0, TIGHT) == pytest.approx(
+    assert variance(A, (i, j), 1.0) == pytest.approx(
         float(np.sum(t_col ** 2)), abs=1e-10)
 
 
-def test_variance_zero_eta2_and_single_site():
+def test_variance_zero_eta2_and_single_site(rel_tolerance):
+    rel_tolerance(TIGHT)
     A, g, _ = make_operator(2, 0)
     edge = ((0, 0), (1, 0))
     assert variance(A, edge, 0.0) == 0.0
-    assert variance(A, edge, 1.0, TIGHT) == pytest.approx(1.0, abs=1e-12)
+    assert variance(A, edge, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_variance_grows_with_box_in_d2():
@@ -363,7 +370,7 @@ def test_variance_grows_with_box_in_d2():
     assert vals[0] < vals[1] < vals[2]
 
 
-def green_column_covariance(A, a, b, eta2, cfg=TIGHT):
+def green_column_covariance(A, a, b, eta2):
     """Oracle: C(a, b) = eta2 <T_a, T_b>, each edge response the difference
     of the Green columns of its interior endpoints (two solves per edge)."""
     def response(edge):
@@ -371,7 +378,7 @@ def green_column_covariance(A, a, b, eta2, cfg=TIGHT):
         if edge[0] != edge[1]:
             for x, sign in zip(edge, (1.0, -1.0)):
                 if A.geometry.contains(x):
-                    out += sign * green_column(A, x, cfg)
+                    out += sign * green_column(A, x)
         return out
 
     return eta2 * float(response(a) @ response(b))
@@ -398,7 +405,8 @@ MODE_SUM_CASES = [
 
 
 @pytest.mark.parametrize("d,L,a,b", MODE_SUM_CASES)
-def test_mode_sum_matches_green_columns(d, L, a, b):
+def test_mode_sum_matches_green_columns(d, L, a, b, rel_tolerance):
+    rel_tolerance(TIGHT)
     A, _, _ = make_operator(d, L)
     (value,), (err,) = covariances(A, [(a, b)], 1.3)
     oracle = green_column_covariance(A, a, b, 1.3)
@@ -446,33 +454,36 @@ def test_mode_sum_of_several_pairs_matches_single_pairs():
         assert e == pytest.approx(e1, rel=1e-14)
 
 
-def test_other_kernels_take_green_columns_with_the_solver_bound():
+def test_other_kernels_take_green_columns_with_the_solver_bound(rel_tolerance):
+    rel_tolerance(TIGHT)
     A, g, k = make_operator(2, 3, Kernel.axis_kernel(2, 2))
     edges = kernel_edges(g, k)
     pairs = [(edges[0], edges[5]), (edges[9], edges[9])]
-    values, errs = covariances(A, pairs, 2.0, TIGHT)
+    values, errs = covariances(A, pairs, 2.0)
     for (a, b), v, e in zip(pairs, values, errs):
         assert v == pytest.approx(green_column_covariance(A, a, b, 2.0), rel=1e-12)
-        assert e == pytest.approx(TIGHT.rel_tolerance * abs(v), rel=1e-15)
+        assert e == pytest.approx(TIGHT * abs(v), rel=1e-15)
 
 
-def test_other_kernels_solve_once_per_distinct_edge(monkeypatch):
+def test_other_kernels_solve_once_per_distinct_edge(monkeypatch, rel_tolerance):
+    rel_tolerance(TIGHT)
     A, g, k = make_operator(2, 3, Kernel.axis_kernel(2, 2))
     a, b = kernel_edges(g, k)[4], kernel_edges(g, k)[11]
     solves = []
     monkeypatch.setattr(gaussian, "solve_array",
                         lambda *args: solves.append(args) or solve_array(*args))
-    values, _ = covariances(A, [(a, a), (a, b), (b, a), (b, b)], 1.0, TIGHT)
+    values, _ = covariances(A, [(a, a), (a, b), (b, a), (b, b)], 1.0)
     assert len(solves) == 2
     assert values[1] == values[2]
     for (x, y), v in zip([(a, a), (a, b)], values):
         assert v == pytest.approx(green_column_covariance(A, x, y, 1.0), rel=1e-12)
 
 
-def test_covariance_form_is_positive_semidefinite():
+def test_covariance_form_is_positive_semidefinite(rel_tolerance):
+    rel_tolerance(TIGHT)
     A, g, k = make_operator(2, 1)
     edges = kernel_edges(g, k)[:6]
-    gram = np.array([[covariance(A, a, b, 1.0, TIGHT) for b in edges] for a in edges])
+    gram = np.array([[covariance(A, a, b, 1.0) for b in edges] for a in edges])
     rng = np.random.default_rng(4)
     for _ in range(10):
         c = rng.normal(size=len(edges))
@@ -483,26 +494,29 @@ def test_covariance_form_is_positive_semidefinite():
 # surface identity
 
 
-def test_surface_identity_single_site_exact():
+def test_surface_identity_single_site_exact(rel_tolerance):
+    rel_tolerance(TIGHT)
     A, _, _ = make_operator(2, 0)
-    assert surface_identity_check(A, TIGHT) <= 1e-13
+    assert surface_identity_check(A) <= 1e-13
 
 
 @pytest.mark.parametrize("d,L", [(2, 4), (3, 3)])
-def test_surface_identity_small_boxes(d, L):
+def test_surface_identity_small_boxes(d, L, rel_tolerance):
+    rel_tolerance(TIGHT)
     A, _, _ = make_operator(d, L)
-    assert surface_identity_check(A, TIGHT) <= 1e-8
+    assert surface_identity_check(A) <= 1e-8
 
 
 @pytest.mark.parametrize("L", [1, 2])
-def test_surface_identity_adjoint_matches_per_column_reference(L):
+def test_surface_identity_adjoint_matches_per_column_reference(L, rel_tolerance):
+    rel_tolerance(TIGHT)
     A, g, k = make_operator(2, L)
-    deviation = surface_identity_check(A, TIGHT)
+    deviation = surface_identity_check(A)
     # reference: one Green solve per source site y, summed over boundary edges
     bedges = oracle_boundary_edges(g, k)
     worst = 0.0
     for y in sites(g):
-        u = green_column(A, y, TIGHT)
+        u = green_column(A, y)
         s = sum(w * u[g.index_of(i)] for i, _, w in bedges)
         worst = max(worst, abs(s - 1.0))
     assert deviation == pytest.approx(worst, abs=1e-9)

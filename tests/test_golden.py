@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import strict_json
 from gradlab.cli import EXIT_OK, parse_config, run
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -129,7 +130,8 @@ def test_csv_matches_golden_bytes(name, tmp_path):
     assert result.exit_code == EXIT_OK
     (csv_path,) = [f for f in result.files if f.suffix == ".csv"]
     assert csv_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
-    assert result.manifest["summaries"] == json.loads(
+    manifest = strict_json((tmp_path / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["summaries"] == json.loads(
         (GOLDEN / f"{name}.summaries.json").read_text(encoding="utf-8"))
 
 

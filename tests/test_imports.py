@@ -31,9 +31,9 @@ config, out, experiment = sys.argv[1:]
 record = cli.EXPERIMENTS[experiment]
 added = []
 
-def watched(cfg, out_dir):
+def watched(cfg):
     before = set(sys.modules)
-    result = record.run(cfg, out_dir)
+    result = record.run(cfg)
     added.extend(sorted(set(sys.modules) - before))
     return result
 
