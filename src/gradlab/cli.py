@@ -380,7 +380,7 @@ def _run_gaussian_exact(cfg: ExperimentConfig) -> Outcome:
     summary = {
         "side_means": [float(m) for m in sides.mean(axis=0)],
         "side_stderrs": [float(s) for s in sides.std(axis=0, ddof=1) / math.sqrt(n)]
-        if n > 1 else [0.0] * 4,
+        if n > 1 else None,
         "max_divergence_residual": max(r[1] for r in rows),
     }
     return (["realization", "max_divergence_residual",
@@ -446,8 +446,10 @@ def _run_decay(cfg: ExperimentConfig) -> Outcome:
     scan = diagnostics.decay_scan_d3(cfg.L, list(cfg.r_list), cfg.eta2)
     rows = [[r, c, rc] for (r, c, _), (_, rc, _)
             in zip(scan.covariance.rows, scan.compensated.rows)]
+    # e / inf reads 0: an overflowed covariance has no relative error bound
     summary: dict[str, Any] = {"max_relative_err": max(
-        e / abs(c) for _, c, e in scan.covariance.rows)}
+        e / abs(c) for _, c, e in scan.covariance.rows)
+        if _finite(scan.covariance.rows) else None}
     positive = [r for r in scan.covariance.rows if r[0] > 0]
     if len(positive) >= 3 and _finite(positive):
         f = diagnostics.fit("power-law", diagnostics.ScanResult(tuple(positive)))

@@ -34,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gaussian
-from .model import (BoxGeometry, DisorderSpec, Edge, HeightField, Kernel,
-                    VectorField, boundary_table, sample_disorder, site_flux)
+from .model import (BoxGeometry, DisorderSpec, Edge, Kernel, VectorField,
+                    boundary_table, sample_disorder, site_flux)
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,10 @@ class DecayScan(NamedTuple):
 # divergence bookkeeping
 
 
-def divergence_residual(X: VectorField, eta: HeightField) -> tuple[np.ndarray, float]:
+def divergence_residual(X: VectorField, eta: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-site residuals r_i = eta_i - sum_j p(j-i) X_ij and their max |.|,
     the flux being ``model.site_flux``."""
-    residuals = eta.values - site_flux(X)
+    residuals = eta - site_flux(X)
     return residuals, float(np.max(np.abs(residuals)))
 
 
@@ -148,7 +148,7 @@ def clt_scan(L_list: list[int], n_realizations: int,
         stats = np.empty(n_realizations)
         for r in range(n_realizations):
             eta = sample_disorder(spec.with_realization(spec.realization + r), g)
-            stats[r] = eta.values.sum() / L
+            stats[r] = eta.sum() / L
         rows.append((float(L), float(stats.var(ddof=1)),
                      _jackknife_variance_err(stats)))
     return ScanResult(tuple(rows))

@@ -32,8 +32,8 @@ from itertools import product
 import numpy as np
 
 from . import NumericalError
-from .model import (BoxGeometry, Edge, HeightField, Kernel, Site, VectorField,
-                    _pad_heights, _shifted, gradient_of, validate_kernel)
+from .model import (BoxGeometry, Edge, Kernel, Site, VectorField, _pad_heights,
+                    _shifted, gradient_of, validate_kernel)
 
 
 class SolverError(NumericalError):
@@ -152,10 +152,17 @@ def solve_array(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
     and the residual evaluation that checks u ends the solve.  Otherwise
     conjugate gradients preconditioned by M^-1 continue from u until the
     updated residual meets the target, for at most 10 * n steps, and one
-    more residual evaluation checks their result.
+    more residual evaluation checks their result.  Where ||b||^2 overflows,
+    it solves for b / 2^k, 2^k <= max |b| < 2^(k+1): exact, and no norm overflows.
     """
     b = np.asarray(b, dtype=float)
-    norm_b = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):
+        norm_b = float(np.linalg.norm(b))
+    unit = 1.0
+    if norm_b == math.inf:
+        unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(b))))[1] - 1)
+        b = b / unit
+        norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return np.zeros_like(b)
     goal, stopped = REL_TOLERANCE * norm_b, None
@@ -178,18 +185,18 @@ def solve_array(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
         else:
             stopped = f"conjugate gradients did not converge within {10 * A.n} steps"
         achieved = float(np.linalg.norm(b - A.apply(x)))
-    if stopped is not None or achieved > goal * 1.001:
+    if stopped is not None or not achieved <= goal * 1.001:
         raise SolverError(f"{stopped or 'solve missed the tolerance'}: residual "
-                          f"{achieved:.3e} > {REL_TOLERANCE:.1e} * ||b|| = "
-                          f"{goal:.3e}", achieved)
+                          f"{achieved * unit:.3e} > {REL_TOLERANCE:.1e} * ||b|| = "
+                          f"{goal * unit:.3e}", achieved * unit)
+    x *= unit
     return x
 
 
-def mean_gradient(A: DirichletLaplacian, eta: HeightField) -> VectorField:
+def mean_gradient(A: DirichletLaplacian, eta: np.ndarray) -> VectorField:
     """Mean gradient field X_ij = u_i - u_j with u = G eta (one solve), on
     every kernel edge touching the box: the gradient of u, 0 outside."""
-    u = HeightField(A.geometry, solve_array(A, eta.values))
-    return gradient_of(A.kernel, u)
+    return gradient_of(A.geometry, A.kernel, solve_array(A, eta))
 
 
 def _edge_response(A: DirichletLaplacian, edge: Edge) -> np.ndarray:

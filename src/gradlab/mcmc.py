@@ -17,33 +17,25 @@ neighbours' mean, w the proposal width: an independence proposal for alpha
 (Adler, Phys. Rev. D 23, 1981; Neal 1998).  It moves iff an Exp(1)
 threshold is >= E(h') - E(h), E(x) = sum_j p(j - i) [(a - 1/w^2)/2 (x -
 phi_j)^2 + b (x - phi_j)^4], so quadratic V at w = 1/sqrt(a) moves always.
-Burn-in starts from w = ``START_WIDTH``, runs at alpha = 0 and sets w^2 =
-mean(r^2) / (1 + mean(r eta)), r = h - m, over the later half of its blocks
-(exact for a harmonic conditional; 1/a at once for b = 0); measurement
-keeps w and every sweep, and reflects with alpha = ``OVERRELAX``, only
-after a burn-in: about an untuned centre it can stick.
+Burn-in (``tune``) starts from w = ``START_WIDTH``, runs at alpha = 0 and
+sets w^2 = mean(r^2) / (1 + mean(r eta)), r = h - m, over the later half of
+its blocks (exact for a harmonic conditional; 1/a at once for b = 0);
+measurement (``measured_blocks``) keeps w and every sweep, and reflects
+with alpha = ``OVERRELAX``, only after a burn-in: about an untuned centre
+it can stick.  An estimator tunes a chain once and sums what it needs in
+one pass over the measured blocks.
 
 Heights are stored in class order, so a class is a slice of them, lined up
-with its columns of random numbers, and a step updates it in place.  The
-offsets h' - (1 - alpha) m - alpha h are formed once per block of sweeps.  A
-step gathers the neighbours' heights and the site's own into a buffer of its
-class's, forms (1 - alpha) m + alpha h in one stencil dot over them into the
-buffer's spare last row and adds the offset there, then forms every h' -
-phi_j and h - phi_j in one product with a constant matrix of 0 and +-1: two
-nonzero terms per entry, so each is rounded once, as a subtraction is,
-whatever order BLAS sums in (a zero may differ in sign, which squaring
-drops; only a proposal past the cap, whose block runs again, can bring in a
-height that is not finite).  E at both heights is one more dot
-over their squares and fourth powers.  The step loop runs over buffers built
-once per chain; the stencil and energy rows are formed again only when the
-width or alpha changes, and every call of a step is bound once per block
-and given its output positionally (``ndarray.dot`` in place of ``np.dot``,
-``np.putmask`` in place of ``np.copyto(..., where=)``), which skips
-Python-level dispatch and keyword parsing.
-A reflection is no convex combination of heights, so the height cap is
-tested on each block's proposals after it, by their maximum and minimum; if
-one passed ``HEIGHT_CAP`` or is NaN, the block runs again from its start, on
-the same draws, testing every step.
+with its columns of random numbers, and a step updates it in place: it
+gathers the neighbours' heights and the site's own into a buffer built once
+per chain, forms (1 - alpha) m + alpha h in one stencil dot, every h' -
+phi_j and h - phi_j in one product with a constant matrix of 0 and +-1 (two
+nonzero terms per entry, so each is rounded once, as a subtraction is), and
+E at both heights in one more dot over their squares and fourth powers; the
+README's sampler section gives the details.  A reflection is no convex
+combination of heights, so the height cap is tested on each block's
+proposals after it; if one passed ``HEIGHT_CAP`` or is NaN, the block runs
+again from its start, on the same draws, testing every step.
 
 The main estimator is the time average of V'(phi_i - phi_j) on every
 kernel edge, with batch-means error bars, as edge fields like the exact
@@ -59,6 +51,7 @@ the ``model.site_flux`` of the exact diagnostics.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -67,8 +60,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import divergence_residual
-from .model import (BoxGeometry, HeightField, Kernel, Potential, VectorField,
-                    chain_stream, edge_table, neighbor_index, site_flux)
+from .model import (BoxGeometry, Kernel, Potential, VectorField, chain_stream,
+                    edge_table, neighbor_index, site_flux)
 
 #: proposals beyond this height are rejected outright (and counted); the
 #: superlinear growth of V makes genuine excursions this large impossible
@@ -181,7 +174,7 @@ class Chain:
     """
 
     def __init__(self, g: BoxGeometry, k: Kernel, vpot: Potential,
-                 eta: HeightField, seed: int = 0, chain: int = 0):
+                 eta: np.ndarray, seed: int = 0, chain: int = 0):
         classes = colour_classes(g, k)
         order = np.concatenate(classes)
         self.slot = np.argsort(np.append(order, g.n_sites))  # the inverse permutation
@@ -201,7 +194,7 @@ class Chain:
                 slice(lo, hi), np.ascontiguousarray(stencil_slots[:, lo:hi]), gathered,
                 gathered[:-1], gathered[-1], self.ph[lo:hi], *powers,
                 powers.reshape(4 * n_nbrs, -1), np.empty(hi - lo)))
-        self.eta = eta.values[order]
+        self.eta = np.asarray(eta, dtype=float)[order]
         self.weights = np.array([w for _, w in k.support()])
         self.vpot = vpot
         self.rng = chain_stream(seed, chain)
@@ -299,72 +292,84 @@ class Chain:
 # public operations
 
 
-def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
-                           eta: HeightField, cfg: SamplerConfig,
-                           seed: int = 0, chain: int = 0) -> GradientEstimate:
-    """Run one chain and estimate the gradient mean on every kernel edge.
-
-    Burn-in (which sets the proposal width, from ``START_WIDTH``) is
-    followed by measurement of V'(phi_i - phi_j) after every sweep, formed
-    per block in an (edges, sweeps) buffer, edges in ``kernel_edges``
-    order, and summed along each edge's row.  Measurement runs the largest
-    multiple of ``N_BATCHES`` sweeps that ``cfg.measure_sweeps`` holds (the
-    estimate's ``retained``), over-relaxed with ``OVERRELAX`` after a
-    burn-in and not without one.  Poor mixing shows up as large stderr, never as an
-    error; proposals past ``HEIGHT_CAP`` are counted in ``cap_rejects``.
-    """
-    sampler = Chain(g, k, vpot, eta, seed=seed, chain=chain)
+def tune(chain: Chain, burn_in_sweeps: int) -> tuple[float, float]:
+    """Burn the chain in, in blocks of ``BLOCK`` sweeps at alpha = 0, and
+    return the proposal width it tuned and |w_k / w_(k-1) - 1| of its last
+    block (0 without burn-in or for b = 0)."""
+    vpot = chain.vpot
     width, change = START_WIDTH, 0.0
-
-    # burn-in sets the width by linear response: under a harmonic conditional
-    # of stiffness 1/w^2, E[r^2] = w^2 (1 + E[r eta]); for b = 0 it is a
-    if vpot.b == 0.0 and cfg.burn_in_sweeps:
+    # the width by linear response: under a harmonic conditional of
+    # stiffness 1/w^2, E[r^2] = w^2 (1 + E[r eta]); for b = 0 it is a
+    if vpot.b == 0.0 and burn_in_sweeps:
         width = 1.0 / math.sqrt(vpot.a)
-    n_nbrs, n = sampler.slots.shape
-    # edge endpoints as positions in the chain's class-ordered heights
-    ei, ej = sampler.slot[edge_table(g, k)[0]]
-    # scratch for a block's arrays, each a contiguous prefix of it: burn-in's
-    # neighbour heights, one row of K per sweep and site, then measurement's
-    # two (edges, sweeps) arrays
-    scratch = np.empty(BLOCK * max(n * n_nbrs, 2 * len(ei)))
+    n_nbrs, n = chain.slots.shape
     moments = []
-    for done in range(0, cfg.burn_in_sweeps, BLOCK):
-        todo = min(BLOCK, cfg.burn_in_sweeps - done)
-        _, kept = sampler.run(width, todo)
+    for done in range(0, burn_in_sweeps, BLOCK):
+        todo = min(BLOCK, burn_in_sweeps - done)
+        _, kept = chain.run(width, todo)
         if vpot.b:
-            gathered = scratch[:todo * n * n_nbrs].reshape(todo, n, n_nbrs)
-            np.take(kept, sampler.slots.T, 1, gathered, "wrap")
-            m = gathered.reshape(-1, n_nbrs).dot(sampler.weights)
+            # each sweep's neighbour heights, one row of K per site
+            nbrs = np.take(kept, chain.slots.T, 1, None, "wrap")
+            m = nbrs.reshape(-1, n_nbrs).dot(chain.weights)
             r = kept[:, :-1] - m.reshape(todo, n)
-            moments.append((np.vdot(r, r), np.dot(r, sampler.eta).sum(), r.size))
+            moments.append((np.vdot(r, r), np.dot(r, chain.eta).sum(), r.size))
             # the later half of the blocks run, the earlier ones a transient
             sq, cross, count = np.sum(moments[len(moments) // 2:], axis=0)
             square = sq / (count + cross) if count + cross > 0.0 else math.nan
             tuned = math.sqrt(square) if 0.0 < square < math.inf else width
             change, width = abs(tuned / width - 1.0), tuned
+    return width, change
 
+
+def measured_blocks(chain: Chain, width: float, batch_size: int,
+                    alpha: float) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Run ``N_BATCHES`` batches of ``batch_size`` sweeps in blocks of at
+    most ``BLOCK``, and yield each block's batch with ``Chain.run``'s
+    (accepted, kept); ``kept[:, chain.slot[:-1]]`` is in site order."""
+    for batch in range(N_BATCHES):
+        for done in range(0, batch_size, BLOCK):
+            yield (batch, *chain.run(width, min(BLOCK, batch_size - done), alpha))
+
+
+def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
+                           eta: np.ndarray, cfg: SamplerConfig,
+                           seed: int = 0, chain: int = 0) -> GradientEstimate:
+    """Run one chain and estimate the gradient mean on every kernel edge.
+
+    ``tune`` is followed by ``measured_blocks``, whose V'(phi_i - phi_j)
+    after every sweep is formed per block in an (edges, sweeps) buffer,
+    edges in ``kernel_edges`` order, and summed along each edge's row.
+    Measurement runs the largest multiple of ``N_BATCHES`` sweeps that
+    ``cfg.measure_sweeps`` holds (the estimate's ``retained``), over-relaxed
+    with ``OVERRELAX`` after a burn-in and not without one.  Poor mixing
+    shows up as large stderr, never as an error; proposals past
+    ``HEIGHT_CAP`` are counted in ``cap_rejects``.
+    """
+    sampler = Chain(g, k, vpot, eta, seed=seed, chain=chain)
+    width, change = tune(sampler, cfg.burn_in_sweeps)
     # reflect only about a tuned width's centre: at an untuned one it can stick
     alpha = OVERRELAX if cfg.burn_in_sweeps else 0.0
     retained = cfg.measure_sweeps // N_BATCHES * N_BATCHES
     batch_size = retained // N_BATCHES
+    # edge endpoints as positions in the chain's class-ordered heights
+    ei, ej = sampler.slot[edge_table(g, k)[0]]
+    # a block's two (edges, sweeps) arrays, a contiguous prefix of the buffer
+    buffer = np.empty(2 * len(ei) * BLOCK)
     batch_sums = np.zeros((N_BATCHES, len(ei)))
     total_sq = np.zeros(len(ei))
     accepted_meas = 0
-    for batch in range(N_BATCHES):
-        for done in range(0, batch_size, BLOCK):
-            todo = min(BLOCK, batch_size - done)
-            accepted, kept = sampler.run(width, todo, alpha)
-            accepted_meas += accepted
-            t, dv = scratch[:2 * len(ei) * todo].reshape(2, len(ei), todo)
-            # kept.T is C order, so each edge's row of sweeps is contiguous and
-            # sum(axis=1) adds it in numpy's pairwise order
-            np.take(kept.T, ei, 0, t, "wrap")
-            np.take(kept.T, ej, 0, dv, "wrap")
-            t -= dv
-            vpot.derivative(t, dv)
-            batch_sums[batch] += dv.sum(axis=1)
-            np.multiply(dv, dv, t)
-            total_sq += t.sum(axis=1)
+    for batch, accepted, kept in measured_blocks(sampler, width, batch_size, alpha):
+        accepted_meas += accepted
+        t, dv = buffer[:2 * len(ei) * len(kept)].reshape(2, len(ei), len(kept))
+        # kept.T is C order, so each edge's row of sweeps is contiguous and
+        # sum(axis=1) adds it in numpy's pairwise order
+        np.take(kept.T, ei, 0, t, "wrap")
+        np.take(kept.T, ej, 0, dv, "wrap")
+        t -= dv
+        vpot.derivative(t, dv)
+        batch_sums[batch] += dv.sum(axis=1)
+        np.multiply(dv, dv, t)
+        total_sq += t.sum(axis=1)
 
     batch_means = batch_sums / batch_size
     means = batch_means.mean(axis=0)
@@ -383,7 +388,7 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
 
 
 def divergence_check(est: GradientEstimate,
-                     eta: HeightField) -> tuple[np.ndarray, np.ndarray]:
+                     eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-site divergence residuals of the estimated field, with stderrs.
 
     residual_i = eta_i - sum_j p(j-i) Xhat_{ij}.  The standard error is

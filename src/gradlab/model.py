@@ -15,8 +15,10 @@ for an even pair potential V that grows faster than linearly.
 A box is its dimension and size.  Arrays over it padded by the kernel
 range turn a kernel offset into a shifted view, and ``neighbor_index`` is
 the one stencil table behind the edge table and the sampler's neighbour
-table.  Edge fields are flat arrays of values in ``edge_table`` order,
-the order of ``kernel_edges``.
+table.  Site fields (heights, the disorder, site fluxes) are float arrays
+in site order, the row-major order of ``BoxGeometry.index_of``, under any
+leading axes.  Edge fields are flat arrays of values in ``edge_table``
+order, the order of ``kernel_edges``.
 """
 
 from __future__ import annotations
@@ -60,14 +62,7 @@ class Kernel:
     @classmethod
     def nearest_neighbor(cls, d: int) -> "Kernel":
         """p(+-e_nu) = 1/(2d), the simple random walk kernel."""
-        w = 1.0 / (2 * d)
-        wmap: dict[Site, float] = {}
-        for ax in range(d):
-            for s in (1, -1):
-                v = [0] * d
-                v[ax] = s
-                wmap[tuple(v)] = w
-        return cls.from_map(d, wmap)
+        return cls.axis_kernel(d, 1)
 
     @classmethod
     def axis_kernel(cls, d: int, reach: int) -> "Kernel":
@@ -75,14 +70,9 @@ class Kernel:
         if reach < 1:
             raise ValueError("reach must be >= 1")
         w = 1.0 / (2 * d * reach)
-        wmap: dict[Site, float] = {}
-        for ax in range(d):
-            for k in range(1, reach + 1):
-                for s in (1, -1):
-                    v = [0] * d
-                    v[ax] = s * k
-                    wmap[tuple(v)] = w
-        return cls.from_map(d, wmap)
+        return cls.from_map(d, {tuple(s * k * (a == ax) for a in range(d)): w
+                                for ax in range(d) for k in range(1, reach + 1)
+                                for s in (1, -1)})
 
     @cached_property
     def range(self) -> int:
@@ -298,22 +288,6 @@ def kernel_edges(g: BoxGeometry, k: Kernel) -> tuple[Edge, ...]:
 # fields
 
 
-class HeightField:
-    """Real heights on the interior sites; zero outside (the fixed boundary
-    condition of the model)."""
-
-    __slots__ = ("geometry", "values")
-
-    def __init__(self, geometry: BoxGeometry, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (geometry.n_sites,):
-            raise ValueError(f"expected {geometry.n_sites} values, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("heights must be finite")
-        self.geometry = geometry
-        self.values = values
-
-
 @dataclass(frozen=True)
 class DisorderSpec:
     """Distribution family, second moment and stream identity of the disorder.
@@ -360,8 +334,17 @@ def chain_stream(seed: int, chain: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def sample_disorder(spec: DisorderSpec, g: BoxGeometry) -> HeightField:
-    """Draw the i.i.d. field on the interior of g.
+class SiteArray(np.ndarray):
+    """The float array ``sample_disorder`` returns; ``values`` is its data as
+    a plain array, which ``perfbench/workloads.py`` reads from a draw."""
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.view(np.ndarray)
+
+
+def sample_disorder(spec: DisorderSpec, g: BoxGeometry) -> SiteArray:
+    """Draw the i.i.d. field on the interior of g, in site order.
 
     Deterministic given (seed, realization): values are filled in site index
     order from the realization's own stream.
@@ -376,7 +359,7 @@ def sample_disorder(spec: DisorderSpec, g: BoxGeometry) -> HeightField:
     else:  # uniform, variance (2a)^2 / 12 = eta2
         a = np.sqrt(3.0 * spec.eta2)
         vals = rng.uniform(-a, a, size=n)
-    return HeightField(g, vals)
+    return vals.view(SiteArray)
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,13 +458,15 @@ class Potential:
 # operations
 
 
-def gradient_of(k: Kernel, phi: HeightField) -> VectorField:
-    """Edge differences phi_i - phi_j on every kernel edge touching the box
-    of the heights, one gather of the heights at each end.
+def gradient_of(g: BoxGeometry, k: Kernel, heights: np.ndarray) -> VectorField:
+    """Edge differences phi_i - phi_j on every kernel edge touching the box,
+    of heights in site order under any leading axes (kept), one gather of
+    the heights at each end.
 
     Heights outside the box are the boundary value 0, so boundary-crossing
     edges carry the interior height itself (up to orientation).
     """
-    ends = edge_table(phi.geometry, k).ends
-    heights = np.append(phi.values, 0.0)
-    return VectorField(phi.geometry, k, heights[ends[0]] - heights[ends[1]])
+    ends = edge_table(g, k).ends
+    padded = np.zeros(np.shape(heights)[:-1] + (g.n_sites + 1,))
+    padded[..., :-1] = heights
+    return VectorField(g, k, padded.take(ends[0], -1) - padded.take(ends[1], -1))

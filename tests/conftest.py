@@ -14,7 +14,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from gradlab import gaussian
 from gradlab.gaussian import _mode_terms, _symbol, covariances, solve_array
-from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
+from gradlab.model import (BoxGeometry, DisorderSpec, Kernel,
                            Potential, VectorField, boundary_table, edge_table,
                            kernel_edges, neighbor_index, sample_disorder)
 
@@ -76,7 +76,7 @@ def weight(k, v):
 
 
 def zero_heights(g):
-    return HeightField(g, np.zeros(g.n_sites))
+    return np.zeros(g.n_sites)
 
 
 def zero_field(g, k):
@@ -144,8 +144,8 @@ def strict_json(text):
 
 
 def solve_green(A, source):
-    """Solve (I - P) u = source on the box, as a HeightField."""
-    return HeightField(A.geometry, solve_array(A, source.values))
+    """Solve (I - P) u = source on the box."""
+    return solve_array(A, source)
 
 
 def green_column(A, y):
@@ -245,7 +245,7 @@ def integral_form_check(X, eta):
     surface sum adds p(j - i) X_ij left to right from 0.0, in
     ``boundary_table`` order, as ``boundary_ergodic_average`` adds a side's.
     """
-    volume = float(np.sum(eta.values))
+    volume = float(np.sum(eta))
     table = boundary_table(X.geometry, X.kernel)
     surface = reduce(operator.add, (table.weights * X.values[table.edges]).tolist(), 0.0)
     return IntegralFormCheck(volume, surface, volume - surface)
@@ -458,11 +458,10 @@ def random_heights(g, seed=0, scale=1.0):
     return rng.normal(0.0, scale, size=g.n_sites)
 
 
-def height_at(field, site):
-    """Height of a HeightField at any site; sites outside the box read the
-    boundary value 0."""
-    g = field.geometry
-    return float(field.values[g.index_of(site)]) if g.contains(site) else 0.0
+def height_at(g, heights, site):
+    """Height at any site of heights in site order on the box g; sites
+    outside the box read the boundary value 0."""
+    return float(heights[g.index_of(site)]) if g.contains(site) else 0.0
 
 
 def conditional_logdensity(g, k, vpot, phi, eta, site, t):
@@ -476,8 +475,8 @@ def conditional_logdensity(g, k, vpot, phi, eta, site, t):
         raise ValueError(f"site {site} is not interior")
     total = 0.0
     for v, w in k.support():
-        total -= w * float(vpot.value(t - height_at(phi, add(site, v))))
-    return total + height_at(eta, site) * t
+        total -= w * float(vpot.value(t - height_at(g, phi, add(site, v))))
+    return total + height_at(g, eta, site) * t
 
 
 def oracle_energy(g, k, vpot, phi, eta):
@@ -489,12 +488,13 @@ def oracle_energy(g, k, vpot, phi, eta):
             v = tuple(b - a for a, b in zip(i, j))
             w = weight(k, v)
             if w:
-                total += 0.5 * w * float(vpot.value(height_at(phi, i) - height_at(phi, j)))
+                t = height_at(g, phi, i) - height_at(g, phi, j)
+                total += 0.5 * w * float(vpot.value(t))
         for v, w in k.support():
             j = add(i, v)
             if not g.contains(j):
-                total += w * float(vpot.value(height_at(phi, i)))
-        total -= height_at(eta, i) * height_at(phi, i)
+                total += w * float(vpot.value(height_at(g, phi, i)))
+        total -= height_at(g, eta, i) * height_at(g, phi, i)
     return total
 
 

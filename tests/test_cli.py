@@ -440,6 +440,23 @@ def test_decay_manifest_reports_the_largest_relative_error_bound(tmp_path):
     assert manifest["summaries"]["max_relative_err"] == max(e / abs(c) for _, c, e in rows)
 
 
+def test_decay_manifest_has_no_error_bound_beside_an_overflowed_covariance(tmp_path):
+    cfg = parse_config("experiment=decay\nd=3\nL=2\nr_list=0\neta2=1e308\n")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run(cfg, tmp_path).exit_code == EXIT_NUMERICAL
+    assert read_csv(tmp_path / "decay.csv")[1][1] == "inf"
+    manifest = strict_json((tmp_path / "run_manifest.json").read_text())
+    assert manifest["summaries"]["max_relative_err"] is None
+
+
+def test_one_realization_reports_no_side_stderrs(tmp_path):
+    cfg = parse_config("experiment=gaussian-exact\nd=2\nL=3\nn_realizations=1\n")
+    assert run(cfg, tmp_path).exit_code == EXIT_OK
+    summaries = strict_json((tmp_path / "run_manifest.json").read_text())["summaries"]
+    assert summaries["side_stderrs"] is None
+    assert len(summaries["side_means"]) == 4
+
+
 def test_clt_run_includes_analytic_column(tmp_path):
     cfg = parse_config("experiment=clt\nL_list=8\nn_realizations=200\nseed=3\n")
     result = run(cfg, tmp_path)

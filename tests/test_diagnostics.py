@@ -16,7 +16,7 @@ from gradlab.diagnostics import (FitResult, ScanResult,
                                  divergence_residual, fit,
                                  second_moment_identity, variance_scaling_scan)
 from gradlab.gaussian import DirichletLaplacian, mean_gradient
-from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
+from gradlab.model import (BoxGeometry, DisorderSpec, Kernel,
                            VectorField, kernel_edges, sample_disorder)
 
 
@@ -46,7 +46,7 @@ def test_divergence_residual_of_exact_gaussian_field():
 
 def test_divergence_residual_zero_everything():
     g, k, A, _ = setup_gaussian(2, 1)
-    eta = HeightField(g, np.zeros(g.n_sites))
+    eta = np.zeros(g.n_sites)
     w = zero_field(g, k)
     res, mx = divergence_residual(w, eta)
     assert mx == 0.0 and np.all(res == 0.0)
@@ -73,7 +73,7 @@ def test_integral_form_check_gaussian():
     X = mean_gradient(A, eta)
     chk = integral_form_check(X, eta)
     assert abs(chk.difference) <= g.n_sites * 1e-8
-    assert chk.volume_sum == pytest.approx(float(np.sum(eta.values)))
+    assert chk.volume_sum == pytest.approx(float(np.sum(eta)))
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -89,7 +89,7 @@ def test_stokes_telescoping_for_arbitrary_antisymmetric_fields(seed):
 
 def test_zero_disorder_arbitrary_field_bookkeeping():
     g, k, A, _ = setup_gaussian(2, 2)
-    eta = HeightField(g, np.zeros(g.n_sites))
+    eta = np.zeros(g.n_sites)
     w = random_antisymmetric_field(g, k, 17)
     res, _ = divergence_residual(w, eta)
     chk = integral_form_check(w, eta)

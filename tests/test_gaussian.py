@@ -13,7 +13,7 @@ from gradlab.gaussian import (DirichletLaplacian, SolverError,
                               _exp_nodes, _sin_pi, _sine_solve, _symbol,
                               covariances, mean_gradient, sine_diagonal,
                               solve_array, surface_identity_check)
-from gradlab.model import BoxGeometry, HeightField, Kernel, kernel_edges
+from gradlab.model import BoxGeometry, Kernel, kernel_edges
 
 #: the residual target of the tests that compare solves with oracles
 TIGHT = 1e-12
@@ -34,7 +34,7 @@ def make_operator(d, L, kernel=None):
 def delta_field(g, site):
     vals = np.zeros(g.n_sites)
     vals[g.index_of(site)] = 1.0
-    return HeightField(g, vals)
+    return vals
 
 
 def t_entry(A, edge, y):
@@ -43,8 +43,8 @@ def t_entry(A, edge, y):
     i, j = edge
     if i == j:
         return 0.0
-    u = HeightField(A.geometry, green_column(A, y))
-    return height_at(u, i) - height_at(u, j)
+    u = green_column(A, y)
+    return height_at(A.geometry, u, i) - height_at(A.geometry, u, j)
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +75,13 @@ def test_operator_is_symmetric(d, L):
 def test_solve_zero_source_is_zero():
     A, g, _ = make_operator(2, 2)
     u = solve_green(A, zero_heights(g))
-    assert np.all(u.values == 0.0)
+    assert np.all(u == 0.0)
 
 
 def test_single_site_green_is_identity():
     A, g, _ = make_operator(2, 0)
     u = solve_green(A, delta_field(g, (0, 0)))
-    assert height_at(u, (0, 0)) == pytest.approx(1.0, abs=1e-12)
+    assert height_at(g, u, (0, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_green_column_matches_dense_inverse(rel_tolerance):
@@ -98,9 +98,32 @@ def test_solver_error_reports_residual(rel_tolerance):
     A, g, _ = make_operator(2, 6, Kernel.axis_kernel(2, 2))
     eta = gaussian_eta(g)
     with pytest.raises(SolverError) as err:
-        solve_array(A, eta.values)
+        solve_array(A, eta)
     assert err.value.achieved_residual > 0.0
     assert "residual" in str(err.value)
+
+
+def test_a_wrong_sine_solve_of_a_huge_source_is_repaired(monkeypatch):
+    # ||b||^2 overflows at 1e200: the gate must still see a wrong answer,
+    # which conjugate gradients then repair
+    A, g, _ = make_operator(2, 3)
+    b = 1e200 * gaussian_eta(g)
+    monkeypatch.setattr(gaussian, "_sine_solve", lambda A, b: 1.5 * _sine_solve(A, b))
+    u = solve_array(A, b)
+    residual = (A.apply(u / 1e200) - b / 1e200) / np.linalg.norm(b / 1e200)
+    assert np.linalg.norm(residual) <= gaussian.REL_TOLERANCE
+
+
+def test_an_unreachable_tolerance_on_a_huge_source_is_reported(rel_tolerance):
+    rel_tolerance(1e-20)
+    A, g, _ = make_operator(2, 3)
+    eta = gaussian_eta(g)
+    with pytest.raises(SolverError) as err:
+        solve_array(A, 1e200 * eta)
+    assert 0.0 < err.value.achieved_residual < math.inf
+    # the goal 1e-20 ||b||, in the units of b
+    goal = float(str(err.value).rsplit("= ", 1)[1])
+    assert goal == pytest.approx(1e180 * np.linalg.norm(eta), rel=1e-3)
 
 
 def test_dst_solve_reports_an_unreachable_tolerance(rel_tolerance):
@@ -108,7 +131,7 @@ def test_dst_solve_reports_an_unreachable_tolerance(rel_tolerance):
     A, g, _ = make_operator(2, 8)
     eta = gaussian_eta(g)
     with pytest.raises(SolverError) as err:
-        solve_array(A, eta.values)
+        solve_array(A, eta)
     assert err.value.achieved_residual > 0.0
     assert "residual" in str(err.value)
 
@@ -275,7 +298,7 @@ def test_t_entry_matches_dense_inverse(rel_tolerance):
 
 def test_mean_gradient_of_zero_disorder_vanishes():
     A, g, k = make_operator(2, 1)
-    eta = HeightField(g, np.zeros(g.n_sites))
+    eta = np.zeros(g.n_sites)
     X = mean_gradient(A, eta)
     assert np.all(X.values == 0.0)
 
@@ -283,7 +306,7 @@ def test_mean_gradient_of_zero_disorder_vanishes():
 def test_mean_gradient_single_site_unit_field(rel_tolerance):
     rel_tolerance(TIGHT)
     A, g, k = make_operator(2, 0)
-    eta = HeightField(g, np.ones(1))
+    eta = np.ones(1)
     X = mean_gradient(A, eta)
     bedges = oracle_boundary_edges(g, k)
     assert len(bedges) == 4
@@ -297,7 +320,7 @@ def test_mean_gradient_matches_entrywise_assembly(rel_tolerance):
     eta = gaussian_eta(g, seed=2)
     X = mean_gradient(A, eta)
     for edge in kernel_edges(g, k):
-        assembled = sum(t_entry(A, edge, y) * height_at(eta, y) for y in sites(g))
+        assembled = sum(t_entry(A, edge, y) * height_at(g, eta, y) for y in sites(g))
         assert edge_value(X, *edge) == pytest.approx(assembled, abs=1e-9)
 
 

@@ -13,9 +13,10 @@ from gradlab.gaussian import DirichletLaplacian, mean_gradient
 from gradlab import mcmc
 from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, OVERRELAX, Chain,
                           GradientEstimate, SamplerConfig, colour_classes,
-                          divergence_check, estimate_gradient_mean)
-from gradlab.model import (BoxGeometry, DisorderSpec, HeightField,
-                           Kernel, Potential, VectorField, chain_stream, edge_table,
+                          divergence_check, estimate_gradient_mean,
+                          measured_blocks, tune)
+from gradlab.model import (BoxGeometry, DisorderSpec, Kernel, Potential,
+                           VectorField, chain_stream, edge_table, gradient_of,
                            kernel_edges, neighbor_index, sample_disorder)
 
 FAST = SamplerConfig(burn_in_sweeps=300, measure_sweeps=4000)
@@ -33,7 +34,7 @@ def with_overrelaxation(names, cases):
 def single_site_setup(eta_value=0.0):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry(2, 0)
-    eta = HeightField(g, np.array([eta_value]))
+    eta = np.array([eta_value])
     return g, k, eta
 
 
@@ -60,13 +61,12 @@ def test_conditional_logdensity_matches_energy_difference(name, quartic):
     phi_vals = rng.normal(size=g.n_sites)
     site = (0, 1)
     for t_new in (-1.2, 0.3, 2.4):
-        phi_old = HeightField(g, phi_vals.copy())
-        new_vals = phi_vals.copy()
-        new_vals[g.index_of(site)] = t_new
-        phi_new = HeightField(g, new_vals)
+        phi_old = phi_vals.copy()
+        phi_new = phi_vals.copy()
+        phi_new[g.index_of(site)] = t_new
         dlog = (conditional_logdensity(g, k, quartic, phi_old, eta, site, t_new)
                 - conditional_logdensity(g, k, quartic, phi_old, eta, site,
-                                         height_at(phi_old, site)))
+                                         height_at(g, phi_old, site)))
         dh = (oracle_energy(g, k, quartic, phi_new, eta)
               - oracle_energy(g, k, quartic, phi_old, eta))
         assert dlog == pytest.approx(-dh, abs=1e-10)
@@ -77,18 +77,17 @@ def test_conditional_logdensity_derivative_matches_energy_fd(quartic):
     k = Kernel.nearest_neighbor(1)
     g = BoxGeometry(1, 1)
     eta = gaussian_eta(g, seed=2)
-    vals = np.array([0.4, -0.2, 1.1])
-    phi = HeightField(g, vals)
+    phi = np.array([0.4, -0.2, 1.1])
     site = (0,)
     h = 1e-5
-    t0 = height_at(phi, site)
+    t0 = height_at(g, phi, site)
     dlog = (conditional_logdensity(g, k, quartic, phi, eta, site, t0 + h)
             - conditional_logdensity(g, k, quartic, phi, eta, site, t0 - h)) / (2 * h)
 
     def h_at(t):
-        v = vals.copy()
+        v = phi.copy()
         v[g.index_of(site)] = t
-        return oracle_energy(g, k, quartic, HeightField(g, v), eta)
+        return oracle_energy(g, k, quartic, v, eta)
 
     dh = (h_at(t0 + h) - h_at(t0 - h)) / (2 * h)
     assert dlog == pytest.approx(-dh, rel=1e-6)
@@ -164,17 +163,17 @@ def test_sweep_energy_change_matches_energy_difference(name, alpha, quartic):
         after, offsets = chain.ph[chain.slot][:-1], chain.work[0, 0]
         seen = start.copy()
         for cls, sites in zip(chain.classes, colour_classes(g, k)):
-            before = HeightField(g, seen.copy())
-            mean = neighbour_mean(g, k, before.values)
+            before = seen.copy()
+            mean = neighbour_mean(g, k, before)
             new, got = cls.new, cls.change
-            centre = (1.0 - alpha) * mean[sites] + alpha * before.values[sites]
+            centre = (1.0 - alpha) * mean[sites] + alpha * before[sites]
             assert new == pytest.approx(centre + offsets[cls.span], abs=1e-12)
-            centre = mean[sites] + eta.values[sites] * width ** 2
+            centre = mean[sites] + eta[sites] * width ** 2
             log_q = lambda x: -(x - centre) ** 2 / (2.0 * width ** 2)
-            log_ratio = log_q(new) - log_q(before.values[sites])
+            log_ratio = log_q(new) - log_q(before[sites])
             for site, h, change, want_q in zip(sites, new, got, log_ratio):
                 i = site_of(g, site)
-                dh = (conditional_logdensity(g, k, quartic, before, eta, i, before.values[site])
+                dh = (conditional_logdensity(g, k, quartic, before, eta, i, before[site])
                       - conditional_logdensity(g, k, quartic, before, eta, i, h))
                 assert change == pytest.approx(dh + want_q, abs=1e-10)
             seen[sites] = after[sites]
@@ -274,7 +273,7 @@ class SiteOrderChain:
             self.classes.append((sites, np.ascontiguousarray(stencil_slots[:, sites]),
                                  slice(lo, lo + len(sites))))
             lo += len(sites)
-        self.eta = np.concatenate([eta.values[sites] for sites, _, _ in self.classes])
+        self.eta = np.concatenate([eta[sites] for sites, _, _ in self.classes])
         self.weights = np.array([w for _, w in k.support()])
         self.vpot = vpot
         self.ph = np.zeros(g.n_sites + 1)
@@ -363,7 +362,7 @@ def test_chain_matches_oracle_where_the_cap_bound_trips(name, alpha):
     # goes past the cap
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
     g = BoxGeometry(2, 2)
-    eta = np.concatenate([gaussian_eta(g, seed=3).values[sites]
+    eta = np.concatenate([gaussian_eta(g, seed=3)[sites]
                           for sites in colour_classes(g, k)])
     offsets, _ = block_draws(chain_stream(3, 0), 1.0, eta, (25, g.n_sites))
     # each sweep's largest |offset| is at most the sum of its classes'
@@ -596,11 +595,39 @@ def test_estimates_match_site_order_oracle(d, L, name, vpot, burn_in, alpha,
 def test_zero_disorder_estimates_vanish(quartic):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry(2, 2)
-    eta = HeightField(g, np.zeros(g.n_sites))
+    eta = np.zeros(g.n_sites)
     est = estimate_gradient_mean(g, k, quartic, eta, FAST, seed=5)
     for e in kernel_edges(g, k):
         assert abs(edge_value(est.mean, *e)) <= 4.0 * edge_value(est.stderr, *e) + 1e-12
         assert edge_value(est.n_eff, *e) <= est.retained
+
+
+@pytest.mark.parametrize("vpot", [Potential.quadratic(1.0), Potential.quartic(1.0, 0.1)],
+                         ids=["quadratic", "quartic"])
+def test_a_tuned_chain_reads_as_the_estimator_reads_it(vpot):
+    # a second reader of the same seed: tune once, then sum site-ordered
+    # heights over measured_blocks, with no second burn-in
+    k = Kernel.nearest_neighbor(2)
+    g = BoxGeometry(2, 3)
+    eta = gaussian_eta(g, seed=4)
+    cfg = SamplerConfig(burn_in_sweeps=300, measure_sweeps=1500)
+    est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=6)
+    chain = Chain(g, k, vpot, eta, seed=6)
+    width, change = tune(chain, cfg.burn_in_sweeps)
+    heights, accepted, sweeps = np.zeros(g.n_sites), 0, np.zeros(N_BATCHES, int)
+    batch_size = est.retained // N_BATCHES
+    for batch, moved, kept in measured_blocks(chain, width, batch_size, OVERRELAX):
+        accepted += moved
+        sweeps[batch] += len(kept)
+        heights += kept[:, chain.slot[:-1]].sum(axis=0)
+    assert np.all(sweeps == batch_size)
+    assert (width, change) == (est.proposal_width, est.width_change)
+    assert accepted / (est.retained * g.n_sites) == est.acceptance_rate
+    assert chain.cap_rejects == est.cap_rejects
+    if vpot.b == 0.0:
+        # V' is linear: its mean on an edge is the gradient of the mean heights
+        mean = gradient_of(g, k, heights / est.retained)
+        np.testing.assert_allclose(mean.values, est.mean.values, rtol=0.0, atol=1e-12)
 
 
 def test_estimates_are_exactly_antisymmetric(quartic):
@@ -637,7 +664,7 @@ def test_overrelaxed_estimates_after_a_noisy_width_match_quadrature_oracle():
         eta = sample_disorder(DisorderSpec("gaussian", 1.0, seed), g)
         est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=seed)
         assert est.overrelaxation == OVERRELAX
-        oracle = single_site_quadrature_oracle(vpot, float(eta.values[0]),
+        oracle = single_site_quadrature_oracle(vpot, float(eta[0]),
                                                [w for _, w in k.support()])
         for v, _ in k.support():
             got = edge_value(est.mean, (0, 0), v)
@@ -711,7 +738,7 @@ def width_rule_fixed_point(g, k, vpot, eta, width):
     spread of its 16 windows of 750 sweeps, widened by the reference's own
     error."""
     if g.n_sites == 1:
-        eta_i = float(eta.values[0])
+        eta_i = float(eta[0])
         density = lambda t: math.exp(-float(vpot.value(t)) + eta_i * t)
         z = quad(density, -10.0, 10.0, limit=200)[0]
         moment = lambda f: quad(lambda t: f(t) * density(t), -10.0, 10.0, limit=200)[0] / z
@@ -726,7 +753,7 @@ def width_rule_fixed_point(g, k, vpot, eta, width):
         _, kept = chain.run(width, BLOCK)
         heights = kept[:, chain.slot[:-1]]
         r = heights - neighbour_mean(g, k, heights)
-        sums.append(np.stack([(r * r).sum(axis=1), r @ eta.values]))
+        sums.append(np.stack([(r * r).sum(axis=1), r @ eta]))
     sq, cross = np.concatenate(sums, axis=1)
     rule = lambda a, b: math.sqrt(a.sum() / (a.size * g.n_sites + b.sum()))
     windows = [rule(a, b) for a, b in zip(sq.reshape(16, -1), cross.reshape(16, -1))]

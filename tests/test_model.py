@@ -10,7 +10,7 @@ from conftest import (canonical_edge, edge_value, gaussian_eta, height_at,
                       loop_residuals, oracle_boundary_edges, oracle_energy,
                       random_heights, set_edge, site_of, sites, weight,
                       zero_field, zero_heights)
-from gradlab.model import (BoxGeometry, DisorderSpec, HeightField, Kernel,
+from gradlab.model import (BoxGeometry, DisorderSpec, Kernel,
                            Potential, gradient_of, kernel_edges,
                            sample_disorder, validate_kernel)
 
@@ -74,14 +74,14 @@ def test_geometry_indexing_roundtrip(d, L):
 
 
 def test_gradient_of_zero_field_vanishes(box33, nn2):
-    w = gradient_of(nn2, zero_heights(box33))
+    w = gradient_of(box33, nn2, zero_heights(box33))
     assert np.all(w.values == 0.0)
 
 
 def test_gradient_of_constant_field(box33, nn2):
     c = 1.75
-    phi = HeightField(box33, np.full(box33.n_sites, c))
-    w = gradient_of(nn2, phi)
+    phi = np.full(box33.n_sites, c)
+    w = gradient_of(box33, nn2, phi)
     for i, j, _ in oracle_boundary_edges(box33, nn2):
         assert edge_value(w, i, j) == pytest.approx(c)  # interior minus the 0 outside
     interior = [(e, v) for e, v in zip(kernel_edges(box33, nn2), w.values.tolist())
@@ -91,12 +91,30 @@ def test_gradient_of_constant_field(box33, nn2):
 
 def test_gradient_of_lives_on_the_box_of_its_heights(nn2):
     g = BoxGeometry(2, 2)
-    phi = HeightField(g, np.arange(1.0, g.n_sites + 1.0))
-    w = gradient_of(nn2, phi)
+    phi = np.arange(1.0, g.n_sites + 1.0)
+    w = gradient_of(g, nn2, phi)
     assert w.geometry == g
     assert w.values.shape == (len(kernel_edges(g, nn2)),)
     for i, j, _ in oracle_boundary_edges(g, nn2):
-        assert edge_value(w, i, j) == height_at(phi, i)  # the 0 outside
+        assert edge_value(w, i, j) == height_at(g, phi, i)  # the 0 outside
+
+
+def test_gradient_of_keeps_leading_axes(nn2):
+    g = BoxGeometry(2, 2)
+    phi = np.stack([random_heights(g, seed=s) for s in range(6)]).reshape(2, 3, -1)
+    w = gradient_of(g, nn2, phi)
+    assert w.values.shape == (2, 3, len(kernel_edges(g, nn2)))
+    for got, row in zip(w.values.reshape(6, -1), phi.reshape(6, -1)):
+        assert np.array_equal(got, gradient_of(g, nn2, row).values)
+
+
+def test_a_disorder_draw_is_a_plain_site_array():
+    g = BoxGeometry(2, 3)
+    eta = sample_disorder(DisorderSpec("gaussian", 1.0, seed=2), g)
+    assert isinstance(eta, np.ndarray) and eta.shape == (g.n_sites,)
+    # values: the same data as an ndarray, for readers of a draw's values
+    assert type(eta.values) is np.ndarray and np.shares_memory(eta, eta.values)
+    assert np.array_equal(eta.values, eta)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -104,12 +122,12 @@ def test_gradient_of_lives_on_the_box_of_its_heights(nn2):
 def test_gradients_satisfy_loop_condition(seed):
     g = BoxGeometry(2, 1)
     k = Kernel.nearest_neighbor(2)
-    phi = HeightField(g, random_heights(g, seed=seed, scale=3.0))
-    assert loop_residuals(g, gradient_of(k, phi)) <= 1e-14
+    phi = random_heights(g, seed=seed, scale=3.0)
+    assert loop_residuals(g, gradient_of(g, k, phi)) <= 1e-14
 
 
 def test_loop_residual_of_single_edge(box33, nn2):
-    w = gradient_of(nn2, zero_heights(box33))
+    w = gradient_of(box33, nn2, zero_heights(box33))
     set_edge(w, (0, 0), (0, 1), 1.0)
     assert loop_residuals(box33, w) == pytest.approx(1.0)
 
@@ -152,7 +170,7 @@ def test_boundary_edges_match_pair_enumeration_for_range_two_kernel():
 def test_kernel_edges_cover_gradient_support(box33, nn2):
     edges = kernel_edges(box33, nn2)
     assert len(edges) == len(set(edges)) == 24  # 12 interior + 12 boundary
-    w = gradient_of(nn2, zero_heights(box33))
+    w = gradient_of(box33, nn2, zero_heights(box33))
     assert w.values.shape == (len(edges),)
 
 
@@ -164,16 +182,16 @@ def test_rademacher_support_and_determinism():
     g = BoxGeometry(2, 3)
     spec = DisorderSpec("rademacher", 1.0, seed=7, realization=2)
     eta = sample_disorder(spec, g)
-    assert set(np.unique(eta.values)) <= {-1.0, 1.0}
+    assert set(np.unique(eta)) <= {-1.0, 1.0}
     again = sample_disorder(spec, g)
-    assert np.array_equal(eta.values, again.values)
+    assert np.array_equal(eta, again)
 
 
 def test_distinct_realizations_differ():
     g = BoxGeometry(2, 3)
     a = sample_disorder(DisorderSpec("gaussian", 1.0, 7, 0), g)
     b = sample_disorder(DisorderSpec("gaussian", 1.0, 7, 1), g)
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "rademacher", "uniform"])
@@ -182,8 +200,8 @@ def test_disorder_moments(family):
     eta2 = 2.0
     eta = sample_disorder(DisorderSpec(family, eta2, seed=11), g)
     n = g.n_sites
-    assert abs(eta.values.mean()) <= 4.0 * np.sqrt(eta2 / n)
-    assert abs((eta.values ** 2).mean() - eta2) <= 0.05 * eta2
+    assert abs(eta.mean()) <= 4.0 * np.sqrt(eta2 / n)
+    assert abs((eta ** 2).mean() - eta2) <= 0.05 * eta2
 
 
 def test_unknown_disorder_family_rejected():
@@ -248,24 +266,25 @@ def test_energy_single_site(quadratic):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry(2, 0)
     h = 0.8
-    eta = HeightField(g, np.array([h]))
+    eta = np.array([h])
     for t in (-1.3, 0.0, 0.4, 2.0):
-        phi = HeightField(g, np.array([t]))
+        phi = np.array([t])
         assert oracle_energy(g, k, quadratic, phi, eta) == pytest.approx(t * t / 2 - h * t)
 
 
 def test_interior_pair_term_is_shift_invariant(box55, nn2, quartic):
     # phi -> phi + c changes the energy only through the boundary pairs and
     # the field, counted here edge by edge
-    phi = HeightField(box55, random_heights(box55, seed=6))
+    phi = random_heights(box55, seed=6)
     eta = gaussian_eta(box55, seed=7)
     c = 4.25
-    shifted = HeightField(box55, phi.values + c)
-    boundary = sum(w * (quartic.value(height_at(phi, i) + c) - quartic.value(height_at(phi, i)))
+    shifted = phi + c
+    height = lambda i: height_at(box55, phi, i)
+    boundary = sum(w * (quartic.value(height(i) + c) - quartic.value(height(i)))
                    for i, _, w in oracle_boundary_edges(box55, nn2))
     change = (oracle_energy(box55, nn2, quartic, shifted, eta)
               - oracle_energy(box55, nn2, quartic, phi, eta))
-    assert change == pytest.approx(boundary - c * float(np.sum(eta.values)), rel=1e-10)
+    assert change == pytest.approx(boundary - c * float(np.sum(eta)), rel=1e-10)
     assert abs(change) > 1.0
 
 
