@@ -61,7 +61,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, NoReturn
+from typing import Any, Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -69,9 +69,6 @@ from . import NumericalError, __version__, diagnostics, gaussian
 from .model import (BoxGeometry, DisorderSpec, Kernel, Potential,
                     STREAM_CHAIN, STREAM_DISORDER, kernel_edges,
                     sample_disorder)
-
-if TYPE_CHECKING:
-    from . import mcmc
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -86,7 +83,7 @@ SECOND_MOMENT_TOLERANCE = 1e-6
 
 #: the keys of every run on a box, and of every run that samples disorder
 _BOX = frozenset({"d", "L", "kernel", "eta2"})
-_MODEL = _BOX | {"potential", "disorder", "seed"}
+_MODEL = _BOX | {"disorder", "seed"}
 
 #: the largest lattice dimension: the padded one-site box alone has 3^d
 #: cells (5^d for ``axis2``), and the nearest-neighbour kernel 2d offsets of
@@ -126,11 +123,6 @@ class ExperimentConfig:
         if self.kernel == "axis2":
             return Kernel.axis_kernel(self.d, 2)
         raise ConfigError(f"unknown kernel {self.kernel!r}")
-
-    def sampler(self) -> mcmc.SamplerConfig:
-        from . import mcmc
-        return mcmc.SamplerConfig(burn_in_sweeps=self.burn_in_sweeps,
-                                  measure_sweeps=self.measure_sweeps)
 
     def disorder_spec(self, realization: int = 0) -> DisorderSpec:
         return DisorderSpec(self.disorder, self.eta2, self.seed, realization)
@@ -259,13 +251,12 @@ def _validate(cfg: ExperimentConfig, given: dict[str, int | None]) -> None:
     if spec.min_realizations is not None and cfg.n_realizations < spec.min_realizations:
         raise ConfigError(f"{exp} experiment requires n_realizations >= "
                           f"{spec.min_realizations}")
-    if spec.gaussian is not None and cfg.potential.b != 0.0:
-        raise ConfigError(f"{exp} experiment requires a quadratic potential "
-                          "(no quartic term)")
+    if cfg.measure_sweeps < 100:
+        raise ConfigError("measure_sweeps must be >= 100")
+    if cfg.burn_in_sweeps < 0:
+        raise ConfigError("burn_in_sweeps must be >= 0")
     try:
         cfg.disorder_spec()
-        if exp == "mcmc":
-            cfg.sampler()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -393,13 +384,13 @@ def _run_mcmc(cfg: ExperimentConfig) -> Outcome:
     g = BoxGeometry(cfg.d, cfg.L)
     eta = sample_disorder(cfg.disorder_spec(0), g)
     exact = None
-    if cfg.potential.family == "quadratic":
+    if cfg.potential.b == 0.0:
         # X = E[V'(phi')] matches the unit-stiffness response for any c:
         # the measure's mean gradient scales by 1/c and V' by c.
         A = gaussian.DirichletLaplacian(g, k)
         exact = gaussian.mean_gradient(A, eta).values
-    est = mcmc.estimate_gradient_mean(g, k, cfg.potential, eta, cfg.sampler(),
-                                      seed=cfg.seed)
+    est = mcmc.estimate_gradient_mean(g, k, cfg.potential, eta, cfg.burn_in_sweeps,
+                                      cfg.measure_sweeps, seed=cfg.seed)
     header = ["edge_i", "edge_j", "mean", "stderr", "n_eff"]
     mean, stderr, n_eff = (f.values for f in (est.mean, est.stderr, est.n_eff))
     columns = [mean, stderr, n_eff]
@@ -446,13 +437,15 @@ def _run_decay(cfg: ExperimentConfig) -> Outcome:
     scan = diagnostics.decay_scan_d3(cfg.L, list(cfg.r_list), cfg.eta2)
     rows = [[r, c, rc] for (r, c, _), (_, rc, _)
             in zip(scan.covariance.rows, scan.compensated.rows)]
-    # e / inf reads 0: an overflowed covariance has no relative error bound
-    summary: dict[str, Any] = {"max_relative_err": max(
-        e / abs(c) for _, c, e in scan.covariance.rows)
-        if _finite(scan.covariance.rows) else None}
-    positive = [r for r in scan.covariance.rows if r[0] > 0]
-    if len(positive) >= 3 and _finite(positive):
-        f = diagnostics.fit("power-law", diagnostics.ScanResult(tuple(positive)))
+    covs = scan.covariance.rows
+    # a covariance that overflowed, or underflowed to 0, has no relative error bound
+    bounded = _finite(covs) and all(c for _, c, _ in covs)
+    summary: dict[str, Any] = {
+        "max_relative_err": max(e / abs(c) for _, c, e in covs) if bounded else None}
+    # the power law fits log c: only the rows of a positive, finite covariance
+    fitted = [row for row in covs if row[0] > 0 and 0.0 < row[1] < math.inf]
+    if len(fitted) >= 3 and _finite(fitted):
+        f = diagnostics.fit("power-law", diagnostics.ScanResult(tuple(fitted)))
         summary["power_law_fit"] = {"amplitude": f.coefficients[0],
                                     "exponent": f.coefficients[1],
                                     "r_squared": f.r_squared}
@@ -472,7 +465,6 @@ def _run_clt(cfg: ExperimentConfig) -> Outcome:
 class Experiment(NamedTuple):
     """What one experiment reads, requires, loads and writes.  A run given a
     key outside ``keys`` rejects it, except that ``L_list`` replaces ``L``.
-    Exact Gaussian numbers (``gaussian`` not None) admit no quartic term.
     ``cli.run`` writes the rows ``run`` returns to the file named ``csv``."""
 
     run: Callable[[ExperimentConfig], Outcome]
@@ -492,11 +484,11 @@ EXPERIMENTS = {
                                  _MODEL | {"n_realizations"}, d=2, min_L=1,
                                  min_realizations=1, gaussian="solve"),
     "mcmc": Experiment(_run_mcmc, "edges.csv",
-                       _MODEL | {"burn_in_sweeps", "measure_sweeps"},
+                       _MODEL | {"potential", "burn_in_sweeps", "measure_sweeps"},
                        min_L=0, preloads=("gradlab.mcmc",)),
-    "scaling": Experiment(_run_scaling, "scaling.csv", _BOX | {"L_list", "potential"},
+    "scaling": Experiment(_run_scaling, "scaling.csv", _BOX | {"L_list"},
                           min_L=1, gaussian="scan"),
-    "decay": Experiment(_run_decay, "decay.csv", _BOX | {"potential", "r_list"},
+    "decay": Experiment(_run_decay, "decay.csv", _BOX | {"r_list"},
                         d=3, min_L=0, nn_only=True, gaussian="scan"),
     "clt": Experiment(_run_clt, "clt.csv",
                       _BOX | {"L_list", "n_realizations", "disorder", "seed"},
@@ -529,7 +521,7 @@ def _solver(cfg: ExperimentConfig) -> str | None:
     kind = EXPERIMENTS[cfg.experiment].gaussian
     if kind == "scan" and gaussian.sine_diagonal(cfg.make_kernel()):
         return "spectral"
-    exact_column = cfg.experiment == "mcmc" and cfg.potential.family == "quadratic"
+    exact_column = cfg.experiment == "mcmc" and cfg.potential.b == 0.0
     return "pcg" if kind or exact_column else None
 
 
@@ -544,14 +536,15 @@ def _preloads(cfg: ExperimentConfig) -> list[str]:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
+    """The keys the run reads, with their values."""
     echo: dict[str, Any] = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
+    for key in sorted(EXPERIMENTS[cfg.experiment].keys | {"experiment"}):
+        v = getattr(cfg, key)
         if isinstance(v, Potential):
-            v = f"{v.family}:{v.a}" + (f":{v.b}" if v.family == "quartic" else "")
+            v = f"quadratic:{v.a}" if v.b == 0.0 else f"quartic:{v.a}:{v.b}"
         elif isinstance(v, tuple):
             v = list(v)
-        echo[f.name] = v
+        echo[key] = v
     return echo
 
 

@@ -82,18 +82,6 @@ OVERRELAX = -0.8
 
 
 @dataclass(frozen=True)
-class SamplerConfig:
-    burn_in_sweeps: int = 2000
-    measure_sweeps: int = 20000
-
-    def __post_init__(self) -> None:
-        if self.measure_sweeps < 100:
-            raise ValueError("measure_sweeps must be >= 100")
-        if self.burn_in_sweeps < 0:
-            raise ValueError("burn_in_sweeps must be >= 0")
-
-
-@dataclass(frozen=True)
 class GradientEstimate:
     """Time averages of V'(phi_i - phi_j) on every kernel edge, as edge fields
     of the sampled (geometry, kernel).
@@ -332,7 +320,7 @@ def measured_blocks(chain: Chain, width: float, batch_size: int,
 
 
 def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
-                           eta: np.ndarray, cfg: SamplerConfig,
+                           eta: np.ndarray, burn_in_sweeps: int, measure_sweeps: int,
                            seed: int = 0, chain: int = 0) -> GradientEstimate:
     """Run one chain and estimate the gradient mean on every kernel edge.
 
@@ -340,16 +328,17 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     after every sweep is formed per block in an (edges, sweeps) buffer,
     edges in ``kernel_edges`` order, and summed along each edge's row.
     Measurement runs the largest multiple of ``N_BATCHES`` sweeps that
-    ``cfg.measure_sweeps`` holds (the estimate's ``retained``), over-relaxed
+    ``measure_sweeps`` (at least ``N_BATCHES``; the CLI asks for 100)
+    holds (the estimate's ``retained``), over-relaxed
     with ``OVERRELAX`` after a burn-in and not without one.  Poor mixing
     shows up as large stderr, never as an error; proposals past
     ``HEIGHT_CAP`` are counted in ``cap_rejects``.
     """
     sampler = Chain(g, k, vpot, eta, seed=seed, chain=chain)
-    width, change = tune(sampler, cfg.burn_in_sweeps)
+    width, change = tune(sampler, burn_in_sweeps)
     # reflect only about a tuned width's centre: at an untuned one it can stick
-    alpha = OVERRELAX if cfg.burn_in_sweeps else 0.0
-    retained = cfg.measure_sweeps // N_BATCHES * N_BATCHES
+    alpha = OVERRELAX if burn_in_sweeps else 0.0
+    retained = measure_sweeps // N_BATCHES * N_BATCHES
     batch_size = retained // N_BATCHES
     # edge endpoints as positions in the chain's class-ordered heights
     ei, ej = sampler.slot[edge_table(g, k)[0]]

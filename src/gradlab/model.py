@@ -401,37 +401,25 @@ def site_flux(X: VectorField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Potential:
-    """Even pair potential V(t) = a t^2/2 + b t^4 with superlinear growth.
+    """Even pair potential V(t) = a t^2/2 + b t^4 with superlinear growth:
+    b > 0, or b = 0 (the Gaussian case) with a > 0."""
 
-    family "quadratic" has b = 0; "quartic" allows b > 0 (or b = 0 with
-    a > 0, which degenerates to the quadratic case).
-    """
-
-    family: str
     a: float
     b: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("potential coefficients must be finite")
-        if self.family == "quadratic":
-            if self.b != 0.0:
-                raise ValueError("quadratic potential has no quartic term")
-            if self.a <= 0.0:
-                raise ValueError("quadratic coefficient must be > 0")
-        elif self.family == "quartic":
-            if self.b < 0.0 or (self.b == 0.0 and self.a <= 0.0):
-                raise ValueError("quartic potential requires b > 0, or b = 0 with a > 0")
-        else:
-            raise ValueError(f"unknown potential family {self.family!r}")
+        if self.b < 0.0 or (self.b == 0.0 and self.a <= 0.0):
+            raise ValueError("potential requires b > 0, or b = 0 with a > 0")
 
     @classmethod
     def quadratic(cls, c: float = 1.0) -> "Potential":
-        return cls("quadratic", a=c)
+        return cls(c)
 
     @classmethod
     def quartic(cls, a: float, b: float) -> "Potential":
-        return cls("quartic", a=a, b=b)
+        return cls(a, b)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)

@@ -215,9 +215,8 @@ def test_criterion_09_mcmc_matches_exact_solver():
     eta = sample_disorder(DisorderSpec("gaussian", 1.0, MASTER_SEED, 0), g)
     A = gaussian.DirichletLaplacian(g, k)
     X = gaussian.mean_gradient(A, eta)
-    cfg = mcmc.SamplerConfig(burn_in_sweeps=2000, measure_sweeps=20000)
     est = mcmc.estimate_gradient_mean(g, k, Potential.quadratic(1.0), eta,
-                                      cfg, seed=MASTER_SEED)
+                                      2000, 20000, seed=MASTER_SEED)
     edges = kernel_edges(g, k)
     inside = int(np.sum(np.abs(est.mean.values - X.values) <= 3.0 * est.stderr.values))
     frac = inside / len(edges)
@@ -238,8 +237,7 @@ def test_criterion_10_anharmonic_divergence_residuals():
     g = BoxGeometry(2, 8)
     vpot = Potential.quartic(1.0, 0.1)
     eta = sample_disorder(DisorderSpec("gaussian", 1.0, MASTER_SEED, 0), g)
-    cfg = mcmc.SamplerConfig(burn_in_sweeps=2000, measure_sweeps=20000)
-    est = mcmc.estimate_gradient_mean(g, k, vpot, eta, cfg, seed=MASTER_SEED)
+    est = mcmc.estimate_gradient_mean(g, k, vpot, eta, 2000, 20000, seed=MASTER_SEED)
     resid, se = mcmc.divergence_check(est, eta)
     ratio = np.abs(resid) / se
     frac = float((ratio <= 4.0).mean())

@@ -1,5 +1,6 @@
 import ast
 import csv
+import inspect
 import json
 import math
 import os
@@ -22,6 +23,8 @@ from gradlab.cli import (_CASTERS, EXIT_CONFIG, EXIT_ERROR, EXIT_INVARIANT,
                          EXIT_NUMERICAL, EXIT_OK, EXPERIMENTS, MAX_D,
                          ConfigError, ExperimentConfig, main, parse_config, run)
 from gradlab.model import Potential
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 #: config keys that became constants; each is now an unknown key
 REMOVED_KEYS = ("corrupt_field", "max_iterations", "autotune",
@@ -48,8 +51,11 @@ def test_parse_rejects_l_zero_for_scaling():
 def test_parse_potential_round_trip():
     cfg = parse_config("experiment=mcmc\nL=2\npotential=quartic:1.0:0.1\n")
     assert cfg.potential == Potential.quartic(1.0, 0.1)
-    cfg2 = parse_config("experiment=identities\nL=2\npotential=quadratic:2.5\n")
+    cfg2 = parse_config("experiment=mcmc\nL=2\npotential=quadratic:2.5\n")
     assert cfg2.potential == Potential.quadratic(2.5)
+    # b = 0 is the Gaussian case, however it is written
+    cfg3 = parse_config("experiment=mcmc\nL=2\npotential=quartic:2.5:0\n")
+    assert cfg3.potential == Potential.quadratic(2.5)
 
 
 def test_parse_rejects_unknown_key_with_line_number():
@@ -160,7 +166,7 @@ def test_every_golden_and_benchmark_config_parses():
         from workloads import WORKLOADS
     finally:
         sys.path.remove(str(root / "perfbench"))
-    golden = [p.read_text() for p in sorted((root / "tests/data/golden").glob("*.cfg"))]
+    golden = [p.read_text() for p in sorted(GOLDEN.glob("*.cfg"))]
     benchmark = [w(toy).config(1000) for w in WORKLOADS.values() for toy in (False, True)]
     assert golden and benchmark
     for text in golden + benchmark:
@@ -449,6 +455,17 @@ def test_decay_manifest_has_no_error_bound_beside_an_overflowed_covariance(tmp_p
     assert manifest["summaries"]["max_relative_err"] is None
 
 
+def test_decay_manifest_has_no_error_bound_or_fit_beside_an_underflowed_covariance(
+        tmp_path):
+    # at the smallest subnormal eta2 every covariance underflows to 0, which
+    # has no relative error bound and no logarithm to fit
+    cfg = parse_config("experiment=decay\nd=3\nL=12\nr_list=2,4,6\neta2=5e-324\n")
+    assert run(cfg, tmp_path).exit_code == EXIT_OK
+    assert [row[1] for row in read_csv(tmp_path / "decay.csv")[1:]] == ["0"] * 3
+    summaries = strict_json((tmp_path / "run_manifest.json").read_text())["summaries"]
+    assert summaries == {"max_relative_err": None}
+
+
 def test_one_realization_reports_no_side_stderrs(tmp_path):
     cfg = parse_config("experiment=gaussian-exact\nd=2\nL=3\nn_realizations=1\n")
     assert run(cfg, tmp_path).exit_code == EXIT_OK
@@ -691,6 +708,39 @@ def test_every_config_key_is_read_by_some_experiment():
     assert unread == {"experiment"}
 
 
+#: the keys each config helper reads, by the name a runner calls it by
+HELPER_KEYS = {"make_kernel": {"d", "kernel"},
+               "disorder_spec": {"disorder", "eta2", "seed"},
+               "_sizes": {"L", "L_list"}}
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_every_key_of_an_experiment_is_read_by_its_runner(name):
+    # a key the runner never reads, and its record does not pin to one value,
+    # is accepted only to be ignored
+    spec = EXPERIMENTS[name]
+    tree = ast.parse(inspect.getsource(spec.run))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "cfg":
+            read |= HELPER_KEYS.get(node.attr, {node.attr})
+        elif isinstance(node, ast.Name):
+            read |= HELPER_KEYS.get(node.id, set())
+    pinned = {key for key, one in (("d", spec.d is not None), ("kernel", spec.nn_only))
+              if one}
+    assert spec.keys - read - pinned == set()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.cfg")), ids=lambda p: p.stem)
+def test_manifest_echoes_only_the_keys_the_run_reads(path):
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    echo = cli._config_echo(cfg)
+    assert echo.keys() == EXPERIMENTS[cfg.experiment].keys | {"experiment"}
+    if "potential" in echo:
+        assert cli._parse_potential(echo["potential"]) == cfg.potential
+
+
 def test_readme_documents_every_config_key_and_no_removed_one():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
@@ -723,12 +773,12 @@ def test_readme_library_tour_runs():
 
 
 def test_experiment_names_appear_in_cli_only_as_table_keys():
-    # besides its key, "mcmc" names the sampler, the chain stream and the
-    # quadratic exact column
+    # besides its key, "mcmc" names the chain stream and the quadratic exact
+    # column
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     names = Counter(node.value for node in ast.walk(tree)
                     if isinstance(node, ast.Constant) and node.value in EXPERIMENTS)
-    assert names == {**dict.fromkeys(EXPERIMENTS, 1), "mcmc": 4}
+    assert names == {**dict.fromkeys(EXPERIMENTS, 1), "mcmc": 3}
 
 
 @pytest.mark.parametrize("args,message", [
@@ -792,6 +842,8 @@ def test_main_rejects_a_decay_kernel_other_than_nn(tmp_path, capsys):
                  "L must be >= 1 for gaussian-exact", id="gaussian-exact-L-zero"),
     pytest.param("experiment=mcmc\nd=2\nL=1\nmeasure_sweeps=99\n",
                  "measure_sweeps must be >= 100", id="measure_sweeps"),
+    pytest.param("experiment=mcmc\nd=2\nL=1\nburn_in_sweeps=-1\n",
+                 "burn_in_sweeps must be >= 0", id="burn_in_sweeps"),
 ])
 def test_main_reports_bad_solver_sampler_and_realization_keys(text, message,
                                                               tmp_path, capsys):
@@ -812,14 +864,15 @@ def test_main_reports_bad_solver_sampler_and_realization_keys(text, message,
 ], ids=["gaussian-exact", "identities", "scaling", "decay"])
 def test_main_rejects_a_quartic_potential_in_the_quadratic_experiments(
         text, tmp_path, capsys):
-    # X does not depend on the stiffness, so quadratic:C and quartic:A:0 stay valid
-    for potential in ("quadratic:2.5", "quartic:2.5:0"):
-        assert parse_config(text + f"potential={potential}\n").potential.a == 2.5
+    # X does not depend on the stiffness: these runs read no potential at all
+    experiment = parse_config(text).experiment
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(text + "potential=quartic:1:0.1\n")
-    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "requires a quadratic potential" in err
+    for potential in ("quartic:1:0.1", "quadratic:2.5", "quartic:2.5:0"):
+        cfg_path.write_text(text + f"potential={potential}\n")
+        assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{experiment} experiment does not read 'potential'" in err
     assert not (tmp_path / "run_manifest.json").exists()
 
 

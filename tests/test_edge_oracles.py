@@ -243,9 +243,8 @@ def test_mcmc_divergence_check_matches_reference(name):
     k = KERNELS[name](2)
     g = BoxGeometry(2, 2)
     eta = sample_disorder(DisorderSpec("gaussian", 1.0, 43, 0), g)
-    cfg = mcmc.SamplerConfig(burn_in_sweeps=50, measure_sweeps=300)
     est = mcmc.estimate_gradient_mean(g, k, Potential.quartic(1.0, 0.1), eta,
-                                      cfg, seed=4)
+                                      50, 300, seed=4)
     res, se = mcmc.divergence_check(est, eta)
     ref_res, ref_se = oracle_divergence_check(est, eta, g, k)
     assert np.array_equal(res, ref_res) and np.array_equal(se, ref_se)

@@ -135,6 +135,20 @@ def test_csv_matches_golden_bytes(name, tmp_path):
         (GOLDEN / f"{name}.summaries.json").read_text(encoding="utf-8"))
 
 
+def test_a_quartic_potential_with_no_quartic_term_writes_the_gaussian_golden(tmp_path):
+    # quartic:1:0 is quadratic:1: the same chain, and the exact column with it
+    text = (GOLDEN / "edges.cfg").read_text(encoding="utf-8")
+    assert "potential=quadratic:1\n" in text
+    cfg = parse_config(text.replace("potential=quadratic:1\n",
+                                    "potential=quartic:1:0\n"))
+    assert run(cfg, tmp_path).exit_code == EXIT_OK
+    assert (tmp_path / "edges.csv").read_bytes() == (GOLDEN / "edges.csv").read_bytes()
+    manifest = strict_json((tmp_path / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["summaries"] == json.loads(
+        (GOLDEN / "edges.summaries.json").read_text(encoding="utf-8"))
+    assert manifest["solver"] == "pcg"
+
+
 @pytest.mark.parametrize("older, name", CASES)
 def test_recording_matches_older_recording(older, name):
     compare, _ = OLDER[older]

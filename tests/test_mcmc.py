@@ -12,14 +12,15 @@ from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import DirichletLaplacian, mean_gradient
 from gradlab import mcmc
 from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, OVERRELAX, Chain,
-                          GradientEstimate, SamplerConfig, colour_classes,
+                          GradientEstimate, colour_classes,
                           divergence_check, estimate_gradient_mean,
                           measured_blocks, tune)
 from gradlab.model import (BoxGeometry, DisorderSpec, Kernel, Potential,
                            VectorField, chain_stream, edge_table, gradient_of,
                            kernel_edges, neighbor_index, sample_disorder)
 
-FAST = SamplerConfig(burn_in_sweeps=300, measure_sweeps=4000)
+#: burn-in and measurement sweeps
+FAST = (300, 4000)
 
 
 def with_overrelaxation(names, cases):
@@ -441,8 +442,7 @@ def test_untuned_single_site_chain_matches_quadrature_oracle(width, monkeypatch)
     monkeypatch.setattr(mcmc, "START_WIDTH", width)
     g, k, eta = single_site_setup(1.0)
     vpot = Potential.quartic(1.0, 0.5)
-    cfg = SamplerConfig(burn_in_sweeps=0, measure_sweeps=30000)
-    est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=9)
+    est = estimate_gradient_mean(g, k, vpot, eta, 0, 30000, seed=9)
     # without burn-in neither the width is tuned nor the proposals reflected
     assert est.proposal_width == width and est.overrelaxation == 0.0
     oracle = single_site_quadrature_oracle(vpot, 1.0, [w for _, w in k.support()])
@@ -516,13 +516,13 @@ def test_stationary_histogram_matches_oracle_density(quartic):
     assert chi2 / dof < 2.0
 
 
-def site_order_estimate(g, k, vpot, eta, cfg, seed, alpha):
+def site_order_estimate(g, k, vpot, eta, burn_in_sweeps, measure_sweeps, seed, alpha):
     """estimate_gradient_mean's batch means and n_eff on SiteOrderChain,
     from the per-block arrays vpot.derivative(kept[:, ei] - kept[:, ej]);
     measurement over-relaxes with alpha after a burn-in."""
     chain = SiteOrderChain(g, k, vpot, eta, seed=seed)
     width = mcmc.START_WIDTH
-    if vpot.b == 0.0 and cfg.burn_in_sweeps:
+    if vpot.b == 0.0 and burn_in_sweeps:
         width = 1.0 / math.sqrt(vpot.a)
     # the linear-response width over the later half of the blocks run, its
     # sums formed in class order as the chain forms them: each sweep's
@@ -530,8 +530,8 @@ def site_order_estimate(g, k, vpot, eta, cfg, seed, alpha):
     order = np.concatenate([sites for sites, _, _ in chain.classes])
     nbrs = neighbor_index(g, k)[:, order].T
     moments = []
-    for done in range(0, cfg.burn_in_sweeps, BLOCK):
-        _, kept = chain.run(width, min(BLOCK, cfg.burn_in_sweeps - done))
+    for done in range(0, burn_in_sweeps, BLOCK):
+        _, kept = chain.run(width, min(BLOCK, burn_in_sweeps - done))
         if vpot.b:
             heights = kept[:, order]
             gathered = np.ascontiguousarray(kept[:, nbrs]).reshape(-1, len(chain.weights))
@@ -540,9 +540,9 @@ def site_order_estimate(g, k, vpot, eta, cfg, seed, alpha):
             sq, cross, count = np.sum(moments[len(moments) // 2:], axis=0)
             if count + cross > 0.0 and 0.0 < sq / (count + cross) < math.inf:
                 width = math.sqrt(sq / (count + cross))
-    alpha = alpha if cfg.burn_in_sweeps else 0.0
+    alpha = alpha if burn_in_sweeps else 0.0
     ei, ej = edge_table(g, k)[0]
-    retained = cfg.measure_sweeps // N_BATCHES * N_BATCHES
+    retained = measure_sweeps // N_BATCHES * N_BATCHES
     batch_size = retained // N_BATCHES
     sums = np.zeros((N_BATCHES, len(ei)))
     total_sq = np.zeros(len(ei))
@@ -577,10 +577,9 @@ def test_estimates_match_site_order_oracle(d, L, name, vpot, burn_in, alpha,
     k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
     g = BoxGeometry(d, L)
     eta = gaussian_eta(g, seed=17)
-    cfg = SamplerConfig(burn_in_sweeps=burn_in, measure_sweeps=1800)
-    est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=8)
+    est = estimate_gradient_mean(g, k, vpot, eta, burn_in, 1800, seed=8)
     batch_means, n_eff, width, cap_rejects, used = site_order_estimate(
-        g, k, vpot, eta, cfg, 8, alpha)
+        g, k, vpot, eta, burn_in, 1800, 8, alpha)
     assert np.array_equal(est.batch_means.values, batch_means)
     # every n_eff is the ratio clipped to [1, retained]
     assert np.array_equal(est.n_eff.values, np.clip(n_eff, 1.0, est.retained))
@@ -596,7 +595,7 @@ def test_zero_disorder_estimates_vanish(quartic):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry(2, 2)
     eta = np.zeros(g.n_sites)
-    est = estimate_gradient_mean(g, k, quartic, eta, FAST, seed=5)
+    est = estimate_gradient_mean(g, k, quartic, eta, *FAST, seed=5)
     for e in kernel_edges(g, k):
         assert abs(edge_value(est.mean, *e)) <= 4.0 * edge_value(est.stderr, *e) + 1e-12
         assert edge_value(est.n_eff, *e) <= est.retained
@@ -610,10 +609,9 @@ def test_a_tuned_chain_reads_as_the_estimator_reads_it(vpot):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry(2, 3)
     eta = gaussian_eta(g, seed=4)
-    cfg = SamplerConfig(burn_in_sweeps=300, measure_sweeps=1500)
-    est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=6)
+    est = estimate_gradient_mean(g, k, vpot, eta, 300, 1500, seed=6)
     chain = Chain(g, k, vpot, eta, seed=6)
-    width, change = tune(chain, cfg.burn_in_sweeps)
+    width, change = tune(chain, 300)
     heights, accepted, sweeps = np.zeros(g.n_sites), 0, np.zeros(N_BATCHES, int)
     batch_size = est.retained // N_BATCHES
     for batch, moved, kept in measured_blocks(chain, width, batch_size, OVERRELAX):
@@ -634,7 +632,7 @@ def test_estimates_are_exactly_antisymmetric(quartic):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry(2, 1)
     eta = gaussian_eta(g, seed=6)
-    est = estimate_gradient_mean(g, k, quartic, eta, FAST, seed=6)
+    est = estimate_gradient_mean(g, k, quartic, eta, *FAST, seed=6)
     for i, j in kernel_edges(g, k):
         assert edge_value(est.mean, j, i) == -edge_value(est.mean, i, j)
 
@@ -642,8 +640,7 @@ def test_estimates_are_exactly_antisymmetric(quartic):
 def test_single_site_estimate_matches_quadrature_oracle():
     g, k, eta = single_site_setup(1.0)
     vpot = Potential.quartic(1.0, 0.5)
-    cfg = SamplerConfig(burn_in_sweeps=2000, measure_sweeps=60000)
-    est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=8)
+    est = estimate_gradient_mean(g, k, vpot, eta, 2000, 60000, seed=8)
     oracle = single_site_quadrature_oracle(vpot, 1.0, [w for _, w in k.support()])
     for v, _ in k.support():
         j = (v[0], v[1])
@@ -659,10 +656,9 @@ def test_overrelaxed_estimates_after_a_noisy_width_match_quadrature_oracle():
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry(2, 0)
     vpot = Potential.quartic(1.0, 0.5)
-    cfg = SamplerConfig(burn_in_sweeps=200, measure_sweeps=6000)
     for seed in range(12):
         eta = sample_disorder(DisorderSpec("gaussian", 1.0, seed), g)
-        est = estimate_gradient_mean(g, k, vpot, eta, cfg, seed=seed)
+        est = estimate_gradient_mean(g, k, vpot, eta, 200, 6000, seed=seed)
         assert est.overrelaxation == OVERRELAX
         oracle = single_site_quadrature_oracle(vpot, float(eta[0]),
                                                [w for _, w in k.support()])
@@ -678,13 +674,12 @@ def test_gaussian_cross_validation_multiple_realizations(quadratic):
     g = BoxGeometry(2, 8)
     A = DirichletLaplacian(g, k)
     edges = kernel_edges(g, k)
-    cfg = SamplerConfig(burn_in_sweeps=2000, measure_sweeps=20000)
     total = 0
     covered = 0
     for realization in range(5):
         eta = sample_disorder(DisorderSpec("gaussian", 1.0, 3, realization), g)
         X = mean_gradient(A, eta)
-        est = estimate_gradient_mean(g, k, quadratic, eta, cfg,
+        est = estimate_gradient_mean(g, k, quadratic, eta, 2000, 20000,
                                      seed=3, chain=realization)
         assert est.cap_rejects == 0
         for e in edges:
@@ -699,8 +694,7 @@ def test_divergence_check_within_propagated_errors(quartic):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry(2, 3)
     eta = gaussian_eta(g, seed=12)
-    cfg = SamplerConfig(burn_in_sweeps=1000, measure_sweeps=12000)
-    est = estimate_gradient_mean(g, k, quartic, eta, cfg, seed=12)
+    est = estimate_gradient_mean(g, k, quartic, eta, 1000, 12000, seed=12)
     resid, se = divergence_check(est, eta)
     ratio = np.abs(resid) / se
     assert (ratio <= 4.0).mean() >= 0.95
@@ -774,8 +768,7 @@ def test_burn_in_reaches_the_width_rule_fixed_point(monkeypatch):
         k = Kernel.nearest_neighbor(d)
         g = BoxGeometry(d, L)
         eta = sample_disorder(DisorderSpec("gaussian", 1.0, 13), g)
-        cfg = SamplerConfig(burn_in_sweeps=1500, measure_sweeps=3000)
-        est = estimate_gradient_mean(g, k, vpot, eta, cfg)
+        est = estimate_gradient_mean(g, k, vpot, eta, 1500, 3000)
         assert est.acceptance_rate >= 0.75, (d, L, vpot, est.acceptance_rate)
         if vpot.b == 0.0:
             # the harmonic stand-in is exact: heat bath
@@ -785,11 +778,6 @@ def test_burn_in_reaches_the_width_rule_fixed_point(monkeypatch):
         fixed, stderr = width_rule_fixed_point(g, k, vpot, eta, est.proposal_width)
         assert abs(est.proposal_width - fixed) <= 4.0 * stderr, \
             (d, L, vpot, est.proposal_width, fixed, stderr)
-
-
-def test_sampler_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(measure_sweeps=99)
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def test_potential_families_validate():
     with pytest.raises(ValueError):
         Potential.quartic(1.0, -0.1)
     with pytest.raises(ValueError):
-        Potential("quartic", a=-1.0, b=0.0)
+        Potential.quartic(-1.0, 0.0)
     for bad in (lambda: Potential.quartic(math.nan, 1.0),
                 lambda: Potential.quartic(1.0, math.inf),
                 lambda: Potential.quartic(-math.inf, 1.0),
