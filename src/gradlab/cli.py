@@ -76,7 +76,8 @@ EXIT_NUMERICAL = 2
 EXIT_INVARIANT = 3
 EXIT_ERROR = 4
 
-#: the ``identities`` experiment's gates, written to its ``tolerance`` column
+#: the ``identities`` experiment's gates, written to its ``tolerance`` column;
+#: the divergence residual, linear in eta, is gated at DIVERGENCE_TOLERANCE sqrt(eta2)
 DIVERGENCE_TOLERANCE = 1e-8
 SURFACE_TOLERANCE = 1e-8
 SECOND_MOMENT_TOLERANCE = 1e-6
@@ -346,8 +347,9 @@ def _run_identities(cfg: ExperimentConfig) -> Outcome:
         X = gaussian.mean_gradient(A, eta)
         _, mx = diagnostics.divergence_residual(X, eta)
         worst_resid = max(worst_resid, mx)
-    rows.append(["divergence_max_residual", worst_resid, DIVERGENCE_TOLERANCE,
-                 worst_resid <= DIVERGENCE_TOLERANCE])
+    tolerance = DIVERGENCE_TOLERANCE * math.sqrt(cfg.eta2)
+    rows.append(["divergence_max_residual", worst_resid, tolerance,
+                 worst_resid <= tolerance])
     ok = all(r[3] for r in rows)
     summary = {"checks": {r[0]: r[1] for r in rows}, "all_pass": ok}
     return (["check", "value", "tolerance", "pass"], rows, summary,

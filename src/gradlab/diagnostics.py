@@ -20,9 +20,10 @@ The second-moment identity is one linear solve, the surface identity's.
 Edge sums read a ``VectorField``, values in ``edge_table`` order, through
 the cached tables of ``model``, in a fixed order: site fluxes
 (``model.site_flux``) add one kernel offset at a time, surface and side
-sums fold edge by edge over ``model.boundary_table``, ordered by interior
-site and then by kernel support order.  The values match the per-edge
-loops of the definitions, which the tests keep as oracles, to the last bit.
+sums fold edge by edge over the boundary slice of ``model.edge_table``,
+ordered by interior site and then by kernel support order.  The values
+match the per-edge loops of the definitions, which the tests keep as
+oracles, to the last bit.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import gaussian
 from .model import (BoxGeometry, DisorderSpec, Edge, Kernel, VectorField,
-                    boundary_table, sample_disorder, site_flux)
+                    edge_table, sample_disorder, site_flux)
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,14 @@ def boundary_ergodic_average(X: VectorField, side: int) -> float:
         raise ValueError("side must be in {1, 2, 3, 4}")
     if g.L < 1:
         raise ValueError("L must be >= 1")
-    table = boundary_table(g, X.kernel)
-    on = table.sides == side
-    # left to right from 0.0, in ``boundary_table`` order: np.sum adds
-    # pairwise, in another order, and would move the last digits of the CSVs
+    t = edge_table(g, X.kernel)
+    on = t.boundary[t.sides == side]
+    weights = t.signs * [w for _, w in X.kernel.support()]
+    # left to right from 0.0, in table order: np.sum adds pairwise, in
+    # another order, and would move the last digits of the CSVs
     total = 0.0
-    for t in (table.weights[on] * X.values[table.edges[on]]).tolist():
-        total += t
+    for term in (weights[t.rows[on]] * X.values[on]).tolist():
+        total += term
     return total / g.L
 
 

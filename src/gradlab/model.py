@@ -45,13 +45,35 @@ KERNEL_NORM_TOL = 1e-12
 class Kernel:
     """Finite-range symmetric random-walk weights p(v) on Z^d offsets.
 
-    The container itself does not enforce its invariants (so that invalid
-    kernels can be built and inspected); use :func:`validate_kernel`.
+    Valid by construction: building one raises ValueError naming the first
+    violated invariant, checked in the order: offset dimension,
+    nonnegativity, zero self-weight, symmetry, finite support, normalization.
     """
 
     d: int
     offsets: tuple[Site, ...]
     weights: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        for v in self.offsets:
+            if len(v) != self.d:
+                raise ValueError(f"dimension: offset {v} is not in Z^{self.d}")
+        wmap = dict(zip(self.offsets, self.weights))
+        for v, w in wmap.items():
+            if w < 0.0:
+                raise ValueError(f"nonnegativity: p({v}) = {w} < 0")
+        if wmap.get((0,) * self.d, 0.0) != 0.0:
+            raise ValueError("zero self-weight: p(0) != 0")
+        for v, w in wmap.items():
+            neg = tuple(-c for c in v)
+            if wmap.get(neg, 0.0) != w:
+                raise ValueError(f"symmetry: p({v}) = {w} but p({neg}) = "
+                                 f"{wmap.get(neg, 0.0)}")
+        if not any(w != 0.0 for w in wmap.values()):
+            raise ValueError("finite support: kernel has empty support")
+        total = sum(wmap.values())
+        if abs(total - 1.0) > KERNEL_NORM_TOL:
+            raise ValueError(f"normalization: sum p = {total!r} != 1")
 
     @classmethod
     def from_map(cls, d: int, weight_map: dict[Site, float]) -> "Kernel":
@@ -77,41 +99,11 @@ class Kernel:
     @cached_property
     def range(self) -> int:
         """Maximum sup-norm of a supported offset."""
-        return max((max(abs(c) for c in v) for v, w in zip(self.offsets, self.weights)
-                    if w != 0.0), default=0)
+        return max(max(abs(c) for c in v) for v, _ in self.support())
 
     def support(self) -> list[tuple[Site, float]]:
         """Offsets with nonzero weight, in sorted order."""
         return [(v, w) for v, w in zip(self.offsets, self.weights) if w != 0.0]
-
-
-def validate_kernel(k: Kernel) -> str | None:
-    """Check the kernel invariants; return None if valid.
-
-    On failure returns a short report naming the first violated invariant,
-    checked in the order: offset dimension, nonnegativity, zero self-weight,
-    symmetry, finite support, normalization.
-    """
-    for v in k.offsets:
-        if len(v) != k.d:
-            return f"dimension: offset {v} is not in Z^{k.d}"
-    wmap = dict(zip(k.offsets, k.weights))
-    for v, w in wmap.items():
-        if w < 0.0:
-            return f"nonnegativity: p({v}) = {w} < 0"
-    if wmap.get((0,) * k.d, 0.0) != 0.0:
-        return "zero self-weight: p(0) != 0"
-    for v, w in wmap.items():
-        neg = tuple(-c for c in v)
-        if wmap.get(neg, 0.0) != w:
-            return f"symmetry: p({v}) = {w} but p({neg}) = {wmap.get(neg, 0.0)}"
-    support = [v for v, w in wmap.items() if w != 0.0]
-    if not support:
-        return "finite support: kernel has empty support"
-    total = sum(wmap.values())
-    if abs(total - 1.0) > KERNEL_NORM_TOL:
-        return f"normalization: sum p = {total!r} != 1"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +194,8 @@ class EdgeTable(NamedTuple):
     signs: np.ndarray  #: per support row, -1 where ids hold the reverse edge
     sites: np.ndarray  #: the interior site each edge is reached from
     rows: np.ndarray  #: the support row of the jump it is reached by
+    boundary: np.ndarray  #: the edges that leave the box, in table order
+    sides: np.ndarray  #: the face each boundary edge crosses
 
 
 @lru_cache(maxsize=16)
@@ -213,8 +207,12 @@ def edge_table(g: BoxGeometry, k: Kernel) -> EdgeTable:
     one when that lies outside), then by kernel support order; an edge
     field holds its values in this order.  ``ids[r, i]`` is the edge
     (i, i + v_r), held as (i, i + v_r) when v_r is lexicographically
-    positive (``signs[r]`` = +1) and as its reverse otherwise (-1).
-    Cached, hence read-only.
+    positive (``signs[r]`` = +1) and as its reverse otherwise (-1).  The
+    boundary edges (i, i + v), i inside and i + v outside, are the slice
+    ``boundary`` of the table, reached from i by v; the side of one is the
+    face its jump crosses, by the dominant component of v (ties to the
+    lower axis): 1 + a along +e_a, 1 + d + a along -e_a, which are sides
+    1..4 for d = 2.  Cached, hence read-only.
     """
     nbr = neighbor_index(g, k)
     support = [v for v, _ in k.support()]
@@ -234,39 +232,11 @@ def edge_table(g: BoxGeometry, k: Kernel) -> EdgeTable:
     slot[slot < 0] = g.n_sites
     first = np.where(forward[rows], sites, slot)
     ends = np.stack([first, sites + slot - first])
-    table = EdgeTable(ends, ids, np.where(forward, 1.0, -1.0), sites, rows)
-    for array in table:
-        array.flags.writeable = False
-    return table
-
-
-class BoundaryTable(NamedTuple):
-    """The boundary edges (i, i + v), i inside and i + v outside, ordered by
-    i and then by kernel support order (see ``boundary_table``)."""
-
-    sites: np.ndarray  #: interior endpoint i
-    rows: np.ndarray  #: support row of the jump v
-    edges: np.ndarray  #: the edge's index in ``edge_table`` order
-    weights: np.ndarray  #: p(v), negated where the edge is held reversed
-    sides: np.ndarray  #: face crossed (see ``boundary_table``)
-
-
-@lru_cache(maxsize=16)
-def boundary_table(g: BoxGeometry, k: Kernel) -> BoundaryTable:
-    """The boundary edges as arrays: ``weights * values[edges]`` is
-    p(v) w(i, i + v) on each.  The side of an edge is the face its jump
-    crosses, by the dominant component of v (ties to the lower axis): 1 + a
-    along +e_a, 1 + d + a along -e_a, which are sides 1..4 for d = 2.
-    Cached, hence read-only."""
-    t = edge_table(g, k)
-    sites, rows = np.nonzero(neighbor_index(g, k).T < 0)
-    sides = []
-    for v, _ in k.support():
-        a = int(np.argmax(np.abs(v)))
-        sides.append(1 + a if v[a] > 0 else 1 + g.d + a)
-    weights = t.signs * [w for _, w in k.support()]
-    table = BoundaryTable(sites, rows, t.ids[rows, sites], weights[rows],
-                          np.array(sides)[rows])
+    boundary = np.flatnonzero(slot == g.n_sites)
+    axes = [int(np.argmax(np.abs(v))) for v in support]  # ties: the lower axis
+    sides = np.array([a + 1 + g.d * (v[a] < 0) for v, a in zip(support, axes)])
+    table = EdgeTable(ends, ids, np.where(forward, 1.0, -1.0), sites, rows,
+                      boundary, sides[rows[boundary]])
     for array in table:
         array.flags.writeable = False
     return table

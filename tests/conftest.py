@@ -15,8 +15,14 @@ from scipy.sparse.linalg import LinearOperator, cg
 from gradlab import gaussian
 from gradlab.gaussian import _mode_terms, _symbol, covariances, solve_array
 from gradlab.model import (BoxGeometry, DisorderSpec, Kernel,
-                           Potential, VectorField, boundary_table, edge_table,
+                           Potential, VectorField, edge_table,
                            kernel_edges, neighbor_index, sample_disorder)
+
+#: p = 1/8 on +-e1, +-e2, +-(1, 1), +-(1, -1): offsets the separable sine
+#: symbol splits over both axes, and the only jumps whose boundary side is a
+#: tie (won by the lower axis)
+DIAGONAL = Kernel.from_map(2, {v: 0.125 for v in [
+    (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]})
 
 
 @pytest.fixture
@@ -242,12 +248,14 @@ def integral_form_check(X, eta):
 
     Interior edges cancel pairwise by antisymmetry, so the difference of the
     two sums telescopes to the sum of the per-site divergence residuals.  The
-    surface sum adds p(j - i) X_ij left to right from 0.0, in
-    ``boundary_table`` order, as ``boundary_ergodic_average`` adds a side's.
+    surface sum adds p(j - i) X_ij left to right from 0.0, over the boundary
+    slice of ``edge_table``, as ``boundary_ergodic_average`` adds a side's.
     """
     volume = float(np.sum(eta))
-    table = boundary_table(X.geometry, X.kernel)
-    surface = reduce(operator.add, (table.weights * X.values[table.edges]).tolist(), 0.0)
+    t = edge_table(X.geometry, X.kernel)
+    weights = t.signs * [w for _, w in X.kernel.support()]
+    terms = weights[t.rows[t.boundary]] * X.values[t.boundary]
+    surface = reduce(operator.add, terms.tolist(), 0.0)
     return IntegralFormCheck(volume, surface, volume - surface)
 
 

@@ -294,6 +294,18 @@ def test_corrupted_field_hook_exits_invariant_failure(tmp_path, monkeypatch):
     assert manifest["partial_outputs"] is True
 
 
+@pytest.mark.parametrize("eta2", [1e12, 1e-320])
+def test_identities_divergence_gate_scales_with_the_disorder(eta2, tmp_path):
+    # conjugate gradients (axis2) leave residuals of about 1e-11 sqrt(eta2)
+    cfg = parse_config(f"experiment=identities\nd=2\nL=6\nkernel=axis2\n"
+                       f"eta2={eta2!r}\n")
+    assert run(cfg, tmp_path).exit_code == EXIT_OK
+    row = read_csv(tmp_path / "identities.csv")[3]
+    assert row[0] == "divergence_max_residual"
+    assert float(row[2]) == 1e-8 * math.sqrt(eta2)
+    assert 0.0 < float(row[1]) <= float(row[2])
+
+
 def test_numerical_failure_exit_code(tmp_path, rel_tolerance):
     # an unreachable residual target, where preconditioned CG must run (axis2)
     rel_tolerance(1e-20)
@@ -457,11 +469,13 @@ def test_decay_manifest_has_no_error_bound_beside_an_overflowed_covariance(tmp_p
 
 def test_decay_manifest_has_no_error_bound_or_fit_beside_an_underflowed_covariance(
         tmp_path):
-    # at the smallest subnormal eta2 every covariance underflows to 0, which
-    # has no relative error bound and no logarithm to fit
+    # at the smallest subnormal eta2 the covariances, 0.695, 0.261 and 0.134
+    # times eta2, round to one step, 0 and 0; a 0 has no relative error
+    # bound and no logarithm to fit, and one row is too few to fit
     cfg = parse_config("experiment=decay\nd=3\nL=12\nr_list=2,4,6\neta2=5e-324\n")
     assert run(cfg, tmp_path).exit_code == EXIT_OK
-    assert [row[1] for row in read_csv(tmp_path / "decay.csv")[1:]] == ["0"] * 3
+    assert [float(row[1]) for row in read_csv(tmp_path / "decay.csv")[1:]] == \
+        [5e-324, 0.0, 0.0]
     summaries = strict_json((tmp_path / "run_manifest.json").read_text())["summaries"]
     assert summaries == {"max_relative_err": None}
 

@@ -265,6 +265,24 @@ def test_scan_errors_are_the_mode_sum_rounding_bound():
     assert all(0.0 < err <= 1e-12 * v for _, v, err in variance_rows)
 
 
+@pytest.mark.parametrize("scan", [
+    pytest.param(lambda eta2: variance_scaling_scan(2, [4], eta2), id="scaling-nn"),
+    pytest.param(lambda eta2: variance_scaling_scan(2, [4], eta2,
+                                                    kernel=Kernel.axis_kernel(2, 2)),
+                 id="scaling-axis2"),
+    pytest.param(lambda eta2: decay_scan_d3(12, [2, 4, 6], eta2).covariance,
+                 id="decay"),
+])
+def test_subnormal_covariances_keep_an_error_bound(scan):
+    # at eta2 = 1e-320 a covariance is hundreds to thousands of subnormal
+    # steps: the bound must cover its distance from eta2 times the
+    # unit-disorder value, one step allowed for rounding that product
+    eta2, step = 1e-320, 5e-324
+    for (_, unit, _), (_, c, err) in zip(scan(1.0).rows, scan(eta2).rows):
+        assert err > 0.0
+        assert abs(c - eta2 * unit) <= err + step
+
+
 def test_scaling_scan_keeps_the_solver_tolerance_for_other_kernels(rel_tolerance):
     k = Kernel.axis_kernel(2, 2)
     rel_tolerance(1e-9)

@@ -16,13 +16,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import (add, canonical_edge, edge_value, height_at,
+from conftest import (DIAGONAL, add, canonical_edge, edge_value, height_at,
                       integral_form_check, loop_residuals, oracle_boundary_edges,
                       oracle_sparse_operator, random_heights, site_of, sites)
 from gradlab import gaussian, mcmc
 from gradlab.diagnostics import boundary_ergodic_average, divergence_residual
 from gradlab.model import (BoxGeometry, DisorderSpec, Kernel,
-                           Potential, VectorField, boundary_table, edge_table,
+                           Potential, VectorField, edge_table,
                            gradient_of, kernel_edges, sample_disorder)
 
 
@@ -123,9 +123,10 @@ def oracle_divergence_check(est, eta, g, k):
 # cases
 
 
-KERNELS = {"nn": Kernel.nearest_neighbor, "axis2": lambda d: Kernel.axis_kernel(d, 2)}
+KERNELS = {"nn": Kernel.nearest_neighbor, "axis2": lambda d: Kernel.axis_kernel(d, 2),
+           "diag": lambda d: DIAGONAL}  # d = 2 only
 CASES = [(1, "nn", 5), (2, "nn", 1), (2, "nn", 4), (2, "nn", 7), (2, "axis2", 5),
-         (3, "nn", 3)]
+         (2, "diag", 4), (3, "nn", 3)]
 CASE_IDS = [f"d{d}-{name}-L{L}" for d, name, L in CASES]
 
 
@@ -178,20 +179,24 @@ def test_edge_ids_match_reference(case):
 
 
 def test_boundary_table_matches_reference(case):
+    """The boundary slice of the edge table: the oracle's boundary edges in
+    its order, their terms p(v) w(i, i + v) and sides, read-only."""
     g, k, _ = case
-    table = boundary_table(g, k)
+    table = edge_table(g, k)
     support = list(k.support())
+    rows = table.rows[table.boundary]
     edges = [(site_of(g, i), add(site_of(g, i), support[r][0]), support[r][1])
-             for i, r in zip(table.sites.tolist(), table.rows.tolist())]
+             for i, r in zip(table.sites[table.boundary].tolist(), rows.tolist())]
     assert edges == oracle_boundary_edges(g, k)
     X = random_field(g, k, 3)
-    terms = table.weights * X.values[table.edges]
+    terms = (table.signs * [w for _, w in support])[rows] * X.values[table.boundary]
     assert terms.tolist() == [w * edge_value(X, i, j) for i, j, w in edges]
+    assert len(table.sides) == len(edges)
     for (i, j, _), side in zip(edges, table.sides.tolist()):
         jump = [b - a for a, b in zip(i, j)]
         axis = max(range(g.d), key=lambda a: (abs(jump[a]), -a))
         assert side == (1 + axis if jump[axis] > 0 else 1 + g.d + axis)
-    assert not any(array.flags.writeable for array in table)
+    assert not table.boundary.flags.writeable and not table.sides.flags.writeable
 
 
 def test_gradient_matches_reference(case):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (covariance, edge_value, gaussian_eta, green_column,
+from conftest import (DIAGONAL, covariance, edge_value, gaussian_eta, green_column,
                       height_at, loop_residuals, oracle_boundary_edges,
                       oracle_cg_solve, oracle_sparse_operator, sites,
                       slab_covariance, solve_green, variance, zero_heights)
@@ -17,10 +17,6 @@ from gradlab.model import BoxGeometry, Kernel, kernel_edges
 
 #: the residual target of the tests that compare solves with oracles
 TIGHT = 1e-12
-#: p = 1/8 on +-e1, +-e2, +-(1, 1), +-(1, -1): offsets the separable sine
-#: symbol splits over both axes
-DIAGONAL = Kernel.from_map(2, {v: 0.125 for v in [
-    (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]})
 #: jumps of +-3 only: at L = 2 the sine symbol vanishes on mode k = 4
 THREE_STEP = Kernel.from_map(1, {(3,): 0.5, (-3,): 0.5})
 
@@ -52,10 +48,11 @@ def t_entry(A, edge, y):
 
 
 def test_operator_rejects_invalid_kernel():
-    k = Kernel.from_map(2, {(1, 0): 0.6, (-1, 0): 0.4})
-    g = BoxGeometry(2, 2)
-    with pytest.raises(ValueError):
-        DirichletLaplacian(g, k)
+    with pytest.raises(ValueError, match="symmetry"):
+        DirichletLaplacian(BoxGeometry(2, 2), Kernel.from_map(2, {(1, 0): 0.6,
+                                                                 (-1, 0): 0.4}))
+    with pytest.raises(ValueError, match="dimensions differ"):
+        DirichletLaplacian(BoxGeometry(2, 2), Kernel.nearest_neighbor(3))
 
 
 @pytest.mark.parametrize("d,L", [(2, 3), (3, 1)])
@@ -124,6 +121,17 @@ def test_an_unreachable_tolerance_on_a_huge_source_is_reported(rel_tolerance):
     # the goal 1e-20 ||b||, in the units of b
     goal = float(str(err.value).rsplit("= ", 1)[1])
     assert goal == pytest.approx(1e180 * np.linalg.norm(eta), rel=1e-3)
+
+
+@pytest.mark.parametrize("kernel", [None, Kernel.axis_kernel(2, 2)],
+                         ids=["nn", "axis2"])
+def test_a_tiny_source_is_solved_as_its_scaled_copy(kernel):
+    # ||b||^2 underflows at 2^-600: the solve must not see a zero source,
+    # nor a residual target of 0
+    A, g, _ = make_operator(2, 8, kernel)
+    b = gaussian_eta(g)
+    assert np.array_equal(solve_array(A, b * 2.0 ** -600),
+                          solve_array(A, b) * 2.0 ** -600)
 
 
 def test_dst_solve_reports_an_unreachable_tolerance(rel_tolerance):

@@ -12,7 +12,7 @@ from conftest import (canonical_edge, edge_value, gaussian_eta, height_at,
                       zero_field, zero_heights)
 from gradlab.model import (BoxGeometry, DisorderSpec, Kernel,
                            Potential, gradient_of, kernel_edges,
-                           sample_disorder, validate_kernel)
+                           sample_disorder)
 
 
 def shell_sites(g, width):
@@ -27,32 +27,40 @@ def shell_sites(g, width):
 
 def test_validate_kernel_accepts_simple_random_walk():
     for d in (1, 2, 3):
-        assert validate_kernel(Kernel.nearest_neighbor(d)) is None
+        Kernel.nearest_neighbor(d)
 
 
 def test_validate_kernel_flags_asymmetry():
-    k = Kernel.from_map(2, {(1, 0): 0.5, (-1, 0): 0.25, (0, -1): 0.25})
-    report = validate_kernel(k)
-    assert report is not None and "symmetry" in report
+    with pytest.raises(ValueError, match="symmetry"):
+        Kernel.from_map(2, {(1, 0): 0.5, (-1, 0): 0.25, (0, -1): 0.25})
+    with pytest.raises(ValueError, match="symmetry"):
+        Kernel.from_map(2, {(1, 0): 0.6, (-1, 0): 0.4})
 
 
 def test_validate_kernel_flags_normalization():
-    k = Kernel.from_map(2, {(1, 0): 0.225, (-1, 0): 0.225,
+    with pytest.raises(ValueError, match="normalization"):
+        Kernel.from_map(2, {(1, 0): 0.225, (-1, 0): 0.225,
                             (0, 1): 0.225, (0, -1): 0.225})
-    report = validate_kernel(k)
-    assert report is not None and "normalization" in report
 
 
 def test_validate_kernel_flags_negative_weight_and_self_weight():
-    k = Kernel.from_map(1, {(1,): -0.5, (-1,): 1.5})
-    assert "nonnegativity" in validate_kernel(k)
-    k2 = Kernel.from_map(1, {(0,): 0.5, (1,): 0.25, (-1,): 0.25})
-    assert "self-weight" in validate_kernel(k2)
+    with pytest.raises(ValueError, match="nonnegativity"):
+        Kernel.from_map(1, {(1,): -0.5, (-1,): 1.5})
+    with pytest.raises(ValueError, match="self-weight"):
+        Kernel.from_map(1, {(0,): 0.5, (1,): 0.25, (-1,): 0.25})
+
+
+def test_kernel_flags_dimension_and_empty_support_first():
+    # a 1-d offset in a 2-d kernel that also fails nonnegativity, symmetry
+    # and normalization
+    with pytest.raises(ValueError, match="dimension"):
+        Kernel.from_map(2, {(1,): -0.5, (0, 1): 0.5})
+    with pytest.raises(ValueError, match="finite support"):
+        Kernel.from_map(1, {(1,): 0.0, (-1,): 0.0})
 
 
 def test_axis_kernel_is_valid_and_has_range_two():
     k = Kernel.axis_kernel(2, 2)
-    assert validate_kernel(k) is None
     assert k.range == 2
 
 
