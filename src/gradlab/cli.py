@@ -41,11 +41,11 @@ keeps every sweep.  None of these is a config key.
 
 Usage::
 
-    gradlab CONFIG [--out DIR] [--seed S]
+    gradlab CONFIG [--out DIR]
 
-with environment overrides GRADLAB_OUT, GRADLAB_SEED (flags win over the
-environment), validated together with the file.  A usage error, such as
-any other flag or GRADLAB_* variable, is a config error.
+Every input of a run, the seed and the box sizes included, is a key of the
+config file; ``--out`` (default ``.``) only places the outputs.  Any other
+flag, and any GRADLAB_* environment variable, is a config error.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ DIVERGENCE_TOLERANCE = 1e-8
 SURFACE_TOLERANCE = 1e-8
 SECOND_MOMENT_TOLERANCE = 1e-6
 
-#: the keys of every run on a box, and of every run that samples disorder
-_BOX = frozenset({"d", "L", "kernel", "eta2"})
-_MODEL = _BOX | {"disorder", "seed"}
+#: the keys of every run on a lattice, and of every run that draws on one box
+_LATTICE = frozenset({"d", "kernel", "eta2"})
+_MODEL = _LATTICE | {"L", "disorder", "seed"}
 
 #: the largest lattice dimension: the padded one-site box alone has 3^d
 #: cells (5^d for ``axis2``), and the nearest-neighbour kernel 2d offsets of
@@ -169,13 +169,9 @@ _PARSERS: dict[str, Callable[[str], Any]] = {
 _CASTERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
-def parse_config(text: str, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat key=value config; raise ConfigError on the
-    first problem, naming its line.
-
-    ``overrides`` (typed values, as from command-line flags or the
-    environment) replace keys of the text before the one validation pass.
-    """
+    first problem, naming its line."""
     values: dict[str, Any] = {}
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -198,24 +194,18 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> Experime
             raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {exc}", lineno) from exc
-    values.update(overrides or {})
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
     try:
         config = ExperimentConfig(**values)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    _validate(config, {key: lines.get(key) for key in values})
+    _validate(config, lines)
     return config
 
 
-def _sizes(cfg: ExperimentConfig) -> tuple[int, ...]:
-    """The box sizes of the run: ``L_list`` when set, else ``L`` if set."""
-    return cfg.L_list or ((cfg.L,) if cfg.L is not None else ())
-
-
-def _validate(cfg: ExperimentConfig, given: dict[str, int | None]) -> None:
-    """Check cfg; `given` maps each key set to its line (None: an override)."""
+def _validate(cfg: ExperimentConfig, given: dict[str, int]) -> None:
+    """Check cfg; `given` maps each key set to its line."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; "
                           f"choose one of {', '.join(EXPERIMENTS)}")
@@ -225,23 +215,16 @@ def _validate(cfg: ExperimentConfig, given: dict[str, int | None]) -> None:
         raise ConfigError("seed must be >= 0")
     cfg.make_kernel()
     exp, spec = cfg.experiment, EXPERIMENTS[cfg.experiment]
-    reads = spec.keys | {"experiment"}
-    if cfg.L_list and "L_list" in reads:
-        reads -= {"L"}
     for key, line in given.items():
-        if key not in reads:
+        if key not in spec.keys | {"experiment"}:
             raise ConfigError(f"{exp} experiment does not read {key!r}", line)
-    if spec.min_L is not None:
-        if not _sizes(cfg):
-            raise ConfigError(f"{exp} experiment requires "
-                              + " or ".join(sorted(spec.keys & {"L", "L_list"})))
-        if min(_sizes(cfg)) < spec.min_L:
-            raise ConfigError(f"L must be >= {spec.min_L} for {exp}")
+    for key in sorted(spec.keys & {"L", "L_list", "r_list", "R_list"}):
+        if getattr(cfg, key) in (None, ()):
+            raise ConfigError(f"{exp} experiment requires {key}")
+    if spec.min_L is not None and min(cfg.L_list or (cfg.L,)) < spec.min_L:
+        raise ConfigError(f"L must be >= {spec.min_L} for {exp}")
     if spec.d is not None and cfg.d != spec.d:
         raise ConfigError(f"{exp} experiment requires d={spec.d}")
-    for key in sorted(spec.keys & {"r_list", "R_list"}):
-        if not getattr(cfg, key):
-            raise ConfigError(f"{exp} experiment requires {key}")
     if any(r <= 0 for r in cfg.R_list or ()):
         raise ConfigError("R_list entries must be > 0")
     if any(r < 0 or r % 2 or r > cfg.L // 2 for r in cfg.r_list or ()):
@@ -424,7 +407,7 @@ def _run_mcmc(cfg: ExperimentConfig) -> Outcome:
 
 
 def _run_scaling(cfg: ExperimentConfig) -> Outcome:
-    scan = diagnostics.variance_scaling_scan(cfg.d, list(_sizes(cfg)), cfg.eta2,
+    scan = diagnostics.variance_scaling_scan(cfg.d, list(cfg.L_list), cfg.eta2,
                                              kernel=cfg.make_kernel())
     summary: dict[str, Any] = {}
     if len(scan.rows) >= 3 and _finite(scan.rows):
@@ -455,7 +438,7 @@ def _run_decay(cfg: ExperimentConfig) -> Outcome:
 
 
 def _run_clt(cfg: ExperimentConfig) -> Outcome:
-    scan = diagnostics.clt_scan(list(_sizes(cfg)), cfg.n_realizations,
+    scan = diagnostics.clt_scan(list(cfg.L_list), cfg.n_realizations,
                                 cfg.disorder_spec(0))
     rows = [[L, v, e, diagnostics.clt_population_value(int(L), 2, cfg.eta2)]
             for L, v, e in scan.rows]
@@ -466,8 +449,8 @@ def _run_clt(cfg: ExperimentConfig) -> Outcome:
 
 class Experiment(NamedTuple):
     """What one experiment reads, requires, loads and writes.  A run given a
-    key outside ``keys`` rejects it, except that ``L_list`` replaces ``L``.
-    ``cli.run`` writes the rows ``run`` returns to the file named ``csv``."""
+    key outside ``keys`` rejects it.  ``cli.run`` writes the rows ``run``
+    returns to the file named ``csv``."""
 
     run: Callable[[ExperimentConfig], Outcome]
     csv: str                             # the file name of its CSV
@@ -488,12 +471,12 @@ EXPERIMENTS = {
     "mcmc": Experiment(_run_mcmc, "edges.csv",
                        _MODEL | {"potential", "burn_in_sweeps", "measure_sweeps"},
                        min_L=0, preloads=("gradlab.mcmc",)),
-    "scaling": Experiment(_run_scaling, "scaling.csv", _BOX | {"L_list"},
+    "scaling": Experiment(_run_scaling, "scaling.csv", _LATTICE | {"L_list"},
                           min_L=1, gaussian="scan"),
-    "decay": Experiment(_run_decay, "decay.csv", _BOX | {"r_list"},
+    "decay": Experiment(_run_decay, "decay.csv", _LATTICE | {"L", "r_list"},
                         d=3, min_L=0, nn_only=True, gaussian="scan"),
     "clt": Experiment(_run_clt, "clt.csv",
-                      _BOX | {"L_list", "n_realizations", "disorder", "seed"},
+                      _LATTICE | {"L_list", "n_realizations", "disorder", "seed"},
                       d=2, min_L=1, min_realizations=100, nn_only=True),
     "quadrature": Experiment(_run_quadrature, "quadrature.csv", frozenset({"R_list"}),
                              preloads=("gradlab.quadrature",)),
@@ -609,16 +592,6 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunResult:
     return RunResult(code, files, manifest)
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:  # exit 1 like any config error
         raise ConfigError(message)
@@ -629,21 +602,17 @@ def main(argv: list[str] | None = None) -> int:
         prog="gradlab",
         description="Run a gradient-interface experiment from a config file.")
     parser.add_argument("config", help="path to a key=value config file")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", default=".", help="output directory")
     try:
         args = parser.parse_args(argv)
-        stray = sorted(name for name in os.environ if name.startswith("GRADLAB_")
-                       and name not in ("GRADLAB_OUT", "GRADLAB_SEED"))
+        stray = sorted(name for name in os.environ if name.startswith("GRADLAB_"))
         if stray:
             raise ConfigError(f"unrecognized environment variables: {' '.join(stray)}")
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        seed = args.seed if args.seed is not None else _env_int("GRADLAB_SEED")
-        cfg = parse_config(text, {"seed": seed} if seed is not None else None)
-        result = run(cfg, args.out or os.environ.get("GRADLAB_OUT") or ".")
+        result = run(parse_config(text), args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -86,10 +86,11 @@ class GradientEstimate:
     """Time averages of V'(phi_i - phi_j) on every kernel edge, as edge fields
     of the sampled (geometry, kernel).
 
-    ``stderr`` (batch means) and ``n_eff`` change sign with the orientation
-    like any field.  ``batch_means`` holds each batch's mean, one field per
-    row of a leading batch axis, for quantities such as site fluxes whose
-    errors must carry the chain's correlations between edges.
+    ``mean`` and ``batch_means`` change sign with the orientation like any
+    field; ``stderr`` (batch means) and ``n_eff`` are nonnegative magnitudes
+    that only reuse the edge order.  ``batch_means`` holds each batch's mean,
+    one field per row of a leading batch axis, for quantities such as site
+    fluxes whose errors must carry the chain's correlations between edges.
     """
 
     mean: VectorField

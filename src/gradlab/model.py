@@ -46,8 +46,9 @@ class Kernel:
     """Finite-range symmetric random-walk weights p(v) on Z^d offsets.
 
     Valid by construction: building one raises ValueError naming the first
-    violated invariant, checked in the order: offset dimension,
-    nonnegativity, zero self-weight, symmetry, finite support, normalization.
+    violated invariant, checked in the order: one weight per offset,
+    distinct offsets, offset dimension, nonnegativity, zero self-weight,
+    symmetry, finite support, normalization.
     """
 
     d: int
@@ -55,10 +56,15 @@ class Kernel:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if len(self.weights) != len(self.offsets):
+            raise ValueError(f"one weight per offset: {len(self.offsets)} offsets "
+                             f"but {len(self.weights)} weights")
+        wmap = dict(zip(self.offsets, self.weights))
+        if len(wmap) < len(self.offsets):
+            raise ValueError("distinct offsets: an offset is listed twice")
         for v in self.offsets:
             if len(v) != self.d:
                 raise ValueError(f"dimension: offset {v} is not in Z^{self.d}")
-        wmap = dict(zip(self.offsets, self.weights))
         for v, w in wmap.items():
             if w < 0.0:
                 raise ValueError(f"nonnegativity: p({v}) = {w} < 0")

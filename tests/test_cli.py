@@ -45,7 +45,7 @@ def test_parse_minimal_quadrature_config():
 
 def test_parse_rejects_l_zero_for_scaling():
     with pytest.raises(ConfigError, match="L must be >= 1 for scaling"):
-        parse_config("experiment=scaling\nd=2\nL=0\n")
+        parse_config("experiment=scaling\nd=2\nL_list=0\n")
 
 
 def test_parse_potential_round_trip():
@@ -175,10 +175,10 @@ def test_every_golden_and_benchmark_config_parses():
 
 def test_overrides_of_a_key_the_run_ignores_are_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("experiment=quadrature\nR_list=10\n")
-    assert main([str(cfg_path), "--out", str(tmp_path), "--seed", "3"]) == EXIT_CONFIG
+    cfg_path.write_text("experiment=quadrature\nseed=3\nR_list=10\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == "error: quadrature experiment does not read 'seed'\n"
+    assert err == "error: line 2: quadrature experiment does not read 'seed'\n"
     assert not (tmp_path / "run_manifest.json").exists()
 
 
@@ -434,13 +434,6 @@ def test_floats_are_serialized_with_17_significant_digits(tmp_path):
     assert "log_linear_fit" in manifest["summaries"]
 
 
-def test_scaling_accepts_single_l(tmp_path):
-    cfg = parse_config("experiment=scaling\nd=2\nL=4\n")
-    result = run(cfg, tmp_path)
-    assert result.exit_code == EXIT_OK
-    assert len(read_csv(tmp_path / "scaling.csv")) == 2
-
-
 def test_decay_run_emits_compensated_column(tmp_path):
     cfg = parse_config("experiment=decay\nd=3\nL=6\nr_list=0,2\n")
     result = run(cfg, tmp_path)
@@ -599,7 +592,7 @@ def test_main_runs_config_file(tmp_path, capsys):
 
 def test_main_reports_config_errors(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("experiment=scaling\nL=0\n")
+    cfg_path.write_text("experiment=scaling\nL_list=0\n")
     assert main([str(cfg_path)]) == EXIT_CONFIG
     assert "L must be >= 1" in capsys.readouterr().err
     assert main([str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
@@ -615,17 +608,11 @@ def test_main_reports_a_config_that_is_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_main_seed_flag_and_env_override(tmp_path, monkeypatch):
+def test_main_takes_the_seed_from_the_config_file(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("experiment=gaussian-exact\nd=2\nL=2\nn_realizations=2\n")
-    main([str(cfg_path), "--out", str(tmp_path / "flag"), "--seed", "9"])
-    monkeypatch.setenv("GRADLAB_SEED", "9")
-    monkeypatch.setenv("GRADLAB_OUT", str(tmp_path / "env"))
-    main([str(cfg_path)])
-    flag_bytes = (tmp_path / "flag" / "gaussian.csv").read_bytes()
-    env_bytes = (tmp_path / "env" / "gaussian.csv").read_bytes()
-    assert flag_bytes == env_bytes
-    m = json.loads((tmp_path / "env" / "run_manifest.json").read_text())
+    cfg_path.write_text("experiment=gaussian-exact\nd=2\nL=2\nn_realizations=2\nseed=9\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+    m = json.loads((tmp_path / "run_manifest.json").read_text())
     assert m["seeds"]["master"] == 9
     assert m["seeds"]["disorder_spawn_keys"] == [[0, 0], [0, 1]]
 
@@ -671,7 +658,7 @@ def test_experiment_config_defaults_are_valid():
 
 
 # ---------------------------------------------------------------------------
-# entry-point validation: overrides pass through the same checks as the file
+# entry-point validation: the config file is the only source of keys
 
 
 @pytest.mark.parametrize("key,flag,env", [
@@ -691,6 +678,50 @@ def test_main_rejects_the_removed_threads_option(key, flag, env, tmp_path, capsy
     assert err.startswith("error: ") and "threads" in err.lower()
     assert "Traceback" not in err
     assert not (tmp_path / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("text,flag,env,message", [
+    pytest.param("experiment=gaussian-exact\nd=2\nL=2\n", ["--seed", "3"], {},
+                 "unrecognized arguments: --seed 3", id="seed-flag"),
+    pytest.param("experiment=gaussian-exact\nd=2\nL=2\n", [], {"GRADLAB_SEED": "3"},
+                 "unrecognized environment variables: GRADLAB_SEED", id="seed-environment"),
+    pytest.param("experiment=gaussian-exact\nd=2\nL=2\n", [], {"GRADLAB_OUT": "elsewhere"},
+                 "unrecognized environment variables: GRADLAB_OUT", id="out-environment"),
+    pytest.param("experiment=scaling\nd=2\nL=4\n", [], {},
+                 "line 3: scaling experiment does not read 'L'", id="scaling-L"),
+    pytest.param("experiment=clt\nL=4\nn_realizations=100\n", [], {},
+                 "line 2: clt experiment does not read 'L'", id="clt-L"),
+])
+def test_main_rejects_the_removed_overrides(text, flag, env, message, tmp_path, capsys,
+                                            monkeypatch):
+    # the seed and the box sizes have one spelling each, a key of the file
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    for name, value in env.items():
+        monkeypatch.setenv(name, str(tmp_path / value) if name == "GRADLAB_OUT" else value)
+    assert main([str(cfg_path), "--out", str(out)] + flag) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_only_the_stray_variable_check_reads_the_environment():
+    # an environment variable that reached a run could change its numbers
+    # behind the config file
+    reads = []
+    for path in sorted(Path(gradlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): function.name
+                 for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                 for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [(path.name, "from os import", a.name) for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "os" and node.attr in ("environ", "getenv"):
+                reads.append((path.name, owner.get(id(node)), node.attr))
+    assert reads == [("cli.py", "main", "environ")]
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -724,8 +755,7 @@ def test_every_config_key_is_read_by_some_experiment():
 
 #: the keys each config helper reads, by the name a runner calls it by
 HELPER_KEYS = {"make_kernel": {"d", "kernel"},
-               "disorder_spec": {"disorder", "eta2", "seed"},
-               "_sizes": {"L", "L_list"}}
+               "disorder_spec": {"disorder", "eta2", "seed"}}
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
@@ -796,7 +826,6 @@ def test_experiment_names_appear_in_cli_only_as_table_keys():
 
 
 @pytest.mark.parametrize("args,message", [
-    pytest.param(["--seed", "abc"], "invalid int value", id="bad-seed"),
     pytest.param(["--unknown"], "unrecognized arguments", id="unknown-flag"),
     pytest.param(None, "arguments are required", id="no-config"),
 ])
@@ -812,8 +841,8 @@ def test_main_reports_usage_errors_as_config_errors(args, message, tmp_path, cap
 
 def test_main_rejects_negative_seed(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("experiment=mcmc\nd=2\nL=1\nmeasure_sweeps=100\n")
-    assert main([str(cfg_path), "--out", str(tmp_path), "--seed", "-1"]) == EXIT_CONFIG
+    cfg_path.write_text("experiment=mcmc\nd=2\nL=1\nmeasure_sweeps=100\nseed=-1\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "seed must be >= 0" in capsys.readouterr().err
 
 

@@ -50,6 +50,19 @@ def test_validate_kernel_flags_negative_weight_and_self_weight():
         Kernel.from_map(1, {(0,): 0.5, (1,): 0.25, (-1,): 0.25})
 
 
+def test_kernel_flags_repeated_offsets():
+    # the tables read every listed offset: this one would sum to 1.2
+    with pytest.raises(ValueError, match="distinct offsets: an offset is listed twice"):
+        Kernel(d=1, offsets=((1,), (-1,), (1,), (-1,)), weights=(0.1, 0.1, 0.5, 0.5))
+
+
+def test_kernel_flags_a_weight_without_its_offset():
+    with pytest.raises(ValueError, match="one weight per offset: 2 offsets but 3 weights"):
+        Kernel(d=1, offsets=((1,), (-1,)), weights=(0.5, 0.5, 0.7))
+    with pytest.raises(ValueError, match="one weight per offset"):
+        Kernel(d=1, offsets=((1,), (-1,)), weights=(1.0,))
+
+
 def test_kernel_flags_dimension_and_empty_support_first():
     # a 1-d offset in a 2-d kernel that also fails nonnegativity, symmetry
     # and normalization
