@@ -21,7 +21,7 @@ Edge sums read a ``VectorField``, values in ``edge_table`` order, through
 the cached tables of ``model``, in a fixed order: site fluxes
 (``model.site_flux``) add one kernel offset at a time, surface and side
 sums fold edge by edge over the boundary slice of ``model.edge_table``,
-ordered by interior site and then by kernel support order.  The values
+ordered by interior site and then by the rows of ``k.offsets``.  The values
 match the per-edge loops of the definitions, which the tests keep as
 oracles, to the last bit.
 """
@@ -109,7 +109,7 @@ def boundary_ergodic_average(X: VectorField, side: int) -> float:
         raise ValueError("L must be >= 1")
     t = edge_table(g, X.kernel)
     on = t.boundary[t.sides == side]
-    weights = t.signs * [w for _, w in X.kernel.support()]
+    weights = t.signs * X.kernel.weights
     # left to right from 0.0, in table order: np.sum adds pairwise, in
     # another order, and would move the last digits of the CSVs
     total = 0.0

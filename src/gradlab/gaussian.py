@@ -32,8 +32,8 @@ from itertools import product
 import numpy as np
 
 from . import NumericalError
-from .model import (BoxGeometry, Edge, Kernel, Site, VectorField, _pad_heights,
-                    _shifted, gradient_of)
+from .model import (BoxGeometry, Edge, Kernel, VectorField, _pad_heights, _shifted,
+                    gradient_of)
 
 
 class SolverError(NumericalError):
@@ -68,10 +68,6 @@ class DirichletLaplacian:
         return self.geometry.n_sites
 
     @cached_property
-    def _support(self) -> tuple[tuple[Site, float], ...]:
-        return tuple(self.kernel.support())
-
-    @cached_property
     def _sine_divisor(self) -> np.ndarray:
         """lambda_k (2m)^d, lambda_k the sum of ``_symbol`` over the axes."""
         lam = reduce(np.add.outer, _symbol(self.geometry, self.kernel))
@@ -82,7 +78,7 @@ class DirichletLaplacian:
         g = self.geometry
         full = _pad_heights(g, self.kernel, x)
         out = _shifted(g, full, (0,) * g.d).copy()
-        for v, w in self._support:
+        for v, w in zip(self.kernel.offsets, self.kernel.weights):
             out -= w * _shifted(g, full, v)
         return out.ravel()
 
@@ -107,7 +103,7 @@ def _symbol(g: BoxGeometry, kernel: Kernel) -> list[np.ndarray]:
     I - P, its eigenvalues 1 - (1/d) sum_a cos(pi k_a / m) free of their
     cancellation at low k."""
     k, sym = np.arange(1, g.side + 1), [np.zeros(g.side) for _ in range(g.d)]
-    for v, w in kernel.support():
+    for v, w in zip(kernel.offsets, kernel.weights):
         for a in np.flatnonzero(v):
             sym[a] += 2.0 * w * _sin_pi(abs(v[a]) * k, 2 * g.side + 2) ** 2
     return sym

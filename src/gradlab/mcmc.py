@@ -184,7 +184,7 @@ class Chain:
                 gathered[:-1], gathered[-1], self.ph[lo:hi], *powers,
                 powers.reshape(4 * n_nbrs, -1), np.empty(hi - lo)))
         self.eta = np.asarray(eta, dtype=float)[order]
-        self.weights = np.array([w for _, w in k.support()])
+        self.weights = np.array(k.weights)
         self.vpot = vpot
         self.rng = chain_stream(seed, chain)
         self.cap_rejects = 0

@@ -24,7 +24,7 @@ order, the order of ``kernel_edges``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -43,49 +43,44 @@ KERNEL_NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Kernel:
-    """Finite-range symmetric random-walk weights p(v) on Z^d offsets.
+    """Finite-range symmetric random-walk weights p(v) on Z^d offsets,
+    built from the weight map ``{v: p(v)}``.
 
-    Valid by construction: building one raises ValueError naming the first
-    violated invariant, checked in the order: one weight per offset,
-    distinct offsets, offset dimension, nonnegativity, zero self-weight,
-    symmetry, finite support, normalization.
+    ``offsets`` and ``weights`` hold the nonzero weights, sorted by offset;
+    a zero weight is dropped, so two kernels are equal iff their nonzero
+    weights are.  Valid by construction: building one raises ValueError
+    naming the first violated invariant, checked in the order: offset
+    dimension, nonnegativity, zero self-weight, symmetry, finite support,
+    normalization.
     """
 
     d: int
-    offsets: tuple[Site, ...]
-    weights: tuple[float, ...]
+    weight_map: InitVar[dict[Site, float]]
+    offsets: tuple[Site, ...] = field(init=False)
+    weights: tuple[float, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.offsets):
-            raise ValueError(f"one weight per offset: {len(self.offsets)} offsets "
-                             f"but {len(self.weights)} weights")
-        wmap = dict(zip(self.offsets, self.weights))
-        if len(wmap) < len(self.offsets):
-            raise ValueError("distinct offsets: an offset is listed twice")
-        for v in self.offsets:
+    def __post_init__(self, weight_map: dict[Site, float]) -> None:
+        for v in weight_map:
             if len(v) != self.d:
                 raise ValueError(f"dimension: offset {v} is not in Z^{self.d}")
-        for v, w in wmap.items():
+        for v, w in weight_map.items():
             if w < 0.0:
                 raise ValueError(f"nonnegativity: p({v}) = {w} < 0")
-        if wmap.get((0,) * self.d, 0.0) != 0.0:
+        if weight_map.get((0,) * self.d, 0.0) != 0.0:
             raise ValueError("zero self-weight: p(0) != 0")
-        for v, w in wmap.items():
+        for v, w in weight_map.items():
             neg = tuple(-c for c in v)
-            if wmap.get(neg, 0.0) != w:
+            if weight_map.get(neg, 0.0) != w:
                 raise ValueError(f"symmetry: p({v}) = {w} but p({neg}) = "
-                                 f"{wmap.get(neg, 0.0)}")
-        if not any(w != 0.0 for w in wmap.values()):
+                                 f"{weight_map.get(neg, 0.0)}")
+        support = sorted((v, w) for v, w in weight_map.items() if w != 0.0)
+        if not support:
             raise ValueError("finite support: kernel has empty support")
-        total = sum(wmap.values())
+        total = sum(weight_map.values())
         if abs(total - 1.0) > KERNEL_NORM_TOL:
             raise ValueError(f"normalization: sum p = {total!r} != 1")
-
-    @classmethod
-    def from_map(cls, d: int, weight_map: dict[Site, float]) -> "Kernel":
-        items = sorted(weight_map.items())
-        return cls(d=d, offsets=tuple(v for v, _ in items),
-                   weights=tuple(w for _, w in items))
+        object.__setattr__(self, "offsets", tuple(v for v, _ in support))
+        object.__setattr__(self, "weights", tuple(w for _, w in support))
 
     @classmethod
     def nearest_neighbor(cls, d: int) -> "Kernel":
@@ -98,18 +93,14 @@ class Kernel:
         if reach < 1:
             raise ValueError("reach must be >= 1")
         w = 1.0 / (2 * d * reach)
-        return cls.from_map(d, {tuple(s * k * (a == ax) for a in range(d)): w
-                                for ax in range(d) for k in range(1, reach + 1)
-                                for s in (1, -1)})
+        return cls(d, {tuple(s * k * (a == ax) for a in range(d)): w
+                           for ax in range(d) for k in range(1, reach + 1)
+                           for s in (1, -1)})
 
     @cached_property
     def range(self) -> int:
         """Maximum sup-norm of a supported offset."""
-        return max(max(abs(c) for c in v) for v, _ in self.support())
-
-    def support(self) -> list[tuple[Site, float]]:
-        """Offsets with nonzero weight, in sorted order."""
-        return [(v, w) for v, w in zip(self.offsets, self.weights) if w != 0.0]
+        return max(max(abs(c) for c in v) for v in self.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +173,14 @@ def _pad_heights(g: BoxGeometry, k: Kernel, values: np.ndarray) -> np.ndarray:
 def neighbor_index(g: BoxGeometry, k: Kernel) -> np.ndarray:
     """Index of the neighbour i + v of each interior site i, or -1 outside.
 
-    Rows follow ``k.support()``, columns the site index order.  Shifted
+    Rows follow ``k.offsets``, columns the site index order.  Shifted
     views of a padded grid of indices; cached, hence read-only.
     """
+    if k.d != g.d:
+        raise ValueError("kernel and geometry dimensions differ")
     grid = np.full(_padded_shape(g, k), -1)
     _shifted(g, grid, (0,) * g.d)[...] = np.arange(g.n_sites).reshape(g.shape)
-    out = np.stack([_shifted(g, grid, v).ravel() for v, _ in k.support()])
+    out = np.stack([_shifted(g, grid, v).ravel() for v in k.offsets])
     out.flags.writeable = False
     return out
 
@@ -196,10 +189,10 @@ class EdgeTable(NamedTuple):
     """Every kernel edge touching the box, once each (see ``edge_table``)."""
 
     ends: np.ndarray  #: canonical endpoints, 2 x n_edges (``g.n_sites`` outside)
-    ids: np.ndarray  #: edge of (i, i + v), per support row v and interior site i
-    signs: np.ndarray  #: per support row, -1 where ids hold the reverse edge
+    ids: np.ndarray  #: edge of (i, i + v), per row v of ``k.offsets`` and site i
+    signs: np.ndarray  #: per offset row, -1 where ids hold the reverse edge
     sites: np.ndarray  #: the interior site each edge is reached from
-    rows: np.ndarray  #: the support row of the jump it is reached by
+    rows: np.ndarray  #: the offset row of the jump it is reached by
     boundary: np.ndarray  #: the edges that leave the box, in table order
     sides: np.ndarray  #: the face each boundary edge crosses
 
@@ -210,8 +203,8 @@ def edge_table(g: BoxGeometry, k: Kernel) -> EdgeTable:
 
     Edges are ordered by the interior site they are reached from (their
     canonical, lexicographically smaller, first endpoint, or the interior
-    one when that lies outside), then by kernel support order; an edge
-    field holds its values in this order.  ``ids[r, i]`` is the edge
+    one when that lies outside), then by the rows of ``k.offsets``; an
+    edge field holds its values in this order.  ``ids[r, i]`` is the edge
     (i, i + v_r), held as (i, i + v_r) when v_r is lexicographically
     positive (``signs[r]`` = +1) and as its reverse otherwise (-1).  The
     boundary edges (i, i + v), i inside and i + v outside, are the slice
@@ -221,17 +214,16 @@ def edge_table(g: BoxGeometry, k: Kernel) -> EdgeTable:
     1..4 for d = 2.  Cached, hence read-only.
     """
     nbr = neighbor_index(g, k)
-    support = [v for v, _ in k.support()]
-    forward = np.array([v > (0,) * g.d for v in support])
+    forward = np.array([v > (0,) * g.d for v in k.offsets])
     # the (site, row) pairs that reach an edge, site-major: every forward
     # jump, and every backward one that leaves the box
     reached = ((nbr < 0) | forward[:, None]).T.ravel()
-    ids = (np.cumsum(reached) - 1).reshape(g.n_sites, len(support)).T.copy()
-    for r, v in enumerate(support):
+    ids = (np.cumsum(reached) - 1).reshape(g.n_sites, len(k.offsets)).T.copy()
+    for r, v in enumerate(k.offsets):
         if not forward[r]:  # inside the box, the forward jump -v from i + v
-            back = ids[support.index(tuple(-c for c in v))][nbr[r]]
+            back = ids[k.offsets.index(tuple(-c for c in v))][nbr[r]]
             np.copyto(ids[r], back, where=nbr[r] >= 0)
-    sites, rows = np.divmod(np.flatnonzero(reached), len(support))
+    sites, rows = np.divmod(np.flatnonzero(reached), len(k.offsets))
     # an edge reached forward runs (site, neighbour); one reached backward
     # leaves the box, so it runs (outside, site)
     slot = nbr.T.ravel()[reached]
@@ -239,8 +231,8 @@ def edge_table(g: BoxGeometry, k: Kernel) -> EdgeTable:
     first = np.where(forward[rows], sites, slot)
     ends = np.stack([first, sites + slot - first])
     boundary = np.flatnonzero(slot == g.n_sites)
-    axes = [int(np.argmax(np.abs(v))) for v in support]  # ties: the lower axis
-    sides = np.array([a + 1 + g.d * (v[a] < 0) for v, a in zip(support, axes)])
+    axes = [int(np.argmax(np.abs(v))) for v in k.offsets]  # ties: the lower axis
+    sides = np.array([a + 1 + g.d * (v[a] < 0) for v, a in zip(k.offsets, axes)])
     table = EdgeTable(ends, ids, np.where(forward, 1.0, -1.0), sites, rows,
                       boundary, sides[rows[boundary]])
     for array in table:
@@ -254,7 +246,7 @@ def kernel_edges(g: BoxGeometry, k: Kernel) -> tuple[Edge, ...]:
     Cached per (geometry, kernel), hence a tuple."""
     t = edge_table(g, k)
     site = np.stack(np.unravel_index(t.sites, g.shape), axis=-1) - g.L
-    other = site + np.array([v for v, _ in k.support()])[t.rows]
+    other = site + np.array(k.offsets)[t.rows]
     ahead = (t.signs[t.rows] > 0)[:, None]
     first, second = np.where(ahead, site, other), np.where(ahead, other, site)
     return tuple(zip(map(tuple, first.tolist()), map(tuple, second.tolist())))
@@ -358,12 +350,12 @@ class VectorField:
 
 def site_flux(X: VectorField) -> np.ndarray:
     """sum_v p(v) w(i, i + v) at every interior site i, under any leading
-    axes of the field (kept), adding one kernel offset at a time, in
-    support order, for all sites at once."""
+    axes of the field (kept), adding one kernel offset at a time, in the
+    order of ``k.offsets``, for all sites at once."""
     t = edge_table(X.geometry, X.kernel)
     flux = np.zeros(X.values.shape[:-1] + (X.geometry.n_sites,))
     row = np.empty_like(flux)
-    for (_, w), sign, ids in zip(X.kernel.support(), t.signs, t.ids):
+    for w, sign, ids in zip(X.kernel.weights, t.signs, t.ids):
         # the ids are all in range: "clip" gathers unbuffered
         np.take(X.values, ids, axis=-1, out=row, mode="clip")
         row *= sign * w

@@ -21,7 +21,7 @@ from gradlab.model import (BoxGeometry, DisorderSpec, Kernel,
 #: p = 1/8 on +-e1, +-e2, +-(1, 1), +-(1, -1): offsets the separable sine
 #: symbol splits over both axes, and the only jumps whose boundary side is a
 #: tie (won by the lower axis)
-DIAGONAL = Kernel.from_map(2, {v: 0.125 for v in [
+DIAGONAL = Kernel(2, {v: 0.125 for v in [
     (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]})
 
 
@@ -77,7 +77,7 @@ def add(site, v):
 
 
 def weight(k, v):
-    """p(v), 0 for an offset outside the kernel's list."""
+    """p(v), 0 for an offset off the kernel's support."""
     return dict(zip(k.offsets, k.weights)).get(v, 0.0)
 
 
@@ -125,10 +125,10 @@ def set_edge(w, i, j, value):
 
 def oracle_boundary_edges(g, k):
     """(i, j, p(j - i)) for each kernel edge from an interior site i to an
-    exterior site j, ordered by i and then by kernel support order."""
+    exterior site j, ordered by i and then by ``k.offsets``."""
     out = []
     for i in sites(g):
-        for v, w in k.support():
+        for v, w in zip(k.offsets, k.weights):
             j = tuple(a + b for a, b in zip(i, v))
             if not g.contains(j):
                 out.append((i, j, w))
@@ -223,8 +223,7 @@ def loop_residuals(g, w):
     """
     if g.d < 2:
         raise ValueError("no plaquettes in dimension < 2")
-    support = [v for v, _ in w.kernel.support()]
-    unit = [support.index(tuple(int(t == a) for t in range(g.d))) for a in range(g.d)]
+    unit = [w.kernel.offsets.index(tuple(int(t == a) for t in range(g.d))) for a in range(g.d)]
     ids, nbr = edge_table(g, w.kernel).ids, neighbor_index(g, w.kernel)
     worst = 0.0
     for a, b in itertools.combinations(unit, 2):
@@ -253,7 +252,7 @@ def integral_form_check(X, eta):
     """
     volume = float(np.sum(eta))
     t = edge_table(X.geometry, X.kernel)
-    weights = t.signs * [w for _, w in X.kernel.support()]
+    weights = t.signs * X.kernel.weights
     terms = weights[t.rows[t.boundary]] * X.values[t.boundary]
     surface = reduce(operator.add, terms.tolist(), 0.0)
     return IntegralFormCheck(volume, surface, volume - surface)
@@ -441,7 +440,7 @@ def oracle_sparse_operator(A):
     neighbour lies inside the box.  ``.toarray()`` gives the dense one."""
     g = A.geometry
     rows, cols, vals = list(range(g.n_sites)), list(range(g.n_sites)), [1.0] * g.n_sites
-    for v, w in A.kernel.support():
+    for v, w in zip(A.kernel.offsets, A.kernel.weights):
         for i in range(g.n_sites):
             j = tuple(a + b for a, b in zip(site_of(g, i), v))
             if g.contains(j):
@@ -482,7 +481,7 @@ def conditional_logdensity(g, k, vpot, phi, eta, site, t):
     if not g.contains(site):
         raise ValueError(f"site {site} is not interior")
     total = 0.0
-    for v, w in k.support():
+    for v, w in zip(k.offsets, k.weights):
         total -= w * float(vpot.value(t - height_at(g, phi, add(site, v))))
     return total + height_at(g, eta, site) * t
 
@@ -498,7 +497,7 @@ def oracle_energy(g, k, vpot, phi, eta):
             if w:
                 t = height_at(g, phi, i) - height_at(g, phi, j)
                 total += 0.5 * w * float(vpot.value(t))
-        for v, w in k.support():
+        for v, w in zip(k.offsets, k.weights):
             j = add(i, v)
             if not g.contains(j):
                 total += w * float(vpot.value(height_at(g, phi, i)))

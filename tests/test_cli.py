@@ -846,17 +846,6 @@ def test_main_rejects_negative_seed(tmp_path, capsys):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["GRADLAB_SEED"])
-def test_main_reports_non_integer_environment_override(name, tmp_path, capsys,
-                                                       monkeypatch):
-    cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("experiment=quadrature\nR_list=10\n")
-    monkeypatch.setenv(name, "abc")
-    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err and "Traceback" not in err
-
-
 @pytest.mark.parametrize("r_list", ["3", "2,4", "-2"])
 def test_main_rejects_decay_separations_the_scan_cannot_place(r_list, tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"

@@ -35,7 +35,7 @@ def oracle_gradient(g, k, phi):
     out = {}
     for i in sites(g):
         hi = height_at(g, phi, i)
-        for v, _ in k.support():
+        for v in k.offsets:
             j = add(i, v)
             if g.contains(j) and j < i:
                 continue
@@ -47,7 +47,7 @@ def oracle_gradient(g, k, phi):
 def oracle_kernel_edges(g, k):
     out = []
     for i in sites(g):
-        for v, _ in k.support():
+        for v in k.offsets:
             j = add(i, v)
             if g.contains(j) and j < i:
                 continue
@@ -60,7 +60,7 @@ def oracle_divergence_residual(get, eta, g, k):
     residuals = np.zeros(g.n_sites)
     for idx, i in enumerate(sites(g)):
         flux = 0.0
-        for v, w in k.support():
+        for v, w in zip(k.offsets, k.weights):
             flux += w * get(i, add(i, v))
         residuals[idx] = eta[idx] - flux
     return residuals, float(np.max(np.abs(residuals)))
@@ -110,7 +110,7 @@ def oracle_divergence_check(est, eta, g, k):
     batch_flux = np.zeros((len(batches), n))
     for idx, i in enumerate(sites(g)):
         flux = 0.0
-        for v, w in k.support():
+        for v, w in zip(k.offsets, k.weights):
             j = add(i, v)
             flux += w * edge_value(est.mean, i, j)
             batch_flux[:, idx] += w * np.array([edge_value(b, i, j) for b in batches])
@@ -172,7 +172,7 @@ def test_edge_ids_match_reference(case):
     g, k, _ = case
     number = {e: n for n, e in enumerate(oracle_kernel_edges(g, k))}
     table = edge_table(g, k)
-    for r, (v, _) in enumerate(k.support()):
+    for r, v in enumerate(k.offsets):
         for n, i in enumerate(sites(g)):
             key, sign = canonical_edge(i, add(i, v))
             assert (table.ids[r, n], table.signs[r]) == (number[key], sign)
@@ -183,13 +183,12 @@ def test_boundary_table_matches_reference(case):
     its order, their terms p(v) w(i, i + v) and sides, read-only."""
     g, k, _ = case
     table = edge_table(g, k)
-    support = list(k.support())
     rows = table.rows[table.boundary]
-    edges = [(site_of(g, i), add(site_of(g, i), support[r][0]), support[r][1])
+    edges = [(site_of(g, i), add(site_of(g, i), k.offsets[r]), k.weights[r])
              for i, r in zip(table.sites[table.boundary].tolist(), rows.tolist())]
     assert edges == oracle_boundary_edges(g, k)
     X = random_field(g, k, 3)
-    terms = (table.signs * [w for _, w in support])[rows] * X.values[table.boundary]
+    terms = (table.signs * k.weights)[rows] * X.values[table.boundary]
     assert terms.tolist() == [w * edge_value(X, i, j) for i, j, w in edges]
     assert len(table.sides) == len(edges)
     for (i, j, _), side in zip(edges, table.sides.tolist()):

@@ -18,7 +18,7 @@ from gradlab.model import BoxGeometry, Kernel, kernel_edges
 #: the residual target of the tests that compare solves with oracles
 TIGHT = 1e-12
 #: jumps of +-3 only: at L = 2 the sine symbol vanishes on mode k = 4
-THREE_STEP = Kernel.from_map(1, {(3,): 0.5, (-3,): 0.5})
+THREE_STEP = Kernel(1, {(3,): 0.5, (-3,): 0.5})
 
 
 def make_operator(d, L, kernel=None):
@@ -49,8 +49,7 @@ def t_entry(A, edge, y):
 
 def test_operator_rejects_invalid_kernel():
     with pytest.raises(ValueError, match="symmetry"):
-        DirichletLaplacian(BoxGeometry(2, 2), Kernel.from_map(2, {(1, 0): 0.6,
-                                                                 (-1, 0): 0.4}))
+        DirichletLaplacian(BoxGeometry(2, 2), Kernel(2, {(1, 0): 0.6, (-1, 0): 0.4}))
     with pytest.raises(ValueError, match="dimensions differ"):
         DirichletLaplacian(BoxGeometry(2, 2), Kernel.nearest_neighbor(3))
 

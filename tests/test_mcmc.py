@@ -143,7 +143,7 @@ def neighbour_mean(g, k, values):
     """sum_j p(j - i) phi_j at every site i, zero outside the box, for the
     heights in site order along the last axis of `values`."""
     padded = np.concatenate([values, np.zeros(values.shape[:-1] + (1,))], axis=-1)
-    return sum(w * padded[..., row] for (_, w), row in zip(k.support(), neighbor_index(g, k)))
+    return sum(w * padded[..., row] for w, row in zip(k.weights, neighbor_index(g, k)))
 
 
 @with_overrelaxation("name", {"nn": ("nn",), "axis2": ("axis2",)})
@@ -275,7 +275,7 @@ class SiteOrderChain:
                                  slice(lo, lo + len(sites))))
             lo += len(sites)
         self.eta = np.concatenate([eta[sites] for sites, _, _ in self.classes])
-        self.weights = np.array([w for _, w in k.support()])
+        self.weights = np.array(k.weights)
         self.vpot = vpot
         self.ph = np.zeros(g.n_sites + 1)
         self.rng = chain_stream(seed, chain)
@@ -445,8 +445,8 @@ def test_untuned_single_site_chain_matches_quadrature_oracle(width, monkeypatch)
     est = estimate_gradient_mean(g, k, vpot, eta, 0, 30000, seed=9)
     # without burn-in neither the width is tuned nor the proposals reflected
     assert est.proposal_width == width and est.overrelaxation == 0.0
-    oracle = single_site_quadrature_oracle(vpot, 1.0, [w for _, w in k.support()])
-    for v, _ in k.support():
+    oracle = single_site_quadrature_oracle(vpot, 1.0, k.weights)
+    for v in k.offsets:
         got = edge_value(est.mean, (0, 0), v)
         stderr = abs(edge_value(est.stderr, (0, 0), v))
         assert abs(got - oracle.mean_derivative) <= 4.0 * stderr
@@ -641,8 +641,8 @@ def test_single_site_estimate_matches_quadrature_oracle():
     g, k, eta = single_site_setup(1.0)
     vpot = Potential.quartic(1.0, 0.5)
     est = estimate_gradient_mean(g, k, vpot, eta, 2000, 60000, seed=8)
-    oracle = single_site_quadrature_oracle(vpot, 1.0, [w for _, w in k.support()])
-    for v, _ in k.support():
+    oracle = single_site_quadrature_oracle(vpot, 1.0, k.weights)
+    for v in k.offsets:
         j = (v[0], v[1])
         got = edge_value(est.mean, (0, 0), j)  # oriented from the interior site out
         stderr = abs(edge_value(est.stderr, (0, 0), j))  # a magnitude, either orientation
@@ -660,9 +660,8 @@ def test_overrelaxed_estimates_after_a_noisy_width_match_quadrature_oracle():
         eta = sample_disorder(DisorderSpec("gaussian", 1.0, seed), g)
         est = estimate_gradient_mean(g, k, vpot, eta, 200, 6000, seed=seed)
         assert est.overrelaxation == OVERRELAX
-        oracle = single_site_quadrature_oracle(vpot, float(eta[0]),
-                                               [w for _, w in k.support()])
-        for v, _ in k.support():
+        oracle = single_site_quadrature_oracle(vpot, float(eta[0]), k.weights)
+        for v in k.offsets:
             got = edge_value(est.mean, (0, 0), v)
             stderr = abs(edge_value(est.stderr, (0, 0), v))
             assert abs(got - oracle.mean_derivative) <= 4.0 * stderr, (seed, v)

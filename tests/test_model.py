@@ -10,9 +10,11 @@ from conftest import (canonical_edge, edge_value, gaussian_eta, height_at,
                       loop_residuals, oracle_boundary_edges, oracle_energy,
                       random_heights, set_edge, site_of, sites, weight,
                       zero_field, zero_heights)
-from gradlab.model import (BoxGeometry, DisorderSpec, Kernel,
-                           Potential, gradient_of, kernel_edges,
-                           sample_disorder)
+from gradlab.diagnostics import variance_scaling_scan
+from gradlab.gaussian import sine_diagonal
+from gradlab.mcmc import Chain
+from gradlab.model import (BoxGeometry, DisorderSpec, Kernel, Potential, edge_table,
+                           gradient_of, kernel_edges, neighbor_index, sample_disorder)
 
 
 def shell_sites(g, width):
@@ -32,49 +34,65 @@ def test_validate_kernel_accepts_simple_random_walk():
 
 def test_validate_kernel_flags_asymmetry():
     with pytest.raises(ValueError, match="symmetry"):
-        Kernel.from_map(2, {(1, 0): 0.5, (-1, 0): 0.25, (0, -1): 0.25})
+        Kernel(2, {(1, 0): 0.5, (-1, 0): 0.25, (0, -1): 0.25})
     with pytest.raises(ValueError, match="symmetry"):
-        Kernel.from_map(2, {(1, 0): 0.6, (-1, 0): 0.4})
+        Kernel(2, {(1, 0): 0.6, (-1, 0): 0.4})
 
 
 def test_validate_kernel_flags_normalization():
     with pytest.raises(ValueError, match="normalization"):
-        Kernel.from_map(2, {(1, 0): 0.225, (-1, 0): 0.225,
-                            (0, 1): 0.225, (0, -1): 0.225})
+        Kernel(2, {(1, 0): 0.225, (-1, 0): 0.225,
+                   (0, 1): 0.225, (0, -1): 0.225})
 
 
 def test_validate_kernel_flags_negative_weight_and_self_weight():
     with pytest.raises(ValueError, match="nonnegativity"):
-        Kernel.from_map(1, {(1,): -0.5, (-1,): 1.5})
+        Kernel(1, {(1,): -0.5, (-1,): 1.5})
     with pytest.raises(ValueError, match="self-weight"):
-        Kernel.from_map(1, {(0,): 0.5, (1,): 0.25, (-1,): 0.25})
-
-
-def test_kernel_flags_repeated_offsets():
-    # the tables read every listed offset: this one would sum to 1.2
-    with pytest.raises(ValueError, match="distinct offsets: an offset is listed twice"):
-        Kernel(d=1, offsets=((1,), (-1,), (1,), (-1,)), weights=(0.1, 0.1, 0.5, 0.5))
-
-
-def test_kernel_flags_a_weight_without_its_offset():
-    with pytest.raises(ValueError, match="one weight per offset: 2 offsets but 3 weights"):
-        Kernel(d=1, offsets=((1,), (-1,)), weights=(0.5, 0.5, 0.7))
-    with pytest.raises(ValueError, match="one weight per offset"):
-        Kernel(d=1, offsets=((1,), (-1,)), weights=(1.0,))
+        Kernel(1, {(0,): 0.5, (1,): 0.25, (-1,): 0.25})
 
 
 def test_kernel_flags_dimension_and_empty_support_first():
     # a 1-d offset in a 2-d kernel that also fails nonnegativity, symmetry
     # and normalization
     with pytest.raises(ValueError, match="dimension"):
-        Kernel.from_map(2, {(1,): -0.5, (0, 1): 0.5})
+        Kernel(2, {(1,): -0.5, (0, 1): 0.5})
     with pytest.raises(ValueError, match="finite support"):
-        Kernel.from_map(1, {(1,): 0.0, (-1,): 0.0})
+        Kernel(1, {(1,): 0.0, (-1,): 0.0})
 
 
 def test_axis_kernel_is_valid_and_has_range_two():
     k = Kernel.axis_kernel(2, 2)
     assert k.range == 2
+
+
+@pytest.mark.parametrize("weight_map", [
+    pytest.param({(1, 0): 0.25, (0, 1): 0.25, (0, -1): 0.25, (-1, 0): 0.25},
+                 id="reversed"),
+    pytest.param({(0, 0): 0.0, (1, 0): 0.25, (1, 1): 0.0, (-1, 0): 0.25, (2, 0): 0.0,
+                  (0, 1): 0.25, (-1, -1): 0.0, (0, -1): 0.25}, id="zero-padded"),
+])
+def test_a_kernel_is_its_nonzero_weights(weight_map):
+    """Every spelling of one weight map is one kernel: the same support, the
+    same cached tables, and the same closed-form covariance path."""
+    nn, k = Kernel.nearest_neighbor(2), Kernel(2, weight_map)
+    assert k == nn and hash(k) == hash(nn)
+    assert (k.offsets, k.weights) == (nn.offsets, nn.weights)
+    assert sine_diagonal(k)
+    g = BoxGeometry(2, 3)
+    assert edge_table(g, k) is edge_table(g, nn)
+    scan = variance_scaling_scan(2, [32], 1.0, kernel=k)
+    assert scan == variance_scaling_scan(2, [32], 1.0)
+    assert scan.rows[0][2] == pytest.approx(4.696e-13, rel=1e-3)  # the mode sum's bound
+
+
+@pytest.mark.parametrize("build", [
+    neighbor_index, edge_table,
+    lambda g, k: Chain(g, k, Potential.quartic(1.0, 0.1), np.zeros(g.n_sites)),
+], ids=["neighbor_index", "edge_table", "Chain"])
+def test_tables_reject_a_kernel_of_another_dimension(build):
+    with pytest.raises(ValueError, match="kernel and geometry dimensions differ"):
+        build(BoxGeometry(3, 2), Kernel.nearest_neighbor(2))
 
 
 # ---------------------------------------------------------------------------
