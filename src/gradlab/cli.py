@@ -410,30 +410,25 @@ def _run_scaling(cfg: ExperimentConfig) -> Outcome:
     scan = diagnostics.variance_scaling_scan(cfg.d, list(cfg.L_list), cfg.eta2,
                                              kernel=cfg.make_kernel())
     summary: dict[str, Any] = {}
-    if len(scan.rows) >= 3 and _finite(scan.rows):
-        f = diagnostics.fit("log-linear", scan)
-        summary["log_linear_fit"] = {"intercept": f.coefficients[0],
-                                     "slope_per_log2": f.coefficients[1],
-                                     "r_squared": f.r_squared}
-    return ["L", "variance", "err"], [list(r) for r in scan.rows], summary, EXIT_OK
+    if len(scan) >= 3 and _finite(scan):
+        a, b, r2 = diagnostics.fit("log-linear", scan)
+        summary["log_linear_fit"] = {"intercept": a, "slope_per_log2": b,
+                                     "r_squared": r2}
+    return ["L", "variance", "err"], [list(r) for r in scan], summary, EXIT_OK
 
 
 def _run_decay(cfg: ExperimentConfig) -> Outcome:
-    scan = diagnostics.decay_scan_d3(cfg.L, list(cfg.r_list), cfg.eta2)
-    rows = [[r, c, rc] for (r, c, _), (_, rc, _)
-            in zip(scan.covariance.rows, scan.compensated.rows)]
-    covs = scan.covariance.rows
+    covs = diagnostics.decay_scan_d3(cfg.L, list(cfg.r_list), cfg.eta2)
+    rows = [[r, c, r * c] for r, c, _ in covs]
     # a covariance that overflowed, or underflowed to 0, has no relative error bound
     bounded = _finite(covs) and all(c for _, c, _ in covs)
     summary: dict[str, Any] = {
         "max_relative_err": max(e / abs(c) for _, c, e in covs) if bounded else None}
     # the power law fits log c: only the rows of a positive, finite covariance
-    fitted = [row for row in covs if row[0] > 0 and 0.0 < row[1] < math.inf]
+    fitted = tuple(row for row in covs if row[0] > 0 and 0.0 < row[1] < math.inf)
     if len(fitted) >= 3 and _finite(fitted):
-        f = diagnostics.fit("power-law", diagnostics.ScanResult(tuple(fitted)))
-        summary["power_law_fit"] = {"amplitude": f.coefficients[0],
-                                    "exponent": f.coefficients[1],
-                                    "r_squared": f.r_squared}
+        c, q, r2 = diagnostics.fit("power-law", fitted)
+        summary["power_law_fit"] = {"amplitude": c, "exponent": q, "r_squared": r2}
     return ["r", "covariance", "r_times_covariance"], rows, summary, EXIT_OK
 
 
@@ -441,7 +436,7 @@ def _run_clt(cfg: ExperimentConfig) -> Outcome:
     scan = diagnostics.clt_scan(list(cfg.L_list), cfg.n_realizations,
                                 cfg.disorder_spec(0))
     rows = [[L, v, e, diagnostics.clt_population_value(int(L), 2, cfg.eta2)]
-            for L, v, e in scan.rows]
+            for L, v, e in scan]
     worst = max(abs(v - a) / a for _, v, _, a in rows)
     return (["L", "variance", "jackknife_err", "analytic"], rows,
             {"max_relative_deviation": worst}, EXIT_OK)

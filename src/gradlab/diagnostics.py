@@ -11,11 +11,13 @@ with explicit uncertainties:
   d=2, bounded in d=3);
 * the decay of the edge-mean covariance with separation in d=3.
 
-Scans return plain (control, value, uncertainty) rows; ``fit`` provides the
-log-linear and power-law least squares used to summarize them.  The
-Gaussian scans take values and uncertainties from ``gaussian.covariances``
-(the sine-mode sum and its rounding bound for the nearest-neighbour kernel).
-The second-moment identity is one linear solve, the surface identity's.
+Scans return their rows: a tuple of (control, value, uncertainty) floats,
+sorted by control, each uncertainty >= 0.  ``fit`` summarizes rows by
+log-linear or power-law least squares and returns plain floats: its two
+coefficients and R^2, in [0, 1].  The Gaussian scans take values and
+uncertainties from ``gaussian.covariances`` (the sine-mode sum and its
+rounding bound for the nearest-neighbour kernel).  The second-moment
+identity is one linear solve, the surface identity's.
 
 Edge sums read a ``VectorField``, values in ``edge_table`` order, through
 the cached tables of ``model``, in a fixed order: site fluxes
@@ -29,7 +31,6 @@ oracles, to the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,47 +40,14 @@ from .model import (BoxGeometry, DisorderSpec, Edge, Kernel, VectorField,
                     edge_table, sample_disorder, site_flux)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Rows of (control parameter, observable, uncertainty), sorted by control."""
-
-    rows: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self) -> None:
-        controls = [r[0] for r in self.rows]
-        if controls != sorted(controls):
-            raise ValueError("rows must be sorted by control parameter")
-        if any(r[2] < 0.0 for r in self.rows):
-            raise ValueError("uncertainties must be >= 0")
-
-    def controls(self) -> np.ndarray:
-        return np.array([r[0] for r in self.rows])
-
-    def values(self) -> np.ndarray:
-        return np.array([r[1] for r in self.rows])
-
-
-@dataclass(frozen=True)
-class FitResult:
-    model: str
-    coefficients: tuple[float, ...]
-    r_squared: float
-    residuals: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not -1e-12 <= self.r_squared <= 1.0 + 1e-12:
-            raise ValueError("R^2 must lie in [0, 1]")
+#: a scan's (control, value, uncertainty) rows, sorted by control
+Rows = tuple[tuple[float, float, float], ...]
 
 
 class SecondMomentCheck(NamedTuple):
     lhs: float
     rhs: float
     relative_difference: float
-
-
-class DecayScan(NamedTuple):
-    covariance: ScanResult
-    compensated: ScanResult  # value = r * C
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +103,7 @@ def _jackknife_variance_err(samples: np.ndarray) -> float:
 
 
 def clt_scan(L_list: list[int], n_realizations: int,
-             spec: DisorderSpec) -> ScanResult:
+             spec: DisorderSpec) -> Rows:
     """Sample variance of (1/L) sum_Lambda eta across realizations, per L.
 
     For i.i.d. disorder the population value is eta2 (2L+1)^d / L^2, which
@@ -153,7 +121,7 @@ def clt_scan(L_list: list[int], n_realizations: int,
             stats[r] = eta.sum() / L
         rows.append((float(L), float(stats.var(ddof=1)),
                      _jackknife_variance_err(stats)))
-    return ScanResult(tuple(rows))
+    return tuple(rows)
 
 
 def clt_population_value(L: int, d: int, eta2: float) -> float:
@@ -171,7 +139,7 @@ def central_edge(d: int) -> Edge:
 
 
 def variance_scaling_scan(d: int, L_list: list[int], eta2: float,
-                          kernel: Kernel | None = None) -> ScanResult:
+                          kernel: Kernel | None = None) -> Rows:
     """Variance of the central-edge mean gradient versus box size.
 
     The reported uncertainty is the error bound of ``gaussian.covariances``
@@ -188,10 +156,10 @@ def variance_scaling_scan(d: int, L_list: list[int], eta2: float,
         A = gaussian.DirichletLaplacian(BoxGeometry(d, L), k)
         (v,), (err,) = gaussian.covariances(A, [(edge, edge)], eta2)
         rows.append((float(L), float(v), float(err)))
-    return ScanResult(tuple(rows))
+    return tuple(rows)
 
 
-def decay_scan_d3(L: int, r_list: list[int], eta2: float) -> DecayScan:
+def decay_scan_d3(L: int, r_list: list[int], eta2: float) -> Rows:
     """Covariance of the edge mean between edges separated by r in d = 3.
 
     The pair sits symmetrically about the center: base sites at -(r/2) e1
@@ -221,9 +189,7 @@ def decay_scan_d3(L: int, r_list: list[int], eta2: float) -> DecayScan:
     rs = sorted(r_list)
     pairs = [tuple(((x, 0, 0), (x, 1, 0)) for x in (-(r // 2), r // 2)) for r in rs]
     values, errors = gaussian.covariances(A, pairs, eta2)
-    rows = tuple((float(r), float(c), float(e)) for r, c, e in zip(rs, values, errors))
-    return DecayScan(ScanResult(rows),
-                     ScanResult(tuple((r, r * c, r * e) for r, c, e in rows)))
+    return tuple((float(r), float(c), float(e)) for r, c, e in zip(rs, values, errors))
 
 
 def second_moment_identity(g: BoxGeometry, k: Kernel, eta2: float,
@@ -251,17 +217,17 @@ def second_moment_identity(g: BoxGeometry, k: Kernel, eta2: float,
 # least-squares summaries
 
 
-def fit(model: str, scan: ScanResult) -> FitResult:
-    """Ordinary least squares in transformed coordinates.
+def fit(model: str, rows: Rows) -> tuple[float, float, float]:
+    """Ordinary least squares in transformed coordinates: (a, b, R^2).
 
-    "log-linear": y = a + b log2(L), fit in (log2 L, y); coefficients (a, b).
-    "power-law":  y = c r^-q, fit as log y = log c - q log r; coefficients
-    (c, q).  R^2 and residuals are reported in the fitted coordinates.
+    "log-linear": y = a + b log2(L), fit in (log2 L, y); returns (a, b, R^2).
+    "power-law":  y = c r^-q, fit as log y = log c - q log r; returns
+    (c, q, R^2).  R^2 is taken in the fitted coordinates, clamped to [0, 1].
     """
-    if len(scan.rows) < 3:
+    if len(rows) < 3:
         raise ValueError("need at least 3 rows to fit")
-    x = scan.controls()
-    y = scan.values()
+    x = np.array([r[0] for r in rows])
+    y = np.array([r[1] for r in rows])
     if model == "log-linear":
         if np.any(x <= 0.0):
             raise ValueError("log-linear fit requires positive controls")
@@ -281,8 +247,5 @@ def fit(model: str, scan: ScanResult) -> FitResult:
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
     r2 = min(max(r2, 0.0), 1.0)
     if model == "log-linear":
-        coeffs = (float(intercept), float(slope))
-    else:
-        coeffs = (float(math.exp(intercept)), float(-slope))
-    return FitResult(model=model, coefficients=coeffs, r_squared=r2,
-                     residuals=tuple(float(r) for r in resid))
+        return float(intercept), float(slope), r2
+    return float(math.exp(intercept)), float(-slope), r2

@@ -50,8 +50,8 @@ class Kernel:
     a zero weight is dropped, so two kernels are equal iff their nonzero
     weights are.  Valid by construction: building one raises ValueError
     naming the first violated invariant, checked in the order: offset
-    dimension, nonnegativity, zero self-weight, symmetry, finite support,
-    normalization.
+    dimension (each offset a d-tuple of integers), nonnegativity, zero
+    self-weight, symmetry, finite support, normalization.
     """
 
     d: int
@@ -61,7 +61,7 @@ class Kernel:
 
     def __post_init__(self, weight_map: dict[Site, float]) -> None:
         for v in weight_map:
-            if len(v) != self.d:
+            if len(v) != self.d or not all(isinstance(c, (int, np.integer)) for c in v):
                 raise ValueError(f"dimension: offset {v} is not in Z^{self.d}")
         for v, w in weight_map.items():
             if w < 0.0:

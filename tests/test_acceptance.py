@@ -137,16 +137,15 @@ def test_criterion_06_d2_log_divergence():
     slope units between L=4 and L=64."""
     watch = Stopwatch(120.0)
     scan = diagnostics.variance_scaling_scan(2, [4, 8, 16, 32, 64], 1.0)
-    f = diagnostics.fit("log-linear", scan)
-    slope = f.coefficients[1]
-    v = dict(zip(scan.controls(), scan.values()))
+    _, slope, r2 = diagnostics.fit("log-linear", scan)
+    v = {L: value for L, value, _ in scan}
     spread_in_slopes = (v[64.0] - v[4.0]) / slope
-    ok = slope > 0 and f.r_squared >= 0.99 and spread_in_slopes > 3.0
-    report(6, ok, f"slope = {slope:.4f} (> 0), R^2 = {f.r_squared:.5f} "
+    ok = slope > 0 and r2 >= 0.99 and spread_in_slopes > 3.0
+    report(6, ok, f"slope = {slope:.4f} (> 0), R^2 = {r2:.5f} "
                   f"(>= 0.99), (V(64) - V(4))/slope = {spread_in_slopes:.2f} "
                   f"(> 3), {watch.elapsed:.1f}s")
     assert slope > 0
-    assert f.r_squared >= 0.99
+    assert r2 >= 0.99
     assert spread_in_slopes > 3.0
     watch.check()
 
@@ -167,7 +166,7 @@ def test_criterion_07_d3_boundedness():
     """
     watch = Stopwatch(120.0)
     scan = diagnostics.variance_scaling_scan(3, [4, 8, 16], 1.0)
-    v = dict(zip(scan.controls(), scan.values()))
+    v = {L: value for L, value, _ in scan}
     first = v[8.0] - v[4.0]
     second = v[16.0] - v[8.0]
     ratio = second / first
@@ -186,16 +185,15 @@ def test_criterion_08_d3_sharp_decay():
 
     EXPECTED TO FAIL at the margins.  With Dirichlet walls at L=32 the
     boundary screening steepens the decay over r in {4..12}: the measured
-    exponent is ~1.33 against the window [0.8, 1.2] and the compensated
+    exponent is ~1.33 against the window [0.8, 1.2] and the r*C
     drift over {8, 12} is ~16% against < 15%.  The same scan at L=48 gives
     exponent ~1.22 and drift ~10%, converging toward the 1/r law the
     window encodes; the prescribed box is simply too small for it.
     """
     watch = Stopwatch(300.0)
     scan = diagnostics.decay_scan_d3(32, [4, 6, 8, 12], 1.0)
-    f = diagnostics.fit("power-law", scan.covariance)
-    q = f.coefficients[1]
-    comp = dict(zip(scan.compensated.controls(), scan.compensated.values()))
+    _, q, _ = diagnostics.fit("power-law", scan)
+    comp = {r: r * c for r, c, _ in scan}
     drift = abs(comp[12.0] - comp[8.0]) / abs(comp[8.0])
     ok = 0.8 <= q <= 1.2 and drift < 0.15
     report(8, ok, f"exponent q = {q:.3f} (window [0.8, 1.2]), "
@@ -203,7 +201,7 @@ def test_criterion_08_d3_sharp_decay():
                   f"{watch.elapsed:.1f}s")
     watch.check()
     assert 0.8 <= q <= 1.2, f"fitted exponent {q:.3f} outside [0.8, 1.2]"
-    assert drift < 0.15, f"compensated drift {drift:.3f} not below 15%"
+    assert drift < 0.15, f"r*C drift {drift:.3f} not below 15%"
 
 
 def test_criterion_09_mcmc_matches_exact_solver():
@@ -259,15 +257,15 @@ def test_criterion_11_clt_non_concentration():
     scan = diagnostics.clt_scan([8, 16], 1000, spec)
     details = []
     ok = True
-    for L, value, _ in scan.rows:
+    for L, value, _ in scan:
         pop = diagnostics.clt_population_value(int(L), 2, spec.eta2)
         rel = abs(value - pop) / pop
         details.append(f"L={int(L)}: var = {value:.3f} vs {pop:.3f} "
                        f"(rel {rel:.3f} <= 0.15)")
         ok = ok and rel <= 0.15 and value >= 4.0 * spec.eta2
     report(11, ok, ", ".join(details) + f", min = "
-           f"{min(v for _, v, _ in scan.rows):.3f} (>= 4), {watch.elapsed:.1f}s")
-    for L, value, _ in scan.rows:
+           f"{min(v for _, v, _ in scan):.3f} (>= 4), {watch.elapsed:.1f}s")
+    for L, value, _ in scan:
         pop = diagnostics.clt_population_value(int(L), 2, spec.eta2)
         assert abs(value - pop) / pop <= 0.15, f"L={L}"
         assert value >= 4.0 * spec.eta2, f"L={L}"

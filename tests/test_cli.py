@@ -434,7 +434,7 @@ def test_floats_are_serialized_with_17_significant_digits(tmp_path):
     assert "log_linear_fit" in manifest["summaries"]
 
 
-def test_decay_run_emits_compensated_column(tmp_path):
+def test_decay_run_emits_r_times_covariance_column(tmp_path):
     cfg = parse_config("experiment=decay\nd=3\nL=6\nr_list=0,2\n")
     result = run(cfg, tmp_path)
     rows = read_csv(tmp_path / "decay.csv")
@@ -447,7 +447,7 @@ def test_decay_run_emits_compensated_column(tmp_path):
 def test_decay_manifest_reports_the_largest_relative_error_bound(tmp_path):
     run(parse_config("experiment=decay\nd=3\nL=6\nr_list=0,2\n"), tmp_path)
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    rows = diagnostics.decay_scan_d3(6, [0, 2], 1.0).covariance.rows
+    rows = diagnostics.decay_scan_d3(6, [0, 2], 1.0)
     assert manifest["summaries"]["max_relative_err"] == max(e / abs(c) for _, c, e in rows)
 
 

@@ -10,8 +10,7 @@ from conftest import (covariance, edge_value, gaussian_eta, integral_form_check,
                       oracle_boundary_edges, oracle_sparse_operator, set_edge,
                       variance, weight, zero_field)
 from gradlab import diagnostics, gaussian
-from gradlab.diagnostics import (FitResult, ScanResult,
-                                 boundary_ergodic_average, central_edge,
+from gradlab.diagnostics import (boundary_ergodic_average, central_edge,
                                  clt_population_value, clt_scan, decay_scan_d3,
                                  divergence_residual, fit,
                                  second_moment_identity, variance_scaling_scan)
@@ -157,7 +156,7 @@ def test_clt_population_value_is_decreasing_toward_four():
 
 def test_clt_scan_matches_population_value():
     scan = clt_scan([8], 1000, DisorderSpec("gaussian", 1.0, seed=3))
-    (_, value, err) = scan.rows[0]
+    ((_, value, err),) = scan
     pop = clt_population_value(8, 2, 1.0)
     assert abs(value - pop) / pop <= 0.15
     assert 0.0 < err < value
@@ -174,24 +173,24 @@ def test_clt_scan_requires_enough_realizations():
 
 def test_variance_scan_increases_in_d2():
     scan = variance_scaling_scan(2, [4, 8, 16, 32], 1.0)
-    v = scan.values()
+    v = [value for _, value, _ in scan]
     assert np.all(np.diff(v) > 0)
-    f = fit("log-linear", scan)
-    assert f.coefficients[1] > 0
-    assert f.r_squared >= 0.99
+    _, slope, r2 = fit("log-linear", scan)
+    assert slope > 0
+    assert r2 >= 0.99
 
 
 def test_variance_scan_rejects_bounded_model_in_d2():
     scan = variance_scaling_scan(2, [4, 8, 16, 32, 64], 1.0)
-    f = fit("log-linear", scan)
-    residual_scale = float(np.sqrt(np.mean(np.array(f.residuals) ** 2)))
-    v = dict(zip(scan.controls(), scan.values()))
+    a, b, _ = fit("log-linear", scan)
+    v = {L: value for L, value, _ in scan}
+    residual_scale = math.sqrt(np.mean([(value - (a + b * math.log2(L))) ** 2
+                                        for L, value in v.items()]))
     assert v[64.0] - v[8.0] > 5.0 * residual_scale
 
 
 def test_variance_scan_increments_shrink_in_d3():
-    scan = variance_scaling_scan(3, [4, 8, 16], 1.0)
-    v = scan.values()
+    v = [value for _, value, _ in variance_scaling_scan(3, [4, 8, 16], 1.0)]
     assert v[2] - v[1] < v[1] - v[0]
 
 
@@ -205,8 +204,7 @@ def test_variance_scan_matches_variance_op():
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry(2, 4)
     A = DirichletLaplacian(g, k)
-    assert scan.rows[0][1] == pytest.approx(variance(A, central_edge(2), 2.0),
-                                            rel=1e-9)
+    assert scan[0][1] == pytest.approx(variance(A, central_edge(2), 2.0), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +218,12 @@ def test_decay_scan_same_edge_is_variance():
     A = DirichletLaplacian(g, k)
     edge = ((0, 0, 0), (0, 1, 0))
     v = variance(A, edge, 1.0)
-    assert scan.covariance.rows[0][1] == pytest.approx(v, rel=1e-8)
+    assert scan[0][1] == pytest.approx(v, rel=1e-8)
     assert v >= 0.0
 
 
 def test_decay_scan_decreases_and_matches_covariance_op():
-    scan = decay_scan_d3(8, [2, 4], 1.0)
-    vals = scan.covariance.values()
+    vals = [c for _, c, _ in decay_scan_d3(8, [2, 4], 1.0)]
     assert vals[0] > vals[1] > 0.0
     k = Kernel.nearest_neighbor(3)
     g = BoxGeometry(3, 8)
@@ -234,8 +231,6 @@ def test_decay_scan_decreases_and_matches_covariance_op():
     a = ((-1, 0, 0), (-1, 1, 0))
     b = ((1, 0, 0), (1, 1, 0))
     assert vals[0] == pytest.approx(covariance(A, a, b, 1.0), abs=1e-8)
-    comp = scan.compensated.values()
-    assert comp[0] == pytest.approx(2 * vals[0])
 
 
 @pytest.mark.parametrize("scan", [
@@ -254,14 +249,12 @@ def test_scan_errors_are_the_mode_sum_rounding_bound():
     # the nn bound is c eps sum|terms|, far below the solver tolerance the
     # column used to report, and still above the distance to the oracle
     scan = decay_scan_d3(16, [2, 4, 6, 8], 1.0)
-    for r, c, err in scan.covariance.rows:
+    for r, c, err in scan:
         h = int(r) // 2
         oracle = spectral_edge_covariance(3, 16, ((-h, 0, 0), (-h, 1, 0)),
                                           ((h, 0, 0), (h, 1, 0)), 1.0)
         assert abs(c - oracle) <= err <= 1e-11 * abs(c)
-    for (_, rc, rerr), (r, _, err) in zip(scan.compensated.rows, scan.covariance.rows):
-        assert rerr == r * err
-    variance_rows = variance_scaling_scan(2, [4, 8], 1.0).rows
+    variance_rows = variance_scaling_scan(2, [4, 8], 1.0)
     assert all(0.0 < err <= 1e-12 * v for _, v, err in variance_rows)
 
 
@@ -270,15 +263,14 @@ def test_scan_errors_are_the_mode_sum_rounding_bound():
     pytest.param(lambda eta2: variance_scaling_scan(2, [4], eta2,
                                                     kernel=Kernel.axis_kernel(2, 2)),
                  id="scaling-axis2"),
-    pytest.param(lambda eta2: decay_scan_d3(12, [2, 4, 6], eta2).covariance,
-                 id="decay"),
+    pytest.param(lambda eta2: decay_scan_d3(12, [2, 4, 6], eta2), id="decay"),
 ])
 def test_subnormal_covariances_keep_an_error_bound(scan):
     # at eta2 = 1e-320 a covariance is hundreds to thousands of subnormal
     # steps: the bound must cover its distance from eta2 times the
     # unit-disorder value, one step allowed for rounding that product
     eta2, step = 1e-320, 5e-324
-    for (_, unit, _), (_, c, err) in zip(scan(1.0).rows, scan(eta2).rows):
+    for (_, unit, _), (_, c, err) in zip(scan(1.0), scan(eta2)):
         assert err > 0.0
         assert abs(c - eta2 * unit) <= err + step
 
@@ -286,7 +278,7 @@ def test_subnormal_covariances_keep_an_error_bound(scan):
 def test_scaling_scan_keeps_the_solver_tolerance_for_other_kernels(rel_tolerance):
     k = Kernel.axis_kernel(2, 2)
     rel_tolerance(1e-9)
-    for _, v, err in variance_scaling_scan(2, [2, 3], 1.0, kernel=k).rows:
+    for _, v, err in variance_scaling_scan(2, [2, 3], 1.0, kernel=k):
         assert err == pytest.approx(1e-9 * v, rel=1e-15)
 
 
@@ -347,14 +339,14 @@ def spectral_edge_covariance(d, L, a, b, eta2):
 def test_d3_variance_scan_matches_spectral_oracle():
     scan = variance_scaling_scan(3, [4, 8, 16], 1.0)
     edge = central_edge(3)
-    for L, v, _ in scan.rows:
+    for L, v, _ in scan:
         assert v == pytest.approx(
             spectral_edge_covariance(3, int(L), edge, edge, 1.0), rel=1e-7)
 
 
 def test_d3_decay_scan_matches_spectral_oracle():
     scan = decay_scan_d3(16, [2, 4, 6, 8], 1.0)
-    for r, c, _ in scan.covariance.rows:
+    for r, c, _ in scan:
         h = int(r) // 2
         a = ((-h, 0, 0), (-h, 1, 0))
         b = ((h, 0, 0), (h, 1, 0))
@@ -366,7 +358,7 @@ def test_d3_decay_scan_matches_spectral_oracle_at_l64():
     # larger-box evidence for criterion 08: at L = 64 (2.1 M sites) the
     # exponential sum still reproduces the full-tensor eigen-sum
     scan = decay_scan_d3(64, [8, 12], 1.0)
-    for r, c, _ in scan.covariance.rows:
+    for r, c, _ in scan:
         h = int(r) // 2
         a = ((-h, 0, 0), (-h, 1, 0))
         b = ((h, 0, 0), (h, 1, 0))
@@ -392,7 +384,7 @@ def test_d2_variance_gains_the_continuum_amount_per_doubling():
     the last of these and excludes any other simple constant.
     """
     amplitude = 4.0 / math.pi * math.log(2.0)
-    v = variance_scaling_scan(2, [128, 256, 512, 1024], 1.0).values()
+    v = [value for _, value, _ in variance_scaling_scan(2, [128, 256, 512, 1024], 1.0)]
     inc = np.diff(v)
     assert np.all(np.diff(inc) > 0.0) and inc[-1] < amplitude
     extrapolated = 2.0 * inc[1:] - inc[:-1]
@@ -422,7 +414,8 @@ def test_d3_transverse_covariance_approaches_the_continuum_amplitude():
     """
     amplitude = 9.0 / (2.0 * math.pi)
     rs = [8, 12, 16]
-    small, large = (decay_scan_d3(L, rs, 1.0).compensated.values() for L in (128, 256))
+    small, large = (np.array([r * c for r, c, _ in decay_scan_d3(L, rs, 1.0)])
+                    for L in (128, 256))
     deviation = (2.0 * large - small) / amplitude - 1.0
     assert np.all(np.diff(deviation) < 0.0) and deviation[-1] > 0.0
     assert abs(deviation[-1]) <= 0.005
@@ -440,7 +433,7 @@ def test_d3_central_edge_variance_limit_is_approached_like_one_over_l():
     ratio window; this pins the rate's correction and the limit.
     """
     boxes = np.array([16, 32, 64, 128, 256])
-    v = variance_scaling_scan(3, list(boxes), 1.0).values()
+    v = np.array([value for _, value, _ in variance_scaling_scan(3, list(boxes), 1.0)])
     inc = np.diff(v)
     ratio = inc[1:] / inc[:-1]
     assert np.all(np.diff(ratio) < 0.0) and np.all(ratio > 0.5)
@@ -512,42 +505,47 @@ def test_second_moment_identity_is_one_solve(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# fits and result types
+# rows and fits
+
+
+@pytest.mark.parametrize("scan, controls", [
+    pytest.param(lambda c: clt_scan(c, 100, DisorderSpec("gaussian", 1.0, seed=3)),
+                 [4, 2], id="clt"),
+    pytest.param(lambda c: variance_scaling_scan(2, c, 1.0), [4, 1, 2], id="scaling-nn"),
+    pytest.param(lambda c: variance_scaling_scan(2, c, 1.0, kernel=Kernel.axis_kernel(2, 2)),
+                 [3, 1, 2], id="scaling-axis2"),
+    pytest.param(lambda c: decay_scan_d3(8, c, 1.0), [4, 0, 2], id="decay"),
+])
+def test_scans_return_float_rows_sorted_by_control(scan, controls):
+    rows = scan(controls)
+    assert [r[0] for r in rows] == sorted(map(float, controls))
+    assert all(len(r) == 3 and all(type(x) is float for x in r) for r in rows)
+    assert all(err >= 0.0 for _, _, err in rows)
 
 
 def test_fit_recovers_exact_log_linear_data():
     ls = [2.0, 4.0, 8.0, 16.0]
     rows = tuple((L, 2.0 + 3.0 * np.log2(L), 0.0) for L in ls)
-    f = fit("log-linear", ScanResult(rows))
-    assert f.coefficients == pytest.approx((2.0, 3.0), abs=1e-12)
-    assert f.r_squared == pytest.approx(1.0)
+    a, b, r2 = fit("log-linear", rows)
+    assert (a, b) == pytest.approx((2.0, 3.0), abs=1e-12)
+    assert r2 == pytest.approx(1.0)
 
 
 def test_fit_recovers_exact_power_law():
     rs = [2.0, 4.0, 8.0, 16.0]
     rows = tuple((r, 5.0 / r, 0.0) for r in rs)
-    f = fit("power-law", ScanResult(rows))
-    amplitude, exponent = f.coefficients
+    amplitude, exponent, r2 = fit("power-law", rows)
     assert amplitude == pytest.approx(5.0, rel=1e-12)
     assert exponent == pytest.approx(1.0, abs=1e-12)
-    assert f.r_squared == pytest.approx(1.0)
+    assert r2 == pytest.approx(1.0)
 
 
 def test_fit_rejects_bad_input():
-    with pytest.raises(ValueError):
-        fit("power-law", ScanResult(((1.0, -1.0, 0.0), (2.0, 1.0, 0.0),
-                                     (3.0, 1.0, 0.0))))
-    with pytest.raises(ValueError):
-        fit("log-linear", ScanResult(((1.0, 1.0, 0.0), (2.0, 2.0, 0.0))))
-    with pytest.raises(ValueError):
-        fit("cubic", ScanResult(((1.0, 1.0, 0.0), (2.0, 2.0, 0.0),
-                                 (3.0, 3.0, 0.0))))
-
-
-def test_scan_result_validation():
-    with pytest.raises(ValueError):
-        ScanResult(((2.0, 1.0, 0.0), (1.0, 1.0, 0.0)))  # unsorted
-    with pytest.raises(ValueError):
-        ScanResult(((1.0, 1.0, -0.1),))  # negative uncertainty
-    with pytest.raises(ValueError):
-        FitResult("log-linear", (0.0, 1.0), 1.5, ())
+    with pytest.raises(ValueError, match="positive controls and values"):
+        fit("power-law", ((1.0, -1.0, 0.0), (2.0, 1.0, 0.0), (3.0, 1.0, 0.0)))
+    with pytest.raises(ValueError, match="positive controls"):
+        fit("log-linear", ((0.0, 1.0, 0.0), (1.0, 2.0, 0.0), (2.0, 3.0, 0.0)))
+    with pytest.raises(ValueError, match="at least 3 rows"):
+        fit("log-linear", ((1.0, 1.0, 0.0), (2.0, 2.0, 0.0)))
+    with pytest.raises(ValueError, match="unknown fit model"):
+        fit("cubic", ((1.0, 1.0, 0.0), (2.0, 2.0, 0.0), (3.0, 3.0, 0.0)))

@@ -455,7 +455,7 @@ def test_exponential_sum_matches_slab_contraction(d, L, a, b):
 def test_decay_scan_matches_slab_contraction(L):
     scan = decay_scan_d3(L, [r for r in (4, 6, 8, 12) if r <= L // 2], 1.0)
     A, _, _ = make_operator(3, L)
-    for r, c, err in scan.covariance.rows:
+    for r, c, err in scan:
         h = int(r) // 2
         a, b = (((x, 0, 0), (x, 1, 0)) for x in (-h, h))
         assert abs(c - slab_covariance(A, a, b, 1.0)) <= err

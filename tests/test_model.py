@@ -61,6 +61,22 @@ def test_kernel_flags_dimension_and_empty_support_first():
         Kernel(1, {(1,): 0.0, (-1,): 0.0})
 
 
+@pytest.mark.parametrize("weight_map", [
+    pytest.param({(1.5,): 0.5, (-1.5,): 0.5}, id="fractional"),
+    pytest.param({(1.0,): 0.5, (-1.0,): 0.5}, id="integral-float"),
+])
+def test_kernel_flags_offsets_off_the_lattice(weight_map):
+    # a fractional offset used to construct and fail later in a slice; an
+    # integral float one compared equal to nn and shared its cached tables
+    with pytest.raises(ValueError, match=r"dimension: offset .* is not in Z\^1"):
+        Kernel(1, weight_map)
+
+
+def test_kernel_accepts_numpy_integer_offsets():
+    k = Kernel(1, {(np.int64(1),): 0.5, (np.int64(-1),): 0.5})
+    assert k == Kernel.nearest_neighbor(1)
+
+
 def test_axis_kernel_is_valid_and_has_range_two():
     k = Kernel.axis_kernel(2, 2)
     assert k.range == 2
@@ -83,7 +99,7 @@ def test_a_kernel_is_its_nonzero_weights(weight_map):
     assert edge_table(g, k) is edge_table(g, nn)
     scan = variance_scaling_scan(2, [32], 1.0, kernel=k)
     assert scan == variance_scaling_scan(2, [32], 1.0)
-    assert scan.rows[0][2] == pytest.approx(4.696e-13, rel=1e-3)  # the mode sum's bound
+    assert scan[0][2] == pytest.approx(4.696e-13, rel=1e-3)  # the mode sum's bound
 
 
 @pytest.mark.parametrize("build", [
