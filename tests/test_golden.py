@@ -114,7 +114,8 @@ CASES = [(older, name) for older, (_, names) in OLDER.items() for name in names]
 def test_golden_set_is_complete():
     assert CONFIGS == ["clt", "decay", "decay-fit", "edges", "edges-quartic",
                        "gaussian-axis2", "gaussian-nn", "identities-d2",
-                       "identities-d2-axis2", "identities-d3", "scaling"]
+                       "identities-d2-axis2", "identities-d3", "identities-eta2",
+                       "scaling"]
     assert {p.name for p in GOLDEN.iterdir() if p.is_file()} == \
         {name + ext for name in CONFIGS for ext in (".cfg", ".csv", ".summaries.json")}
     assert {p.name for p in GOLDEN.iterdir() if p.is_dir()} == set(OLDER)
