@@ -4,7 +4,9 @@ Everything here reduces a structural identity or a scaling law to numbers
 with explicit uncertainties:
 
 * divergence residuals eta_i - sum_j p(j-i) X_ij;
-* per-side boundary averages whose disorder mean vanishes;
+* the four side averages of the boundary flux, whose disorder mean vanishes;
+* the boundary identities of the Gaussian model: the surface identity and
+  the second-moment identity, from one linear solve;
 * the variance of the volume-averaged field across realizations (which
   does not concentrate);
 * the growth of the central-edge variance with box size (log-divergent in
@@ -16,22 +18,20 @@ sorted by control, each uncertainty >= 0.  ``fit`` summarizes rows by
 log-linear or power-law least squares and returns plain floats: its two
 coefficients and R^2, in [0, 1].  The Gaussian scans take values and
 uncertainties from ``gaussian.covariances`` (the sine-mode sum and its
-rounding bound for the nearest-neighbour kernel).  The second-moment
-identity is one linear solve, the surface identity's.
+rounding bound for the nearest-neighbour kernel).
 
 Edge sums read a ``VectorField``, values in ``edge_table`` order, through
 the cached tables of ``model``, in a fixed order: site fluxes
 (``model.site_flux``) add one kernel offset at a time, surface and side
-sums fold edge by edge over the boundary slice of ``model.edge_table``,
-ordered by interior site and then by the rows of ``k.offsets``.  The values
-match the per-edge loops of the definitions, which the tests keep as
-oracles, to the last bit.
+sums fold edge by edge, in one pass, over the boundary slice of
+``model.edge_table``, ordered by interior site and then by the rows of
+``k.offsets``.  The values match the per-edge loops of the definitions,
+which the tests keep as oracles, to the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,12 +42,6 @@ from .model import (BoxGeometry, DisorderSpec, Edge, Kernel, VectorField,
 
 #: a scan's (control, value, uncertainty) rows, sorted by control
 Rows = tuple[tuple[float, float, float], ...]
-
-
-class SecondMomentCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    relative_difference: float
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +55,9 @@ def divergence_residual(X: VectorField, eta: np.ndarray) -> tuple[np.ndarray, fl
     return residuals, float(np.max(np.abs(residuals)))
 
 
-def boundary_ergodic_average(X: VectorField, side: int) -> float:
-    """Normalized boundary sum (1/L) sum p(i-j) X_ij over one side of the square.
+def boundary_ergodic_average(X: VectorField) -> tuple[float, float, float, float]:
+    """Normalized boundary sums (1/L) sum p(i-j) X_ij over the four sides of
+    the square, sides 1..4 in order.
 
     Sides 1..4 are the faces crossed in the +e1, +e2, -e1, -e2 directions;
     edges are assigned to the dominant component of their jump (ties to the
@@ -71,19 +66,17 @@ def boundary_ergodic_average(X: VectorField, side: int) -> float:
     g = X.geometry
     if g.d != 2:
         raise ValueError("boundary sides are defined for d = 2 only")
-    if side not in (1, 2, 3, 4):
-        raise ValueError("side must be in {1, 2, 3, 4}")
     if g.L < 1:
         raise ValueError("L must be >= 1")
     t = edge_table(g, X.kernel)
-    on = t.boundary[t.sides == side]
     weights = t.signs * X.kernel.weights
-    # left to right from 0.0, in table order: np.sum adds pairwise, in
-    # another order, and would move the last digits of the CSVs
-    total = 0.0
-    for term in (weights[t.rows[on]] * X.values[on]).tolist():
-        total += term
-    return total / g.L
+    terms = weights[t.rows[t.boundary]] * X.values[t.boundary]
+    # each side left to right from 0.0, in table order: np.sum adds
+    # pairwise, in another order, and would move the last digits of the CSVs
+    totals = [0.0] * 4
+    for side, term in zip(t.sides.tolist(), terms.tolist()):
+        totals[side - 1] += term
+    return tuple(total / g.L for total in totals)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +110,8 @@ def clt_scan(L_list: list[int], n_realizations: int,
         g = BoxGeometry(d=2, L=L)
         stats = np.empty(n_realizations)
         for r in range(n_realizations):
-            eta = sample_disorder(spec.with_realization(spec.realization + r), g)
+            eta = sample_disorder(DisorderSpec(spec.family, spec.eta2, spec.seed,
+                                               spec.realization + r), g)
             stats[r] = eta.sum() / L
         rows.append((float(L), float(stats.var(ddof=1)),
                      _jackknife_variance_err(stats)))
@@ -192,25 +186,28 @@ def decay_scan_d3(L: int, r_list: list[int], eta2: float) -> Rows:
     return tuple((float(r), float(c), float(e)) for r, c, e in zip(rs, values, errors))
 
 
-def second_moment_identity(g: BoxGeometry, k: Kernel, eta2: float,
-                           w: np.ndarray | None = None) -> SecondMomentCheck:
-    """eta2 |Lambda| versus the double boundary sum of the edge covariance.
+def boundary_identities(A: gaussian.DirichletLaplacian,
+                        eta2: float) -> tuple[float, float, float]:
+    """The surface and second-moment identities of the box, from one solve:
+    (surface deviation, second-moment sum, its relative difference from
+    eta2 |Lambda|).
 
-    The right-hand side is the double sum over boundary-edge pairs (a, b) of
-    p_a p_b C(a, b) = eta2 sum_y (sum_a p_a T_{a,y}) (sum_b p_b T_{b,y}).  A
-    boundary edge a = (i, j) with i inside has T_{a,y} = G_iy (G vanishes
-    outside), so sum_a p_a T_{a,y} = (G s)_y with s = ``exterior_leak``, and
-    the sum is eta2 ||w||^2 for the single solve A w = s, the same solve as
-    the surface identity, which a caller holding it passes as ``w``.  The
-    tests keep the literal double sum as the oracle.
+    A boundary edge a = (i, j) with i inside has T_{a,y} = G_iy (G vanishes
+    outside), so the weighted boundary sum of the response to a source at y
+    is sum_a p_a T_{a,y} = (G s)_y, s_i = sum_{j outside} p(j - i) the
+    kernel weight escaping the box, which is A applied to the constant 1:
+    the single solve A w = A 1 gives w.  The surface identity is w = 1, and
+    its deviation max_y |w_y - 1|.  The second-moment sum is the double sum
+    over boundary-edge pairs of p_a p_b C(a, b) = eta2 ||w||^2, which the
+    surface identity makes eta2 |Lambda|.  The tests keep the per-column
+    surface sum and the literal double sum as oracles.
     """
-    if w is None:
-        A = gaussian.DirichletLaplacian(g, k)
-        w = gaussian.solve_array(A, gaussian.exterior_leak(A))
-    lhs = eta2 * g.n_sites
+    w = gaussian.solve_array(A, A.apply(np.ones(A.n)))
+    lhs = eta2 * A.n
     rhs = eta2 * float(w @ w)
     denom = max(abs(lhs), abs(rhs))
-    return SecondMomentCheck(lhs, rhs, abs(lhs - rhs) / denom if denom else 0.0)
+    return (float(np.max(np.abs(w - 1.0))), rhs,
+            abs(lhs - rhs) / denom if denom else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ otherwise continues by conjugate gradients preconditioned by M^-1.  Every
 solve meets the one residual target ``REL_TOLERANCE``.
 ``covariances`` sums the sine modes of the nearest-neighbour kernel as an
 exponential sum, O(d L) per node, and edge responses of any other kernel.
-Nothing here assembles the operator as a matrix.
+Nothing here assembles the operator as a matrix, and nothing here checks
+an identity: the boundary identities that read a solve are
+``diagnostics.boundary_identities``.
 """
 
 from __future__ import annotations
@@ -297,24 +299,3 @@ def covariances(A: DirichletLaplacian, pairs: list[tuple[Edge, Edge]],
             bounds = bound * np.bincount(rows, total, len(pairs))
     step = np.where(values == 0.0, 0.0, np.finfo(float).smallest_subnormal)
     return eta2 * values, eta2 * bounds + step
-
-
-def exterior_leak(A: DirichletLaplacian) -> np.ndarray:
-    """Per-site kernel weight escaping the box, s_i = sum_{j outside} p(j-i):
-    A applied to the constant field 1, since the kernel sums to 1."""
-    return A.apply(np.ones(A.n))
-
-
-def surface_identity_check(A: DirichletLaplacian,
-                           w: np.ndarray | None = None) -> float:
-    """Max over interior y of |sum over boundary edges of p * T_{.,y} - 1|.
-
-    The weighted boundary-edge sum of the response matrix is identically 1
-    for every source site.  The reference formulation evaluates the sum
-    column by column from Green solves at each y; this implementation uses
-    the equivalent adjoint form (one solve of A w = exterior_leak, then
-    max |w - 1|), which the tests check against the per-column reference.
-    """
-    if w is None:
-        w = solve_array(A, exterior_leak(A))
-    return float(np.max(np.abs(w - 1.0)))

@@ -60,8 +60,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import divergence_residual
-from .model import (BoxGeometry, Kernel, Potential, VectorField, chain_stream,
-                    edge_table, neighbor_index, site_flux)
+from .model import (BoxGeometry, Kernel, Potential, STREAM_CHAIN, VectorField,
+                    edge_table, neighbor_index, site_flux, stream)
 
 #: proposals beyond this height are rejected outright (and counted); the
 #: superlinear growth of V makes genuine excursions this large impossible
@@ -186,7 +186,7 @@ class Chain:
         self.eta = np.asarray(eta, dtype=float)[order]
         self.weights = np.array(k.weights)
         self.vpot = vpot
-        self.rng = chain_stream(seed, chain)
+        self.rng = stream(seed, STREAM_CHAIN, chain)
         self.cap_rejects = 0
         #: block buffers: offsets, Exp(1) thresholds and proposals; accept flags
         self.work = np.empty((3, 0, g.n_sites))
@@ -284,7 +284,10 @@ class Chain:
 def tune(chain: Chain, burn_in_sweeps: int) -> tuple[float, float]:
     """Burn the chain in, in blocks of ``BLOCK`` sweeps at alpha = 0, and
     return the proposal width it tuned and |w_k / w_(k-1) - 1| of its last
-    block (0 without burn-in or for b = 0)."""
+    block (0 without burn-in or for b = 0).  A negative ``burn_in_sweeps``
+    raises ValueError before any draw."""
+    if burn_in_sweeps < 0:
+        raise ValueError(f"burn_in_sweeps must be >= 0, got {burn_in_sweeps}")
     vpot = chain.vpot
     width, change = START_WIDTH, 0.0
     # the width by linear response: under a harmonic conditional of
@@ -329,12 +332,16 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     after every sweep is formed per block in an (edges, sweeps) buffer,
     edges in ``kernel_edges`` order, and summed along each edge's row.
     Measurement runs the largest multiple of ``N_BATCHES`` sweeps that
-    ``measure_sweeps`` (at least ``N_BATCHES``; the CLI asks for 100)
-    holds (the estimate's ``retained``), over-relaxed
+    ``measure_sweeps`` holds (the estimate's ``retained``; fewer than
+    ``N_BATCHES``, or a negative ``burn_in_sweeps``, raises ValueError
+    before any draw, and the CLI asks for at least 100), over-relaxed
     with ``OVERRELAX`` after a burn-in and not without one.  Poor mixing
     shows up as large stderr, never as an error; proposals past
     ``HEIGHT_CAP`` are counted in ``cap_rejects``.
     """
+    if measure_sweeps < N_BATCHES:
+        raise ValueError(f"measure_sweeps must be >= N_BATCHES = {N_BATCHES}, "
+                         f"got {measure_sweeps}")
     sampler = Chain(g, k, vpot, eta, seed=seed, chain=chain)
     width, change = tune(sampler, burn_in_sweeps)
     # reflect only about a tuned width's centre: at an untuned one it can stick

@@ -276,29 +276,21 @@ class DisorderSpec:
         if self.family not in ("gaussian", "rademacher", "uniform"):
             raise ValueError(f"unknown disorder family {self.family!r}")
 
-    def with_realization(self, realization: int) -> "DisorderSpec":
-        return DisorderSpec(self.family, self.eta2, self.seed, realization)
-
 
 #: spawn-key tags for the splittable seed streams (see cli module docs)
 STREAM_DISORDER = 0
 STREAM_CHAIN = 1
 
 
-def disorder_stream(seed: int, realization: int) -> np.random.Generator:
-    """Independent generator for one disorder realization.
+def stream(seed: int, tag: int, index: int) -> np.random.Generator:
+    """Independent generator for one disorder realization (tag
+    STREAM_DISORDER) or one Markov chain (STREAM_CHAIN).
 
     Streams are split off a master seed with a counter-style spawn key
-    (STREAM_DISORDER, realization), so realizations may be generated in any
-    order, or concurrently, with bit-identical results.
+    (tag, index), so realizations and chains may be generated in any order,
+    or concurrently, with bit-identical results.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_DISORDER, realization))
-    return np.random.default_rng(ss)
-
-
-def chain_stream(seed: int, chain: int) -> np.random.Generator:
-    """Independent generator for one Markov chain, split like disorder_stream."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_CHAIN, chain))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
     return np.random.default_rng(ss)
 
 
@@ -317,7 +309,7 @@ def sample_disorder(spec: DisorderSpec, g: BoxGeometry) -> SiteArray:
     Deterministic given (seed, realization): values are filled in site index
     order from the realization's own stream.
     """
-    rng = disorder_stream(spec.seed, spec.realization)
+    rng = stream(spec.seed, STREAM_DISORDER, spec.realization)
     n = g.n_sites
     scale = np.sqrt(spec.eta2)
     if spec.family == "gaussian":

@@ -10,10 +10,10 @@ from conftest import (covariance, edge_value, gaussian_eta, integral_form_check,
                       oracle_boundary_edges, oracle_sparse_operator, set_edge,
                       variance, weight, zero_field)
 from gradlab import diagnostics, gaussian
-from gradlab.diagnostics import (boundary_ergodic_average, central_edge,
-                                 clt_population_value, clt_scan, decay_scan_d3,
-                                 divergence_residual, fit,
-                                 second_moment_identity, variance_scaling_scan)
+from gradlab.diagnostics import (boundary_ergodic_average, boundary_identities,
+                                 central_edge, clt_population_value, clt_scan,
+                                 decay_scan_d3, divergence_residual, fit,
+                                 variance_scaling_scan)
 from gradlab.gaussian import DirichletLaplacian, mean_gradient
 from gradlab.model import (BoxGeometry, DisorderSpec, Kernel,
                            VectorField, kernel_edges, sample_disorder)
@@ -103,13 +103,13 @@ def test_zero_disorder_arbitrary_field_bookkeeping():
 def test_boundary_average_zero_field():
     g, k, A, _ = setup_gaussian(2, 3)
     w = zero_field(g, k)
-    assert all(boundary_ergodic_average(w, s) == 0.0 for s in (1, 2, 3, 4))
+    assert boundary_ergodic_average(w) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_boundary_sides_partition_the_surface_sum():
     g, k, A, eta = setup_gaussian(2, 3, seed=7)
     X = mean_gradient(A, eta)
-    sides = sum(boundary_ergodic_average(X, s) for s in (1, 2, 3, 4))
+    sides = sum(boundary_ergodic_average(X))
     chk = integral_form_check(X, eta)
     assert sides * g.L == pytest.approx(chk.surface_sum, rel=1e-12)
 
@@ -120,7 +120,7 @@ def test_boundary_sides_partition_with_range_two_kernel():
     A = DirichletLaplacian(g, k)
     eta = gaussian_eta(g, seed=8)
     X = mean_gradient(A, eta)
-    sides = sum(boundary_ergodic_average(X, s) for s in (1, 2, 3, 4))
+    sides = sum(boundary_ergodic_average(X))
     assert sides * g.L == pytest.approx(integral_form_check(X, eta).surface_sum,
                                         rel=1e-12)
 
@@ -129,7 +129,7 @@ def test_boundary_average_requires_d2():
     k = Kernel.nearest_neighbor(3)
     g = BoxGeometry(3, 1)
     with pytest.raises(ValueError):
-        boundary_ergodic_average(zero_field(g, k), 1)
+        boundary_ergodic_average(zero_field(g, k))
 
 
 def test_disorder_mean_of_side_averages_is_small():
@@ -139,7 +139,7 @@ def test_disorder_mean_of_side_averages_is_small():
     for r in range(n):
         eta = sample_disorder(DisorderSpec("gaussian", 1.0, 21, r), g)
         X = mean_gradient(A, eta)
-        sides[r] = [boundary_ergodic_average(X, s) for s in (1, 2, 3, 4)]
+        sides[r] = boundary_ergodic_average(X)
     means = sides.mean(axis=0)
     stderrs = sides.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(means) <= 4.0 * stderrs)
@@ -450,17 +450,17 @@ def test_d3_central_edge_variance_limit_is_approached_like_one_over_l():
 def test_second_moment_single_site():
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry(2, 0)
-    chk = second_moment_identity(g, k, 2.5)
-    assert chk.lhs == pytest.approx(2.5)
-    assert chk.relative_difference <= 1e-12
+    _, second, relative_difference = boundary_identities(DirichletLaplacian(g, k), 2.5)
+    assert second == pytest.approx(2.5)
+    assert relative_difference <= 1e-12
 
 
 @pytest.mark.parametrize("d,L", [(2, 4), (3, 2)])
 def test_second_moment_small_boxes(d, L):
     k = Kernel.nearest_neighbor(d)
     g = BoxGeometry(d, L)
-    chk = second_moment_identity(g, k, 1.0)
-    assert chk.relative_difference <= 1e-6
+    _, _, relative_difference = boundary_identities(DirichletLaplacian(g, k), 1.0)
+    assert relative_difference <= 1e-6
 
 
 def oracle_second_moment_rhs(g, k, eta2):
@@ -481,13 +481,13 @@ def oracle_second_moment_rhs(g, k, eta2):
 def test_second_moment_rhs_matches_the_literal_double_sum(d, L, name):
     k = Kernel.nearest_neighbor(d) if name == "nn" else Kernel.axis_kernel(d, 2)
     g = BoxGeometry(d, L)
-    chk = second_moment_identity(g, k, 1.7)
-    assert chk.rhs == pytest.approx(oracle_second_moment_rhs(g, k, 1.7),
-                                    rel=1e-12, abs=0.0)
+    _, second, _ = boundary_identities(DirichletLaplacian(g, k), 1.7)
+    assert second == pytest.approx(oracle_second_moment_rhs(g, k, 1.7),
+                                   rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["nn", "axis2"])
-def test_second_moment_identity_is_one_solve(name, monkeypatch):
+def test_boundary_identities_are_one_solve(name, monkeypatch):
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
     g = BoxGeometry(2, 3)
     calls = []
@@ -498,10 +498,10 @@ def test_second_moment_identity_is_one_solve(name, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(gaussian, "solve_array", counted)
-    second_moment_identity(g, k, 1.0)
+    boundary_identities(DirichletLaplacian(g, k), 1.0)
     assert len(calls) == 1
     assert "splu" not in vars(diagnostics)
-    assert "splu" not in second_moment_identity.__code__.co_names
+    assert "splu" not in boundary_identities.__code__.co_names
 
 
 # ---------------------------------------------------------------------------

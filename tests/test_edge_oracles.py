@@ -217,9 +217,9 @@ def test_divergence_and_surface_sums_match_reference(case):
         assert chk.surface_sum == oracle_surface_sum(get, g, k)
         assert chk.volume_sum == float(np.sum(eta))
         if g.d == 2:
+            sides = boundary_ergodic_average(X)
             for side in (1, 2, 3, 4):
-                assert boundary_ergodic_average(X, side) == \
-                    oracle_boundary_ergodic_average(get, g, k, side)
+                assert sides[side - 1] == oracle_boundary_ergodic_average(get, g, k, side)
         if g.d >= 2:
             assert loop_residuals(g, X) == oracle_loop_residuals(g, get)
 

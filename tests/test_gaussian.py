@@ -8,11 +8,11 @@ from conftest import (DIAGONAL, covariance, edge_value, gaussian_eta, green_colu
                       oracle_cg_solve, oracle_sparse_operator, sites,
                       slab_covariance, solve_green, variance, zero_heights)
 from gradlab import gaussian
-from gradlab.diagnostics import decay_scan_d3, divergence_residual
+from gradlab.diagnostics import boundary_identities, decay_scan_d3, divergence_residual
 from gradlab.gaussian import (DirichletLaplacian, SolverError,
                               _exp_nodes, _sin_pi, _sine_solve, _symbol,
                               covariances, mean_gradient, sine_diagonal,
-                              solve_array, surface_identity_check)
+                              solve_array)
 from gradlab.model import BoxGeometry, Kernel, kernel_edges
 
 #: the residual target of the tests that compare solves with oracles
@@ -527,21 +527,21 @@ def test_covariance_form_is_positive_semidefinite(rel_tolerance):
 def test_surface_identity_single_site_exact(rel_tolerance):
     rel_tolerance(TIGHT)
     A, _, _ = make_operator(2, 0)
-    assert surface_identity_check(A) <= 1e-13
+    assert boundary_identities(A, 1.0)[0] <= 1e-13
 
 
 @pytest.mark.parametrize("d,L", [(2, 4), (3, 3)])
 def test_surface_identity_small_boxes(d, L, rel_tolerance):
     rel_tolerance(TIGHT)
     A, _, _ = make_operator(d, L)
-    assert surface_identity_check(A) <= 1e-8
+    assert boundary_identities(A, 1.0)[0] <= 1e-8
 
 
 @pytest.mark.parametrize("L", [1, 2])
 def test_surface_identity_adjoint_matches_per_column_reference(L, rel_tolerance):
     rel_tolerance(TIGHT)
     A, g, k = make_operator(2, L)
-    deviation = surface_identity_check(A)
+    deviation, _, _ = boundary_identities(A, 1.0)
     # reference: one Green solve per source site y, summed over boundary edges
     bedges = oracle_boundary_edges(g, k)
     worst = 0.0

@@ -16,8 +16,8 @@ from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, OVERRELAX, Chain,
                           divergence_check, estimate_gradient_mean,
                           measured_blocks, tune)
 from gradlab.model import (BoxGeometry, DisorderSpec, Kernel, Potential,
-                           VectorField, chain_stream, edge_table, gradient_of,
-                           kernel_edges, neighbor_index, sample_disorder)
+                           STREAM_CHAIN, VectorField, edge_table, gradient_of,
+                           kernel_edges, neighbor_index, sample_disorder, stream)
 
 #: burn-in and measurement sweeps
 FAST = (300, 4000)
@@ -278,7 +278,7 @@ class SiteOrderChain:
         self.weights = np.array(k.weights)
         self.vpot = vpot
         self.ph = np.zeros(g.n_sites + 1)
-        self.rng = chain_stream(seed, chain)
+        self.rng = stream(seed, STREAM_CHAIN, chain)
         self.cap_rejects = 0
 
     def conditional_energy(self, nbrs, x, width):
@@ -365,7 +365,7 @@ def test_chain_matches_oracle_where_the_cap_bound_trips(name, alpha):
     g = BoxGeometry(2, 2)
     eta = np.concatenate([gaussian_eta(g, seed=3)[sites]
                           for sites in colour_classes(g, k)])
-    offsets, _ = block_draws(chain_stream(3, 0), 1.0, eta, (25, g.n_sites))
+    offsets, _ = block_draws(stream(3, STREAM_CHAIN, 0), 1.0, eta, (25, g.n_sites))
     # each sweep's largest |offset| is at most the sum of its classes'
     assert HEIGHT_CAP - 20.0 + np.abs(offsets).max(axis=1).sum() > HEIGHT_CAP
     chain = assert_chain_matches_oracle(g, k, Potential.quadratic(1.0),
@@ -599,6 +599,32 @@ def test_zero_disorder_estimates_vanish(quartic):
     for e in kernel_edges(g, k):
         assert abs(edge_value(est.mean, *e)) <= 4.0 * edge_value(est.stderr, *e) + 1e-12
         assert edge_value(est.n_eff, *e) <= est.retained
+
+
+def no_draws(*args):
+    pytest.fail("the chain ran before the sweep counts were checked")
+
+
+@pytest.mark.parametrize("measure", [10, N_BATCHES - 1])
+def test_estimator_rejects_fewer_measure_sweeps_than_batches(measure, quartic,
+                                                             monkeypatch):
+    # one sweep per batch at least: fewer left the batch means empty
+    g, k, eta = single_site_setup(0.3)
+    monkeypatch.setattr(Chain, "run", no_draws)
+    with pytest.raises(ValueError, match="measure_sweeps"):
+        estimate_gradient_mean(g, k, quartic, eta, 300, measure)
+
+
+@pytest.mark.parametrize("vpot", [Potential.quadratic(1.0), Potential.quartic(1.0, 0.1)],
+                         ids=["quadratic", "quartic"])
+def test_negative_burn_in_is_rejected(vpot, monkeypatch):
+    # a negative count is truthy: it would over-relax about the untuned width
+    g, k, eta = single_site_setup(0.3)
+    monkeypatch.setattr(Chain, "run", no_draws)
+    with pytest.raises(ValueError, match="burn_in_sweeps"):
+        tune(Chain(g, k, vpot, eta), -5)
+    with pytest.raises(ValueError, match="burn_in_sweeps"):
+        estimate_gradient_mean(g, k, vpot, eta, -5, 4000)
 
 
 @pytest.mark.parametrize("vpot", [Potential.quadratic(1.0), Potential.quartic(1.0, 0.1)],
