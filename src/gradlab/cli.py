@@ -86,9 +86,9 @@ SECOND_MOMENT_TOLERANCE = 1e-6
 _LATTICE = frozenset({"d", "kernel", "eta2"})
 _MODEL = _LATTICE | {"L", "disorder", "seed"}
 
-#: the largest lattice dimension: the padded one-site box alone has 3^d
-#: cells (5^d for ``axis2``), and the nearest-neighbour kernel 2d offsets of
-#: d entries, which ``_validate`` builds
+#: the largest lattice dimension: the L = 1 box already has 3^d sites
+#: (6,561 at d = 8), and the nearest-neighbour kernel 2d offsets of d
+#: entries, which ``_validate`` builds
 MAX_D = 8
 
 

@@ -34,8 +34,7 @@ from itertools import product
 import numpy as np
 
 from . import NumericalError
-from .model import (BoxGeometry, Edge, Kernel, VectorField, _pad_heights, _shifted,
-                    gradient_of)
+from .model import BoxGeometry, Edge, Kernel, VectorField, _overlap, gradient_of
 
 
 class SolverError(NumericalError):
@@ -77,11 +76,11 @@ class DirichletLaplacian:
         return lam * float(2 * self.geometry.side + 2) ** self.geometry.d
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        g = self.geometry
-        full = _pad_heights(g, self.kernel, x)
-        out = _shifted(g, full, (0,) * g.d).copy()
+        x = np.reshape(x, self.geometry.shape)
+        out = x.astype(float)
         for v, w in zip(self.kernel.offsets, self.kernel.weights):
-            out -= w * _shifted(g, full, v)
+            inner, outer = _overlap(self.geometry, v)
+            out[inner] -= w * x[outer]
         return out.ravel()
 
 

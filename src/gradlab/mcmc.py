@@ -159,11 +159,15 @@ class Chain:
     position in ``ph`` (``slot[n_sites]`` the boundary slot's), so
     ``ph[slot]`` lists the heights in site order.  Each class keeps its
     buffers in ``classes``; after a sweep, a class's ``new`` and ``change``
-    hold its last step's proposals and energy changes.
+    hold its last step's proposals and energy changes.  A disorder ``eta``
+    not shaped ``(g.n_sites,)`` raises ValueError.
     """
 
     def __init__(self, g: BoxGeometry, k: Kernel, vpot: Potential,
                  eta: np.ndarray, seed: int = 0, chain: int = 0):
+        if np.shape(eta) != (g.n_sites,):
+            raise ValueError(f"expected disorder on {g.n_sites} sites, got shape "
+                             f"{np.shape(eta)}")
         classes = colour_classes(g, k)
         order = np.concatenate(classes)
         self.slot = np.argsort(np.append(order, g.n_sites))  # the inverse permutation

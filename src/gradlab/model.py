@@ -12,12 +12,12 @@ external field eta is
 
 for an even pair potential V that grows faster than linearly.
 
-A box is its dimension and size.  Arrays over it padded by the kernel
-range turn a kernel offset into a shifted view, and ``neighbor_index`` is
-the one stencil table behind the edge table and the sampler's neighbour
-table.  Site fields (heights, the disorder, site fluxes) are float arrays
-in site order, the row-major order of ``BoxGeometry.index_of``, under any
-leading axes.  Edge fields are flat arrays of values in ``edge_table``
+A box is its dimension and size.  A kernel offset v is an overlap of the
+box with itself: the sites whose neighbour i + v is inside, against those
+neighbours.  ``neighbor_index`` is the one stencil table built on it,
+behind the edge table and the sampler's neighbour table.  Site fields
+(heights, the disorder, site fluxes) are float arrays in site order, the
+row-major order of ``BoxGeometry.index_of``, under any leading axes.  Edge fields are flat arrays of values in ``edge_table``
 order, the order of ``kernel_edges``.
 """
 
@@ -97,11 +97,6 @@ class Kernel:
                            for ax in range(d) for k in range(1, reach + 1)
                            for s in (1, -1)})
 
-    @cached_property
-    def range(self) -> int:
-        """Maximum sup-norm of a supported offset."""
-        return max(max(abs(c) for c in v) for v in self.offsets)
-
 
 # ---------------------------------------------------------------------------
 # geometry
@@ -145,42 +140,38 @@ class BoxGeometry:
 
 
 # ---------------------------------------------------------------------------
-# the stencil: arrays over the box padded by the kernel range on every side,
-# in which a kernel offset v is a shifted view, and the edge tables built on it
+# the stencil: a kernel offset v is an overlap of the box with itself, the
+# sites whose neighbour i + v is inside against those neighbours, and the
+# edge tables built on it
 
 
-def _padded_shape(g: BoxGeometry, k: Kernel) -> tuple[int, ...]:
-    return (g.side + 2 * k.range,) * g.d
-
-
-def _shifted(g: BoxGeometry, padded: np.ndarray, v: Site) -> np.ndarray:
-    """View of `padded` whose entry at interior site i is the cell of i + v
-    (over the last d axes; leading axes are kept), for any padding width
-    of at least the sup-norm of v."""
-    m = (padded.shape[-1] - g.side) // 2
-    return padded[(...,) + tuple(slice(m + c, m + c + g.side) for c in v)]
-
-
-def _pad_heights(g: BoxGeometry, k: Kernel, values: np.ndarray) -> np.ndarray:
-    """Interior values (in site order) embedded in the array padded by the
-    kernel range, zero outside the box."""
-    full = np.zeros(_padded_shape(g, k))
-    _shifted(g, full, (0,) * g.d)[...] = np.reshape(values, g.shape)
-    return full
+def _overlap(g: BoxGeometry, v: Site) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Slices of a box-shaped array: ``inner`` over the sites i whose
+    neighbour i + v is inside, and ``outer`` over those neighbours, in the
+    same order.  Each bound is clamped to [0, side]: unclamped, a negative
+    stop would wrap, and a jump longer than the box must overlap nothing."""
+    inner = tuple(slice(min(max(-c, 0), g.side), min(max(g.side - c, 0), g.side))
+                  for c in v)
+    outer = tuple(slice(s.start + c, s.stop + c) for s, c in zip(inner, v))
+    return inner, outer
 
 
 @lru_cache(maxsize=16)
 def neighbor_index(g: BoxGeometry, k: Kernel) -> np.ndarray:
     """Index of the neighbour i + v of each interior site i, or -1 outside.
 
-    Rows follow ``k.offsets``, columns the site index order.  Shifted
-    views of a padded grid of indices; cached, hence read-only.
+    Rows follow ``k.offsets``, columns the site index order.  Each row
+    copies the site indices over the overlap of the box with itself
+    shifted by v; cached, hence read-only.
     """
     if k.d != g.d:
         raise ValueError("kernel and geometry dimensions differ")
-    grid = np.full(_padded_shape(g, k), -1)
-    _shifted(g, grid, (0,) * g.d)[...] = np.arange(g.n_sites).reshape(g.shape)
-    out = np.stack([_shifted(g, grid, v).ravel() for v in k.offsets])
+    index = np.arange(g.n_sites).reshape(g.shape)
+    out = np.full((len(k.offsets),) + g.shape, -1)
+    for row, v in zip(out, k.offsets):
+        inner, outer = _overlap(g, v)
+        row[inner] = index[outer]
+    out = out.reshape(len(k.offsets), g.n_sites)
     out.flags.writeable = False
     return out
 

@@ -124,9 +124,11 @@ def oracle_divergence_check(est, eta, g, k):
 
 
 KERNELS = {"nn": Kernel.nearest_neighbor, "axis2": lambda d: Kernel.axis_kernel(d, 2),
+           "reach4": lambda d: Kernel.axis_kernel(d, 4),
            "diag": lambda d: DIAGONAL}  # d = 2 only
+# reach4 on L = 1 has jumps longer than the side-3 box
 CASES = [(1, "nn", 5), (2, "nn", 1), (2, "nn", 4), (2, "nn", 7), (2, "axis2", 5),
-         (2, "diag", 4), (3, "nn", 3)]
+         (2, "diag", 4), (3, "nn", 3), (1, "reach4", 1), (2, "reach4", 1)]
 CASE_IDS = [f"d{d}-{name}-L{L}" for d, name, L in CASES]
 
 

