@@ -24,13 +24,13 @@ tolerance), or "spectral" for the ``nn`` covariance scans (``scaling``,
 
 Exit codes: 0 success; 1 config error; 2 numerical failure (solver
 non-convergence, a CSV holding a non-finite number, or an ``mcmc`` chain
-with a proposal past ``mcmc.HEIGHT_CAP``; the CSV is still written), which
-takes precedence over 3 invariant-check failure (an identity above its
-tolerance); 4 any other error raised by the experiment (its type and message
-in the manifest's ``summaries.error``), or a ``run_manifest.json`` that
-cannot be written (``error: cannot write run_manifest.json: ...`` on stderr,
-after the outputs already written).  The manifest is strict JSON: a
-non-finite summary is written as ``null``.
+with a proposal past ``mcmc.HEIGHT_CAP`` or that accepted no proposal; the
+CSV is still written), which takes precedence over 3 invariant-check
+failure (an identity above its tolerance); 4 any other error raised by the
+experiment (its type and message in the manifest's ``summaries.error``), or
+a ``run_manifest.json`` that cannot be written (``error: cannot write
+run_manifest.json: ...`` on stderr, after the outputs already written).
+The manifest is strict JSON: a non-finite summary is written as ``null``.
 
 The solver's residual target is ``gaussian.REL_TOLERANCE`` and the
 ``identities`` gates are ``DIVERGENCE_TOLERANCE``, ``SURFACE_TOLERANCE`` and
@@ -398,8 +398,14 @@ def _run_mcmc(cfg: ExperimentConfig) -> Outcome:
     if exact is not None:
         covered = np.abs(mean - exact) <= 3.0 * stderr
         summary["fraction_within_3se_of_exact"] = np.count_nonzero(covered) / len(exact)
+    # a chain that never moved sampled nothing (from the all-zero start,
+    # burn-in learns no width from zero moments and keeps START_WIDTH)
+    frozen = est.acceptance_rate == 0.0
+    if frozen:
+        summary["error"] = "the chain accepted no proposal"
     # a proposal past the cap is no sample of the measure: the means are off
-    return header, rows, summary, EXIT_NUMERICAL if est.cap_rejects else EXIT_OK
+    code = EXIT_NUMERICAL if est.cap_rejects or frozen else EXIT_OK
+    return header, rows, summary, code
 
 
 def _run_scaling(cfg: ExperimentConfig) -> Outcome:

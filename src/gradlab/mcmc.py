@@ -26,16 +26,17 @@ it can stick.  An estimator tunes a chain once and sums what it needs in
 one pass over the measured blocks.
 
 Heights are stored in class order, so a class is a slice of them, lined up
-with its columns of random numbers, and a step updates it in place: it
-gathers the neighbours' heights and the site's own into a buffer built once
-per chain, forms (1 - alpha) m + alpha h in one stencil dot, every h' -
-phi_j and h - phi_j in one product with a constant matrix of 0 and +-1 (two
-nonzero terms per entry, so each is rounded once, as a subtraction is), and
-E at both heights in one more dot over their squares and fourth powers; the
-README's sampler section gives the details.  A reflection is no convex
-combination of heights, so the height cap is tested on each block's
-proposals after it; if one passed ``HEIGHT_CAP`` or is NaN, the block runs
-again from its start, on the same draws, testing every step.
+with its columns of random numbers, and a step updates it in place.  A
+block is at most ``BLOCK`` sweeps, and every buffer of its steps is built
+once per chain.  A step gathers the neighbours' heights and the site's own,
+forms (1 - alpha) m + alpha h in one stencil dot, every h' - phi_j and h -
+phi_j in one product with a constant matrix of 0 and +-1 (two nonzero terms
+per entry, so each is rounded once, as a subtraction is), and E at both
+heights in one more dot over their squares and fourth powers; the README's
+sampler section gives the details.  A reflection is no convex combination
+of heights, so the height cap is tested on each block's proposals after it;
+if one passed ``HEIGHT_CAP`` or is NaN, the block runs again from its
+start, on the same draws, testing every step.
 
 The main estimator is the time average of V'(phi_i - phi_j) on every
 kernel edge, with batch-means error bars, as edge fields like the exact
@@ -54,7 +55,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -153,14 +153,15 @@ def _difference_rows(n_nbrs: int) -> np.ndarray:
 class Chain:
     """One Metropolis chain on a box: heights, random stream, sweep tables.
 
-    ``ph`` holds the interior heights in colour-class order (class 0's sites,
-    then class 1's, ...) followed by the frozen boundary slot (height 0),
-    which every neighbour outside the box reads.  ``slot[i]`` is site i's
-    position in ``ph`` (``slot[n_sites]`` the boundary slot's), so
+    ``ph`` holds the interior heights in colour-class order (class 0's
+    sites, then class 1's, ...) followed by the frozen boundary slot (height
+    0), which every neighbour outside the box reads.  ``slot[i]`` is site
+    i's position in ``ph`` (``slot[n_sites]`` the boundary slot's), so
     ``ph[slot]`` lists the heights in site order.  Each class keeps its
     buffers in ``classes``; after a sweep, a class's ``new`` and ``change``
-    hold its last step's proposals and energy changes.  A disorder ``eta``
-    not shaped ``(g.n_sites,)`` raises ValueError.
+    hold its last step's proposals and energy changes.  A block is at most
+    ``BLOCK`` sweeps: its buffers and step records ``steps`` are built once.
+    A disorder ``eta`` not shaped ``(g.n_sites,)`` raises ValueError.
     """
 
     def __init__(self, g: BoxGeometry, k: Kernel, vpot: Potential,
@@ -193,8 +194,13 @@ class Chain:
         self.rng = stream(seed, STREAM_CHAIN, chain)
         self.cap_rejects = 0
         #: block buffers: offsets, Exp(1) thresholds and proposals; accept flags
-        self.work = np.empty((3, 0, g.n_sites))
-        self.ok = np.empty((0, g.n_sites), dtype=bool)
+        self.work = np.empty((3, BLOCK, g.n_sites))
+        self.ok = np.empty((BLOCK, g.n_sites), dtype=bool)
+        offsets, limits, proposals = self.work
+        #: per sweep of a block, per class its buffers beside its rows of
+        #: the block buffers (a plain tuple unpacks faster than the NamedTuple)
+        self.steps = [[(*c, offsets[s, c.span], limits[s, c.span], self.ok[s, c.span],
+                        proposals[s, c.span]) for c in self.classes] for s in range(BLOCK)]
         #: the (width, alpha) that the stencil and energy rows were formed for
         self.formed_for = None
 
@@ -207,12 +213,12 @@ class Chain:
 
     def run(self, width: float, n_sweeps: int,
             alpha: float = 0.0) -> tuple[int, np.ndarray]:
-        """Run n_sweeps sweeps, the colour classes in turn, with AR(1)
-        proposals of over-relaxation alpha about each site's conditional
-        under the harmonic stand-in of stiffness 1/width^2, drawn at once
-        (keep n_sweeps small).  Returns the accepted moves and the heights
-        ``ph`` (class order) after each sweep, one row per sweep: the
-        transpose of a site-major block.
+        """Run one block of n_sweeps sweeps, 1 to ``BLOCK`` (ValueError before
+        any draw otherwise), the colour classes in turn, with AR(1) proposals
+        of over-relaxation alpha about each site's conditional under the
+        harmonic stand-in of stiffness 1/width^2.  Returns the accepted moves
+        and the heights ``ph`` (class order) after each sweep, one row per
+        sweep: the transpose of a site-major block.
 
         A block draws, from the chain's stream and in this order, an
         (n_sweeps, n_sites) array z of standard normals and the Exp(1)
@@ -223,10 +229,8 @@ class Chain:
         stencil and energy rows are formed again only when (width, alpha)
         differs from the last block's.
         """
-        n = len(self.ph) - 1
-        if len(self.ok) < n_sweeps:
-            self.work = np.empty((3, n_sweeps, n))
-            self.ok = np.empty((n_sweeps, n), dtype=bool)
+        if not 0 < n_sweeps <= BLOCK:
+            raise ValueError(f"a block runs 1 to BLOCK = {BLOCK} sweeps, got {n_sweeps}")
         (offsets, limits, proposals), ok = self.work[:, :n_sweeps], self.ok[:n_sweeps]
         self.rng.standard_normal(out=offsets)
         self.rng.standard_exponential(out=limits)
@@ -243,17 +247,12 @@ class Chain:
         take, stencil_dot, differences_dot, energy_dot = (
             ph.take, self.stencil.dot, self.differences.dot, self.energy.dot)
         multiply, greater_equal, putmask = np.multiply, np.greater_equal, np.putmask
-        kept = np.empty((n + 1, n_sweeps)).T
+        kept = np.empty((len(ph), n_sweeps)).T
 
         def sweeps(capped: bool) -> None:
-            # per class, its buffers (a plain tuple unpacks faster than the
-            # NamedTuple) beside the rows of its span of each block array
-            blocks = (offsets, limits, ok, proposals)
-            spans = [zip(repeat(tuple(c)), *(block[:, c.span] for block in blocks))
-                     for c in self.classes]
-            for s, sweep in enumerate(zip(*spans)):
-                for ((_, slots, gathered, nbrs, new, heights, squares, fourths, powers,
-                      change), offset, limit, accept, proposal) in sweep:
+            for s, sweep in enumerate(self.steps[:n_sweeps]):
+                for (_, slots, gathered, nbrs, new, heights, squares, fourths, powers,
+                     change, offset, limit, accept, proposal) in sweep:
                     # into nbrs: any mode but "raise" writes out unbuffered
                     take(slots, None, nbrs, "wrap")
                     stencil_dot(nbrs, new)

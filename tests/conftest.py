@@ -14,6 +14,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from gradlab import gaussian
 from gradlab.gaussian import _mode_terms, _symbol, covariances, solve_array
+from gradlab.mcmc import BLOCK
 from gradlab.model import (BoxGeometry, DisorderSpec, Kernel,
                            Potential, VectorField, edge_table,
                            kernel_edges, neighbor_index, sample_disorder)
@@ -60,6 +61,18 @@ def quartic():
 
 def gaussian_eta(g, seed=0, realization=0, eta2=1.0):
     return sample_disorder(DisorderSpec("gaussian", eta2, seed, realization), g)
+
+
+def run_sweeps(chain, width, n_sweeps, alpha=0.0):
+    """Run n_sweeps sweeps of ``chain`` at a fixed (width, alpha) as
+    consecutive blocks of at most ``BLOCK``: the summed accepted moves and
+    the heights after each sweep, the blocks' ``kept`` stacked in order."""
+    accepted, kept = 0, []
+    for done in range(0, n_sweeps, BLOCK):
+        moved, block = chain.run(width, min(BLOCK, n_sweeps - done), alpha)
+        accepted += moved
+        kept.append(block)
+    return accepted, np.concatenate(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +516,78 @@ def oracle_energy(g, k, vpot, phi, eta):
                 total += w * float(vpot.value(height_at(g, phi, i)))
         total -= height_at(g, eta, i) * height_at(g, phi, i)
     return total
+
+
+def transfer_matrix_means(g, vpot, eta, lo, hi, n):
+    """E[V'(phi_i - phi_j)] on every edge of the d = 1 nearest-neighbour box
+    g, in ``kernel_edges`` order, exact up to the quadrature: forward-backward
+    along the chain of sites on the height grid linspace(lo, hi, n) with
+    trapezoid weights.
+
+    Site i carries exp(eta_i h) and each of the 2L + 2 bonds exp(-V(h -
+    h')/2) (p = 1/2 per bond), the walls at height 0.  On a uniform grid
+    a bond is a convolution with its factor at the 2n - 1 grid steps.  The
+    messages are normalized site by site: ``ahead[i]`` is the forward one
+    with site i's own weight, ``behind[i]`` the backward one without it.
+    The grid must cover the means (for quadratic V, the Gaussian solve).
+    """
+    if g.d != 1:
+        raise ValueError("a transfer matrix needs a chain of sites, d = 1")
+    h, step = np.linspace(lo, hi, n, retstep=True)
+    steps = step * np.arange(1 - n, n)
+    bond = np.exp(-0.5 * vpot.value(steps))
+    force = bond * vpot.derivative(steps)  # the bond factor times V'(h - h')
+    wall = np.exp(-0.5 * vpot.value(h))
+    exponents = np.outer(eta, h)
+    weights = np.exp(exponents - exponents.max(axis=1, keepdims=True))
+    weights[:, [0, -1]] *= 0.5
+
+    def across(x, factor):
+        """sum_r factor(h_q - h_r) x_r at every grid height h_q."""
+        return np.convolve(x, factor, "valid")
+
+    ahead = [wall * weights[0] / np.sum(wall * weights[0])]
+    for site in weights[1:]:
+        m = across(ahead[-1], bond) * site
+        ahead.append(m / m.sum())
+    behind = [wall / wall.sum()]
+    for site in weights[:0:-1]:
+        m = across(behind[-1] * site, bond)
+        behind.append(m / m.sum())
+    behind.reverse()
+
+    def at_wall(i):
+        """E[V'(phi_i)], the bond from site i to a wall."""
+        p = ahead[i] * behind[i]
+        return float(np.dot(p, vpot.derivative(h)) / p.sum())
+
+    def along(i):
+        """E[V'(phi_i - phi_(i+1))]."""
+        c = weights[i + 1] * behind[i + 1]
+        return float(np.dot(ahead[i], across(c, force))
+                     / np.dot(ahead[i], across(c, bond)))
+
+    out = []
+    for (i,), (j,) in kernel_edges(g, Kernel.nearest_neighbor(1)):
+        if not g.contains((i,)):
+            out.append(-at_wall(j + g.L))
+        elif not g.contains((j,)):
+            out.append(at_wall(i + g.L))
+        else:
+            out.append(along(i + g.L))
+    return np.array(out)
+
+
+@pytest.fixture(scope="module")
+def d1_means():
+    """``transfer_matrix_means(BoxGeometry(1, L), vpot, eta, lo, hi, n)`` by
+    (L, spec, vpot, lo, hi, n), eta drawn from the disorder spec, computed
+    once per test module."""
+    @lru_cache(maxsize=None)
+    def means(L, spec, vpot, lo, hi, n):
+        g = BoxGeometry(1, L)
+        return transfer_matrix_means(g, vpot, sample_disorder(spec, g), lo, hi, n)
+    return means
 
 
 @dataclass(frozen=True)

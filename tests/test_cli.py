@@ -576,6 +576,26 @@ def test_mcmc_run_past_the_height_cap_exits_numerical_failure(tmp_path, capsys):
     assert summary["divergence_within_4se_fraction"] < 1.0
 
 
+@pytest.mark.parametrize("potential", ["quartic:1e9:0.1", "quartic:1:1e20"])
+def test_mcmc_chain_that_never_moves_exits_numerical_failure(potential, tmp_path, capsys):
+    # so stiff a potential rejects every proposal from the all-zero start:
+    # burn-in's width moments are 0, it keeps its width, and the chain stays
+    # at 0, with zero means and stderrs on every edge
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"experiment=mcmc\nd=2\nL=2\npotential={potential}\n"
+                        "measure_sweeps=600\nseed=1\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "status: numerical-failure" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["status"] == "numerical-failure" and manifest["partial_outputs"]
+    assert manifest["outputs"] == ["edges.csv"]
+    summary = manifest["summaries"]
+    assert summary["acceptance_rate"] == 0.0 and summary["cap_rejects"] == 0
+    assert summary["error"] == "the chain accepted no proposal"
+    rows = read_csv(tmp_path / "edges.csv")[1:]
+    assert len(rows) == 60 and all(float(row[2]) == float(row[3]) == 0.0 for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # entry point
 

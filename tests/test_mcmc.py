@@ -6,8 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import (conditional_logdensity, edge_value, gaussian_eta,
-                      height_at, oracle_energy, single_site_quadrature_oracle,
-                      site_of, zero_field, zero_heights)
+                      height_at, oracle_energy, run_sweeps,
+                      single_site_quadrature_oracle, site_of, zero_field,
+                      zero_heights)
 from gradlab.diagnostics import divergence_residual
 from gradlab.gaussian import DirichletLaplacian, mean_gradient
 from gradlab import mcmc
@@ -17,7 +18,8 @@ from gradlab.mcmc import (BLOCK, HEIGHT_CAP, N_BATCHES, OVERRELAX, Chain,
                           measured_blocks, tune)
 from gradlab.model import (BoxGeometry, DisorderSpec, Kernel, Potential,
                            STREAM_CHAIN, VectorField, edge_table, gradient_of,
-                           kernel_edges, neighbor_index, sample_disorder, stream)
+                           kernel_edges, neighbor_index, sample_disorder, site_flux,
+                           stream)
 
 #: burn-in and measurement sweeps
 FAST = (300, 4000)
@@ -112,7 +114,7 @@ def test_quadratic_proposals_are_all_accepted(name, a, alpha):
     k = Kernel.nearest_neighbor(2) if name == "nn" else Kernel.axis_kernel(2, 2)
     g = BoxGeometry(2, 3)
     chain = Chain(g, k, Potential.quadratic(a), gaussian_eta(g, seed=3), seed=1)
-    accepted, _ = chain.run(1.0 / math.sqrt(a), 60, alpha=alpha)
+    accepted, _ = run_sweeps(chain, 1.0 / math.sqrt(a), 60, alpha)
     assert accepted == 60 * g.n_sites
 
 
@@ -127,6 +129,21 @@ def test_sweeps_are_deterministic_given_seed(quartic):
         runs.append(chain.ph[chain.slot])
     assert np.array_equal(runs[0], runs[1])
     assert runs[0].any()
+
+
+def test_a_block_longer_than_block_is_rejected_before_any_draw(quartic):
+    # the block buffers hold BLOCK sweeps: a longer block raises, and the
+    # next block sees the draws a fresh chain sees
+    k = Kernel.nearest_neighbor(2)
+    g = BoxGeometry(2, 2)
+    eta = gaussian_eta(g, seed=4)
+    chain, fresh = Chain(g, k, quartic, eta, seed=42), Chain(g, k, quartic, eta, seed=42)
+    with pytest.raises(ValueError, match="BLOCK"):
+        chain.run(1.5, BLOCK + 1)
+    accepted, kept = chain.run(1.5, BLOCK)
+    want_accepted, want_kept = fresh.run(1.5, BLOCK)
+    assert accepted == want_accepted and np.array_equal(kept, want_kept)
+    assert np.array_equal(chain.ph, fresh.ph)
 
 
 def test_proposals_beyond_the_height_cap_are_rejected_and_counted(quadratic):
@@ -351,7 +368,7 @@ def test_chain_matches_site_order_oracle(d, L, name, vpot, alpha):
     g = BoxGeometry(d, L)
     # burn-in-like blocks of changing width, then measurement blocks
     blocks = [(2.5, 25, 0.0), (1.2, 25, 0.0), (0.7, 7, 0.0),
-              (1.0, 75, alpha), (1.0, 24, alpha)]
+              *[(1.0, 25, alpha)] * 3, (1.0, 24, alpha)]
     assert_chain_matches_oracle(g, k, vpot, blocks)
 
 
@@ -408,8 +425,11 @@ def assert_block_draw(quartic, alpha):
     eta = gaussian_eta(g, seed=20)
     chain = Chain(g, k, quartic, eta, seed=20)
     width, n_sweeps = 1.7, 700
-    chain.run(width, n_sweeps, alpha=alpha)
-    offsets = chain.work[0, :n_sweeps]
+    blocks = []
+    for _ in range(n_sweeps // BLOCK):
+        chain.run(width, BLOCK, alpha=alpha)
+        blocks.append(chain.work[0].copy())
+    offsets = np.concatenate(blocks)
     scale = math.sqrt(1.0 - alpha ** 2) * width
     z = (offsets - (1.0 - alpha) * chain.eta * width ** 2).ravel() / scale
     assert abs(z.mean()) <= 4.0 / math.sqrt(z.size)
@@ -457,8 +477,8 @@ def test_single_site_chain_reproduces_gaussian_moments(quadratic):
     chain = Chain(g, k, quadratic, eta, seed=7)
     n_sweeps = 100_000
     burn = 1000
-    chain.run(2.4, burn)
-    _, kept = chain.run(2.4, n_sweeps)
+    run_sweeps(chain, 2.4, burn)
+    _, kept = run_sweeps(chain, 2.4, n_sweeps)
     samples = kept[:, 0]
     # conditional given zero neighbors is N(0.9, 1); stderr ~ sqrt(2 tau / n)
     stderr = math.sqrt(8.0 / n_sweeps)
@@ -475,8 +495,8 @@ def test_overrelaxed_single_site_heights_are_ar1_with_coefficient_alpha(a):
     g, k, eta = single_site_setup(0.9)
     chain = Chain(g, k, Potential.quadratic(a), eta, seed=21)
     width, n_sweeps = 1.0 / math.sqrt(a), 20_000
-    chain.run(width, 200, alpha=OVERRELAX)
-    accepted, kept = chain.run(width, n_sweeps, alpha=OVERRELAX)
+    run_sweeps(chain, width, 200, OVERRELAX)
+    accepted, kept = run_sweeps(chain, width, n_sweeps, OVERRELAX)
     assert accepted == n_sweeps
     h = kept[:, 0] - kept[:, 0].mean()
     lag1 = np.dot(h[:-1], h[1:]) / np.dot(h, h)
@@ -489,8 +509,8 @@ def test_stationary_histogram_matches_oracle_density(quartic):
     chain = Chain(g, k, vpot, eta, seed=11)
     thin = 10
     n_keep = 100_000
-    chain.run(2.0, 2000)
-    _, kept = chain.run(2.0, n_keep * thin)
+    run_sweeps(chain, 2.0, 2000)
+    _, kept = run_sweeps(chain, 2.0, n_keep * thin)
     samples = kept[thin - 1::thin, 0]
 
     def density(t):
@@ -775,7 +795,7 @@ def width_rule_fixed_point(g, k, vpot, eta, width):
         term_var = moment(lambda t: (t * t - fixed * (1.0 + eta_i * t)) ** 2) / (1.0 + cross) ** 2
         return math.sqrt(fixed), math.sqrt(term_var / 375.0) / (2.0 * math.sqrt(fixed))
     chain = Chain(g, k, vpot, eta, seed=99)
-    chain.run(width, 1000)
+    run_sweeps(chain, width, 1000)
     sums = []
     for _ in range(12000 // BLOCK):
         _, kept = chain.run(width, BLOCK)
@@ -812,6 +832,86 @@ def test_burn_in_reaches_the_width_rule_fixed_point(monkeypatch):
         fixed, stderr = width_rule_fixed_point(g, k, vpot, eta, est.proposal_width)
         assert abs(est.proposal_width - fixed) <= 4.0 * stderr, \
             (d, L, vpot, est.proposal_width, fixed, stderr)
+
+
+# ---------------------------------------------------------------------------
+# the temperature of the sampled measure
+
+
+def configurational_temperature(vpot, beta):
+    """The site mean of phi_i dH/dphi_i, dH/dphi_i = site_flux(V'(grad
+    phi))_i - eta_i, per batch of a chain of exp(-beta H) (V and eta times
+    beta), read with the H of beta = 1: d=2, L=8, ``nn``, disorder seed 0,
+    chain seed 0, 2,000 burn-in sweeps and 30 batches of 200 over-relaxed
+    ones.  Its mean and batch stderr."""
+    g, k = BoxGeometry(2, 8), Kernel.nearest_neighbor(2)
+    eta = sample_disorder(DisorderSpec("gaussian", 1.0, 0, 0), g)
+    chain = Chain(g, k, Potential(beta * vpot.a, beta * vpot.b), beta * eta, seed=0)
+    width, _ = tune(chain, 2000)
+    sums = np.zeros(N_BATCHES)
+    for batch, _, kept in measured_blocks(chain, width, 200, OVERRELAX):
+        phi = kept[:, chain.slot[:-1]]
+        dv = vpot.derivative(gradient_of(g, k, phi).values)
+        force = site_flux(VectorField(g, k, dv)) - eta
+        sums[batch] += (phi * force).mean(axis=1).sum()
+    batches = sums / 200
+    return batches.mean(), batches.std(ddof=1) / math.sqrt(N_BATCHES)
+
+
+@pytest.mark.parametrize("vpot,beta", [
+    pytest.param(Potential.quartic(1.0, 0.1), 1, id="quartic"),
+    pytest.param(Potential.quartic(-1.0, 0.25), 1, id="double-well"),
+    pytest.param(Potential.quadratic(1.0), 1, id="quadratic"),
+    pytest.param(Potential.quartic(1.0, 0.1), 2, id="quartic-doubled"),
+    pytest.param(Potential.quadratic(1.0), 2, id="quadratic-doubled"),
+])
+def test_configurational_temperature_is_that_of_the_measure(vpot, beta):
+    # integration by parts: E[phi_i dH/dphi_i] = 1 / beta for every V.  The
+    # divergence identity and the quadratic mean hold at every beta; this
+    # reads the temperature, so a chain of exp(-2H) fails the gate at 1
+    mean, stderr = configurational_temperature(vpot, beta)
+    assert abs(mean - 1.0 / beta) <= 4.0 * stderr
+    assert (abs(mean - 1.0) <= 4.0 * stderr) == (beta == 1)
+
+
+# ---------------------------------------------------------------------------
+# the exact d=1 means
+
+
+#: the d=1 box of the transfer-matrix oracle, L and disorder (the Gaussian
+#: heights reach |u| = 28.9), and two grids of step 0.05 that cover them
+D1_BOX = (8, DisorderSpec("gaussian", 1.0, 3, 0))
+D1_GRIDS = ((-40.0, 40.0, 1601), (-60.0, 60.0, 2401))
+
+
+def test_transfer_oracle_is_the_gaussian_mean_at_quadratic_v(d1_means):
+    g, k = BoxGeometry(1, D1_BOX[0]), Kernel.nearest_neighbor(1)
+    want = mean_gradient(DirichletLaplacian(g, k), sample_disorder(D1_BOX[1], g)).values
+    got = d1_means(*D1_BOX, Potential.quadratic(1.0), -60.0, 60.0, 2001)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("vpot", [Potential.quartic(1.0, 0.1), Potential.quartic(-1.0, 0.25)],
+                         ids=["quartic", "double-well"])
+def test_transfer_oracle_converges_in_the_grid(vpot, d1_means):
+    coarse, fine = (d1_means(*D1_BOX, vpot, *grid) for grid in D1_GRIDS)
+    np.testing.assert_allclose(coarse, fine, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1, 2], ids=["beta1", "beta2"])
+@pytest.mark.parametrize("vpot", [Potential.quartic(1.0, 0.1), Potential.quartic(-1.0, 0.25)],
+                         ids=["quartic", "double-well"])
+def test_d1_estimates_match_the_transfer_oracle(vpot, beta, d1_means):
+    # a chain of exp(-beta H), V and eta times beta, estimates beta E[V'];
+    # halved, the beta = 2 means are those of another temperature, which the
+    # anharmonic means see
+    L, spec = D1_BOX
+    g, k = BoxGeometry(1, L), Kernel.nearest_neighbor(1)
+    eta = sample_disorder(spec, g)
+    est = estimate_gradient_mean(g, k, Potential(beta * vpot.a, beta * vpot.b), beta * eta,
+                                 2000, 30000, seed=0)
+    z = (est.mean.values - beta * d1_means(L, spec, vpot, *D1_GRIDS[1])) / est.stderr.values
+    assert (math.sqrt(np.mean(z * z)) <= 1.5) == (beta == 1)
 
 
 # ---------------------------------------------------------------------------
