@@ -110,7 +110,7 @@ class ExperimentConfig:
     r_list: tuple[int, ...] | None = None
     R_list: tuple[float, ...] | None = None
     kernel: str = "nn"
-    potential: Potential = Potential.quadratic(1.0)
+    potential: Potential = Potential(1.0)
     disorder: str = "gaussian"
     eta2: float = 1.0
     seed: int = 0
@@ -138,10 +138,8 @@ def _float(raw: str) -> float:
 
 def _parse_potential(raw: str) -> Potential:
     parts = raw.split(":")
-    if parts[0] == "quadratic" and len(parts) == 2:
-        return Potential.quadratic(_float(parts[1]))
-    if parts[0] == "quartic" and len(parts) == 3:
-        return Potential.quartic(_float(parts[1]), _float(parts[2]))
+    if len(parts) == {"quadratic": 2, "quartic": 3}.get(parts[0]):
+        return Potential(*map(_float, parts[1:]))
     raise ValueError(f"potential must be quadratic:C or quartic:A:B, got {raw!r}")
 
 
@@ -398,8 +396,8 @@ def _run_mcmc(cfg: ExperimentConfig) -> Outcome:
     if exact is not None:
         covered = np.abs(mean - exact) <= 3.0 * stderr
         summary["fraction_within_3se_of_exact"] = np.count_nonzero(covered) / len(exact)
-    # a chain that never moved sampled nothing (from the all-zero start,
-    # burn-in learns no width from zero moments and keeps START_WIDTH)
+    # a chain that never moved sampled nothing (burn-in halves a width that
+    # moves nothing; without one, a stiff V can reject all of START_WIDTH)
     frozen = est.acceptance_rate == 0.0
     if frozen:
         summary["error"] = "the chain accepted no proposal"

@@ -197,14 +197,15 @@ def boundary_identities(A: gaussian.DirichletLaplacian,
     its deviation max_y |w_y - 1|.  The second-moment sum is the double sum
     over boundary-edge pairs of p_a p_b C(a, b) = eta2 ||w||^2, which the
     surface identity makes eta2 |Lambda|.  The tests keep the per-column
-    surface sum and the literal double sum as oracles.
+    surface sum and the literal double sum as oracles.  An eta2 that is not
+    positive and finite raises ValueError before the solve.
     """
-    w = gaussian.solve_array(A, A.apply(np.ones(A.n)))
-    lhs = eta2 * A.n
+    if not 0.0 < eta2 < math.inf:
+        raise ValueError("eta2 must be > 0 and finite")
+    w = gaussian.solve_array(A, A.apply(np.ones(A.geometry.n_sites)))
+    lhs = eta2 * A.geometry.n_sites
     rhs = eta2 * float(w @ w)
-    denom = max(abs(lhs), abs(rhs))
-    return (float(np.max(np.abs(w - 1.0))), rhs,
-            abs(lhs - rhs) / denom if denom else 0.0)
+    return float(np.max(np.abs(w - 1.0))), rhs, abs(lhs - rhs) / max(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

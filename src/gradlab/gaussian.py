@@ -64,10 +64,6 @@ class DirichletLaplacian:
         if self.kernel.d != self.geometry.d:
             raise ValueError("kernel and geometry dimensions differ")
 
-    @property
-    def n(self) -> int:
-        return self.geometry.n_sites
-
     @cached_property
     def _sine_divisor(self) -> np.ndarray:
         """lambda_k (2m)^d, lambda_k the sum of ``_symbol`` over the axes."""
@@ -162,7 +158,7 @@ def solve_array(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
     achieved = float(np.linalg.norm(r))
     if achieved > goal * 1.001:
         p, rho_old = np.zeros_like(r), 1.0
-        for _ in range(10 * A.n):
+        for _ in range(10 * b.size):
             z = _sine_solve(A, r)
             rho = float(r @ z)
             p = z + (rho / rho_old) * p
@@ -174,7 +170,7 @@ def solve_array(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
                 break
             rho_old = rho
         else:
-            stopped = f"conjugate gradients did not converge within {10 * A.n} steps"
+            stopped = f"conjugate gradients did not converge within {10 * b.size} steps"
         achieved = float(np.linalg.norm(b - A.apply(x)))
     if stopped is not None or not achieved <= goal * 1.001:
         raise SolverError(f"{stopped or 'solve missed the tolerance'}: residual "
@@ -193,7 +189,7 @@ def mean_gradient(A: DirichletLaplacian, eta: np.ndarray) -> VectorField:
 def _edge_response(A: DirichletLaplacian, edge: Edge) -> np.ndarray:
     """The vector y -> T_{edge,y} = G(i, y) - G(j, y): one solve with the
     dipole source e_i - e_j on the interior endpoints (G is symmetric)."""
-    b = np.zeros(A.n)
+    b = np.zeros(A.geometry.n_sites)
     for x, sign in zip(edge, (1.0, -1.0)):
         if edge[0] != edge[1] and A.geometry.contains(x):
             b[A.geometry.index_of(x)] = sign

@@ -19,11 +19,11 @@ threshold is >= E(h') - E(h), E(x) = sum_j p(j - i) [(a - 1/w^2)/2 (x -
 phi_j)^2 + b (x - phi_j)^4], so quadratic V at w = 1/sqrt(a) moves always.
 Burn-in (``tune``) starts from w = ``START_WIDTH``, runs at alpha = 0 and
 sets w^2 = mean(r^2) / (1 + mean(r eta)), r = h - m, over the later half of
-its blocks (exact for a harmonic conditional; 1/a at once for b = 0);
-measurement (``measured_blocks``) keeps w and every sweep, and reflects
-with alpha = ``OVERRELAX``, only after a burn-in: about an untuned centre
-it can stick.  An estimator tunes a chain once and sums what it needs in
-one pass over the measured blocks.
+its blocks (exact for a harmonic conditional; 1/a at once for b = 0), and
+halves w after a block that moved nothing; measurement (``measure``) keeps
+w and every sweep, reflects with alpha = ``OVERRELAX`` only after a
+burn-in (about an untuned centre it can stick), and reduces the rows an
+observer reads of each block to batch means in one pass.
 
 Heights are stored in class order, so a class is a slice of them, lined up
 with its columns of random numbers, and a step updates it in place.  A
@@ -42,17 +42,17 @@ The main estimator is the time average of V'(phi_i - phi_j) on every
 kernel edge, with batch-means error bars, as edge fields like the exact
 Gaussian mean gradient, against which it can be checked edge by edge for
 the quadratic potential.  Each block's edge values are gathered, one row of
-sweeps per edge, into two buffers allocated once per estimate, and V' and
-its square are formed there in place.  Burn-in's width rule gathers each
-sweep's neighbour heights one row per site and takes one product with the
-kernel weights.  ``divergence_check`` forms its site fluxes with
-the ``model.site_flux`` of the exact diagnostics.
+sweeps per edge, into two buffers allocated once per estimate, V' is
+formed there in place, and ``measure`` squares it into a buffer of its own.
+Burn-in's width rule gathers each sweep's neighbour heights one row per
+site and takes one product with the kernel weights.  ``divergence_check``
+forms its site fluxes with the ``model.site_flux`` of the exact diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -204,13 +204,6 @@ class Chain:
         #: the (width, alpha) that the stencil and energy rows were formed for
         self.formed_for = None
 
-    def energy_weights(self, width: float) -> np.ndarray:
-        """The row of the stencil dot that forms E(h') - E(h): +-(a - 1/width^2)/2 p_j
-        on the squares (x - phi_j)^2, +-b p_j on the fourth powers."""
-        stiffness = 0.5 * (self.vpot.a - 1.0 / (width * width))
-        return np.outer([stiffness, -stiffness, self.vpot.b, -self.vpot.b],
-                        self.weights).ravel()
-
     def run(self, width: float, n_sweeps: int,
             alpha: float = 0.0) -> tuple[int, np.ndarray]:
         """Run one block of n_sweeps sweeps, 1 to ``BLOCK`` (ValueError before
@@ -240,7 +233,11 @@ class Chain:
             self.formed_for = (width, alpha)
             # the stencil dot forms (1 - alpha) m + alpha h over a class's slots
             self.stencil = np.append((1.0 - alpha) * self.weights, alpha)
-            self.energy = self.energy_weights(width)
+            # the energy dot forms E(h') - E(h): +-(a - 1/width^2)/2 p_j on
+            # the squares (x - phi_j)^2, +-b p_j on the fourth powers
+            stiffness = 0.5 * (self.vpot.a - 1.0 / (width * width))
+            self.energy = np.outer([stiffness, -stiffness, self.vpot.b, -self.vpot.b],
+                                   self.weights).ravel()
         ph = self.ph
         # bound once per block and called with positional outputs: on a small
         # class a keyword out= or np.copyto's where= costs more than the work
@@ -287,8 +284,9 @@ class Chain:
 def tune(chain: Chain, burn_in_sweeps: int) -> tuple[float, float]:
     """Burn the chain in, in blocks of ``BLOCK`` sweeps at alpha = 0, and
     return the proposal width it tuned and |w_k / w_(k-1) - 1| of its last
-    block (0 without burn-in or for b = 0).  A negative ``burn_in_sweeps``
-    raises ValueError before any draw."""
+    block (0 without burn-in or for b = 0); a quartic block that accepted
+    no move halves the width (a change of 0.5) and stays out of the rule.
+    A negative ``burn_in_sweeps`` raises ValueError before any draw."""
     if burn_in_sweeps < 0:
         raise ValueError(f"burn_in_sweeps must be >= 0, got {burn_in_sweeps}")
     vpot = chain.vpot
@@ -301,8 +299,11 @@ def tune(chain: Chain, burn_in_sweeps: int) -> tuple[float, float]:
     moments = []
     for done in range(0, burn_in_sweeps, BLOCK):
         todo = min(BLOCK, burn_in_sweeps - done)
-        _, kept = chain.run(width, todo)
-        if vpot.b:
+        accepted, kept = chain.run(width, todo)
+        if vpot.b and not accepted:
+            # zero moments would keep the width: a narrower proposal can move
+            change, width = 0.5, 0.5 * width
+        elif vpot.b:
             # each sweep's neighbour heights, one row of K per site
             nbrs = np.take(kept, chain.slots.T, 1, None, "wrap")
             m = nbrs.reshape(-1, n_nbrs).dot(chain.weights)
@@ -316,14 +317,40 @@ def tune(chain: Chain, burn_in_sweeps: int) -> tuple[float, float]:
     return width, change
 
 
-def measured_blocks(chain: Chain, width: float, batch_size: int,
-                    alpha: float) -> Iterator[tuple[int, int, np.ndarray]]:
+def measure(chain: Chain, width: float, batch_size: int, alpha: float, n_rows: int,
+            observe: Callable[[np.ndarray], np.ndarray]
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Run ``N_BATCHES`` batches of ``batch_size`` sweeps in blocks of at
-    most ``BLOCK``, and yield each block's batch with ``Chain.run``'s
-    (accepted, kept); ``kept[:, chain.slot[:-1]]`` is in site order."""
+    most ``BLOCK``; ``observe(kept)`` reads each block's ``Chain.run`` heights
+    (``kept[:, chain.slot[:-1]]`` in site order) as an (n_rows, sweeps)
+    array, which may be a buffer it reuses.  Each row is summed along its
+    sweeps, as are its squares in one scratch buffer allocated once; a row
+    is summed in numpy's order for the layout it is given, so C-contiguous
+    rows pairwise.  Returns per row the mean, the batch-means stderr
+    sqrt(var(ddof=1) / N_BATCHES), n_eff clipped to [1, retained] and the
+    (N_BATCHES, n_rows) batch means, then the moves accepted."""
+    retained = N_BATCHES * batch_size
+    batch_sums = np.zeros((N_BATCHES, n_rows))
+    total_sq = np.zeros(n_rows)
+    squares = np.empty(n_rows * BLOCK)
+    accepted = 0
     for batch in range(N_BATCHES):
         for done in range(0, batch_size, BLOCK):
-            yield (batch, *chain.run(width, min(BLOCK, batch_size - done), alpha))
+            moved, kept = chain.run(width, min(BLOCK, batch_size - done), alpha)
+            accepted += moved
+            rows = observe(kept)
+            batch_sums[batch] += rows.sum(axis=1)
+            sq = squares[:rows.size].reshape(rows.shape)
+            np.multiply(rows, rows, sq)
+            total_sq += sq.sum(axis=1)
+    batch_means = batch_sums / batch_size
+    means = batch_means.mean(axis=0)
+    stderr = np.sqrt(batch_means.var(axis=0, ddof=1) / N_BATCHES)
+    marginal_var = total_sq / retained - means ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_eff = np.where(stderr > 0.0, marginal_var / stderr ** 2, float(retained))
+    n_eff = np.clip(np.nan_to_num(n_eff, nan=float(retained)), 1.0, float(retained))
+    return means, stderr, n_eff, batch_means, accepted
 
 
 def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
@@ -331,16 +358,15 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
                            seed: int = 0, chain: int = 0) -> GradientEstimate:
     """Run one chain and estimate the gradient mean on every kernel edge.
 
-    ``tune`` is followed by ``measured_blocks``, whose V'(phi_i - phi_j)
-    after every sweep is formed per block in an (edges, sweeps) buffer,
-    edges in ``kernel_edges`` order, and summed along each edge's row.
-    Measurement runs the largest multiple of ``N_BATCHES`` sweeps that
-    ``measure_sweeps`` holds (the estimate's ``retained``; fewer than
-    ``N_BATCHES``, or a negative ``burn_in_sweeps``, raises ValueError
-    before any draw, and the CLI asks for at least 100), over-relaxed
-    with ``OVERRELAX`` after a burn-in and not without one.  Poor mixing
-    shows up as large stderr, never as an error; proposals past
-    ``HEIGHT_CAP`` are counted in ``cap_rejects``.
+    ``tune``, then ``measure`` of V'(phi_i - phi_j) after every sweep,
+    formed per block in an (edges, sweeps) buffer, edges in
+    ``kernel_edges`` order.  Measurement runs the largest multiple of
+    ``N_BATCHES`` sweeps that ``measure_sweeps`` holds (the estimate's
+    ``retained``; fewer than ``N_BATCHES``, or a negative
+    ``burn_in_sweeps``, raises ValueError before any draw, and the CLI asks
+    for at least 100), over-relaxed with ``OVERRELAX`` after a burn-in and
+    not without one.  Poor mixing shows up as large stderr, never as an
+    error; proposals past ``HEIGHT_CAP`` are counted in ``cap_rejects``.
     """
     if measure_sweeps < N_BATCHES:
         raise ValueError(f"measure_sweeps must be >= N_BATCHES = {N_BATCHES}, "
@@ -350,39 +376,24 @@ def estimate_gradient_mean(g: BoxGeometry, k: Kernel, vpot: Potential,
     # reflect only about a tuned width's centre: at an untuned one it can stick
     alpha = OVERRELAX if burn_in_sweeps else 0.0
     retained = measure_sweeps // N_BATCHES * N_BATCHES
-    batch_size = retained // N_BATCHES
     # edge endpoints as positions in the chain's class-ordered heights
     ei, ej = sampler.slot[edge_table(g, k)[0]]
     # a block's two (edges, sweeps) arrays, a contiguous prefix of the buffer
     buffer = np.empty(2 * len(ei) * BLOCK)
-    batch_sums = np.zeros((N_BATCHES, len(ei)))
-    total_sq = np.zeros(len(ei))
-    accepted_meas = 0
-    for batch, accepted, kept in measured_blocks(sampler, width, batch_size, alpha):
-        accepted_meas += accepted
+
+    def derivatives(kept: np.ndarray) -> np.ndarray:
+        # C order: each edge's row of sweeps is contiguous, summed pairwise
         t, dv = buffer[:2 * len(ei) * len(kept)].reshape(2, len(ei), len(kept))
-        # kept.T is C order, so each edge's row of sweeps is contiguous and
-        # sum(axis=1) adds it in numpy's pairwise order
         np.take(kept.T, ei, 0, t, "wrap")
         np.take(kept.T, ej, 0, dv, "wrap")
         t -= dv
-        vpot.derivative(t, dv)
-        batch_sums[batch] += dv.sum(axis=1)
-        np.multiply(dv, dv, t)
-        total_sq += t.sum(axis=1)
+        return vpot.derivative(t, dv)
 
-    batch_means = batch_sums / batch_size
-    means = batch_means.mean(axis=0)
-    bvar = batch_means.var(axis=0, ddof=1)
-    stderr = np.sqrt(bvar / N_BATCHES)
-    marginal_var = total_sq / retained - means ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n_eff = np.where(stderr > 0.0, marginal_var / stderr ** 2, float(retained))
-    n_eff = np.clip(np.nan_to_num(n_eff, nan=float(retained)), 1.0, float(retained))
-
+    *fields, accepted = measure(sampler, width, retained // N_BATCHES, alpha, len(ei),
+                                derivatives)
     return GradientEstimate(
-        *(VectorField(g, k, values) for values in (means, stderr, n_eff, batch_means)),
-        acceptance_rate=accepted_meas / (retained * g.n_sites),
+        *(VectorField(g, k, values) for values in fields),
+        acceptance_rate=accepted / (retained * g.n_sites),
         proposal_width=width, width_change=change, cap_rejects=sampler.cap_rejects,
         retained=retained, overrelaxation=alpha)
 

@@ -364,14 +364,6 @@ class Potential:
         if self.b < 0.0 or (self.b == 0.0 and self.a <= 0.0):
             raise ValueError("potential requires b > 0, or b = 0 with a > 0")
 
-    @classmethod
-    def quadratic(cls, c: float = 1.0) -> "Potential":
-        return cls(c)
-
-    @classmethod
-    def quartic(cls, a: float, b: float) -> "Potential":
-        return cls(a, b)
-
     def value(self, t):
         t = np.asarray(t, dtype=float)
         t2 = t * t

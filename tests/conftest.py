@@ -51,12 +51,12 @@ def box55():
 
 @pytest.fixture
 def quadratic():
-    return Potential.quadratic(1.0)
+    return Potential(1.0)
 
 
 @pytest.fixture
 def quartic():
-    return Potential.quartic(1.0, 0.1)
+    return Potential(1.0, 0.1)
 
 
 def gaussian_eta(g, seed=0, realization=0, eta2=1.0):
@@ -169,7 +169,7 @@ def solve_green(A, source):
 
 def green_column(A, y):
     """Green column G(., y), i.e. the solve with a unit source at interior y."""
-    b = np.zeros(A.n)
+    b = np.zeros(A.geometry.n_sites)
     b[A.geometry.index_of(y)] = 1.0
     return solve_array(A, b)
 
@@ -467,8 +467,9 @@ def oracle_cg_solve(A, b, rel_tolerance):
     """Unpreconditioned conjugate gradients (scipy) on the matrix-free
     operator, stopped at relative residual rel_tolerance: a reference for
     ``solve_array`` that shares none of its code but ``apply``."""
-    op = LinearOperator((A.n, A.n), matvec=A.apply, dtype=float)
-    x, info = cg(op, b, rtol=rel_tolerance, atol=0.0, maxiter=10 * A.n)
+    n = A.geometry.n_sites
+    op = LinearOperator((n, n), matvec=A.apply, dtype=float)
+    x, info = cg(op, b, rtol=rel_tolerance, atol=0.0, maxiter=10 * n)
     assert info == 0, f"oracle CG did not converge in {info} steps"
     return x
 

@@ -214,7 +214,7 @@ def test_criterion_09_mcmc_matches_exact_solver():
     eta = sample_disorder(DisorderSpec("gaussian", 1.0, MASTER_SEED, 0), g)
     A = gaussian.DirichletLaplacian(g, k)
     X = gaussian.mean_gradient(A, eta)
-    est = mcmc.estimate_gradient_mean(g, k, Potential.quadratic(1.0), eta,
+    est = mcmc.estimate_gradient_mean(g, k, Potential(1.0), eta,
                                       2000, 20000, seed=MASTER_SEED)
     edges = kernel_edges(g, k)
     inside = int(np.sum(np.abs(est.mean.values - X.values) <= 3.0 * est.stderr.values))
@@ -234,7 +234,7 @@ def test_criterion_10_anharmonic_divergence_residuals():
     watch = Stopwatch(300.0)
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry(2, 8)
-    vpot = Potential.quartic(1.0, 0.1)
+    vpot = Potential(1.0, 0.1)
     eta = sample_disorder(DisorderSpec("gaussian", 1.0, MASTER_SEED, 0), g)
     est = mcmc.estimate_gradient_mean(g, k, vpot, eta, 2000, 20000, seed=MASTER_SEED)
     resid, se = mcmc.divergence_check(est, eta)

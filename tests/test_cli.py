@@ -50,12 +50,12 @@ def test_parse_rejects_l_zero_for_scaling():
 
 def test_parse_potential_round_trip():
     cfg = parse_config("experiment=mcmc\nL=2\npotential=quartic:1.0:0.1\n")
-    assert cfg.potential == Potential.quartic(1.0, 0.1)
+    assert cfg.potential == Potential(1.0, 0.1)
     cfg2 = parse_config("experiment=mcmc\nL=2\npotential=quadratic:2.5\n")
-    assert cfg2.potential == Potential.quadratic(2.5)
+    assert cfg2.potential == Potential(2.5)
     # b = 0 is the Gaussian case, however it is written
     cfg3 = parse_config("experiment=mcmc\nL=2\npotential=quartic:2.5:0\n")
-    assert cfg3.potential == Potential.quadratic(2.5)
+    assert cfg3.potential == Potential(2.5)
 
 
 def test_parse_rejects_unknown_key_with_line_number():
@@ -578,12 +578,12 @@ def test_mcmc_run_past_the_height_cap_exits_numerical_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("potential", ["quartic:1e9:0.1", "quartic:1:1e20"])
 def test_mcmc_chain_that_never_moves_exits_numerical_failure(potential, tmp_path, capsys):
-    # so stiff a potential rejects every proposal from the all-zero start:
-    # burn-in's width moments are 0, it keeps its width, and the chain stays
-    # at 0, with zero means and stderrs on every edge
+    # so stiff a potential rejects every proposal of START_WIDTH from the
+    # all-zero start: with no burn-in to narrow it, the chain stays at 0,
+    # with zero means and stderrs on every edge
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(f"experiment=mcmc\nd=2\nL=2\npotential={potential}\n"
-                        "measure_sweeps=600\nseed=1\n")
+                        "burn_in_sweeps=0\nmeasure_sweeps=600\nseed=1\n")
     assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
     assert "status: numerical-failure" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
@@ -594,6 +594,19 @@ def test_mcmc_chain_that_never_moves_exits_numerical_failure(potential, tmp_path
     assert summary["error"] == "the chain accepted no proposal"
     rows = read_csv(tmp_path / "edges.csv")[1:]
     assert len(rows) == 60 and all(float(row[2]) == float(row[3]) == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("potential", ["quartic:1e9:0.1", "quartic:1:1e20"])
+def test_burn_in_narrows_a_chain_that_no_proposal_leaves(potential, tmp_path):
+    # the same chains with the default burn-in: each block that moves
+    # nothing halves the width, until the proposals come near enough to move
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"experiment=mcmc\nd=2\nL=2\npotential={potential}\n"
+                        "measure_sweeps=600\nseed=1\n")
+    assert main([str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "run_manifest.json").read_text())["summaries"]
+    assert summary["acceptance_rate"] > 0.5 and summary["cap_rejects"] == 0
+    assert summary["divergence_within_4se_fraction"] >= 0.95
 
 
 # ---------------------------------------------------------------------------

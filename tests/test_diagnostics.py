@@ -504,6 +504,18 @@ def test_boundary_identities_are_one_solve(name, monkeypatch):
     assert "splu" not in boundary_identities.__code__.co_names
 
 
+@pytest.mark.parametrize("eta2", [-1.0, 0.0, math.nan, math.inf])
+def test_boundary_identities_reject_a_variance_not_positive_and_finite(eta2, monkeypatch):
+    # -1 and 0 read as a pass (relative difference 0), nan and inf as nan
+    def no_solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(gaussian, "solve_array", no_solve)
+    A = DirichletLaplacian(BoxGeometry(2, 2), Kernel.nearest_neighbor(2))
+    with pytest.raises(ValueError, match="eta2 must be > 0 and finite"):
+        boundary_identities(A, eta2)
+
+
 # ---------------------------------------------------------------------------
 # rows and fits
 

@@ -249,7 +249,7 @@ def test_mcmc_divergence_check_matches_reference(name):
     k = KERNELS[name](2)
     g = BoxGeometry(2, 2)
     eta = sample_disorder(DisorderSpec("gaussian", 1.0, 43, 0), g)
-    est = mcmc.estimate_gradient_mean(g, k, Potential.quartic(1.0, 0.1), eta,
+    est = mcmc.estimate_gradient_mean(g, k, Potential(1.0, 0.1), eta,
                                       50, 300, seed=4)
     res, se = mcmc.divergence_check(est, eta)
     ref_res, ref_se = oracle_divergence_check(est, eta, g, k)

@@ -404,7 +404,7 @@ def green_column_covariance(A, a, b, eta2):
     """Oracle: C(a, b) = eta2 <T_a, T_b>, each edge response the difference
     of the Green columns of its interior endpoints (two solves per edge)."""
     def response(edge):
-        out = np.zeros(A.n)
+        out = np.zeros(A.geometry.n_sites)
         if edge[0] != edge[1]:
             for x, sign in zip(edge, (1.0, -1.0)):
                 if A.geometry.contains(x):

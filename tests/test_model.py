@@ -99,7 +99,7 @@ def test_a_kernel_is_its_nonzero_weights(weight_map):
 
 @pytest.mark.parametrize("build", [
     neighbor_index, edge_table,
-    lambda g, k: Chain(g, k, Potential.quartic(1.0, 0.1), np.zeros(g.n_sites)),
+    lambda g, k: Chain(g, k, Potential(1.0, 0.1), np.zeros(g.n_sites)),
 ], ids=["neighbor_index", "edge_table", "Chain"])
 def test_tables_reject_a_kernel_of_another_dimension(build):
     with pytest.raises(ValueError, match="kernel and geometry dimensions differ"):
@@ -268,25 +268,25 @@ def test_unknown_disorder_family_rejected():
 
 def test_potential_families_validate():
     with pytest.raises(ValueError):
-        Potential.quadratic(0.0)
+        Potential(0.0)
     with pytest.raises(ValueError):
-        Potential.quartic(1.0, -0.1)
+        Potential(1.0, -0.1)
     with pytest.raises(ValueError):
-        Potential.quartic(-1.0, 0.0)
-    for bad in (lambda: Potential.quartic(math.nan, 1.0),
-                lambda: Potential.quartic(1.0, math.inf),
-                lambda: Potential.quartic(-math.inf, 1.0),
-                lambda: Potential.quadratic(math.inf),
-                lambda: Potential.quadratic(math.nan)):
+        Potential(-1.0, 0.0)
+    for bad in (lambda: Potential(math.nan, 1.0),
+                lambda: Potential(1.0, math.inf),
+                lambda: Potential(-math.inf, 1.0),
+                lambda: Potential(math.inf),
+                lambda: Potential(math.nan)):
         with pytest.raises(ValueError):
             bad()
-    Potential.quartic(-1.0, 0.5)  # double well is allowed
+    Potential(-1.0, 0.5)  # double well is allowed
 
 
 @given(st.floats(-50.0, 50.0))
 @settings(max_examples=50, deadline=None)
 def test_potential_even_and_derivative_odd(t):
-    for vpot in (Potential.quadratic(2.0), Potential.quartic(1.0, 0.3)):
+    for vpot in (Potential(2.0), Potential(1.0, 0.3)):
         assert vpot.value(t) == pytest.approx(vpot.value(-t), abs=1e-12)
         assert vpot.derivative(-t) == pytest.approx(-vpot.derivative(t), abs=1e-12)
 
@@ -294,7 +294,7 @@ def test_potential_even_and_derivative_odd(t):
 def test_derivative_matches_finite_differences():
     rng = np.random.default_rng(5)
     h = 1e-4
-    for vpot in (Potential.quadratic(1.5), Potential.quartic(1.0, 0.4)):
+    for vpot in (Potential(1.5), Potential(1.0, 0.4)):
         t = rng.uniform(-5.0, 5.0, size=1000)
         fd = (vpot.value(t + h) - vpot.value(t - h)) / (2.0 * h)
         scale = 1.0 + np.abs(t) ** 3
