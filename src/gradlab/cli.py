@@ -18,9 +18,11 @@ results.
 
 The manifest's ``solver`` key records the method of the Gaussian numbers:
 "pcg" for every run that solves (``gaussian.solve_array``: the sine solve,
-continued by preconditioned conjugate gradients where it alone misses the
-tolerance), or "spectral" for the ``nn`` covariance scans (``scaling``,
-``decay``), which solve nothing.
+by dense sine-matrix products on a box of side at most
+``gaussian.DENSE_SIDE`` and by real FFTs above it, continued by
+preconditioned conjugate gradients where it alone misses the tolerance), or
+"spectral" for the ``nn`` covariance scans (``scaling``, ``decay``), which
+solve nothing.
 
 Exit codes: 0 success; 1 config error; 2 numerical failure (solver
 non-convergence, a CSV holding a non-finite number, or an ``mcmc`` chain
@@ -509,8 +511,12 @@ def _preloads(cfg: ExperimentConfig) -> list[str]:
     """What ``run`` imports before its clock: the modules the run calls that
     importing ``cli`` does not load.  numpy 2 loads ``numpy.fft`` and
     ``numpy.random`` on first use, and no module imports ``mcmc`` or
-    ``quadrature`` at load, so each would otherwise load inside the clock."""
-    return ([module for module, called in (("numpy.fft", _solver(cfg) == "pcg"),
+    ``quadrature`` at load, so each would otherwise load inside the clock.
+    Only a solve on a box of side above ``gaussian.DENSE_SIDE`` calls
+    ``numpy.fft``."""
+    fft = (_solver(cfg) == "pcg"
+           and 2 * max(cfg.L_list or (cfg.L,)) + 1 > gaussian.DENSE_SIDE)
+    return ([module for module, called in (("numpy.fft", fft),
                                            ("numpy.random", _draws(cfg)))
              if called] + list(EXPERIMENTS[cfg.experiment].preloads))
 

@@ -13,10 +13,12 @@ gives the disorder covariance of X as eta2 T T^t.
 discrete sine basis with the symbol of the kernel's offsets (``_symbol``),
 is I - P for the nearest-neighbour kernel and a spectrally equivalent
 preconditioner for any other (Concus & Golub, SIAM J. Numer. Anal. 10,
-1973).  A solve starts from M^-1 b (a DST-I pair, each real FFTs of the odd
-extension on ``numpy.fft``), where every nearest-neighbour solve ends, and
-otherwise continues by conjugate gradients preconditioned by M^-1.  Every
-solve meets the one residual target ``REL_TOLERANCE``.
+1973).  A solve starts from M^-1 b, a DST-I pair (Buzbee, Golub & Nielson,
+SIAM J. Numer. Anal. 7, 1970): products with the dense sine matrix along
+each axis on a box of side at most ``DENSE_SIDE``, real FFTs of the odd
+extension on ``numpy.fft`` on a longer side.  Every nearest-neighbour solve
+ends there; any other continues by conjugate gradients preconditioned by
+M^-1.  Every solve meets the one residual target ``REL_TOLERANCE``.
 ``covariances`` sums the sine modes of the nearest-neighbour kernel as an
 exponential sum, O(d L) per node, and edge responses of any other kernel.
 Nothing here assembles the operator as a matrix, and nothing here checks
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -47,6 +49,11 @@ class SolverError(NumericalError):
 
 #: the residual target of every solve, ||Au - b|| <= REL_TOLERANCE ||b||
 REL_TOLERANCE = 1e-10
+
+#: the longest box side whose sine solve multiplies by the side x side sine
+#: matrix: the measured d=2 crossover, where real FFTs of lengths with small
+#: prime factors catch up (at d=1 they do from side ~300, on 0.03 ms solves)
+DENSE_SIDE = 383
 
 #: nodes of the exponential sum taken at once, memory side x NODE_CHUNK
 NODE_CHUNK = 16
@@ -71,11 +78,16 @@ class DirichletLaplacian:
         lam[lam == 0.0] = 1.0  # a mode only a kernel with no unit step misses
         return lam * float(2 * self.geometry.side + 2) ** self.geometry.d
 
+    @cached_property
+    def _stencil(self) -> list[tuple[float, tuple[slice, ...], tuple[slice, ...]]]:
+        """(p(v), inner, outer) per kernel offset v, ``_overlap``'s slices."""
+        return [(w, *_overlap(self.geometry, v))
+                for v, w in zip(self.kernel.offsets, self.kernel.weights)]
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.reshape(x, self.geometry.shape)
         out = x.astype(float)
-        for v, w in zip(self.kernel.offsets, self.kernel.weights):
-            inner, outer = _overlap(self.geometry, v)
+        for w, inner, outer in self._stencil:
             out[inner] -= w * x[outer]
         return out.ravel()
 
@@ -106,6 +118,16 @@ def _symbol(g: BoxGeometry, kernel: Kernel) -> list[np.ndarray]:
     return sym
 
 
+@lru_cache(maxsize=4)
+def _sine_matrix(side: int) -> np.ndarray:
+    """S_jk = sin(pi j k / m) for j, k = 1..side, m = side + 1, the angle
+    reduced exactly (``_sin_pi``); cached, hence read-only."""
+    k = np.arange(1, side + 1)
+    S = _sin_pi(np.outer(k, k), side + 1)
+    S.flags.writeable = False
+    return S
+
+
 def _sine_solve(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
     """M^-1 b on {-L..L}^d: the exact solve for the nearest-neighbour kernel.
 
@@ -114,14 +136,27 @@ def _sine_solve(A: DirichletLaplacian, b: np.ndarray) -> np.ndarray:
     (``_symbol``), so M^-1 b = (2m)^-d S (S b / lambda) for the DST-I
     S_kn = 2 sin(pi k n / m) along every axis, S S = 2m.
 
-    One pass takes the real FFT of the odd extension [0, x, 0, -x reversed]
-    (length 2m) of every line along the last axis, whose bins 1..side are
-    -S x, and writes them back into the one padded buffer with that axis
-    moved to the front: d passes transform every axis and restore the axis
-    order, and the 2d signs cancel.
+    A box of side at most ``DENSE_SIDE`` multiplies every axis by the
+    symmetric ``_sine_matrix``, half the DST-I: axis a < d - 1 as a stack of
+    side^a products S x, the last axis as x S, each on a reshape that copies
+    nothing; d passes transform every axis, and the 4^d the halves leave
+    out goes into the divisor.  A longer side takes the real FFT of the odd extension
+    [0, x, 0, -x reversed] (length 2m) of every line along the last axis,
+    whose bins 1..side are -S x, and writes them back into one padded
+    buffer with that axis moved to the front: d passes transform every axis
+    and restore the axis order, and the 2d signs cancel.
     """
     g = A.geometry
     n, m = g.side, g.side + 1
+    if n <= DENSE_SIDE:
+        S, x = _sine_matrix(n), b
+        for p in range(2 * g.d):
+            a = p % g.d
+            x = (np.matmul(S, x.reshape(n ** a, n, -1)) if a < g.d - 1
+                 else x.reshape(-1, n) @ S)
+            if p == g.d - 1:
+                x = x.reshape(g.shape) / (A._sine_divisor * 0.25 ** g.d)
+        return x.ravel()
     buf = np.zeros(g.shape[:-1] + (2 * m,))
     inner = buf[..., 1:m]
     inner[...] = b.reshape(g.shape)

@@ -328,7 +328,10 @@ def measure(chain: Chain, width: float, batch_size: int, alpha: float, n_rows: i
     is summed in numpy's order for the layout it is given, so C-contiguous
     rows pairwise.  Returns per row the mean, the batch-means stderr
     sqrt(var(ddof=1) / N_BATCHES), n_eff clipped to [1, retained] and the
-    (N_BATCHES, n_rows) batch means, then the moves accepted."""
+    (N_BATCHES, n_rows) batch means, then the moves accepted.  A batch of
+    fewer than 1 sweep is a ValueError, raised before any draw."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     retained = N_BATCHES * batch_size
     batch_sums = np.zeros((N_BATCHES, n_rows))
     total_sq = np.zeros(n_rows)

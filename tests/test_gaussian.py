@@ -222,9 +222,18 @@ def nn_eigenvalues(g):
                for a in range(g.d))
 
 
+def each_transform(monkeypatch):
+    """Yield "dense" with the real ``DENSE_SIDE``, under which every box of
+    these tests takes the sine-matrix products, then "fft" with it at 0."""
+    assert max(2 * L + 1 for _, L in SMALL_BOXES) <= gaussian.DENSE_SIDE
+    yield "dense"
+    monkeypatch.setattr(gaussian, "DENSE_SIDE", 0)
+    yield "fft"
+
+
 @pytest.mark.parametrize("d,L", SMALL_BOXES)
-def test_numpy_dst_solve_matches_scipy_dst(d, L):
-    # scipy is a test-only oracle here: the solve itself runs on numpy.fft
+def test_numpy_dst_solve_matches_scipy_dst(d, L, monkeypatch):
+    # scipy is a test-only oracle here: the solve itself runs on numpy
     from scipy.fft import dst, idst
     A, g, _ = make_operator(d, L)
     b = np.random.default_rng(d * 100 + L).uniform(0.5, 1.5, size=g.n_sites)
@@ -234,15 +243,39 @@ def test_numpy_dst_solve_matches_scipy_dst(d, L):
     x = x / nn_eigenvalues(g)
     for a in range(d):
         x = idst(x, type=1, axis=a)
-    np.testing.assert_allclose(_sine_solve(A, b), x.ravel(), rtol=1e-13, atol=0.0)
+    for transform in each_transform(monkeypatch):
+        np.testing.assert_allclose(_sine_solve(A, b), x.ravel(), rtol=1e-13, atol=0.0,
+                                   err_msg=transform)
 
 
 @pytest.mark.parametrize("d,L", SMALL_BOXES)
-def test_numpy_dst_solve_matches_dense_inverse(d, L):
+def test_numpy_dst_solve_matches_dense_inverse(d, L, monkeypatch):
     A, g, _ = make_operator(d, L)
     b = np.random.default_rng(d * 100 + L + 1).uniform(0.5, 1.5, size=g.n_sites)
     reference = np.linalg.solve(oracle_sparse_operator(A).toarray(), b)
-    np.testing.assert_allclose(_sine_solve(A, b), reference, rtol=1e-13, atol=0.0)
+    for transform in each_transform(monkeypatch):
+        np.testing.assert_allclose(_sine_solve(A, b), reference, rtol=1e-13, atol=0.0,
+                                   err_msg=transform)
+
+
+#: the least L whose box side 2L + 1 is above ``DENSE_SIDE``
+FFT_L = gaussian.DENSE_SIDE // 2 + 1
+
+
+@pytest.mark.parametrize("d,L", [(1, FFT_L - 1), (1, FFT_L), (2, FFT_L - 1),
+                                 (2, FFT_L), (3, 2), (3, 32)])
+def test_dense_and_fft_transforms_agree(d, L, monkeypatch):
+    # the sides on either side of DENSE_SIDE, and at d=3 boxes a solve can
+    # afford (side 385 would be 57 M sites)
+    A, g, _ = make_operator(d, L)
+    b = np.random.default_rng(d * 1000 + L).uniform(0.5, 1.5, size=g.n_sites)
+    chosen = _sine_solve(A, b)
+    monkeypatch.setattr(gaussian, "DENSE_SIDE", 10 ** 9)
+    dense = _sine_solve(A, b)
+    monkeypatch.setattr(gaussian, "DENSE_SIDE", 0)
+    fft = _sine_solve(A, b)
+    np.testing.assert_allclose(dense, fft, rtol=1e-13, atol=0.0)
+    assert chosen.tobytes() == (dense if L < FFT_L else fft).tobytes()
 
 
 @pytest.mark.parametrize("d,L", [(1, 3), (2, 1024), (3, 16)])

@@ -2,8 +2,9 @@
 
 No module of the package names scipy, and the package imports none of its
 modules; ``cli.run`` imports the modules its run calls (``cli._preloads``:
-``numpy.fft``, ``numpy.random``, ``gradlab.mcmc`` or ``gradlab.quadrature``)
-before it starts the clock of ``wall_time_s``.  Each run here is a fresh
+``numpy.fft`` for a solve on a box of side above ``gaussian.DENSE_SIDE``,
+``numpy.random``, ``gradlab.mcmc`` or ``gradlab.quadrature``) before it
+starts the clock of ``wall_time_s``.  Each run here is a fresh
 interpreter, so ``sys.modules`` shows what that experiment alone loaded.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import gradlab
-from gradlab import cli
+from gradlab import cli, gaussian
 
 PACKAGE = Path(gradlab.__file__).resolve().parent
 
@@ -52,6 +53,8 @@ print(json.dumps({"code": code, "added": added,
 CORE = ["gradlab.cli", "gradlab.diagnostics", "gradlab.gaussian", "gradlab.model"]
 #: the runs that draw random numbers, disorder or a chain
 DRAWS = {"gaussian-exact", "identities", "mcmc", "clt"}
+#: the least L whose box side 2L + 1 is solved by real FFTs
+FFT_L = gaussian.DENSE_SIDE // 2 + 1
 
 
 def fresh_env():
@@ -76,6 +79,9 @@ def fresh_env():
     pytest.param("experiment=scaling\nd=2\nL_list=2\nkernel=axis2\n",
                  id="scaling-axis2"),
     pytest.param("experiment=quadrature\nR_list=10\n", id="quadrature"),
+    pytest.param(f"experiment=identities\nd=1\nL={FFT_L}\n", id="identities-fft"),
+    pytest.param(f"experiment=scaling\nd=1\nL_list=2,{FFT_L}\nkernel=axis2\n",
+                 id="scaling-axis2-fft"),
 ])
 def test_each_run_loads_only_the_scipy_module_it_calls(text, tmp_path):
     config = tmp_path / "exp.cfg"
@@ -90,8 +96,11 @@ def test_each_run_loads_only_the_scipy_module_it_calls(text, tmp_path):
     # no run calls scipy
     assert report["scipy"] == []
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
-    # every solve, and only a solve, runs the sine transform on numpy.fft
-    assert report["numpy_fft"] == (manifest.get("solver") == "pcg")
+    # a solve runs the sine transform on numpy.fft only on a box of side
+    # above gaussian.DENSE_SIDE
+    sizes = manifest["config"].get("L_list") or [manifest["config"].get("L", 0)]
+    assert report["numpy_fft"] == (manifest.get("solver") == "pcg"
+                                   and 2 * max(sizes) + 1 > gaussian.DENSE_SIDE)
     assert report["numpy_random"] == (experiment in DRAWS)
     assert ("numpy.random" in cli._preloads(cli.parse_config(text))) == \
         (experiment in DRAWS)
@@ -103,12 +112,15 @@ def test_each_run_loads_only_the_scipy_module_it_calls(text, tmp_path):
     assert set(manifest["environment"]) == {"python", "numpy", "cpu_count"}
 
 
-def test_dst_solves_preload_numpy_fft_and_no_scipy():
-    for text in ("experiment=identities\nd=2\nL=2\n",
-                 "experiment=identities\nd=2\nL=2\nkernel=axis2\n",
-                 "experiment=mcmc\nd=2\nL=1\n"):
+@pytest.mark.parametrize("L,fft", [(FFT_L - 1, False), (FFT_L, True)],
+                         ids=["dense-side", "above-dense-side"])
+def test_only_solves_above_the_dense_side_preload_numpy_fft(L, fft):
+    for text in (f"experiment=identities\nd=2\nL={L}\n",
+                 f"experiment=identities\nd=2\nL={L}\nkernel=axis2\n",
+                 f"experiment=mcmc\nd=2\nL={L}\n",
+                 f"experiment=scaling\nd=2\nL_list=2,{L}\nkernel=axis2\n"):
         preloads = cli._preloads(cli.parse_config(text))
-        assert "numpy.fft" in preloads
+        assert ("numpy.fft" in preloads) == fft
         assert [m for m in preloads if m.split(".")[0] == "scipy"] == []
 
 

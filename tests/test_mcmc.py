@@ -146,6 +146,22 @@ def test_a_block_longer_than_block_is_rejected_before_any_draw(quartic):
     assert np.array_equal(chain.ph, fresh.ph)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_a_batch_of_no_sweeps_is_rejected_before_any_draw(quartic, batch_size):
+    # no sweep would make every mean 0 / 0: measure raises, and the next
+    # block sees the draws a fresh chain sees
+    k = Kernel.nearest_neighbor(2)
+    g = BoxGeometry(2, 1)
+    eta = gaussian_eta(g, seed=4)
+    chain, fresh = Chain(g, k, quartic, eta, seed=42), Chain(g, k, quartic, eta, seed=42)
+    with pytest.raises(ValueError, match="batch_size"):
+        measure(chain, 1.5, batch_size, OVERRELAX, 1, lambda kept: kept[:1])
+    accepted, kept = chain.run(1.5, BLOCK)
+    want_accepted, want_kept = fresh.run(1.5, BLOCK)
+    assert accepted == want_accepted and np.array_equal(kept, want_kept)
+    assert np.array_equal(chain.ph, fresh.ph)
+
+
 def test_proposals_beyond_the_height_cap_are_rejected_and_counted(quadratic):
     k = Kernel.nearest_neighbor(2)
     g = BoxGeometry(2, 2)
